@@ -1306,13 +1306,17 @@ let build ~checked ~profile ~backend k =
 (* ------------------------------------------------------------------ *)
 (* Compiled-kernel cache                                               *)
 (*                                                                     *)
-(* Keyed by a digest of the post-optimization kernel structure plus    *)
-(* the checked flag, so repeated scheduling/benchmark runs of the same *)
-(* kernel skip closure compilation. The digest is only a lookup key:   *)
-(* on a hit the stored kernel is compared structurally and a mismatch  *)
-(* (digest collision, or NaN literals defeating structural equality)   *)
-(* falls back to a fresh compile. Compiled closures are immutable and  *)
-(* reusable across runs; the mutex keeps the table safe under domains. *)
+(* Keyed by a digest of the kernel as lowered (before the optimizer)   *)
+(* plus every input that shapes the compiled result: the optimizer     *)
+(* config, the checked/profile flags and the backend tag with its      *)
+(* compiler id. A hit therefore skips the optimizer as well as closure *)
+(* compilation and cc. The digest is only a lookup key: each entry     *)
+(* keeps its source kernel and config, a hit compares them             *)
+(* structurally, and a mismatch (digest collision, or NaN literals     *)
+(* defeating structural equality) falls back to a fresh compile. Only  *)
+(* kernels that optimized and built cleanly are inserted. Compiled     *)
+(* closures are immutable and reusable across runs; the mutex keeps    *)
+(* the table safe under domains.                                       *)
 (* ------------------------------------------------------------------ *)
 
 type cache_stats = {
@@ -1323,7 +1327,11 @@ type cache_stats = {
   coalesced : int;
 }
 
-let cache_table : (string, compiled) Hashtbl.t = Hashtbl.create 64
+(* An entry: the kernel as lowered, the optimizer config it was
+   compiled under, and the result. *)
+type entry = { e_source : Imp.kernel; e_opt : Taco_lower.Opt.config; e_compiled : compiled }
+
+let cache_table : (string, entry) Hashtbl.t = Hashtbl.create 64
 
 let cache_mutex = Mutex.create ()
 
@@ -1354,7 +1362,7 @@ let locked f =
   Mutex.lock cache_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
 
-let cache_key ~checked ~profile ~backend (k : Imp.kernel) =
+let cache_key ~opt ~checked ~profile ~backend (k : Imp.kernel) =
   (* The compiler string joins the key for native entries: a cached .so
      built by one TACO_CC must not be served when the variable changes
      (the downgraded form of a native entry is compiler-specific too —
@@ -1362,7 +1370,7 @@ let cache_key ~checked ~profile ~backend (k : Imp.kernel) =
   let btag =
     match backend with `Closure -> "closure" | `Native -> "native:" ^ Native.compiler_id ()
   in
-  Digest.string (Marshal.to_string (checked, profile, btag, k) [])
+  Digest.string (Marshal.to_string (opt, checked, profile, btag, k) [])
 
 let cache_stats () =
   locked (fun () ->
@@ -1401,42 +1409,45 @@ let rec evict_over_capacity dropped =
         end;
         evict_over_capacity (if present then dropped + 1 else dropped)
 
-let compile_inner ~checked ~profile ?opt ~cache ~backend k =
+let compile_inner ~checked ~profile ~opt ~cache ~backend k =
   (* Before the cache lookup, so an armed rule fires on hits too. *)
   Fault.hit ~stage:Diag.Compile "compile.build";
-  let k =
-    match Taco_lower.Opt.optimize ?config:opt k with
-    | Ok k' -> k'
-    | Error msg -> invalid_arg ("Compile.compile: optimizer " ^ msg)
-  in
+  (* Optimize, then build: only ever run on a miss (or uncached). *)
   let build_traced () =
+    let k =
+      match Taco_lower.Opt.optimize ~config:opt k with
+      | Ok k' -> k'
+      | Error msg -> invalid_arg ("Compile.compile: optimizer " ^ msg)
+    in
     Trace.with_span ~cat:"compile" ~args:[ ("kernel", k.Imp.k_name) ] "compile.build"
       (fun () -> build ~checked ~profile ~backend k)
   in
   if not cache then build_traced ()
   else begin
-    let key = cache_key ~checked ~profile ~backend k in
+    let key = cache_key ~opt ~checked ~profile ~backend k in
     (* Single-flight: under the mutex, either take a valid entry (hit),
        or — when another domain is already building this key — wait for
        its completion signal and re-check (a coalesced hit), or claim
        the build by marking the key in flight. Many concurrent requests
-       for the same kernel structure thus compile it exactly once —
-       including the gcc invocation of a native build, which is the
-       cache's most expensive coalesced unit. *)
-    let valid c =
+       for the same kernel compile it exactly once — optimizer, closures
+       and, for a native build, the cc invocation, the cache's most
+       expensive coalesced unit. *)
+    let valid e =
+      let c = e.e_compiled in
       c.c_checked = checked
       && c.c_prof <> None = profile
       && c.c_requested = backend
-      && c.c_kernel = k
+      && e.e_opt = opt
+      && e.e_source = k
     in
     let decision =
       locked (fun () ->
           let rec acquire ~waited =
             match Hashtbl.find_opt cache_table key with
-            | Some c when valid c ->
+            | Some e when valid e ->
                 incr cache_hits;
                 if waited then incr cache_coalesced;
-                `Hit c
+                `Hit e.e_compiled
             | _ ->
                 if Hashtbl.mem cache_in_flight key then begin
                   Condition.wait cache_cond cache_mutex;
@@ -1469,7 +1480,7 @@ let compile_inner ~checked ~profile ?opt ~cache ~backend k =
           locked (fun () ->
               incr cache_misses;
               let fresh = not (Hashtbl.mem cache_table key) in
-              Hashtbl.replace cache_table key c;
+              Hashtbl.replace cache_table key { e_source = k; e_opt = opt; e_compiled = c };
               if fresh then Queue.push key cache_order;
               let dropped = evict_over_capacity 0 in
               release ();
@@ -1480,9 +1491,10 @@ let compile_inner ~checked ~profile ?opt ~cache ~backend k =
         c
   end
 
-let compile ?(checked = false) ?(profile = false) ?opt ?(cache = true) ?(backend = `Closure) k =
+let compile ?(checked = false) ?(profile = false) ?(opt = Taco_lower.Opt.all) ?(cache = true)
+    ?(backend = `Closure) k =
   Trace.with_span ~cat:"compile" ~args:[ ("kernel", k.Imp.k_name) ] "compile" (fun () ->
-      compile_inner ~checked ~profile ?opt ~cache ~backend k)
+      compile_inner ~checked ~profile ~opt ~cache ~backend k)
 
 let compile_res ?checked ?profile ?opt ?cache ?backend k =
   match compile ?checked ?profile ?opt ?cache ?backend k with

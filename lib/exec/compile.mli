@@ -64,13 +64,18 @@ val native_phases : compiled -> Native.phases option
     validator's message.
 
     With [~cache:true] (the default) compiled kernels are memoized in a
-    process-wide table keyed by the structure of the post-optimization
-    kernel, the [checked]/[profile] flags and the requested [backend]
-    (including the resolved compiler for [`Native], so changing
-    [TACO_CC] never serves a stale entry); recompiling an identical
-    kernel returns the cached executable. Native builds join the same
-    single-flight discipline: one [cc] invocation per distinct
-    structure, however many domains race for it.
+    process-wide table keyed by the structure of the kernel {e as
+    passed in} (before the optimizer), the [opt] config, the
+    [checked]/[profile] flags and the requested [backend] (including
+    the resolved compiler for [`Native], so changing [TACO_CC] never
+    serves a stale entry). Recompiling an identical kernel returns the
+    cached executable without running the optimizer again: the
+    ["opt.*"] trace spans and the ["opt.pass"] fault point fire only on
+    misses and uncached compiles. Two kernels that optimize to the same
+    structure are two entries. A kernel that fails validation or
+    optimization is never cached. Native builds join the same
+    single-flight discipline: one optimizer run and one [cc]
+    invocation per distinct key, however many domains race for it.
 
     With [~checked:true] the compiled closures bounds-check every array
     load, store and memset; a violation raises
@@ -140,15 +145,16 @@ val profile_reset : compiled -> unit
 
     The cache is domain-safe: the table and its counters sit behind a
     mutex, and compilation is single-flighted — when several domains
-    concurrently request the same (not yet cached) kernel structure,
-    exactly one builds it while the rest block and then take the cached
-    result. [misses] therefore counts actual closure builds: each
-    distinct kernel structure compiles exactly once per process however
-    many domains race for it. *)
+    concurrently request the same (not yet cached) key, exactly one
+    optimizes and builds it while the rest block and then take the
+    cached result. [misses] therefore counts actual builds: each
+    distinct key (lowered kernel, [opt], [checked], [profile],
+    backend) compiles exactly once per process however many domains
+    race for it. *)
 
 type cache_stats = {
-  hits : int;  (** Lookups served from the table. *)
-  misses : int;  (** Closure builds (one per distinct structure). *)
+  hits : int;  (** Lookups served from the table, with no optimizer run. *)
+  misses : int;  (** Optimizer runs plus builds (one per distinct key). *)
   entries : int;
   evictions : int;
   coalesced : int;

@@ -34,16 +34,16 @@ let none =
     dce = false;
   }
 
-(* Rewrite-fire accounting: every pass bumps [fires] at each discrete
-   rewrite it performs (a fold, a fused memset, a hoisted decl, a
-   dropped statement, ...). [optimize_stats] resets the counter around
-   each pass and reports the per-pass totals. The counter is a plain
-   module-level ref: concurrent optimizations from several domains
-   would interleave counts (stats only — kernel results are
-   unaffected). *)
-let fires = ref 0
+(* Rewrite-fire accounting: every pass bumps its domain's [fires]
+   counter at each discrete rewrite it performs (a fold, a fused
+   memset, a hoisted decl, a dropped statement, ...). [optimize_stats]
+   resets the counter around each pass and reports the per-pass totals.
+   The counter is per-domain, so optimizations running concurrently on
+   several domains (e.g. service workers building on cache misses) each
+   count only their own rewrites. *)
+let fires = Domain.DLS.new_key (fun () -> ref 0)
 
-let fire () = incr fires
+let fire () = incr (Domain.DLS.get fires)
 
 (* ------------------------------------------------------------------ *)
 (* Shared analysis helpers                                             *)
@@ -1221,6 +1221,7 @@ let optimize_stats ?(config = all) k =
             | [] -> Ok (k, List.rev acc)
             | (name, f) :: rest -> (
                 let nodes_before = node_count k in
+                let fires = Domain.DLS.get fires in
                 fires := 0;
                 Taco_support.Faultinject.hit ~stage:Taco_support.Diag.Compile "opt.pass";
                 let t0 = Trace.now_ns () in

@@ -68,7 +68,9 @@ val none : config
     sunk guards, shared or hoisted temporaries, dropped statements);
     node counts are {!Imp.node_count} before/after, so
     [ps_nodes_before - ps_nodes_after] is the pass's IR shrinkage
-    (negative for passes that introduce temporaries). *)
+    (negative for passes that introduce temporaries). Fires are counted
+    per domain, so runs on several domains at once each report the
+    counts of a sequential run. *)
 type pass_stat = {
   ps_pass : string;  (** Pass name as listed in {!config}. *)
   ps_time_ns : int64;  (** Wall time of the rewrite itself (validation excluded). *)

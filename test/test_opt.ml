@@ -14,6 +14,7 @@ module Opt = Taco_lower.Opt
 module Lower = Taco_lower.Lower
 module Compile = Taco_exec.Compile
 module Kernel = Taco_exec.Kernel
+module Fault = Taco_support.Faultinject
 
 let vi = Helpers.vi and vj = Helpers.vj
 
@@ -539,6 +540,45 @@ let test_cache_bypass () =
   let s = Compile.cache_stats () in
   Alcotest.(check int) "bypass records nothing" 0 (s.Compile.hits + s.Compile.misses + s.Compile.entries)
 
+(* A hit does no optimizer work: with every optimizer pass armed to
+   crash, a recompile still returns the cached kernel, while an uncached
+   compile under the same rule crashes (the rule is live). *)
+let test_cache_hit_skips_optimizer () =
+  Compile.cache_clear ();
+  let k = kernel ~name:"cache_probe4" [ Imp.Decl (Imp.Int, "x", i 1) ] in
+  let c = Compile.compile k in
+  Fault.configure ~seed:1 [ Fault.rule "opt.pass" Fault.Crash ];
+  Fun.protect ~finally:Fault.disarm (fun () ->
+      let c' = Compile.compile k in
+      Alcotest.(check bool) "hit returns the cached kernel" true (c' == c);
+      Alcotest.(check int) "hits + 1" 1 (Compile.cache_stats ()).Compile.hits;
+      Alcotest.(check int) "opt.pass not fired" 0 (Fault.fires "opt.pass");
+      match Compile.compile ~cache:false k with
+      | _ -> Alcotest.fail "uncached compile ran the optimizer without crashing"
+      | exception Taco_support.Diag.Error d ->
+          Alcotest.(check string) "injected fault" "E_FAULT_INJECTED" d.Taco_support.Diag.code)
+
+(* ------------------------------------------------------------------ *)
+(* optimizer stats across domains                                      *)
+(* ------------------------------------------------------------------ *)
+
+let pass_fires k =
+  match Opt.optimize_stats k with
+  | Ok (_, stats) -> List.map (fun st -> (st.Opt.ps_pass, st.Opt.ps_fires)) stats
+  | Error e -> Alcotest.fail e
+
+(* Two domains optimizing at once each report exactly the per-pass
+   rewrite counts of a sequential run. *)
+let test_stats_domain_safe () =
+  let k = (spgemm_info ()).Lower.kernel in
+  let expected = pass_fires k in
+  Alcotest.(check bool) "some pass fires" true (List.exists (fun (_, n) -> n > 0) expected);
+  let worker () = List.init 40 (fun _ -> pass_fires k) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iter
+    (Alcotest.(check (list (pair string int))) "concurrent ps_fires match sequential" expected)
+    (Domain.join d1 @ Domain.join d2)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel clamping / empty partitions                                *)
 (* ------------------------------------------------------------------ *)
@@ -626,7 +666,10 @@ let () =
           Alcotest.test_case "second compile hits" `Quick test_cache_hits;
           Alcotest.test_case "keyed on checked flag and structure" `Quick test_cache_keyed_on_checked_and_kernel;
           Alcotest.test_case "cache:false bypasses" `Quick test_cache_bypass;
+          Alcotest.test_case "hit skips the optimizer" `Quick test_cache_hit_skips_optimizer;
         ] );
+      ( "stats",
+        [ Alcotest.test_case "per-pass fires domain-safe" `Quick test_stats_domain_safe ] );
       ( "parallel",
         [
           Alcotest.test_case "domains clamped, padding skipped" `Quick test_parallel_overclamped_domains;

@@ -1,12 +1,16 @@
 (* Tests for the observability layer: the Trace span/counter buffer
    (including the disabled-is-free discipline), Exec.Compile cache
    accounting (hits/misses/entries/evictions across optimizer configs,
-   capacity-bounded eviction, cache_clear), and the profiled execution
-   mode's work counters. *)
+   flags and backends, capacity-bounded eviction, cache_clear), and the
+   profiled execution mode's work counters. *)
 
+open Taco_ir
 module Imp = Taco_lower.Imp
 module Opt = Taco_lower.Opt
+module Lower = Taco_lower.Lower
 module Compile = Taco_exec.Compile
+module Kernel = Taco_exec.Kernel
+module T = Taco_tensor.Tensor
 module Trace = Taco_support.Trace
 
 let v n = Imp.Var n
@@ -30,6 +34,26 @@ let foldable name =
 (* Cache accounting                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* y(i) = B(i,j) * x(j) with B in CSR, as lowered (not yet optimized). *)
+let spmv_lowered () =
+  let open Helpers in
+  let y = dense_vec_tv "y" and b = csr_tv "B" and x = dense_vec_tv "x" in
+  let stmt =
+    Index_notation.(
+      assign y [ vi ] (sum vj (Mul (access b [ vi; vj ], access x [ vj ]))))
+  in
+  let sched = get (Schedule.of_index_notation stmt) in
+  let info = get (Lower.lower ~name:"trace_cache_spmv" ~mode:Lower.Compute (Schedule.stmt sched)) in
+  let bt = random_tensor 77 [| 40; 30 |] 0.2 Taco_tensor.Format.csr in
+  let xt = random_tensor 78 [| 30 |] 1.0 Taco_tensor.Format.dense_vector in
+  let run c =
+    let yt = T.zero [| 40 |] Taco_tensor.Format.dense_vector in
+    let args = Kernel.tensor_args y yt @ Kernel.tensor_args b bt @ Kernel.tensor_args x xt in
+    ignore (Compile.run c ~args : string -> Compile.arg);
+    Array.map Int64.bits_of_float (T.vals yt)
+  in
+  (info.Lower.kernel, run)
+
 let test_cache_accounting_across_configs () =
   Compile.cache_clear ();
   let k = foldable "trace_cache_cfg" in
@@ -44,7 +68,54 @@ let test_cache_accounting_across_configs () =
   let s = Compile.cache_stats () in
   Alcotest.(check int) "both configs hit on recompile" 2 s.Compile.hits;
   Alcotest.(check int) "still two entries" 2 s.Compile.entries;
-  Alcotest.(check int) "no evictions at default capacity" 0 s.Compile.evictions
+  Alcotest.(check int) "no evictions at default capacity" 0 s.Compile.evictions;
+  (* One lowered kernel under every input the key covers: each
+     combination is its own entry, hits on recompile, and runs
+     bit-identical to an uncached compile under the same settings. *)
+  Compile.cache_clear ();
+  let k, run = spmv_lowered () in
+  let grid =
+    List.concat_map
+      (fun opt ->
+        List.concat_map
+          (fun (checked, profile) ->
+            List.map (fun backend -> (opt, checked, profile, backend)) [ `Closure; `Native ])
+          [ (false, false); (true, false); (false, true) ])
+      [ Opt.none; Opt.all ]
+  in
+  let compile ?cache (opt, checked, profile, backend) =
+    Compile.compile ?cache ~opt ~checked ~profile ~backend k
+  in
+  List.iter (fun cfg -> ignore (compile cfg : Compile.compiled)) grid;
+  let n = List.length grid in
+  let s = Compile.cache_stats () in
+  Alcotest.(check int) "every combination misses once" n s.Compile.misses;
+  Alcotest.(check int) "every combination is its own entry" n s.Compile.entries;
+  List.iter
+    (fun cfg ->
+      let cached = compile cfg in
+      Alcotest.(check bool) "cached run is bit-identical to an uncached compile" true
+        (run cached = run (compile ~cache:false cfg)))
+    grid;
+  let s = Compile.cache_stats () in
+  Alcotest.(check int) "every combination hits on recompile" n s.Compile.hits;
+  Alcotest.(check int) "no new entries" n s.Compile.entries
+
+(* The key is the kernel as lowered: two kernels that optimize to the
+   same structure are still two entries. *)
+let test_cache_keyed_before_optimizer () =
+  Compile.cache_clear ();
+  let k1 = foldable "trace_cache_src" in
+  let k2 =
+    kernel ~name:"trace_cache_src"
+      [ Imp.Decl (Imp.Int, "x", i 3); Imp.Decl (Imp.Int, "y", Imp.Binop (Imp.Mul, v "x", i 3)) ]
+  in
+  let c1 = Compile.compile k1 and c2 = Compile.compile k2 in
+  Alcotest.(check bool) "both optimize to the same kernel" true
+    (Compile.kernel c1 = Compile.kernel c2);
+  let s = Compile.cache_stats () in
+  Alcotest.(check int) "two entries" 2 s.Compile.entries;
+  Alcotest.(check int) "two misses" 2 s.Compile.misses
 
 let test_cache_clear_resets_accounting () =
   Compile.cache_clear ();
@@ -206,6 +277,8 @@ let () =
         [
           Alcotest.test_case "accounting across opt configs" `Quick
             test_cache_accounting_across_configs;
+          Alcotest.test_case "keyed on the kernel as lowered" `Quick
+            test_cache_keyed_before_optimizer;
           Alcotest.test_case "cache_clear resets accounting" `Quick
             test_cache_clear_resets_accounting;
           Alcotest.test_case "FIFO eviction at capacity" `Quick test_cache_eviction_fifo;
