@@ -8,7 +8,9 @@
 
    The [smoke] entry point is the @cback-smoke alias: skipped cleanly
    (exit 0) when no C compiler is around; with one, a micro SpGEMM must
-   build natively and match the closure result bit for bit. *)
+   build natively, match the closure result bit for bit, and allocate
+   on the major heap per warm run at most [alloc_gate] times the words
+   of the arrays it returns. *)
 
 open Taco
 
@@ -85,6 +87,34 @@ let tensors_identical t1 t2 =
   && Tensor.nnz t1 = Tensor.nnz t2
   && bits_equal (Tensor.vals t1) (Tensor.vals t2)
 
+(* --- allocation per warm run ------------------------------------------ *)
+
+(* Heap words of a tensor's own arrays (pos, crd, vals; one header
+   word each). *)
+let result_words t =
+  let words a = float_of_int (Array.length a + 1) in
+  List.fold_left
+    (fun acc l ->
+      match Tensor.level_data t l with
+      | Tensor.Dense_data _ -> acc
+      | Tensor.Compressed_data { pos; crd } -> acc +. words pos +. words crd)
+    (words (Tensor.vals t))
+    (List.init (Tensor.order t) Fun.id)
+
+(* Major-heap words (direct allocations plus promotions) one warm
+   wrapped run allocates, averaged over [runs] runs. *)
+let major_words_per_run ?(runs = 20) w k =
+  ignore (w.w_result k : Tensor.t);
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to runs do
+    ignore (w.w_result k : Tensor.t)
+  done;
+  ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int runs
+
+(* The smoke gate: a result read back at capacity, or copied twice,
+   lands well above this. *)
+let alloc_gate = 1.25
+
 (* --- timing ----------------------------------------------------------- *)
 
 (* Best-of-[reps] over ~60ms batches with the backends interleaved
@@ -126,13 +156,15 @@ type row = {
   r_native_backend : bool;  (* false: the `Native request was downgraded *)
   r_identical : bool;
   r_phases : Native.phases option;
+  r_alloc_ratio : float;  (* native major words per warm run / result words *)
 }
 
 let run_workload ~reps w =
   let kc = Kernel.prepare w.w_info in
   let kn = Kernel.prepare ~backend:`Native w.w_info in
   let native_ok = Kernel.backend kn = `Native in
-  let identical = tensors_identical (w.w_result kc) (w.w_result kn) in
+  let rn = w.w_result kn in
+  let identical = tensors_identical (w.w_result kc) rn in
   let times = time_backends ~reps w [ ("closure", kc); ("native", kn) ] in
   {
     r_name = w.w_name;
@@ -141,6 +173,7 @@ let run_workload ~reps w =
     r_native_backend = native_ok;
     r_identical = identical;
     r_phases = Kernel.native_phases kn;
+    r_alloc_ratio = major_words_per_run w kn /. result_words rn;
   }
 
 let row_json r =
@@ -186,17 +219,19 @@ let run ~seed ~reps ~dim ~out =
       mttkrp_workload ~seed ~dim;
     ]
   in
-  Harness.row "%-12s | %12s %12s %9s %5s" "kernel" "closure(s)" "native(s)" "speedup" "ok";
+  Harness.row "%-12s | %12s %12s %9s %5s %9s" "kernel" "closure(s)" "native(s)" "speedup" "ok"
+    "alloc/res";
   let rows =
     List.map
       (fun w ->
         let r = run_workload ~reps w in
-        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s" r.r_name r.r_closure_s
+        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx" r.r_name r.r_closure_s
           r.r_native_s
           (r.r_closure_s /. r.r_native_s)
           (if not r.r_identical then "DIFF"
            else if not r.r_native_backend then "degr"
-           else "bit=");
+           else "bit=")
+          r.r_alloc_ratio;
         if not r.r_identical then
           failwith
             (Printf.sprintf "%s: native result diverges from the closure executor" r.r_name);
@@ -255,7 +290,8 @@ let smoke () =
         m "cback-smoke FAILED: compiler present but native build was downgraded");
     exit 1
   end;
-  let identical = tensors_identical (w.w_result kc) (w.w_result kn) in
+  let rn = w.w_result kn in
+  let identical = tensors_identical (w.w_result kc) rn in
   let times = time_backends ~reps:3 w [ ("closure", kc); ("native", kn) ] in
   Printf.printf "cback-smoke spgemm_ws: closure %.4fs, native %.4fs (%.2fx), %s\n%!"
     (List.assoc "closure" times) (List.assoc "native" times)
@@ -264,5 +300,16 @@ let smoke () =
   if not identical then begin
     Taco_support.Obs.Log.err (fun m ->
         m "cback-smoke FAILED: native result diverges from the closure executor");
+    exit 1
+  end;
+  let words = major_words_per_run w kn and res = result_words rn in
+  Printf.printf
+    "cback-smoke spgemm_ws native: %.0f major-heap words per warm run, result %.0f words \
+     (%.2fx, gate %.2fx)\n%!"
+    words res (words /. res) alloc_gate;
+  if words > alloc_gate *. res then begin
+    Taco_support.Obs.Log.err (fun m ->
+        m "cback-smoke FAILED: native read-back allocates %.2fx the result's words"
+          (words /. res));
     exit 1
   end

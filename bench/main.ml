@@ -147,8 +147,9 @@ let cback_smoke_arg =
     & info [ "smoke" ]
         ~doc:
           "CI mode: one micro SpGEMM built natively, exit 1 if the result is not \
-           bit-identical to the closure executor (exit 0 with no C compiler). \
-           Writes no JSON.")
+           bit-identical to the closure executor or a warm native run allocates \
+           more than 1.25x the result's words on the major heap (exit 0 with no C \
+           compiler). Writes no JSON.")
 
 let cbackend_cmd =
   let run seed reps dim out smoke =

@@ -9,6 +9,8 @@ type arg =
   | Aint_array of int array
   | Afloat_array of float array
 
+type extent = Len of int | Len_at of string * int
+
 type env = {
   ints : int array;
   floats : float array;
@@ -1534,16 +1536,49 @@ let empty_int_array : int array = [||]
 
 let empty_float_array : float array = [||]
 
+(* The read-back rule both executors share: an out-of-range length is
+   the same stage-Execute diagnostic whichever backend ran the kernel. *)
+let bad_length ~kname ~var ~len ~cap =
+  Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_NATIVE"
+    ~context:
+      [
+        ("kernel", kname);
+        ("variable", var);
+        ("length", string_of_int len);
+        ("capacity", string_of_int cap);
+      ]
+    "read-back of %s in kernel %s: length %d outside its capacity %d" var kname len cap
+
+let bad_length_index ~kname ~var ~src ~index ~len =
+  Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_NATIVE"
+    ~context:
+      [
+        ("kernel", kname);
+        ("variable", var);
+        ("source", src);
+        ("index", string_of_int index);
+        ("length", string_of_int len);
+      ]
+    "read-back of %s in kernel %s: length index %s[%d] outside its %d elements" var kname
+    src index len
+
+let not_allocated name =
+  invalid_arg (Printf.sprintf "Compile.run: %s is not an array the kernel allocates" name)
+
+let not_read_back name =
+  invalid_arg (Printf.sprintf "Compile.run: %s was not read back" name)
+
 (* Execute through the native entry point. Bindings are validated with
    the same messages as the closure path; array parameters cross by
    pointer (floats) or round-trip copy (ints, written ones copied
-   back), arrays the kernel allocates come back as the escape list.
+   back). Of the arrays the kernel allocates, the stub boxes only the
+   read list, each at its exact length, and frees the rest in C.
    Runtime failures map to the closure executor's diagnostics and are
    deliberately NOT downgraded: by the time the kernel runs, output
    parameters may be partially written, so retrying through closures
    could double-apply work — and both failure modes (budget, deadline)
    are client-visible semantics, not environment problems. *)
-let run_native c l ~deadline_ns ~args =
+let run_native c l ~deadline_ns ~read ~args =
   let kname = c.c_kernel.Imp.k_name in
   let ints = ref [] and arrays = ref [] in
   List.iter
@@ -1556,19 +1591,49 @@ let run_native c l ~deadline_ns ~args =
       | Some _, _, _ -> invalid_arg (Printf.sprintf "Compile.run: bad binding for %s" name)
       | None, _, _ -> invalid_arg (Printf.sprintf "Compile.run: missing binding for %s" name))
     c.c_kernel.k_params;
+  let escape name =
+    match List.assoc_opt name l.Native.l_escapes with
+    | Some i -> i
+    | None -> not_allocated name
+  in
+  (* Without a read list every escape comes back at its capacity. *)
+  let reads =
+    match read with
+    | Some r -> List.map (fun (name, ext) -> (name, escape name, Some ext)) r
+    | None -> List.map (fun (name, e) -> (name, e, None)) l.Native.l_escapes
+  in
+  let n_read = List.length reads in
+  let read_esc = Array.make n_read 0
+  and read_src = Array.make n_read (-2)
+  and read_arg = Array.make n_read 0 in
+  List.iteri
+    (fun r (_, e, ext) ->
+      read_esc.(r) <- e;
+      match ext with
+      | None -> ()
+      | Some (Len n) ->
+          read_src.(r) <- -1;
+          read_arg.(r) <- n
+      | Some (Len_at (src, i)) ->
+          let k = escape src in
+          if l.Native.l_esc_kinds.(k) <> 0 then not_allocated src;
+          read_src.(r) <- k;
+          read_arg.(r) <- i)
+    reads;
   let spec =
     {
       Native.cs_ints = Array.of_list (List.rev !ints);
       cs_floats = [||];
       cs_arrays = Array.of_list (List.rev !arrays);
       cs_kinds = l.Native.l_arr_kinds;
-      cs_esc_kinds =
-        Array.of_list
-          (List.map (fun (_, t) -> if t = Imp.Int then 0 else 1) l.Native.l_escapes);
+      cs_esc_kinds = l.Native.l_esc_kinds;
       cs_mem_limit =
         (let lim = Budget.mem_limit () in
          if lim = max_int then Int64.max_int else Int64.of_int lim);
       cs_deadline = deadline_ns;
+      cs_read_esc = read_esc;
+      cs_read_src = read_src;
+      cs_read_arg = read_arg;
     }
   in
   let rc, escs = Native.run l spec in
@@ -1584,22 +1649,56 @@ let run_native c l ~deadline_ns ~args =
           ]
         "allocation exceeds the memory budget in native kernel %s" kname
   | 2 -> cancelled ~kname
+  | 3 | 4 -> (
+      let fault k : int = Obj.obj escs.(k) in
+      let var, _, ext = List.nth reads (fault 0) in
+      match (rc, ext) with
+      | 4, Some (Len_at (src, _)) ->
+          bad_length_index ~kname ~var ~src ~index:(fault 1) ~len:(fault 2)
+      | _ -> bad_length ~kname ~var ~len:(fault 1) ~cap:(fault 2))
   | n ->
       Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_NATIVE"
         ~context:[ ("kernel", kname); ("rc", string_of_int n) ]
         "native kernel %s failed with unexpected return code %d" kname n);
-  let escapes = List.mapi (fun i (nm, t) -> (nm, (t, i))) l.Native.l_escapes in
+  let boxed =
+    List.mapi
+      (fun r (name, e, _) ->
+        ( name,
+          if l.Native.l_esc_kinds.(e) = 0 then Aint_array (Obj.obj escs.(r) : int array)
+          else Afloat_array (Obj.obj escs.(r) : float array) ))
+      reads
+  in
   fun name ->
-    match List.assoc_opt name escapes with
-    | Some (Imp.Int, i) -> Aint_array (Obj.obj escs.(i) : int array)
-    | Some (Imp.Float, i) -> Afloat_array (Obj.obj escs.(i) : float array)
-    | Some (Imp.Bool, _) -> invalid_arg "Compile.run: bool array read-back unsupported"
+    match List.assoc_opt name boxed with
+    | Some v -> v
     | None -> (
-        match List.assoc_opt name args with
-        | Some v -> v
-        | None -> invalid_arg (Printf.sprintf "Compile.run: unknown variable %s" name))
+        if List.mem_assoc name l.Native.l_escapes then not_read_back name
+        else
+          match List.assoc_opt name args with
+          | Some v -> v
+          | None -> invalid_arg (Printf.sprintf "Compile.run: unknown variable %s" name))
 
-let run_closure ~domains ~deadline_ns c ~args =
+(* An int or float array the kernel allocates itself (not a parameter):
+   fresh on every closure run, so a read can hand it back uncut. *)
+let allocated_slot (c : compiled) name =
+  match Hashtbl.find_opt c.slots name with
+  | Some ({ s_array = true; s_dtype = Imp.Int | Imp.Float; _ } as s)
+    when not (List.exists (fun p -> p.Imp.p_name = name) c.c_kernel.k_params) ->
+      Some s
+  | Some _ | None -> None
+
+let run_closure ~domains ~deadline_ns ~read c ~args =
+  let kname = c.c_kernel.Imp.k_name in
+  let slot name = match allocated_slot c name with Some s -> s | None -> not_allocated name in
+  let reads =
+    Option.map
+      (List.map (fun (name, ext) ->
+           (match ext with
+           | Len_at (src, _) when (slot src).s_dtype <> Imp.Int -> not_allocated src
+           | Len_at _ | Len _ -> ());
+           (name, slot name, ext)))
+      read
+  in
   let env =
     {
       ints = Array.make (max 1 c.n_ints) 0;
@@ -1625,7 +1724,7 @@ let run_closure ~domains ~deadline_ns c ~args =
       | None, _, _ -> invalid_arg (Printf.sprintf "Compile.run: missing binding for %s" name))
     c.c_kernel.k_params;
   c.code env;
-  fun name ->
+  let lookup name =
     match Hashtbl.find_opt c.slots name with
     | None -> invalid_arg (Printf.sprintf "Compile.run: unknown variable %s" name)
     | Some s -> (
@@ -1636,28 +1735,59 @@ let run_closure ~domains ~deadline_ns c ~args =
         | Imp.Bool, false -> Aint (if env.bools.(s.s_index) then 1 else 0)
         | Imp.Float, false -> Afloat env.floats.(s.s_index)
         | Imp.Bool, true -> invalid_arg "Compile.run: bool array read-back unsupported")
+  in
+  match reads with
+  | None -> lookup
+  | Some reads ->
+      let length name = function
+        | Len n -> n
+        | Len_at (src, i) ->
+            let a = env.iarr.((slot src).s_index) in
+            if i < 0 || i >= Array.length a then
+              bad_length_index ~kname ~var:name ~src ~index:i ~len:(Array.length a)
+            else a.(i)
+      and cap s =
+        if s.s_dtype = Imp.Int then Array.length env.iarr.(s.s_index)
+        else Array.length env.farr.(s.s_index)
+      in
+      let boxed =
+        List.map
+          (fun (name, s, ext) ->
+            let len = length name ext in
+            if len < 0 || len > cap s then bad_length ~kname ~var:name ~len ~cap:(cap s);
+            let prefix a = if len = Array.length a then a else Array.sub a 0 len in
+            ( name,
+              if s.s_dtype = Imp.Int then Aint_array (prefix env.iarr.(s.s_index))
+              else Afloat_array (prefix env.farr.(s.s_index)) ))
+          reads
+      in
+      fun name ->
+        match List.assoc_opt name boxed with
+        | Some v -> v
+        | None ->
+            if Option.is_some (allocated_slot c name) then not_read_back name else lookup name
 
-let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) c ~args =
+let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) ?read c ~args =
   match c.c_native with
   | Some l ->
       (* [domains] is a closure-chunking knob; the native path hands
          parallel loops to OpenMP, whose thread count is the runtime's
          business. Results are bit-identical either way. *)
       Atomic.incr bs_native_runs;
-      run_native c l ~deadline_ns ~args
+      run_native c l ~deadline_ns ~read ~args
   | None ->
       Atomic.incr bs_closure_runs;
-      run_closure ~domains ~deadline_ns c ~args
+      run_closure ~domains ~deadline_ns ~read c ~args
 
-let run ?domains ?deadline_ns c ~args =
-  if not (Trace.active ()) then run_plain ?domains ?deadline_ns c ~args
+let run ?domains ?deadline_ns ?read c ~args =
+  if not (Trace.active ()) then run_plain ?domains ?deadline_ns ?read c ~args
   else
     let before = profile_stats c in
     Trace.with_span ~cat:"exec"
       ~args:[ ("kernel", c.c_kernel.Imp.k_name) ]
       "exec.run"
       (fun () ->
-        let reader = run_plain ?domains ?deadline_ns c ~args in
+        let reader = run_plain ?domains ?deadline_ns ?read c ~args in
         (match (before, profile_stats c) with
         | Some b, Some a ->
             let d f = f a - f b in

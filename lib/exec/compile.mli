@@ -17,6 +17,13 @@ type arg =
   | Aint_array of int array
   | Afloat_array of float array
 
+(** How many leading elements of an array the kernel allocates a run
+    hands back (see {!run}'s [?read]): [Len n] exactly [n];
+    [Len_at (src, i)] as many as the kernel-allocated int array [src]
+    holds at index [i] — e.g. an assembled level's
+    [pos.(parent_size)]. *)
+type extent = Len of int | Len_at of string * int
+
 (** Which executor runs the kernel. [`Closure] (the default) interprets
     the IR through OCaml closures; [`Native] renders it to C
     ({!Taco_lower.Codegen_c.emit_exec}), builds a shared object with the
@@ -203,6 +210,24 @@ val is_checked : compiled -> bool
     whose 8-bytes-per-element estimate exceeds the budget raises
     [E_EXEC_MEM] before allocating.
 
+    [?read] lists the arrays the kernel allocates that the caller
+    wants back, each with its {!extent}. Kernels assemble into buffers
+    that double as they fill, so only a prefix of each is the result;
+    a listed array comes back exactly that long — the closure executor
+    hands over its own fresh array uncut when the length already
+    matches, the native stub boxes just the prefix. Arrays the kernel
+    allocates but [read] does not list are never handed back (native
+    frees them in C without boxing them); the reader raises
+    [Invalid_argument] for them. Naming something that is not an
+    int/float array the kernel allocates (or a [Len_at] source that is
+    not an int one) raises [Invalid_argument] before the kernel runs.
+    A length that is negative or past the array's capacity, or a
+    [Len_at] index outside its source array, raises a stage-[Execute]
+    [E_EXEC_NATIVE] diagnostic naming the kernel and variable — the
+    same diagnostic on both backends, never a crash or a short array.
+    Omitting [?read] hands back every allocated array whole, at its
+    capacity (for inspection).
+
     Kernels compiled with [~backend:`Native] (and not downgraded)
     dispatch to the shared object instead: same argument binding, same
     reader contract, same [E_EXEC_MEM]/[E_EXEC_CANCELLED] semantics
@@ -215,6 +240,7 @@ val is_checked : compiled -> bool
 val run :
   ?domains:int ->
   ?deadline_ns:int64 ->
+  ?read:(string * extent) list ->
   compiled ->
   args:(string * arg) list ->
   (string -> arg)

@@ -86,7 +86,7 @@ let run_compute ?domains ?deadline_ns t ~inputs ~output =
   | Lower.Compute -> ()
   | Lower.Assemble _ -> invalid_arg "Kernel.run_compute: kernel is an assembly kernel");
   let args = tensor_args t.info.Lower.result output @ input_args t inputs in
-  ignore (Compile.run ?domains ?deadline_ns t.compiled ~args : string -> Compile.arg);
+  ignore (Compile.run ?domains ?deadline_ns ~read:[] t.compiled ~args : string -> Compile.arg);
   Taco_support.Faultinject.corrupt "exec.result" (Tensor.vals output)
 
 (* Dimension-only arguments for an assembled result. *)
@@ -110,13 +110,11 @@ let run_assemble ?domains ?deadline_ns t ~inputs ~dims =
     check_output_budget t dims;
     let output = Tensor.zero dims fmt in
     let args = tensor_args result output @ input_args t inputs in
-    ignore (Compile.run ?domains ?deadline_ns t.compiled ~args : string -> Compile.arg);
+    ignore (Compile.run ?domains ?deadline_ns ~read:[] t.compiled ~args : string -> Compile.arg);
     Taco_support.Faultinject.corrupt "exec.result" (Tensor.vals output);
     output
   end
   else begin
-    let args = result_dim_args result dims @ input_args t inputs in
-    let read = Compile.run ?domains ?deadline_ns t.compiled ~args in
     (* Locate the single compressed level. *)
     let l =
       let rec go l =
@@ -131,26 +129,40 @@ let run_assemble ?domains ?deadline_ns t ~inputs ~dims =
       in
       go 0 1
     in
+    (* The assembled buffers are capacity-sized; only the first
+       pos[parent_size] entries of crd/vals are the result. The
+       executor hands back exactly those prefixes. *)
+    let pos_v = Lower.pos_var result l
+    and crd_v = Lower.crd_var result l
+    and vals_v = Lower.vals_var result in
+    let nnz = Compile.Len_at (pos_v, parent_size) in
+    let read =
+      Compile.run ?domains ?deadline_ns t.compiled
+        ~args:(result_dim_args result dims @ input_args t inputs)
+        ~read:
+          ((pos_v, Compile.Len (parent_size + 1))
+          :: (crd_v, nnz)
+          :: (if emit_values then [ (vals_v, nnz) ] else []))
+    in
     let pos =
-      match read (Lower.pos_var result l) with
-      | Compile.Aint_array a -> Array.sub a 0 (parent_size + 1)
+      match read pos_v with
+      | Compile.Aint_array a -> a
       | Compile.Aint _ | Compile.Afloat _ | Compile.Afloat_array _ ->
           invalid_arg "Kernel.run_assemble: bad pos read-back"
     in
-    let nnz = pos.(parent_size) in
     let crd =
-      match read (Lower.crd_var result l) with
-      | Compile.Aint_array a -> Array.sub a 0 nnz
+      match read crd_v with
+      | Compile.Aint_array a -> a
       | Compile.Aint _ | Compile.Afloat _ | Compile.Afloat_array _ ->
           invalid_arg "Kernel.run_assemble: bad crd read-back"
     in
     let vals =
       if emit_values then
-        match read (Lower.vals_var result) with
-        | Compile.Afloat_array a -> Array.sub a 0 nnz
+        match read vals_v with
+        | Compile.Afloat_array a -> a
         | Compile.Aint _ | Compile.Afloat _ | Compile.Aint_array _ ->
             invalid_arg "Kernel.run_assemble: bad vals read-back"
-      else Array.make nnz 0.
+      else Array.make (Array.length crd) 0.
     in
     (* Unsorted kernels (MKL-style, paper Fig. 11 right) leave each row's
        coordinates in insertion order; sort them when wrapping so the
@@ -177,7 +189,7 @@ let run_assemble_raw ?domains ?deadline_ns t ~inputs ~dims =
     ignore (run_assemble ?domains ?deadline_ns t ~inputs ~dims : Tensor.t)
   else begin
     let args = result_dim_args result dims @ input_args t inputs in
-    ignore (Compile.run ?domains ?deadline_ns t.compiled ~args : string -> Compile.arg)
+    ignore (Compile.run ?domains ?deadline_ns ~read:[] t.compiled ~args : string -> Compile.arg)
   end
 
 let run_dense ?domains ?deadline_ns t ~inputs ~dims =

@@ -71,7 +71,10 @@ val run_compute :
   unit
 
 (** [run_assemble t ~inputs ~dims] executes an [Assemble]-mode kernel and
-    builds the result tensor from the assembled arrays. With
+    builds the result tensor from the assembled arrays, read back at
+    their exact lengths ([pos]: rows + 1, [crd]/[vals]: the kernel's
+    [pos.(rows)]; see {!Compile.run}'s [?read]) and wrapped without
+    another copy. With
     [~emit_values:false] kernels the returned tensor has the assembled
     structure and zero values (the symbolic/numeric split common in
     numerical code, paper §VI). *)

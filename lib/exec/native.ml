@@ -30,8 +30,11 @@ type loaded = {
   l_arr_kinds : int array;
       (** per array-parameter marshalling kind, in parameter order:
           0 int input, 1 float in-place, 2 int output (copied back) *)
-  l_escapes : (string * Imp.dtype) list;
-      (** allocated arrays handed back by the kernel, in escape order *)
+  l_esc_kinds : int array;
+      (** per escape, in escape order: 0 int array, 1 float array *)
+  l_escapes : (string * int) list;
+      (** allocated arrays handed back by the kernel, with their
+          escape index *)
   l_phases : phases;
 }
 
@@ -45,6 +48,9 @@ type spec = {
   cs_esc_kinds : int array;
   cs_mem_limit : int64;
   cs_deadline : int64;
+  cs_read_esc : int array;
+  cs_read_src : int array;
+  cs_read_arg : int array;
 }
 
 external nat_dlopen : string -> nativeint = "taco_nat_dlopen"
@@ -253,13 +259,19 @@ let load (kernel : Imp.kernel) : (loaded, string) result =
                       (* Mapped: drop the on-disk files now (the inode
                          stays alive) unless asked to keep them. *)
                       if keep_artifacts () then untrack_remove logfile else discard ();
+                      let escapes = Codegen_c.exec_escapes kernel in
                       Ok
                         {
                           l_name = name;
                           l_fn = fn;
                           l_handle = handle;
                           l_arr_kinds = arr_kinds kernel;
-                          l_escapes = Codegen_c.exec_escapes kernel;
+                          l_esc_kinds =
+                            Array.of_list
+                              (List.map
+                                 (fun (_, t) -> if t = Imp.Int then 0 else 1)
+                                 escapes);
+                          l_escapes = List.mapi (fun i (nm, _) -> (nm, i)) escapes;
                           l_phases =
                             {
                               emit_ns = Int64.sub t1 t0;

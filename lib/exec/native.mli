@@ -25,8 +25,12 @@ type loaded = {
   l_arr_kinds : int array;
       (** marshalling kind per array parameter, in parameter order:
           0 int input, 1 float in-place, 2 int output (copied back) *)
-  l_escapes : (string * Imp.dtype) list;
-      (** kernel-allocated arrays handed back, in escape order *)
+  l_esc_kinds : int array;
+      (** marshalling kind per escape, in escape order: 0 int array,
+          1 float array *)
+  l_escapes : (string * int) list;
+      (** kernel-allocated arrays handed back, with their escape
+          index *)
   l_phases : phases;
 }
 
@@ -34,7 +38,14 @@ type loaded = {
     [native_stubs.c]. Scalars and arrays each appear in
     kernel-parameter order; [cs_kinds] aligns with [cs_arrays] and
     [cs_esc_kinds] with the loaded kernel's escape list.
-    [cs_mem_limit]/[cs_deadline] use [Int64.max_int] for "none". *)
+    [cs_mem_limit]/[cs_deadline] use [Int64.max_int] for "none".
+
+    The three [cs_read_*] arrays are the read list, one entry per
+    array to hand back: [cs_read_esc] names its escape index;
+    [cs_read_src] is [-2] for the whole capacity, [-1] for a length of
+    exactly [cs_read_arg], or the index of an int escape whose element
+    [cs_read_arg] is the length. Escapes no read names are freed
+    without being boxed. *)
 type spec = {
   cs_ints : int array;
   cs_floats : float array;
@@ -43,6 +54,9 @@ type spec = {
   cs_esc_kinds : int array;
   cs_mem_limit : int64;
   cs_deadline : int64;
+  cs_read_esc : int array;
+  cs_read_src : int array;
+  cs_read_arg : int array;
 }
 
 (** Resolved compiler command ([TACO_CC] or ["cc"]). *)
@@ -62,9 +76,13 @@ val available : unit -> bool
 val load : Imp.kernel -> (loaded, string) result
 
 (** Invoke the kernel. Returns the entry point's return code (0 ok,
-    1 allocation failure/budget, 2 deadline expired) and the escaped
-    arrays ([int array]/[float array] values per [l_escapes]), empty on
-    failure. Emits a [native.run] span. *)
+    1 allocation failure/budget, 2 deadline expired) and, on success,
+    one [int array]/[float array] per read, in read order, each exactly
+    as long as requested. Lengths are checked against the buffers
+    before anything is boxed: code 3 is a length outside its escape's
+    capacity, code 4 a length index outside its source escape; both
+    return [[| read index; offending value; bound |]] (as ints).
+    Emits a [native.run] span. *)
 val run : loaded -> spec -> int * Obj.t array
 
 (** Remove any on-disk build artifacts and the per-process directory.

@@ -17,9 +17,12 @@
  *   - int arrays are tagged words on the OCaml side and int32_t on the
  *     C side, so they are copied into temporary buffers on the way in
  *     and written back (output kinds only) on the way out;
- *   - arrays the kernel allocates come back through esc/esc_len and
- *     are re-boxed as fresh OCaml arrays; the malloc'd originals are
- *     freed here.
+ *   - arrays the kernel allocates come back through esc/esc_len
+ *     (esc_len is each buffer's capacity). Only the escapes named by
+ *     the read list are boxed, each at the exact length the caller
+ *     asked for (a constant, or the int value one escape holds at a
+ *     given index: the kernel's own pos[parent_size]); every other
+ *     escape is freed here without ever becoming an OCaml value.
  *
  * The call_spec record layout is fixed by lib/exec/native.ml — field
  * order there is field order here:
@@ -31,6 +34,16 @@
  *   4 cs_esc_kinds int array      (0 = int escape, 1 = float escape)
  *   5 cs_mem_limit int64
  *   6 cs_deadline  int64
+ *   7 cs_read_esc  int array      (escape boxed by each read, in order)
+ *   8 cs_read_src  int array      (-2 = whole capacity, -1 = length is
+ *                                  cs_read_arg, k >= 0 = length is int
+ *                                  escape k at index cs_read_arg)
+ *   9 cs_read_arg  int array
+ *
+ * Return: (rc, arrays). rc 0 boxes one array per read, in read order.
+ * rc 3 (length outside the capacity) and rc 4 (length index outside
+ * its source escape) are read-back failures, checked before anything
+ * is boxed; arrays is then [| read index; offending value; bound |].
  */
 
 #include <stdint.h>
@@ -70,6 +83,23 @@ CAMLprim value taco_nat_dlclose(value vhandle)
 }
 
 static void *xmalloc(size_t n) { return malloc(n ? n : 1); }
+
+/* A fresh OCaml int array holding src[0 .. len-1]. The block is filled
+   directly: its fields are immediates and nothing can allocate (or
+   scan it) before it is complete. */
+static value alloc_int_array(const int32_t *src, mlsize_t len)
+{
+  value v;
+  if (len == 0) return Atom(0);
+  if (len <= Max_young_wosize) {
+    v = caml_alloc_small(len, 0);
+    for (mlsize_t j = 0; j < len; j++) Field(v, j) = Val_long((intnat)src[j]);
+    return v;
+  }
+  v = caml_alloc_shr(len, 0);
+  for (mlsize_t j = 0; j < len; j++) Field(v, j) = Val_long((intnat)src[j]);
+  return caml_check_urgent_gc(v);
+}
 
 CAMLprim value taco_nat_call(value vfn, value vspec)
 {
@@ -130,38 +160,70 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
   }
 
   /* Copy mutated int output buffers back before any OCaml allocation
-     can move their owning arrays. */
+     can move their owning arrays. Int arrays hold immediates only, so
+     the fields are written directly, with no write barrier. */
   if (rc == 0) {
     for (mlsize_t i = 0; i < n_arr; i++) {
       if (Long_val(Field(Field(vspec, 3), i)) == 2 && icopies[i]) {
         value a = Field(Field(vspec, 2), i);
         mlsize_t len = Wosize_val(a);
         for (mlsize_t j = 0; j < len; j++)
-          Store_field(a, j, Val_long((intnat)icopies[i][j]));
+          Field(a, j) = Val_long((intnat)icopies[i][j]);
       }
     }
   }
 
-  /* Re-box escapes. Allocation happens here, so every OCaml value is
-     re-read through the registered roots vspec/vescs/varr. */
-  if (rc == 0 && n_esc > 0) {
-    vescs = caml_alloc(n_esc, 0);
-    for (mlsize_t i = 0; i < n_esc; i++) {
-      long kind = Long_val(Field(Field(vspec, 4), i));
-      mlsize_t len = esc_len[i] > 0 ? (mlsize_t)esc_len[i] : 0;
-      if (kind == 1) {
-        varr = caml_alloc_float_array(len);
-        if (len > 0) memcpy((double *)varr, esc[i], len * sizeof(double));
-      } else {
-        varr = caml_alloc(len, 0);
-        for (mlsize_t j = 0; j < len; j++)
-          Store_field(varr, j, Val_long((intnat)((int32_t *)esc[i])[j]));
-      }
-      Store_field(vescs, i, varr);
+  /* Resolve every read length before the first allocation, so a bad
+     length boxes nothing. */
+  mlsize_t n_read = Wosize_val(Field(vspec, 7));
+  int64_t *lens = xmalloc(sizeof(int64_t) * n_read);
+  int64_t fault[3] = {0, 0, 0};
+  if (rc == 0 && !lens) rc = 1; /* E_EXEC_MEM */
+  for (mlsize_t r = 0; rc == 0 && r < n_read; r++) {
+    long e = Long_val(Field(Field(vspec, 7), r));
+    long src = Long_val(Field(Field(vspec, 8), r));
+    int64_t arg = (int64_t)Long_val(Field(Field(vspec, 9), r));
+    int64_t len;
+    if (src == -2) {
+      len = esc_len[e];
+    } else if (src == -1) {
+      len = arg;
+    } else if (arg < 0 || arg >= esc_len[src]) {
+      rc = 4; fault[0] = (int64_t)r; fault[1] = arg; fault[2] = esc_len[src];
+      break;
+    } else {
+      len = ((int32_t *)esc[src])[arg];
     }
+    if (len < 0 || len > esc_len[e]) {
+      rc = 3; fault[0] = (int64_t)r; fault[1] = len; fault[2] = esc_len[e];
+      break;
+    }
+    lens[r] = len;
+  }
+
+  /* Box exactly the requested prefixes. Allocation happens here, so
+     every OCaml value is re-read through the registered roots
+     vspec/vescs/varr. */
+  if (rc == 0 && n_read > 0) {
+    vescs = caml_alloc(n_read, 0);
+    for (mlsize_t r = 0; r < n_read; r++) {
+      long e = Long_val(Field(Field(vspec, 7), r));
+      mlsize_t len = (mlsize_t)lens[r];
+      if (Long_val(Field(Field(vspec, 4), e)) == 1) {
+        varr = caml_alloc_float_array(len);
+        if (len > 0) memcpy((double *)varr, esc[e], len * sizeof(double));
+      } else {
+        varr = alloc_int_array((const int32_t *)esc[e], len);
+      }
+      Store_field(vescs, r, varr);
+    }
+  } else if (rc == 3 || rc == 4) {
+    vescs = caml_alloc(3, 0);
+    for (int k = 0; k < 3; k++) Store_field(vescs, k, Val_long((intnat)fault[k]));
   } else {
     vescs = Atom(0);
   }
+  free(lens);
   /* On success the kernel handed ownership of the escape buffers to
      us; on failure it already freed everything and esc[] is NULL. */
   for (mlsize_t i = 0; i < n_esc; i++) free(esc[i]);

@@ -144,7 +144,25 @@ let pack coo fmt =
 
 let of_dense d fmt = pack (Coo.of_dense d) fmt
 
-let zero dims fmt = pack (Coo.create dims) fmt
+(* All-dense formats skip [pack]: every level is [Dense_data] and the
+   values are one zeroed block, exactly what packing an empty COO
+   yields (including its rejection of non-positive dims). *)
+let zero dims fmt =
+  if not (Format.is_all_dense fmt) then pack (Coo.create dims) fmt
+  else begin
+    if Array.exists (fun d -> d <= 0) dims then invalid_arg "Tensor.zero: non-positive dim";
+    if Format.order fmt <> Array.length dims then
+      invalid_arg "Tensor.zero: format order mismatch";
+    let dims = Array.copy dims in
+    {
+      dims;
+      format = fmt;
+      levels =
+        Array.init (Array.length dims) (fun l ->
+            Dense_data { size = dims.(Format.mode_of_level fmt l) });
+      vals = Array.make (Array.fold_left ( * ) 1 dims) 0.;
+    }
+  end
 
 let of_csr ~rows ~cols pos crd vals =
   of_parts ~dims:[| rows; cols |] ~format:Format.csr

@@ -25,7 +25,8 @@ val pack : Coo.t -> Format.t -> t
 val of_dense : Dense.t -> Format.t -> t
 
 (** [zero dims format] is an empty tensor (no stored entries; dense levels
-    still materialize). *)
+    still materialize). Equal to [pack (Coo.create dims) format]; all-dense
+    formats are built directly as one zeroed value block. *)
 val zero : int array -> Format.t -> t
 
 (** Build directly from level data; validates invariants and raises

@@ -196,6 +196,81 @@ let test_output_shared_inplace () =
   ignore (run ~args:[ ("out", Compile.Afloat_array buf) ] k : string -> Compile.arg);
   Alcotest.(check (float 0.)) "written through" 42. buf.(1)
 
+(* --- read-back contract ------------------------------------------------ *)
+
+(* A hand-assembled two-row CSR level: pos is exactly 3 long, crd/vals
+   grow to a capacity of 8 but hold 5 entries ([pos.(2)]). *)
+let assembled =
+  kernel
+    [
+      Imp.Alloc (Imp.Int, "pos", i 3);
+      Imp.Alloc (Imp.Int, "crd", i 4);
+      Imp.Alloc (Imp.Float, "vals", i 4);
+      Imp.Alloc (Imp.Float, "w", i 6);
+      Imp.Realloc ("crd", i 8);
+      Imp.Realloc ("vals", i 8);
+      Imp.Store ("pos", i 1, i 2);
+      Imp.Store ("pos", i 2, i 5);
+      Imp.For
+        ( "q",
+          i 0,
+          i 5,
+          [
+            Imp.Store ("crd", v "q", Imp.Binop (Imp.Add, v "q", i 10));
+            Imp.Store ("vals", v "q", Imp.Float_lit 0.5);
+          ] );
+    ]
+
+let exact_reads =
+  [
+    ("pos", Compile.Len 3);
+    ("crd", Compile.Len_at ("pos", 2));
+    ("vals", Compile.Len_at ("pos", 2));
+  ]
+
+let test_read_exact_lengths () =
+  let whole = run assembled in
+  let r = Compile.run ~read:exact_reads (Compile.compile assembled) ~args:[] in
+  Alcotest.(check int) "capacity without a read list" 8 (Array.length (read_iarr whole "crd"));
+  Alcotest.(check (array int)) "pos" [| 0; 2; 5 |] (read_iarr r "pos");
+  Alcotest.(check (array int)) "crd is the prefix" [| 10; 11; 12; 13; 14 |] (read_iarr r "crd");
+  Alcotest.(check (array (float 0.))) "vals is the prefix" (Array.make 5 0.5) (read_farr r "vals");
+  Alcotest.(check bool) "an unlisted allocated array is not read back" true
+    (match r "w" with exception Invalid_argument _ -> true | _ -> false);
+  Alcotest.(check bool) "a parameter cannot be read back" true
+    (match
+       (Compile.run
+          ~read:[ ("a", Compile.Len 1) ]
+          (Compile.compile
+             (kernel
+                ~params:[ { Imp.p_name = "a"; p_dtype = Imp.Int; p_array = true; p_output = true } ]
+                []))
+          ~args:[ ("a", Compile.Aint_array [| 1 |]) ]
+         : string -> Compile.arg)
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* Every out-of-range length is the same stage-Execute diagnostic as on
+   the native backend, never a crash or a silently short array. *)
+let test_read_out_of_range () =
+  let c = Compile.compile assembled in
+  List.iter
+    (fun (what, read) ->
+      match Compile.run ~read c ~args:[] with
+      | (_ : string -> Compile.arg) -> Alcotest.failf "%s: out-of-range read accepted" what
+      | exception Taco_support.Diag.Error d ->
+          Alcotest.(check string) (what ^ ": stage") "execute"
+            (Taco_support.Diag.stage_name d.Taco_support.Diag.stage);
+          Alcotest.(check string) (what ^ ": code") "E_EXEC_NATIVE" d.Taco_support.Diag.code)
+    [
+      ("past capacity", [ ("crd", Compile.Len 9) ]);
+      ("negative", [ ("vals", Compile.Len (-1)) ]);
+      ("index past source", [ ("crd", Compile.Len_at ("pos", 3)) ]);
+      ("negative index", [ ("crd", Compile.Len_at ("pos", -1)) ]);
+      ("length past the array it sizes", [ ("pos", Compile.Len_at ("pos", 2)) ]);
+    ]
+
 let () =
   Alcotest.run "exec"
     [
@@ -220,5 +295,10 @@ let () =
           Alcotest.test_case "missing binding" `Quick test_missing_binding;
           Alcotest.test_case "type errors" `Quick test_type_errors_rejected;
           Alcotest.test_case "outputs written in place" `Quick test_output_shared_inplace;
+        ] );
+      ( "read-back",
+        [
+          Alcotest.test_case "exact lengths" `Quick test_read_exact_lengths;
+          Alcotest.test_case "out-of-range lengths" `Quick test_read_out_of_range;
         ] );
     ]

@@ -159,6 +159,131 @@ let test_parallel_domains_identity () =
         Alcotest.failf "native diverges from the %d-domain closure run" domains)
     [ 1; 2; 3 ]
 
+(* --- result read-back: exact lengths, one contract on both backends --- *)
+
+let assemble_kernel ~name ~sorted ~backend sched =
+  kernel
+    (getd
+       (compile ~name ~backend
+          ~mode:(Lower.Assemble { emit_values = true; sorted })
+          sched))
+
+(* Arguments [Kernel.run_assemble] binds for a CSR result of [dims]. *)
+let assemble_args k ~inputs ~dims =
+  let result = (Kernel.info k).Lower.result in
+  List.init 2 (fun l -> (Lower.dimension_var result l, Compile.Aint dims.(l)))
+  @ List.concat_map (fun (tv, t) -> Kernel.tensor_args tv t) inputs
+
+let read_int_array read name =
+  match read name with
+  | Compile.Aint_array a -> a
+  | Compile.Aint _ | Compile.Afloat _ | Compile.Afloat_array _ ->
+      Alcotest.failf "%s: not an int array" name
+
+(* The read-back as it used to be done: every assembled buffer handed
+   back whole, then cut to pos[rows] entries (and unsorted rows sorted)
+   on the OCaml side. *)
+let capacity_read_back k ~backend ~sorted ~inputs ~dims =
+  let info = Kernel.info k in
+  let result = info.Lower.result in
+  let read =
+    Compile.run
+      (Compile.compile ~backend info.Lower.kernel)
+      ~args:(assemble_args k ~inputs ~dims)
+  in
+  let rows = dims.(0) in
+  let pos = Array.sub (read_int_array read (Lower.pos_var result 1)) 0 (rows + 1) in
+  let nnz = pos.(rows) in
+  let crd = Array.sub (read_int_array read (Lower.crd_var result 1)) 0 nnz in
+  let vals =
+    match read (Lower.vals_var result) with
+    | Compile.Afloat_array a -> Array.sub a 0 nnz
+    | Compile.Aint _ | Compile.Afloat _ | Compile.Aint_array _ -> Alcotest.fail "vals"
+  in
+  if not sorted then
+    for p = 0 to rows - 1 do
+      Taco_support.Util.sort_paired crd vals pos.(p) pos.(p + 1)
+    done;
+  (pos, crd, vals)
+
+let check_read_back ~name ~sorted sched inputs dims =
+  let results =
+    List.map
+      (fun backend ->
+        let k = assemble_kernel ~name ~sorted ~backend sched in
+        Alcotest.(check bool) "backend as requested" true (Kernel.backend k = backend);
+        let t = Kernel.run_assemble k ~inputs ~dims in
+        let pos, crd =
+          match T.level_data t 1 with
+          | T.Compressed_data { pos; crd } -> (pos, crd)
+          | T.Dense_data _ -> Alcotest.fail "expected a compressed level"
+        in
+        let rows = dims.(0) in
+        Alcotest.(check int) (name ^ ": pos length") (rows + 1) (Array.length pos);
+        Alcotest.(check int) (name ^ ": crd length") pos.(rows) (Array.length crd);
+        Alcotest.(check int) (name ^ ": vals length") pos.(rows) (Array.length (T.vals t));
+        let pos0, crd0, vals0 = capacity_read_back k ~backend ~sorted ~inputs ~dims in
+        if not (pos = pos0 && crd = crd0 && float_bits_equal (T.vals t) vals0) then
+          Alcotest.failf "%s: exact read-back differs from the capacity read-back" name;
+        t)
+      [ `Closure; `Native ]
+  in
+  match results with
+  | [ rc; rn ] ->
+      if not (tensors_bit_identical rc rn) then
+        Alcotest.failf "%s: native read-back diverges from closures" name
+  | _ -> assert false
+
+let test_read_back_spgemm () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  check_read_back ~name:"spgemm_rb" ~sorted:true sched (spgemm_inputs b c 5) [| 24; 21 |]
+
+let test_read_back_spadd () =
+  let b, c, sched = spadd_sched ~parallel:false in
+  check_read_back ~name:"spadd_rb" ~sorted:true sched
+    [
+      (b, random_tensor 51 [| 30; 25 |] 0.25 F.csr);
+      (c, random_tensor 52 [| 30; 25 |] 0.25 F.csr);
+    ]
+    [| 30; 25 |]
+
+let test_read_back_unsorted () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  check_read_back ~name:"spgemm_rb_unsorted" ~sorted:false sched (spgemm_inputs b c 6)
+    [| 24; 21 |]
+
+(* An out-of-range length is one stage-Execute diagnostic, the same on
+   both backends: never a crash and never a short array. *)
+let test_read_back_out_of_range () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  let inputs = spgemm_inputs b c 8 and dims = [| 24; 21 |] in
+  let diag backend read =
+    let k = assemble_kernel ~name:"spgemm_rb" ~sorted:true ~backend sched in
+    let info = Kernel.info k in
+    match
+      Compile.run ~read (Compile.compile ~backend info.Lower.kernel)
+        ~args:(assemble_args k ~inputs ~dims)
+    with
+    | (_ : string -> Compile.arg) -> Alcotest.fail "out-of-range read-back accepted"
+    | exception Diag.Error d -> d
+  in
+  let result = tensor "A" Format.csr in
+  let pos = Lower.pos_var result 1 and crd = Lower.crd_var result 1 in
+  List.iter
+    (fun (what, read) ->
+      let dc = diag `Closure read and dn = diag `Native read in
+      Alcotest.(check string) (what ^ ": stage") "execute" (Diag.stage_name dn.Diag.stage);
+      Alcotest.(check string) (what ^ ": code") "E_EXEC_NATIVE" dn.Diag.code;
+      Alcotest.(check string) (what ^ ": same diagnostic on both backends")
+        (Diag.to_string dc) (Diag.to_string dn))
+    [
+      ("prefix past capacity", [ (crd, Compile.Len 1_000_000_000) ]);
+      ("negative length", [ (crd, Compile.Len (-1)) ]);
+      ("length index past its source", [ (crd, Compile.Len_at (pos, 1_000_000)) ]);
+      ("negative length index", [ (crd, Compile.Len_at (pos, -1)) ]);
+      ("nnz as the length of pos", [ (pos, Compile.Len_at (pos, dims.(0))) ]);
+    ]
+
 (* --- generated exec C compiles under -Wall -Werror ------------------- *)
 
 let test_exec_c_warning_clean () =
@@ -262,6 +387,13 @@ let () =
           cc_case "SpAdd parallel (OpenMP) vs closure" (test_spadd_identity ~parallel:true);
           cc_case "MTTKRP parallel (OpenMP) vs closure" (test_mttkrp_identity ~parallel:true);
           cc_case "native vs chunked closure runs" test_parallel_domains_identity;
+        ] );
+      ( "read-back",
+        [
+          cc_case "SpGEMM exact lengths" test_read_back_spgemm;
+          cc_case "SpAdd exact lengths" test_read_back_spadd;
+          cc_case "unsorted SpGEMM exact lengths" test_read_back_unsorted;
+          cc_case "out-of-range length, both backends" test_read_back_out_of_range;
         ] );
       ("codegen", [ cc_case "exec C is -Wall -Werror clean" test_exec_c_warning_clean ]);
       ("cache", [ cc_case "native builds single-flight across domains" test_single_flight ]);

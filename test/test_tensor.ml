@@ -253,6 +253,51 @@ let prop_get_matches_dense =
       D.iteri (fun c v -> if T.get t (Array.copy c) <> v then ok := false) d;
       !ok)
 
+(* [zero] builds all-dense formats directly; it must be exactly what
+   packing an empty COO yields — dims, levels and value bits — or raise
+   where that raises (a zero-size dimension). *)
+let test_zero_matches_pack () =
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) xs)))
+          xs
+  in
+  let same a b =
+    T.dims a = T.dims b
+    && F.equal (T.format a) (T.format b)
+    && List.for_all (fun l -> T.level_data a l = T.level_data b l) (List.init (T.order a) Fun.id)
+    && Array.map Int64.bits_of_float (T.vals a) = Array.map Int64.bits_of_float (T.vals b)
+  in
+  let outcome f = match f () with t -> Ok t | exception Invalid_argument _ -> Error () in
+  let check fmt dims =
+    let what =
+      Printf.sprintf "%s over [%s]" (F.to_string fmt)
+        (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+    in
+    match
+      (outcome (fun () -> T.zero dims fmt), outcome (fun () -> T.pack (Coo.create dims) fmt))
+    with
+    | Ok z, Ok p -> if not (same z p) then Alcotest.failf "%s: zero differs from pack" what
+    | Error (), Error () -> ()
+    | Ok _, Error () | Error (), Ok _ ->
+        Alcotest.failf "%s: zero and pack disagree on rejection" what
+  in
+  let shapes = [| [| 3; 1; 4 |]; [| 2; 0; 5 |]; [| 0; 2; 3 |] |] in
+  for order = 1 to 3 do
+    List.iter
+      (fun mode_order ->
+        let fmt = F.make (List.init order (fun _ -> L.Dense)) ~mode_order in
+        Array.iter (fun dims -> check fmt (Array.sub dims 0 order)) shapes;
+        check fmt (Array.make (order + 1) 2))
+      (perms (List.init order Fun.id))
+  done;
+  (* Non-dense formats still go through pack. *)
+  List.iter
+    (fun fmt -> check fmt [| 4; 3 |])
+    [ F.csr; F.make [ L.Dense; L.Compressed ] ~mode_order:[ 1; 0 ] ]
+
 let () =
   Alcotest.run "tensor"
     [
@@ -285,6 +330,7 @@ let () =
           Alcotest.test_case "of_csr validation" `Quick test_of_csr_validates;
           Alcotest.test_case "repack" `Quick test_repack;
           Alcotest.test_case "logical equality" `Quick test_equal;
+          Alcotest.test_case "dense zero equals packed empty" `Quick test_zero_matches_pack;
           prop_pack_roundtrip;
           prop_get_matches_dense;
         ] );
