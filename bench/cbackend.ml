@@ -4,7 +4,8 @@
    inputs; the bit-identity of the two results is a hard gate (the
    native build pins -ffp-contract=off exactly so this holds). Times go
    to stdout as a table and to BENCH_cbackend.json, with the native
-   build pipeline broken out per phase (emit / cc / dlopen / run).
+   build pipeline broken out per phase (emit / cc / dlopen / run) and
+   the size of the C translation unit the cc phase compiled.
 
    The [smoke] entry point is the @cback-smoke alias: skipped cleanly
    (exit 0) when no C compiler is around; with one, a micro SpGEMM must
@@ -156,6 +157,7 @@ type row = {
   r_native_backend : bool;  (* false: the `Native request was downgraded *)
   r_identical : bool;
   r_phases : Native.phases option;
+  r_c_bytes : int;  (* size of the exec C the native build compiled *)
   r_alloc_ratio : float;  (* native major words per warm run / result words *)
 }
 
@@ -173,6 +175,7 @@ let run_workload ~reps w =
     r_native_backend = native_ok;
     r_identical = identical;
     r_phases = Kernel.native_phases kn;
+    r_c_bytes = String.length (Codegen_c.emit_exec (Kernel.imp kn));
     r_alloc_ratio = major_words_per_run w kn /. result_words rn;
   }
 
@@ -191,6 +194,7 @@ let row_json r =
               Report.phases_field ~emit_ns:p.Native.emit_ns ~cc_ns:p.Native.cc_ns
                 ~dlopen_ns:p.Native.dlopen_ns
                 ~run_ns:(Int64.of_float (t *. 1e9));
+              ("exec_c_bytes", Report.Int r.r_c_bytes);
             ]
         | None -> [ ("downgraded", Report.Bool true) ]
       else [])
@@ -219,19 +223,22 @@ let run ~seed ~reps ~dim ~out =
       mttkrp_workload ~seed ~dim;
     ]
   in
-  Harness.row "%-12s | %12s %12s %9s %5s %9s" "kernel" "closure(s)" "native(s)" "speedup" "ok"
-    "alloc/res";
+  Harness.row "%-12s | %12s %12s %9s %5s %9s %8s %7s" "kernel" "closure(s)" "native(s)"
+    "speedup" "ok" "alloc/res" "C bytes" "cc(ms)";
   let rows =
     List.map
       (fun w ->
         let r = run_workload ~reps w in
-        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx" r.r_name r.r_closure_s
+        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx %8d %7.1f" r.r_name r.r_closure_s
           r.r_native_s
           (r.r_closure_s /. r.r_native_s)
           (if not r.r_identical then "DIFF"
            else if not r.r_native_backend then "degr"
            else "bit=")
-          r.r_alloc_ratio;
+          r.r_alloc_ratio r.r_c_bytes
+          (match r.r_phases with
+          | Some p -> Int64.to_float p.Native.cc_ns /. 1e6
+          | None -> Float.nan);
         if not r.r_identical then
           failwith
             (Printf.sprintf "%s: native result diverges from the closure executor" r.r_name);

@@ -70,6 +70,37 @@ let compiler () =
    bogus-compiler tests). *)
 let compiler_id = compiler
 
+(* Run [argv] directly, without a shell: stdin and stdout on /dev/null,
+   stderr on [stderr] (a file path) or /dev/null. [Ok ()] on exit code
+   0, otherwise [Error] describing how it ended; a program that cannot
+   be started is an [Error] too, never an exception. *)
+let run_command ?stderr argv =
+  let rec wait pid =
+    match Unix.waitpid [] pid with
+    | _, status -> status
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+  in
+  match
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        let err =
+          match stderr with
+          | None -> null
+          | Some path ->
+              Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o600
+        in
+        Fun.protect
+          ~finally:(fun () -> if err != null then Unix.close err)
+          (fun () -> wait (Unix.create_process argv.(0) argv null null err)))
+  with
+  | Unix.WEXITED 0 -> Ok ()
+  | Unix.WEXITED n -> Error (Printf.sprintf "exited with %d" n)
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> Error (Printf.sprintf "was killed by signal %d" n)
+  | exception Unix.Unix_error (e, _, _) ->
+      Error ("could not be started: " ^ Unix.error_message e)
+
 let probe_tbl : (string, bool) Hashtbl.t = Hashtbl.create 4
 let probe_mutex = Mutex.create ()
 
@@ -84,10 +115,7 @@ let available () =
       match Hashtbl.find_opt probe_tbl cc with
       | Some ok -> ok
       | None ->
-          let ok =
-            try Sys.command (Filename.quote cc ^ " -dumpversion >/dev/null 2>&1") = 0
-            with Sys_error _ -> false
-          in
+          let ok = Result.is_ok (run_command [| cc; "-dumpversion" |]) in
           Hashtbl.add probe_tbl cc ok;
           ok)
 
@@ -96,6 +124,9 @@ let available () =
 (* ------------------------------------------------------------------ *)
 
 let keep_artifacts () = Sys.getenv_opt "TACO_NATIVE_KEEP" <> None
+
+(* Per-process build sequence number, part of every artifact name. *)
+let build_seq = Atomic.make 0
 
 let art_mutex = Mutex.create ()
 let artifacts : (string, unit) Hashtbl.t = Hashtbl.create 16
@@ -203,11 +234,16 @@ let load (kernel : Imp.kernel) : (loaded, string) result =
             in
             let t1 = Trace.now_ns () in
             let cc = compiler () in
-            (* The digest covers source and compiler so concurrent loads
-               of distinct structures (or one structure under two
-               TACO_CC values) never share artifact paths. *)
+            (* The digest names the source for anyone keeping artifacts;
+               the sequence number keeps two concurrent builds of the
+               same source (uncached compiles, or two cache keys that
+               emit the same C) from sharing, and deleting, each other's
+               files. *)
             let tag = Digest.to_hex (Digest.string (cc ^ "\x00" ^ src)) in
-            let base = Filename.concat dir ("k_" ^ tag) in
+            let base =
+              Filename.concat dir
+                (Printf.sprintf "k_%s_%d" tag (Atomic.fetch_and_add build_seq 1))
+            in
             let cfile = base ^ ".c" and sofile = base ^ ".so" and logfile = base ^ ".log" in
             List.iter track [ cfile; sofile; logfile ];
             let discard () = List.iter untrack_remove [ cfile; sofile; logfile ] in
@@ -219,67 +255,66 @@ let load (kernel : Imp.kernel) : (loaded, string) result =
                 (* -ffp-contract=off: the closure executor evaluates a*b+c
                    as multiply-then-add with intermediate rounding; letting
                    gcc fuse it into fma would break bit-identity. *)
-                let cmd =
-                  Printf.sprintf "%s -O3 -shared -fPIC -ffp-contract=off%s -o %s %s 2> %s"
-                    (Filename.quote cc)
-                    (if Codegen_c.has_parallel kernel then " -fopenmp" else "")
-                    (Filename.quote sofile) (Filename.quote cfile)
-                    (Filename.quote logfile)
+                let argv =
+                  Array.of_list
+                    ([ cc; "-O3"; "-shared"; "-fPIC"; "-ffp-contract=off" ]
+                    @ (if Codegen_c.has_parallel kernel then [ "-fopenmp" ] else [])
+                    @ [ "-o"; sofile; cfile ])
                 in
-                let rc =
+                let status =
                   Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.cc"
-                    (fun () -> try Sys.command cmd with Sys_error _ -> 127)
+                    (fun () -> run_command ~stderr:logfile argv)
                 in
                 let t2 = Trace.now_ns () in
-                if rc <> 0 then begin
-                  let log = read_log logfile in
-                  discard ();
-                  Error
-                    (Printf.sprintf "%s exited with %d building %s%s" cc rc name
-                       (if log = "" then "" else ": " ^ log))
-                end
-                else
-                  let handle =
-                    Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.dlopen"
-                      (fun () -> nat_dlopen sofile)
-                  in
-                  let t3 = Trace.now_ns () in
-                  if handle = 0n then begin
+                match status with
+                | Error how ->
+                    let log = read_log logfile in
                     discard ();
-                    Error (Printf.sprintf "dlopen failed for %s" name)
-                  end
-                  else
-                    let fn = nat_dlsym handle Codegen_c.entry_name in
-                    if fn = 0n then begin
-                      nat_dlclose handle;
+                    Error
+                      (Printf.sprintf "%s %s building %s%s" cc how name
+                         (if log = "" then "" else ": " ^ log))
+                | Ok () ->
+                    let handle =
+                      Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.dlopen"
+                        (fun () -> nat_dlopen sofile)
+                    in
+                    let t3 = Trace.now_ns () in
+                    if handle = 0n then begin
                       discard ();
-                      Error (Printf.sprintf "dlsym(%s) failed for %s" Codegen_c.entry_name name)
+                      Error (Printf.sprintf "dlopen failed for %s" name)
                     end
-                    else begin
-                      (* Mapped: drop the on-disk files now (the inode
-                         stays alive) unless asked to keep them. *)
-                      if keep_artifacts () then untrack_remove logfile else discard ();
-                      let escapes = Codegen_c.exec_escapes kernel in
-                      Ok
-                        {
-                          l_name = name;
-                          l_fn = fn;
-                          l_handle = handle;
-                          l_arr_kinds = arr_kinds kernel;
-                          l_esc_kinds =
-                            Array.of_list
-                              (List.map
-                                 (fun (_, t) -> if t = Imp.Int then 0 else 1)
-                                 escapes);
-                          l_escapes = List.mapi (fun i (nm, _) -> (nm, i)) escapes;
-                          l_phases =
-                            {
-                              emit_ns = Int64.sub t1 t0;
-                              cc_ns = Int64.sub t2 t1;
-                              dlopen_ns = Int64.sub t3 t2;
-                            };
-                        }
-                    end)))
+                    else
+                      let fn = nat_dlsym handle Codegen_c.entry_name in
+                      if fn = 0n then begin
+                        nat_dlclose handle;
+                        discard ();
+                        Error (Printf.sprintf "dlsym(%s) failed for %s" Codegen_c.entry_name name)
+                      end
+                      else begin
+                        (* Mapped: drop the on-disk files now (the inode
+                           stays alive) unless asked to keep them. *)
+                        if keep_artifacts () then untrack_remove logfile else discard ();
+                        let escapes = Codegen_c.exec_escapes kernel in
+                        Ok
+                          {
+                            l_name = name;
+                            l_fn = fn;
+                            l_handle = handle;
+                            l_arr_kinds = arr_kinds kernel;
+                            l_esc_kinds =
+                              Array.of_list
+                                (List.map
+                                   (fun (_, t) -> if t = Imp.Int then 0 else 1)
+                                   escapes);
+                            l_escapes = List.mapi (fun i (nm, _) -> (nm, i)) escapes;
+                            l_phases =
+                              {
+                                emit_ns = Int64.sub t1 t0;
+                                cc_ns = Int64.sub t2 t1;
+                                dlopen_ns = Int64.sub t3 t2;
+                              };
+                          }
+                      end)))
 
 let run (l : loaded) (s : spec) : int * Obj.t array =
   Trace.with_span ~cat:"exec" ~args:[ ("kernel", l.l_name) ] "native.run"

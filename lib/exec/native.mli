@@ -7,8 +7,10 @@
     [Error reason] so {!Compile} can fall back to the closure executor
     with a counted, traced downgrade rather than failing the request.
 
-    The compiler is [cc] or the [TACO_CC] environment variable; its
-    availability is probed once per distinct compiler string. Build
+    The compiler is [cc] or the [TACO_CC] environment variable, run
+    directly (no shell); its availability is probed once per distinct
+    compiler string. The kernels call back into a runtime table the
+    stub implements once (allocation, growth, sorting, the clock). Build
     artifacts live in a per-process temp directory and are unlinked as
     soon as the shared object is mapped (set [TACO_NATIVE_KEEP=1] to
     keep them); {!cleanup} sweeps any leftovers. *)

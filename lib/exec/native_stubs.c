@@ -5,7 +5,15 @@
  *
  *   int taco_entry(const int64_t* iargs, const double* fargs,
  *                  void** aargs, void** esc, int64_t* esc_len,
- *                  int64_t mem_limit, int64_t deadline_ns);
+ *                  int64_t mem_limit, int64_t deadline_ns,
+ *                  const taco_rt_t* rt);
+ *
+ * rt is the kernel runtime table below: allocation, growth, sorting
+ * and the clock, built once with the library instead of being compiled
+ * into every kernel. Generated kernels include no libc header beyond
+ * stdint/stdbool/stddef (and math.h for min/max semirings). Every
+ * buffer a kernel hands back was allocated by this table, so it is
+ * released here with free().
  *
  * taco_nat_call marshals an OCaml call_spec record into that shape:
  *   - float arrays cross with no copy: an OCaml float array is a flat
@@ -49,6 +57,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 #include <dlfcn.h>
 
 #include <caml/mlvalues.h>
@@ -56,8 +65,134 @@
 #include <caml/memory.h>
 #include <caml/fail.h>
 
+/* Layout contract with the typedef Codegen_c.emit_exec writes into
+ * every kernel: field order and signatures must match. */
+typedef struct taco_rt {
+  void *(*alloc)(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit);
+  void *(*grow)(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit);
+  void (*sort_i32)(int32_t *a, int64_t n);
+  int64_t (*now_ns)(void);
+  void (*release)(void *p);
+} taco_rt_t;
+
 typedef int (*taco_entry_fn)(const int64_t *, const double *, void **, void **,
-                             int64_t *, int64_t, int64_t);
+                             int64_t *, int64_t, int64_t, const taco_rt_t *);
+
+/* The closure executor's budget rule: an allocation of n elements is
+   refused when n > limit/8 (8 bytes per element whatever the type). */
+static int over_budget(int64_t n, int64_t limit)
+{
+  return limit != INT64_MAX && n > limit / 8;
+}
+
+/* Imp.Alloc: release p, then max(1, n) zeroed elements. NULL when the
+   budget refuses or calloc fails; *cap is the element count. */
+static void *rt_alloc(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit)
+{
+  free(p);
+  *cap = 0;
+  if (n < 1) n = 1;
+  if (over_budget(n, limit)) return NULL;
+  p = calloc((size_t)n, size);
+  if (p) *cap = n;
+  return p;
+}
+
+/* Imp.Realloc: grow to max(*cap, n) elements with a zeroed tail. On
+   failure p is released and NULL returned, so the kernel's failure
+   path has nothing left to free. */
+static void *rt_grow(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit)
+{
+  int64_t old = *cap;
+  if (n < old) n = old;
+  if (over_budget(n, limit)) {
+    free(p);
+    return NULL;
+  }
+  if (n == old) return p;
+  void *q = realloc(p, (size_t)n * size);
+  if (!q) {
+    free(p);
+    return NULL;
+  }
+  memset((char *)q + (size_t)old * size, 0, (size_t)(n - old) * size);
+  *cap = n;
+  return q;
+}
+
+static void swap_i32(int32_t *a, int64_t i, int64_t j)
+{
+  int32_t t = a[i];
+  a[i] = a[j];
+  a[j] = t;
+}
+
+static void sift_i32(int32_t *a, int64_t i, int64_t n)
+{
+  for (int64_t c; (c = 2 * i + 1) < n; i = c) {
+    if (c + 1 < n && a[c + 1] > a[c]) c++;
+    if (a[i] >= a[c]) return;
+    swap_i32(a, i, c);
+  }
+}
+
+/* Imp.Sort: ascending int32 sort. Introsort: median-of-three
+   three-way quicksort, insertion sort below 17 elements, heapsort once
+   the recursion is deeper than 2 log2 n. */
+static void sort_i32_depth(int32_t *a, int64_t n, int depth)
+{
+  while (n > 16) {
+    if (depth-- == 0) {
+      for (int64_t i = n / 2; i-- > 0;) sift_i32(a, i, n);
+      for (int64_t e = n - 1; e > 0; e--) {
+        swap_i32(a, 0, e);
+        sift_i32(a, 0, e);
+      }
+      return;
+    }
+    int32_t x = a[0], y = a[n / 2], z = a[n - 1];
+    int32_t p = x < y ? (y < z ? y : (x < z ? z : x)) : (x < z ? x : (y < z ? z : y));
+    /* [0, lt) < p, [lt, i) == p, [gt, n) > p; p occurs in a, so the
+       middle band is never empty and both sides shrink. */
+    int64_t lt = 0, i = 0, gt = n;
+    while (i < gt) {
+      if (a[i] < p) swap_i32(a, lt++, i++);
+      else if (a[i] > p) swap_i32(a, i, --gt);
+      else i++;
+    }
+    if (lt < n - gt) {
+      sort_i32_depth(a, lt, depth);
+      a += gt;
+      n -= gt;
+    } else {
+      sort_i32_depth(a + gt, n - gt, depth);
+      n = lt;
+    }
+  }
+  for (int64_t i = 1; i < n; i++) {
+    int32_t v = a[i];
+    int64_t j = i;
+    for (; j > 0 && a[j - 1] > v; j--) a[j] = a[j - 1];
+    a[j] = v;
+  }
+}
+
+static void rt_sort_i32(int32_t *a, int64_t n)
+{
+  int depth = 0;
+  for (int64_t m = n; m > 1; m >>= 1) depth += 2;
+  sort_i32_depth(a, n, depth);
+}
+
+/* The deadline clock: CLOCK_MONOTONIC, the clock Trace.now_ns reads. */
+static int64_t rt_now_ns(void)
+{
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000LL + (int64_t)ts.tv_nsec;
+}
+
+static const taco_rt_t taco_rt = { rt_alloc, rt_grow, rt_sort_i32, rt_now_ns, free };
 
 CAMLprim value taco_nat_dlopen(value vpath)
 {
@@ -156,7 +291,7 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
   if (oom) {
     rc = 1; /* maps to E_EXEC_MEM on the OCaml side */
   } else {
-    rc = fn(iargs, fargs, aargs, esc, esc_len, mem_limit, deadline);
+    rc = fn(iargs, fargs, aargs, esc, esc_len, mem_limit, deadline, &taco_rt);
   }
 
   /* Copy mutated int output buffers back before any OCaml allocation

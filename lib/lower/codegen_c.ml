@@ -371,6 +371,9 @@ let rec stmt ?(unused = fun _ -> false) buf ind s =
   | Imp.Sort (v, lo, hi) -> line "qsort(%s + %s, %s - %s, sizeof(int32_t), cmp_int32);" v (estr lo) (estr hi) (estr lo)
   | Imp.Comment c -> line "// %s" c
 
+let min_max_macros =
+  "#define TACO_MIN(a, b) ((a) < (b) ? (a) : (b))\n#define TACO_MAX(a, b) ((a) > (b) ? (a) : (b))\n"
+
 let emit_body kernel =
   let buf = Buffer.create 1024 in
   List.iter (stmt buf 1) kernel.Imp.k_body;
@@ -379,8 +382,7 @@ let emit_body kernel =
 let prelude ~sort ~math buf =
   Buffer.add_string buf "#include <stdint.h>\n#include <stdbool.h>\n#include <stdlib.h>\n#include <string.h>\n";
   if math then Buffer.add_string buf "#include <math.h>\n";
-  Buffer.add_string buf "#define TACO_MIN(a, b) ((a) < (b) ? (a) : (b))\n";
-  Buffer.add_string buf "#define TACO_MAX(a, b) ((a) > (b) ? (a) : (b))\n";
+  Buffer.add_string buf min_max_macros;
   if sort then
     Buffer.add_string buf
       "static int cmp_int32(const void* a, const void* b) { return *(const int32_t*)a - *(const int32_t*)b; }\n"
@@ -419,7 +421,8 @@ let emit kernel =
 (*                                                                    *)
 (*   int taco_entry(const int64_t* iargs, const double* fargs,        *)
 (*                  void** aargs, void** esc, int64_t* esc_len,       *)
-(*                  int64_t mem_limit, int64_t deadline_ns)           *)
+(*                  int64_t mem_limit, int64_t deadline_ns,           *)
+(*                  const taco_rt_t* rt)                              *)
 (*                                                                    *)
 (* Scalar parameters arrive in iargs/fargs and array parameters in    *)
 (* aargs, each in kernel-parameter order. Arrays the kernel allocates *)
@@ -430,19 +433,27 @@ let emit kernel =
 (* deadline expired (E_EXEC_CANCELLED). On a nonzero return every     *)
 (* kernel allocation has been freed and esc[] is untouched.           *)
 (*                                                                    *)
-(* Semantics mirror the closure executor so results are bit-identical:*)
-(* allocations are [max 1 n] elements zeroed, reallocs grow to        *)
-(* [max old n] with a zeroed tail, the budget check is element-count  *)
-(* > limit/8 on the clamped size, and outermost For loops poll the    *)
-(* deadline every 256 iterations. The host passes -ffp-contract=off   *)
-(* so the compiler cannot fuse a*b+c into fma and change rounding.    *)
+(* [rt] is the kernel runtime table the host implements once          *)
+(* (native_stubs.c), so no kernel includes or inlines libc:           *)
+(*   alloc(p, &cap, n, size, limit)  release p, then [max 1 n] zeroed *)
+(*                                   elements; NULL past the budget   *)
+(*   grow(p, &cap, n, size, limit)   grow to [max cap n], zeroed      *)
+(*                                   tail; on failure p is released   *)
+(*                                   and NULL returned                *)
+(*   sort_i32(a, n)                  ascending int32 sort             *)
+(*   now_ns()                        CLOCK_MONOTONIC, the Trace clock *)
+(*   release(p)                      free a table allocation          *)
+(* The budget check is element-count > limit/8 on the clamped size,   *)
+(* the closure executor's rule, so results and E_EXEC_MEM boundaries  *)
+(* are bit-identical; outermost For loops poll the deadline every 256 *)
+(* iterations. The host passes -ffp-contract=off so the compiler      *)
+(* cannot fuse a*b+c into fma and change rounding.                    *)
 (* ------------------------------------------------------------------ *)
 
 type ectx = {
   ebuf : Buffer.t;
   allocs : (string * Imp.dtype) list;
   used : (string, unit) Hashtbl.t;
-  mutable uses_clock : bool;
   mutable uses_fail : bool;
   mutable par_id : int;
 }
@@ -478,40 +489,23 @@ let rec stmt_exec ctx ind ~depth s =
   | Imp.Store (a, i, v) -> line "%s[%s] = %s;" a (estr i) (estr v)
   | Imp.Store_add (a, i, v) -> line "%s[%s] += %s;" a (estr i) (estr v)
   | Imp.Store_reduce (r, a, i, v) -> line "%s" (reduce_line r a (estr i) (estr v))
-  | Imp.Alloc (t, v, n) ->
+  | Imp.Alloc (_, v, n) ->
       ctx.uses_fail <- true;
-      line "{";
-      line "  int64_t taco_n = (int64_t)(%s);" (estr n);
-      line "  if (taco_n < 1) taco_n = 1;";
-      line "  if (taco_mem_limit != INT64_MAX && taco_n > taco_mem_limit / 8) %s" (fail 1);
-      line "  free(%s);" v;
-      line "  %s = (%s*)calloc((size_t)taco_n, sizeof(%s));" v (ctype t) (ctype t);
-      line "  if (!%s) %s" v (fail 1);
-      line "  taco_cap_%s = taco_n;" v;
-      line "}"
+      line "if (!(%s = taco_rt->alloc(%s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v
+        v (estr n) v (fail 1)
   | Imp.Realloc (v, n) ->
       ctx.uses_fail <- true;
-      let t = try List.assoc v ctx.allocs with Not_found -> invalid_arg "Codegen_c.emit_exec: realloc of a parameter array" in
-      line "{";
-      line "  int64_t taco_n = (int64_t)(%s);" (estr n);
-      line "  if (taco_n < taco_cap_%s) taco_n = taco_cap_%s;" v v;
-      line "  if (taco_mem_limit != INT64_MAX && taco_n > taco_mem_limit / 8) %s" (fail 1);
-      line "  %s* taco_p = (%s*)realloc(%s, (size_t)taco_n * sizeof(%s));" (ctype t) (ctype t) v (ctype t);
-      line "  if (!taco_p) %s" (fail 1);
-      line "  memset(taco_p + taco_cap_%s, 0, (size_t)(taco_n - taco_cap_%s) * sizeof(%s));" v v (ctype t);
-      line "  %s = taco_p;" v;
-      line "  taco_cap_%s = taco_n;" v;
-      line "}"
-  | Imp.Memset (v, n) -> line "memset(%s, 0, (size_t)(%s) * sizeof(*%s));" v (estr n) v
+      line "if (!(%s = taco_rt->grow(%s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v v
+        (estr n) v (fail 1)
+  | Imp.Memset (v, n) -> line "__builtin_memset(%s, 0, (size_t)(%s) * sizeof(*%s));" v (estr n) v
   | Imp.Fill (a, n, v) ->
       line "for (int32_t taco_fi = 0; taco_fi < %s; taco_fi++) %s[taco_fi] = %s;" (estr n) a
         (estr v)
   | Imp.For (v, lo, hi, body) ->
       line "for (int32_t %s = %s; %s < %s; %s++) {" v (estr lo) v (estr hi) v;
       if depth = 0 then begin
-        ctx.uses_clock <- true;
         ctx.uses_fail <- true;
-        line "  if (taco_deadline_ns != INT64_MAX && (%s & %d) == 0 && taco_now_ns() > taco_deadline_ns) %s"
+        line "  if (taco_deadline_ns != INT64_MAX && (%s & %d) == 0 && taco_rt->now_ns() > taco_deadline_ns) %s"
           v 255 (fail 2)
       end;
       List.iter (stmt_exec ctx (ind + 1) ~depth:(depth + 1)) body;
@@ -551,7 +545,7 @@ let rec stmt_exec ctx ind ~depth s =
           line "  {";
           List.iter
             (fun (p, t) ->
-              line "    %s* %s = (%s*)malloc((size_t)TACO_MAX(taco_cap_%s, 1) * sizeof(%s));"
+              line "    %s* %s = (%s*)__builtin_malloc((size_t)TACO_MAX(taco_cap_%s, 1) * sizeof(%s));"
                 (ctype t) (pv p) (ctype t) p (ctype t))
             privates;
           line "    int taco_ok%d = %s;" id
@@ -559,7 +553,7 @@ let rec stmt_exec ctx ind ~depth s =
           line "    if (taco_ok%d) {" id;
           List.iter
             (fun (p, t) ->
-              line "      memcpy(%s, %s, (size_t)taco_cap_%s * sizeof(%s));" (pv p) p p (ctype t))
+              line "      __builtin_memcpy(%s, %s, (size_t)taco_cap_%s * sizeof(%s));" (pv p) p p (ctype t))
             privates;
           line "    } else {";
           line "      taco_oom%d = 1;" id;
@@ -570,7 +564,7 @@ let rec stmt_exec ctx ind ~depth s =
           List.iter (stmt_exec ctx (ind + 4) ~depth:(depth + 1)) body;
           line "      }";
           line "    }";
-          List.iter (fun (p, _) -> line "    free(%s);" (pv p)) privates;
+          List.iter (fun (p, _) -> line "    taco_rt->release(%s);" (pv p)) privates;
           line "  }";
           line "  if (taco_oom%d) %s" id (fail 1);
           line "}"
@@ -595,7 +589,7 @@ let rec stmt_exec ctx ind ~depth s =
       List.iter (stmt_exec ctx (ind + 1) ~depth) e;
       line "}"
   | Imp.Sort (v, lo, hi) ->
-      line "qsort(%s + %s, %s - %s, sizeof(int32_t), cmp_int32);" v (estr lo) (estr hi) (estr lo)
+      line "taco_rt->sort_i32(%s + %s, %s - %s);" v (estr lo) (estr hi) (estr lo)
   | Imp.Comment c -> line "// %s" c
 
 let entry_name = "taco_entry"
@@ -609,28 +603,30 @@ let emit_exec_untraced kernel =
   let escapes = exec_escapes kernel in
   let written = written_arrays kernel in
   let used = used_tbl body in
-  let ctx = { ebuf = Buffer.create 4096; allocs; used; uses_clock = false; uses_fail = false; par_id = 0 } in
+  let ctx = { ebuf = Buffer.create 4096; allocs; used; uses_fail = false; par_id = 0 } in
   List.iter (stmt_exec ctx 1 ~depth:0) body;
   let buf = Buffer.create 8192 in
   Buffer.add_string buf (Printf.sprintf "// taco native rendering of kernel %s\n" kernel.Imp.k_name);
-  prelude ~sort:(has_sort body) ~math:(needs_math body) buf;
-  if ctx.uses_clock then begin
-    Buffer.add_string buf "#include <time.h>\n";
-    Buffer.add_string buf
-      "static int64_t taco_now_ns(void) {\n\
-      \  struct timespec taco_ts;\n\
-      \  clock_gettime(CLOCK_MONOTONIC, &taco_ts);\n\
-      \  return (int64_t)taco_ts.tv_sec * 1000000000LL + (int64_t)taco_ts.tv_nsec;\n\
-       }\n"
-  end;
+  Buffer.add_string buf "#include <stdint.h>\n#include <stdbool.h>\n#include <stddef.h>\n";
+  if needs_math body then Buffer.add_string buf "#include <math.h>\n";
+  Buffer.add_string buf min_max_macros;
+  (* Layout contract with native_stubs.c, which fills the table. *)
+  Buffer.add_string buf
+    "typedef struct taco_rt {\n\
+    \  void* (*alloc)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
+    \  void* (*grow)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
+    \  void (*sort_i32)(int32_t* a, int64_t n);\n\
+    \  int64_t (*now_ns)(void);\n\
+    \  void (*release)(void* p);\n\
+     } taco_rt_t;\n";
   Buffer.add_string buf
     (Printf.sprintf
        "\nint %s(const int64_t* taco_iargs, const double* taco_fargs, void** taco_aargs,\n\
        \               void** taco_esc, int64_t* taco_esc_len, int64_t taco_mem_limit,\n\
-       \               int64_t taco_deadline_ns) {\n" entry_name);
+       \               int64_t taco_deadline_ns, const taco_rt_t* taco_rt) {\n" entry_name);
   Buffer.add_string buf
     "  (void)taco_iargs; (void)taco_fargs; (void)taco_aargs; (void)taco_esc;\n\
-    \  (void)taco_esc_len; (void)taco_mem_limit; (void)taco_deadline_ns;\n";
+    \  (void)taco_esc_len; (void)taco_mem_limit; (void)taco_deadline_ns; (void)taco_rt;\n";
   if ctx.uses_fail then Buffer.add_string buf "  int taco_rc = 0;\n";
   (* Parameter bindings, in kernel-parameter order with one running
      index per argument bank. *)
@@ -667,7 +663,7 @@ let emit_exec_untraced kernel =
   List.iter
     (fun (v, t) ->
       Buffer.add_string buf
-        (Printf.sprintf "  %s* %s = NULL; int64_t taco_cap_%s = 0; (void)taco_cap_%s;\n" (ctype t) v v v))
+        (Printf.sprintf "  %s* %s = NULL; int64_t taco_cap_%s = 0;\n" (ctype t) v v))
     allocs;
   Buffer.add_string buf (Buffer.contents ctx.ebuf);
   (* Success epilogue: hand escaping buffers to the host, free the rest. *)
@@ -678,12 +674,12 @@ let emit_exec_untraced kernel =
     escapes;
   List.iter
     (fun (v, t) ->
-      if t = Imp.Bool then Buffer.add_string buf (Printf.sprintf "  free(%s);\n" v))
+      if t = Imp.Bool then Buffer.add_string buf (Printf.sprintf "  taco_rt->release(%s);\n" v))
     allocs;
   Buffer.add_string buf "  return 0;\n";
   if ctx.uses_fail then begin
     Buffer.add_string buf "taco_fail:\n";
-    List.iter (fun (v, _) -> Buffer.add_string buf (Printf.sprintf "  free(%s);\n" v)) allocs;
+    List.iter (fun (v, _) -> Buffer.add_string buf (Printf.sprintf "  taco_rt->release(%s);\n" v)) allocs;
     Buffer.add_string buf "  return taco_rc;\n"
   end;
   Buffer.add_string buf "}\n";

@@ -25,7 +25,8 @@ val entry_name : string
 
     {[ int taco_entry(const int64_t* iargs, const double* fargs,
                       void** aargs, void** esc, int64_t* esc_len,
-                      int64_t mem_limit, int64_t deadline_ns) ]}
+                      int64_t mem_limit, int64_t deadline_ns,
+                      const taco_rt_t* rt) ]}
 
     with scalar parameters in [iargs]/[fargs] and array parameters in
     [aargs], each bank in kernel-parameter order. Arrays the kernel
@@ -34,10 +35,15 @@ val entry_name : string
     buffers on success. Returns 0 on success, 1 when an allocation
     fails or exceeds [mem_limit] (E_EXEC_MEM), 2 when [deadline_ns]
     expires (E_EXEC_CANCELLED); on failure all kernel allocations have
-    been freed and [esc] is untouched. Semantics track the closure
-    executor bit-for-bit (zeroed [max 1 n] allocations, grow-only
-    reallocs with zeroed tails, element-count [> limit/8] budget
-    checks, 256-iteration deadline polls in outermost loops).
+    been freed and [esc] is untouched. [rt] is the host's kernel
+    runtime table ([alloc], [grow], [sort_i32], [now_ns], [release]):
+    the rendering includes no libc header beyond
+    [stdint.h]/[stdbool.h]/[stddef.h] (and [math.h] when min/max or
+    non-finite literals need it) and makes one table call per
+    [Alloc]/[Realloc]. Semantics track the closure executor
+    bit-for-bit (zeroed [max 1 n] allocations, grow-only reallocs with
+    zeroed tails, element-count [> limit/8] budget checks,
+    256-iteration deadline polls in outermost loops).
 
     Raises [Invalid_argument] when the kernel is not expressible under
     this ABI (see {!exec_unsupported}). *)

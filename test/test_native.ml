@@ -315,6 +315,177 @@ let test_exec_c_warning_clean () =
             Alcotest.failf "%s: emit_exec output does not compile under -Wall -Werror" name))
     kernels
 
+(* --- the kernel runtime table ----------------------------------------- *)
+
+(* The kernels the runtime-table contract is checked on: the paper's
+   three, sequential and OpenMP, plus SpGEMM under min-plus. *)
+let contract_kernels () =
+  let imp ?semiring name sched = (name, Kernel.imp (kernel (getd (compile ~name ?semiring sched)))) in
+  let _, _, s_gemm = spgemm_sched ~parallel:false in
+  let _, _, s_gemm_par = spgemm_sched ~parallel:true in
+  let _, _, s_add = spadd_sched ~parallel:false in
+  let _, _, s_add_par = spadd_sched ~parallel:true in
+  let _, _, _, _, s_ttkrp = mttkrp_sched ~parallel:false in
+  let _, _, _, _, s_ttkrp_par = mttkrp_sched ~parallel:true in
+  [
+    imp "spgemm_rt" s_gemm;
+    imp "spgemm_rt_par" s_gemm_par;
+    imp "spadd_rt" s_add;
+    imp "spadd_rt_par" s_add_par;
+    imp "mttkrp_rt" s_ttkrp;
+    imp "mttkrp_rt_par" s_ttkrp_par;
+    imp ~semiring:Semiring.min_plus "spgemm_rt_minplus" s_gemm;
+  ]
+
+let rec count_growth stmts =
+  List.fold_left
+    (fun n s ->
+      n
+      +
+      match s with
+      | Imp.Alloc _ | Imp.Realloc _ -> 1
+      | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) -> count_growth b
+      | Imp.If (_, t, e) -> count_growth t + count_growth e
+      | _ -> 0)
+    0 stmts
+
+let count_occurrences haystack needle =
+  let ln = String.length needle in
+  let rec go i n =
+    if i + ln > String.length haystack then n
+    else if String.sub haystack i ln = needle then go (i + ln) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+(* Exec C reaches libc only through the table: no allocator, string or
+   time header, no inlined calloc/realloc/qsort, and one table call per
+   Alloc/Realloc statement. *)
+let test_exec_c_uses_table () =
+  List.iter
+    (fun (name, k) ->
+      let src = Codegen_c.emit_exec k in
+      List.iter
+        (fun banned ->
+          if contains src banned then Alcotest.failf "%s: exec C contains %S" name banned)
+        [ "stdlib.h"; "string.h"; "time.h"; "calloc("; "realloc("; "qsort(" ];
+      String.split_on_char '\n' src
+      |> List.iter (fun l ->
+             if
+               String.starts_with ~prefix:"#include" l
+               && not
+                    (List.mem l
+                       [
+                         "#include <stdint.h>";
+                         "#include <stdbool.h>";
+                         "#include <stddef.h>";
+                         "#include <math.h>";
+                       ])
+             then Alcotest.failf "%s: unexpected %s" name l);
+      Alcotest.(check int)
+        (name ^ ": one table call per Alloc/Realloc")
+        (count_growth k.Imp.k_body)
+        (count_occurrences src "taco_rt->alloc(" + count_occurrences src "taco_rt->grow("))
+    (contract_kernels ())
+
+let diag_of = function
+  | Ok _ -> None
+  | Error d -> Some (d.Diag.code, Diag.stage_name d.Diag.stage)
+
+(* Budget limits straddling every allocation of a SpGEMM whose output
+   outgrows its initial 1024-entry capacity three times: the row
+   pointer (rows + 1 = 61), the first crd/vals allocation (1024) and
+   the growths to 2048 and 4096. At each limit both backends must fail
+   with the same E_EXEC_MEM or succeed with bit-identical results. *)
+let test_budget_boundary ?semiring ~parallel ~name () =
+  let b, c, sched = spgemm_sched ~parallel in
+  let inputs =
+    [
+      (b, random_tensor 91 [| 60; 60 |] 0.15 F.csr);
+      (c, random_tensor 92 [| 60; 60 |] 0.15 F.csr);
+    ]
+  in
+  let closure = getd (compile ~name ?semiring ~backend:`Closure sched) in
+  let native = getd (compile ~name ?semiring ~backend:`Native sched) in
+  Alcotest.(check bool) "native backend actually used" true (backend_of native = `Native);
+  let nnz = Array.length (T.vals (getd (run closure ~inputs))) in
+  if nnz <= 2048 || nnz > 4096 then Alcotest.failf "%s: %d output entries, want 2049..4096" name nnz;
+  List.iter
+    (fun (elems, delta, ok) ->
+      let limit = (8 * elems) + delta in
+      Fun.protect
+        ~finally:(fun () -> Budget.set_mem_limit 0)
+        (fun () ->
+          Budget.set_mem_limit limit;
+          let rc = run closure ~inputs and rn = run native ~inputs in
+          let what = Printf.sprintf "%s, limit %d bytes" name limit in
+          Alcotest.(check (option (pair string string)))
+            (what ^ ": same outcome on both backends")
+            (diag_of rc) (diag_of rn);
+          match (rc, rn) with
+          | Ok tc, Ok tn ->
+              if not ok then Alcotest.failf "%s: expected E_EXEC_MEM" what;
+              if not (tensors_bit_identical tc tn) then
+                Alcotest.failf "%s: native result diverges from closures" what
+          | Error d, _ ->
+              if ok then Alcotest.failf "%s: unexpected %s" what (Diag.to_string d);
+              Alcotest.(check string) (what ^ ": code") "E_EXEC_MEM" d.Diag.code
+          | Ok _, Error _ -> ()))
+    [
+      (61, -1, false);
+      (61, 0, false);
+      (1024, -1, false);
+      (1024, 0, false);
+      (2048, -1, false);
+      (2048, 0, false);
+      (4096, -1, false);
+      (4096, 0, true);
+    ]
+
+(* A deadline already in the past is caught by the kernel's first poll,
+   which reads the table's clock. *)
+let test_native_deadline () =
+  List.iter
+    (fun (name, parallel) ->
+      let b, c, sched = spgemm_sched ~parallel in
+      let native = getd (compile ~name ~backend:`Native sched) in
+      Alcotest.(check bool) "native backend actually used" true (backend_of native = `Native);
+      match run ~deadline_ns:0L native ~inputs:(spgemm_inputs b c 4) with
+      | Ok _ -> Alcotest.failf "%s: expired deadline not enforced" name
+      | Error d -> Alcotest.(check string) (name ^ ": code") "E_EXEC_CANCELLED" d.Diag.code)
+    [ ("spgemm_deadline", false); ("spgemm_deadline_par", true) ]
+
+(* SpGEMM rows whose workspace fills in reverse column order with 0, 1,
+   16, 17 and 400 entries: the table's sort on both sides of its
+   insertion-sort cutoff, bit-identical to the closure executor. *)
+let test_sort_rows ?semiring ~parallel ~name () =
+  let b, c, sched = spgemm_sched ~parallel in
+  let counts = [| 0; 1; 16; 17; 400 |] and n = 400 in
+  let rows = Array.length counts in
+  let pos = Array.make (rows + 1) 0 in
+  Array.iteri (fun r k -> pos.(r + 1) <- pos.(r) + k) counts;
+  let crd = Array.concat (Array.to_list (Array.map (fun k -> Array.init k Fun.id) counts)) in
+  let vals = Array.mapi (fun i k -> float_of_int ((i * 7) + k + 1) *. 0.5) crd in
+  let bt = T.of_csr ~rows ~cols:n pos crd vals in
+  (* C(k, n-1-k): ascending k inserts descending columns. *)
+  let ct =
+    T.of_csr ~rows:n ~cols:n (Array.init (n + 1) Fun.id)
+      (Array.init n (fun k -> n - 1 - k))
+      (Array.init n (fun k -> 1. +. (float_of_int k *. 0.25)))
+  in
+  let inputs = [ (b, bt); (c, ct) ] in
+  let closure = getd (compile ~name ?semiring ~backend:`Closure sched) in
+  let native = getd (compile ~name ?semiring ~backend:`Native sched) in
+  Alcotest.(check bool) "native backend actually used" true (backend_of native = `Native);
+  let rc = getd (run closure ~inputs) and rn = getd (run native ~inputs) in
+  (match T.level_data rn 1 with
+  | T.Compressed_data { pos; _ } ->
+      Alcotest.(check (array int)) (name ^ ": row sizes") counts
+        (Array.init rows (fun r -> pos.(r + 1) - pos.(r)))
+  | T.Dense_data _ -> Alcotest.fail "expected a compressed level");
+  if not (tensors_bit_identical rc rn) then
+    Alcotest.failf "%s: native sorted rows diverge from closures" name
+
 (* --- cache: native builds are single-flighted across domains --------- *)
 
 let test_single_flight () =
@@ -334,6 +505,44 @@ let test_single_flight () =
       Alcotest.(check bool) "every domain got the native kernel" true
         (backend_of c = `Native))
     compiled
+
+(* Uncached builds of one source racing on two domains: each build owns
+   its artifacts, so none deletes another's input and none downgrades. *)
+let test_concurrent_uncached_builds () =
+  let b, c, sched = spadd_sched ~parallel:false in
+  let k = assemble_kernel ~name:"spadd_race" ~sorted:true ~backend:`Closure sched in
+  let imp = (Kernel.info k).Lower.kernel in
+  let inputs =
+    [
+      (b, random_tensor 61 [| 30; 25 |] 0.25 F.csr);
+      (c, random_tensor 62 [| 30; 25 |] 0.25 F.csr);
+    ]
+  and dims = [| 30; 25 |] in
+  let result c =
+    let read = Compile.run c ~args:(assemble_args k ~inputs ~dims) in
+    let arr name =
+      match read name with
+      | Compile.Aint_array a -> Array.map Int64.of_int a
+      | Compile.Afloat_array a -> Array.map Int64.bits_of_float a
+      | Compile.Aint _ | Compile.Afloat _ -> Alcotest.failf "%s: not an array" name
+    in
+    let result = (Kernel.info k).Lower.result in
+    List.map arr [ Lower.pos_var result 1; Lower.crd_var result 1; Lower.vals_var result ]
+  in
+  let reference = result (Compile.compile ~backend:`Closure imp) in
+  let before = (Compile.backend_stats ()).Compile.downgrades in
+  let builds =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init 12 (fun _ -> Compile.compile ~cache:false ~backend:`Native imp)))
+    |> List.concat_map Domain.join
+  in
+  Alcotest.(check int) "no downgrades" 0 ((Compile.backend_stats ()).Compile.downgrades - before);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "built natively" true (Compile.backend_of c = `Native);
+      if result c <> reference then Alcotest.fail "native result diverges from closures")
+    builds
 
 (* --- downgrade paths (run everywhere, no compiler needed) ------------ *)
 
@@ -396,7 +605,28 @@ let () =
           cc_case "out-of-range length, both backends" test_read_back_out_of_range;
         ] );
       ("codegen", [ cc_case "exec C is -Wall -Werror clean" test_exec_c_warning_clean ]);
-      ("cache", [ cc_case "native builds single-flight across domains" test_single_flight ]);
+      ( "runtime table",
+        [
+          Alcotest.test_case "exec C calls the table, not libc" `Quick test_exec_c_uses_table;
+          cc_case "E_EXEC_MEM boundary, sequential"
+            (test_budget_boundary ~parallel:false ~name:"spgemm_budget");
+          cc_case "E_EXEC_MEM boundary, OpenMP"
+            (test_budget_boundary ~parallel:true ~name:"spgemm_budget_par");
+          cc_case "E_EXEC_MEM boundary, min-plus"
+            (test_budget_boundary ~semiring:Semiring.min_plus ~parallel:false
+               ~name:"spgemm_budget_minplus");
+          cc_case "expired deadline cancels natively" test_native_deadline;
+          cc_case "sorted rows, sequential" (test_sort_rows ~parallel:false ~name:"spgemm_sort");
+          cc_case "sorted rows, OpenMP" (test_sort_rows ~parallel:true ~name:"spgemm_sort_par");
+          cc_case "sorted rows, min-plus"
+            (test_sort_rows ~semiring:Semiring.min_plus ~parallel:false
+               ~name:"spgemm_sort_minplus");
+        ] );
+      ( "cache",
+        [
+          cc_case "native builds single-flight across domains" test_single_flight;
+          cc_case "uncached builds of one source on two domains" test_concurrent_uncached_builds;
+        ] );
       ( "fallback",
         [
           Alcotest.test_case "bogus TACO_CC downgrades to closures" `Quick
