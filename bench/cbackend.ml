@@ -2,16 +2,20 @@
    kernels (SpGEMM, SpAdd, MTTKRP). Each workload is prepared twice —
    once per backend — from the same lowered kernel and run on the same
    inputs; the bit-identity of the two results is a hard gate (the
-   native build pins -ffp-contract=off exactly so this holds). Times go
-   to stdout as a table and to BENCH_cbackend.json, with the native
-   build pipeline broken out per phase (emit / cc / dlopen / run) and
-   the size of the C translation unit the cc phase compiled.
+   native build pins -ffp-contract=off exactly so this holds). The
+   native kernel is timed at both compiler tiers: at tier 0 (-O0, what
+   a compile-cache miss builds) within its tier-0 phase, then promoted
+   to tier 1 (-O3) and timed against the closures. Times go to stdout
+   as a table and to BENCH_cbackend.json, with the native build
+   pipeline broken out per phase (emit / cc / dlopen / run), the cc and
+   run times of each tier, and the size of the C translation unit the
+   cc phase compiled.
 
    The [smoke] entry point is the @cback-smoke alias: skipped cleanly
    (exit 0) when no C compiler is around; with one, a micro SpGEMM must
-   build natively, match the closure result bit for bit, and allocate
-   on the major heap per warm run at most [alloc_gate] times the words
-   of the arrays it returns. *)
+   build natively, match the closure result bit for bit at both tiers,
+   and allocate on the major heap per warm run at most [alloc_gate]
+   times the words of the arrays it returns. *)
 
 open Taco
 
@@ -148,15 +152,39 @@ let time_backends ~reps w kerns =
   done;
   List.mapi (fun q (n, _) -> (n, best.(q))) kerns
 
+(* Best single run of a kernel still at tier 0, sampled only inside its
+   tier-0 phase: sampling stops before the runs' total could reach the
+   kernel's tier-0 cc time, the break-even at which it tiers up. *)
+let time_tier0 w k ~cc_s =
+  let rec go ~best ~worst ~total =
+    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then best
+    else
+      let _, t = Taco_support.Util.time (fun () -> w.w_time k) in
+      go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
+  in
+  go ~best:infinity ~worst:0. ~total:0.
+
+(* The native kernel's tier-0 numbers, its tier-0 result, and then the
+   kernel promoted to tier 1. *)
+let promote_after_tier0 w k =
+  let phases = Kernel.native_phases k in
+  let run_s =
+    Option.map (fun p -> time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9)) phases
+  in
+  let result = w.w_result k in
+  Kernel.promote k;
+  (phases, run_s, result)
+
 (* --- one workload, both backends -------------------------------------- *)
 
 type row = {
   r_name : string;
   r_closure_s : float;
-  r_native_s : float;
+  r_native_s : float;  (* tier 1 *)
   r_native_backend : bool;  (* false: the `Native request was downgraded *)
-  r_identical : bool;
-  r_phases : Native.phases option;
+  r_identical : bool;  (* closures, tier 0 and tier 1 agree bit for bit *)
+  r_phases : Native.phases option;  (* tier 1 *)
+  r_tier0 : (Native.phases * float) option;  (* tier-0 build phases and best run *)
   r_c_bytes : int;  (* size of the exec C the native build compiled *)
   r_alloc_ratio : float;  (* native major words per warm run / result words *)
 }
@@ -165,8 +193,11 @@ let run_workload ~reps w =
   let kc = Kernel.prepare w.w_info in
   let kn = Kernel.prepare ~backend:`Native w.w_info in
   let native_ok = Kernel.backend kn = `Native in
+  let phases0, run0_s, rn0 = promote_after_tier0 w kn in
+  if native_ok && Kernel.native_tier kn <> Some 1 then
+    failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
   let rn = w.w_result kn in
-  let identical = tensors_identical (w.w_result kc) rn in
+  let identical = tensors_identical (w.w_result kc) rn && tensors_identical rn0 rn in
   let times = time_backends ~reps w [ ("closure", kc); ("native", kn) ] in
   {
     r_name = w.w_name;
@@ -175,6 +206,7 @@ let run_workload ~reps w =
     r_native_backend = native_ok;
     r_identical = identical;
     r_phases = Kernel.native_phases kn;
+    r_tier0 = Option.bind phases0 (fun p -> Option.map (fun t -> (p, t)) run0_s);
     r_c_bytes = String.length (Codegen_c.emit_exec (Kernel.imp kn));
     r_alloc_ratio = major_words_per_run w kn /. result_words rn;
   }
@@ -195,6 +227,18 @@ let row_json r =
                 ~dlopen_ns:p.Native.dlopen_ns
                 ~run_ns:(Int64.of_float (t *. 1e9));
               ("exec_c_bytes", Report.Int r.r_c_bytes);
+              ( "tiers",
+                Report.List
+                  (List.map
+                     (fun (tier, (p : Native.phases), run_s) ->
+                       Report.Obj
+                         [
+                           ("tier", Report.Int tier);
+                           ("cc_ms", Report.Float (Int64.to_float p.Native.cc_ns /. 1e6));
+                           ("run_s", Report.Float run_s);
+                         ])
+                     ((match r.r_tier0 with Some (p0, t0) -> [ (0, p0, t0) ] | None -> [])
+                     @ [ (1, p, t) ])) );
             ]
         | None -> [ ("downgraded", Report.Bool true) ]
       else [])
@@ -223,13 +267,14 @@ let run ~seed ~reps ~dim ~out =
       mttkrp_workload ~seed ~dim;
     ]
   in
-  Harness.row "%-12s | %12s %12s %9s %5s %9s %8s %7s" "kernel" "closure(s)" "native(s)"
-    "speedup" "ok" "alloc/res" "C bytes" "cc(ms)";
+  Harness.row "%-12s | %12s %12s %9s %5s %9s %8s %7s %12s %7s" "kernel" "closure(s)"
+    "native(s)" "speedup" "ok" "alloc/res" "C bytes" "cc(ms)" "-O0 run(s)" "-O0 cc";
   let rows =
     List.map
       (fun w ->
         let r = run_workload ~reps w in
-        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx %8d %7.1f" r.r_name r.r_closure_s
+        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx %8d %7.1f %12.4f %7.1f" r.r_name
+          r.r_closure_s
           r.r_native_s
           (r.r_closure_s /. r.r_native_s)
           (if not r.r_identical then "DIFF"
@@ -238,6 +283,10 @@ let run ~seed ~reps ~dim ~out =
           r.r_alloc_ratio r.r_c_bytes
           (match r.r_phases with
           | Some p -> Int64.to_float p.Native.cc_ns /. 1e6
+          | None -> Float.nan)
+          (match r.r_tier0 with Some (_, t) -> t | None -> Float.nan)
+          (match r.r_tier0 with
+          | Some (p, _) -> Int64.to_float p.Native.cc_ns /. 1e6
           | None -> Float.nan);
         if not r.r_identical then
           failwith
@@ -297,7 +346,18 @@ let smoke () =
         m "cback-smoke FAILED: compiler present but native build was downgraded");
     exit 1
   end;
+  let _, _, rn0 = promote_after_tier0 w kn in
+  if Kernel.native_tier kn <> Some 1 then begin
+    Taco_support.Obs.Log.err (fun m -> m "cback-smoke FAILED: promotion to tier 1 failed");
+    exit 1
+  end;
   let rn = w.w_result kn in
+  if not (tensors_identical rn0 rn) then begin
+    Taco_support.Obs.Log.err (fun m ->
+        m "cback-smoke FAILED: the tier-1 result diverges from the tier-0 build");
+    exit 1
+  end;
+  Printf.printf "cback-smoke spgemm_ws: tier 1 (-O3) bit-identical to tier 0 (-O0)\n%!";
   let identical = tensors_identical (w.w_result kc) rn in
   let times = time_backends ~reps:3 w [ ("closure", kc); ("native", kn) ] in
   Printf.printf "cback-smoke spgemm_ws: closure %.4fs, native %.4fs (%.2fx), %s\n%!"

@@ -72,20 +72,19 @@ type run_stats = {
 type backend = [ `Closure | `Native ]
 
 type backend_stats = {
-  native_builds : int;  (** successful emit+cc+dlopen builds *)
+  native_builds : int;  (** successful emit+cc+dlopen builds, tier-ups included *)
   native_runs : int;  (** kernel executions through the native entry *)
   closure_runs : int;  (** kernel executions through closures *)
   downgrades : int;  (** native requests served by closures instead *)
 }
 
-let bs_native_builds = Atomic.make 0
 let bs_native_runs = Atomic.make 0
 let bs_closure_runs = Atomic.make 0
 let bs_downgrades = Atomic.make 0
 
 let backend_stats () =
   {
-    native_builds = Atomic.get bs_native_builds;
+    native_builds = Native.builds ();
     native_runs = Atomic.get bs_native_runs;
     closure_runs = Atomic.get bs_closure_runs;
     downgrades = Atomic.get bs_downgrades;
@@ -113,7 +112,11 @@ let backend_of c : backend = if c.c_native = None then `Closure else `Native
 
 let downgrade_reason c = c.c_downgrade
 
-let native_phases c = Option.map (fun l -> l.Native.l_phases) c.c_native
+let native_phases c = Option.map Native.phases c.c_native
+
+let native_tier c = Option.map Native.tier c.c_native
+
+let promote c = Option.iter Native.promote c.c_native
 
 let kernel c = c.c_kernel
 
@@ -1275,9 +1278,7 @@ let build ~checked ~profile ~backend k =
             (None, None)
           else begin
             match Native.load k with
-            | Ok l ->
-                Atomic.incr bs_native_builds;
-                (Some l, None)
+            | Ok l -> (Some l, None)
             | Error reason ->
                 Atomic.incr bs_downgrades;
                 Trace.add "exec.backend.downgrade" 1;

@@ -42,7 +42,7 @@ type backend = [ `Closure | `Native ]
 
 (** Process-wide per-backend counters. *)
 type backend_stats = {
-  native_builds : int;  (** Shared objects built and loaded. *)
+  native_builds : int;  (** Shared objects built and loaded, tier-ups included. *)
   native_runs : int;  (** Runs dispatched to native code. *)
   closure_runs : int;  (** Runs dispatched to closures. *)
   downgrades : int;  (** [`Native] requests served by closures. *)
@@ -57,9 +57,21 @@ val backend_of : compiled -> backend
 (** Why a [`Native] request fell back to closures, if it did. *)
 val downgrade_reason : compiled -> string option
 
-(** Build-phase timings (emit / cc / dlopen) for natively compiled
-    kernels; [None] for closure-backed ones. *)
+(** Build-phase timings (emit / cc / dlopen) of the native entry point
+    runs currently call; [None] for closure-backed kernels. *)
 val native_phases : compiled -> Native.phases option
+
+(** The compiler tier of the native entry point (0 for [-O0], 1 for
+    [-O3], see {!Native}); [None] for closure-backed kernels. A native
+    build starts at tier 0 and moves to tier 1 in the background once
+    it has run for as long as it took to compile. *)
+val native_tier : compiled -> int option
+
+(** Build a native kernel at tier 1 now, through the same start-and-wait
+    path as every build, and swap it in under the same cache entry
+    (see {!Native.promote}). For benchmarks that must time [-O3] code;
+    a no-op for closure-backed kernels. *)
+val promote : compiled -> unit
 
 (** Typecheck and compile a kernel. Raises [Invalid_argument] on malformed
     IR (unknown variables, type mismatches).

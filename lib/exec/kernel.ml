@@ -15,6 +15,10 @@ let backend t = Compile.backend_of t.compiled
 
 let native_phases t = Compile.native_phases t.compiled
 
+let native_tier t = Compile.native_tier t.compiled
+
+let promote t = Compile.promote t.compiled
+
 let profile_stats t = Compile.profile_stats t.compiled
 
 let profile_reset t = Compile.profile_reset t.compiled

@@ -32,6 +32,12 @@ val backend : t -> Compile.backend
     closure-backed kernels. *)
 val native_phases : t -> Native.phases option
 
+(** The native entry point's compiler tier — see {!Compile.native_tier}. *)
+val native_tier : t -> int option
+
+(** Build the native kernel at tier 1 now — see {!Compile.promote}. *)
+val promote : t -> unit
+
 (** Accumulated executor counters of a kernel prepared with
     [~profile:true]; [None] otherwise. *)
 val profile_stats : t -> Compile.run_stats option

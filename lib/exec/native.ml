@@ -10,23 +10,48 @@
    and "did dlsym find the entry point?" is reported as [Error reason]
    and the caller (Compile) downgrades to the closure executor.
 
+   Two compiler tiers. [load] builds at tier 0 ([-O0]), which halves
+   the cost of a compile-cache miss. Every run of a tier-0 kernel adds
+   its time to the kernel's account; the run that pushes the account
+   past the kernel's own tier-0 cc time starts a tier-1 ([-O3]) build
+   of the same C as a child process (break-even: a kernel that has run
+   as long as it took to compile has earned the better build). Later
+   runs poll the child without blocking; on success the new entry point
+   replaces the old one atomically. Both tiers compile plain IEEE
+   arithmetic without contraction, so they are bit-identical and the
+   swap needs no new cache key. At most one tier-up is in flight per
+   process; a failed one leaves its kernel on tier 0 for good.
+
    Artifact hygiene: the .c/.so/.log files are unlinked as soon as the
    .so is mapped — on Linux dlopen holds the inode alive, so nothing is
    left on disk for the lifetime of the process and nothing needs
-   cleanup on exit. [cleanup] (called from Service.shutdown and at_exit)
-   sweeps whatever a failed load may have left and removes the process
+   cleanup on exit. Shared objects are never unmapped: a run on another
+   domain may still be inside a replaced tier-0 entry. [cleanup] (called
+   from Service.shutdown and at_exit) kills any in-flight tier-up,
+   sweeps whatever a failed build may have left and removes the process
    directory. Set TACO_NATIVE_KEEP=1 to keep sources for debugging. *)
 
 module Imp = Taco_lower.Imp
 module Codegen_c = Taco_lower.Codegen_c
+module Diag = Taco_support.Diag
+module Fault = Taco_support.Faultinject
+module Metrics = Taco_support.Metrics
 module Trace = Taco_support.Trace
 
 type phases = { emit_ns : int64; cc_ns : int64; dlopen_ns : int64 }
 
+(* One loaded shared object. *)
+type entry = {
+  e_fn : nativeint;  (** resolved taco_entry pointer *)
+  e_tier : int;
+  e_phases : phases;
+}
+
 type loaded = {
   l_name : string;  (** kernel name, for spans and diagnostics *)
-  l_fn : nativeint;  (** resolved taco_entry pointer *)
-  l_handle : nativeint;  (** dlopen handle (never closed while cached) *)
+  l_kernel : Imp.kernel;  (** rebuilt at tier 1 on tier-up *)
+  l_cc : string list;  (** the compiler it was built with, for the tier-up *)
+  l_entry : entry Atomic.t;  (** what runs call; replaced once, on tier-up *)
   l_arr_kinds : int array;
       (** per array-parameter marshalling kind, in parameter order:
           0 int input, 1 float in-place, 2 int output (copied back) *)
@@ -35,7 +60,8 @@ type loaded = {
   l_escapes : (string * int) list;
       (** allocated arrays handed back by the kernel, with their
           escape index *)
-  l_phases : phases;
+  l_ran_ns : int Atomic.t;  (** tier-0 account: run time so far at tier 0 *)
+  l_tierup : bool Atomic.t;  (** a tier-up was claimed; never a second *)
 }
 
 (* Layout contract with native_stubs.c: field order here is Field(i)
@@ -62,25 +88,44 @@ external nat_call : nativeint -> spec -> int * Obj.t array = "taco_nat_call"
 (* Compiler resolution and availability probing                       *)
 (* ------------------------------------------------------------------ *)
 
-let compiler () =
-  match Sys.getenv_opt "TACO_CC" with Some c when c <> "" -> c | _ -> "cc"
+(* TACO_CC split on whitespace into an argv prefix (no shell), so
+   "ccache cc" or "cc -g0" work; unset or blank means "cc". *)
+let compiler_argv () =
+  let words s =
+    String.split_on_char ' ' (String.map (function '\t' | '\n' -> ' ' | c -> c) s)
+    |> List.filter (( <> ) "")
+  in
+  match words (Option.value ~default:"" (Sys.getenv_opt "TACO_CC")) with
+  | [] -> [ "cc" ]
+  | argv -> argv
+
+let compiler () = String.concat " " (compiler_argv ())
 
 (* Part of the kernel-cache key: a compiled entry is only valid for the
    compiler that built it (TACO_CC can change between calls, e.g. the
    bogus-compiler tests). *)
 let compiler_id = compiler
 
-(* Run [argv] directly, without a shell: stdin and stdout on /dev/null,
-   stderr on [stderr] (a file path) or /dev/null. [Ok ()] on exit code
-   0, otherwise [Error] describing how it ended; a program that cannot
-   be started is an [Error] too, never an exception. *)
-let run_command ?stderr argv =
-  let rec wait pid =
-    match Unix.waitpid [] pid with
-    | _, status -> status
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
-  in
-  match
+let rec waitpid flags pid =
+  try Unix.waitpid flags pid with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid flags pid
+
+(* How child [pid] ended: [Ok ()] on exit code 0, otherwise [Error]
+   describing how; [None] while it still runs (with [WNOHANG]). *)
+let exit_of flags pid =
+  match waitpid flags pid with
+  | 0, _ -> None
+  | _, Unix.WEXITED 0 -> Some (Ok ())
+  | _, Unix.WEXITED n -> Some (Error (Printf.sprintf "exited with %d" n))
+  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Some (Error (Printf.sprintf "was killed by signal %d" n))
+  | exception Unix.Unix_error (e, _, _) ->
+      Some (Error ("could not be waited for: " ^ Unix.error_message e))
+
+(* Start [argv] directly, without a shell: stdin and stdout on
+   /dev/null, stderr on [stderr] (a file path) or /dev/null. A program
+   that cannot be started is an [Error], never an exception. *)
+let spawn ?stderr argv =
+  try
     let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
     Fun.protect
       ~finally:(fun () -> Unix.close null)
@@ -93,21 +138,16 @@ let run_command ?stderr argv =
         in
         Fun.protect
           ~finally:(fun () -> if err != null then Unix.close err)
-          (fun () -> wait (Unix.create_process argv.(0) argv null null err)))
-  with
-  | Unix.WEXITED 0 -> Ok ()
-  | Unix.WEXITED n -> Error (Printf.sprintf "exited with %d" n)
-  | Unix.WSIGNALED n | Unix.WSTOPPED n -> Error (Printf.sprintf "was killed by signal %d" n)
-  | exception Unix.Unix_error (e, _, _) ->
-      Error ("could not be started: " ^ Unix.error_message e)
+          (fun () -> Ok (Unix.create_process argv.(0) argv null null err)))
+  with Unix.Unix_error (e, _, _) -> Error ("could not be started: " ^ Unix.error_message e)
 
 let probe_tbl : (string, bool) Hashtbl.t = Hashtbl.create 4
 let probe_mutex = Mutex.create ()
 
 (* One [cc -dumpversion] probe per distinct compiler string, cached for
    the process. *)
-let available () =
-  let cc = compiler () in
+let probe argv =
+  let cc = String.concat " " argv in
   Mutex.lock probe_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock probe_mutex)
@@ -115,9 +155,15 @@ let available () =
       match Hashtbl.find_opt probe_tbl cc with
       | Some ok -> ok
       | None ->
-          let ok = Result.is_ok (run_command [| cc; "-dumpversion" |]) in
+          let ok =
+            match spawn (Array.of_list (argv @ [ "-dumpversion" ])) with
+            | Ok pid -> exit_of [] pid = Some (Ok ())
+            | Error _ -> false
+          in
           Hashtbl.add probe_tbl cc ok;
           ok)
+
+let available () = probe (compiler_argv ())
 
 (* ------------------------------------------------------------------ *)
 (* Temp-directory and artifact bookkeeping                            *)
@@ -143,27 +189,10 @@ let untrack_remove path =
   Hashtbl.remove artifacts path;
   Mutex.unlock art_mutex
 
-(* Remove every artifact still on disk and the process directory itself
-   (which only succeeds once empty). Loaded .so handles stay valid:
-   their inodes are alive until process exit. *)
-let cleanup () =
-  let paths =
-    Mutex.lock art_mutex;
-    let ps = Hashtbl.fold (fun p () acc -> p :: acc) artifacts [] in
-    Hashtbl.reset artifacts;
-    Mutex.unlock art_mutex;
-    ps
-  in
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
-  match !tmp_dir with
-  | None -> ()
-  | Some d -> ( try Sys.rmdir d with Sys_error _ -> ())
-
-let () = at_exit (fun () -> if not (keep_artifacts ()) then cleanup ())
-
-(* The per-process build directory, created on first use. A read-only
-   tmpdir (or any mkdir failure) is an [Error]: the caller counts it as
-   a downgrade and serves the request through closures. *)
+(* The per-process build directory, created on first use (and again
+   after a [cleanup]). A read-only tmpdir (or any mkdir failure) is an
+   [Error]: the caller counts it as a downgrade and serves the request
+   through closures. *)
 let ensure_dir () =
   Mutex.lock art_mutex;
   Fun.protect
@@ -184,8 +213,29 @@ let ensure_dir () =
             Error (Printf.sprintf "cannot create native build dir %s: %s" d m)))
 
 (* ------------------------------------------------------------------ *)
-(* Building and loading                                               *)
+(* Building: start a cc child, then wait for it or poll it            *)
 (* ------------------------------------------------------------------ *)
+
+(* A build whose cc child is running. *)
+type build = {
+  b_cc : string;  (** the compiler command, for messages *)
+  b_name : string;
+  b_tier : int;
+  b_pid : int;
+  b_base : string;  (** artifact path without extension *)
+  b_emit_ns : int64;
+  b_cc_start : int64;
+  b_corrupt : bool;  (** an injected fault garbles the shared object *)
+}
+
+let top_tier = 1
+
+(* The only flag that differs between tiers. *)
+let opt_flag tier = if tier = 0 then "-O0" else "-O3"
+
+let artifact_files base = [ base ^ ".c"; base ^ ".so"; base ^ ".log" ]
+
+let discard base = List.iter untrack_remove (artifact_files base)
 
 let write_file path contents =
   try
@@ -201,6 +251,135 @@ let read_log path =
         if String.length s > 400 then String.sub s 0 400 ^ "..." else s)
   with Sys_error _ -> ""
 
+(* Emit the kernel's C and start compiler [cc] (an argv prefix) on it. A
+   tier-up is the fault point [native.tierup]: an injected crash fails
+   it here, an injected corruption garbles the shared object it builds. *)
+let start ~cc ~tier (kernel : Imp.kernel) : (build, string) result =
+  let ( let* ) = Result.bind in
+  let* corrupt =
+    match tier > 0 && Fault.corrupted ~stage:Diag.Compile "native.tierup" with
+    | corrupt -> Ok corrupt
+    | exception Diag.Error d -> Error (Diag.to_string d)
+  in
+  let* dir = ensure_dir () in
+  let cc_name = String.concat " " cc in
+  let name = kernel.Imp.k_name in
+  let t0 = Trace.now_ns () in
+  let src =
+    Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.emit" (fun () ->
+        Codegen_c.emit_exec kernel)
+  in
+  let emit_ns = Int64.sub (Trace.now_ns ()) t0 in
+  (* The digest names the source for anyone keeping artifacts; the
+     sequence number keeps two concurrent builds of the same source
+     (uncached compiles, a tier-up, or two cache keys that emit the same
+     C) from sharing, and deleting, each other's files. *)
+  let tag = Digest.to_hex (Digest.string (cc_name ^ "\x00" ^ src)) in
+  let base =
+    Filename.concat dir
+      (Printf.sprintf "k_%s_%d_t%d" tag (Atomic.fetch_and_add build_seq 1) tier)
+  in
+  List.iter track (artifact_files base);
+  let discarding r =
+    if Result.is_error r then discard base;
+    r
+  in
+  let* () = discarding (write_file (base ^ ".c") src) in
+  (* -ffp-contract=off: the closure executor evaluates a*b+c as
+     multiply-then-add with intermediate rounding; letting gcc fuse it
+     into fma would break bit-identity — with the closures, and between
+     the tiers. *)
+  let argv =
+    cc
+    @ [ opt_flag tier; "-shared"; "-fPIC"; "-ffp-contract=off" ]
+    @ (if Codegen_c.has_parallel kernel then [ "-fopenmp" ] else [])
+    @ [ "-o"; base ^ ".so"; base ^ ".c" ]
+  in
+  let cc_start = Trace.now_ns () in
+  let* pid =
+    discarding
+      (Result.map_error
+         (fun how -> Printf.sprintf "%s %s building %s" cc_name how name)
+         (spawn ~stderr:(base ^ ".log") (Array.of_list argv)))
+  in
+  Ok
+    {
+      b_cc = cc_name;
+      b_name = name;
+      b_tier = tier;
+      b_pid = pid;
+      b_base = base;
+      b_emit_ns = emit_ns;
+      b_cc_start = cc_start;
+      b_corrupt = corrupt;
+    }
+
+(* The cc child has ended with [status]: dlopen what it built. Records
+   the [native.cc] span, from start to reap. *)
+let finish b status : (entry, string) result =
+  let t2 = Trace.now_ns () in
+  let args = [ ("kernel", b.b_name); ("tier", string_of_int b.b_tier) ] in
+  Trace.span_complete ~cat:"exec" ~args ~ts:b.b_cc_start ~dur_ns:(Int64.sub t2 b.b_cc_start)
+    "native.cc";
+  let sofile = b.b_base ^ ".so" in
+  let fail e =
+    discard b.b_base;
+    Error e
+  in
+  match status with
+  | Error how ->
+      let log = read_log (b.b_base ^ ".log") in
+      fail
+        (Printf.sprintf "%s %s building %s%s" b.b_cc how b.b_name
+           (if log = "" then "" else ": " ^ log))
+  | Ok () -> (
+      if b.b_corrupt then ignore (write_file sofile "corrupted by native.tierup");
+      let handle =
+        Trace.with_span ~cat:"exec" ~args "native.dlopen" (fun () -> nat_dlopen sofile)
+      in
+      let t3 = Trace.now_ns () in
+      if handle = 0n then fail (Printf.sprintf "dlopen failed for %s" b.b_name)
+      else
+        match nat_dlsym handle Codegen_c.entry_name with
+        | 0n ->
+            nat_dlclose handle;
+            fail (Printf.sprintf "dlsym(%s) failed for %s" Codegen_c.entry_name b.b_name)
+        | fn ->
+            (* Mapped: drop the on-disk files now (the inode stays
+               alive) unless asked to keep them. *)
+            if keep_artifacts () then untrack_remove (b.b_base ^ ".log") else discard b.b_base;
+            Ok
+              {
+                e_fn = fn;
+                e_tier = b.b_tier;
+                e_phases =
+                  {
+                    emit_ns = b.b_emit_ns;
+                    cc_ns = Int64.sub t2 b.b_cc_start;
+                    dlopen_ns = Int64.sub t3 t2;
+                  };
+              })
+
+let wait b = finish b (Option.value ~default:(Error "still running") (exit_of [] b.b_pid))
+
+(* [None] while the compiler is still running. *)
+let poll b = Option.map (finish b) (exit_of [ Unix.WNOHANG ] b.b_pid)
+
+(* Successful builds of every tier: the source of
+   [Compile.backend_stats].native_builds. *)
+let built = Atomic.make 0
+
+let builds () = Atomic.get built
+
+(* Every build's outcome passes through here once: the registry counts
+   builds by tier and outcome. *)
+let count tier r =
+  if Result.is_ok r then Atomic.incr built;
+  Metrics.inc
+    ~labels:[ ("tier", string_of_int tier); ("outcome", if Result.is_ok r then "ok" else "failed") ]
+    "taco_native_builds_total";
+  r
+
 let arr_kinds kernel =
   let written = Codegen_c.written_arrays kernel in
   kernel.Imp.k_params
@@ -212,110 +391,153 @@ let arr_kinds kernel =
          | Imp.Bool -> invalid_arg "Native.load: bool parameter")
   |> Array.of_list
 
-(* Emit, compile, load. Every failure is an [Error reason] for the
-   caller's counted downgrade — nothing in here raises on the expected
-   paths (no compiler, compile error, read-only tmpdir, dlopen/dlsym
-   failure). *)
+(* Emit, compile at tier 0, load: start a build and wait for it. Every
+   failure is an [Error reason] for the caller's counted downgrade —
+   nothing in here raises on the expected paths (no compiler, compile
+   error, read-only tmpdir, dlopen/dlsym failure). *)
 let load (kernel : Imp.kernel) : (loaded, string) result =
-  match Codegen_c.exec_unsupported kernel with
-  | Some r -> Error ("kernel not expressible natively: " ^ r)
-  | None -> (
-      if not (available ()) then
-        Error (Printf.sprintf "C compiler %S unavailable" (compiler ()))
-      else
-        match ensure_dir () with
-        | Error e -> Error e
-        | Ok dir -> (
-            let name = kernel.Imp.k_name in
-            let t0 = Trace.now_ns () in
-            let src =
-              Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.emit"
-                (fun () -> Codegen_c.emit_exec kernel)
-            in
-            let t1 = Trace.now_ns () in
-            let cc = compiler () in
-            (* The digest names the source for anyone keeping artifacts;
-               the sequence number keeps two concurrent builds of the
-               same source (uncached compiles, or two cache keys that
-               emit the same C) from sharing, and deleting, each other's
-               files. *)
-            let tag = Digest.to_hex (Digest.string (cc ^ "\x00" ^ src)) in
-            let base =
-              Filename.concat dir
-                (Printf.sprintf "k_%s_%d" tag (Atomic.fetch_and_add build_seq 1))
-            in
-            let cfile = base ^ ".c" and sofile = base ^ ".so" and logfile = base ^ ".log" in
-            List.iter track [ cfile; sofile; logfile ];
-            let discard () = List.iter untrack_remove [ cfile; sofile; logfile ] in
-            match write_file cfile src with
-            | Error e ->
-                discard ();
-                Error e
-            | Ok () -> (
-                (* -ffp-contract=off: the closure executor evaluates a*b+c
-                   as multiply-then-add with intermediate rounding; letting
-                   gcc fuse it into fma would break bit-identity. *)
-                let argv =
-                  Array.of_list
-                    ([ cc; "-O3"; "-shared"; "-fPIC"; "-ffp-contract=off" ]
-                    @ (if Codegen_c.has_parallel kernel then [ "-fopenmp" ] else [])
-                    @ [ "-o"; sofile; cfile ])
-                in
-                let status =
-                  Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.cc"
-                    (fun () -> run_command ~stderr:logfile argv)
-                in
-                let t2 = Trace.now_ns () in
-                match status with
-                | Error how ->
-                    let log = read_log logfile in
-                    discard ();
-                    Error
-                      (Printf.sprintf "%s %s building %s%s" cc how name
-                         (if log = "" then "" else ": " ^ log))
-                | Ok () ->
-                    let handle =
-                      Trace.with_span ~cat:"exec" ~args:[ ("kernel", name) ] "native.dlopen"
-                        (fun () -> nat_dlopen sofile)
-                    in
-                    let t3 = Trace.now_ns () in
-                    if handle = 0n then begin
-                      discard ();
-                      Error (Printf.sprintf "dlopen failed for %s" name)
-                    end
-                    else
-                      let fn = nat_dlsym handle Codegen_c.entry_name in
-                      if fn = 0n then begin
-                        nat_dlclose handle;
-                        discard ();
-                        Error (Printf.sprintf "dlsym(%s) failed for %s" Codegen_c.entry_name name)
-                      end
-                      else begin
-                        (* Mapped: drop the on-disk files now (the inode
-                           stays alive) unless asked to keep them. *)
-                        if keep_artifacts () then untrack_remove logfile else discard ();
-                        let escapes = Codegen_c.exec_escapes kernel in
-                        Ok
-                          {
-                            l_name = name;
-                            l_fn = fn;
-                            l_handle = handle;
-                            l_arr_kinds = arr_kinds kernel;
-                            l_esc_kinds =
-                              Array.of_list
-                                (List.map
-                                   (fun (_, t) -> if t = Imp.Int then 0 else 1)
-                                   escapes);
-                            l_escapes = List.mapi (fun i (nm, _) -> (nm, i)) escapes;
-                            l_phases =
-                              {
-                                emit_ns = Int64.sub t1 t0;
-                                cc_ns = Int64.sub t2 t1;
-                                dlopen_ns = Int64.sub t3 t2;
-                              };
-                          }
-                      end)))
+  let ( let* ) = Result.bind in
+  let cc = compiler_argv () in
+  let built =
+    let* () =
+      match Codegen_c.exec_unsupported kernel with
+      | Some r -> Error ("kernel not expressible natively: " ^ r)
+      | None -> Ok ()
+    in
+    let* () =
+      if probe cc then Ok ()
+      else Error (Printf.sprintf "C compiler %S unavailable" (String.concat " " cc))
+    in
+    Result.bind (start ~cc ~tier:0 kernel) wait
+  in
+  count 0 built
+  |> Result.map (fun e ->
+         let escapes = Codegen_c.exec_escapes kernel in
+         {
+           l_name = kernel.Imp.k_name;
+           l_kernel = kernel;
+           l_cc = cc;
+           l_entry = Atomic.make e;
+           l_arr_kinds = arr_kinds kernel;
+           l_esc_kinds =
+             Array.of_list (List.map (fun (_, t) -> if t = Imp.Int then 0 else 1) escapes);
+           l_escapes = List.mapi (fun i (nm, _) -> (nm, i)) escapes;
+           l_ran_ns = Atomic.make 0;
+           l_tierup = Atomic.make false;
+         })
+
+let tier l = (Atomic.get l.l_entry).e_tier
+
+let phases l = (Atomic.get l.l_entry).e_phases
+
+(* ------------------------------------------------------------------ *)
+(* Tier-up                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The one tier-up in flight, if any. Runs only try-lock the mutex, so
+   a run never waits on another domain's poll. *)
+let tierup_mutex = Mutex.create ()
+let inflight : (loaded * build) option Atomic.t = Atomic.make None
+
+let with_tierup_lock f =
+  Mutex.lock tierup_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock tierup_mutex) f
+
+let try_tierup_lock f =
+  if Mutex.try_lock tierup_mutex then
+    Fun.protect ~finally:(fun () -> Mutex.unlock tierup_mutex) f
+
+(* Swap a finished tier-1 build in, or leave the kernel on tier 0 for
+   good. Call with the tier-up lock held. *)
+let install l r =
+  match count top_tier r with
+  | Ok e -> Atomic.set l.l_entry e
+  | Error reason ->
+      Trace.instant ~args:[ ("kernel", l.l_name); ("reason", reason) ] "native.tierup.failed"
+
+let claim l = Atomic.compare_and_set l.l_tierup false true
+
+let poll_tierup () =
+  try_tierup_lock (fun () ->
+      match Atomic.get inflight with
+      | None -> ()
+      | Some (l, b) ->
+          Option.iter
+            (fun r ->
+              Atomic.set inflight None;
+              install l r)
+            (poll b))
+
+(* Break-even: once a tier-0 kernel has run for as long as its own cc
+   took, start its tier-1 build — unless one is already in flight. *)
+let account l e dt =
+  let ran = Atomic.fetch_and_add l.l_ran_ns dt + dt in
+  let idle () = Option.is_none (Atomic.get inflight) in
+  if ran > Int64.to_int e.e_phases.cc_ns && (not (Atomic.get l.l_tierup)) && idle () then
+    try_tierup_lock (fun () ->
+        if idle () && claim l then
+          match start ~cc:l.l_cc ~tier:top_tier l.l_kernel with
+          | Ok b -> Atomic.set inflight (Some (l, b))
+          | Error reason -> install l (Error reason))
+
+let promote l =
+  with_tierup_lock (fun () ->
+      match Atomic.get inflight with
+      | Some (l', b) when l' == l ->
+          Atomic.set inflight None;
+          install l (wait b)
+      | _ -> if claim l then install l (Result.bind (start ~cc:l.l_cc ~tier:top_tier l.l_kernel) wait))
 
 let run (l : loaded) (s : spec) : int * Obj.t array =
-  Trace.with_span ~cat:"exec" ~args:[ ("kernel", l.l_name) ] "native.run"
-    (fun () -> nat_call l.l_fn s)
+  let e = Atomic.get l.l_entry in
+  let call () =
+    Trace.with_span ~cat:"exec" ~args:[ ("kernel", l.l_name) ] "native.run" (fun () ->
+        nat_call e.e_fn s)
+  in
+  let r =
+    if e.e_tier = top_tier then call ()
+    else begin
+      let t0 = Trace.now_ns () in
+      let r = call () in
+      account l e (Int64.to_int (Int64.sub (Trace.now_ns ()) t0));
+      r
+    end
+  in
+  if Option.is_some (Atomic.get inflight) then poll_tierup ();
+  r
+
+(* ------------------------------------------------------------------ *)
+(* Cleanup                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Kill and reap an in-flight tier-up (it counts as failed; its kernel
+   stays on tier 0), remove every artifact still on disk, then the
+   process directory itself (which only succeeds once empty). Loaded
+   .so handles stay valid: their inodes are alive until process exit. *)
+let cleanup () =
+  with_tierup_lock (fun () ->
+      Option.iter
+        (fun (l, b) ->
+          Atomic.set inflight None;
+          (try Unix.kill b.b_pid Sys.sigkill with Unix.Unix_error _ -> ());
+          install l (wait b))
+        (Atomic.get inflight));
+  let paths =
+    Mutex.lock art_mutex;
+    let ps = Hashtbl.fold (fun p () acc -> p :: acc) artifacts [] in
+    Hashtbl.reset artifacts;
+    Mutex.unlock art_mutex;
+    ps
+  in
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
+  Mutex.lock art_mutex;
+  (match !tmp_dir with
+  | None -> ()
+  | Some d -> (
+      try
+        Sys.rmdir d;
+        tmp_dir := None
+      with Sys_error _ -> ()));
+  Mutex.unlock art_mutex
+
+let () = at_exit (fun () -> if not (keep_artifacts ()) then cleanup ())

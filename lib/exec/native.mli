@@ -7,23 +7,40 @@
     [Error reason] so {!Compile} can fall back to the closure executor
     with a counted, traced downgrade rather than failing the request.
 
-    The compiler is [cc] or the [TACO_CC] environment variable, run
+    The compiler is [cc] or the [TACO_CC] environment variable split on
+    whitespace into an argument prefix (["ccache cc"], ["cc -g0"]), run
     directly (no shell); its availability is probed once per distinct
     compiler string. The kernels call back into a runtime table the
     stub implements once (allocation, growth, sorting, the clock). Build
     artifacts live in a per-process temp directory and are unlinked as
     soon as the shared object is mapped (set [TACO_NATIVE_KEEP=1] to
-    keep them); {!cleanup} sweeps any leftovers. *)
+    keep them); {!cleanup} sweeps any leftovers.
+
+    {b Tiers.} {!load} builds at tier 0 ([-O0]); tier 1 is [-O3]. Both
+    add [-shared -fPIC -ffp-contract=off] (and [-fopenmp] for parallel
+    kernels) to the same C, so their results are bit-identical. Each
+    {!run} of a tier-0 kernel adds its time to the kernel's account;
+    the run that takes the account past the kernel's own tier-0 [cc]
+    time starts a tier-1 build as a child process, later runs poll it
+    without blocking, and a successful build's entry point replaces the
+    tier-0 one atomically (the old shared object stays mapped). At most
+    one such tier-up is in flight per process; a failed one leaves its
+    kernel on tier 0 for good. Builds are counted by tier and outcome in
+    the [taco_native_builds_total] metric. *)
 
 module Imp = Taco_lower.Imp
 
-(** Build-phase wall-clock costs of one {!load}. *)
+(** Build-phase wall-clock costs of one build. *)
 type phases = { emit_ns : int64; cc_ns : int64; dlopen_ns : int64 }
 
-type loaded = {
+(** One loaded shared object: its entry point, tier and phases. *)
+type entry
+
+type loaded = private {
   l_name : string;
-  l_fn : nativeint;
-  l_handle : nativeint;
+  l_kernel : Imp.kernel;
+  l_cc : string list;
+  l_entry : entry Atomic.t;
   l_arr_kinds : int array;
       (** marshalling kind per array parameter, in parameter order:
           0 int input, 1 float in-place, 2 int output (copied back) *)
@@ -33,7 +50,8 @@ type loaded = {
   l_escapes : (string * int) list;
       (** kernel-allocated arrays handed back, with their escape
           index *)
-  l_phases : phases;
+  l_ran_ns : int Atomic.t;
+  l_tierup : bool Atomic.t;
 }
 
 (** Call descriptor; field order is the layout contract with
@@ -61,7 +79,8 @@ type spec = {
   cs_read_arg : int array;
 }
 
-(** Resolved compiler command ([TACO_CC] or ["cc"]). *)
+(** Resolved compiler command ([TACO_CC] or ["cc"]), its words joined
+    by single spaces. *)
 val compiler : unit -> string
 
 (** Identifier mixed into the kernel-cache key so entries built by one
@@ -72,10 +91,25 @@ val compiler_id : unit -> string
     per compiler string and cached. *)
 val available : unit -> bool
 
-(** Emit, compile, dlopen. Emits [native.emit]/[native.cc]/
-    [native.dlopen] trace spans and records the same timings in
-    [l_phases]. *)
+(** Emit, compile at tier 0, dlopen: one build started and waited for.
+    Emits [native.emit]/[native.cc]/[native.dlopen] trace spans (with
+    ["tier"] on the latter two) and records the same timings in
+    {!phases}. *)
 val load : Imp.kernel -> (loaded, string) result
+
+(** The tier of the entry point runs currently call: 0 or 1. *)
+val tier : loaded -> int
+
+(** Build phases of the current entry point's build. *)
+val phases : loaded -> phases
+
+(** Build the kernel at tier 1 now, through the same start-and-wait
+    path, and swap it in; waits for the kernel's tier-up if it is in
+    flight. A no-op once the kernel has tiered up, or failed to. *)
+val promote : loaded -> unit
+
+(** Successful builds of every tier (tier-ups included) since start. *)
+val builds : unit -> int
 
 (** Invoke the kernel. Returns the entry point's return code (0 ok,
     1 allocation failure/budget, 2 deadline expired) and, on success,
@@ -84,10 +118,12 @@ val load : Imp.kernel -> (loaded, string) result
     before anything is boxed: code 3 is a length outside its escape's
     capacity, code 4 a length index outside its source escape; both
     return [[| read index; offending value; bound |]] (as ints).
-    Emits a [native.run] span. *)
+    Emits a [native.run] span. After the call, a tier-0 run feeds the
+    tier-up account, and any run polls the tier-up in flight. *)
 val run : loaded -> spec -> int * Obj.t array
 
-(** Remove any on-disk build artifacts and the per-process directory.
-    Loaded kernels stay callable (the mapped inodes survive). Called on
-    [Service.shutdown] and at process exit. *)
+(** Kill and reap an in-flight tier-up, then remove any on-disk build
+    artifacts and the per-process directory (recreated by the next
+    build). Loaded kernels stay callable (the mapped inodes survive).
+    Called on [Service.shutdown] and at process exit. *)
 val cleanup : unit -> unit

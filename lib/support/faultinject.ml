@@ -84,25 +84,36 @@ let crash ~stage point =
     ~context:[ ("fault_point", point) ]
     "injected fault at %s" point
 
-let hit ~stage point =
-  if !armed_flag then
-    match draw point with
-    | None | Some (Corrupt, _) -> ()
-    | Some (Crash, _) -> crash ~stage point
-    | Some (Delay ms, _) -> Unix.sleepf (float_of_int ms /. 1000.)
+(* Crash and Delay act here; a firing Corrupt rule is returned for the
+   site to act on. *)
+let fire ~stage point =
+  match draw point with
+  | None -> None
+  | Some (Crash, _) -> crash ~stage point
+  | Some (Delay ms, _) ->
+      Unix.sleepf (float_of_int ms /. 1000.);
+      None
+  | Some (Corrupt, prng) -> Some prng
+
+let hit ~stage point = if !armed_flag then ignore (fire ~stage point : Prng.t option)
+
+let corrupted ~stage point =
+  !armed_flag
+  &&
+  match fire ~stage point with
+  | None -> false
+  | Some _ ->
+      Trace.add "fault.corrupted" 1;
+      true
 
 let corrupt point arr =
   if !armed_flag then
-    match draw point with
-    | None -> ()
-    | Some (Crash, _) -> crash ~stage:Diag.Execute point
-    | Some (Delay ms, _) -> Unix.sleepf (float_of_int ms /. 1000.)
-    | Some (Corrupt, prng) ->
-        if Array.length arr > 0 then begin
-          let i = locked (fun () -> Prng.int prng (Array.length arr)) in
-          (* Flip a low mantissa bit: a perturbation no float identity
-             can hide, so any bitwise differential check downstream must
-             catch it. *)
-          arr.(i) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float arr.(i)) 1L);
-          Trace.add "fault.corrupted" 1
-        end
+    match fire ~stage:Diag.Execute point with
+    | Some prng when Array.length arr > 0 ->
+        let i = locked (fun () -> Prng.int prng (Array.length arr)) in
+        (* Flip a low mantissa bit: a perturbation no float identity
+           can hide, so any bitwise differential check downstream must
+           catch it. *)
+        arr.(i) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float arr.(i)) 1L);
+        Trace.add "fault.corrupted" 1
+    | Some _ | None -> ()

@@ -55,6 +55,12 @@ val armed : unit -> bool
     A firing Crash rule raises [Diag.Error] at the given [stage]. *)
 val hit : stage:Diag.stage -> string -> unit
 
+(** [corrupted ~stage point] — a Corrupt fault site for an artifact
+    that is not a float array: [true] when a Corrupt rule on [point]
+    fires, leaving the corruption to the caller. Crash/Delay rules
+    behave as at {!hit} sites. *)
+val corrupted : stage:Diag.stage -> string -> bool
+
 (** [corrupt point arr] — a Corrupt fault site: when a Corrupt rule on
     [point] fires and [arr] is nonempty, one element (PRNG-chosen) gets
     a low mantissa bit flipped. Crash/Delay rules on the point behave as

@@ -28,6 +28,31 @@ let contains haystack needle =
   let rec go i = i + ln <= lh && (String.sub haystack i ln = needle || go (i + 1)) in
   go 0
 
+(* Bit identity, not epsilon closeness: compare value arrays by their
+   IEEE bit patterns and index structures exactly. *)
+let float_bits_equal a b =
+  Array.length a = Array.length b
+  && (let ok = ref true in
+      Array.iteri
+        (fun i x ->
+          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i))) then
+            ok := false)
+        a;
+      !ok)
+
+let tensors_bit_identical t1 t2 =
+  T.dims t1 = T.dims t2
+  && float_bits_equal (T.vals t1) (T.vals t2)
+  && List.for_all
+       (fun l ->
+         match (T.level_data t1 l, T.level_data t2 l) with
+         | T.Dense_data { size = s1 }, T.Dense_data { size = s2 } -> s1 = s2
+         | T.Compressed_data c1, T.Compressed_data c2 ->
+             c1.pos = c2.pos && c1.crd = c2.crd
+         | T.Dense_data _, T.Compressed_data _ | T.Compressed_data _, T.Dense_data _ ->
+             false)
+       (List.init (T.order t1) Fun.id)
+
 let dense_testable = Alcotest.testable D.pp (D.equal ~eps:1e-9)
 
 let check_dense = Alcotest.check dense_testable

@@ -17,6 +17,8 @@ module Trace = Taco_support.Trace
 module Budget = Taco_exec.Budget
 module Compile = Taco_exec.Compile
 module Service = Taco_service.Service
+module Metrics = Taco_support.Metrics
+module Native = Taco_exec.Native
 
 let with_fault ~seed rules f =
   Fault.configure ~seed rules;
@@ -26,8 +28,8 @@ let with_service ?(domains = 1) ?(queue_depth = 64) ?shed_queue f =
   let svc = Service.create ~domains ~queue_depth ?shed_queue () in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> f svc)
 
-let spgemm_request b c =
-  Service.request
+let spgemm_request ?backend b c =
+  Service.request ?backend
     ~directives:
       [
         Service.Reorder ("k", "j");
@@ -283,6 +285,92 @@ let test_corrupt_detected () =
         clean;
       Alcotest.(check int) "exactly one value bit-flipped" 1 !differs)
 
+(* --- a failed tier-up is contained ----------------------------------- *)
+
+let tierup_builds outcome =
+  List.fold_left
+    (fun acc ((name, labels), n) ->
+      if
+        name = "taco_native_builds_total"
+        && List.assoc_opt "tier" labels = Some "1"
+        && List.assoc_opt "outcome" labels = Some outcome
+      then acc + n
+      else acc)
+    0 (Metrics.snapshot ()).Metrics.counters
+
+let no_child_left () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+let build_dir () =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "taco_native_%d" (Unix.getpid ()))
+
+(* A native SpGEMM that runs for milliseconds at -O0, so a few dozen
+   requests take it past its break-even. *)
+let hot_request () =
+  spgemm_request ~backend:`Native
+    (random_tensor 71 [| 300; 300 |] 0.05 F.csr)
+    (random_tensor 72 [| 300; 300 |] 0.05 F.csr)
+
+(* Serve [req] until [stop ()] (at most 60 s), then [after] more times;
+   every response must be bit-identical to the first. *)
+let serve_until ?(after = 20) svc req stop =
+  let first = (eval_ok svc req).Service.tensor in
+  let same () =
+    if not (tensors_bit_identical first (eval_ok svc req).Service.tensor) then
+      Alcotest.fail "a response diverged from the first"
+  in
+  let deadline = Unix.gettimeofday () +. 60. in
+  while (not (stop ())) && Unix.gettimeofday () < deadline do
+    same ()
+  done;
+  Alcotest.(check bool) "stop condition reached" true (stop ());
+  for _ = 1 to after do
+    same ()
+  done
+
+let with_native_metrics f =
+  if not (Native.available ()) then print_endline "  [skipped: no C compiler]"
+  else begin
+    Metrics.enable ();
+    Compile.cache_clear ();
+    Fun.protect ~finally:Metrics.disable f
+  end
+
+(* Under a crash or a corruption at [native.tierup], requests keep their
+   bits, the kernel stays on tier 0 (no tier-1 build succeeds), the
+   failure is counted once and never retried, nothing is downgraded, and
+   shutdown leaves no child process and no build directory. *)
+let test_tierup_fault action () =
+  with_native_metrics @@ fun () ->
+  let failed0 = tierup_builds "failed" and ok0 = tierup_builds "ok" in
+  let req = hot_request () in
+  with_fault ~seed:29 [ Fault.rule "native.tierup" action ] (fun () ->
+      with_service (fun svc ->
+          serve_until svc req (fun () -> tierup_builds "failed" > failed0);
+          Alcotest.(check int) "the tier-up failed once" (failed0 + 1) (tierup_builds "failed");
+          Alcotest.(check int) "no tier-1 build succeeded" ok0 (tierup_builds "ok");
+          Alcotest.(check int) "the fault fired once: no retry" 1 (Fault.fires "native.tierup");
+          Alcotest.(check int) "no downgrade" 0 (Service.stats svc).Service.backend_downgraded));
+  Alcotest.(check bool) "no child left to reap" true (no_child_left ());
+  Alcotest.(check bool) "build directory removed" false (Sys.file_exists (build_dir ()))
+
+(* Shutdown kills and reaps a tier-up still compiling (counted as a
+   failed build). The zero-length delay only marks the moment the
+   tier-up starts; the -O3 compile outlasts the shutdown that follows. *)
+let test_shutdown_reaps_tierup () =
+  with_native_metrics @@ fun () ->
+  let failed0 = tierup_builds "failed" in
+  let req = hot_request () in
+  with_fault ~seed:31 [ Fault.rule "native.tierup" (Fault.Delay 0) ] (fun () ->
+      with_service (fun svc ->
+          serve_until ~after:0 svc req (fun () -> Fault.fires "native.tierup" > 0)));
+  Alcotest.(check int) "the in-flight tier-up was killed" (failed0 + 1) (tierup_builds "failed");
+  Alcotest.(check bool) "no child left to reap" true (no_child_left ());
+  Alcotest.(check bool) "build directory removed" false (Sys.file_exists (build_dir ()))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -304,4 +392,13 @@ let () =
         ] );
       ( "integrity",
         [ Alcotest.test_case "injected corruption is detectable" `Quick test_corrupt_detected ] );
+      ( "tier-up",
+        [
+          Alcotest.test_case "crashed tier-up stays on tier 0" `Quick
+            (test_tierup_fault Fault.Crash);
+          Alcotest.test_case "corrupted tier-up stays on tier 0" `Quick
+            (test_tierup_fault Fault.Corrupt);
+          Alcotest.test_case "shutdown reaps an in-flight tier-up" `Quick
+            test_shutdown_reaps_tierup;
+        ] );
     ]

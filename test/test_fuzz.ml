@@ -633,6 +633,102 @@ let run_sr (template, sel, n, m, k, seed) =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Cross-tier leg: the native backend's two compiler tiers (-O0 and    *)
+(* -O3 of the same C) must agree with each other and with the closures *)
+(* bit for bit, on the semiring templates, sequential and parallelized *)
+(* (OpenMP), over edge shapes: no stored entries, dimensions of 1 and  *)
+(* empty rows.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let tier_ran = ref 0
+
+let tier_semirings = [| Semiring.plus_times; Semiring.min_plus; Semiring.bool_or_and |]
+
+(* [fill] 0: no stored entries; 1: every odd row empty; 2: every row
+   filled at density 1/2. *)
+let tier_matrix prng sr n m fill =
+  let coo = Coo.create [| n; m |] in
+  for i = 0 to n - 1 do
+    if fill = 2 || (fill = 1 && i mod 2 = 0) then
+      for j = 0 to m - 1 do
+        if Prng.bool prng 0.5 then Coo.push coo [| i; j |] (sr_value prng sr)
+      done
+  done;
+  T.pack coo F.csr
+
+let native_tier c = Taco_exec.Kernel.native_tier (Taco.kernel c)
+
+(* Per structure, one kernel at tier 0 and one promoted to tier 1. Each
+   is a separate build: the compile cache is cleared before each compile
+   so the two never share an entry. A kernel that runs long enough (an
+   OpenMP region can take milliseconds) earns its own tier-up after a
+   few runs; the pair is then built afresh. *)
+let tier_cache : (string, Taco.compiled * Taco.compiled) Hashtbl.t = Hashtbl.create 32
+
+let tier_pair template sr parallel =
+  let key = Printf.sprintf "%d|%s|%b" template sr.Semiring.name parallel in
+  match Hashtbl.find_opt tier_cache key with
+  | Some ((t0, _) as p) when native_tier t0 = Some 0 -> p
+  | Some _ | None ->
+      let sched =
+        match Schedule.of_index_notation (sr_stmt template) with
+        | Ok s -> s
+        | Error e -> failf "tier leg: concretize failed on %s: %s" key e
+      in
+      let sched =
+        if not parallel then sched
+        else
+          match Taco.parallelize vi sched with
+          | Ok s -> s
+          | Error d -> failf "tier leg: parallelize failed on %s: %s" key (Diag.to_string d)
+      in
+      let build () =
+        Taco_exec.Compile.cache_clear ();
+        match Taco.compile ~name:"fuzz_tier" ~semiring:sr ~backend:`Native sched with
+        | Ok c when Taco.backend_of c = `Native -> c
+        | Ok _ -> failf "tier leg: %s downgraded to closures" key
+        | Error d -> failf "tier leg: compile failed on %s: %s" key (Diag.to_string d)
+      in
+      let t0 = build () in
+      let t1 = build () in
+      Taco_exec.Kernel.promote (Taco.kernel t1);
+      let p = (t0, t1) in
+      Hashtbl.replace tier_cache key p;
+      p
+
+let run_tier (template, sel, parallel, (n, m, k), fill, seed) =
+  let template = template mod 3 in
+  let sr = tier_semirings.(sel mod Array.length tier_semirings) in
+  let prng = Prng.create seed in
+  let inputs =
+    match template with
+    | 0 -> [ (sr_a, tier_matrix prng sr n m fill); (sr_x, sr_dense prng sr [| m |]) ]
+    | 1 -> [ (sr_b, tier_matrix prng sr n m fill); (sr_c, tier_matrix prng sr n m fill) ]
+    | _ -> [ (sr_b, tier_matrix prng sr n k fill); (sr_d, sr_dense prng sr [| k; m |]) ]
+  in
+  let t0, t1 = tier_pair template sr parallel in
+  if native_tier t1 <> Some 1 then failf "tier leg: promotion failed (%s)" sr.Semiring.name;
+  let vals what c =
+    match Taco.run c ~inputs with
+    | Ok r -> T.vals r
+    | Error d -> failf "tier leg: %s run failed under %s: %s" what sr.Semiring.name (Diag.to_string d)
+  in
+  let reference = vals "closure" (sr_compiled template sr `Closure) in
+  List.iter
+    (fun (what, c) ->
+      let v = vals what c in
+      if Array.length v <> Array.length reference then
+        failf "tier leg: %s result differs in shape under %s" what sr.Semiring.name;
+      Array.iteri
+        (fun idx x ->
+          if Int64.bits_of_float x <> Int64.bits_of_float reference.(idx) then
+            failf "tier leg: %s changed result bits at %d (%h vs %h) under %s" what idx x
+              reference.(idx) sr.Semiring.name)
+        v)
+    [ ("tier 0", t0); ("tier 1", t1) ];
+  incr tier_ran
+
+(* ------------------------------------------------------------------ *)
 (* QCheck wiring                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -734,6 +830,28 @@ let test_semiring_fuzz =
        (QCheck.make ~print:sr_scenario_print sr_scenario_gen)
        sr_prop)
 
+let tier_scenario_gen =
+  QCheck.Gen.(
+    let* template = int_bound 2 and* sel = int_bound 2 and* parallel = bool in
+    let* n = int_range 1 6 and* m = int_range 1 6 and* k = int_range 1 5 in
+    let* fill = int_bound 2 and* seed = int_bound 100_000 in
+    return (template, sel, parallel, (n, m, k), fill, seed))
+
+let tier_scenario_print (template, sel, parallel, (n, m, k), fill, seed) =
+  Printf.sprintf "{template=%d; semiring=%d; parallel=%b; n=%d; m=%d; k=%d; fill=%d; seed=%d}"
+    template sel parallel n m k fill seed
+
+let test_tier_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:"native tier 0 vs tier 1 vs closure bit-identity"
+       (QCheck.make ~print:tier_scenario_print tier_scenario_gen)
+       (fun sc ->
+         if not (Taco_exec.Native.available ()) then true
+         else
+           match run_tier sc with
+           | () -> true
+           | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 (* The campaign is only meaningful if it actually ran and a healthy
    share of instances made it all the way through the pipeline rather
    than being rejected. *)
@@ -741,9 +859,13 @@ let test_coverage () =
   Printf.printf
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
-     semiring leg: %d ran, %d native\n%!"
+     semiring leg: %d ran, %d native; tier leg: %d ran\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran;
+    !sr_native_ran !tier_ran;
+  Alcotest.(check bool)
+    (Printf.sprintf "tier leg ran when a C compiler exists (%d)" !tier_ran)
+    true
+    ((not (Taco_exec.Native.available ())) || !tier_ran > 0);
   Alcotest.(check bool)
     (Printf.sprintf "semiring leg ran natively when a C compiler exists (%d)" !sr_native_ran)
     true
@@ -770,6 +892,7 @@ let () =
         [
           test_pipeline_fuzz;
           test_semiring_fuzz;
+          test_tier_fuzz;
           Alcotest.test_case "coverage" `Quick test_coverage;
         ] );
     ]

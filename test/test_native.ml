@@ -24,29 +24,6 @@ let cc_case name f =
       else
         Printf.printf "  [skipped: C compiler %S unavailable]\n" (Native.compiler ()))
 
-let float_bits_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i))) then
-            ok := false)
-        a;
-      !ok)
-
-let tensors_bit_identical t1 t2 =
-  T.dims t1 = T.dims t2
-  && float_bits_equal (T.vals t1) (T.vals t2)
-  && List.for_all
-       (fun l ->
-         match (T.level_data t1 l, T.level_data t2 l) with
-         | T.Dense_data { size = s1 }, T.Dense_data { size = s2 } -> s1 = s2
-         | T.Compressed_data c1, T.Compressed_data c2 ->
-             c1.pos = c2.pos && c1.crd = c2.crd
-         | T.Dense_data _, T.Compressed_data _ | T.Compressed_data _, T.Dense_data _ ->
-             false)
-       (List.init (T.order t1) Fun.id)
-
 (* --- the three paper kernels, sequential and parallelized ------------ *)
 
 let spgemm_sched ~parallel =
@@ -544,6 +521,106 @@ let test_concurrent_uncached_builds () =
       if result c <> reference then Alcotest.fail "native result diverges from closures")
     builds
 
+(* --- compiler tiers ----------------------------------------------------- *)
+
+(* A fresh native build runs at tier 0; [promote] builds the same C at
+   tier 1 through the same start-and-wait path, and the two tiers (and
+   the closures) agree bit for bit. *)
+let test_promote_identity () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  let native = getd (compile ~name:"spgemm_promote" ~backend:`Native sched) in
+  let closure = getd (compile ~name:"spgemm_promote" ~backend:`Closure sched) in
+  let k = Taco.kernel native in
+  Alcotest.(check (option int)) "a miss builds at tier 0" (Some 0) (Kernel.native_tier k);
+  let inputs = spgemm_inputs b c 9 in
+  let r0 = getd (run native ~inputs) in
+  let builds = (Compile.backend_stats ()).Compile.native_builds in
+  Kernel.promote k;
+  Alcotest.(check (option int)) "promoted to tier 1" (Some 1) (Kernel.native_tier k);
+  Alcotest.(check int) "one more build" (builds + 1) (Compile.backend_stats ()).Compile.native_builds;
+  let r1 = getd (run native ~inputs) in
+  if not (tensors_bit_identical r0 r1) then Alcotest.fail "tier 1 diverges from tier 0";
+  if not (tensors_bit_identical r1 (getd (run closure ~inputs))) then
+    Alcotest.fail "tier 1 diverges from closures";
+  Kernel.promote k;
+  Alcotest.(check int) "a second promote is a no-op" (builds + 1)
+    (Compile.backend_stats ()).Compile.native_builds
+
+(* A kernel run past its own tier-0 cc time tiers up in the background,
+   exactly once, without a run ever changing its result. *)
+let test_hot_kernel_tiers_up () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  let native = getd (compile ~name:"spgemm_hot" ~backend:`Native sched) in
+  let k = Taco.kernel native in
+  let inputs =
+    [
+      (b, random_tensor 71 [| 200; 200 |] 0.1 F.csr);
+      (c, random_tensor 72 [| 200; 200 |] 0.1 F.csr);
+    ]
+  in
+  let builds () = (Compile.backend_stats ()).Compile.native_builds in
+  let before = builds () in
+  let first = getd (run native ~inputs) in
+  let deadline = Unix.gettimeofday () +. 60. in
+  while Kernel.native_tier k = Some 0 && Unix.gettimeofday () < deadline do
+    if not (tensors_bit_identical first (getd (run native ~inputs))) then
+      Alcotest.fail "a run during the tier-up diverged"
+  done;
+  Alcotest.(check (option int)) "tiered up" (Some 1) (Kernel.native_tier k);
+  for _ = 1 to 20 do
+    if not (tensors_bit_identical first (getd (run native ~inputs))) then
+      Alcotest.fail "a tier-1 run diverged"
+  done;
+  Alcotest.(check int) "exactly one tier-up build" (before + 1) (builds ())
+
+(* The native.cc span names the tier it built. *)
+let test_cc_span_tier () =
+  let _, _, sched = spadd_sched ~parallel:false in
+  let module Trace = Taco_support.Trace in
+  Trace.clear ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.clear ())
+    (fun () ->
+      let native = getd (compile ~name:"spadd_span" ~backend:`Native sched) in
+      Kernel.promote (Taco.kernel native);
+      let cc_lines tier =
+        String.split_on_char '\n' (Trace.to_chrome_json ())
+        |> List.filter (fun l ->
+               contains l "\"name\":\"native.cc\"" && contains l (Printf.sprintf "\"tier\":\"%d\"" tier))
+        |> List.length
+      in
+      Alcotest.(check int) "one tier-0 cc span" 1 (cc_lines 0);
+      Alcotest.(check int) "one tier-1 cc span" 1 (cc_lines 1))
+
+(* --- compiler command ------------------------------------------------- *)
+
+(* TACO_CC is split on whitespace into an argument prefix, with no
+   shell: a compiler with flags builds natively. *)
+let test_cc_with_arguments () =
+  let cc = Native.compiler () in
+  Unix.putenv "TACO_CC" (cc ^ "  -g0");
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "TACO_CC" "")
+    (fun () ->
+      Alcotest.(check string) "words joined" (cc ^ " -g0") (Native.compiler ());
+      let before = (Compile.backend_stats ()).Compile.downgrades in
+      let b, c, sched = spadd_sched ~parallel:false in
+      let native = getd (compile ~name:"spadd_cc_args" ~backend:`Native sched) in
+      Alcotest.(check bool) "built natively" true (backend_of native = `Native);
+      Alcotest.(check int) "no downgrades" before (Compile.backend_stats ()).Compile.downgrades;
+      let inputs =
+        [
+          (b, random_tensor 43 [| 12; 12 |] 0.3 F.csr);
+          (c, random_tensor 44 [| 12; 12 |] 0.3 F.csr);
+        ]
+      in
+      let closure = getd (compile ~name:"spadd_cc_args" ~backend:`Closure sched) in
+      Alcotest.(check bool) "result identical" true
+        (tensors_bit_identical (getd (run closure ~inputs)) (getd (run native ~inputs))))
+
 (* --- downgrade paths (run everywhere, no compiler needed) ------------ *)
 
 let with_bogus_cc f =
@@ -571,6 +648,15 @@ let test_bogus_compiler_falls_back () =
   let rc = getd (run closure ~inputs) in
   let rn = getd (run native ~inputs) in
   Alcotest.(check bool) "fallback result identical" true (tensors_bit_identical rc rn)
+
+(* The tier-up builds with the compiler named in the kernel's cache key,
+   not whatever TACO_CC says by then. *)
+let test_tierup_keeps_compiler () =
+  let _, _, sched = spadd_sched ~parallel:false in
+  let native = getd (compile ~name:"spadd_tier_cc" ~backend:`Native sched) in
+  with_bogus_cc (fun () -> Kernel.promote (Taco.kernel native));
+  Alcotest.(check (option int)) "promoted with the original compiler" (Some 1)
+    (Kernel.native_tier (Taco.kernel native))
 
 let test_compiler_id_in_cache_key () =
   (* The same structure under two TACO_CC values must not share a cache
@@ -626,6 +712,14 @@ let () =
         [
           cc_case "native builds single-flight across domains" test_single_flight;
           cc_case "uncached builds of one source on two domains" test_concurrent_uncached_builds;
+        ] );
+      ( "tiers",
+        [
+          cc_case "promote: tier 1 bit-identical to tier 0" test_promote_identity;
+          cc_case "a hot kernel tiers up once" test_hot_kernel_tiers_up;
+          cc_case "native.cc spans name their tier" test_cc_span_tier;
+          cc_case "TACO_CC with arguments builds natively" test_cc_with_arguments;
+          cc_case "a tier-up keeps the kernel's compiler" test_tierup_keeps_compiler;
         ] );
       ( "fallback",
         [
