@@ -498,7 +498,7 @@ let run_serve domains queue_depth socket trace_file =
              (Service.queue_length svc) (Service.domains svc) s.Service.live_workers
              s.Service.peak_workers s.Service.submitted s.Service.completed
              s.Service.rejected s.Service.timed_out s.Service.failed s.Service.peak_queue
-             c.Compile.hits c.Compile.misses pc.Plan_cache.hits pc.Plan_cache.misses
+             c.Compile.hits c.Compile.misses pc.Memo.hits pc.Memo.misses
              s.Service.shed s.Service.crashed
              s.Service.replaced s.Service.quarantined s.Service.exec_native
              s.Service.exec_closure s.Service.backend_downgraded

@@ -2,6 +2,7 @@ module Imp = Taco_lower.Imp
 module Diag = Taco_support.Diag
 module Trace = Taco_support.Trace
 module Fault = Taco_support.Faultinject
+module Memo = Taco_support.Memo
 
 type arg =
   | Aint of int
@@ -1318,11 +1319,11 @@ let build ~checked ~profile ~backend k =
 (* structurally, and a mismatch (digest collision, or NaN literals     *)
 (* defeating structural equality) falls back to a fresh compile. Only  *)
 (* kernels that optimized and built cleanly are inserted. Compiled     *)
-(* closures are immutable and reusable across runs; the mutex keeps    *)
-(* the table safe under domains.                                       *)
+(* closures are immutable and reusable across runs; [Memo] keeps the   *)
+(* table safe under domains and single-flights each build.             *)
 (* ------------------------------------------------------------------ *)
 
-type cache_stats = {
+type cache_stats = Memo.stats = {
   hits : int;
   misses : int;
   entries : int;
@@ -1334,36 +1335,7 @@ type cache_stats = {
    compiled under, and the result. *)
 type entry = { e_source : Imp.kernel; e_opt : Taco_lower.Opt.config; e_compiled : compiled }
 
-let cache_table : (string, entry) Hashtbl.t = Hashtbl.create 64
-
-let cache_mutex = Mutex.create ()
-
-(* Signalled whenever an in-flight build finishes (successfully or not),
-   waking domains that coalesced onto it. *)
-let cache_cond = Condition.create ()
-
-(* Keys whose build is currently running on some domain. Guarded by
-   [cache_mutex]. *)
-let cache_in_flight : (string, unit) Hashtbl.t = Hashtbl.create 8
-
-let cache_hits = ref 0
-
-let cache_misses = ref 0
-
-let cache_evictions = ref 0
-
-let cache_coalesced = ref 0
-
-let cache_capacity = ref 512
-
-(* Insertion order; every key in [cache_table] is in this queue exactly
-   once (insertions push only new keys, eviction is the only removal
-   besides [cache_clear]). *)
-let cache_order : string Queue.t = Queue.create ()
-
-let locked f =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
+let kernels : entry Memo.t = Memo.create ~name:"compile" ~capacity:512
 
 let cache_key ~opt ~checked ~profile ~backend (k : Imp.kernel) =
   (* The compiler string joins the key for native entries: a cached .so
@@ -1375,42 +1347,9 @@ let cache_key ~opt ~checked ~profile ~backend (k : Imp.kernel) =
   in
   Digest.string (Marshal.to_string (opt, checked, profile, btag, k) [])
 
-let cache_stats () =
-  locked (fun () ->
-      {
-        hits = !cache_hits;
-        misses = !cache_misses;
-        entries = Hashtbl.length cache_table;
-        evictions = !cache_evictions;
-        coalesced = !cache_coalesced;
-      })
+let cache_stats () = Memo.stats kernels
 
-let cache_clear () =
-  locked (fun () ->
-      Hashtbl.reset cache_table;
-      Queue.clear cache_order;
-      (* In-flight builds are owned by their building domain; leave the
-         markers so their completion signal still pairs up. *)
-      cache_hits := 0;
-      cache_misses := 0;
-      cache_evictions := 0;
-      cache_coalesced := 0)
-
-let set_cache_capacity n = locked (fun () -> cache_capacity := max 1 n)
-
-(* Call under the cache mutex. Returns how many entries were evicted. *)
-let rec evict_over_capacity dropped =
-  if Hashtbl.length cache_table <= !cache_capacity then dropped
-  else
-    match Queue.take_opt cache_order with
-    | None -> dropped
-    | Some old ->
-        let present = Hashtbl.mem cache_table old in
-        if present then begin
-          Hashtbl.remove cache_table old;
-          incr cache_evictions
-        end;
-        evict_over_capacity (if present then dropped + 1 else dropped)
+let cache_clear () = Memo.clear kernels
 
 let compile_inner ~checked ~profile ~opt ~cache ~backend k =
   (* Before the cache lookup, so an armed rule fires on hits too. *)
@@ -1427,14 +1366,9 @@ let compile_inner ~checked ~profile ~opt ~cache ~backend k =
   in
   if not cache then build_traced ()
   else begin
-    let key = cache_key ~opt ~checked ~profile ~backend k in
-    (* Single-flight: under the mutex, either take a valid entry (hit),
-       or — when another domain is already building this key — wait for
-       its completion signal and re-check (a coalesced hit), or claim
-       the build by marking the key in flight. Many concurrent requests
-       for the same kernel compile it exactly once — optimizer, closures
-       and, for a native build, the cc invocation, the cache's most
-       expensive coalesced unit. *)
+    (* Single-flight through the memo: many concurrent requests for the
+       same kernel compile it once — optimizer, closures and, for a
+       native build, the cc invocation. *)
     let valid e =
       let c = e.e_compiled in
       c.c_checked = checked
@@ -1443,55 +1377,10 @@ let compile_inner ~checked ~profile ~opt ~cache ~backend k =
       && e.e_opt = opt
       && e.e_source = k
     in
-    let decision =
-      locked (fun () ->
-          let rec acquire ~waited =
-            match Hashtbl.find_opt cache_table key with
-            | Some e when valid e ->
-                incr cache_hits;
-                if waited then incr cache_coalesced;
-                `Hit e.e_compiled
-            | _ ->
-                if Hashtbl.mem cache_in_flight key then begin
-                  Condition.wait cache_cond cache_mutex;
-                  acquire ~waited:true
-                end
-                else begin
-                  Hashtbl.replace cache_in_flight key ();
-                  `Build
-                end
-          in
-          acquire ~waited:false)
-    in
-    match decision with
-    | `Hit c ->
-        Trace.add "compile.cache.hit" 1;
-        c
-    | `Build ->
-        let release () =
-          Hashtbl.remove cache_in_flight key;
-          Condition.broadcast cache_cond
-        in
-        let c =
-          match build_traced () with
-          | c -> c
-          | exception e ->
-              locked release;
-              raise e
-        in
-        let dropped =
-          locked (fun () ->
-              incr cache_misses;
-              let fresh = not (Hashtbl.mem cache_table key) in
-              Hashtbl.replace cache_table key { e_source = k; e_opt = opt; e_compiled = c };
-              if fresh then Queue.push key cache_order;
-              let dropped = evict_over_capacity 0 in
-              release ();
-              dropped)
-        in
-        Trace.add "compile.cache.miss" 1;
-        if dropped > 0 then Trace.add "compile.cache.evict" dropped;
-        c
+    let key = cache_key ~opt ~checked ~profile ~backend k in
+    (Memo.find_or_build ~valid kernels key (fun () ->
+         { e_source = k; e_opt = opt; e_compiled = build_traced () }))
+      .e_compiled
   end
 
 let compile ?(checked = false) ?(profile = false) ?(opt = Taco_lower.Opt.all) ?(cache = true)

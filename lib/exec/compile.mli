@@ -162,8 +162,8 @@ val profile_reset : compiled -> unit
 
 (** {2 Compiled-kernel cache}
 
-    The cache is domain-safe: the table and its counters sit behind a
-    mutex, and compilation is single-flighted — when several domains
+    The cache is a {!Taco_support.Memo} named [compile] (512 entries,
+    FIFO): domain-safe and single-flight — when several domains
     concurrently request the same (not yet cached) key, exactly one
     optimizes and builds it while the rest block and then take the
     cached result. [misses] therefore counts actual builds: each
@@ -171,7 +171,7 @@ val profile_reset : compiled -> unit
     backend) compiles exactly once per process however many domains
     race for it. *)
 
-type cache_stats = {
+type cache_stats = Taco_support.Memo.stats = {
   hits : int;  (** Lookups served from the table, with no optimizer run. *)
   misses : int;  (** Optimizer runs plus builds (one per distinct key). *)
   entries : int;
@@ -184,11 +184,6 @@ type cache_stats = {
 val cache_stats : unit -> cache_stats
 
 val cache_clear : unit -> unit
-
-(** Bound the cache to [n] (>= 1) entries; the oldest entries beyond the
-    bound are evicted insertion-first (FIFO) and counted in
-    [cache_stats().evictions]. Default capacity: 512. *)
-val set_cache_capacity : int -> unit
 
 (** Was the kernel compiled with [~checked:true]? *)
 val is_checked : compiled -> bool

@@ -37,6 +37,7 @@ module Diag = Taco_support.Diag
 module Fault = Taco_support.Faultinject
 module Metrics = Taco_support.Metrics
 module Trace = Taco_support.Trace
+module Memo = Taco_support.Memo
 
 type phases = { emit_ns : int64; cc_ns : int64; dlopen_ns : int64 }
 
@@ -141,27 +142,15 @@ let spawn ?stderr argv =
           (fun () -> Ok (Unix.create_process argv.(0) argv null null err)))
   with Unix.Unix_error (e, _, _) -> Error ("could not be started: " ^ Unix.error_message e)
 
-let probe_tbl : (string, bool) Hashtbl.t = Hashtbl.create 4
-let probe_mutex = Mutex.create ()
+let probes : bool Memo.t = Memo.create ~name:"cc_probe" ~capacity:16
 
 (* One [cc -dumpversion] probe per distinct compiler string, cached for
    the process. *)
 let probe argv =
-  let cc = String.concat " " argv in
-  Mutex.lock probe_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock probe_mutex)
-    (fun () ->
-      match Hashtbl.find_opt probe_tbl cc with
-      | Some ok -> ok
-      | None ->
-          let ok =
-            match spawn (Array.of_list (argv @ [ "-dumpversion" ])) with
-            | Ok pid -> exit_of [] pid = Some (Ok ())
-            | Error _ -> false
-          in
-          Hashtbl.add probe_tbl cc ok;
-          ok)
+  Memo.find_or_build probes (String.concat " " argv) (fun () ->
+      match spawn (Array.of_list (argv @ [ "-dumpversion" ])) with
+      | Ok pid -> exit_of [] pid = Some (Ok ())
+      | Error _ -> false)
 
 let available () = probe (compiler_argv ())
 

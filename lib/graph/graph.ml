@@ -22,19 +22,15 @@ let backend_tag = function `Closure -> "closure" | `Native -> "native"
 (* Compiled-kernel cache keyed by operation, semiring, formats and
    backend (the backend is part of the key so a suite can compare
    executors without evicting each other's kernels). *)
-let cache : (string, Taco.compiled) Hashtbl.t = Hashtbl.create 16
+let cache : Taco.compiled Taco.Memo.t = Taco.Memo.create ~name:"graph" ~capacity:64
 
 let cache_key op sr backend fmts =
   String.concat "|"
     (op :: sr.Semiring.name :: backend_tag backend :: List.map Format.to_string fmts)
 
-let compiled ~key build =
-  match Hashtbl.find_opt cache key with
-  | Some c -> Ok c
-  | None ->
-      let* c = build () in
-      Hashtbl.replace cache key c;
-      Ok c
+let compiled ~key build = Taco.Memo.find_or_build_result cache key build
+
+let cache_clear () = Taco.Memo.clear cache
 
 let dense_vector arr = Tensor.of_dense (Dense.of_buffer [| Array.length arr |] arr) Format.dense_vector
 

@@ -81,3 +81,6 @@ val bellman_ford :
     inner(A, A·A) / 6 — a (+, ×) spgemm masked by the adjacency's
     sparsity through the inner product. *)
 val triangle_count : ?backend:backend -> Tensor.t -> (float, string) result
+
+(** Drop the cached kernels (a {!Taco.Memo} named [graph], 64 entries). *)
+val cache_clear : unit -> unit

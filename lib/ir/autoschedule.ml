@@ -1,6 +1,6 @@
 open Var
-module Metrics = Taco_support.Metrics
 module Trace = Taco_support.Trace
+module Memo = Taco_support.Memo
 
 type step =
   | Reordered of Index_var.t * Index_var.t
@@ -170,16 +170,11 @@ type explain = {
   e_top : (string * float) list;
 }
 
-let cache : plan Plan_cache.t = Plan_cache.create ~capacity:256 ()
+let plans : plan Memo.t = Memo.create ~name:"plan" ~capacity:256
 
-let cache_stats () = Plan_cache.stats cache
+let cache_stats () = Memo.stats plans
 
-let cache_clear () = Plan_cache.clear cache
-
-let publish_cache_gauge () =
-  if Metrics.enabled () then
-    Metrics.set_gauge "taco_plan_cache_size"
-      (float_of_int (Plan_cache.stats cache).Plan_cache.size)
+let cache_clear () = Memo.clear plans
 
 (* Keep the cost-chosen plan only when it is decisively cheaper than
    the baseline. Estimates within the margin are noise — ties between
@@ -197,152 +192,152 @@ let search_budget = 300
 
 let max_depth = 6
 
+(* The cost-based search proper, timed from [t0]. *)
+let plan_search ~stats ~lowerable ~t0 stmt =
+  match bfs_first ~lowerable stmt with
+  | Error e -> Error e
+  | Ok (default_stmt, default_steps) ->
+      let env = Cost.env stats in
+      let cost_memo = Hashtbl.create 64 in
+      let cost_of s =
+        let k = Cin.to_string s in
+        match Hashtbl.find_opt cost_memo k with
+        | Some c -> c
+        | None ->
+            let c = Cost.estimate env s in
+            Hashtbl.replace cost_memo k c;
+            c
+      in
+      let default_cost = cost_of default_stmt in
+      (* Best-first over schedule space, cheapest estimate
+         expanded next. Lowerable states are collected rather
+         than returned eagerly: the cheapest plan may sit behind
+         a more expensive intermediate. *)
+      let visited = Hashtbl.create 64 in
+      let frontier = ref [ (cost_of stmt, stmt, []) ] in
+      let pool = ref [] in
+      let considered = ref 0 in
+      Hashtbl.replace visited (Cin.to_string stmt) ();
+      let push (s, new_steps) steps =
+        let k = Cin.to_string s in
+        if not (Hashtbl.mem visited k) then begin
+          Hashtbl.replace visited k ();
+          let entry = (cost_of s, s, List.rev_append new_steps steps) in
+          let rec insert = function
+            | [] -> [ entry ]
+            | ((c', _, _) as hd) :: tl ->
+                let (c, _, _) = entry in
+                if c < c' then entry :: hd :: tl else hd :: insert tl
+          in
+          frontier := insert !frontier
+        end
+      in
+      let budget = ref search_budget in
+      while !frontier <> [] && !budget > 0 do
+        match !frontier with
+        | [] -> ()
+        | (c, s, steps) :: rest ->
+            frontier := rest;
+            decr budget;
+            incr considered;
+            (* Lowering is the expensive probe, so only states
+               that could actually displace the baseline (cost
+               under the margin) are tested; the rest are just
+               expanded. *)
+            if c < margin *. default_cost && lowerable s = Ok () then
+              pool := (c, s, steps) :: !pool;
+            if List.length steps < max_depth then
+              List.iter
+                (fun child -> push child steps)
+                (candidates s @ sink_candidates s)
+      done;
+      let pool =
+        (default_cost, default_stmt, List.rev default_steps) :: List.rev !pool
+      in
+      let best =
+        List.fold_left
+          (fun ((bc, _, _) as b) ((c, _, _) as x) ->
+            if c < bc then x else b)
+          (List.hd pool) (List.tl pool)
+      in
+      let chosen_cost, chosen_stmt, chosen_rev_steps =
+        let (bc, _, _) = best in
+        if bc < margin *. default_cost then best
+        else (default_cost, default_stmt, List.rev default_steps)
+      in
+      let chosen_steps = List.rev chosen_rev_steps in
+      (* Advisory parallelization of the outermost loop, only
+         for plans big enough to amortize domain startup and
+         only when it is provably race-free. *)
+      let par, chosen_steps =
+        if stats <> [] && chosen_cost >= parallel_threshold then
+          match chosen_stmt with
+          | Cin.Forall (v, _) -> (
+              match Schedule.parallelize v (Schedule.of_stmt chosen_stmt) with
+              | Ok _ -> (Some v, chosen_steps @ [ Parallelized v ])
+              | Error _ -> (None, chosen_steps))
+          | _ -> (None, chosen_steps)
+        else (None, chosen_steps)
+      in
+      let plan =
+        {
+          p_stmt = chosen_stmt;
+          p_steps = chosen_steps;
+          p_par = par;
+          p_cost = chosen_cost;
+        }
+      in
+      let top =
+        List.sort
+          (fun (a, _, _) (b, _, _) -> Float.compare a b)
+          pool
+        |> List.filteri (fun i _ -> i < 3)
+        |> List.map (fun (c, s, _) -> (Cin.to_string s, c))
+      in
+      Ok
+        ( plan,
+          {
+            e_considered = !considered;
+            e_lowerable = List.length pool;
+            e_default_cost = default_cost;
+            e_chosen_cost = chosen_cost;
+            e_search_ns = Int64.sub (Trace.now_ns ()) t0;
+            e_cache_hit = false;
+            e_top = top;
+          } )
+
 let search ?(stats = []) ?key ~lowerable stmt =
   Trace.with_span ~cat:"schedule" "autoschedule.search" @@ fun () ->
   match Cin.validate stmt with
   | Error e -> Error e
   | Ok () -> (
       let t0 = Trace.now_ns () in
-      let cached =
-        match key with
-        | None -> None
-        | Some k -> (
-            match Plan_cache.find cache k with
-            | Some plan when lowerable plan.p_stmt = Ok () ->
-                if Metrics.enabled () then
-                  Metrics.inc "taco_plan_cache_hits_total";
-                Some plan
-            | _ ->
-                if Metrics.enabled () then
-                  Metrics.inc "taco_plan_cache_misses_total";
-                None)
-      in
-      match cached with
-      | Some plan ->
-          Ok
-            ( plan,
-              {
-                e_considered = 0;
-                e_lowerable = 0;
-                e_default_cost = plan.p_cost;
-                e_chosen_cost = plan.p_cost;
-                e_search_ns = Int64.sub (Trace.now_ns ()) t0;
-                e_cache_hit = true;
-                e_top = [];
-              } )
-      | None -> (
-          match bfs_first ~lowerable stmt with
-          | Error e -> Error e
-          | Ok (default_stmt, default_steps) ->
-              let env = Cost.env stats in
-              let cost_memo = Hashtbl.create 64 in
-              let cost_of s =
-                let k = Cin.to_string s in
-                match Hashtbl.find_opt cost_memo k with
-                | Some c -> c
-                | None ->
-                    let c = Cost.estimate env s in
-                    Hashtbl.replace cost_memo k c;
-                    c
-              in
-              let default_cost = cost_of default_stmt in
-              (* Best-first over schedule space, cheapest estimate
-                 expanded next. Lowerable states are collected rather
-                 than returned eagerly: the cheapest plan may sit behind
-                 a more expensive intermediate. *)
-              let visited = Hashtbl.create 64 in
-              let frontier = ref [ (cost_of stmt, stmt, []) ] in
-              let pool = ref [] in
-              let considered = ref 0 in
-              Hashtbl.replace visited (Cin.to_string stmt) ();
-              let push (s, new_steps) steps =
-                let k = Cin.to_string s in
-                if not (Hashtbl.mem visited k) then begin
-                  Hashtbl.replace visited k ();
-                  let entry = (cost_of s, s, List.rev_append new_steps steps) in
-                  let rec insert = function
-                    | [] -> [ entry ]
-                    | ((c', _, _) as hd) :: tl ->
-                        let (c, _, _) = entry in
-                        if c < c' then entry :: hd :: tl else hd :: insert tl
-                  in
-                  frontier := insert !frontier
-                end
-              in
-              let budget = ref search_budget in
-              while !frontier <> [] && !budget > 0 do
-                match !frontier with
-                | [] -> ()
-                | (c, s, steps) :: rest ->
-                    frontier := rest;
-                    decr budget;
-                    incr considered;
-                    (* Lowering is the expensive probe, so only states
-                       that could actually displace the baseline (cost
-                       under the margin) are tested; the rest are just
-                       expanded. *)
-                    if c < margin *. default_cost && lowerable s = Ok () then
-                      pool := (c, s, steps) :: !pool;
-                    if List.length steps < max_depth then
-                      List.iter
-                        (fun child -> push child steps)
-                        (candidates s @ sink_candidates s)
-              done;
-              let pool =
-                (default_cost, default_stmt, List.rev default_steps) :: List.rev !pool
-              in
-              let best =
-                List.fold_left
-                  (fun ((bc, _, _) as b) ((c, _, _) as x) ->
-                    if c < bc then x else b)
-                  (List.hd pool) (List.tl pool)
-              in
-              let chosen_cost, chosen_stmt, chosen_rev_steps =
-                let (bc, _, _) = best in
-                if bc < margin *. default_cost then best
-                else (default_cost, default_stmt, List.rev default_steps)
-              in
-              let chosen_steps = List.rev chosen_rev_steps in
-              (* Advisory parallelization of the outermost loop, only
-                 for plans big enough to amortize domain startup and
-                 only when it is provably race-free. *)
-              let par, chosen_steps =
-                if stats <> [] && chosen_cost >= parallel_threshold then
-                  match chosen_stmt with
-                  | Cin.Forall (v, _) -> (
-                      match Schedule.parallelize v (Schedule.of_stmt chosen_stmt) with
-                      | Ok _ -> (Some v, chosen_steps @ [ Parallelized v ])
-                      | Error _ -> (None, chosen_steps))
-                  | _ -> (None, chosen_steps)
-                else (None, chosen_steps)
-              in
-              let plan =
-                {
-                  p_stmt = chosen_stmt;
-                  p_steps = chosen_steps;
-                  p_par = par;
-                  p_cost = chosen_cost;
-                }
-              in
-              (match key with
-              | Some k -> Plan_cache.add cache k plan
-              | None -> ());
-              publish_cache_gauge ();
-              let top =
-                List.sort
-                  (fun (a, _, _) (b, _, _) -> Float.compare a b)
-                  pool
-                |> List.filteri (fun i _ -> i < 3)
-                |> List.map (fun (c, s, _) -> (Cin.to_string s, c))
-              in
-              Ok
-                ( plan,
-                  {
-                    e_considered = !considered;
-                    e_lowerable = List.length pool;
-                    e_default_cost = default_cost;
-                    e_chosen_cost = chosen_cost;
-                    e_search_ns = Int64.sub (Trace.now_ns ()) t0;
-                    e_cache_hit = false;
-                    e_top = top;
-                  } )))
+      match key with
+      | None -> plan_search ~stats ~lowerable ~t0 stmt
+      | Some key ->
+          (* A cached plan counts only while its statement still lowers.
+             Only the domain that ran the search sees its explain. *)
+          let searched = ref None in
+          Memo.find_or_build_result
+            ~valid:(fun plan -> lowerable plan.p_stmt = Ok ())
+            plans key
+            (fun () ->
+              Result.map
+                (fun (plan, ex) ->
+                  searched := Some ex;
+                  plan)
+                (plan_search ~stats ~lowerable ~t0 stmt))
+          |> Result.map (fun plan ->
+                 match !searched with
+                 | Some ex -> (plan, ex)
+                 | None ->
+                     ( plan,
+                       {
+                         e_considered = 0;
+                         e_lowerable = 0;
+                         e_default_cost = plan.p_cost;
+                         e_chosen_cost = plan.p_cost;
+                         e_search_ns = Int64.sub (Trace.now_ns ()) t0;
+                         e_cache_hit = true;
+                         e_top = [];
+                       } )))

@@ -76,8 +76,9 @@ val search :
   Cin.stmt ->
   (plan * explain, string) result
 
-(** Global plan-cache counters (hits/misses/evictions/size). *)
-val cache_stats : unit -> Plan_cache.stats
+(** Plan-cache counters: the {!Taco_support.Memo} named [plan] (256
+    entries). *)
+val cache_stats : unit -> Taco_support.Memo.stats
 
 (** Drop all cached plans and reset the counters (tests). *)
 val cache_clear : unit -> unit

@@ -26,17 +26,13 @@ let default_matrix_out a b =
   if has_sparse a || has_sparse b then Format.csr else Format.dense_matrix
 
 (* Compiled-kernel cache keyed by operation and formats. *)
-let cache : (string, Taco.compiled) Hashtbl.t = Hashtbl.create 16
+let cache : Taco.compiled Taco.Memo.t = Taco.Memo.create ~name:"ops" ~capacity:64
 
 let cache_key op fmts = op ^ "|" ^ String.concat "|" (List.map Format.to_string fmts)
 
-let compiled ~key build =
-  match Hashtbl.find_opt cache key with
-  | Some c -> Ok c
-  | None ->
-      let* c = build () in
-      Hashtbl.replace cache key c;
-      Ok c
+let compiled ~key build = Taco.Memo.find_or_build_result cache key build
+
+let cache_clear () = Taco.Memo.clear cache
 
 (* Build, auto-compile and run a binary matrix operation. *)
 let binary_matrix_op ~opname ~rhs ?out b c =

@@ -43,3 +43,6 @@ val sddmm : Tensor.t -> Tensor.t -> Tensor.t -> (Tensor.t, string) result
 
 (** [transpose t] swaps the two modes of a matrix (repacking). *)
 val transpose : Tensor.t -> Tensor.t
+
+(** Drop the cached kernels (a {!Taco.Memo} named [ops], 64 entries). *)
+val cache_clear : unit -> unit

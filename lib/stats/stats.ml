@@ -48,28 +48,20 @@ let of_tensor tensor =
 (* Memoized collection (service hot path)                              *)
 (* ------------------------------------------------------------------ *)
 
-let memo_cap = 64
+(* Keyed on physical identity: a [T.t] is an immutable record, so the
+   same record always has the same statistics. Only its values can be
+   written in place; that changes the hash, which costs a miss. *)
+module By_tensor = Taco_support.Memo.Make (struct
+  type t = T.t
 
-let memo_lock = Mutex.create ()
+  let equal = ( == )
 
-let memo : (T.t * t) list ref = ref []
+  let hash = Hashtbl.hash
+end)
 
-let of_tensor_memo tensor =
-  Mutex.lock memo_lock;
-  let hit = List.find_opt (fun (k, _) -> k == tensor) !memo in
-  Mutex.unlock memo_lock;
-  match hit with
-  | Some (_, s) -> s
-  | None ->
-      let s = of_tensor tensor in
-      Mutex.lock memo_lock;
-      let entries = (tensor, s) :: !memo in
-      memo :=
-        (if List.length entries > memo_cap then
-           List.filteri (fun i _ -> i < memo_cap) entries
-         else entries);
-      Mutex.unlock memo_lock;
-      s
+let memo : t By_tensor.t = By_tensor.create ~name:"stats" ~capacity:64
+
+let of_tensor_memo tensor = By_tensor.find_or_build memo tensor (fun () -> of_tensor tensor)
 
 (* ------------------------------------------------------------------ *)
 (* Derived quantities                                                  *)

@@ -33,8 +33,10 @@ type t = {
 val of_tensor : Taco_tensor.Tensor.t -> t
 
 (** Memoized {!of_tensor} keyed on physical identity, safe to call from
-    concurrent worker domains. Bounded (oldest entries dropped), so
-    long-lived serving processes do not pin dead tensors. *)
+    concurrent worker domains: a {!Taco_support.Memo} named [stats]
+    (64 entries, oldest dropped first), so concurrent calls on one
+    tensor collect once and long-lived serving processes do not pin
+    dead tensors. *)
 val of_tensor_memo : Taco_tensor.Tensor.t -> t
 
 (** Fraction of logically addressable components that are stored

@@ -20,7 +20,6 @@ module Schedule = Taco_ir.Schedule
 module Autoschedule = Taco_ir.Autoschedule
 module Stats = Taco_stats.Stats
 module Cost = Taco_ir.Cost
-module Plan_cache = Taco_ir.Plan_cache
 module Imp = Taco_lower.Imp
 module Merge_lattice = Taco_lower.Merge_lattice
 module Lower = Taco_lower.Lower
@@ -35,6 +34,7 @@ module Diag = Taco_support.Diag
 module Trace = Taco_support.Trace
 module Obs = Taco_support.Obs
 module Metrics = Taco_support.Metrics
+module Memo = Taco_support.Memo
 module Events = Taco_support.Events
 
 let ivar = Index_var.make

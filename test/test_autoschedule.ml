@@ -9,6 +9,7 @@ module D = Taco_tensor.Dense
 module I = Index_notation
 module Lower = Taco_lower.Lower
 module Stats = Taco_stats.Stats
+module Memo = Taco_support.Memo
 
 let vi = Helpers.vi and vj = Helpers.vj and vk = Helpers.vk
 
@@ -121,11 +122,11 @@ let test_cache_hit () =
     (Cin.to_string p1.Autoschedule.p_stmt)
     (Cin.to_string p2.Autoschedule.p_stmt);
   let cs = Autoschedule.cache_stats () in
-  Alcotest.(check int) "one hit counted" 1 cs.Plan_cache.hits;
-  Alcotest.(check bool) "cache holds the plan" true (cs.Plan_cache.size >= 1);
+  Alcotest.(check int) "one hit counted" 1 cs.Memo.hits;
+  Alcotest.(check bool) "cache holds the plan" true (cs.Memo.entries >= 1);
   Autoschedule.cache_clear ();
   let cs = Autoschedule.cache_stats () in
-  Alcotest.(check int) "clear resets size" 0 cs.Plan_cache.size
+  Alcotest.(check int) "clear resets entries" 0 cs.Memo.entries
 
 (* --- cardinality estimates ------------------------------------------- *)
 

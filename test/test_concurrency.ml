@@ -67,6 +67,52 @@ let test_cache_stress_results () =
   let results = List.concat_map Domain.join [ worker (); worker (); worker () ] in
   List.iter (fun d -> check_dense "concurrent runs agree" expected d) results
 
+(* --- the plan and statistics memos under concurrent requests -------- *)
+
+(* Runs [f] on two domains released at the same moment. *)
+let together f =
+  let arrived = Atomic.make 0 in
+  let spawn () =
+    Domain.spawn (fun () ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done;
+        f ())
+  in
+  let a = spawn () and b = spawn () in
+  (Domain.join a, Domain.join b)
+
+let test_plan_single_flight () =
+  Autoschedule.cache_clear ();
+  let b = csr_tv "B" and c = csr_tv "C" and a = dense_mat_tv "A" in
+  let stmt =
+    Index_notation.(
+      assign a [ vi; vj ] (sum vk (Mul (access b [ vi; vk ], access c [ vk; vj ]))))
+  in
+  let stmt = Schedule.stmt (get (Schedule.of_index_notation stmt)) in
+  let stats =
+    [
+      ("B", Stats.of_tensor (random_tensor 811 [| 100; 100 |] 0.05 F.csr));
+      ("C", Stats.of_tensor (random_tensor 812 [| 100; 100 |] 0.05 F.csr));
+    ]
+  in
+  let lowerable s = Result.map ignore (Lower.lower ~mode:Lower.Compute s) in
+  let search () =
+    get (Autoschedule.search ~stats ~key:"concurrency-plan" ~lowerable stmt)
+  in
+  let (p1, e1), (p2, e2) = together search in
+  Alcotest.(check int) "exactly one search ran" 1
+    (List.length (List.filter (fun e -> not e.Autoschedule.e_cache_hit) [ e1; e2 ]));
+  Alcotest.(check bool) "both domains got that plan" true (p1 == p2);
+  let cs = Autoschedule.cache_stats () in
+  Alcotest.(check (pair int int)) "one miss, one hit" (1, 1) (cs.Memo.misses, cs.Memo.hits)
+
+let test_stats_single_flight () =
+  let t = random_tensor 813 [| 200_000; 4 |] 0.1 F.csr in
+  let s1, s2 = together (fun () -> Stats.of_tensor_memo t) in
+  Alcotest.(check bool) "exactly one collection, shared" true (s1 == s2)
+
 (* --- tracing from two domains --------------------------------------- *)
 
 let test_trace_two_domains () =
@@ -208,6 +254,11 @@ let () =
             test_cache_stress;
           Alcotest.test_case "concurrent compile+run agree" `Quick
             test_cache_stress_results;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "two domains, one Auto plan search" `Quick test_plan_single_flight;
+          Alcotest.test_case "two domains, one stats collection" `Quick test_stats_single_flight;
         ] );
       ("trace", [ Alcotest.test_case "two-domain tracing" `Quick test_trace_two_domains ]);
       ( "parallel",

@@ -729,6 +729,139 @@ let run_tier (template, sel, parallel, (n, m, k), fill, seed) =
   incr tier_ran
 
 (* ------------------------------------------------------------------ *)
+(* Cache-key soundness leg: every cache on [Support.Memo] — compile,   *)
+(* plan, ops and graph — serves seeded requests whose keys may         *)
+(* collide. A request repeated against the shared cache must give the  *)
+(* same bits, and each cached result must be bit-identical to the same *)
+(* request served uncached ([~cache:false] for compile, a cleared      *)
+(* cache for the others). A key that leaves out an input that shapes   *)
+(* the result serves one request another's kernel or plan.             *)
+(* ------------------------------------------------------------------ *)
+
+module Compile = Taco_exec.Compile
+module Kernel = Taco_exec.Kernel
+
+let key_ran = ref 0
+
+(* Small integers (1 for booleans): every summation order gives the same
+   bits, so two plans for one statement must agree exactly. *)
+let key_tensor prng (sr : Semiring.t) dims fmt =
+  let coo = Coo.create dims in
+  let rec fill idx d =
+    if d = Array.length dims then begin
+      if Prng.bool prng 0.4 then
+        Coo.push coo (Array.copy idx)
+          (if sr.Semiring.name = "bool_or_and" then 1. else float_of_int (1 + Prng.int prng 9))
+    end
+    else
+      for i = 0 to dims.(d) - 1 do
+        idx.(d) <- i;
+        fill idx (d + 1)
+      done
+  in
+  fill (Array.make (Array.length dims) 0) 0;
+  T.pack coo fmt
+
+(* One request in four runs natively, which keeps the leg's cc time small. *)
+let key_backend sel = if sel / 24 mod 4 = 3 && Taco_exec.Native.available () then `Native else `Closure
+
+let diag r = Result.map_error Diag.to_string r
+
+let ( let* ) = Result.bind
+
+(* A lowered semiring template compiled straight through [Compile]. *)
+let key_compile ~cached sel seed (n, m, k) =
+  let template = sel mod 3 in
+  let sr = List.nth Semiring.all (sel / 3 mod List.length Semiring.all) in
+  let opt = if sel / 12 mod 2 = 0 then Taco_lower.Opt.all else Taco_lower.Opt.none in
+  let prng = Prng.create seed in
+  let t dims fmt = key_tensor prng sr dims fmt in
+  let inputs, dims =
+    match template with
+    | 0 -> ([ (sr_a, t [| n; m |] F.csr); (sr_x, t [| m |] F.dense_vector) ], [| n |])
+    | 1 -> ([ (sr_b, t [| n; m |] F.csr); (sr_c, t [| n; m |] F.csr) ], [| n; m |])
+    | _ -> ([ (sr_b, t [| n; k |] F.csr); (sr_d, t [| k; m |] F.dense_matrix) ], [| n; m |])
+  in
+  let* sched = Schedule.of_index_notation (sr_stmt template) in
+  let* info = Lower.lower ~name:"fuzz_key" ~semiring:sr ~mode:Lower.Compute (Schedule.stmt sched) in
+  let c = Compile.compile ~cache:cached ~opt ~backend:(key_backend sel) info.Lower.kernel in
+  let out = T.zero dims (Tensor_var.format info.Lower.result) in
+  let args =
+    Kernel.tensor_args info.Lower.result out
+    @ List.concat_map (fun (tv, t) -> Kernel.tensor_args tv t) inputs
+  in
+  ignore (Compile.run c ~args : string -> Compile.arg);
+  Ok out
+
+(* An autoscheduled product or sum with per-tensor statistics, so the
+   chosen plan is keyed into the plan cache. *)
+let key_plan ~cached sel seed (n, m, k) =
+  if not cached then Taco.Autoschedule.cache_clear ();
+  let fmt i = mat_formats.(i mod Array.length mat_formats) in
+  let b = Tensor_var.make "B" ~order:2 ~format:(fmt sel) in
+  let c = Tensor_var.make "C" ~order:2 ~format:(fmt (sel / 4)) in
+  let a = Tensor_var.make "A" ~order:2 ~format:(pick mat_result_formats (sel / 16)) in
+  let matmul = sel / 32 mod 2 = 0 in
+  let prng = Prng.create seed in
+  let bt = key_tensor prng Semiring.plus_times (if matmul then [| n; k |] else [| n; m |]) (fmt sel) in
+  let ct = key_tensor prng Semiring.plus_times (if matmul then [| k; m |] else [| n; m |]) (fmt (sel / 4)) in
+  let rhs =
+    if matmul then I.sum vk (I.Mul (I.access b [ vi; vk ], I.access c [ vk; vj ]))
+    else I.Add (I.access b [ vi; vj ], I.access c [ vi; vj ])
+  in
+  let* sched = Schedule.of_index_notation (I.assign a [ vi; vj ] rhs) in
+  let stats = [ ("B", Taco.Stats.of_tensor bt); ("C", Taco.Stats.of_tensor ct) ] in
+  let* kern, _, _ = diag (Taco.auto_compile_explained ~name:"fuzz_key_plan" ~stats sched) in
+  diag (Taco.run kern ~inputs:[ (b, bt); (c, ct) ])
+
+let key_ops ~cached sel seed (n, m, k) =
+  if not cached then Taco_ops.Ops.cache_clear ();
+  let prng = Prng.create seed in
+  let mat dims i = key_tensor prng Semiring.plus_times dims (pick mat_formats i) in
+  let b = mat (if sel mod 4 = 0 then [| n; k |] else [| n; m |]) (sel / 4) in
+  match sel mod 4 with
+  | 0 -> Taco_ops.Ops.matmul b (mat [| k; m |] (sel / 16))
+  | 1 -> Taco_ops.Ops.add b (mat [| n; m |] (sel / 16))
+  | 2 -> Taco_ops.Ops.mul b (mat [| n; m |] (sel / 16))
+  | _ ->
+      Taco_ops.Ops.spmv b
+        (key_tensor prng Semiring.plus_times [| m |] (pick vec_formats (sel / 16)))
+
+let key_graph ~cached sel seed (n, m, _) =
+  if not cached then Taco_graph.Graph.cache_clear ();
+  let sr = List.nth Semiring.all (sel mod List.length Semiring.all) in
+  let prng = Prng.create seed in
+  let a = key_tensor prng sr [| n; m |] (pick mat_formats (sel / 4)) in
+  let x = key_tensor prng sr [| m |] F.dense_vector in
+  Taco_graph.Graph.spmv ~backend:(key_backend sel) sr a x
+
+let run_key (surface, sel1, sel2, dims, seed) =
+  let name, request =
+    match surface mod 4 with
+    | 0 -> ("compile", key_compile)
+    | 1 -> ("plan", key_plan)
+    | 2 -> ("ops", key_ops)
+    | _ -> ("graph", key_graph)
+  in
+  let same what r1 r2 =
+    match (r1, r2) with
+    | Ok t1, Ok t2 ->
+        if not (Helpers.tensors_bit_identical t1 t2) then
+          failf "cache-key leg: %s cache: %s is not bit-identical" name what
+    | Error e1, Error e2 ->
+        if e1 <> e2 then failf "cache-key leg: %s cache: %s fails differently (%s / %s)" name what e1 e2
+    | Ok _, Error e | Error e, Ok _ ->
+        failf "cache-key leg: %s cache: %s fails on one side only: %s" name what e
+  in
+  let r1 = request ~cached:true sel1 seed dims in
+  let r2 = request ~cached:true sel2 (seed + 1) dims in
+  same "a repeated request" r1 (request ~cached:true sel1 seed dims);
+  same "the first request against an uncached one" r1 (request ~cached:false sel1 seed dims);
+  same "the second request against an uncached one" r2
+    (request ~cached:false sel2 (seed + 1) dims);
+  incr key_ran
+
+(* ------------------------------------------------------------------ *)
 (* QCheck wiring                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -852,6 +985,26 @@ let test_tier_fuzz =
            | () -> true
            | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
 
+let key_scenario_gen =
+  QCheck.Gen.(
+    let* surface = int_bound 3 and* sel1 = int_bound 95 and* sel2 = int_bound 95 in
+    let* n = int_range 1 6 and* m = int_range 1 6 and* k = int_range 1 5 in
+    let* seed = int_bound 100_000 in
+    return (surface, sel1, sel2, (n, m, k), seed))
+
+let key_scenario_print (surface, sel1, sel2, (n, m, k), seed) =
+  Printf.sprintf "{surface=%d; sel1=%d; sel2=%d; n=%d; m=%d; k=%d; seed=%d}" surface sel1 sel2 n
+    m k seed
+
+let test_key_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:"cache-key soundness, cached vs uncached bit-identity"
+       (QCheck.make ~print:key_scenario_print key_scenario_gen)
+       (fun sc ->
+         match run_key sc with
+         | () -> true
+         | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 (* The campaign is only meaningful if it actually ran and a healthy
    share of instances made it all the way through the pipeline rather
    than being rejected. *)
@@ -859,9 +1012,9 @@ let test_coverage () =
   Printf.printf
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
-     semiring leg: %d ran, %d native; tier leg: %d ran\n%!"
+     semiring leg: %d ran, %d native; tier leg: %d ran; cache-key leg: %d ran\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran !tier_ran;
+    !sr_native_ran !tier_ran !key_ran;
   Alcotest.(check bool)
     (Printf.sprintf "tier leg ran when a C compiler exists (%d)" !tier_ran)
     true
@@ -893,6 +1046,7 @@ let () =
           test_pipeline_fuzz;
           test_semiring_fuzz;
           test_tier_fuzz;
+          test_key_fuzz;
           Alcotest.test_case "coverage" `Quick test_coverage;
         ] );
     ]

@@ -1,6 +1,9 @@
 module Dyn = Taco_support.Dyn_array
 module Prng = Taco_support.Prng
 module Util = Taco_support.Util
+module Memo = Taco_support.Memo
+module Trace = Taco_support.Trace
+module Metrics = Taco_support.Metrics
 
 let test_dyn_int_push () =
   let t = Dyn.Int.create () in
@@ -134,6 +137,121 @@ let prop_sample_distinct =
       && List.length (List.sort_uniq compare (Array.to_list s)) = k
       && Array.for_all (fun x -> x >= 0 && x < n) s)
 
+(* --- Memo ------------------------------------------------------------ *)
+
+let check_stats what (hits, misses, entries, evictions, coalesced) t =
+  let s = Memo.stats t in
+  Alcotest.(check (list int))
+    (what ^ ": hits, misses, entries, evictions, coalesced")
+    [ hits; misses; entries; evictions; coalesced ]
+    [ s.Memo.hits; s.Memo.misses; s.Memo.entries; s.Memo.evictions; s.Memo.coalesced ]
+
+let spin_until p =
+  while not (p ()) do
+    Domain.cpu_relax ()
+  done
+
+(* Four domains ask for one missing key; the build holds until all four
+   have asked, so three of them must wait on it. *)
+let test_memo_single_flight () =
+  let t = Memo.create ~name:"memo_sf" ~capacity:4 in
+  let builds = Atomic.make 0 and arrived = Atomic.make 0 in
+  let build () =
+    Atomic.incr builds;
+    spin_until (fun () -> Atomic.get arrived = 4);
+    Unix.sleepf 0.05;
+    42
+  in
+  let ask () =
+    Domain.spawn (fun () ->
+        Atomic.incr arrived;
+        Memo.find_or_build t "k" build)
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> ask ())) in
+  Alcotest.(check (list int)) "every domain gets the value" [ 42; 42; 42; 42 ] results;
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  check_stats "after the race" (3, 1, 1, 0, 3) t
+
+(* A build that raises is not inserted; the domain waiting on it wakes
+   and builds the key itself. *)
+let test_memo_raising_build () =
+  let t = Memo.create ~name:"memo_raise" ~capacity:4 in
+  let building = Atomic.make false and waiting = Atomic.make false in
+  let first =
+    Domain.spawn (fun () ->
+        match
+          Memo.find_or_build t "k" (fun () ->
+              Atomic.set building true;
+              spin_until (fun () -> Atomic.get waiting);
+              Unix.sleepf 0.05;
+              failwith "build failed")
+        with
+        | _ -> None
+        | exception Failure msg -> Some msg)
+  in
+  let second =
+    Domain.spawn (fun () ->
+        spin_until (fun () -> Atomic.get building);
+        Atomic.set waiting true;
+        Memo.find_or_build t "k" (fun () -> 7))
+  in
+  Alcotest.(check (option string)) "the builder sees its exception" (Some "build failed")
+    (Domain.join first);
+  Alcotest.(check int) "the waiter retries and builds" 7 (Domain.join second);
+  check_stats "one successful build" (0, 1, 1, 0, 0) t;
+  Alcotest.(check (result int string)) "an Error is not inserted either" (Error "no")
+    (Memo.find_or_build_result t "e" (fun () -> Error "no"));
+  check_stats "failed builds leave no entry" (0, 1, 1, 0, 0) t
+
+let test_memo_valid_rejection () =
+  let t = Memo.create ~name:"memo_valid" ~capacity:4 in
+  Alcotest.(check int) "first build" 1 (Memo.find_or_build t "k" (fun () -> 1));
+  Alcotest.(check int) "rejected entry is rebuilt" 2
+    (Memo.find_or_build ~valid:(fun v -> v >= 2) t "k" (fun () -> 2));
+  check_stats "the rejection counts a miss" (0, 2, 1, 0, 0) t;
+  Alcotest.(check int) "the rebuilt value replaced the entry" 2
+    (Memo.find_or_build t "k" (fun () -> 3));
+  check_stats "then it hits" (1, 2, 1, 0, 0) t
+
+let test_memo_clear () =
+  let t = Memo.create ~name:"memo_clear" ~capacity:1 in
+  List.iter (fun k -> ignore (Memo.find_or_build t k (fun () -> k) : string)) [ "a"; "a"; "b" ];
+  check_stats "before clear" (1, 2, 1, 1, 0) t;
+  Memo.clear t;
+  check_stats "clear resets everything" (0, 0, 0, 0, 0) t;
+  ignore (Memo.find_or_build t "b" (fun () -> "b") : string);
+  check_stats "a cleared key misses" (0, 1, 1, 0, 0) t
+
+(* Each table counts under its own name in both stores. *)
+let test_memo_counter_names () =
+  Trace.clear ();
+  Trace.enable ();
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.clear ();
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      let t = Memo.create ~name:"memo_names" ~capacity:1 in
+      List.iter (fun k -> ignore (Memo.find_or_build t k (fun () -> k) : string)) [ "a"; "a"; "b" ];
+      List.iter
+        (fun (name, n) -> Alcotest.(check int) name n (Trace.counter_total name))
+        [ ("memo_names.cache.hit", 1); ("memo_names.cache.miss", 2); ("memo_names.cache.evict", 1) ];
+      let snap = Metrics.snapshot () in
+      List.iter
+        (fun (name, n) ->
+          Alcotest.(check (option int)) name (Some n) (List.assoc_opt (name, []) snap.Metrics.counters))
+        [
+          ("taco_memo_names_cache_hits_total", 1);
+          ("taco_memo_names_cache_misses_total", 2);
+          ("taco_memo_names_cache_evictions_total", 1);
+        ];
+      Alcotest.(check (option (float 0.))) "size gauge" (Some 1.)
+        (List.assoc_opt ("taco_memo_names_cache_size", []) snap.Metrics.gauges))
+
 let () =
   Alcotest.run "support"
     [
@@ -163,5 +281,13 @@ let () =
           Alcotest.test_case "median" `Quick test_median;
           Alcotest.test_case "dedup and subsets" `Quick test_dedup_subsets;
           prop_binary_search_agrees;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "four domains, one build" `Quick test_memo_single_flight;
+          Alcotest.test_case "raising build, waiter retries" `Quick test_memo_raising_build;
+          Alcotest.test_case "valid rejection rebuilds" `Quick test_memo_valid_rejection;
+          Alcotest.test_case "clear resets everything" `Quick test_memo_clear;
+          Alcotest.test_case "trace and metrics names" `Quick test_memo_counter_names;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* Tests for the observability layer: the Trace span/counter buffer
    (including the disabled-is-free discipline), Exec.Compile cache
    accounting (hits/misses/entries/evictions across optimizer configs,
-   flags and backends, capacity-bounded eviction, cache_clear), and the
-   profiled execution mode's work counters. *)
+   flags and backends, cache_clear), FIFO eviction on a bounded Memo,
+   and the profiled execution mode's work counters. *)
 
 open Taco_ir
 module Imp = Taco_lower.Imp
@@ -12,6 +12,7 @@ module Compile = Taco_exec.Compile
 module Kernel = Taco_exec.Kernel
 module T = Taco_tensor.Tensor
 module Trace = Taco_support.Trace
+module Memo = Taco_support.Memo
 
 let v n = Imp.Var n
 
@@ -132,31 +133,27 @@ let test_cache_clear_resets_accounting () =
   let s = Compile.cache_stats () in
   Alcotest.(check int) "recompile after clear misses again" 1 s.Compile.misses
 
+(* Eviction policy, on a capacity-2 table of the same kind as the
+   compile cache (whose 512-entry bound is not a knob). *)
 let test_cache_eviction_fifo () =
-  Fun.protect
-    ~finally:(fun () ->
-      Compile.set_cache_capacity 512;
-      Compile.cache_clear ())
-    (fun () ->
-      Compile.cache_clear ();
-      Compile.set_cache_capacity 2;
-      let k1 = foldable "trace_evict_1" in
-      let k2 = foldable "trace_evict_2" in
-      let k3 = foldable "trace_evict_3" in
-      let _ = Compile.compile k1 in
-      let _ = Compile.compile k2 in
-      let _ = Compile.compile k3 in
-      let s = Compile.cache_stats () in
-      Alcotest.(check int) "capacity bounds entries" 2 s.Compile.entries;
-      Alcotest.(check int) "oldest entry evicted" 1 s.Compile.evictions;
-      (* k1 was inserted first, so it was the FIFO victim: recompiling it
-         misses, while k3 (newest) still hits. *)
-      let _ = Compile.compile k3 in
-      let s = Compile.cache_stats () in
-      Alcotest.(check int) "newest entry survives" 1 s.Compile.hits;
-      let _ = Compile.compile k1 in
-      let s = Compile.cache_stats () in
-      Alcotest.(check int) "evicted entry misses" 4 s.Compile.misses)
+  let memo = Memo.create ~name:"trace_evict" ~capacity:2 in
+  let compile name =
+    ignore
+      (Memo.find_or_build memo name (fun () -> Compile.compile ~cache:false (foldable name))
+        : Compile.compiled)
+  in
+  compile "k1";
+  compile "k2";
+  compile "k3";
+  let s = Memo.stats memo in
+  Alcotest.(check int) "capacity bounds entries" 2 s.Memo.entries;
+  Alcotest.(check int) "oldest entry evicted" 1 s.Memo.evictions;
+  (* k1 was inserted first, so it was the FIFO victim: recompiling it
+     misses, while k3 (newest) still hits. *)
+  compile "k3";
+  Alcotest.(check int) "newest entry survives" 1 (Memo.stats memo).Memo.hits;
+  compile "k1";
+  Alcotest.(check int) "evicted entry misses" 4 (Memo.stats memo).Memo.misses
 
 (* ------------------------------------------------------------------ *)
 (* Trace buffer                                                        *)
