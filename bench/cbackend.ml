@@ -14,8 +14,9 @@
    The [smoke] entry point is the @cback-smoke alias: skipped cleanly
    (exit 0) when no C compiler is around; with one, a micro SpGEMM must
    build natively, match the closure result bit for bit at both tiers,
-   and allocate on the major heap per warm run at most [alloc_gate]
-   times the words of the arrays it returns. *)
+   count the same profile counters as the closures when profiled, and
+   allocate on the major heap per warm run at most [alloc_gate] times
+   the words of the arrays it returns. *)
 
 open Taco
 
@@ -369,6 +370,23 @@ let smoke () =
         m "cback-smoke FAILED: native result diverges from the closure executor");
     exit 1
   end;
+  (* Profiled, both backends run the same instrumented kernel, so their
+     counters must agree exactly. *)
+  let counters backend =
+    let k = Kernel.prepare ~profile:true ~backend w.w_info in
+    ignore (w.w_result k : Tensor.t);
+    (Kernel.backend k, Kernel.profile_stats k)
+  in
+  let _, pc = counters `Closure and pbk, pn = counters `Native in
+  (match pc with
+  | Some s when pbk = `Native && pn = pc ->
+      Printf.printf
+        "cback-smoke spgemm_ws: profiled native counters equal the closure's (%d iterations)\n%!"
+        s.Compile.iterations
+  | _ ->
+      Taco_support.Obs.Log.err (fun m ->
+          m "cback-smoke FAILED: profiled native counters differ from the closure's");
+      exit 1);
   let words = major_words_per_run w kn and res = result_words rn in
   Printf.printf
     "cback-smoke spgemm_ws native: %.0f major-heap words per warm run, result %.0f words \

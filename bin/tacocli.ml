@@ -136,16 +136,14 @@ let run_cli expr_str formats dims density seed reorders precomputes split_specs 
   in
   (* Compile, automatically scheduling if requested (or if needed and
      nothing manual was given). *)
-  (* Profiling counters only exist in the closure executor; requesting
-     them would pin a --backend c run to closures, so they win only when
-     the closure backend was asked for anyway. *)
-  let profile = observing && backend = `Closure in
   let compiled, steps, explain =
     if auto || do_explain then
-      let c, steps, ex = getd (auto_compile_explained ~semiring ~profile ~backend !sched) in
+      let c, steps, ex =
+        getd (auto_compile_explained ~semiring ~profile:observing ~backend !sched)
+      in
       (c, steps, Some ex)
     else
-      match compile ~splits ~semiring ~profile ~backend !sched with
+      match compile ~splits ~semiring ~profile:observing ~backend !sched with
       | Ok c -> (c, [], None)
       | Error e ->
           die "%s\n(hint: pass --auto to search for a schedule automatically)"

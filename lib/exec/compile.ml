@@ -31,30 +31,6 @@ type env = {
 
 type slot = { s_dtype : Imp.dtype; s_array : bool; s_index : int }
 
-(* Executor work counters, bumped by the instrumented closures of a
-   profiled compilation. Mutable record fields keep the increments to a
-   load, an add and a store. *)
-type prof = {
-  mutable p_iters : int;
-  mutable p_scalar_ops : int;
-  mutable p_allocs : int;
-  mutable p_alloc_elems : int;
-  mutable p_zero_elems : int;
-  mutable p_reallocs : int;
-  mutable p_sorts : int;
-}
-
-let fresh_prof () =
-  {
-    p_iters = 0;
-    p_scalar_ops = 0;
-    p_allocs = 0;
-    p_alloc_elems = 0;
-    p_zero_elems = 0;
-    p_reallocs = 0;
-    p_sorts = 0;
-  }
-
 type run_stats = {
   iterations : int;
   scalar_ops : int;
@@ -93,8 +69,9 @@ let backend_stats () =
 
 type compiled = {
   c_kernel : Imp.kernel;
-  c_checked : bool;
-  c_prof : prof option;
+  c_prof : int Atomic.t array option;
+      (* A profiled kernel's counters, summed over its runs, in
+         [Opt.profile] slot order *)
   c_requested : backend;  (* what the caller asked for (part of cache validity) *)
   c_native : Native.loaded option;  (* Some when the native build succeeded *)
   c_downgrade : string option;  (* why a [`Native] request fell back, if it did *)
@@ -121,37 +98,44 @@ let promote c = Option.iter Native.promote c.c_native
 
 let kernel c = c.c_kernel
 
-let is_checked c = c.c_checked
-
 exception Type_error of string
 
 let terror fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
 
-(* Compilation context: the slot table plus the checked-execution flag
-   and kernel name (so bounds diagnostics can name their kernel).
-   [prof = None] compiles exactly the uninstrumented closures. *)
+(* Compilation context: the slot table plus the kernel name (so bounds
+   diagnostics can name their kernel). *)
 type ctx = {
   slots : (string, slot) Hashtbl.t;
-  checked : bool;
   kname : string;
-  prof : prof option;
   depth : int;
       (* Loop-nesting depth at this statement. Only depth-0 loops carry
          the deadline watchdog, keeping the poll out of inner hot loops
          (an outermost loop iterates often enough to bound latency). *)
 }
 
-(* Raised by checked closures on an out-of-bounds array access. *)
-let oob ~ctx ~var ~index ~len =
+(* Raised on an out-of-bounds array access. *)
+let oob ~kname ~var ~index ~len =
   Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_BOUNDS"
     ~context:
       [
-        ("kernel", ctx.kname);
+        ("kernel", kname);
         ("variable", var);
         ("index", string_of_int index);
         ("length", string_of_int len);
       ]
     "array access out of bounds: %s[%d] with %d elements" var index len
+
+(* The bounds test in front of every array load and store, and its
+   diagnostic. Each closure tests [out arr k] itself and raises from a
+   tail call, so its fast path keeps the code of OCaml's own bounds
+   check: no frame, no spills, and the typed access after the test. *)
+let[@inline] out arr k = k < 0 || k >= Array.length arr
+
+let oob_at ~kname ~var arr k = oob ~kname ~var ~index:k ~len:(Array.length arr)
+
+(* A Memset/Fill length: the first [n] elements of [arr]. *)
+let prefix ~kname ~var arr n =
+  if n < 0 || n > Array.length arr then oob ~kname ~var ~index:n ~len:(Array.length arr) else n
 
 (* Raised by the cooperative watchdog when a run's deadline passes while
    a kernel loop is still going. *)
@@ -295,25 +279,23 @@ let rec cint ctx (e : Imp.expr) : env -> int =
       let i = s.s_index in
       fun env -> Array.unsafe_get env.ints i
   | Imp.Int_lit n -> fun _ -> n
-  | Imp.Load (a, idx) ->
+  | Imp.Load (a, idx) -> (
       let s = find_slot ctx a in
       if s.s_dtype <> Imp.Int || not s.s_array then terror "expected int array %s" a;
-      let i = s.s_index in
-      if ctx.checked then
-        let cidx = cint ctx idx in
-        fun env ->
-          let arr = Array.unsafe_get env.iarr i in
-          let k = cidx env in
-          if k < 0 || k >= Array.length arr then
-            oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-          Array.unsafe_get arr k
-      else (
-        match ishape ctx idx with
-        | ISlot j ->
-            fun env ->
-              (Array.unsafe_get env.iarr i).(Array.unsafe_get env.ints j)
-        | ILit n -> fun env -> (Array.unsafe_get env.iarr i).(n)
-        | IGen g -> fun env -> (Array.unsafe_get env.iarr i).(g env))
+      let i = s.s_index and kname = ctx.kname in
+      match ishape ctx idx with
+      | ISlot j ->
+          fun env ->
+            let arr = Array.unsafe_get env.iarr i and k = Array.unsafe_get env.ints j in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+      | ILit k ->
+          fun env ->
+            let arr = Array.unsafe_get env.iarr i in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+      | IGen g ->
+          fun env ->
+            let arr = Array.unsafe_get env.iarr i and k = g env in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k)
   | Imp.Binop (op, a, b) -> (
       (* Arithmetic keeps the uniform one-closure-per-node scheme:
          canonicalizing repeated index arithmetic into scalar slots is
@@ -358,25 +340,23 @@ and cfloat ctx (e : Imp.expr) : env -> float =
       let i = s.s_index in
       fun env -> Array.unsafe_get env.floats i
   | Imp.Float_lit v -> fun _ -> v
-  | Imp.Load (a, idx) ->
+  | Imp.Load (a, idx) -> (
       let s = find_slot ctx a in
       if s.s_dtype <> Imp.Float || not s.s_array then terror "expected float array %s" a;
-      let i = s.s_index in
-      if ctx.checked then
-        let cidx = cint ctx idx in
-        fun env ->
-          let arr = Array.unsafe_get env.farr i in
-          let k = cidx env in
-          if k < 0 || k >= Array.length arr then
-            oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-          Array.unsafe_get arr k
-      else (
-        match ishape ctx idx with
-        | ISlot j ->
-            fun env ->
-              (Array.unsafe_get env.farr i).(Array.unsafe_get env.ints j)
-        | ILit n -> fun env -> (Array.unsafe_get env.farr i).(n)
-        | IGen g -> fun env -> (Array.unsafe_get env.farr i).(g env))
+      let i = s.s_index and kname = ctx.kname in
+      match ishape ctx idx with
+      | ISlot j ->
+          fun env ->
+            let arr = Array.unsafe_get env.farr i and k = Array.unsafe_get env.ints j in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+      | ILit k ->
+          fun env ->
+            let arr = Array.unsafe_get env.farr i in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+      | IGen g ->
+          fun env ->
+            let arr = Array.unsafe_get env.farr i and k = g env in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k)
   | Imp.Binop (op, a, b) -> (
       let sa = fshape ctx a and sb = fshape ctx b in
       match (op, sa, sb) with
@@ -445,25 +425,23 @@ and cbool ctx (e : Imp.expr) : env -> bool =
       let i = s.s_index in
       fun env -> Array.unsafe_get env.bools i
   | Imp.Bool_lit b -> fun _ -> b
-  | Imp.Load (a, idx) ->
+  | Imp.Load (a, idx) -> (
       let s = find_slot ctx a in
       if s.s_dtype <> Imp.Bool || not s.s_array then terror "expected bool array %s" a;
-      let i = s.s_index in
-      if ctx.checked then
-        let cidx = cint ctx idx in
-        fun env ->
-          let arr = Array.unsafe_get env.barr i in
-          let k = cidx env in
-          if k < 0 || k >= Array.length arr then
-            oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-          Array.unsafe_get arr k
-      else (
-        match ishape ctx idx with
-        | ISlot j ->
-            fun env ->
-              (Array.unsafe_get env.barr i).(Array.unsafe_get env.ints j)
-        | ILit n -> fun env -> (Array.unsafe_get env.barr i).(n)
-        | IGen g -> fun env -> (Array.unsafe_get env.barr i).(g env))
+      let i = s.s_index and kname = ctx.kname in
+      match ishape ctx idx with
+      | ISlot j ->
+          fun env ->
+            let arr = Array.unsafe_get env.barr i and k = Array.unsafe_get env.ints j in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+      | ILit k ->
+          fun env ->
+            let arr = Array.unsafe_get env.barr i in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+      | IGen g ->
+          fun env ->
+            let arr = Array.unsafe_get env.barr i and k = g env in
+            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k)
   | Imp.Binop ((Imp.And | Imp.Or) as op, a, b) -> (
       let ca = cbool ctx a and cb = cbool ctx b in
       match op with
@@ -596,47 +574,7 @@ let sort_int_range (arr : int array) lo hi =
   in
   if hi - lo > 1 then qsort lo hi
 
-(* [cstmt] adds the profiling wrapper (when the context asks for it)
-   around the uninstrumented closure from [cstmt_base]; loop iteration
-   counts live inside the For/While arms of [cstmt_base] where the trip
-   counts are at hand. With [prof = None] the wrapper is the identity
-   and the closures are bit-for-bit the unprofiled ones. *)
 let rec cstmt ctx (s : Imp.stmt) : env -> unit =
-  let f = cstmt_base ctx s in
-  match ctx.prof with
-  | None -> f
-  | Some st -> (
-      match s with
-      | Imp.Decl _ | Imp.Assign _ | Imp.Store _ | Imp.Store_add _ | Imp.Store_reduce _ ->
-          fun env ->
-            st.p_scalar_ops <- st.p_scalar_ops + 1;
-            f env
-      | Imp.Alloc (_, _, n) ->
-          (* The extent expression is pure; re-evaluating it for the
-             counters cannot diverge from the allocation's own read. *)
-          let cn = cint ctx n in
-          fun env ->
-            let m = max 1 (cn env) in
-            st.p_allocs <- st.p_allocs + 1;
-            st.p_alloc_elems <- st.p_alloc_elems + m;
-            st.p_zero_elems <- st.p_zero_elems + m;
-            f env
-      | Imp.Memset (_, n) | Imp.Fill (_, n, _) ->
-          let cn = cint ctx n in
-          fun env ->
-            st.p_zero_elems <- st.p_zero_elems + max 0 (cn env);
-            f env
-      | Imp.Realloc _ ->
-          fun env ->
-            st.p_reallocs <- st.p_reallocs + 1;
-            f env
-      | Imp.Sort _ ->
-          fun env ->
-            st.p_sorts <- st.p_sorts + 1;
-            f env
-      | Imp.For _ | Imp.ParallelFor _ | Imp.While _ | Imp.If _ | Imp.Comment _ -> f)
-
-and cstmt_base ctx (s : Imp.stmt) : env -> unit =
   match s with
   | Imp.Decl (_, v, e) | Imp.Assign (v, e) -> (
       let s = find_slot ctx v in
@@ -653,121 +591,114 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
           fun env -> Array.unsafe_set env.bools i (ce env))
   | Imp.Store (a, idx, v) -> (
       let s = find_slot ctx a in
-      let i = s.s_index in
-      let guard env arr k =
-        if k < 0 || k >= Array.length arr then
-          oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-        ignore env
-      in
+      let i = s.s_index and kname = ctx.kname in
+      let sh = ishape ctx idx in
       match s.s_dtype with
       | Imp.Float -> (
           let cv = cfloat ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.farr i in
-              let k = cidx env in
-              guard env arr k;
-              Array.unsafe_set arr k (cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  (Array.unsafe_get env.farr i).(Array.unsafe_get env.ints j) <- cv env
-            | ILit n -> fun env -> (Array.unsafe_get env.farr i).(n) <- cv env
-            | IGen g -> fun env -> (Array.unsafe_get env.farr i).(g env) <- cv env)
+          match sh with
+          | ISlot j ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i and k = Array.unsafe_get env.ints j in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+          | ILit k ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+          | IGen g ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i and k = g env in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x)
       | Imp.Int -> (
           let cv = cint ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.iarr i in
-              let k = cidx env in
-              guard env arr k;
-              Array.unsafe_set arr k (cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  (Array.unsafe_get env.iarr i).(Array.unsafe_get env.ints j) <- cv env
-            | ILit n -> fun env -> (Array.unsafe_get env.iarr i).(n) <- cv env
-            | IGen g -> fun env -> (Array.unsafe_get env.iarr i).(g env) <- cv env)
+          match sh with
+          | ISlot j ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.iarr i and k = Array.unsafe_get env.ints j in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+          | ILit k ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.iarr i in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+          | IGen g ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.iarr i and k = g env in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x)
       | Imp.Bool -> (
           let cv = cbool ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.barr i in
-              let k = cidx env in
-              guard env arr k;
-              Array.unsafe_set arr k (cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  (Array.unsafe_get env.barr i).(Array.unsafe_get env.ints j) <- cv env
-            | ILit n -> fun env -> (Array.unsafe_get env.barr i).(n) <- cv env
-            | IGen g -> fun env -> (Array.unsafe_get env.barr i).(g env) <- cv env))
+          match sh with
+          | ISlot j ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.barr i and k = Array.unsafe_get env.ints j in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+          | ILit k ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.barr i in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+          | IGen g ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.barr i and k = g env in
+                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x))
   | Imp.Store_add (a, idx, v) -> (
       let s = find_slot ctx a in
-      let i = s.s_index in
+      let i = s.s_index and kname = ctx.kname in
+      let sh = ishape ctx idx in
       match s.s_dtype with
       | Imp.Float -> (
           let cv = cfloat ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.farr i in
-              let k = cidx env in
-              if k < 0 || k >= Array.length arr then
-                oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-              Array.unsafe_set arr k (Array.unsafe_get arr k +. cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = Array.unsafe_get env.ints j in
-                  arr.(k) <- arr.(k) +. cv env
-            | ILit n ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  arr.(n) <- arr.(n) +. cv env
-            | IGen g ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = g env in
-                  arr.(k) <- arr.(k) +. cv env)
+          match sh with
+          | ISlot j ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i and k = Array.unsafe_get env.ints j in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (Array.unsafe_get arr k +. x)
+          | ILit k ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (Array.unsafe_get arr k +. x)
+          | IGen g ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i and k = g env in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (Array.unsafe_get arr k +. x))
       | Imp.Int -> (
           let cv = cint ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.iarr i in
-              let k = cidx env in
-              if k < 0 || k >= Array.length arr then
-                oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-              Array.unsafe_set arr k (Array.unsafe_get arr k + cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  let arr = Array.unsafe_get env.iarr i in
-                  let k = Array.unsafe_get env.ints j in
-                  arr.(k) <- arr.(k) + cv env
-            | ILit n ->
-                fun env ->
-                  let arr = Array.unsafe_get env.iarr i in
-                  arr.(n) <- arr.(n) + cv env
-            | IGen g ->
-                fun env ->
-                  let arr = Array.unsafe_get env.iarr i in
-                  let k = g env in
-                  arr.(k) <- arr.(k) + cv env)
+          match sh with
+          | ISlot j ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.iarr i and k = Array.unsafe_get env.ints j in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (Array.unsafe_get arr k + x)
+          | ILit k ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.iarr i in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (Array.unsafe_get arr k + x)
+          | IGen g ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.iarr i and k = g env in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (Array.unsafe_get arr k + x))
       | Imp.Bool -> terror "+= on bool array %s" a)
   | Imp.Store_reduce (r, a, idx, v) -> (
       let s = find_slot ctx a in
-      let i = s.s_index in
+      let i = s.s_index and kname = ctx.kname in
       let combine =
         match r with
         | Imp.Red_min -> fun a v -> if v < a then v else a
@@ -777,30 +708,25 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
       match s.s_dtype with
       | Imp.Float -> (
           let cv = cfloat ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.farr i in
-              let k = cidx env in
-              if k < 0 || k >= Array.length arr then
-                oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-              Array.unsafe_set arr k (combine (Array.unsafe_get arr k) (cv env))
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = Array.unsafe_get env.ints j in
-                  arr.(k) <- combine arr.(k) (cv env)
-            | ILit n ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  arr.(n) <- combine arr.(n) (cv env)
-            | IGen g ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = g env in
-                  arr.(k) <- combine arr.(k) (cv env))
+          match ishape ctx idx with
+          | ISlot j ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i and k = Array.unsafe_get env.ints j in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (combine (Array.unsafe_get arr k) x)
+          | ILit k ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (combine (Array.unsafe_get arr k) x)
+          | IGen g ->
+              fun env ->
+                let x = cv env in
+                let arr = Array.unsafe_get env.farr i and k = g env in
+                if out arr k then oob_at ~kname ~var:a arr k
+                else Array.unsafe_set arr k (combine (Array.unsafe_get arr k) x))
       | Imp.Int | Imp.Bool -> terror "reduce-store on non-float array %s" a)
   | Imp.Alloc (t, v, n) -> (
       let i = (find_slot ctx v).s_index in
@@ -848,98 +774,64 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
   | Imp.Memset (v, n) -> (
       let s = find_slot ctx v in
       let i = s.s_index in
-      let cn = cint ctx n in
-      let checked_n env len =
-        let n = cn env in
-        if n < 0 || n > len then oob ~ctx ~var:v ~index:n ~len;
-        n
-      in
+      let cn = cint ctx n and kname = ctx.kname in
       match s.s_dtype with
       | Imp.Float ->
-          if ctx.checked then
-            fun env ->
-              let arr = env.farr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) 0.
-          else fun env -> Array.fill env.farr.(i) 0 (cn env) 0.
+          fun env ->
+            let arr = env.farr.(i) in
+            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) 0.
       | Imp.Int ->
-          if ctx.checked then
-            fun env ->
-              let arr = env.iarr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) 0
-          else fun env -> Array.fill env.iarr.(i) 0 (cn env) 0
+          fun env ->
+            let arr = env.iarr.(i) in
+            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) 0
       | Imp.Bool ->
-          if ctx.checked then
-            fun env ->
-              let arr = env.barr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) false
-          else fun env -> Array.fill env.barr.(i) 0 (cn env) false)
+          fun env ->
+            let arr = env.barr.(i) in
+            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) false)
   | Imp.Fill (v, n, x) -> (
       let s = find_slot ctx v in
       let i = s.s_index in
-      let cn = cint ctx n in
-      let checked_n env len =
-        let n = cn env in
-        if n < 0 || n > len then oob ~ctx ~var:v ~index:n ~len;
-        n
-      in
+      let cn = cint ctx n and kname = ctx.kname in
       match s.s_dtype with
       | Imp.Float ->
           let cx = cfloat ctx x in
-          if ctx.checked then
-            fun env ->
-              let arr = env.farr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) (cx env)
-          else fun env -> Array.fill env.farr.(i) 0 (cn env) (cx env)
+          fun env ->
+            let arr = env.farr.(i) in
+            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) (cx env)
       | Imp.Int | Imp.Bool -> terror "fill on non-float array %s" v)
-  | Imp.For (v, lo, hi, body) -> (
+  | Imp.For (v, lo, hi, body) ->
       let i = (find_slot ctx v).s_index in
       let clo = cint ctx lo and chi = cint ctx hi in
       let bctx = { ctx with depth = ctx.depth + 1 } in
       let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
       let kname = ctx.kname in
       let guarded = ctx.depth = 0 in
-      match ctx.prof with
-      | None ->
-          fun env ->
-            let hi = chi env in
-            let ints = env.ints in
-            let deadline = env.deadline_ns in
-            if guarded && deadline <> Int64.max_int then
-              for x = clo env to hi - 1 do
-                if x land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                  cancelled ~kname;
-                Array.unsafe_set ints i x;
-                cbody env
-              done
-            else
-              (* The loop variable may be read but not written by the body, so
-                 the native for counter can own the induction. *)
-              for x = clo env to hi - 1 do
-                Array.unsafe_set ints i x;
-                cbody env
-              done
-      | Some st ->
-          fun env ->
-            let lo = clo env in
-            let hi = chi env in
-            if hi > lo then st.p_iters <- st.p_iters + (hi - lo);
-            let ints = env.ints in
-            let deadline = env.deadline_ns in
-            let guarded = guarded && deadline <> Int64.max_int in
-            for x = lo to hi - 1 do
-              if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                cancelled ~kname;
-              Array.unsafe_set ints i x;
-              cbody env
-            done)
-  | Imp.ParallelFor (v, lo, hi, body, info) -> (
+      fun env ->
+        let hi = chi env in
+        let ints = env.ints in
+        let deadline = env.deadline_ns in
+        if guarded && deadline <> Int64.max_int then
+          for x = clo env to hi - 1 do
+            if x land watchdog_mask = 0 && Trace.now_ns () > deadline then
+              cancelled ~kname;
+            Array.unsafe_set ints i x;
+            cbody env
+          done
+        else
+          (* The loop variable may be read but not written by the body, so
+             the native for counter can own the induction. *)
+          for x = clo env to hi - 1 do
+            Array.unsafe_set ints i x;
+            cbody env
+          done
+  | Imp.ParallelFor (v, lo, hi, body, info) ->
       let i = (find_slot ctx v).s_index in
       let clo = cint ctx lo and chi = cint ctx hi in
       let bctx = { ctx with depth = ctx.depth + 1 } in
       let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
       let kname = ctx.kname in
       (* Resolve the merge metadata to slots up front so a malformed
-         annotation fails at compile time, profiled or not. *)
+         annotation fails at compile time. *)
       let array_slot what name =
         let s = find_slot ctx name in
         if not s.s_array then terror "parallel %s %s is not an array" what name;
@@ -964,269 +856,235 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
             (cs.s_index, arrs, pos))
           info.Imp.par_stage
       in
-      match ctx.prof with
-      | Some st ->
-          (* Profiled closures bump one shared mutable counter record;
-             parallel chunks would race on it. Profiled compilations
-             therefore execute the loop sequentially — bit-identical by
-             the determinism contract. *)
-          fun env ->
-            let lo = clo env in
-            let hi = chi env in
-            if hi > lo then st.p_iters <- st.p_iters + (hi - lo);
-            let ints = env.ints in
-            let deadline = env.deadline_ns in
-            let guarded = deadline <> Int64.max_int in
-            for x = lo to hi - 1 do
-              if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                cancelled ~kname;
-              Array.unsafe_set ints i x;
-              cbody env
-            done
-      | None ->
-          let copy_slot penv (t, si) =
-            match t with
-            | Imp.Int -> penv.iarr.(si) <- Array.copy penv.iarr.(si)
-            | Imp.Float -> penv.farr.(si) <- Array.copy penv.farr.(si)
-            | Imp.Bool -> penv.barr.(si) <- Array.copy penv.barr.(si)
+      let copy_slot penv (t, si) =
+        match t with
+        | Imp.Int -> penv.iarr.(si) <- Array.copy penv.iarr.(si)
+        | Imp.Float -> penv.farr.(si) <- Array.copy penv.farr.(si)
+        | Imp.Bool -> penv.barr.(si) <- Array.copy penv.barr.(si)
+      in
+      fun env ->
+        let lo = clo env and hi = chi env in
+        let total = hi - lo in
+        let want = env.par_domains in
+        if want <= 1 || total <= 1 then begin
+          let ints = env.ints in
+          let deadline = env.deadline_ns in
+          let guarded = deadline <> Int64.max_int in
+          for x = lo to hi - 1 do
+            if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline
+            then cancelled ~kname;
+            Array.unsafe_set ints i x;
+            cbody env
+          done
+        end
+        else begin
+          (* Deterministic chunking: [want] contiguous chunks of the
+             iteration space, regardless of how many domains the
+             budget actually grants. Every chunk starts from a
+             private copy of the pre-loop environment — scalars and
+             slot tables are copied wholesale (so in-body
+             Alloc/Realloc stay private), the annotated private and
+             staged arrays are deep-copied, and everything else
+             shares storage: inputs are read-only and non-staged
+             output writes are disjoint across chunks. *)
+          let nchunks = min want total in
+          let bounds = Array.init (nchunks + 1) (fun k -> lo + (total * k / nchunks)) in
+          let c0 = match stage with None -> 0 | Some (ci, _, _) -> env.ints.(ci) in
+          let mk_penv () =
+            let p =
+              {
+                ints = Array.copy env.ints;
+                floats = Array.copy env.floats;
+                bools = Array.copy env.bools;
+                iarr = Array.copy env.iarr;
+                farr = Array.copy env.farr;
+                barr = Array.copy env.barr;
+                par_domains = 1;
+                deadline_ns = env.deadline_ns;
+              }
+            in
+            List.iter (copy_slot p) priv;
+            (match stage with
+            | None -> ()
+            | Some (_, arrs, pos) ->
+                List.iter (copy_slot p) arrs;
+                Option.iter (fun pi -> p.iarr.(pi) <- Array.copy p.iarr.(pi)) pos);
+            p
           in
-          fun env ->
-            let lo = clo env and hi = chi env in
-            let total = hi - lo in
-            let want = env.par_domains in
-            if want <= 1 || total <= 1 then begin
-              let ints = env.ints in
-              let deadline = env.deadline_ns in
-              let guarded = deadline <> Int64.max_int in
-              for x = lo to hi - 1 do
-                if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline
-                then cancelled ~kname;
-                Array.unsafe_set ints i x;
-                cbody env
-              done
-            end
-            else begin
-              (* Deterministic chunking: [want] contiguous chunks of the
-                 iteration space, regardless of how many domains the
-                 budget actually grants. Every chunk starts from a
-                 private copy of the pre-loop environment — scalars and
-                 slot tables are copied wholesale (so in-body
-                 Alloc/Realloc stay private), the annotated private and
-                 staged arrays are deep-copied, and everything else
-                 shares storage: inputs are read-only and non-staged
-                 output writes are disjoint across chunks. *)
-              let nchunks = min want total in
-              let bounds = Array.init (nchunks + 1) (fun k -> lo + (total * k / nchunks)) in
-              let c0 = match stage with None -> 0 | Some (ci, _, _) -> env.ints.(ci) in
-              let mk_penv () =
-                let p =
-                  {
-                    ints = Array.copy env.ints;
-                    floats = Array.copy env.floats;
-                    bools = Array.copy env.bools;
-                    iarr = Array.copy env.iarr;
-                    farr = Array.copy env.farr;
-                    barr = Array.copy env.barr;
-                    par_domains = 1;
-                    deadline_ns = env.deadline_ns;
-                  }
-                in
-                List.iter (copy_slot p) priv;
-                (match stage with
-                | None -> ()
-                | Some (_, arrs, pos) ->
-                    List.iter (copy_slot p) arrs;
-                    Option.iter (fun pi -> p.iarr.(pi) <- Array.copy p.iarr.(pi)) pos);
-                p
-              in
-              let penvs = Array.init nchunks (fun _ -> mk_penv ()) in
-              let run_chunk d =
-                Fault.hit ~stage:Diag.Execute "par.chunk";
-                let p = penvs.(d) in
-                let ints = p.ints in
-                let deadline = p.deadline_ns in
-                let guarded = deadline <> Int64.max_int in
-                for x = bounds.(d) to bounds.(d + 1) - 1 do
-                  if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline
-                  then cancelled ~kname;
-                  Array.unsafe_set ints i x;
-                  cbody p
+          let penvs = Array.init nchunks (fun _ -> mk_penv ()) in
+          let run_chunk d =
+            Fault.hit ~stage:Diag.Execute "par.chunk";
+            let p = penvs.(d) in
+            let ints = p.ints in
+            let deadline = p.deadline_ns in
+            let guarded = deadline <> Int64.max_int in
+            for x = bounds.(d) to bounds.(d + 1) - 1 do
+              if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline
+              then cancelled ~kname;
+              Array.unsafe_set ints i x;
+              cbody p
+            done
+          in
+          (* Chunks run on 1 + however many extra domains the budget
+             grants; chunk-to-domain placement cannot affect results
+             (each chunk is self-contained until the merge). *)
+          let extra = Budget.acquire (nchunks - 1) in
+          Fun.protect
+            ~finally:(fun () -> Budget.release extra)
+            (fun () ->
+              if extra = 0 then
+                for d = 0 to nchunks - 1 do
+                  run_chunk d
                 done
-              in
-              (* Chunks run on 1 + however many extra domains the budget
-                 grants; chunk-to-domain placement cannot affect results
-                 (each chunk is self-contained until the merge). *)
-              let extra = Budget.acquire (nchunks - 1) in
-              Fun.protect
-                ~finally:(fun () -> Budget.release extra)
-                (fun () ->
-                  if extra = 0 then
-                    for d = 0 to nchunks - 1 do
-                      run_chunk d
-                    done
+              else begin
+                let groups = extra + 1 in
+                let group g =
+                  let glo = nchunks * g / groups and ghi = nchunks * (g + 1) / groups in
+                  for d = glo to ghi - 1 do
+                    run_chunk d
+                  done
+                in
+                let workers =
+                  List.init extra (fun g -> Domain.spawn (fun () -> group (g + 1)))
+                in
+                (* Join every worker even when one raises: a chunk
+                   failure (watchdog, injected fault, bounds) must
+                   not leak live domains or skew the Budget pot.
+                   The first failure wins; ours takes precedence
+                   since it fired first in program order. *)
+                let own = (try group 0; None with e -> Some e) in
+                let failed =
+                  List.fold_left
+                    (fun acc w ->
+                      match (try Domain.join w; None with e -> Some e) with
+                      | Some _ as e when acc = None -> e
+                      | _ -> acc)
+                    own workers
+                in
+                Option.iter raise failed
+              end);
+          (* Merge, in chunk order. Stage concatenation first (it
+             reads the pre-loop arrays still referenced by [env]'s
+             own tables), then scalars and tables from the last
+             chunk (sequential semantics: the final environment is
+             the one the last iteration leaves behind). *)
+          let merged = ref [] in
+          let tot = ref c0 in
+          (match stage with
+          | None -> ()
+          | Some (ci, arrs, pos) ->
+              let counts = Array.init nchunks (fun d -> penvs.(d).ints.(ci) - c0) in
+              let bases = Array.make (nchunks + 1) c0 in
+              for d = 0 to nchunks - 1 do
+                bases.(d + 1) <- bases.(d) + counts.(d)
+              done;
+              tot := bases.(nchunks);
+              (* Concatenate a staged array: chunk [d] appended its
+                 entries at [c0..c0+counts d) of its private copy;
+                 they land at [bases d ..) of the merged array. The
+                 original pre-loop array still holds the [0, c0)
+                 prefix untouched (every chunk wrote only to its
+                 copy), so it can be reused when large enough. *)
+              let blit_segments ~get ~make si =
+                let orig = get env si in
+                let dst =
+                  if Array.length orig >= !tot then orig
                   else begin
-                    let groups = extra + 1 in
-                    let group g =
-                      let glo = nchunks * g / groups and ghi = nchunks * (g + 1) / groups in
-                      for d = glo to ghi - 1 do
-                        run_chunk d
-                      done
-                    in
-                    let workers =
-                      List.init extra (fun g -> Domain.spawn (fun () -> group (g + 1)))
-                    in
-                    (* Join every worker even when one raises: a chunk
-                       failure (watchdog, injected fault, bounds) must
-                       not leak live domains or skew the Budget pot.
-                       The first failure wins; ours takes precedence
-                       since it fired first in program order. *)
-                    let own = (try group 0; None with e -> Some e) in
-                    let failed =
-                      List.fold_left
-                        (fun acc w ->
-                          match (try Domain.join w; None with e -> Some e) with
-                          | Some _ as e when acc = None -> e
-                          | _ -> acc)
-                        own workers
-                    in
-                    Option.iter raise failed
-                  end);
-              (* Merge, in chunk order. Stage concatenation first (it
-                 reads the pre-loop arrays still referenced by [env]'s
-                 own tables), then scalars and tables from the last
-                 chunk (sequential semantics: the final environment is
-                 the one the last iteration leaves behind). *)
-              let merged = ref [] in
-              let tot = ref c0 in
-              (match stage with
-              | None -> ()
-              | Some (ci, arrs, pos) ->
-                  let counts = Array.init nchunks (fun d -> penvs.(d).ints.(ci) - c0) in
-                  let bases = Array.make (nchunks + 1) c0 in
-                  for d = 0 to nchunks - 1 do
-                    bases.(d + 1) <- bases.(d) + counts.(d)
-                  done;
-                  tot := bases.(nchunks);
-                  (* Concatenate a staged array: chunk [d] appended its
-                     entries at [c0..c0+counts d) of its private copy;
-                     they land at [bases d ..) of the merged array. The
-                     original pre-loop array still holds the [0, c0)
-                     prefix untouched (every chunk wrote only to its
-                     copy), so it can be reused when large enough. *)
-                  let blit_segments ~get ~make si =
-                    let orig = get env si in
-                    let dst =
-                      if Array.length orig >= !tot then orig
-                      else begin
-                        let grown = make (max !tot (2 * Array.length orig)) in
-                        Array.blit orig 0 grown 0 c0;
-                        grown
-                      end
-                    in
-                    for d = 0 to nchunks - 1 do
-                      if counts.(d) > 0 then
-                        Array.blit (get penvs.(d) si) c0 dst bases.(d) counts.(d)
-                    done;
-                    dst
-                  in
-                  List.iter
-                    (fun (t, si) ->
-                      match t with
-                      | Imp.Int ->
-                          let a =
-                            blit_segments ~get:(fun e k -> e.iarr.(k))
-                              ~make:(fun n -> Array.make n 0)
-                              si
-                          in
-                          merged := `I (si, a) :: !merged
-                      | Imp.Float ->
-                          let a =
-                            blit_segments ~get:(fun e k -> e.farr.(k))
-                              ~make:(fun n -> Array.make n 0.)
-                              si
-                          in
-                          merged := `F (si, a) :: !merged
-                      | Imp.Bool ->
-                          let a =
-                            blit_segments ~get:(fun e k -> e.barr.(k))
-                              ~make:(fun n -> Array.make n false)
-                              si
-                          in
-                          merged := `B (si, a) :: !merged)
-                    arrs;
-                  Option.iter
-                    (fun pi ->
-                      (* Each chunk closed its own rows' pos entries
-                         against its local counter (which started at
-                         [c0]); rebase them by the chunk's global start
-                         offset into the shared pre-loop array. *)
-                      let orig_pos = env.iarr.(pi) in
-                      for d = 0 to nchunks - 1 do
-                        let src = penvs.(d).iarr.(pi) in
-                        let delta = bases.(d) - c0 in
-                        for k = bounds.(d) + 1 to bounds.(d + 1) do
-                          orig_pos.(k) <- src.(k) + delta
-                        done
-                      done;
-                      merged := `I (pi, orig_pos) :: !merged)
-                    pos);
-              let last = penvs.(nchunks - 1) in
-              Array.blit last.ints 0 env.ints 0 (Array.length env.ints);
-              Array.blit last.floats 0 env.floats 0 (Array.length env.floats);
-              Array.blit last.bools 0 env.bools 0 (Array.length env.bools);
-              Array.blit last.iarr 0 env.iarr 0 (Array.length env.iarr);
-              Array.blit last.farr 0 env.farr 0 (Array.length env.farr);
-              Array.blit last.barr 0 env.barr 0 (Array.length env.barr);
+                    let grown = make (max !tot (2 * Array.length orig)) in
+                    Array.blit orig 0 grown 0 c0;
+                    grown
+                  end
+                in
+                for d = 0 to nchunks - 1 do
+                  if counts.(d) > 0 then
+                    Array.blit (get penvs.(d) si) c0 dst bases.(d) counts.(d)
+                done;
+                dst
+              in
               List.iter
-                (function
-                  | `I (k, a) -> env.iarr.(k) <- a
-                  | `F (k, a) -> env.farr.(k) <- a
-                  | `B (k, a) -> env.barr.(k) <- a)
-                !merged;
-              (match stage with
-              | None -> ()
-              | Some (ci, _, _) -> env.ints.(ci) <- !tot);
-              if Trace.active () then begin
-                Trace.add "exec.par.regions" 1;
-                Trace.add "exec.par.chunks" nchunks;
-                Trace.add "exec.par.domains" (extra + 1)
-              end
-            end)
-  | Imp.While (c, body) -> (
+                (fun (t, si) ->
+                  match t with
+                  | Imp.Int ->
+                      let a =
+                        blit_segments ~get:(fun e k -> e.iarr.(k))
+                          ~make:(fun n -> Array.make n 0)
+                          si
+                      in
+                      merged := `I (si, a) :: !merged
+                  | Imp.Float ->
+                      let a =
+                        blit_segments ~get:(fun e k -> e.farr.(k))
+                          ~make:(fun n -> Array.make n 0.)
+                          si
+                      in
+                      merged := `F (si, a) :: !merged
+                  | Imp.Bool ->
+                      let a =
+                        blit_segments ~get:(fun e k -> e.barr.(k))
+                          ~make:(fun n -> Array.make n false)
+                          si
+                      in
+                      merged := `B (si, a) :: !merged)
+                arrs;
+              Option.iter
+                (fun pi ->
+                  (* Each chunk closed its own rows' pos entries
+                     against its local counter (which started at
+                     [c0]); rebase them by the chunk's global start
+                     offset into the shared pre-loop array. *)
+                  let orig_pos = env.iarr.(pi) in
+                  for d = 0 to nchunks - 1 do
+                    let src = penvs.(d).iarr.(pi) in
+                    let delta = bases.(d) - c0 in
+                    for k = bounds.(d) + 1 to bounds.(d + 1) do
+                      orig_pos.(k) <- src.(k) + delta
+                    done
+                  done;
+                  merged := `I (pi, orig_pos) :: !merged)
+                pos);
+          let last = penvs.(nchunks - 1) in
+          Array.blit last.ints 0 env.ints 0 (Array.length env.ints);
+          Array.blit last.floats 0 env.floats 0 (Array.length env.floats);
+          Array.blit last.bools 0 env.bools 0 (Array.length env.bools);
+          Array.blit last.iarr 0 env.iarr 0 (Array.length env.iarr);
+          Array.blit last.farr 0 env.farr 0 (Array.length env.farr);
+          Array.blit last.barr 0 env.barr 0 (Array.length env.barr);
+          List.iter
+            (function
+              | `I (k, a) -> env.iarr.(k) <- a
+              | `F (k, a) -> env.farr.(k) <- a
+              | `B (k, a) -> env.barr.(k) <- a)
+            !merged;
+          (match stage with
+          | None -> ()
+          | Some (ci, _, _) -> env.ints.(ci) <- !tot);
+          if Trace.active () then begin
+            Trace.add "exec.par.regions" 1;
+            Trace.add "exec.par.chunks" nchunks;
+            Trace.add "exec.par.domains" (extra + 1)
+          end
+        end
+  | Imp.While (c, body) ->
       let cc = cbool ctx c in
       let bctx = { ctx with depth = ctx.depth + 1 } in
       let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
       let kname = ctx.kname in
       let guarded = ctx.depth = 0 in
-      match ctx.prof with
-      | None ->
-          fun env ->
-            if guarded && env.deadline_ns <> Int64.max_int then begin
-              let deadline = env.deadline_ns in
-              let n = ref 0 in
-              while cc env do
-                incr n;
-                if !n land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                  cancelled ~kname;
-                cbody env
-              done
-            end
-            else
-              while cc env do
-                cbody env
-              done
-      | Some st ->
-          fun env ->
-            let deadline = env.deadline_ns in
-            let guarded = guarded && deadline <> Int64.max_int in
-            let n = ref 0 in
-            while cc env do
-              st.p_iters <- st.p_iters + 1;
-              incr n;
-              if guarded && !n land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                cancelled ~kname;
-              cbody env
-            done)
+      fun env ->
+        if guarded && env.deadline_ns <> Int64.max_int then begin
+          let deadline = env.deadline_ns in
+          let n = ref 0 in
+          while cc env do
+            incr n;
+            if !n land watchdog_mask = 0 && Trace.now_ns () > deadline then
+              cancelled ~kname;
+            cbody env
+          done
+        end
+        else
+          while cc env do
+            cbody env
+          done
   | Imp.If (c, t, []) ->
       let cc = cbool ctx c in
       let ct = seq (Array.of_list (List.map (cstmt ctx) t)) in
@@ -1245,52 +1103,52 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
       let s = find_slot ctx v in
       if s.s_dtype <> Imp.Int || not s.s_array then terror "sort expects an int array";
       let i = s.s_index in
-      let clo = cint ctx lo and chi = cint ctx hi in
-      let checked = ctx.checked in
-      let check_range env arr lo hi =
-        if lo < 0 || hi < lo || hi > Array.length arr then
-          oob ~ctx ~var:v ~index:hi ~len:(Array.length arr);
-        ignore env
-      in
+      let clo = cint ctx lo and chi = cint ctx hi and kname = ctx.kname in
       fun env ->
         let arr = env.iarr.(i) in
         let lo = clo env and hi = chi env in
-        if checked then check_range env arr lo hi;
+        let len = Array.length arr in
+        (* [lo] must lie in [0, hi] and [hi] in [lo, len]; the
+           diagnostic names the bound that does not. *)
+        if lo < 0 || hi < lo then oob ~kname ~var:v ~index:lo ~len
+        else if hi > len then oob ~kname ~var:v ~index:hi ~len;
         sort_int_range arr lo hi
   | Imp.Comment _ -> fun _ -> ()
 
-let build ~checked ~profile ~backend k =
+(* [k] is the optimized kernel; a profiled compilation executes its
+   {!Taco_lower.Opt.profile} rewrite instead, on either backend, while
+   [c_kernel] stays [k]. *)
+let build ~profile ~backend k =
   match
-    let slots, counters = assign_slots k in
-    let prof = if profile then Some (fresh_prof ()) else None in
-    let ctx = { slots; checked; kname = k.Imp.k_name; prof; depth = 0 } in
-    let code = seq (Array.of_list (List.map (cstmt ctx) k.Imp.k_body)) in
-    (* The closures are always built: they are the checked/profiled
-       executors, the fallback when the native path degrades, and cheap
-       next to a gcc invocation. *)
+    let exec_k =
+      if not profile then k
+      else
+        match Taco_lower.Opt.profile k with
+        | Ok k' -> k'
+        | Error msg -> invalid_arg ("Compile.compile: profile " ^ msg)
+    in
+    let slots, counters = assign_slots exec_k in
+    let ctx = { slots; kname = k.Imp.k_name; depth = 0 } in
+    let code = seq (Array.of_list (List.map (cstmt ctx) exec_k.Imp.k_body)) in
+    (* The closures are always built: they are the fallback when the
+       native path degrades, and cheap next to a gcc invocation. *)
     let native, downgrade =
       match backend with
       | `Closure -> (None, None)
-      | `Native ->
-          if checked || profile then
-            (* Bounds checking and work profiling are closure-executor
-               instruments; a [`Native] request with either flag pins
-               the closures deliberately (documented, not a downgrade). *)
-            (None, None)
-          else begin
-            match Native.load k with
-            | Ok l -> (Some l, None)
-            | Error reason ->
-                Atomic.incr bs_downgrades;
-                Trace.add "exec.backend.downgrade" 1;
-                Trace.set_args [ ("backend_downgrade", reason) ];
-                (None, Some reason)
-          end
+      | `Native -> (
+          match Native.load exec_k with
+          | Ok l -> (Some l, None)
+          | Error reason ->
+              Atomic.incr bs_downgrades;
+              Trace.add "exec.backend.downgrade" 1;
+              Trace.set_args [ ("backend_downgrade", reason) ];
+              (None, Some reason))
     in
     {
       c_kernel = k;
-      c_checked = checked;
-      c_prof = prof;
+      c_prof =
+        (if profile then Some (Array.init Taco_lower.Opt.profile_slots (fun _ -> Atomic.make 0))
+         else None);
       c_requested = backend;
       c_native = native;
       c_downgrade = downgrade;
@@ -1312,9 +1170,9 @@ let build ~checked ~profile ~backend k =
 (*                                                                     *)
 (* Keyed by a digest of the kernel as lowered (before the optimizer)   *)
 (* plus every input that shapes the compiled result: the optimizer     *)
-(* config, the checked/profile flags and the backend tag with its      *)
-(* compiler id. A hit therefore skips the optimizer as well as closure *)
-(* compilation and cc. The digest is only a lookup key: each entry     *)
+(* config, the profile flag and the backend tag with its compiler id. *)
+(* A hit therefore skips the optimizer as well as closure compilation  *)
+(* and cc. The digest is only a lookup key: each entry                 *)
 (* keeps its source kernel and config, a hit compares them             *)
 (* structurally, and a mismatch (digest collision, or NaN literals     *)
 (* defeating structural equality) falls back to a fresh compile. Only  *)
@@ -1337,7 +1195,7 @@ type entry = { e_source : Imp.kernel; e_opt : Taco_lower.Opt.config; e_compiled 
 
 let kernels : entry Memo.t = Memo.create ~name:"compile" ~capacity:512
 
-let cache_key ~opt ~checked ~profile ~backend (k : Imp.kernel) =
+let cache_key ~opt ~profile ~backend (k : Imp.kernel) =
   (* The compiler string joins the key for native entries: a cached .so
      built by one TACO_CC must not be served when the variable changes
      (the downgraded form of a native entry is compiler-specific too —
@@ -1345,16 +1203,17 @@ let cache_key ~opt ~checked ~profile ~backend (k : Imp.kernel) =
   let btag =
     match backend with `Closure -> "closure" | `Native -> "native:" ^ Native.compiler_id ()
   in
-  Digest.string (Marshal.to_string (opt, checked, profile, btag, k) [])
+  Digest.string (Marshal.to_string (opt, profile, btag, k) [])
 
 let cache_stats () = Memo.stats kernels
 
 let cache_clear () = Memo.clear kernels
 
-let compile_inner ~checked ~profile ~opt ~cache ~backend k =
+let compile_inner ~profile ~opt ~cache ~backend k =
   (* Before the cache lookup, so an armed rule fires on hits too. *)
   Fault.hit ~stage:Diag.Compile "compile.build";
-  (* Optimize, then build: only ever run on a miss (or uncached). *)
+  (* Optimize, then build (instrumenting a profiled kernel): only ever
+     run on a miss (or uncached). *)
   let build_traced () =
     let k =
       match Taco_lower.Opt.optimize ~config:opt k with
@@ -1362,7 +1221,7 @@ let compile_inner ~checked ~profile ~opt ~cache ~backend k =
       | Error msg -> invalid_arg ("Compile.compile: optimizer " ^ msg)
     in
     Trace.with_span ~cat:"compile" ~args:[ ("kernel", k.Imp.k_name) ] "compile.build"
-      (fun () -> build ~checked ~profile ~backend k)
+      (fun () -> build ~profile ~backend k)
   in
   if not cache then build_traced ()
   else begin
@@ -1371,56 +1230,45 @@ let compile_inner ~checked ~profile ~opt ~cache ~backend k =
        native build, the cc invocation. *)
     let valid e =
       let c = e.e_compiled in
-      c.c_checked = checked
-      && c.c_prof <> None = profile
+      c.c_prof <> None = profile
       && c.c_requested = backend
       && e.e_opt = opt
       && e.e_source = k
     in
-    let key = cache_key ~opt ~checked ~profile ~backend k in
+    let key = cache_key ~opt ~profile ~backend k in
     (Memo.find_or_build ~valid kernels key (fun () ->
          { e_source = k; e_opt = opt; e_compiled = build_traced () }))
       .e_compiled
   end
 
-let compile ?(checked = false) ?(profile = false) ?(opt = Taco_lower.Opt.all) ?(cache = true)
+let compile ?(profile = false) ?(opt = Taco_lower.Opt.all) ?(cache = true)
     ?(backend = `Closure) k =
   Trace.with_span ~cat:"compile" ~args:[ ("kernel", k.Imp.k_name) ] "compile" (fun () ->
-      compile_inner ~checked ~profile ~opt ~cache ~backend k)
+      compile_inner ~profile ~opt ~cache ~backend k)
 
-let compile_res ?checked ?profile ?opt ?cache ?backend k =
-  match compile ?checked ?profile ?opt ?cache ?backend k with
+let compile_res ?profile ?opt ?cache ?backend k =
+  match compile ?profile ?opt ?cache ?backend k with
   | c -> Ok c
   | exception Invalid_argument msg ->
       Diag.error ~stage:Diag.Compile ~code:"E_COMPILE_TYPE"
         ~context:[ ("kernel", k.Imp.k_name) ]
         "%s" msg
 
-let profile_stats c =
-  Option.map
-    (fun p ->
-      {
-        iterations = p.p_iters;
-        scalar_ops = p.p_scalar_ops;
-        allocs = p.p_allocs;
-        alloc_elems = p.p_alloc_elems;
-        zero_bytes = 8 * p.p_zero_elems;
-        reallocs = p.p_reallocs;
-        sorts = p.p_sorts;
-      })
-    c.c_prof
+(* Counters in [Opt.profile] slot order. *)
+let stats_of (n : int array) =
+  {
+    iterations = n.(0);
+    scalar_ops = n.(1);
+    allocs = n.(2);
+    alloc_elems = n.(3);
+    zero_bytes = 8 * n.(4);
+    reallocs = n.(5);
+    sorts = n.(6);
+  }
 
-let profile_reset c =
-  match c.c_prof with
-  | None -> ()
-  | Some p ->
-      p.p_iters <- 0;
-      p.p_scalar_ops <- 0;
-      p.p_allocs <- 0;
-      p.p_alloc_elems <- 0;
-      p.p_zero_elems <- 0;
-      p.p_reallocs <- 0;
-      p.p_sorts <- 0
+let profile_stats c = Option.map (fun acc -> stats_of (Array.map Atomic.get acc)) c.c_prof
+
+let profile_reset c = Option.iter (Array.iter (fun a -> Atomic.set a 0)) c.c_prof
 
 let empty_int_array : int array = [||]
 
@@ -1657,47 +1505,63 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
         | None ->
             if Option.is_some (allocated_slot c name) then not_read_back name else lookup name
 
+(* A profiled run also reads back its counter array, adds it into the
+   kernel's accumulator and returns it beside the reader. *)
 let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) ?read c ~args =
-  match c.c_native with
-  | Some l ->
-      (* [domains] is a closure-chunking knob; the native path hands
-         parallel loops to OpenMP, whose thread count is the runtime's
-         business. Results are bit-identical either way. *)
-      Atomic.incr bs_native_runs;
-      run_native c l ~deadline_ns ~read ~args
-  | None ->
-      Atomic.incr bs_closure_runs;
-      run_closure ~domains ~deadline_ns ~read c ~args
+  let counters = Taco_lower.Opt.profile_counters in
+  let read =
+    match (c.c_prof, read) with
+    | Some _, Some r -> Some ((counters, Len Taco_lower.Opt.profile_slots) :: r)
+    | _ -> read
+  in
+  let reader =
+    match c.c_native with
+    | Some l ->
+        (* [domains] is a closure-chunking knob; the native path hands
+           parallel loops to OpenMP, whose thread count is the runtime's
+           business. Results are bit-identical either way. *)
+        Atomic.incr bs_native_runs;
+        run_native c l ~deadline_ns ~read ~args
+    | None ->
+        Atomic.incr bs_closure_runs;
+        run_closure ~domains ~deadline_ns ~read c ~args
+  in
+  let counts =
+    Option.map
+      (fun acc ->
+        match reader counters with
+        | Aint_array n ->
+            Array.iteri (fun i a -> ignore (Atomic.fetch_and_add a n.(i) : int)) acc;
+            n
+        | _ -> assert false)
+      c.c_prof
+  in
+  (reader, counts)
 
 let run ?domains ?deadline_ns ?read c ~args =
-  if not (Trace.active ()) then run_plain ?domains ?deadline_ns ?read c ~args
+  if not (Trace.active ()) then fst (run_plain ?domains ?deadline_ns ?read c ~args)
   else
-    let before = profile_stats c in
     Trace.with_span ~cat:"exec"
       ~args:[ ("kernel", c.c_kernel.Imp.k_name) ]
       "exec.run"
       (fun () ->
-        let reader = run_plain ?domains ?deadline_ns ?read c ~args in
-        (match (before, profile_stats c) with
-        | Some b, Some a ->
-            let d f = f a - f b in
-            let iters = d (fun s -> s.iterations) in
-            let sops = d (fun s -> s.scalar_ops) in
-            let allocs = d (fun s -> s.allocs) in
-            let zbytes = d (fun s -> s.zero_bytes) in
+        let reader, counts = run_plain ?domains ?deadline_ns ?read c ~args in
+        Option.iter
+          (fun n ->
+            let s = stats_of n in
             Trace.set_args
               [
-                ("iterations", string_of_int iters);
-                ("scalar_ops", string_of_int sops);
-                ("allocs", string_of_int allocs);
-                ("alloc_elems", string_of_int (d (fun s -> s.alloc_elems)));
-                ("zero_bytes", string_of_int zbytes);
-                ("reallocs", string_of_int (d (fun s -> s.reallocs)));
-                ("sorts", string_of_int (d (fun s -> s.sorts)));
+                ("iterations", string_of_int s.iterations);
+                ("scalar_ops", string_of_int s.scalar_ops);
+                ("allocs", string_of_int s.allocs);
+                ("alloc_elems", string_of_int s.alloc_elems);
+                ("zero_bytes", string_of_int s.zero_bytes);
+                ("reallocs", string_of_int s.reallocs);
+                ("sorts", string_of_int s.sorts);
               ];
-            Trace.add "exec.iterations" iters;
-            Trace.add "exec.scalar_ops" sops;
-            Trace.add "exec.allocs" allocs;
-            Trace.add "exec.zero_bytes" zbytes
-        | _ -> ());
+            Trace.add "exec.iterations" s.iterations;
+            Trace.add "exec.scalar_ops" s.scalar_ops;
+            Trace.add "exec.allocs" s.allocs;
+            Trace.add "exec.zero_bytes" s.zero_bytes)
+          counts;
         reader)

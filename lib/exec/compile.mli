@@ -1,9 +1,11 @@
 (** Executing imperative IR kernels.
 
-    The paper compiles emitted C with a system compiler; in this sealed
-    reproduction the imperative IR is instead compiled to OCaml closures
-    over a slot-based environment (variable names resolve to array slots
-    at compile time, so no hashing happens in loops). All benchmarked
+    The paper compiles emitted C with a system compiler. Here the
+    imperative IR compiles either to C ({!backend} [`Native]) or to
+    OCaml closures over a slot-based environment (variable names
+    resolve to array slots at compile time, so no hashing happens in
+    loops). There is one closure executor: every array load, store,
+    memset, fill and sort in it is bounds-checked. All benchmarked
     variants — generated and hand-written baselines — run through this
     same executor, so relative comparisons are apples-to-apples. *)
 
@@ -35,9 +37,9 @@ type extent = Len of int | Len_at of string * int
     downgrade is counted in {!backend_stats}, traced as an
     ["exec.backend.downgrade"] counter, and its reason is kept on the
     compiled kernel ({!downgrade_reason}) — it is never a client error.
-    [~checked] and [~profile] also pin execution to closures (the native
-    code carries neither bounds checks nor profiling counters); that
-    deliberate narrowing is not counted as a downgrade. *)
+    A [~profile:true] kernel builds natively like any other: the
+    counters are ordinary IR ({!Taco_lower.Opt.profile}). The native
+    code has no bounds checks; the closures do. *)
 type backend = [ `Closure | `Native ]
 
 (** Process-wide per-backend counters. *)
@@ -85,7 +87,7 @@ val promote : compiled -> unit
     With [~cache:true] (the default) compiled kernels are memoized in a
     process-wide table keyed by the structure of the kernel {e as
     passed in} (before the optimizer), the [opt] config, the
-    [checked]/[profile] flags and the requested [backend] (including
+    [profile] flag and the requested [backend] (including
     the resolved compiler for [`Native], so changing [TACO_CC] never
     serves a stale entry). Recompiling an identical kernel returns the
     cached executable without running the optimizer again: the
@@ -96,23 +98,23 @@ val promote : compiled -> unit
     single-flight discipline: one optimizer run and one [cc]
     invocation per distinct key, however many domains race for it.
 
-    With [~checked:true] the compiled closures bounds-check every array
-    load, store and memset; a violation raises
-    [Taco_support.Diag.Error] whose diagnostic names the kernel, the
-    array variable, the offending index and the array length (stage
-    [Execute], code [E_EXEC_BOUNDS]). Unchecked closures still get
-    OCaml's own array bounds safety, but failures surface as a bare
-    [Invalid_argument] with no kernel context.
+    The closures bounds-check every array load, store, memset, fill
+    and sort range; a violation raises [Taco_support.Diag.Error] whose
+    diagnostic names the kernel, the array variable, the offending
+    index (for a sort, the bound out of range) and the array length
+    (stage [Execute], code [E_EXEC_BOUNDS]).
 
-    With [~profile:true] the compiled closures additionally count the
-    work they do (loop iterations, scalar ops, workspace allocations,
-    zeroed bytes — see {!run_stats}); counters accumulate across runs
-    until {!profile_reset}. Profiled and unprofiled compilations of the
-    same kernel are distinct cache entries. The default [profile:false]
-    compiles exactly the closures it always did — profiling costs
-    nothing unless requested. *)
+    With [~profile:true] the optimized kernel is rewritten by
+    {!Taco_lower.Opt.profile} to also count the work it does (loop
+    iterations, scalar ops, workspace allocations, zeroed bytes — see
+    {!run_stats}) into an array it allocates; each run reads that array
+    back and adds it to the compiled kernel's counters, which
+    accumulate until {!profile_reset}. Both backends run the same
+    instrumented kernel, so their counts are equal. Profiled and
+    unprofiled compilations of the same kernel are distinct cache
+    entries; the default [profile:false] compiles the kernel
+    uninstrumented. *)
 val compile :
-  ?checked:bool ->
   ?profile:bool ->
   ?opt:Taco_lower.Opt.config ->
   ?cache:bool ->
@@ -123,7 +125,6 @@ val compile :
 (** Like {!compile}, reporting malformed IR as a [Diag.t] result (stage
     [Compile], code [E_COMPILE_TYPE]). *)
 val compile_res :
-  ?checked:bool ->
   ?profile:bool ->
   ?opt:Taco_lower.Opt.config ->
   ?cache:bool ->
@@ -131,17 +132,20 @@ val compile_res :
   Taco_lower.Imp.kernel ->
   (compiled, Taco_support.Diag.t) result
 
-(** The kernel as compiled — i.e. after optimization. *)
+(** The kernel as compiled — i.e. after optimization (and without the
+    profiling instrumentation of a [~profile:true] compile). *)
 val kernel : compiled -> Taco_lower.Imp.kernel
 
 (** {2 Runtime profiling}
 
-    Executor work counters, gathered only by kernels compiled with
-    [~profile:true]. Counters accumulate across {!run}s of the same
-    compiled kernel; snapshot before/after a run (or {!profile_reset}
-    in between) for per-run numbers. When tracing is enabled, {!run}
-    wraps execution in an ["exec.run"] span carrying the per-run deltas
-    and folds them into trace counters. *)
+    Work counters, gathered only by kernels compiled with
+    [~profile:true], on either backend. Counters accumulate across
+    successful {!run}s of the same compiled kernel (a failed run adds
+    nothing); snapshot before/after a run (or {!profile_reset} in
+    between) for per-run numbers. A native run counts in C [int32_t],
+    so one run's count of each kind must stay below 2{^31}. When
+    tracing is enabled, {!run} wraps execution in an ["exec.run"] span
+    carrying the per-run counts and folds them into trace counters. *)
 
 type run_stats = {
   iterations : int;  (** Loop iterations executed (for + while). *)
@@ -167,9 +171,8 @@ val profile_reset : compiled -> unit
     concurrently request the same (not yet cached) key, exactly one
     optimizes and builds it while the rest block and then take the
     cached result. [misses] therefore counts actual builds: each
-    distinct key (lowered kernel, [opt], [checked], [profile],
-    backend) compiles exactly once per process however many domains
-    race for it. *)
+    distinct key (lowered kernel, [opt], [profile], backend) compiles
+    exactly once per process however many domains race for it. *)
 
 type cache_stats = Taco_support.Memo.stats = {
   hits : int;  (** Lookups served from the table, with no optimizer run. *)
@@ -185,9 +188,6 @@ val cache_stats : unit -> cache_stats
 
 val cache_clear : unit -> unit
 
-(** Was the kernel compiled with [~checked:true]? *)
-val is_checked : compiled -> bool
-
 (** [run compiled ~args] binds parameters by name and executes. Returns a
     reader for variables left in the environment (used to retrieve arrays
     the kernel allocated, e.g. assembled indices). Missing or ill-typed
@@ -201,8 +201,9 @@ val is_checked : compiled -> bool
     count fixes the merge, while how many OCaml domains actually run
     chunks is decided per region by {!Budget.acquire} (degrading to the
     calling domain when the pot is empty). Kernels compiled with
-    [~profile:true] execute parallel regions sequentially (the shared
-    profile counters would race), again with identical results.
+    [~profile:true] have no parallel regions left
+    ({!Taco_lower.Opt.profile} turns them into sequential loops), again
+    with identical results.
 
     [?deadline_ns] arms the cooperative watchdog: outermost loops (and
     every ParallelFor chunk) compare the {!Taco_support.Trace.now_ns}

@@ -6,8 +6,8 @@ module Lower = Taco_lower.Lower
 
 type t = { info : Taco_lower.Lower.kernel_info; compiled : Compile.compiled }
 
-let prepare ?checked ?profile ?opt ?backend info =
-  { info; compiled = Compile.compile ?checked ?profile ?opt ?backend info.Lower.kernel }
+let prepare ?profile ?opt ?backend info =
+  { info; compiled = Compile.compile ?profile ?opt ?backend info.Lower.kernel }
 
 let info t = t.info
 

@@ -7,15 +7,13 @@ module Tensor = Taco_tensor.Tensor
 
 type t
 
-(** Compile a lowered kernel once; it can be run many times. [checked]
-    enables the bounds-checked execution mode of {!Compile.compile};
-    [profile] its runtime work counters (see {!Compile.run_stats});
+(** Compile a lowered kernel once; it can be run many times.
+    [profile] adds runtime work counters (see {!Compile.run_stats});
     [opt] selects the optimizer passes applied first (default: all);
     [backend] the executor ([`Closure] default, [`Native] compiles the
     emitted C to a shared object, downgrading to closures when no
     compiler is available — see {!Compile.backend}). *)
 val prepare :
-  ?checked:bool ->
   ?profile:bool ->
   ?opt:Taco_lower.Opt.config ->
   ?backend:Compile.backend ->

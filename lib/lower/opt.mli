@@ -15,8 +15,8 @@
     applies identities (like [x +. 0.0]) that can change a sign bit.
     The only tolerated observable difference is that a rewrite may drop
     or move a pure expression whose evaluation would have faulted a
-    bounds check in [~checked] mode; values produced by successful runs
-    are bit-identical. {!Imp.validate} brackets the pipeline (run before
+    bounds check; values produced by successful runs are
+    bit-identical. {!Imp.validate} brackets the pipeline (run before
     the first pass and after every pass), mirroring how [Cin.validate]
     brackets scheduling transforms. *)
 
@@ -95,3 +95,27 @@ val optimize_stats :
 
 (** {!optimize}, raising [Invalid_argument] on error. *)
 val optimize_exn : ?config:config -> Imp.kernel -> Imp.kernel
+
+(** {2 Profiling instrumentation} *)
+
+(** Name of the int array {!profile} adds to a kernel. *)
+val profile_counters : string
+
+(** Length of that array: one counter per {!Taco_exec.Compile.run_stats}
+    field, in field order — loop iterations, scalar ops, allocations,
+    allocated elements, zeroed elements, reallocations, sorts. *)
+val profile_slots : int
+
+(** Rewrite a kernel into one that also counts the work it does into
+    {!profile_counters}, which its first statement allocates (zeroed):
+    a [For] adds [max 0 (hi - lo)] iterations and a [While] one per
+    trip; each [Decl]/[Assign]/[Store]/[Store_add]/[Store_reduce] is a
+    scalar op; an [Alloc] of [n] counts one allocation and [max 1 n]
+    allocated and zeroed elements; a [Memset]/[Fill] of [n] zeroes
+    [max 0 n]; [Realloc] and [Sort] count one each. The added
+    statements count nothing. [ParallelFor] becomes [For], so counting
+    never races; results stay bit-identical by the parallel
+    determinism contract. {!Imp.validate} runs before and after;
+    [Error] when either fails or the kernel already uses the name
+    {!profile_counters}. *)
+val profile : Imp.kernel -> (Imp.kernel, string) result

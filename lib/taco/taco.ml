@@ -55,8 +55,8 @@ let default_mode stmt =
       Lower.Assemble { emit_values = true; sorted = true }
   | Some _ | None -> Lower.Compute
 
-let prepare_res ?checked ?profile ?opt ?backend info =
-  match Kernel.prepare ?checked ?profile ?opt ?backend info with
+let prepare_res ?profile ?opt ?backend info =
+  match Kernel.prepare ?profile ?opt ?backend info with
   | kern -> Ok kern
   | exception Invalid_argument msg ->
       Diag.error ~stage:Diag.Compile ~code:"E_COMPILE_TYPE"
@@ -78,8 +78,7 @@ let parallelize v sched =
         ~context:[ ("index", Index_var.name v) ]
         "%s" msg
 
-let compile ?(name = "kernel") ?mode ?splits ?semiring ?checked ?profile ?opt ?backend sched
-    =
+let compile ?(name = "kernel") ?mode ?splits ?semiring ?profile ?opt ?backend sched =
   let stmt = Schedule.stmt sched in
   let mode = match mode with Some m -> m | None -> default_mode stmt in
   match
@@ -90,7 +89,7 @@ let compile ?(name = "kernel") ?mode ?splits ?semiring ?checked ?profile ?opt ?b
         ~code:(if par_illegal msg then "E_PAR_ILLEGAL" else "E_LOWER")
         "%s" msg
   | Ok info -> (
-      match prepare_res ?checked ?profile ?opt ?backend info with
+      match prepare_res ?profile ?opt ?backend info with
       | Error e -> Error e
       | Ok kern -> Ok { sched; kern })
 
@@ -189,8 +188,8 @@ let infer_result_dims stmt ~inputs =
                index variable indexes no input)"))
 
 (* Execution errors surface three ways: [Invalid_argument] for binding
-   arity/format/type mismatches, [Diag.Error] from the bounds-checked
-   execution mode, and plain dimension-inference failures. *)
+   arity/format/type mismatches, [Diag.Error] from the executors (bounds,
+   budget, deadline), and plain dimension-inference failures. *)
 let exec_ctx c = [ ("kernel", (Kernel.info c.kern).Lower.kernel.Imp.k_name) ]
 
 let run_exec c f =
@@ -277,7 +276,7 @@ let emit_plan_event plan (explain : Autoschedule.explain) =
     Events.emit "plan.chosen" fields
   end
 
-let auto_compile_explained ?(name = "kernel") ?mode ?semiring ?checked ?profile ?opt
+let auto_compile_explained ?(name = "kernel") ?mode ?semiring ?profile ?opt
     ?backend ?stats sched =
   let stmt = Schedule.stmt sched in
   let mode = match mode with Some m -> m | None -> default_mode stmt in
@@ -318,15 +317,15 @@ let auto_compile_explained ?(name = "kernel") ?mode ?semiring ?checked ?profile 
       with
       | Error e -> Error e
       | Ok info -> (
-          match prepare_res ?checked ?profile ?opt ?backend info with
+          match prepare_res ?profile ?opt ?backend info with
           | Error e -> Error e
           | Ok kern ->
               Ok ({ sched = sched'; kern }, plan.Autoschedule.p_steps, explain)))
 
-let auto_compile ?name ?mode ?semiring ?checked ?profile ?opt ?backend sched =
+let auto_compile ?name ?mode ?semiring ?profile ?opt ?backend sched =
   Result.map
     (fun (c, steps, _explain) -> (c, steps))
-    (auto_compile_explained ?name ?mode ?semiring ?checked ?profile ?opt ?backend sched)
+    (auto_compile_explained ?name ?mode ?semiring ?profile ?opt ?backend sched)
 
 let concretize_res stmt =
   Diag.of_msg ~stage:Diag.Concretize ~code:"E_CONCRETIZE"

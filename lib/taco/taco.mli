@@ -61,29 +61,27 @@ val workspace : string -> Format.t -> Tensor_var.t
 (** A compiled statement: a prepared kernel plus its schedule. *)
 type compiled
 
-(** [compile ?name ?mode ?splits ?checked sched] lowers and compiles.
+(** [compile ?name ?mode ?splits sched] lowers and compiles.
     Default mode: fused assemble-and-compute for compressed results
     (sorted), compute for dense results. [splits] strip-mines dense loops
-    (see {!Lower.lower}). [checked] compiles in the bounds-checked
-    execution mode: every array access is verified and violations are
-    reported as stage-[Execute] diagnostics naming the kernel, variable
-    and index. [opt] selects the {!Opt} passes applied to the lowered
-    kernel (default: all); [profile] compiles in the counter-gathering
-    execution mode (see {!Compile.run_stats}). [backend] selects the
-    executor: [`Closure] (default) or [`Native], which compiles the
-    emitted C to a shared object and downgrades to closures — counted,
-    never an error — when no C compiler is available (see
-    {!Compile.backend}). [semiring] (default (+, ×)) reinterprets the
-    statement's operators over another semiring — min-plus, max-times or
-    boolean or-and (see {!Lower.lower}). Failures are stage-tagged
-    diagnostics ([Lower] for lowering rejections, [Compile] for kernel
-    compilation). *)
+    (see {!Lower.lower}). [opt] selects the {!Opt} passes applied to the
+    lowered kernel (default: all); [profile] adds work counters on
+    either backend (see {!Compile.run_stats}). The closure executor
+    bounds-checks every array access and reports a violation as a
+    stage-[Execute] diagnostic naming the kernel, variable and index.
+    [backend] selects the executor: [`Closure] (default) or [`Native],
+    which compiles the emitted C to a shared object and downgrades to
+    closures — counted, never an error — when no C compiler is
+    available (see {!Compile.backend}). [semiring] (default (+, ×))
+    reinterprets the statement's operators over another semiring —
+    min-plus, max-times or boolean or-and (see {!Lower.lower}).
+    Failures are stage-tagged diagnostics ([Lower] for lowering
+    rejections, [Compile] for kernel compilation). *)
 val compile :
   ?name:string ->
   ?mode:Lower.mode ->
   ?splits:(Index_var.t * int) list ->
   ?semiring:Semiring.t ->
-  ?checked:bool ->
   ?profile:bool ->
   ?opt:Opt.config ->
   ?backend:Compile.backend ->
@@ -158,7 +156,6 @@ val auto_compile :
   ?name:string ->
   ?mode:Lower.mode ->
   ?semiring:Semiring.t ->
-  ?checked:bool ->
   ?profile:bool ->
   ?opt:Opt.config ->
   ?backend:Compile.backend ->
@@ -180,7 +177,6 @@ val auto_compile_explained :
   ?name:string ->
   ?mode:Lower.mode ->
   ?semiring:Semiring.t ->
-  ?checked:bool ->
   ?profile:bool ->
   ?opt:Opt.config ->
   ?backend:Compile.backend ->

@@ -263,16 +263,15 @@ let test_workspace_precondition () =
       Alcotest.(check bool) "mentions the failure" true (String.length e > 0)
 
 let test_checked_bounds () =
-  (* Compile a dense copy kernel in checked mode, then lie about the
-     dimension so the loop runs past the arrays: the checked executor
-     must raise a bounds diagnostic naming kernel, variable and index. *)
+  (* Compile a dense copy kernel, then lie about the dimension so the
+     loop runs past the arrays: the closure executor must raise a
+     bounds diagnostic naming kernel, variable and index. *)
   let x = Tensor_var.make "x" ~order:1 ~format:F.dense_vector in
   let b = Tensor_var.make "b" ~order:1 ~format:F.dense_vector in
   let stmt = I.assign x [ vi ] (I.access b [ vi ]) in
   let cin = Helpers.get (Taco_ir.Concretize.run stmt) in
   let info = Helpers.get (Lower.lower ~name:"copy" ~mode:Lower.Compute cin) in
-  let k = Compile.compile ~checked:true info.Lower.kernel in
-  Alcotest.(check bool) "compiled checked" true (Compile.is_checked k);
+  let k = Compile.compile info.Lower.kernel in
   let args =
     [
       (Lower.dimension_var x 0, Compile.Aint 5);
@@ -290,14 +289,30 @@ let test_checked_bounds () =
       Alcotest.(check string) "length" "3" (context_value "bounds" "length" d);
       Alcotest.(check string) "index" "3" (context_value "bounds" "index" d)
 
-let test_unchecked_by_default () =
-  let x = Tensor_var.make "x" ~order:1 ~format:F.dense_vector in
-  let b = Tensor_var.make "b" ~order:1 ~format:F.dense_vector in
-  let stmt = I.assign x [ vi ] (I.access b [ vi ]) in
-  let cin = Helpers.get (Taco_ir.Concretize.run stmt) in
-  let info = Helpers.get (Lower.lower ~name:"copy" ~mode:Lower.Compute cin) in
-  Alcotest.(check bool) "default is unchecked" false
-    (Compile.is_checked (Compile.compile info.Lower.kernel))
+let test_sort_range_bounds () =
+  (* A Sort whose range leaves its 4-element array: the default compile
+     must reject it before sorting, naming the bound that is out of
+     range. *)
+  let module Imp = Taco_lower.Imp in
+  let sort lo hi =
+    {
+      Imp.k_name = "sort_range";
+      k_params = [];
+      k_body =
+        [ Imp.Alloc (Imp.Int, "a", Imp.Int_lit 4); Imp.Sort ("a", Imp.Int_lit lo, Imp.Int_lit hi) ];
+    }
+  in
+  List.iter
+    (fun (what, lo, hi, index) ->
+      match Compile.run (Compile.compile (sort lo hi)) ~args:[] with
+      | (_ : string -> Compile.arg) -> Alcotest.fail (what ^ ": out-of-range sort not caught")
+      | exception Diag.Error d ->
+          Alcotest.(check string) (what ^ ": code") "E_EXEC_BOUNDS" d.Diag.code;
+          Alcotest.(check string) (what ^ ": kernel") "sort_range" (context_value what "kernel" d);
+          Alcotest.(check string) (what ^ ": variable") "a" (context_value what "variable" d);
+          Alcotest.(check string) (what ^ ": length") "4" (context_value what "length" d);
+          Alcotest.(check string) (what ^ ": index") index (context_value what "index" d))
+    [ ("hi past the end", 0, 6, "6"); ("lo below zero", -1, 2, "-1"); ("hi below lo", 3, 1, "3") ]
 
 let test_compile_res_ill_typed () =
   (* A hand-built kernel with a type error: compile_res reports it as a
@@ -362,7 +377,7 @@ let () =
             test_scatter_without_workspace_is_lower_error;
           Alcotest.test_case "workspace precondition" `Quick test_workspace_precondition;
           Alcotest.test_case "checked bounds" `Quick test_checked_bounds;
-          Alcotest.test_case "unchecked by default" `Quick test_unchecked_by_default;
+          Alcotest.test_case "sort range bounds" `Quick test_sort_range_bounds;
           Alcotest.test_case "ill-typed kernel" `Quick test_compile_res_ill_typed;
           Alcotest.test_case "diagnostic rendering" `Quick test_diag_to_string;
         ] );

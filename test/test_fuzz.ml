@@ -222,6 +222,9 @@ let fault_injected = ref 0
 
 let fault_survived = ref 0
 
+(* Profile-leg runs of a profiled kernel on a native shared object. *)
+let prof_native_ran = ref 0
+
 (* Instances whose cost-search leg ran end to end. *)
 let cost_ran = ref 0
 
@@ -273,14 +276,15 @@ let run_one sc =
               | Error _ -> sched))
     | _ -> sched
   in
-  (* Compile bounds-checked; fall back to the autoscheduler when plain
-     lowering rejects the schedule (e.g. scatter into a sparse result).
-     Compiled twice — optimized (the default) and with every optimizer
-     pass disabled — for the differential leg below. *)
-  let compile_with opt =
-    match Taco.compile ~checked:true ~opt sched with
+  (* Compile (the closures bounds-check every access); fall back to the
+     autoscheduler when plain lowering rejects the schedule (e.g.
+     scatter into a sparse result). Compiled twice — optimized (the
+     default) and with every optimizer pass disabled — for the
+     differential leg below. *)
+  let compile_with ?profile ?backend opt =
+    match Taco.compile ?profile ?backend ~opt sched with
     | Ok c -> Ok c
-    | Error _ -> Result.map fst (Taco.auto_compile ~checked:true ~opt sched)
+    | Error _ -> Result.map fst (Taco.auto_compile ?profile ?backend ~opt sched)
   in
   match (compile_with Taco.Opt.all, compile_with Taco.Opt.none) with
   | Error d, _ ->
@@ -330,8 +334,7 @@ let run_one sc =
              downgrade (no compiler, or a structurally unsupported
              kernel) falls back to closures and the comparison is
              trivially satisfied; only genuine native runs count
-             towards coverage. Compiled without [~checked] — checked
-             kernels deliberately pin to the closure executor. *)
+             towards coverage. *)
           (if Taco_exec.Native.available () then
              let ncompile () =
                match Taco.compile ~backend:`Native sched with
@@ -361,6 +364,39 @@ let run_one sc =
                                "native backend changed result bits at %d (%h vs %h) on %s"
                                idx x b_opt.(idx) (Cin.to_string plain))
                          nb));
+          (* Profile leg: a profiled kernel keeps the optimized bits,
+             and its counters are the same on the closures at one and
+             at four domains and on the native backend. The native
+             comparison runs on even seeds only: each one is an extra
+             cc run, and half the instances is ample coverage. *)
+          let profile_leg what compile =
+            let counts backend domains =
+              match compile backend with
+              | Error d -> failf "profiled %s compile rejected: %s" what (Diag.to_string d)
+              | Ok pc -> (
+                  let k = Taco.kernel pc in
+                  Taco_exec.Kernel.profile_reset k;
+                  match Taco.run ~domains pc ~inputs with
+                  | Error d -> failf "profiled %s run failed: %s" what (Diag.to_string d)
+                  | Ok r ->
+                      let rb = D.buffer (T.to_dense r) in
+                      let same x y = Int64.bits_of_float x = Int64.bits_of_float y in
+                      if Array.length rb <> Array.length b_opt || not (Array.for_all2 same rb b_opt)
+                      then
+                        failf "profiling changed %s result bits on %s" what (Cin.to_string plain);
+                      if Taco.backend_of pc = `Native then incr prof_native_ran;
+                      Taco_exec.Kernel.profile_stats k)
+            in
+            let base = counts `Closure 1 in
+            if base = None then failf "profiled %s kernel reports no counters" what;
+            if counts `Closure 4 <> base then
+              failf "profile counters of %s differ at 4 domains on %s" what (Cin.to_string plain);
+            if sc.seed land 1 = 0 && Taco_exec.Native.available () && counts `Native 1 <> base
+            then
+              failf "profile counters of %s differ natively on %s" what (Cin.to_string plain)
+          in
+          profile_leg "sequential" (fun backend ->
+              compile_with ~profile:true ~backend Taco.Opt.all);
           (* Parallel differential leg: when the outermost loop accepts
              the parallelize directive, the chunked executor must
              reproduce the sequential result bit for bit — optimized and
@@ -373,7 +409,7 @@ let run_one sc =
               | Error _ -> ()
               | Ok ps -> (
                   let pcompile opt =
-                    match Taco.compile ~checked:true ~opt ps with
+                    match Taco.compile ~opt ps with
                     | Ok pc -> Some pc
                     | Error d when d.Diag.code = "E_PAR_ILLEGAL" -> None
                     | Error d ->
@@ -403,7 +439,9 @@ let run_one sc =
                   | Some pc, Some pc_unopt ->
                       incr par_ran;
                       check_par "optimized" pc;
-                      check_par "unoptimized" pc_unopt
+                      check_par "unoptimized" pc_unopt;
+                      profile_leg "parallelized" (fun backend ->
+                          Taco.compile ~profile:true ~backend ps)
                   | None, None -> ()
                   | Some _, None | None, Some _ ->
                       failf "the optimizer changed parallelizability on %s"
@@ -465,7 +503,7 @@ let run_one sc =
                  (fun (tv, t) -> (Tensor_var.name tv, Taco.Stats.of_tensor t))
                  inputs
              in
-             let explained () = Taco.auto_compile_explained ~checked:true ~stats sched in
+             let explained () = Taco.auto_compile_explained ~stats sched in
              match (explained (), explained ()) with
              | Error d, _ ->
                  if not (acceptable_reject d) then
@@ -1012,9 +1050,14 @@ let test_coverage () =
   Printf.printf
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
-     semiring leg: %d ran, %d native; tier leg: %d ran; cache-key leg: %d ran\n%!"
+     semiring leg: %d ran, %d native; tier leg: %d ran; cache-key leg: %d ran; \
+     profile leg: %d native runs\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran !tier_ran !key_ran;
+    !sr_native_ran !tier_ran !key_ran !prof_native_ran;
+  Alcotest.(check bool)
+    (Printf.sprintf "profile leg ran natively when a C compiler exists (%d)" !prof_native_ran)
+    true
+    (!ran = 0 || (not (Taco_exec.Native.available ())) || !prof_native_ran > 0);
   Alcotest.(check bool)
     (Printf.sprintf "tier leg ran when a C compiler exists (%d)" !tier_ran)
     true

@@ -403,7 +403,8 @@ let test_licm_keeps_variant_load () =
 
 let test_licm_zero_trip_guard () =
   (* The hoisted load's index is out of bounds when the loop runs zero
-     times; the guard must keep checked mode from faulting. *)
+     times; the guard must keep the bounds-checked closures from
+     faulting. *)
   let k =
     kernel
       [
@@ -413,7 +414,7 @@ let test_licm_zero_trip_guard () =
         Imp.For ("x", i 0, v "n", [ Imp.Store ("out", v "x", Imp.Load ("a", i 5)) ]);
       ]
   in
-  let c = Compile.compile ~checked:true ~opt:only_licm ~cache:false k in
+  let c = Compile.compile ~opt:only_licm ~cache:false k in
   let r = Compile.run c ~args:[] in
   Alcotest.(check (array int)) "out untouched" [| 0 |] (read_iarr r "out")
 
@@ -521,15 +522,14 @@ let test_cache_hits () =
   Alcotest.(check int) "second compile hits" 1 s2.Compile.hits;
   Alcotest.(check int) "still one entry" 1 s2.Compile.entries
 
-let test_cache_keyed_on_checked_and_kernel () =
+let test_cache_keyed_on_kernel () =
   Compile.cache_clear ();
   let k = kernel ~name:"cache_probe2" [ Imp.Decl (Imp.Int, "x", i 1) ] in
   let _ = Compile.compile k in
-  let _ = Compile.compile ~checked:true k in
   let k2 = kernel ~name:"cache_probe2" [ Imp.Decl (Imp.Int, "x", i 2) ] in
   let _ = Compile.compile k2 in
   let s = Compile.cache_stats () in
-  Alcotest.(check int) "three distinct keys" 3 s.Compile.misses;
+  Alcotest.(check int) "two distinct keys" 2 s.Compile.misses;
   Alcotest.(check int) "no hits" 0 s.Compile.hits
 
 let test_cache_bypass () =
@@ -664,7 +664,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "second compile hits" `Quick test_cache_hits;
-          Alcotest.test_case "keyed on checked flag and structure" `Quick test_cache_keyed_on_checked_and_kernel;
+          Alcotest.test_case "keyed on structure" `Quick test_cache_keyed_on_kernel;
           Alcotest.test_case "cache:false bypasses" `Quick test_cache_bypass;
           Alcotest.test_case "hit skips the optimizer" `Quick test_cache_hit_skips_optimizer;
         ] );

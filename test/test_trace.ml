@@ -2,7 +2,7 @@
    (including the disabled-is-free discipline), Exec.Compile cache
    accounting (hits/misses/entries/evictions across optimizer configs,
    flags and backends, cache_clear), FIFO eviction on a bounded Memo,
-   and the profiled execution mode's work counters. *)
+   and the work counters of profiled kernels on both backends. *)
 
 open Taco_ir
 module Imp = Taco_lower.Imp
@@ -79,14 +79,11 @@ let test_cache_accounting_across_configs () =
     List.concat_map
       (fun opt ->
         List.concat_map
-          (fun (checked, profile) ->
-            List.map (fun backend -> (opt, checked, profile, backend)) [ `Closure; `Native ])
-          [ (false, false); (true, false); (false, true) ])
+          (fun profile -> List.map (fun backend -> (opt, profile, backend)) [ `Closure; `Native ])
+          [ false; true ])
       [ Opt.none; Opt.all ]
   in
-  let compile ?cache (opt, checked, profile, backend) =
-    Compile.compile ?cache ~opt ~checked ~profile ~backend k
-  in
+  let compile ?cache (opt, profile, backend) = Compile.compile ?cache ~opt ~profile ~backend k in
   List.iter (fun cfg -> ignore (compile cfg : Compile.compiled)) grid;
   let n = List.length grid in
   let s = Compile.cache_stats () in
@@ -240,8 +237,13 @@ let profiled_kernel () =
           [ Imp.Store ("w", v "j", Imp.Float_lit 1.) ] );
     ]
 
-let test_profile_counters () =
-  let c = Compile.compile ~cache:false ~profile:true (profiled_kernel ()) in
+(* The same counts on either backend: both run the kernel as rewritten
+   by [Opt.profile]. Without a C compiler the native case downgrades to
+   closures and checks those. *)
+let test_profile_counters backend () =
+  let c = Compile.compile ~cache:false ~profile:true ~backend (profiled_kernel ()) in
+  if Taco_exec.Native.available () then
+    Alcotest.(check bool) "runs on the requested backend" true (Compile.backend_of c = backend);
   ignore (Compile.run c ~args:[] : string -> Compile.arg);
   match Compile.profile_stats c with
   | None -> Alcotest.fail "profiled kernel reports no stats"
@@ -294,7 +296,9 @@ let () =
         ] );
       ( "profile",
         [
-          Alcotest.test_case "profiled run counters" `Quick test_profile_counters;
+          Alcotest.test_case "profiled run counters" `Quick (test_profile_counters `Closure);
+          Alcotest.test_case "profiled run counters (native)" `Quick
+            (test_profile_counters `Native);
           Alcotest.test_case "unprofiled reports none" `Quick test_unprofiled_reports_none;
         ] );
     ]
