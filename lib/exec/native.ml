@@ -277,12 +277,19 @@ let start ~cc ~tier (kernel : Imp.kernel) : (build, string) result =
   (* -ffp-contract=off: the closure executor evaluates a*b+c as
      multiply-then-add with intermediate rounding; letting gcc fuse it
      into fma would break bit-identity — with the closures, and between
-     the tiers. *)
+     the tiers. -nostdlib: the kernel calls libc only through the
+     runtime table, so the link skips the C start files and libc's
+     linker script; the few calls cc itself emits (memset, memcpy,
+     malloc, fmin, fmax) resolve at dlopen against the libc and libm
+     the host process already maps. Static libgcc keeps the compiler's
+     helper routines resolvable; OpenMP kernels name libgomp, their
+     one shared-library dependency. *)
   let argv =
     cc
-    @ [ opt_flag tier; "-shared"; "-fPIC"; "-ffp-contract=off" ]
-    @ (if Codegen_c.has_parallel kernel then [ "-fopenmp" ] else [])
+    @ [ opt_flag tier; "-shared"; "-fPIC"; "-ffp-contract=off"; "-nostdlib" ]
     @ [ "-o"; base ^ ".so"; base ^ ".c" ]
+    @ (if Codegen_c.has_parallel kernel then [ "-fopenmp"; "-lgomp" ] else [])
+    @ [ "-lgcc" ]
   in
   let cc_start = Trace.now_ns () in
   let* pid =

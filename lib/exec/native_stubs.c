@@ -10,10 +10,12 @@
  *
  * rt is the kernel runtime table below: allocation, growth, sorting
  * and the clock, built once with the library instead of being compiled
- * into every kernel. Generated kernels include no libc header beyond
- * stdint/stdbool/stddef (and math.h for min/max semirings). Every
- * buffer a kernel hands back was allocated by this table, so it is
- * released here with free().
+ * into every kernel. Generated kernels include no header and are
+ * linked without libc; the memset/memcpy/malloc/fmin/fmax calls the
+ * compiler emits for their builtins resolve against this process's
+ * libc and libm when the kernel is loaded. Every buffer a kernel hands
+ * back was allocated by this table, so it is released here with
+ * free().
  *
  * taco_nat_call marshals an OCaml call_spec record into that shape:
  *   - float arrays cross with no copy: an OCaml float array is a flat

@@ -16,18 +16,31 @@ let binop_str = function
   | Imp.And -> "&&"
   | Imp.Or -> "||"
 
+(* Non-finite literals (the min-plus zero is +inf) have no C literal
+   syntax; they render as the INFINITY/NAN macros. A NaN keeps its
+   sign and payload, which a native result must reproduce bit for bit:
+   [inf - inf] folds to x86's negative default NaN, and OCaml's [nan]
+   has payload 1. The builtins place the payload below the quiet bit,
+   as IEEE 754 does. *)
+let float_lit v =
+  if v = Float.infinity then "INFINITY"
+  else if v = Float.neg_infinity then "(-INFINITY)"
+  else if Float.is_nan v then
+    let bits = Int64.bits_of_float v in
+    let payload = Int64.logand bits 0x7_ffff_ffff_ffffL in
+    let quiet = Int64.logand bits 0x8_0000_0000_0000L <> 0L in
+    let nan =
+      if quiet && payload = 0L then "NAN"
+      else Printf.sprintf "__builtin_nan%s(\"0x%Lx\")" (if quiet then "" else "s") payload
+    in
+    if Int64.compare bits 0L < 0 then "(-" ^ nan ^ ")" else nan
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
+  else Printf.sprintf "%.17g" v
+
 let rec expr buf = function
   | Imp.Var v -> Buffer.add_string buf v
   | Imp.Int_lit n -> Buffer.add_string buf (string_of_int n)
-  | Imp.Float_lit v ->
-      (* Non-finite literals (the min-plus zero is +inf) have no C
-         literal syntax; use the math.h macro. *)
-      if v = Float.infinity then Buffer.add_string buf "INFINITY"
-      else if v = Float.neg_infinity then Buffer.add_string buf "(-INFINITY)"
-      else if Float.is_nan v then Buffer.add_string buf "NAN"
-      else if Float.is_integer v && Float.abs v < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" v)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" v)
+  | Imp.Float_lit v -> Buffer.add_string buf (float_lit v)
   | Imp.Bool_lit b -> Buffer.add_string buf (if b then "1" else "0")
   | Imp.Load (a, i) ->
       Buffer.add_string buf a;
@@ -72,7 +85,7 @@ let estr e =
   Buffer.contents buf
 
 (* A reduce-store as a single C statement. Min/max go through fmin/fmax
-   (math.h, pulled into the prelude on demand); boolean-or reads as a
+   (math.h or builtins, in the prelude on demand); boolean-or reads as a
    short-circuiting test over the 0./1. encoding. *)
 let reduce_line r a i v =
   match r with
@@ -184,9 +197,10 @@ let stmt_exprs = function
   | Imp.If (c, _, _) -> [ c ]
   | Imp.Comment _ -> []
 
-(* math.h is needed by fmin/fmax (min/max reduce-stores) and by the
-   INFINITY/NAN macros that render non-finite float literals (the
-   min-plus semiring zeroes arrays with +inf). *)
+(* Math names are needed by fmin/fmax (min/max reduce-stores) and by
+   the INFINITY/NAN macros that render non-finite float literals (the
+   min-plus semiring zeroes arrays with +inf): math.h in the paper
+   rendering, builtins in the exec one. *)
 let needs_math body =
   let nonfinite = function
     | Imp.Float_lit v -> not (Float.is_finite v)
@@ -434,7 +448,7 @@ let emit kernel =
 (* kernel allocation has been freed and esc[] is untouched.           *)
 (*                                                                    *)
 (* [rt] is the kernel runtime table the host implements once          *)
-(* (native_stubs.c), so no kernel includes or inlines libc:           *)
+(* (native_stubs.c), so no kernel includes a header or links libc:    *)
 (*   alloc(p, &cap, n, size, limit)  release p, then [max 1 n] zeroed *)
 (*                                   elements; NULL past the budget   *)
 (*   grow(p, &cap, n, size, limit)   grow to [max cap n], zeroed      *)
@@ -607,8 +621,21 @@ let emit_exec_untraced kernel =
   List.iter (stmt_exec ctx 1 ~depth:0) body;
   let buf = Buffer.create 8192 in
   Buffer.add_string buf (Printf.sprintf "// taco native rendering of kernel %s\n" kernel.Imp.k_name);
-  Buffer.add_string buf "#include <stdint.h>\n#include <stdbool.h>\n#include <stddef.h>\n";
-  if needs_math body then Buffer.add_string buf "#include <math.h>\n";
+  (* No #include: the few names the kernel uses come from compiler
+     builtins, so cc parses no header. *)
+  Buffer.add_string buf
+    "typedef __INT32_TYPE__ int32_t;\n\
+     typedef __INT64_TYPE__ int64_t;\n\
+     typedef __SIZE_TYPE__ size_t;\n\
+     #define bool _Bool\n\
+     #define NULL ((void*)0)\n\
+     #define INT64_MAX __INT64_MAX__\n";
+  if needs_math body then
+    Buffer.add_string buf
+      "#define INFINITY __builtin_inf()\n\
+       #define NAN __builtin_nan(\"\")\n\
+       #define fmin __builtin_fmin\n\
+       #define fmax __builtin_fmax\n";
   Buffer.add_string buf min_max_macros;
   (* Layout contract with native_stubs.c, which fills the table. *)
   Buffer.add_string buf
