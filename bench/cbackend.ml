@@ -6,10 +6,10 @@
    native kernel is timed at both compiler tiers: at tier 0 (-O0, what
    a compile-cache miss builds) within its tier-0 phase, then promoted
    to tier 1 (-O3) and timed against the closures. Times go to stdout
-   as a table and to BENCH_cbackend.json, with the native build
-   pipeline broken out per phase (emit / cc / dlopen / run), the cc and
-   run times of each tier, and the size of the C translation unit the
-   cc phase compiled.
+   as a table and to BENCH_cbackend.json, one record per backend and
+   tier, with the native build pipeline broken out per phase (emit /
+   cc / dlopen) and the size of the C translation unit the cc phase
+   compiled.
 
    The [smoke] entry point is the @cback-smoke alias: skipped cleanly
    (exit 0) when no C compiler is around; with one, a micro SpGEMM must
@@ -77,22 +77,6 @@ let mttkrp_workload ~seed ~dim =
     w_result = (fun k -> Kernel.run_dense k ~inputs ~dims);
   }
 
-(* --- bit identity ---------------------------------------------------- *)
-
-let bits_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun q x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(q) then ok := false)
-        a;
-      !ok)
-
-let tensors_identical t1 t2 =
-  Tensor.dims t1 = Tensor.dims t2
-  && Tensor.nnz t1 = Tensor.nnz t2
-  && bits_equal (Tensor.vals t1) (Tensor.vals t2)
-
 (* --- allocation per warm run ------------------------------------------ *)
 
 (* Heap words of a tensor's own arrays (pos, crd, vals; one header
@@ -123,137 +107,105 @@ let alloc_gate = 1.25
 
 (* --- timing ----------------------------------------------------------- *)
 
-(* Best-of-[reps] over ~60ms batches with the backends interleaved
-   round-robin, same estimator as the optimizer ablation: noise is
-   strictly additive and interleaving keeps a sustained slow phase from
-   landing on one backend. *)
-let time_backends ~reps w kerns =
-  Gc.compact ();
-  let t0 =
-    List.fold_left
-      (fun acc (_, k) ->
-        let _, t = Taco_support.Util.time (fun () -> w.w_time k) in
-        Float.max acc t)
-      1e-6 kerns
-  in
-  let batch = max 1 (int_of_float (0.06 /. t0)) in
-  let run_batch k =
-    Gc.full_major ();
-    let _, t =
-      Taco_support.Util.time (fun () ->
-          for _ = 1 to batch do
-            w.w_time k
-          done)
-    in
-    t /. float_of_int batch
-  in
-  let best = Array.make (List.length kerns) infinity in
-  for _ = 1 to max 1 reps do
-    List.iteri (fun q (_, k) -> best.(q) <- Float.min best.(q) (run_batch k)) kerns
-  done;
-  List.mapi (fun q (n, _) -> (n, best.(q))) kerns
-
 (* Best single run of a kernel still at tier 0, sampled only inside its
    tier-0 phase: sampling stops before the runs' total could reach the
-   kernel's tier-0 cc time, the break-even at which it tiers up. *)
+   kernel's tier-0 cc time, the break-even at which it tiers up.
+   Returns the best run and the number of runs. *)
 let time_tier0 w k ~cc_s =
-  let rec go ~best ~worst ~total =
-    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then best
+  let rec go ~best ~worst ~total ~runs =
+    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then (best, runs)
     else
       let _, t = Taco_support.Util.time (fun () -> w.w_time k) in
       go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
+        ~runs:(runs + 1)
   in
-  go ~best:infinity ~worst:0. ~total:0.
+  go ~best:infinity ~worst:0. ~total:0. ~runs:0
 
-(* The native kernel's tier-0 numbers, its tier-0 result, and then the
-   kernel promoted to tier 1. *)
+(* The native kernel's tier-0 phases and timing, its tier-0 result, and
+   then the kernel promoted to tier 1. *)
 let promote_after_tier0 w k =
-  let phases = Kernel.native_phases k in
-  let run_s =
-    Option.map (fun p -> time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9)) phases
+  let tier0 =
+    Option.map
+      (fun p -> (p, time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9)))
+      (Kernel.native_phases k)
   in
   let result = w.w_result k in
   Kernel.promote k;
-  (phases, run_s, result)
+  (tier0, result)
 
 (* --- one workload, both backends -------------------------------------- *)
 
-type row = {
-  r_name : string;
-  r_closure_s : float;
-  r_native_s : float;  (* tier 1 *)
-  r_native_backend : bool;  (* false: the `Native request was downgraded *)
-  r_identical : bool;  (* closures, tier 0 and tier 1 agree bit for bit *)
-  r_phases : Native.phases option;  (* tier 1 *)
-  r_tier0 : (Native.phases * float) option;  (* tier-0 build phases and best run *)
-  r_c_bytes : int;  (* size of the exec C the native build compiled *)
-  r_alloc_ratio : float;  (* native major words per warm run / result words *)
-}
+let phases_info (p : Native.phases) =
+  [
+    ("emit_ns", Report.Int (Int64.to_int p.Native.emit_ns));
+    ("cc_ns", Report.Int (Int64.to_int p.Native.cc_ns));
+    ("dlopen_ns", Report.Int (Int64.to_int p.Native.dlopen_ns));
+  ]
 
+(* The closure and native variants of a workload for best_of_batches:
+   (name, wrapped result, raw run). *)
+let variants w kc kn =
+  [
+    ("closure", (fun () -> w.w_result kc), fun () -> w.w_time kc);
+    ("native", (fun () -> w.w_result kn), fun () -> w.w_time kn);
+  ]
+
+(* Records: closures and tier 1 by best_of_batches, then tier 0
+   ("native_O0") by its best run inside its tier-0 phase. Each agrees
+   when its result is bit-identical to the closures'. Prints the
+   workload's table row; returns the records and, when the kernel ran
+   natively, the tier-1 speedup. *)
 let run_workload ~reps w =
   let kc = Kernel.prepare w.w_info in
   let kn = Kernel.prepare ~backend:`Native w.w_info in
   let native_ok = Kernel.backend kn = `Native in
-  let phases0, run0_s, rn0 = promote_after_tier0 w kn in
+  let tier0, rn0 = promote_after_tier0 w kn in
   if native_ok && Kernel.native_tier kn <> Some 1 then
     failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
-  let rn = w.w_result kn in
-  let identical = tensors_identical (w.w_result kc) rn && tensors_identical rn0 rn in
-  let times = time_backends ~reps w [ ("closure", kc); ("native", kn) ] in
-  {
-    r_name = w.w_name;
-    r_closure_s = List.assoc "closure" times;
-    r_native_s = List.assoc "native" times;
-    r_native_backend = native_ok;
-    r_identical = identical;
-    r_phases = Kernel.native_phases kn;
-    r_tier0 = Option.bind phases0 (fun p -> Option.map (fun t -> (p, t)) run0_s);
-    r_c_bytes = String.length (Codegen_c.emit_exec (Kernel.imp kn));
-    r_alloc_ratio = major_words_per_run w kn /. result_words rn;
-  }
-
-let row_json r =
-  let measurement backend_name t =
-    Report.Obj
-      ([
-         Report.backend_field backend_name;
-         ("best_s", Report.Float t);
-       ]
-      @
-      if backend_name = "native" then
-        match r.r_phases with
-        | Some p ->
-            [
-              Report.phases_field ~emit_ns:p.Native.emit_ns ~cc_ns:p.Native.cc_ns
-                ~dlopen_ns:p.Native.dlopen_ns
-                ~run_ns:(Int64.of_float (t *. 1e9));
-              ("exec_c_bytes", Report.Int r.r_c_bytes);
-              ( "tiers",
-                Report.List
-                  (List.map
-                     (fun (tier, (p : Native.phases), run_s) ->
-                       Report.Obj
-                         [
-                           ("tier", Report.Int tier);
-                           ("cc_ms", Report.Float (Int64.to_float p.Native.cc_ns /. 1e6));
-                           ("run_s", Report.Float run_s);
-                         ])
-                     ((match r.r_tier0 with Some (p0, t0) -> [ (0, p0, t0) ] | None -> [])
-                     @ [ (1, p, t) ])) );
-            ]
-        | None -> [ ("downgraded", Report.Bool true) ]
-      else [])
+  let tier0_agrees = Harness.tensors_identical (w.w_result kc) rn0 in
+  let alloc_ratio = major_words_per_run w kn /. result_words rn0 in
+  let c_bytes = String.length (Codegen_c.emit_exec (Kernel.imp kn)) in
+  let phases = Kernel.native_phases kn in
+  let native_info =
+    ("native_backend", Report.Bool native_ok)
+    :: ("alloc_per_result_word", Report.Float alloc_ratio)
+    :: ("exec_c_bytes", Report.Int c_bytes)
+    :: (match phases with Some p -> phases_info p | None -> [])
   in
-  Report.Obj
-    [
-      ("name", Report.Str r.r_name);
-      ( "measurements",
-        Report.List
-          [ measurement "closure" r.r_closure_s; measurement "native" r.r_native_s ] );
-      ("speedup_native", Report.Float (r.r_closure_s /. r.r_native_s));
-      ("bit_identical", Report.Bool r.r_identical);
-      ("native_backend", Report.Bool r.r_native_backend);
-    ]
+  let records =
+    Harness.best_of_batches ~reps ~workload:w.w_name ~equal:Harness.tensors_identical
+      ~info:(function "native" -> native_info | _ -> [])
+      (variants w kc kn)
+  in
+  let closure_s = Harness.time_of records "closure" in
+  let native_s = Harness.time_of records "native" in
+  let cc_ms (p : Native.phases) = Int64.to_float p.Native.cc_ns /. 1e6 in
+  Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx %8d %7.1f %12.4f %7.1f" w.w_name
+    closure_s native_s (closure_s /. native_s)
+    (if not (tier0_agrees && List.for_all (fun r -> r.Harness.agrees) records) then "DIFF"
+     else if not native_ok then "degr"
+     else "bit=")
+    alloc_ratio c_bytes
+    (match phases with Some p -> cc_ms p | None -> Float.nan)
+    (match tier0 with Some (_, (t, _)) -> t | None -> Float.nan)
+    (match tier0 with Some (p, _) -> cc_ms p | None -> Float.nan);
+  let tier0_records =
+    match tier0 with
+    | None -> []
+    | Some (p, (best, runs)) ->
+        [
+          {
+            Harness.workload = w.w_name;
+            variant = "native_O0";
+            estimator = "best_run";
+            time_s = best;
+            reps = runs;
+            agrees = tier0_agrees;
+            info = phases_info p;
+          };
+        ]
+  in
+  (records @ tier0_records, if native_ok then Some (closure_s /. native_s) else None)
 
 let run ~seed ~reps ~dim ~out =
   Harness.header "C backend: closure executor vs gcc-compiled shared objects";
@@ -270,66 +222,37 @@ let run ~seed ~reps ~dim ~out =
   in
   Harness.row "%-12s | %12s %12s %9s %5s %9s %8s %7s %12s %7s" "kernel" "closure(s)"
     "native(s)" "speedup" "ok" "alloc/res" "C bytes" "cc(ms)" "-O0 run(s)" "-O0 cc";
-  let rows =
-    List.map
-      (fun w ->
-        let r = run_workload ~reps w in
-        Harness.row "%-12s | %12.4f %12.4f %8.2fx %5s %8.2fx %8d %7.1f %12.4f %7.1f" r.r_name
-          r.r_closure_s
-          r.r_native_s
-          (r.r_closure_s /. r.r_native_s)
-          (if not r.r_identical then "DIFF"
-           else if not r.r_native_backend then "degr"
-           else "bit=")
-          r.r_alloc_ratio r.r_c_bytes
-          (match r.r_phases with
-          | Some p -> Int64.to_float p.Native.cc_ns /. 1e6
-          | None -> Float.nan)
-          (match r.r_tier0 with Some (_, t) -> t | None -> Float.nan)
-          (match r.r_tier0 with
-          | Some (p, _) -> Int64.to_float p.Native.cc_ns /. 1e6
-          | None -> Float.nan);
-        if not r.r_identical then
-          failwith
-            (Printf.sprintf "%s: native result diverges from the closure executor" r.r_name);
-        r)
-      workloads
-  in
-  let native_rows = List.filter (fun r -> r.r_native_backend) rows in
-  (match native_rows with
+  let per_workload = List.map (run_workload ~reps) workloads in
+  let speedups = List.filter_map snd per_workload in
+  (match speedups with
   | [] -> print_endline "\nno native runs (compiler unavailable); no geomean"
   | _ ->
-      let geomean =
-        Harness.geomean (List.map (fun r -> r.r_closure_s /. r.r_native_s) native_rows)
-      in
-      Printf.printf "\nnative geomean speedup = %.2fx over %d kernels\n%!" geomean
-        (List.length native_rows));
+      Printf.printf "\nnative geomean speedup = %.2fx over %d kernels\n%!"
+        (Harness.geomean speedups) (List.length speedups));
   let stats = Compile.backend_stats () in
-  Report.write out
-    (Report.Obj
-       [
-         ("bench", Report.Str "cbackend");
-         ("seed", Report.Int seed);
-         ("reps", Report.Int reps);
-         ("dim", Report.Int dim);
-         ( "compiler",
-           Report.Obj
-             [ ("command", Report.Str cc); ("available", Report.Bool available) ] );
-         ("workloads", Report.List (List.map row_json rows));
-         ( "geomean_native_speedup",
-           match native_rows with
-           | [] -> Report.Null
-           | rs -> Report.Float (Harness.geomean (List.map (fun r -> r.r_closure_s /. r.r_native_s) rs))
-         );
-         ( "backend_stats",
-           Report.Obj
-             [
-               ("native_builds", Report.Int stats.Compile.native_builds);
-               ("native_runs", Report.Int stats.Compile.native_runs);
-               ("closure_runs", Report.Int stats.Compile.closure_runs);
-               ("downgrades", Report.Int stats.Compile.downgrades);
-             ] );
-       ])
+  Harness.report ~path:out ~bench:"cbackend" ~agreement:Harness.bit_identical
+    ~config:
+      [
+        ("seed", Report.Int seed);
+        ("reps", Report.Int reps);
+        ("dim", Report.Int dim);
+        ( "compiler",
+          Report.Obj [ ("command", Report.Str cc); ("available", Report.Bool available) ] );
+      ]
+    ~summary:
+      [
+        ( "geomean_native_speedup",
+          match speedups with [] -> Report.Null | s -> Report.Float (Harness.geomean s) );
+        ( "backend_stats",
+          Report.Obj
+            [
+              ("native_builds", Report.Int stats.Compile.native_builds);
+              ("native_runs", Report.Int stats.Compile.native_runs);
+              ("closure_runs", Report.Int stats.Compile.closure_runs);
+              ("downgrades", Report.Int stats.Compile.downgrades);
+            ] );
+      ]
+    (List.concat_map fst per_workload)
 
 (* CI gate: build one native kernel and hold it to bit-identity. Exits
    0 without a compiler — machines without gcc must stay green. *)
@@ -347,23 +270,26 @@ let smoke () =
         m "cback-smoke FAILED: compiler present but native build was downgraded");
     exit 1
   end;
-  let _, _, rn0 = promote_after_tier0 w kn in
+  let _, rn0 = promote_after_tier0 w kn in
   if Kernel.native_tier kn <> Some 1 then begin
     Taco_support.Obs.Log.err (fun m -> m "cback-smoke FAILED: promotion to tier 1 failed");
     exit 1
   end;
   let rn = w.w_result kn in
-  if not (tensors_identical rn0 rn) then begin
+  if not (Harness.tensors_identical rn0 rn) then begin
     Taco_support.Obs.Log.err (fun m ->
         m "cback-smoke FAILED: the tier-1 result diverges from the tier-0 build");
     exit 1
   end;
   Printf.printf "cback-smoke spgemm_ws: tier 1 (-O3) bit-identical to tier 0 (-O0)\n%!";
-  let identical = tensors_identical (w.w_result kc) rn in
-  let times = time_backends ~reps:3 w [ ("closure", kc); ("native", kn) ] in
-  Printf.printf "cback-smoke spgemm_ws: closure %.4fs, native %.4fs (%.2fx), %s\n%!"
-    (List.assoc "closure" times) (List.assoc "native" times)
-    (List.assoc "closure" times /. List.assoc "native" times)
+  let times =
+    Harness.best_of_batches ~reps:3 ~workload:w.w_name ~equal:Harness.tensors_identical
+      (variants w kc kn)
+  in
+  let identical = List.for_all (fun r -> r.Harness.agrees) times in
+  let closure_s = Harness.time_of times "closure" and native_s = Harness.time_of times "native" in
+  Printf.printf "cback-smoke spgemm_ws: closure %.4fs, native %.4fs (%.2fx), %s\n%!" closure_s
+    native_s (closure_s /. native_s)
     (if identical then "bit-identical" else "DIVERGED");
   if not identical then begin
     Taco_support.Obs.Log.err (fun m ->

@@ -24,83 +24,60 @@ let run ?json ~seed ~scale ~reps () =
   let mkl = Kernel.prepare K.Spgemm.mkl_like in
   Harness.row "%-3s %-11s %8s | %10s %10s %7s | %10s %10s %7s" "#" "matrix" "nnz"
     "ws-sort(s)" "eigen(s)" "ratio" "ws-uns(s)" "mkl(s)" "ratio";
-  let ratios_eigen = ref [] and ratios_mkl = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun ((entry : Suite.matrix_entry), bt) ->
-      List.iter
-        (fun density ->
-          let ct =
-            Inputs.uniform_matrix ~seed:(seed + entry.Suite.id) ~rows:entry.Suite.cols
-              ~cols:entry.Suite.cols ~density
-          in
-          let dims = [| entry.Suite.rows; entry.Suite.cols |] in
-          let generated_inputs = [ (bs, bt); (cs, ct) ] in
-          let baseline_inputs = [ (K.Spgemm.b_var, bt); (K.Spgemm.c_var, ct) ] in
-          let m_ws_sorted =
-            Harness.measure ~reps (fun () ->
-                ignore (Kernel.run_assemble ws_sorted ~inputs:generated_inputs ~dims))
-          in
-          let m_eigen =
-            Harness.measure ~reps (fun () ->
-                ignore (Kernel.run_assemble eigen ~inputs:baseline_inputs ~dims))
-          in
-          let m_ws_unsorted =
-            Harness.measure ~reps (fun () ->
-                ignore (Kernel.run_assemble ws_unsorted ~inputs:generated_inputs ~dims))
-          in
-          let m_mkl =
-            Harness.measure ~reps (fun () ->
-                ignore (Kernel.run_assemble mkl ~inputs:baseline_inputs ~dims))
-          in
-          let t_ws_sorted = m_ws_sorted.Harness.m_median_s in
-          let t_eigen = m_eigen.Harness.m_median_s in
-          let t_ws_unsorted = m_ws_unsorted.Harness.m_median_s in
-          let t_mkl = m_mkl.Harness.m_median_s in
-          ratios_eigen := (t_eigen /. t_ws_sorted) :: !ratios_eigen;
-          ratios_mkl := (t_mkl /. t_ws_unsorted) :: !ratios_mkl;
-          rows :=
-            Report.Obj
-              [
-                ("matrix", Report.Str entry.Suite.name);
-                ("id", Report.Int entry.Suite.id);
-                ("nnz", Report.Int (Tensor.stored bt));
-                ("operand_density", Report.Float density);
-                ("ws_sorted", Harness.measurement_json m_ws_sorted);
-                ("eigen_like", Harness.measurement_json m_eigen);
-                ("ws_unsorted", Harness.measurement_json m_ws_unsorted);
-                ("mkl_like", Harness.measurement_json m_mkl);
-              ]
-            :: !rows;
-          Harness.row "%-3d %-11s %8d | %10.3f %10.3f %6.2fx | %10.3f %10.3f %6.2fx"
-            entry.Suite.id entry.Suite.name
-            (Tensor.stored bt) t_ws_sorted t_eigen (t_eigen /. t_ws_sorted) t_ws_unsorted
-            t_mkl (t_mkl /. t_ws_unsorted))
-        [ 4e-4; 1e-4 ])
-    (Inputs.matrices ~seed ~scale);
+  let pass_sorted = ("pass_stats", Harness.pass_stats_json (Kernel.info ws_sorted)) in
+  let pass_unsorted = ("pass_stats", Harness.pass_stats_json (Kernel.info ws_unsorted)) in
+  let per_workload =
+    List.concat_map
+      (fun ((entry : Suite.matrix_entry), bt) ->
+        List.map
+          (fun density ->
+            let ct =
+              Inputs.uniform_matrix ~seed:(seed + entry.Suite.id) ~rows:entry.Suite.cols
+                ~cols:entry.Suite.cols ~density
+            in
+            let dims = [| entry.Suite.rows; entry.Suite.cols |] in
+            let generated k () = Kernel.run_assemble k ~inputs:[ (bs, bt); (cs, ct) ] ~dims in
+            let baseline k () =
+              Kernel.run_assemble k ~inputs:[ (K.Spgemm.b_var, bt); (K.Spgemm.c_var, ct) ] ~dims
+            in
+            let rs =
+              Harness.medians ~reps
+                ~workload:(Printf.sprintf "%s@%g" entry.Suite.name density)
+                ~equal:Harness.close_to
+                ~info:(function
+                  | "ws_sorted" -> [ pass_sorted ]
+                  | "ws_unsorted" -> [ pass_unsorted ]
+                  | _ -> [])
+                [
+                  ("ws_sorted", generated ws_sorted);
+                  ("eigen_like", baseline eigen);
+                  ("ws_unsorted", generated ws_unsorted);
+                  ("mkl_like", baseline mkl);
+                ]
+            in
+            let t = Harness.time_of rs in
+            let r_eigen = t "eigen_like" /. t "ws_sorted" in
+            let r_mkl = t "mkl_like" /. t "ws_unsorted" in
+            Harness.row "%-3d %-11s %8d | %10.3f %10.3f %6.2fx | %10.3f %10.3f %6.2fx"
+              entry.Suite.id entry.Suite.name (Tensor.stored bt) (t "ws_sorted")
+              (t "eigen_like") r_eigen (t "ws_unsorted") (t "mkl_like") r_mkl;
+            (rs, (r_eigen, r_mkl)))
+          [ 4e-4; 1e-4 ])
+      (Inputs.matrices ~seed ~scale)
+  in
+  let geo_eigen = Harness.geomean (List.map (fun (_, (r, _)) -> r) per_workload) in
+  let geo_mkl = Harness.geomean (List.map (fun (_, (_, r)) -> r) per_workload) in
   Printf.printf
     "\nsummary: eigen-like / workspace (sorted) geomean = %.2fx  (paper: 4x and 3.6x)\n"
-    (Harness.geomean !ratios_eigen);
+    geo_eigen;
   Printf.printf
     "         mkl-like / workspace (unsorted) geomean = %.2fx  (paper: 1.28x and 1.16x)\n"
-    (Harness.geomean !ratios_mkl);
-  match json with
-  | None -> ()
-  | Some path ->
-      Report.write path
-        (Report.Obj
-           [
-             ("bench", Report.Str "fig11");
-             ("seed", Report.Int seed);
-             ("scale", Report.Int scale);
-             ("reps", Report.Int reps);
-             ( "pass_stats",
-               Report.Obj
-                 [
-                   ("spgemm_ws_sorted", Harness.pass_stats_json (Kernel.info ws_sorted));
-                   ("spgemm_ws_unsorted", Harness.pass_stats_json (Kernel.info ws_unsorted));
-                 ] );
-             ("rows", Report.List (List.rev !rows));
-             ("geomean_eigen_over_ws", Report.Float (Harness.geomean !ratios_eigen));
-             ("geomean_mkl_over_ws", Report.Float (Harness.geomean !ratios_mkl));
-           ])
+    geo_mkl;
+  Harness.report ?path:json ~bench:"fig11" ~agreement:Harness.within_eps
+    ~config:[ ("seed", Report.Int seed); ("scale", Report.Int scale); ("reps", Report.Int reps) ]
+    ~summary:
+      [
+        ("geomean_eigen_over_ws", Report.Float geo_eigen);
+        ("geomean_mkl_over_ws", Report.Float geo_mkl);
+      ]
+    (List.concat_map fst per_workload)

@@ -25,67 +25,50 @@ let left ?(domains = 1) ?json ~seed ~scale ~reps () =
   let splatt = Kernel.prepare K.Mttkrp.splatt_like in
   Harness.row "%-10s %9s | %9s %9s %9s | %8s %8s" "tensor" "nnz" "taco(s)" "ws(s)"
     "splatt(s)" "ws/taco" "spl/taco";
-  let rows = ref [] in
-  List.iter
-    (fun ((entry : Suite.tensor_entry), bt) ->
-      let dims = entry.Suite.t_dims in
-      let c = Inputs.dense_factor ~seed:(seed + 1) ~rows:dims.(2) ~cols:factor_rank in
-      let d = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
-      let out_dims = [| dims.(0); factor_rank |] in
-      let run kern split inputs =
-        if domains = 1 then ignore (Kernel.run_dense kern ~inputs ~dims:out_dims)
-        else ignore (Taco_exec.Parallel.run_dense kern ~inputs ~dims:out_dims ~split ~domains)
-      in
-      let m_taco =
-        Harness.measure ~reps (fun () ->
-            run taco_kernel tb [ (tb, bt); (tc, c); (td, d) ])
-      in
-      let m_ws =
-        Harness.measure ~reps (fun () -> run ws_kernel tb [ (tb, bt); (tc, c); (td, d) ])
-      in
-      let m_splatt =
-        Harness.measure ~reps (fun () ->
-            run splatt K.Mttkrp.b_var
-              [ (K.Mttkrp.b_var, bt); (K.Mttkrp.c_var, c); (K.Mttkrp.d_var, d) ])
-      in
-      let t_taco = m_taco.Harness.m_median_s in
-      let t_ws = m_ws.Harness.m_median_s in
-      let t_splatt = m_splatt.Harness.m_median_s in
-      rows :=
-        Report.Obj
-          [
-            ("tensor", Report.Str entry.Suite.t_name);
-            ("nnz", Report.Int (Tensor.stored bt));
-            ("taco", Harness.measurement_json m_taco);
-            ("workspace", Harness.measurement_json m_ws);
-            ("splatt_like", Harness.measurement_json m_splatt);
-          ]
-        :: !rows;
-      Harness.row "%-10s %9d | %9.3f %9.3f %9.3f | %8.2f %8.2f" entry.Suite.t_name
-        (Tensor.stored bt) t_taco t_ws t_splatt (t_ws /. t_taco) (t_splatt /. t_taco))
-    (Inputs.tensors ~seed ~scale);
+  let pass_taco = ("pass_stats", Harness.pass_stats_json (Kernel.info taco_kernel)) in
+  let pass_ws = ("pass_stats", Harness.pass_stats_json (Kernel.info ws_kernel)) in
+  let records =
+    List.concat_map
+      (fun ((entry : Suite.tensor_entry), bt) ->
+        let dims = entry.Suite.t_dims in
+        let c = Inputs.dense_factor ~seed:(seed + 1) ~rows:dims.(2) ~cols:factor_rank in
+        let d = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
+        let out_dims = [| dims.(0); factor_rank |] in
+        let run kern split inputs () =
+          if domains = 1 then Kernel.run_dense kern ~inputs ~dims:out_dims
+          else Taco_exec.Parallel.run_dense kern ~inputs ~dims:out_dims ~split ~domains
+        in
+        let rs =
+          Harness.medians ~reps ~workload:entry.Suite.t_name ~equal:Harness.close_to
+            ~info:(function "taco" -> [ pass_taco ] | "workspace" -> [ pass_ws ] | _ -> [])
+            [
+              ("taco", run taco_kernel tb [ (tb, bt); (tc, c); (td, d) ]);
+              ("workspace", run ws_kernel tb [ (tb, bt); (tc, c); (td, d) ]);
+              ( "splatt_like",
+                run splatt K.Mttkrp.b_var
+                  [ (K.Mttkrp.b_var, bt); (K.Mttkrp.c_var, c); (K.Mttkrp.d_var, d) ] );
+            ]
+        in
+        let t = Harness.time_of rs in
+        Harness.row "%-10s %9d | %9.3f %9.3f %9.3f | %8.2f %8.2f" entry.Suite.t_name
+          (Tensor.stored bt) (t "taco") (t "workspace") (t "splatt_like")
+          (t "workspace" /. t "taco")
+          (t "splatt_like" /. t "taco");
+        rs)
+      (Inputs.tensors ~seed ~scale)
+  in
   print_endline
     "\n(paper: workspace beats taco by 12-35% on the large NELL tensors and loses on";
   print_endline " the small Facebook tensor; SPLATT within ~5% of the workspace kernel)";
-  match json with
-  | None -> ()
-  | Some path ->
-      Report.write path
-        (Report.Obj
-           [
-             ("bench", Report.Str "fig12left");
-             ("seed", Report.Int seed);
-             ("scale", Report.Int scale);
-             ("reps", Report.Int reps);
-             ("domains", Report.Int domains);
-             ( "pass_stats",
-               Report.Obj
-                 [
-                   ("mttkrp_taco", Harness.pass_stats_json (Kernel.info taco_kernel));
-                   ("mttkrp_ws", Harness.pass_stats_json (Kernel.info ws_kernel));
-                 ] );
-             ("rows", Report.List (List.rev !rows));
-           ])
+  Harness.report ?path:json ~bench:"fig12left" ~agreement:Harness.within_eps
+    ~config:
+      [
+        ("seed", Report.Int seed);
+        ("scale", Report.Int scale);
+        ("reps", Report.Int reps);
+        ("domains", Report.Int domains);
+      ]
+    records
 
 let densities = [ 1.0; 0.25; 0.02; 0.01; 2.5e-3; 1e-4 ]
 
@@ -98,81 +81,69 @@ let right ?json ~seed ~scale ~reps () =
   let sparse_kernel, sb, sc, sd = Harness.mttkrp_sparse_kernel () in
   Harness.row "%-10s | %s" "tensor"
     (String.concat "  " (List.map (fun d -> Printf.sprintf "%8.0e" d) densities));
-  let rows = ref [] in
-  List.iter
-    (fun ((entry : Suite.tensor_entry), bt) ->
-      let dims = entry.Suite.t_dims in
-      let out_dims = [| dims.(0); factor_rank |] in
-      let cd = Inputs.dense_factor ~seed:(seed + 1) ~rows:dims.(2) ~cols:factor_rank in
-      let dd = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
-      let m_dense =
-        Harness.measure ~reps (fun () ->
-            ignore
-              (Kernel.run_dense dense_kernel ~inputs:[ (tb, bt); (tc, cd); (td, dd) ] ~dims:out_dims))
-      in
-      let t_dense = m_dense.Harness.m_median_s in
-      let sweeps =
-        List.map
-          (fun density ->
-            let c =
-              Inputs.sparse_factor ~seed:(seed + 3) ~rows:dims.(2) ~cols:factor_rank ~density
-            in
-            let d =
-              Inputs.sparse_factor ~seed:(seed + 4) ~rows:dims.(1) ~cols:factor_rank ~density
-            in
-            let m_sparse =
-              Harness.measure ~reps (fun () ->
-                  ignore
-                    (Kernel.run_assemble sparse_kernel
-                       ~inputs:[ (sb, bt); (sc, c); (sd, d) ]
-                       ~dims:out_dims))
-            in
-            (density, m_sparse, m_sparse.Harness.m_median_s /. t_dense))
-          densities
-      in
-      let rels = List.map (fun (_, _, r) -> r) sweeps in
-      rows :=
-        Report.Obj
-          [
-            ("tensor", Report.Str entry.Suite.t_name);
-            ("nnz", Report.Int (Tensor.stored bt));
-            ("dense", Harness.measurement_json m_dense);
-            ( "sparse",
-              Report.List
-                (List.map
-                   (fun (density, m, rel) ->
-                     Report.Obj
-                       [
-                         ("operand_density", Report.Float density);
-                         ("measurement", Harness.measurement_json m);
-                         ("relative_to_dense", Report.Float rel);
-                       ])
-                   sweeps) );
-          ]
-        :: !rows;
-      Harness.row "%-10s | %s" entry.Suite.t_name
-        (String.concat "  " (List.map (fun r -> Printf.sprintf "%8.2f" r) rels));
-      (* Report the crossover density (first density where sparse wins). *)
-      (match List.find_opt (fun (_, r) -> r < 1.) (List.combine densities rels) with
-      | Some (d, _) -> Printf.printf "  -> sparse wins from density %.0e downward\n" d
-      | None -> Printf.printf "  -> sparse never wins at these densities\n"))
-    (Inputs.tensors ~seed ~scale);
+  let pass_dense = ("pass_stats", Harness.pass_stats_json (Kernel.info dense_kernel)) in
+  let pass_sparse = ("pass_stats", Harness.pass_stats_json (Kernel.info sparse_kernel)) in
+  (* The dense-output run and each operand density compute different
+     products, so each is its own workload with one variant. *)
+  let per_tensor =
+    List.map
+      (fun ((entry : Suite.tensor_entry), bt) ->
+        let name = entry.Suite.t_name in
+        let dims = entry.Suite.t_dims in
+        let out_dims = [| dims.(0); factor_rank |] in
+        let cd = Inputs.dense_factor ~seed:(seed + 1) ~rows:dims.(2) ~cols:factor_rank in
+        let dd = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
+        let dense =
+          Harness.medians ~reps ~workload:name ~equal:Harness.close_to
+            ~info:(fun _ -> [ pass_dense ])
+            [
+              ( "dense",
+                fun () ->
+                  Kernel.run_dense dense_kernel ~inputs:[ (tb, bt); (tc, cd); (td, dd) ]
+                    ~dims:out_dims );
+            ]
+        in
+        let t_dense = Harness.time_of dense "dense" in
+        let sparse =
+          List.concat_map
+            (fun density ->
+              let c =
+                Inputs.sparse_factor ~seed:(seed + 3) ~rows:dims.(2) ~cols:factor_rank ~density
+              in
+              let d =
+                Inputs.sparse_factor ~seed:(seed + 4) ~rows:dims.(1) ~cols:factor_rank ~density
+              in
+              Harness.medians ~reps
+                ~workload:(Printf.sprintf "%s@%g" name density)
+                ~equal:Harness.close_to
+                ~info:(fun _ -> [ ("operand_density", Report.Float density); pass_sparse ])
+                [
+                  ( "sparse",
+                    fun () ->
+                      Kernel.run_assemble sparse_kernel
+                        ~inputs:[ (sb, bt); (sc, c); (sd, d) ]
+                        ~dims:out_dims );
+                ])
+            densities
+        in
+        let rels = List.map (fun r -> r.Harness.time_s /. t_dense) sparse in
+        Harness.row "%-10s | %s" name
+          (String.concat "  " (List.map (fun r -> Printf.sprintf "%8.2f" r) rels));
+        (* Report the crossover density (first density where sparse wins). *)
+        (match List.find_opt (fun (_, r) -> r < 1.) (List.combine densities rels) with
+        | Some (d, _) -> Printf.printf "  -> sparse wins from density %.0e downward\n" d
+        | None -> Printf.printf "  -> sparse never wins at these densities\n");
+        (dense @ sparse, (name, Report.List (List.map (fun r -> Report.Float r) rels))))
+      (Inputs.tensors ~seed ~scale)
+  in
   print_endline "\n(paper: crossover around 25% density; 4.5-11x speedups at density 1e-4)";
-  match json with
-  | None -> ()
-  | Some path ->
-      Report.write path
-        (Report.Obj
-           [
-             ("bench", Report.Str "fig12right");
-             ("seed", Report.Int seed);
-             ("scale", Report.Int scale);
-             ("reps", Report.Int reps);
-             ( "pass_stats",
-               Report.Obj
-                 [
-                   ("mttkrp_dense", Harness.pass_stats_json (Kernel.info dense_kernel));
-                   ("mttkrp_sparse", Harness.pass_stats_json (Kernel.info sparse_kernel));
-                 ] );
-             ("rows", Report.List (List.rev !rows));
-           ])
+  Harness.report ?path:json ~bench:"fig12right" ~agreement:Harness.within_eps
+    ~config:
+      [
+        ("seed", Report.Int seed);
+        ("scale", Report.Int scale);
+        ("reps", Report.Int reps);
+        ("densities", Report.List (List.map (fun d -> Report.Float d) densities));
+      ]
+    ~summary:[ ("sparse_over_dense", Report.Obj (List.map snd per_tensor)) ]
+    (List.concat_map fst per_tensor)

@@ -41,145 +41,97 @@ let run ?json ~seed ~dim ~reps () =
   let dims = [| dim; dim |] in
   Harness.row "%-4s | %10s %10s %10s %10s %10s" "n" "taco-binop" "taco" "workspace"
     "eigen-like" "mkl-like";
-  let left_rows = ref [] in
-  for n = 1 to max_ops - 1 do
-    let ops = List.filteri (fun q _ -> q <= n) all_ops in
-    let op_vars = Harness.addition_vars (n + 1) in
-    let bindings = List.combine op_vars ops in
-    let merge_kernel =
-      Kernel.prepare
-        (Harness.get (Lower.lower ~mode:fused_mode (Harness.addition_merge_stmt op_vars)))
-    in
-    let ws_kernel =
-      Kernel.prepare
-        (Harness.get (Lower.lower ~mode:fused_mode (Harness.addition_workspace_stmt op_vars)))
-    in
-    let m_binop =
-      Harness.measure ~reps (fun () -> ignore (pairwise_chain pair bv cv ops dims))
-    in
-    let m_taco =
-      Harness.measure ~reps (fun () ->
-          ignore (Kernel.run_assemble merge_kernel ~inputs:bindings ~dims))
-    in
-    let m_ws =
-      Harness.measure ~reps (fun () ->
-          ignore (Kernel.run_assemble ws_kernel ~inputs:bindings ~dims))
-    in
-    let m_eigen =
-      Harness.measure ~reps (fun () ->
-          ignore (pairwise_chain eigen K.Spadd.b_var K.Spadd.c_var ops dims))
-    in
-    let m_mkl =
-      Harness.measure ~reps (fun () ->
-          ignore (pairwise_chain mkl K.Spadd.b_var K.Spadd.c_var ops dims))
-    in
-    left_rows :=
-      Report.Obj
-        [
-          ("n_additions", Report.Int n);
-          ("taco_binop", Harness.measurement_json m_binop);
-          ("taco", Harness.measurement_json m_taco);
-          ("workspace", Harness.measurement_json m_ws);
-          ("eigen_like", Harness.measurement_json m_eigen);
-          ("mkl_like", Harness.measurement_json m_mkl);
-          ( "pass_stats",
-            Report.Obj
-              [
-                ("merge", Harness.pass_stats_json (Kernel.info merge_kernel));
-                ("workspace", Harness.pass_stats_json (Kernel.info ws_kernel));
-              ] );
-        ]
-      :: !left_rows;
-    Harness.row "%-4d | %10.3f %10.3f %10.3f %10.3f %10.3f" n m_binop.Harness.m_median_s
-      m_taco.Harness.m_median_s m_ws.Harness.m_median_s m_eigen.Harness.m_median_s
-      m_mkl.Harness.m_median_s
-  done;
+  let left =
+    List.concat_map
+      (fun n ->
+        let ops = List.filteri (fun q _ -> q <= n) all_ops in
+        let op_vars = Harness.addition_vars (n + 1) in
+        let bindings = List.combine op_vars ops in
+        let merge_kernel =
+          Kernel.prepare
+            (Harness.get (Lower.lower ~mode:fused_mode (Harness.addition_merge_stmt op_vars)))
+        in
+        let ws_kernel =
+          Kernel.prepare
+            (Harness.get (Lower.lower ~mode:fused_mode (Harness.addition_workspace_stmt op_vars)))
+        in
+        let rs =
+          Harness.medians ~reps
+            ~workload:(Printf.sprintf "%d_additions" n)
+            ~equal:Harness.close_to
+            ~info:(function
+              | "taco" -> [ ("pass_stats", Harness.pass_stats_json (Kernel.info merge_kernel)) ]
+              | "workspace" -> [ ("pass_stats", Harness.pass_stats_json (Kernel.info ws_kernel)) ]
+              | _ -> [])
+            [
+              ("taco_binop", fun () -> pairwise_chain pair bv cv ops dims);
+              ("taco", fun () -> Kernel.run_assemble merge_kernel ~inputs:bindings ~dims);
+              ("workspace", fun () -> Kernel.run_assemble ws_kernel ~inputs:bindings ~dims);
+              ("eigen_like", fun () -> pairwise_chain eigen K.Spadd.b_var K.Spadd.c_var ops dims);
+              ("mkl_like", fun () -> pairwise_chain mkl K.Spadd.b_var K.Spadd.c_var ops dims);
+            ]
+        in
+        Harness.row "%-4d | %s" n
+          (String.concat " " (List.map (fun r -> Printf.sprintf "%10.3f" r.Harness.time_s) rs));
+        rs)
+      (List.init (max_ops - 1) (fun q -> q + 1))
+  in
   print_endline
     "\n(paper: workspace overtakes the merge codes beyond ~4 additions; taco beats";
   print_endline " MKL by 2.8x on average; Eigen and taco are competitive)";
 
-  (* Right table: assembly/compute breakdown for 7 operands. *)
+  (* Right table: assembly/compute breakdown for 7 operands, each phase
+     timed once. *)
   Harness.header "Fig. 13 (right): assembly/compute breakdown, 7 operands";
   let op_vars = Harness.addition_vars max_ops in
   let bindings = List.combine op_vars all_ops in
+  let asm_phase = "assembly_7_operands" and cmp_phase = "compute_7_operands" in
   (* taco-binop: sum of per-step assembly and compute. *)
   let pair_asm = Kernel.prepare (Harness.get (Lower.lower ~mode:assemble_mode pair_stmt)) in
   let pair_cmp = Kernel.prepare (Harness.get (Lower.lower ~mode:Lower.Compute pair_stmt)) in
-  let binop_split () =
-    let asm_total = ref 0. and cmp_total = ref 0. in
-    let acc = ref (List.hd all_ops) in
-    List.iter
-      (fun op ->
-        let inputs = [ (bv, !acc); (cv, op) ] in
-        let structure = ref (Tensor.zero dims Format.csr) in
-        let _, t_asm =
-          Taco_support.Util.time (fun () ->
-              structure := Kernel.run_assemble pair_asm ~inputs ~dims)
-        in
-        let _, t_cmp =
-          Taco_support.Util.time (fun () ->
-              Kernel.run_compute pair_cmp ~inputs ~output:!structure)
-        in
-        asm_total := !asm_total +. t_asm;
-        cmp_total := !cmp_total +. t_cmp;
-        acc := !structure)
-      (List.tl all_ops);
-    (!asm_total, !cmp_total)
+  let binop_split phase =
+    List.fold_left
+      (fun acc op ->
+        let inputs = [ (bv, acc); (cv, op) ] in
+        let structure = phase asm_phase (fun () -> Kernel.run_assemble pair_asm ~inputs ~dims) in
+        phase cmp_phase (fun () ->
+            Kernel.run_compute pair_cmp ~inputs ~output:structure;
+            structure))
+      (List.hd all_ops) (List.tl all_ops)
   in
-  let split stmt =
+  let split stmt phase =
     let asm = Kernel.prepare (Harness.get (Lower.lower ~mode:assemble_mode stmt)) in
     let cmp = Kernel.prepare (Harness.get (Lower.lower ~mode:Lower.Compute stmt)) in
-    let structure = ref (Tensor.zero dims Format.csr) in
-    let _, t_asm =
-      Taco_support.Util.time (fun () ->
-          structure := Kernel.run_assemble asm ~inputs:bindings ~dims)
-    in
-    let _, t_cmp =
-      Taco_support.Util.time (fun () -> Kernel.run_compute cmp ~inputs:bindings ~output:!structure)
-    in
-    (t_asm, t_cmp)
+    let structure = phase asm_phase (fun () -> Kernel.run_assemble asm ~inputs:bindings ~dims) in
+    phase cmp_phase (fun () ->
+        Kernel.run_compute cmp ~inputs:bindings ~output:structure;
+        structure)
   in
-  let binop_asm, binop_cmp = binop_split () in
-  let taco_asm, taco_cmp = split (Harness.addition_merge_stmt op_vars) in
-  let ws_asm, ws_cmp = split (Harness.addition_workspace_stmt op_vars) in
-  let t_eigen =
-    Harness.time_median ~reps (fun () ->
-        ignore (pairwise_chain eigen K.Spadd.b_var K.Spadd.c_var all_ops dims))
+  let right =
+    Harness.once ~equal:Harness.close_to ~phases:[ asm_phase; cmp_phase ]
+      [
+        ("taco_binop", binop_split);
+        ("taco", split (Harness.addition_merge_stmt op_vars));
+        ("workspace", split (Harness.addition_workspace_stmt op_vars));
+      ]
   in
-  let t_mkl =
-    Harness.time_median ~reps (fun () ->
-        ignore (pairwise_chain mkl K.Spadd.b_var K.Spadd.c_var all_ops dims))
+  (* Milliseconds of [v]'s record in [workload]. The pairwise baselines
+     have no split: their totals are the last row of the left table,
+     which adds the same 7 operands. *)
+  let ms records workload v =
+    1000. *. Harness.time_of (List.filter (fun r -> r.Harness.workload = workload) records) v
   in
+  let last = Printf.sprintf "%d_additions" (max_ops - 1) in
   Harness.row "%-11s %12s %12s" "code" "assembly(ms)" "compute(ms)";
-  Harness.row "%-11s %12.1f %12.1f" "taco bin" (1000. *. binop_asm) (1000. *. binop_cmp);
-  Harness.row "%-11s %12.1f %12.1f" "taco" (1000. *. taco_asm) (1000. *. taco_cmp);
-  Harness.row "%-11s %12.1f %12.1f" "workspace" (1000. *. ws_asm) (1000. *. ws_cmp);
-  Harness.row "%-11s %12s %12.1f" "eigen-like" "-" (1000. *. t_eigen);
-  Harness.row "%-11s %12s %12.1f" "mkl-like" "-" (1000. *. t_mkl);
+  List.iter
+    (fun v -> Harness.row "%-11s %12.1f %12.1f" v (ms right asm_phase v) (ms right cmp_phase v))
+    [ "taco_binop"; "taco"; "workspace" ];
+  List.iter
+    (fun v -> Harness.row "%-11s %12s %12.1f" v "-" (ms left last v))
+    [ "eigen_like"; "mkl_like" ];
   print_endline
     "\n(paper, ms: taco bin 247/211, taco 190/182, workspace 190/93, Eigen 436, MKL 1141;";
   print_endline " assembly dominates, and the workspace halves compute time)";
-  match json with
-  | None -> ()
-  | Some path ->
-      let split_json (asm, cmp) =
-        Report.Obj [ ("assembly_s", Report.Float asm); ("compute_s", Report.Float cmp) ]
-      in
-      Report.write path
-        (Report.Obj
-           [
-             ("bench", Report.Str "fig13");
-             ("seed", Report.Int seed);
-             ("dim", Report.Int dim);
-             ("reps", Report.Int reps);
-             ("rows", Report.List (List.rev !left_rows));
-             ( "breakdown_7_operands",
-               Report.Obj
-                 [
-                   ("taco_binop", split_json (binop_asm, binop_cmp));
-                   ("taco", split_json (taco_asm, taco_cmp));
-                   ("workspace", split_json (ws_asm, ws_cmp));
-                   ("eigen_like_s", Report.Float t_eigen);
-                   ("mkl_like_s", Report.Float t_mkl);
-                 ] );
-           ])
+  Harness.report ?path:json ~bench:"fig13" ~agreement:Harness.within_eps
+    ~config:[ ("seed", Report.Int seed); ("dim", Report.Int dim); ("reps", Report.Int reps) ]
+    (left @ right)

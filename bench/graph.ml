@@ -57,86 +57,27 @@ type workload = {
   g_run : G.backend -> float array * int;
 }
 
-let bits_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun q x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(q) then ok := false)
-        a;
-      !ok)
-
-(* Best-of-[reps] over ~50ms batches, backends interleaved round-robin:
-   the same additive-noise estimator as the backend comparison. Kernels
-   are compiled once per (op, semiring, backend) by lib/graph's cache,
-   so only the first warm-up run pays the C compile. *)
-let time_backends ~reps w backends =
-  Gc.compact ();
-  let t0 =
-    List.fold_left
-      (fun acc (_, b) ->
-        let _, t = Taco_support.Util.time (fun () -> ignore (w.g_run b)) in
-        Float.max acc t)
-      1e-6 backends
+(* The two backends' full fixpoints agree when cells and iteration
+   counts are bit-identical; then both are timed together. Kernels are
+   compiled once per (op, semiring, backend) by lib/graph's cache, so
+   only the first native run pays the C compile. *)
+let run_workload ~reps ~native_available w =
+  let _, iters = w.g_run `Closure in
+  let records =
+    Harness.best_of_batches ~reps ~workload:w.g_name
+      ~equal:(fun (c1, i1) (c2, i2) -> Harness.bits_equal c1 c2 && i1 = i2)
+      ~info:(fun _ -> [ ("iterations", Report.Int iters) ])
+      (List.map
+         (fun (name, b) -> (name, (fun () -> w.g_run b), fun () -> ignore (w.g_run b)))
+         [ ("closure", `Closure); ("native", `Native) ])
   in
-  let batch = max 1 (int_of_float (0.05 /. t0)) in
-  let run_batch b =
-    Gc.full_major ();
-    let _, t =
-      Taco_support.Util.time (fun () ->
-          for _ = 1 to batch do
-            ignore (w.g_run b)
-          done)
-    in
-    t /. float_of_int batch
-  in
-  let best = Array.make (List.length backends) infinity in
-  for _ = 1 to max 1 reps do
-    List.iteri (fun q (_, b) -> best.(q) <- Float.min best.(q) (run_batch b)) backends
-  done;
-  List.mapi (fun q (n, _) -> (n, best.(q))) backends
-
-type row = {
-  r_name : string;
-  r_closure_s : float;
-  r_native_s : float;
-  r_iters : int;
-  r_identical : bool;
-  r_native_backend : bool;
-}
-
-let run_workload ~reps native_available w =
-  (* Warm-up runs double as the identity gate and compile the kernels. *)
-  let cc, citers = w.g_run `Closure in
-  let nc, niters = w.g_run `Native in
-  let identical = bits_equal cc nc && citers = niters in
-  let times = time_backends ~reps w [ ("closure", `Closure); ("native", `Native) ] in
-  {
-    r_name = w.g_name;
-    r_closure_s = List.assoc "closure" times;
-    r_native_s = List.assoc "native" times;
-    r_iters = citers;
-    r_identical = identical;
-    r_native_backend = native_available;
-  }
-
-let row_json r =
-  Report.Obj
-    [
-      ("name", Report.Str r.r_name);
-      ( "measurements",
-        Report.List
-          [
-            Report.Obj
-              [ ("backend", Report.Str "closure"); ("best_s", Report.Float r.r_closure_s) ];
-            Report.Obj
-              [ ("backend", Report.Str "native"); ("best_s", Report.Float r.r_native_s) ];
-          ] );
-      ("speedup_native", Report.Float (r.r_closure_s /. r.r_native_s));
-      ("iterations", Report.Int r.r_iters);
-      ("bit_identical", Report.Bool r.r_identical);
-      ("native_backend", Report.Bool r.r_native_backend);
-    ]
+  let closure_s = Harness.time_of records "closure" and native_s = Harness.time_of records "native" in
+  Harness.row "%-14s | %12.5f %12.5f %8.2fx %6d %5s" w.g_name closure_s native_s
+    (closure_s /. native_s) iters
+    (if not (List.for_all (fun r -> r.Harness.agrees) records) then "DIFF"
+     else if not native_available then "degr"
+     else "bit=");
+  (records, closure_s /. native_s)
 
 let run ~seed ~reps ~nodes ~out =
   Harness.header "graph workloads: semiring kernels to fixpoint, closure vs native";
@@ -184,49 +125,29 @@ let run ~seed ~reps ~nodes ~out =
   in
   Harness.row "%-14s | %12s %12s %9s %6s %5s" "workload" "closure(s)" "native(s)"
     "speedup" "iters" "ok";
-  let rows =
-    List.map
-      (fun w ->
-        let r = run_workload ~reps native_available w in
-        Harness.row "%-14s | %12.5f %12.5f %8.2fx %6d %5s" r.r_name r.r_closure_s
-          r.r_native_s
-          (r.r_closure_s /. r.r_native_s)
-          r.r_iters
-          (if not r.r_identical then "DIFF"
-           else if not r.r_native_backend then "degr"
-           else "bit=");
-        if not r.r_identical then
-          failwith
-            (Printf.sprintf "%s: native fixpoint diverges from the closure executor"
-               r.r_name);
-        r)
-      workloads
-  in
-  (if native_available then
-     let geomean =
-       Harness.geomean (List.map (fun r -> r.r_closure_s /. r.r_native_s) rows)
-     in
-     Printf.printf "\nnative geomean speedup = %.2fx over %d workloads\n%!" geomean
-       (List.length rows));
-  Report.write out
-    (Report.Obj
-       [
-         ("bench", Report.Str "graph");
-         ("seed", Report.Int seed);
-         ("reps", Report.Int reps);
-         ("nodes", Report.Int nodes);
-         ("directed_edges", Report.Int dir_edges);
-         ("undirected_edges", Report.Int undir_edges);
-         ( "compiler",
-           Report.Obj
-             [
-               ("command", Report.Str (Native.compiler ()));
-               ("available", Report.Bool native_available);
-             ] );
-         ("workloads", Report.List (List.map row_json rows));
-         ( "geomean_native_speedup",
-           if native_available then
-             Report.Float
-               (Harness.geomean (List.map (fun r -> r.r_closure_s /. r.r_native_s) rows))
-           else Report.Null );
-       ])
+  let per_workload = List.map (run_workload ~reps ~native_available) workloads in
+  let speedups = List.map snd per_workload in
+  if native_available then
+    Printf.printf "\nnative geomean speedup = %.2fx over %d workloads\n%!"
+      (Harness.geomean speedups) (List.length speedups);
+  Harness.report ~path:out ~bench:"graph" ~agreement:Harness.bit_identical
+    ~config:
+      [
+        ("seed", Report.Int seed);
+        ("reps", Report.Int reps);
+        ("nodes", Report.Int nodes);
+        ("directed_edges", Report.Int dir_edges);
+        ("undirected_edges", Report.Int undir_edges);
+        ( "compiler",
+          Report.Obj
+            [
+              ("command", Report.Str (Native.compiler ()));
+              ("available", Report.Bool native_available);
+            ] );
+      ]
+    ~summary:
+      [
+        ( "geomean_native_speedup",
+          if native_available then Report.Float (Harness.geomean speedups) else Report.Null );
+      ]
+    (List.concat_map fst per_workload)

@@ -1,10 +1,176 @@
-(* Shared benchmark machinery: timing, schedules for the benchmarked
-   kernels, and table printing. *)
+(* Shared benchmark machinery: the timing estimators, the agreement
+   check, the one record schema every bench writes, schedules for the
+   benchmarked kernels, and table printing. *)
 
 open Taco
 module Util = Taco_support.Util
 
 let get = function Ok x -> x | Error e -> failwith e
+
+(* ------------------------------------------------------------------ *)
+(* Agreement                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let tensors_identical t1 t2 =
+  Tensor.dims t1 = Tensor.dims t2
+  && Tensor.nnz t1 = Tensor.nnz t2
+  && bits_equal (Tensor.vals t1) (Tensor.vals t2)
+
+(* What a report's [agrees] means, for its [agreement]: results
+   [bit_identical] to the first variant's, or [close_to] it within
+   [eps]. *)
+let bit_identical = "bit-identical"
+
+let eps = 1e-9
+
+let within_eps = "eps 1e-9"
+
+(* [t] holds the nonzeros of [reference] to a relative [eps], in any
+   storage order: for variants that reassociate sums or leave rows
+   unsorted. [t] is walked and each entry looked up in [reference], so
+   [reference]'s compressed levels must be sorted; nothing is densified,
+   which the Table I stand-ins could not afford. *)
+let close_to reference t =
+  Tensor.dims reference = Tensor.dims t
+  &&
+  let unmatched = ref 0 and ok = ref true in
+  Tensor.iteri_stored (fun _ r -> if Float.abs r > eps then incr unmatched) reference;
+  Tensor.iteri_stored
+    (fun c v ->
+      let r = Tensor.get reference c in
+      if Float.abs (r -. v) > eps *. Float.max 1. (Float.max (Float.abs r) (Float.abs v))
+      then ok := false
+      else if Float.abs r > eps then decr unmatched)
+    t;
+  !ok && !unmatched = 0
+
+(* Whether each variant's result equals the first variant's. Each result
+   is dropped once compared, so none is retained across a timing. *)
+let agreement ~equal = function
+  | [] -> []
+  | first :: rest ->
+      let r0 = first () in
+      true :: List.map (fun f -> equal r0 (f ())) rest
+
+(* ------------------------------------------------------------------ *)
+(* Records                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One timed variant of one workload. [estimator] names how [time_s]
+   was taken: "best_batch" and "median" below, "best_run" and "once"
+   for runs that cannot repeat. [agrees]: the variant's result equals
+   the workload's first variant's, in the sense the report's
+   [agreement] names. *)
+type record = {
+  workload : string;
+  variant : string;
+  estimator : string;
+  time_s : float;
+  reps : int;
+  agrees : bool;
+  info : (string * Report.t) list;
+}
+
+let time_of records variant = (List.find (fun r -> r.variant = variant) records).time_s
+
+let record_json r =
+  Report.Obj
+    [
+      ("workload", Report.Str r.workload);
+      ("variant", Report.Str r.variant);
+      ("estimator", Report.Str r.estimator);
+      ("time_s", Report.Float r.time_s);
+      ("reps", Report.Int r.reps);
+      ("agrees", Report.Bool r.agrees);
+      ("info", Report.Obj r.info);
+    ]
+
+(* Every bench ends here. A variant that disagrees with its workload's
+   first variant fails the run before anything is written, so a
+   divergent run never replaces a good baseline; otherwise the records
+   go to [path] as {bench, config, records, summary}. *)
+let report ?path ~bench ~agreement ~config ?(summary = []) records =
+  List.iter
+    (fun r ->
+      if not r.agrees then
+        failwith
+          (Printf.sprintf "%s: %s/%s disagrees with the workload's first variant (%s)" bench
+             r.workload r.variant agreement))
+    records;
+  Option.iter
+    (fun path ->
+      Report.write path
+        (Report.Obj
+           [
+             ("bench", Report.Str bench);
+             ("config", Report.Obj (("agreement", Report.Str agreement) :: config));
+             ("records", Report.List (List.map record_json records));
+             ("summary", Report.Obj summary);
+           ]))
+    path
+
+(* ------------------------------------------------------------------ *)
+(* Estimators                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Best-of-[reps] over batches sized to ~60ms of work, with the
+   variants interleaved round-robin: the benches compare variants that
+   differ by a few percent, which the median of single ~10ms runs
+   cannot resolve under scheduler and GC noise, and timing each variant
+   in a contiguous block would let a sustained slow phase (CPU
+   contention, thermal throttling) land entirely on one variant.
+   Interleaving spreads any such phase across all variants and the
+   minimum of batched runs is the standard estimator for the
+   noise-free cost (noise is strictly additive). *)
+let batch_s = 0.06
+
+(* Each variant is (name, result, run): [result] feeds the agreement
+   check, [run] is what the clock times; [info] adds per-variant
+   extras. *)
+let best_of_batches ~reps ~workload ~equal ?(info = fun _ -> []) variants =
+  let agrees = agreement ~equal (List.map (fun (_, result, _) -> result) variants) in
+  Gc.compact ();
+  (* Warm each variant once outside the clock (also populates the
+     kernel caches) and size batches off the slowest warm run so every
+     variant runs the same batch length. *)
+  let t0 =
+    List.fold_left (fun acc (_, _, f) -> Float.max acc (snd (Util.time f))) 1e-6 variants
+  in
+  let batch = max 1 (int_of_float (batch_s /. t0)) in
+  let run_batch f =
+    (* Collect the previous run's garbage outside the clock: the runs
+       allocate identically, so without this the major-GC slices they
+       trigger land deterministically on the same variants every round
+       and min-of-reps cannot average the bias away. *)
+    Gc.full_major ();
+    let (), t =
+      Util.time (fun () ->
+          for _ = 1 to batch do
+            f ()
+          done)
+    in
+    t /. float_of_int batch
+  in
+  let best = Array.make (List.length variants) infinity in
+  for _ = 1 to max 1 reps do
+    List.iteri (fun q (_, _, f) -> best.(q) <- Float.min best.(q) (run_batch f)) variants
+  done;
+  List.mapi
+    (fun q ((variant, _, _), agrees) ->
+      {
+        workload;
+        variant;
+        estimator = "best_batch";
+        time_s = best.(q);
+        reps = max 1 reps;
+        agrees;
+        info = ("batch", Report.Int batch) :: info variant;
+      })
+    (List.combine variants agrees)
 
 (* One measurement: median wall-clock of [reps] runs plus the GC work
    the runs did, as per-run means over the whole batch (Gc.quick_stat
@@ -40,24 +206,85 @@ let measure ~reps f =
     m_major_collections = peri (g1.Gc.major_collections - g0.Gc.major_collections);
   }
 
-let measurement_json m =
-  Report.Obj
-    [
-      ("median_s", Report.Float m.m_median_s);
-      ("reps", Report.Int m.m_reps);
-      ( "gc",
-        Report.Obj
-          [
-            ("minor_words", Report.Float m.m_minor_words);
-            ("major_words", Report.Float m.m_major_words);
-            ("promoted_words", Report.Float m.m_promoted_words);
-            ("minor_collections", Report.Float m.m_minor_collections);
-            ("major_collections", Report.Float m.m_major_collections);
-          ] );
-    ]
+let gc_info m =
+  ( "gc",
+    Report.Obj
+      [
+        ("minor_words", Report.Float m.m_minor_words);
+        ("major_words", Report.Float m.m_major_words);
+        ("promoted_words", Report.Float m.m_promoted_words);
+        ("minor_collections", Report.Float m.m_minor_collections);
+        ("major_collections", Report.Float m.m_major_collections);
+      ] )
 
 (* Median wall-clock seconds of [reps] runs. *)
 let time_median ~reps f = (measure ~reps f).m_median_s
+
+(* One workload's variants by [measure], each result checked against
+   the first variant's; [info] adds per-variant extras. *)
+let medians ~reps ~workload ~equal ?(info = fun _ -> []) variants =
+  let agrees = agreement ~equal (List.map snd variants) in
+  List.map2
+    (fun (variant, f) agrees ->
+      let m = measure ~reps (fun () -> ignore (f ())) in
+      {
+        workload;
+        variant;
+        estimator = "median";
+        time_s = m.m_median_s;
+        reps = m.m_reps;
+        agrees;
+        info = gc_info m :: info variant;
+      })
+    variants agrees
+
+(* Single timed runs, for phases that cannot be repeated in place
+   (Fig. 13's assembly/compute split). Each variant runs once, given a
+   [phase] function that times one step and adds it to the named
+   phase's total. One "once" record per phase in [phases] (the phase
+   is its workload) and variant, agreeing when the variant's result
+   equals the first variant's. *)
+let once ~equal ~phases variants =
+  let first = ref None in
+  let runs =
+    List.map
+      (fun (variant, f) ->
+        let totals = Hashtbl.create 2 in
+        let phase name step =
+          let r, t = Util.time step in
+          Hashtbl.replace totals name
+            (t +. Option.value ~default:0. (Hashtbl.find_opt totals name));
+          r
+        in
+        let r = f phase in
+        let agrees =
+          match !first with
+          | None ->
+              first := Some r;
+              true
+          | Some r0 -> equal r0 r
+        in
+        (variant, totals, agrees))
+      variants
+  in
+  List.concat_map
+    (fun workload ->
+      List.map
+        (fun (variant, totals, agrees) ->
+          {
+            workload;
+            variant;
+            estimator = "once";
+            time_s =
+              (match Hashtbl.find_opt totals workload with
+              | Some t -> t
+              | None -> failwith (Printf.sprintf "%s ran no %s phase" variant workload));
+            reps = 1;
+            agrees;
+            info = [];
+          })
+        runs)
+    phases
 
 (* Per-pass optimizer statistics of a lowered kernel, for attaching to
    benchmark JSON: what each pass costs, how it changes the IR size and

@@ -1,8 +1,9 @@
 (* Ablation of the Imp optimizer pipeline (Taco_lower.Opt): each paper
    workspace kernel is timed with no optimization, with each pass
    enabled alone, and with the full pipeline, attributing speedup per
-   pass. Results go to stdout as a table and to BENCH_opt.json for
-   machine consumption.
+   pass. Every variant's result must be bit-identical to the
+   unoptimized one. Results go to stdout as a table and to
+   BENCH_opt.json for machine consumption.
 
    The [smoke] entry point is the @perf-smoke alias: one micro SpGEMM
    config, failing (exit 1) if the fully optimized kernel is slower
@@ -23,13 +24,15 @@ let variants =
     ("full", Opt.all);
   ]
 
-(* One workload: a lowered kernel plus a runner closure per prepared
-   kernel (the preparation — and thus the optimizer configuration — is
-   the variable; inputs stay fixed). *)
+(* One workload: a lowered kernel plus runners for a prepared kernel
+   (the preparation — and thus the optimizer configuration — is the
+   variable; inputs stay fixed): [w_run] for the clock, [w_result] for
+   the agreement check. *)
 type workload = {
   w_name : string;
   w_info : Lower.kernel_info;
   w_run : Kernel.t -> unit;
+  w_result : Kernel.t -> Tensor.t;
 }
 
 let fused = Lower.Assemble { emit_values = true; sorted = true }
@@ -39,11 +42,12 @@ let spgemm_workload ~seed ~dim =
   let info = Harness.get (Lower.lower ~name:"spgemm_ws" ~mode:fused stmt) in
   let bt = Inputs.uniform_matrix ~seed ~rows:dim ~cols:dim ~density:(32. /. float_of_int dim) in
   let ct = Inputs.uniform_matrix ~seed:(seed + 1) ~rows:dim ~cols:dim ~density:(32. /. float_of_int dim) in
+  let inputs = [ (b, bt); (c, ct) ] and dims = [| dim; dim |] in
   {
     w_name = "spgemm_ws";
     w_info = info;
-    w_run =
-      (fun k -> Kernel.run_assemble_raw k ~inputs:[ (b, bt); (c, ct) ] ~dims:[| dim; dim |]);
+    w_run = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
+    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
   }
 
 let spadd_workload ~seed ~dim =
@@ -52,10 +56,12 @@ let spadd_workload ~seed ~dim =
   let name = "spadd_merge" in
   let info = Harness.get (Lower.lower ~name ~mode:fused stmt) in
   let inputs = List.combine ops (Inputs.addition_operands ~seed ~n:2 ~dim) in
+  let dims = [| dim; dim |] in
   {
     w_name = name;
     w_info = info;
-    w_run = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims:[| dim; dim |]);
+    w_run = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
+    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
   }
 
 let mttkrp_workload ~seed ~dim =
@@ -69,84 +75,23 @@ let mttkrp_workload ~seed ~dim =
   let cols = 32 in
   let ct = Inputs.dense_factor ~seed:(seed + 1) ~rows:(dim / 2) ~cols in
   let dt = Inputs.dense_factor ~seed:(seed + 2) ~rows:(dim / 2) ~cols in
+  let inputs = [ (b, bt); (c, ct); (d, dt) ] and dims = [| dim; cols |] in
   {
     w_name = "mttkrp_ws";
     w_info = info;
-    w_run =
-      (fun k ->
-        ignore (Kernel.run_dense k ~inputs:[ (b, bt); (c, ct); (d, dt) ] ~dims:[| dim; cols |]));
+    w_run = (fun k -> ignore (Kernel.run_dense k ~inputs ~dims : Tensor.t));
+    w_result = (fun k -> Kernel.run_dense k ~inputs ~dims);
   }
 
-(* Best-of-[reps] over batches sized to ~60ms of work, with the
-   variants interleaved round-robin: the ablation compares kernels that
-   differ by a few percent, which the median of single ~10ms runs
-   cannot resolve under scheduler and GC noise, and timing each variant
-   in a contiguous block would let a sustained slow phase (CPU
-   contention, thermal throttling) land entirely on one variant.
-   Interleaving spreads any such phase across all variants and the
-   minimum of batched runs is the standard estimator for the
-   noise-free cost (noise is strictly additive). *)
-let time_variants ?(variants = variants) ~reps w =
-  Gc.compact ();
-  let kerns =
-    List.map (fun (n, cfg) -> (n, Kernel.prepare ~opt:cfg w.w_info)) variants
-  in
-  (* Warm each kernel once outside the clock (also populates the kernel
-     cache) and size batches off the slowest warm run so every variant
-     runs the same batch length. *)
-  let t0 =
-    List.fold_left
-      (fun acc (_, k) ->
-        let _, t = Taco_support.Util.time (fun () -> w.w_run k) in
-        Float.max acc t)
-      1e-6 kerns
-  in
-  let batch = max 1 (int_of_float (0.06 /. t0)) in
-  let run_batch k =
-    (* Collect the previous run's garbage outside the clock: the runs
-       allocate identically, so without this the major-GC slices they
-       trigger land deterministically on the same variants every round
-       and min-of-reps cannot average the bias away. *)
-    Gc.full_major ();
-    let _, t =
-      Taco_support.Util.time (fun () ->
-          for _ = 1 to batch do
-            w.w_run k
-          done)
-    in
-    t /. float_of_int batch
-  in
-  let best = Array.make (List.length kerns) infinity in
-  for _ = 1 to max 1 reps do
-    List.iteri (fun q (_, k) -> best.(q) <- Float.min best.(q) (run_batch k)) kerns
-  done;
-  List.mapi (fun q (n, _) -> (n, best.(q))) kerns
-
-let write_json ~path ~seed ~reps rows geomean =
-  Report.write path
-    (Report.Obj
-       [
-         ("bench", Report.Str "opt_ablation");
-         ("seed", Report.Int seed);
-         ("reps", Report.Int reps);
-         ( "variants",
-           Report.List (List.map (fun (n, _) -> Report.Str n) variants) );
-         ( "workloads",
-           Report.List
-             (List.map
-                (fun (name, times, gc_full, pass_stats) ->
-                  Report.Obj
-                    [
-                      ("name", Report.Str name);
-                      ( "times_s",
-                        Report.Obj
-                          (List.map (fun (v, t) -> (v, Report.Float t)) times) );
-                      ("full_measurement", gc_full);
-                      ("pass_stats", pass_stats);
-                    ])
-                rows) );
-         ("geomean_full_speedup", Report.Float geomean);
-       ])
+(* Every variant's result must be bit-identical to the first's (the
+   optimizer's exact-bits contract), then all are timed together. *)
+let ablate ?(variants = variants) ?info ~reps w =
+  Harness.best_of_batches ~reps ~workload:w.w_name ~equal:Harness.tensors_identical ?info
+    (List.map
+       (fun (n, cfg) ->
+         let k = Kernel.prepare ~opt:cfg w.w_info in
+         (n, (fun () -> w.w_result k), fun () -> w.w_run k))
+       variants)
 
 let run ~seed ~reps ~dim ~out =
   Harness.header "Optimizer ablation: unoptimized vs per-pass vs full pipeline";
@@ -161,44 +106,55 @@ let run ~seed ~reps ~dim ~out =
     (String.concat " "
        (List.map (fun (n, _) -> Printf.sprintf "%13s" (n ^ "(s)")) variants))
     "speedup";
-  let rows =
+  let per_workload =
     List.map
       (fun w ->
-        let times = time_variants ~reps w in
-        let t_none = List.assoc "none" times in
-        let t_full = List.assoc "full" times in
-        Harness.row "%-12s | %s %8.2fx" w.w_name
-          (String.concat " " (List.map (fun (_, t) -> Printf.sprintf "%13.4f" t) times))
-          (t_none /. t_full);
-        (* GC work of the fully optimized kernel (prepared again — the
-           kernel cache makes this a hit) and the per-pass optimizer
-           statistics, for the machine-readable output. *)
+        (* GC work of the fully optimized kernel (prepared again by
+           [ablate] — the kernel cache makes that a hit) and the
+           per-pass optimizer statistics go with the "full" record. *)
         let full = Kernel.prepare ~opt:Opt.all w.w_info in
-        let gc_full =
-          Harness.measurement_json
-            (Harness.measure ~reps:(max 3 reps) (fun () -> w.w_run full))
-        in
-        (w.w_name, times, gc_full, Harness.pass_stats_json w.w_info))
+        let gc = Harness.gc_info (Harness.measure ~reps:(max 3 reps) (fun () -> w.w_run full)) in
+        let extras = [ gc; ("pass_stats", Harness.pass_stats_json w.w_info) ] in
+        let records = ablate ~info:(function "full" -> extras | _ -> []) ~reps w in
+        let speedup = Harness.time_of records "none" /. Harness.time_of records "full" in
+        Harness.row "%-12s | %s %8.2fx" w.w_name
+          (String.concat " "
+             (List.map (fun r -> Printf.sprintf "%13.4f" r.Harness.time_s) records))
+          speedup;
+        (records, speedup))
       workloads
   in
-  let geomean =
-    Harness.geomean
-      (List.map
-         (fun (_, times, _, _) -> List.assoc "none" times /. List.assoc "full" times)
-         rows)
-  in
+  let geomean = Harness.geomean (List.map snd per_workload) in
   Printf.printf "\nfull-pipeline geomean speedup = %.2fx\n%!" geomean;
-  write_json ~path:out ~seed ~reps rows geomean
+  Harness.report ~path:out ~bench:"opt_ablation" ~agreement:Harness.bit_identical
+    ~config:
+      [
+        ("seed", Report.Int seed);
+        ("reps", Report.Int reps);
+        ("dim", Report.Int dim);
+        ("variants", Report.List (List.map (fun (n, _) -> Report.Str n) variants));
+      ]
+    ~summary:
+      [
+        ( "full_speedup",
+          Report.Obj
+            (List.map2
+               (fun w (_, s) -> (w.w_name, Report.Float s))
+               workloads per_workload) );
+        ("geomean_full_speedup", Report.Float geomean);
+      ]
+    (List.concat_map fst per_workload)
 
 (* Tiny SpGEMM config for CI: the full pipeline must not lose to the
    unoptimized kernel. *)
 let smoke () =
   let w = spgemm_workload ~seed:2019 ~dim:600 in
   let times =
-    time_variants ~variants:[ ("none", Opt.none); ("full", Opt.all) ] ~reps:5 w
+    ablate ~variants:[ ("none", Opt.none); ("full", Opt.all) ] ~reps:5 w
   in
-  let t_none = List.assoc "none" times in
-  let t_full = List.assoc "full" times in
+  Harness.report ~bench:"perf-smoke" ~agreement:Harness.bit_identical ~config:[] times;
+  let t_none = Harness.time_of times "none" in
+  let t_full = Harness.time_of times "full" in
   Printf.printf "perf-smoke spgemm_ws: unoptimized %.4fs, optimized %.4fs (%.2fx)\n%!"
     t_none t_full (t_none /. t_full);
   if t_full > t_none then begin

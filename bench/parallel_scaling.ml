@@ -74,80 +74,28 @@ let mttkrp_compiled () =
   let sched = getd (parallelize vi sched) in
   (b, c, d, getd (compile ~name:"mttkrp_par" sched))
 
-(* --- bit identity across domain counts ------------------------------- *)
-
-let bits_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun q x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(q) then ok := false)
-        a;
-      !ok)
-
-let tensors_identical t1 t2 =
-  Tensor.dims t1 = Tensor.dims t2
-  && Tensor.nnz t1 = Tensor.nnz t2
-  && bits_equal (Tensor.vals t1) (Tensor.vals t2)
-
 (* --- the sweep -------------------------------------------------------- *)
 
-type point = { p_domains : int; p_m : Harness.measurement; p_speedup : float; p_identical : bool }
-
+(* One record per domain count, each checked bit-identical against the
+   sequential (1-domain) run. Returns the records and the speedups over
+   the sequential median. *)
 let sweep ~reps ~domain_counts name compiled inputs =
-  let reference = getd (run ~domains:1 compiled ~inputs) in
-  let points =
-    List.map
-      (fun k ->
-        let r = getd (run ~domains:k compiled ~inputs) in
-        let identical = tensors_identical reference r in
-        let m =
-          Harness.measure ~reps (fun () -> ignore (getd (run ~domains:k compiled ~inputs)))
-        in
-        (k, m, identical))
-      domain_counts
+  if List.hd domain_counts <> 1 then invalid_arg "sweep: domain_counts must start at 1";
+  let records =
+    Harness.medians ~reps ~workload:name ~equal:Harness.tensors_identical
+      (List.map
+         (fun k -> (Printf.sprintf "%d_domains" k, fun () -> getd (run ~domains:k compiled ~inputs)))
+         domain_counts)
   in
-  let seq_s =
-    match points with
-    | (1, m, _) :: _ -> m.Harness.m_median_s
-    | _ -> invalid_arg "sweep: domain_counts must start at 1"
-  in
-  List.map
-    (fun (k, m, identical) ->
-      let p =
-        {
-          p_domains = k;
-          p_m = m;
-          p_speedup = seq_s /. m.Harness.m_median_s;
-          p_identical = identical;
-        }
-      in
-      Harness.row "  %-8s %2d domains  %10.6fs  speedup %5.2fx  %s" name k
-        m.Harness.m_median_s p.p_speedup
-        (if identical then "bit-identical" else "DIVERGED");
-      if not identical then
-        failwith (Printf.sprintf "%s: %d-domain result diverges from sequential" name k);
-      p)
-    points
-
-let kernel_json name points =
-  Report.Obj
-    [
-      ("kernel", Report.Str name);
-      ( "points",
-        Report.List
-          (List.map
-             (fun p ->
-               Report.Obj
-                 [
-                   ("domains", Report.Int p.p_domains);
-                   ("median_s", Report.Float p.p_m.Harness.m_median_s);
-                   ("speedup", Report.Float p.p_speedup);
-                   ("bit_identical", Report.Bool p.p_identical);
-                   ("measurement", Harness.measurement_json p.p_m);
-                 ])
-             points) );
-    ]
+  let seq_s = (List.hd records).Harness.time_s in
+  List.map2
+    (fun k r ->
+      let speedup = seq_s /. r.Harness.time_s in
+      Harness.row "  %-8s %2d domains  %10.6fs  speedup %5.2fx  %s" name k r.Harness.time_s
+        speedup
+        (if r.Harness.agrees then "bit-identical" else "DIVERGED");
+      (r, speedup))
+    domain_counts records
 
 let with_budget ~extra f =
   let old = Budget.capacity () in
@@ -191,25 +139,30 @@ let run ~seed ~scale ~reps ~max_domains ~out =
     (if recommended = 1 then "" else "s");
   let domain_counts = List.init max_domains (fun q -> q + 1) in
   let results = run_points ~seed ~scale ~reps ~domain_counts in
-  Report.write out
-    (Report.Obj
-       [
-         ("experiment", Report.Str "parallel_scaling");
-         ("seed", Report.Int seed);
-         ("scale", Report.Int scale);
-         ( "machine",
-           Report.Obj
-             [
-               ("recommended_domains", Report.Int recommended);
-               ("swept_domains", Report.Int max_domains);
-             ] );
-         ("kernels", Report.List (List.map (fun (n, ps) -> kernel_json n ps) results));
-       ])
+  Harness.report ~path:out ~bench:"parallel_scaling" ~agreement:Harness.bit_identical
+    ~config:
+      [
+        ("seed", Report.Int seed);
+        ("scale", Report.Int scale);
+        ("reps", Report.Int reps);
+        ("recommended_domains", Report.Int recommended);
+        ("swept_domains", Report.Int max_domains);
+      ]
+    ~summary:
+      [
+        ( "speedup_vs_1_domain",
+          Report.Obj
+            (List.map
+               (fun (n, pts) -> (n, Report.List (List.map (fun (_, s) -> Report.Float s) pts)))
+               results) );
+      ]
+    (List.concat_map (fun (_, pts) -> List.map fst pts) results)
 
-(* CI gate: tiny inputs, a 2-domain sweep, no JSON. Fails (exit 1) if
-   any chunked run diverges from the sequential one. *)
+(* CI gate: tiny inputs, a 2-domain sweep, no JSON. Fails if any
+   chunked run diverges from the sequential one. *)
 let smoke () =
   Harness.header "Parallel scaling smoke (2 domains, determinism gate)";
   let results = run_points ~seed:2019 ~scale:64 ~reps:1 ~domain_counts:[ 1; 2 ] in
-  ignore results;
+  Harness.report ~bench:"par-smoke" ~agreement:Harness.bit_identical ~config:[]
+    (List.concat_map (fun (_, pts) -> List.map fst pts) results);
   print_endline "parallel smoke OK: every chunked result bit-identical to sequential"

@@ -81,20 +81,3 @@ let write path v =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string v));
   Printf.printf "\nwrote %s\n%!" path
-
-(* Shared schema fields for benches that compare execution backends:
-   every per-measurement object carries which backend produced it, and
-   native measurements break the build pipeline out per phase so emit /
-   cc / dlopen cost is separable from kernel run time. *)
-
-let backend_field name = ("backend", Str name)
-
-let phases_field ~emit_ns ~cc_ns ~dlopen_ns ~run_ns =
-  ( "phases",
-    Obj
-      [
-        ("emit_ns", Int (Int64.to_int emit_ns));
-        ("cc_ns", Int (Int64.to_int cc_ns));
-        ("dlopen_ns", Int (Int64.to_int dlopen_ns));
-        ("run_ns", Int (Int64.to_int run_ns));
-      ] )

@@ -2,83 +2,42 @@
 
    Usage: benchdiff [--tolerance PCT] BASELINE.json NEW.json
 
-   Both files are bench reports (BENCH_*.json or the loadgen report):
-   arbitrary JSON whose numeric leaves include measurements. benchdiff
-   pairs up the measurement leaves of the two files by structural path,
-   groups them by kernel/workload, and compares each group's geometric
-   mean ratio new/baseline against the tolerance (default 10%).
+   Both files are bench reports in the one record schema bench/main.exe
+   writes: {bench, config, records, summary}, each record
+   {workload, variant, estimator, time_s, reps, agrees, info}. benchdiff
+   pairs the records of the two files by (workload, variant, estimator),
+   takes each pair's ratio new/baseline of time_s (lower is better), and
+   compares each workload's geometric-mean ratio against the tolerance
+   (default 10%).
 
-   What counts as a measurement: a numeric leaf whose path contains a
-   duration-ish segment (ending in _s/_ms/_ns/_us, or containing "time",
-   "latency" or "elapsed") — lower is better; or a throughput-ish
-   segment ("throughput", "rps", "speedup", "ops_per") — higher is
-   better, so its ratio is inverted before aggregation. Counts, sizes
-   and configuration numbers are ignored.
-
-   Grouping: the nearest enclosing array element that carries a string
-   "name", "kernel" or "workload" field names the group; leaves outside
-   any named element fall into the file-level group "".
-
-   Exit status: 0 when every group's geomean ratio is within tolerance,
-   1 when any group regressed (each is reported), 2 on usage or parse
-   errors. Improvements beyond tolerance are reported but do not fail —
-   the gate guards against drift backwards, not forwards. *)
+   Exit status: 0 when every workload's geomean ratio is within
+   tolerance, 1 when any workload regressed (each is reported), 2 on
+   usage or parse errors, a file without a records array or with a
+   malformed record, a record whose agrees is not true, and two files
+   with no record in common — input the gate cannot read, or a run
+   whose results diverged, never passes. Improvements beyond tolerance
+   are reported but do not fail: the gate guards against drift
+   backwards, not forwards. *)
 
 open Mini_json
 
-let lower s = String.lowercase_ascii s
+(* ((workload, variant, estimator), time_s) for each record. *)
+let records file doc =
+  match field doc "records" with
+  | Some (Arr rs) ->
+      List.map
+        (fun r ->
+          let key k = str_field (file ^ ": record") r k in
+          let t = num_field (file ^ ": record") r "time_s" in
+          if not (t > 0.) then fail "%s: record time_s %g is not positive" file t;
+          if field r "agrees" <> Some (Bool true) then
+            fail "%s: record %s/%s does not agree with its workload's first variant" file
+              (key "workload") (key "variant");
+          ((key "workload", key "variant", key "estimator"), t))
+        rs
+  | _ -> fail "%s: no \"records\" array (not a bench report in the record schema)" file
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
-
-let ends_with s suffix =
-  let ls = String.length suffix and ln = String.length s in
-  ln >= ls && String.sub s (ln - ls) ls = suffix
-
-let duration_seg s =
-  let s = lower s in
-  ends_with s "_s" || ends_with s "_ms" || ends_with s "_ns" || ends_with s "_us"
-  || contains s "time" || contains s "latency" || contains s "elapsed"
-
-let throughput_seg s =
-  let s = lower s in
-  contains s "throughput" || contains s "rps" || contains s "speedup"
-  || contains s "ops_per"
-
-(* (group, path) -> (value, higher_better) *)
-let flatten doc =
-  let leaves : ((string * string) * (float * bool)) list ref = ref [] in
-  let rec walk group path = function
-    | Num v ->
-        let higher = List.exists throughput_seg path in
-        let is_dur = List.exists duration_seg path in
-        if (is_dur || higher) && v > 0. then
-          leaves :=
-            ((group, String.concat "/" (List.rev path)), (v, higher)) :: !leaves
-    | Obj kvs -> List.iter (fun (k, v) -> walk group (k :: path) v) kvs
-    | Arr elems ->
-        List.iteri
-          (fun i e ->
-            let seg, group' =
-              let named k =
-                match field e k with Some (Str s) -> Some s | _ -> None
-              in
-              match (named "name", named "kernel", named "workload") with
-              | Some s, _, _ | None, Some s, _ | None, None, Some s -> (s, s)
-              | None, None, None -> (string_of_int i, group)
-            in
-            walk group' (seg :: path) e)
-          elems
-    | Null | Bool _ | Str _ -> ()
-  in
-  walk "" [] doc;
-  !leaves
-
-let geomean = function
-  | [] -> 1.
-  | rs -> exp (List.fold_left (fun acc r -> acc +. log r) 0. rs /. float_of_int (List.length rs))
+let geomean rs = exp (List.fold_left (fun acc r -> acc +. log r) 0. rs /. float_of_int (List.length rs))
 
 let () =
   let tolerance = ref 10. in
@@ -105,10 +64,10 @@ let () =
         exit 2
   in
   let load f =
-    match of_file f with
-    | doc -> flatten doc
+    match records f (of_file f) with
+    | rs -> rs
     | exception Bad msg ->
-        Printf.eprintf "benchdiff: %s: %s\n" f msg;
+        Printf.eprintf "benchdiff: %s\n" msg;
         exit 2
     | exception Sys_error msg ->
         Printf.eprintf "benchdiff: %s\n" msg;
@@ -116,30 +75,20 @@ let () =
   in
   let base = load base_file in
   let fresh = load new_file in
-  (* Pair leaves by (group, path); ratio so that > 1 always means worse. *)
+  (* workload -> ratios of its paired records *)
   let groups : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let paired = ref 0 in
   List.iter
-    (fun ((group, path), (v_new, higher)) ->
-      match List.assoc_opt (group, path) base with
+    (fun (((workload, _, _) as key), t_new) ->
+      match List.assoc_opt key base with
       | None -> ()
-      | Some (v_old, _) ->
-          incr paired;
-          let ratio = if higher then v_old /. v_new else v_new /. v_old in
-          let cell =
-            match Hashtbl.find_opt groups group with
-            | Some c -> c
-            | None ->
-                let c = ref [] in
-                Hashtbl.replace groups group c;
-                c
-          in
-          cell := ratio :: !cell)
+      | Some t_old -> (
+          let ratio = t_new /. t_old in
+          match Hashtbl.find_opt groups workload with
+          | Some c -> c := ratio :: !c
+          | None -> Hashtbl.replace groups workload (ref [ ratio ])))
     fresh;
-  if !paired = 0 then begin
-    Printf.eprintf
-      "benchdiff: no measurement leaves in common between %s and %s\n" base_file
-      new_file;
+  if Hashtbl.length groups = 0 then begin
+    Printf.eprintf "benchdiff: no record in common between %s and %s\n" base_file new_file;
     exit 2
   end;
   let threshold = 1. +. (!tolerance /. 100.) in
@@ -150,20 +99,18 @@ let () =
   let regressed = ref [] in
   List.iter
     (fun (g, gm, n) ->
-      let name = if g = "" then "(top level)" else g in
       let verdict =
         if gm > threshold then begin
-          regressed := name :: !regressed;
+          regressed := g :: !regressed;
           "REGRESSED"
         end
         else if gm < 1. /. threshold then "improved"
         else "ok"
       in
-      Printf.printf "benchdiff: %-24s geomean %.4fx over %d measurements  %s\n" name
-        gm n verdict)
+      Printf.printf "benchdiff: %-24s geomean %.4fx over %d records  %s\n" g gm n verdict)
     rows;
   if !regressed <> [] then begin
-    Printf.eprintf "benchdiff: %d group(s) regressed beyond %.1f%%: %s\n"
+    Printf.eprintf "benchdiff: %d workload(s) regressed beyond %.1f%%: %s\n"
       (List.length !regressed) !tolerance
       (String.concat ", " (List.rev !regressed));
     exit 1

@@ -72,29 +72,69 @@ let test_eval_auto () =
           check_dense "autoscheduled SpGEMM matches dense matmul" (dense_matmul b c)
             (T.to_dense r.Service.tensor))
 
-(* --- concurrent identical requests compile exactly once ------------ *)
+(* --- concurrent requests compile once per distinct structure ------- *)
+
+let spadd_request b c =
+  Service.request ~result_format:F.csr ~expr:"A(i,j) = B(i,j) + C(i,j)"
+    ~inputs:[ ("B", b); ("C", c) ]
+    ()
+
+let mttkrp_request b c d =
+  Service.request
+    ~directives:
+      [
+        Service.Reorder ("j", "k");
+        Service.Reorder ("j", "l");
+        Service.Precompute { expr = "B(i,k,l) * C(l,j)"; over = [ "j" ]; workspace = "w" };
+      ]
+    ~expr:"A(i,j) = B(i,k,l) * C(l,j) * D(k,j)"
+    ~inputs:[ ("B", b); ("C", c); ("D", d) ]
+    ()
+
+(* Submit every request at once on a fresh compile cache; the results'
+   nnz in submission order, and the cache counters. *)
+let submit_all ~domains requests =
+  Compile.cache_clear ();
+  let nnz =
+    with_service ~domains (fun svc ->
+        let tickets =
+          List.map
+            (fun req ->
+              match Service.submit svc req with
+              | Ok t -> t
+              | Error d -> Alcotest.fail (Diag.to_string d))
+            requests
+        in
+        List.map (fun t -> T.nnz (await_ok t).Service.tensor) tickets)
+  in
+  (nnz, Compile.cache_stats ())
 
 let test_coalescing () =
   let b = random_tensor 5 [| 60; 60 |] 0.05 F.csr in
   let c = random_tensor 6 [| 60; 60 |] 0.05 F.csr in
-  Compile.cache_clear ();
-  with_service ~domains:4 (fun svc ->
-      let tickets =
-        List.init 8 (fun _ ->
-            match Service.submit svc (spgemm_request b c) with
-            | Ok t -> t
-            | Error d -> Alcotest.fail (Diag.to_string d))
-      in
-      let responses = List.map await_ok tickets in
-      let first = List.hd responses in
-      List.iter
-        (fun r ->
-          Alcotest.(check int) "all responses agree on nnz"
-            (T.nnz first.Service.tensor) (T.nnz r.Service.tensor))
-        responses);
-  let cs = Compile.cache_stats () in
+  let nnz, cs = submit_all ~domains:4 (List.init 8 (fun _ -> spgemm_request b c)) in
+  List.iter (Alcotest.(check int) "all responses agree on nnz" (List.hd nnz)) nnz;
   Alcotest.(check int) "one closure build for 8 identical requests" 1 cs.Compile.misses;
-  Alcotest.(check int) "the other 7 were cache hits" 7 cs.Compile.hits
+  Alcotest.(check int) "the other 7 were cache hits" 7 cs.Compile.hits;
+  (* A mixed load of three structures (SpGEMM, SpAdd, MTTKRP),
+     interleaved: each compiles once whatever the pool width, and the
+     results do not depend on it. *)
+  let t3 = random_tensor 15 [| 60; 8; 8 |] 0.05 (F.csf 3) in
+  let fc = random_tensor 16 [| 8; 16 |] 1.0 F.dense_matrix in
+  let fd = random_tensor 17 [| 8; 16 |] 1.0 F.dense_matrix in
+  let mix = [| spgemm_request b c; spadd_request b c; mttkrp_request t3 fc fd |] in
+  let requests = List.init 12 (fun q -> mix.(q mod 3)) in
+  let runs = List.map (fun domains -> (domains, submit_all ~domains requests)) [ 1; 2; 4 ] in
+  let _, (nnz1, _) = List.hd runs in
+  List.iter
+    (fun (domains, (nnz, cs)) ->
+      Alcotest.(check int)
+        (Printf.sprintf "three builds for three structures at %d domains" domains)
+        3 cs.Compile.misses;
+      Alcotest.(check (list int))
+        (Printf.sprintf "result nnz at %d domains equal to 1 domain's" domains)
+        nnz1 nnz)
+    runs
 
 (* --- backpressure --------------------------------------------------- *)
 
