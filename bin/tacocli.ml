@@ -278,10 +278,21 @@ let run_cli expr_str formats dims density seed reorders precomputes split_specs 
 (* serve: a line protocol over stdin or a Unix socket                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-line failures in a serve session raise [Diag.Error] (or [Failure]
-   from int_of_string and friends); the session loop converts them to a
+(* Per-line failures in a serve session raise [Diag.Error] naming the
+   offending clause or field; the session loop converts them to a
    one-line "error …" response and keeps serving. *)
 let fail_input fmt = Diag.fail ~stage:Diag.Serve ~code:"E_SERVE_INPUT" fmt
+
+(* A numeric protocol value, or an E_SERVE_INPUT error naming its
+   clause and the text that did not parse. *)
+let number parse expected what v =
+  match parse (String.trim v) with
+  | Some x -> x
+  | None -> fail_input "malformed %s %S (expected %s)" what v expected
+
+let int_arg = number int_of_string_opt "an integer"
+
+let float_arg = number float_of_string_opt "a number"
 
 let protocol_help =
   String.concat "\n"
@@ -330,8 +341,8 @@ let make_tensor tensors args =
       in
       let rec parse_opts density seed = function
         | [] -> (density, seed)
-        | "density" :: v :: rest -> parse_opts (float_of_string v) seed rest
-        | "seed" :: v :: rest -> parse_opts density (int_of_string v) rest
+        | "density" :: v :: rest -> parse_opts (float_arg "density" v) seed rest
+        | "seed" :: v :: rest -> parse_opts density (int_arg "seed" v) rest
         | w :: _ -> fail_input "unknown tensor option %S" w
       in
       let density, seed = parse_opts 0.05 42 opts in
@@ -376,8 +387,8 @@ let build_request tensors line =
                 match String.trim arg with
                 | "" -> fail_input "malformed parallelize (expected an index variable)"
                 | v -> directives := Service.Parallelize v :: !directives)
-            | "domains", arg -> domains := Some (int_of_string arg)
-            | "deadline", arg -> deadline := Some (int_of_string arg)
+            | "domains", arg -> domains := Some (int_arg "domains" arg)
+            | "deadline", arg -> deadline := Some (int_arg "deadline" arg)
             | "backend", arg -> (
                 match String.trim arg with
                 | "closure" -> backend := Some `Closure

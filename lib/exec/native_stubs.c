@@ -1,12 +1,12 @@
 /* OCaml <-> dlopen bridge for the native execution backend.
  *
  * The generated translation unit (Codegen_c.emit_exec) exports one
- * entry point with a flat ABI:
+ * entry point per kernel it holds, each with the same flat ABI:
  *
- *   int taco_entry(const int64_t* iargs, const double* fargs,
- *                  void** aargs, void** esc, int64_t* esc_len,
- *                  int64_t mem_limit, int64_t deadline_ns,
- *                  const taco_rt_t* rt);
+ *   int taco_entry_<i>(const int64_t* iargs, const double* fargs,
+ *                      void** aargs, void** esc, int64_t* esc_len,
+ *                      int64_t mem_limit, int64_t deadline_ns,
+ *                      const taco_rt_t* rt);
  *
  * rt is the kernel runtime table below: allocation, growth, sorting
  * and the clock, built once with the library instead of being compiled

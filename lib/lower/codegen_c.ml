@@ -430,13 +430,13 @@ let emit kernel =
 
 (* ------------------------------------------------------------------ *)
 (* Exec rendering: the translation unit the native backend compiles   *)
-(* with the system C compiler and calls through dlopen. One exported  *)
-(* entry point with a flat ABI:                                       *)
+(* with the system C compiler and calls through dlopen: one prelude,  *)
+(* then one exported entry point per kernel, all with a flat ABI:     *)
 (*                                                                    *)
-(*   int taco_entry(const int64_t* iargs, const double* fargs,        *)
-(*                  void** aargs, void** esc, int64_t* esc_len,       *)
-(*                  int64_t mem_limit, int64_t deadline_ns,           *)
-(*                  const taco_rt_t* rt)                              *)
+(*   int taco_entry_<i>(const int64_t* iargs, const double* fargs,    *)
+(*                      void** aargs, void** esc, int64_t* esc_len,   *)
+(*                      int64_t mem_limit, int64_t deadline_ns,       *)
+(*                      const taco_rt_t* rt)                          *)
 (*                                                                    *)
 (* Scalar parameters arrive in iargs/fargs and array parameters in    *)
 (* aargs, each in kernel-parameter order. Arrays the kernel allocates *)
@@ -606,9 +606,11 @@ let rec stmt_exec ctx ind ~depth s =
       line "taco_rt->sort_i32(%s + %s, %s - %s);" v (estr lo) (estr hi) (estr lo)
   | Imp.Comment c -> line "// %s" c
 
-let entry_name = "taco_entry"
+(* Kernel [i] of a translation unit exports [taco_entry_<i>]. *)
+let entry_name i = Printf.sprintf "taco_entry_%d" i
 
-let emit_exec_untraced kernel =
+(* One kernel's exported function, [entry_name i]. *)
+let exec_function buf i kernel =
   (match exec_unsupported kernel with
   | Some r -> invalid_arg ("Codegen_c.emit_exec: " ^ r)
   | None -> ());
@@ -619,38 +621,13 @@ let emit_exec_untraced kernel =
   let used = used_tbl body in
   let ctx = { ebuf = Buffer.create 4096; allocs; used; uses_fail = false; par_id = 0 } in
   List.iter (stmt_exec ctx 1 ~depth:0) body;
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Printf.sprintf "// taco native rendering of kernel %s\n" kernel.Imp.k_name);
-  (* No #include: the few names the kernel uses come from compiler
-     builtins, so cc parses no header. *)
-  Buffer.add_string buf
-    "typedef __INT32_TYPE__ int32_t;\n\
-     typedef __INT64_TYPE__ int64_t;\n\
-     typedef __SIZE_TYPE__ size_t;\n\
-     #define bool _Bool\n\
-     #define NULL ((void*)0)\n\
-     #define INT64_MAX __INT64_MAX__\n";
-  if needs_math body then
-    Buffer.add_string buf
-      "#define INFINITY __builtin_inf()\n\
-       #define NAN __builtin_nan(\"\")\n\
-       #define fmin __builtin_fmin\n\
-       #define fmax __builtin_fmax\n";
-  Buffer.add_string buf min_max_macros;
-  (* Layout contract with native_stubs.c, which fills the table. *)
-  Buffer.add_string buf
-    "typedef struct taco_rt {\n\
-    \  void* (*alloc)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
-    \  void* (*grow)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
-    \  void (*sort_i32)(int32_t* a, int64_t n);\n\
-    \  int64_t (*now_ns)(void);\n\
-    \  void (*release)(void* p);\n\
-     } taco_rt_t;\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "\nint %s(const int64_t* taco_iargs, const double* taco_fargs, void** taco_aargs,\n\
+       "\n// kernel %s\n\
+        int %s(const int64_t* taco_iargs, const double* taco_fargs, void** taco_aargs,\n\
        \               void** taco_esc, int64_t* taco_esc_len, int64_t taco_mem_limit,\n\
-       \               int64_t taco_deadline_ns, const taco_rt_t* taco_rt) {\n" entry_name);
+       \               int64_t taco_deadline_ns, const taco_rt_t* taco_rt) {\n"
+       kernel.Imp.k_name (entry_name i));
   Buffer.add_string buf
     "  (void)taco_iargs; (void)taco_fargs; (void)taco_aargs; (void)taco_esc;\n\
     \  (void)taco_esc_len; (void)taco_mem_limit; (void)taco_deadline_ns; (void)taco_rt;\n";
@@ -709,11 +686,43 @@ let emit_exec_untraced kernel =
     List.iter (fun (v, _) -> Buffer.add_string buf (Printf.sprintf "  taco_rt->release(%s);\n" v)) allocs;
     Buffer.add_string buf "  return taco_rc;\n"
   end;
-  Buffer.add_string buf "}\n";
+  Buffer.add_string buf "}\n"
+
+(* The prelude appears once: the typedefs, the math names if any kernel
+   needs them, the min/max macros and the runtime table. *)
+let emit_exec_untraced kernels =
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf "// taco native rendering\n";
+  (* No #include: the few names the kernels use come from compiler
+     builtins, so cc parses no header. *)
+  Buffer.add_string buf
+    "typedef __INT32_TYPE__ int32_t;\n\
+     typedef __INT64_TYPE__ int64_t;\n\
+     typedef __SIZE_TYPE__ size_t;\n\
+     #define bool _Bool\n\
+     #define NULL ((void*)0)\n\
+     #define INT64_MAX __INT64_MAX__\n";
+  if List.exists (fun k -> needs_math k.Imp.k_body) kernels then
+    Buffer.add_string buf
+      "#define INFINITY __builtin_inf()\n\
+       #define NAN __builtin_nan(\"\")\n\
+       #define fmin __builtin_fmin\n\
+       #define fmax __builtin_fmax\n";
+  Buffer.add_string buf min_max_macros;
+  (* Layout contract with native_stubs.c, which fills the table. *)
+  Buffer.add_string buf
+    "typedef struct taco_rt {\n\
+    \  void* (*alloc)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
+    \  void* (*grow)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
+    \  void (*sort_i32)(int32_t* a, int64_t n);\n\
+    \  int64_t (*now_ns)(void);\n\
+    \  void (*release)(void* p);\n\
+     } taco_rt_t;\n";
+  List.iteri (exec_function buf) kernels;
   Buffer.contents buf
 
-let emit_exec kernel =
+let emit_exec kernels =
   Taco_support.Trace.with_span ~cat:"lower"
-    ~args:[ ("kernel", kernel.Imp.k_name) ]
+    ~args:[ ("kernels", String.concat "," (List.map (fun k -> k.Imp.k_name) kernels)) ]
     "codegen_c.exec"
-    (fun () -> emit_exec_untraced kernel)
+    (fun () -> emit_exec_untraced kernels)

@@ -16,17 +16,21 @@ val emit : Imp.kernel -> string
 (** Render only the body statements (no signature), e.g. for diffs. *)
 val emit_body : Imp.kernel -> string
 
-(** Name of the exported entry point of {!emit_exec} renderings
-    (["taco_entry"]). *)
-val entry_name : string
+(** Name of the entry point {!emit_exec} exports for the kernel at
+    index [i] of its list (["taco_entry_<i>"]). *)
+val entry_name : int -> string
 
-(** Render the translation unit the native backend compiles and loads.
-    The exported entry point is
+(** Render the translation unit the native backend compiles and loads:
+    one prelude, then one exported function per kernel, in list order.
+    The prelude holds the typedefs, the min/max macros, the runtime
+    table type and, when any kernel needs them, the math names; it
+    appears once however many kernels the unit holds. A single build
+    is the list of one. Kernel [i]'s entry point is
 
-    {[ int taco_entry(const int64_t* iargs, const double* fargs,
-                      void** aargs, void** esc, int64_t* esc_len,
-                      int64_t mem_limit, int64_t deadline_ns,
-                      const taco_rt_t* rt) ]}
+    {[ int taco_entry_<i>(const int64_t* iargs, const double* fargs,
+                          void** aargs, void** esc, int64_t* esc_len,
+                          int64_t mem_limit, int64_t deadline_ns,
+                          const taco_rt_t* rt) ]}
 
     with scalar parameters in [iargs]/[fargs] and array parameters in
     [aargs], each bank in kernel-parameter order. Arrays the kernel
@@ -37,17 +41,15 @@ val entry_name : string
     expires (E_EXEC_CANCELLED); on failure all kernel allocations have
     been freed and [esc] is untouched. [rt] is the host's kernel
     runtime table ([alloc], [grow], [sort_i32], [now_ns], [release]):
-    the rendering includes no libc header beyond
-    [stdint.h]/[stdbool.h]/[stddef.h] (and [math.h] when min/max or
-    non-finite literals need it) and makes one table call per
+    the rendering includes no header and makes one table call per
     [Alloc]/[Realloc]. Semantics track the closure executor
     bit-for-bit (zeroed [max 1 n] allocations, grow-only reallocs with
     zeroed tails, element-count [> limit/8] budget checks,
     256-iteration deadline polls in outermost loops).
 
-    Raises [Invalid_argument] when the kernel is not expressible under
+    Raises [Invalid_argument] when a kernel is not expressible under
     this ABI (see {!exec_unsupported}). *)
-val emit_exec : Imp.kernel -> string
+val emit_exec : Imp.kernel list -> string
 
 (** Allocated int/float arrays of the kernel in first-allocation order —
     the buffers an {!emit_exec} rendering escapes to the caller, and the

@@ -68,3 +68,13 @@ let subsets xs =
 let round_to digits x =
   let scale = 10. ** float_of_int digits in
   Float.round (x *. scale) /. scale
+
+let map_lefts f xs =
+  let rec refill xs ys =
+    match (xs, ys) with
+    | [], _ -> []
+    | Either.Right b :: xs, ys -> b :: refill xs ys
+    | Either.Left _ :: xs, y :: ys -> y :: refill xs ys
+    | Either.Left _ :: _, [] -> invalid_arg "Util.map_lefts: too few results"
+  in
+  refill xs (f (List.filter_map Either.find_left xs))

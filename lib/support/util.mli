@@ -35,3 +35,10 @@ val subsets : 'a list -> 'a list list
 
 (** Round [x] to [digits] decimal digits (for stable printed output). *)
 val round_to : int -> float -> float
+
+(** [map_lefts f xs]: the [Left] payloads of [xs], in order, go to one
+    call of [f], which returns one result per payload, in order; each
+    result takes its [Left]'s place, and each [Right] payload stays in
+    its own. For a batch step that applies to some elements of a
+    list. Raises [Invalid_argument] when [f] returns too few results. *)
+val map_lefts : ('a list -> 'b list) -> ('a, 'b) Either.t list -> 'b list

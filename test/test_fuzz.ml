@@ -767,6 +767,108 @@ let run_tier (template, sel, parallel, (n, m, k), fill, seed) =
   incr tier_ran
 
 (* ------------------------------------------------------------------ *)
+(* Batch leg: kernels compiled together — one translation unit, one cc *)
+(* and one dlopen — must give the bits their single builds and the     *)
+(* closures give, on mixes of the semiring templates, sequential and   *)
+(* parallelized (OpenMP), repeats included.                            *)
+(* ------------------------------------------------------------------ *)
+
+let batch_ran = ref 0
+
+(* Batches whose every kernel was built natively, in one translation
+   unit. *)
+let batch_native_ran = ref 0
+
+let batch_seq = ref 0
+
+let batch_sched template parallel =
+  let sched =
+    match Schedule.of_index_notation (sr_stmt template) with
+    | Ok s -> s
+    | Error e -> failf "batch leg: concretize failed on template %d: %s" template e
+  in
+  if not parallel then sched
+  else
+    match Taco.parallelize vi sched with
+    | Ok s -> s
+    | Error d -> failf "batch leg: parallelize failed: %s" (Diag.to_string d)
+
+(* One single native build per (template, semiring, parallel), kept for
+   the campaign. *)
+let batch_singles : (string, Taco.compiled) Hashtbl.t = Hashtbl.create 16
+
+let batch_single template sr parallel =
+  let key = Printf.sprintf "%d|%s|%b" template sr.Semiring.name parallel in
+  match Hashtbl.find_opt batch_singles key with
+  | Some c -> c
+  | None -> (
+      match
+        Taco.compile ~name:"fuzz_batch_single" ~semiring:sr ~backend:`Native
+          (batch_sched template parallel)
+      with
+      | Ok c ->
+          Hashtbl.add batch_singles key c;
+          c
+      | Error d -> failf "batch leg: single compile failed on %s: %s" key (Diag.to_string d))
+
+let run_batch (picks, seed) =
+  let prng = Prng.create seed in
+  let picks =
+    List.map (fun (template, sel, parallel) -> (template mod 3, tier_semirings.(sel mod 3), parallel)) picks
+  in
+  (* A fresh name: the batch misses the compile cache. *)
+  incr batch_seq;
+  let name = Printf.sprintf "fuzz_batch_%d" !batch_seq in
+  let lowered =
+    List.map
+      (fun (template, sr, parallel) ->
+        match
+          Taco.lower ~name ~semiring:sr ~backend:`Native (batch_sched template parallel)
+        with
+        | Ok l -> l
+        | Error d -> failf "batch leg: lowering failed: %s" (Diag.to_string d))
+      picks
+  in
+  let batch =
+    List.map
+      (function
+        | Ok c -> c
+        | Error d -> failf "batch leg: batch compile failed: %s" (Diag.to_string d))
+      (Taco.compile_batch lowered)
+  in
+  List.iter2
+    (fun (template, sr, parallel) c ->
+      let n = 1 + Prng.int prng 6 and m = 1 + Prng.int prng 6 and k = 1 + Prng.int prng 5 in
+      let inputs =
+        match template with
+        | 0 -> [ (sr_a, sr_matrix prng sr n m); (sr_x, sr_dense prng sr [| m |]) ]
+        | 1 -> [ (sr_b, sr_matrix prng sr n m); (sr_c, sr_matrix prng sr n m) ]
+        | _ -> [ (sr_b, sr_matrix prng sr n k); (sr_d, sr_dense prng sr [| k; m |]) ]
+      in
+      let vals what c =
+        match Taco.run c ~inputs with
+        | Ok r -> T.vals r
+        | Error d ->
+            failf "batch leg: %s run failed under %s: %s" what sr.Semiring.name (Diag.to_string d)
+      in
+      let reference = vals "closure" (sr_compiled template sr `Closure) in
+      List.iter
+        (fun (what, c) ->
+          let v = vals what c in
+          if Array.length v <> Array.length reference then
+            failf "batch leg: %s result differs in shape under %s" what sr.Semiring.name;
+          Array.iteri
+            (fun idx x ->
+              if Int64.bits_of_float x <> Int64.bits_of_float reference.(idx) then
+                failf "batch leg: %s changed result bits at %d (%h vs %h) under %s" what idx x
+                  reference.(idx) sr.Semiring.name)
+            v)
+        [ ("batched", c); ("single", batch_single template sr parallel) ])
+    picks batch;
+  incr batch_ran;
+  if List.for_all (fun c -> Taco.backend_of c = `Native) batch then incr batch_native_ran
+
+(* ------------------------------------------------------------------ *)
 (* Cache-key soundness leg: every cache on [Support.Memo] — compile,   *)
 (* plan, ops and graph — serves seeded requests whose keys may         *)
 (* collide. A request repeated against the shared cache must give the  *)
@@ -1023,6 +1125,30 @@ let test_tier_fuzz =
            | () -> true
            | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
 
+let batch_scenario_gen =
+  QCheck.Gen.(
+    let* picks = list_size (int_range 2 4) (triple (int_bound 2) (int_bound 2) bool) in
+    let* seed = int_bound 100_000 in
+    return (picks, seed))
+
+let batch_scenario_print (picks, seed) =
+  Printf.sprintf "{picks=[%s]; seed=%d}"
+    (String.concat "; "
+       (List.map (fun (t, s, p) -> Printf.sprintf "(%d,%d,%b)" t s p) picks))
+    seed
+
+(* Each instance is one cc run, so the leg runs an eighth as many. *)
+let test_batch_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:(max 1 (count / 8)) ~name:"native batch vs single vs closure bit-identity"
+       (QCheck.make ~print:batch_scenario_print batch_scenario_gen)
+       (fun sc ->
+         if not (Taco_exec.Native.available ()) then true
+         else
+           match run_batch sc with
+           | () -> true
+           | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 let key_scenario_gen =
   QCheck.Gen.(
     let* surface = int_bound 3 and* sel1 = int_bound 95 and* sel2 = int_bound 95 in
@@ -1050,10 +1176,14 @@ let test_coverage () =
   Printf.printf
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
-     semiring leg: %d ran, %d native; tier leg: %d ran; cache-key leg: %d ran; \
-     profile leg: %d native runs\n%!"
+     semiring leg: %d ran, %d native; tier leg: %d ran; batch leg: %d ran, %d native; \
+     cache-key leg: %d ran; profile leg: %d native runs\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran !tier_ran !key_ran !prof_native_ran;
+    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !key_ran !prof_native_ran;
+  Alcotest.(check bool)
+    (Printf.sprintf "batch leg ran natively when a C compiler exists (%d)" !batch_native_ran)
+    true
+    ((not (Taco_exec.Native.available ())) || !batch_native_ran > 0);
   Alcotest.(check bool)
     (Printf.sprintf "profile leg ran natively when a C compiler exists (%d)" !prof_native_ran)
     true
@@ -1089,6 +1219,7 @@ let () =
           test_pipeline_fuzz;
           test_semiring_fuzz;
           test_tier_fuzz;
+          test_batch_fuzz;
           test_key_fuzz;
           Alcotest.test_case "coverage" `Quick test_coverage;
         ] );

@@ -323,7 +323,7 @@ let test_exec_c_warning_clean () =
   in
   List.iter
     (fun (name, k) ->
-      let src = Codegen_c.emit_exec k in
+      let src = Codegen_c.emit_exec [ k ] in
       let cfile = Filename.temp_file ("taco_wal_" ^ name) ".c" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove cfile with Sys_error _ -> ())
@@ -391,7 +391,7 @@ let count_occurrences haystack needle =
 let test_exec_c_uses_table () =
   List.iter
     (fun (name, k) ->
-      let src = Codegen_c.emit_exec k in
+      let src = Codegen_c.emit_exec [ k ] in
       List.iter
         (fun banned ->
           if contains src banned then Alcotest.failf "%s: exec C contains %S" name banned)
@@ -636,6 +636,164 @@ let test_cc_span_tier () =
       Alcotest.(check int) "one tier-0 cc span" 1 (cc_lines 0);
       Alcotest.(check int) "one tier-1 cc span" 1 (cc_lines 1))
 
+(* --- batched builds ------------------------------------------------------ *)
+
+(* A name no earlier build used, so the batch it joins misses the
+   compile cache. *)
+let fresh =
+  let n = ref 0 in
+  fun base ->
+    incr n;
+    Printf.sprintf "%s_b%d" base !n
+
+(* The batch mix: the paper's three kernels, with SpGEMM also under
+   OpenMP, each with its inputs. *)
+let batch_mix () =
+  let b1, c1, s_gemm = spgemm_sched ~parallel:false in
+  let b2, c2, s_gemm_par = spgemm_sched ~parallel:true in
+  let b3, c3, s_add = spadd_sched ~parallel:false in
+  let _, b4, c4, d4, s_ttkrp = mttkrp_sched ~parallel:false in
+  [
+    ("spgemm", s_gemm, spgemm_inputs b1 c1 4);
+    ("spgemm_par", s_gemm_par, spgemm_inputs b2 c2 5);
+    ( "spadd",
+      s_add,
+      [
+        (b3, random_tensor 61 [| 30; 25 |] 0.25 F.csr);
+        (c3, random_tensor 62 [| 30; 25 |] 0.25 F.csr);
+      ] );
+    ( "mttkrp",
+      s_ttkrp,
+      [
+        (b4, random_tensor 63 [| 9; 7; 6 |] 0.3 (F.csf 3));
+        (c4, random_tensor 64 [| 6; 8 |] 1.0 F.dense_matrix);
+        (d4, random_tensor 65 [| 7; 8 |] 1.0 F.dense_matrix);
+      ] );
+  ]
+
+(* Compile the mix as one batch under fresh names. *)
+let compile_mix_batch mix =
+  Taco.compile_batch
+    (List.map (fun (name, sched, _) -> getd (Taco.lower ~name:(fresh name) ~backend:`Native sched)) mix)
+  |> List.map getd
+
+let phases_of c =
+  match Kernel.native_phases (Taco.kernel c) with
+  | Some p -> p
+  | None -> Alcotest.fail "no native phases: the kernel was downgraded"
+
+(* Each kernel of [batch] against its closure build and [others]:
+   bit-identical results. *)
+let check_mix_identical what mix batch others =
+  List.iteri
+    (fun i ((name, sched, inputs), c) ->
+      let closure = getd (compile ~name:(fresh name) ~backend:`Closure sched) in
+      let reference = getd (run closure ~inputs) in
+      List.iter
+        (fun (who, c) ->
+          if not (tensors_bit_identical reference (getd (run c ~inputs))) then
+            Alcotest.failf "%s: %s %s diverges from closures" what name who)
+        (("batched", c) :: List.map (fun o -> ("single", List.nth o i)) others))
+    (List.combine mix batch)
+
+(* One translation unit, one cc: every kernel reports the shared build,
+   and each agrees bit for bit with its own single build and with the
+   closures, at tier 0 and, promoted one by one, at tier 1. *)
+let test_batch_identity () =
+  let mix = batch_mix () in
+  let batch = compile_mix_batch mix in
+  let n = List.length mix in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "built natively" true (backend_of c = `Native);
+      Alcotest.(check (option int)) "at tier 0" (Some 0) (Kernel.native_tier (Taco.kernel c));
+      Alcotest.(check int) "one build for the whole batch" n (phases_of c).Native.kernels)
+    batch;
+  Alcotest.(check int) "one cc time shared" 1
+    (List.length (List.sort_uniq compare (List.map (fun c -> (phases_of c).Native.cc_ns) batch)));
+  let singles =
+    List.map (fun (name, sched, _) -> getd (compile ~name:(fresh name) ~backend:`Native sched)) mix
+  in
+  List.iter
+    (fun c -> Alcotest.(check int) "a single build" 1 (phases_of c).Native.kernels)
+    singles;
+  check_mix_identical "tier 0" mix batch [ singles ];
+  List.iter (fun c -> Kernel.promote (Taco.kernel c)) batch;
+  List.iter
+    (fun c ->
+      Alcotest.(check (option int)) "promoted" (Some 1) (Kernel.native_tier (Taco.kernel c));
+      Alcotest.(check int) "a tier-up builds its kernel alone" 1 (phases_of c).Native.kernels)
+    batch;
+  check_mix_identical "tier 1" mix batch [ singles ]
+
+(* A batch whose build fails ([native.build] crashes once) is rebuilt
+   kernel by kernel: every kernel still loads, none is downgraded. *)
+let test_batch_fallback () =
+  let mix = batch_mix () in
+  let downgrades () = (Compile.backend_stats ()).Compile.downgrades in
+  let before = downgrades () in
+  Taco_support.Faultinject.configure ~seed:41
+    [ Taco_support.Faultinject.rule ~max_fires:1 "native.build" Taco_support.Faultinject.Crash ];
+  let batch =
+    Fun.protect ~finally:Taco_support.Faultinject.disarm (fun () ->
+        let batch = compile_mix_batch mix in
+        Alcotest.(check int) "the batch build failed once" 1
+          (Taco_support.Faultinject.fires "native.build");
+        batch)
+  in
+  Alcotest.(check int) "no downgrade" before (downgrades ());
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "built natively" true (backend_of c = `Native);
+      Alcotest.(check int) "rebuilt on its own" 1 (phases_of c).Native.kernels)
+    batch;
+  check_mix_identical "fallback" mix batch []
+
+(* TACO_NATIVE_KEEP=1 keeps the sources past Service.shutdown, whose
+   cleanup sweeps the build directory. *)
+let test_keep_survives_shutdown () =
+  let module Service = Taco_service.Service in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "taco_native_%d" (Unix.getpid ()))
+  in
+  let kept () =
+    if Sys.file_exists dir then
+      List.filter
+        (fun f -> Filename.check_suffix f ".c" || Filename.check_suffix f ".so")
+        (Array.to_list (Sys.readdir dir))
+    else []
+  in
+  let before = kept () in
+  Unix.putenv "TACO_NATIVE_KEEP" "1";
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "TACO_NATIVE_KEEP" "";
+      List.iter
+        (fun f -> if not (List.mem f before) then Sys.remove (Filename.concat dir f))
+        (kept ());
+      Native.cleanup ())
+    (fun () ->
+      let svc = Service.create ~domains:1 () in
+      let req =
+        Service.request ~backend:`Native ~result_format:F.csr
+          ~expr:(Printf.sprintf "%s(i,j) = B(i,j) + C(i,j)" (fresh "K"))
+          ~inputs:
+            [
+              ("B", random_tensor 66 [| 8; 8 |] 0.3 F.csr);
+              ("C", random_tensor 67 [| 8; 8 |] 0.3 F.csr);
+            ]
+          ()
+      in
+      (match Service.eval svc req with
+      | Ok _ -> ()
+      | Error d -> Alcotest.fail (Diag.to_string d));
+      Service.shutdown svc;
+      let files = List.filter (fun f -> not (List.mem f before)) (kept ()) in
+      Alcotest.(check bool) "the .c survives shutdown" true
+        (List.exists (fun f -> Filename.check_suffix f ".c") files);
+      Alcotest.(check bool) "the .so survives shutdown" true
+        (List.exists (fun f -> Filename.check_suffix f ".so") files))
+
 (* --- compiler command ------------------------------------------------- *)
 
 (* TACO_CC is split on whitespace into an argument prefix, with no
@@ -762,6 +920,13 @@ let () =
           cc_case "native.cc spans name their tier" test_cc_span_tier;
           cc_case "TACO_CC with arguments builds natively" test_cc_with_arguments;
           cc_case "a tier-up keeps the kernel's compiler" test_tierup_keeps_compiler;
+        ] );
+      ( "batch",
+        [
+          cc_case "batched kernels bit-identical to single builds, both tiers"
+            test_batch_identity;
+          cc_case "a failed batch falls back to per-kernel builds" test_batch_fallback;
+          cc_case "TACO_NATIVE_KEEP survives Service.shutdown" test_keep_survives_shutdown;
         ] );
       ( "fallback",
         [
