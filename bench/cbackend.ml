@@ -278,6 +278,8 @@ let batch_curve ~reps ws =
 
 let run ~seed ~reps ~dim ~out =
   Harness.header "C backend: closure executor vs gcc-compiled shared objects";
+  (* The backend_stats summary reads the metrics registry. *)
+  Metrics.enable ();
   let cc = Native.compiler () in
   let available = Native.available () in
   Printf.printf "compiler: %s (%s)\n\n" cc

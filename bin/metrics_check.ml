@@ -28,7 +28,15 @@
    "taco_plan_cache_hits_total>0"): the family must be present AND
    carry at least one sample whose value exceeds N — how @plan-smoke
    asserts that plan-cache hits actually happened, not merely that the
-   counter exists. *)
+   counter exists.
+
+   When the transcript also holds an answer to the `stats` verb (a JSON
+   object line with a "submitted" field), its last one must agree with
+   the exposition's request counters: "completed" is the sum of
+   taco_serve_requests_total{outcome="completed"} and {outcome="shed"};
+   "timed_out", "failed" and "rejected" are their own outcomes; and
+   "submitted" is taco_serve_submitted_total. The session must serve
+   nothing between the two answers. *)
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Mini_json.Bad s)) fmt
 
@@ -188,6 +196,8 @@ let () =
     in
     (* Largest sample seen per family, for the FAMILY>N requirements. *)
     let max_sample : (string, float) Hashtbl.t = Hashtbl.create 32 in
+    (* Counter samples, for the stats cross-check. *)
+    let counters = ref [] in
     let n_samples = ref 0 in
     List.iteri
       (fun i line ->
@@ -216,7 +226,8 @@ let () =
           | Some _ | None -> Hashtbl.replace max_sample family value);
           (match ty with
           | "counter" ->
-              if value < 0. then fail "%s: counter %s is negative" what name
+              if value < 0. then fail "%s: counter %s is negative" what name;
+              counters := (name, labels, value) :: !counters
           | "summary" ->
               let is_count =
                 String.length name > 6
@@ -322,12 +333,51 @@ let () =
               series
         end)
       required;
-    (!n_samples, Hashtbl.length types)
+    (* The stats verb and the registry must not drift apart. *)
+    let stats =
+      List.find_map
+        (fun line ->
+          if String.length line = 0 || line.[0] <> '{' then None
+          else
+            match Mini_json.parse_document line with
+            | obj when Mini_json.field obj "submitted" <> None -> Some obj
+            | _ -> None
+            | exception Mini_json.Bad _ -> None)
+        (List.rev lines)
+    in
+    let sum name keep =
+      List.fold_left
+        (fun acc (n, labels, v) -> if n = name && keep labels then acc +. v else acc)
+        0. !counters
+    in
+    let outcome o =
+      sum "taco_serve_requests_total" (fun ls -> List.assoc_opt "outcome" ls = Some o)
+    in
+    let cross =
+      match stats with
+      | None -> []
+      | Some obj ->
+          List.map
+            (fun (field, scraped) ->
+              let stated = Mini_json.num_field "stats" obj field in
+              if stated <> scraped then
+                fail "stats %S is %g but the registry counts %g" field stated scraped;
+              field)
+            [
+              ("completed", outcome "completed" +. outcome "shed");
+              ("timed_out", outcome "timed_out");
+              ("failed", outcome "failed");
+              ("rejected", outcome "rejected");
+              ("submitted", sum "taco_serve_submitted_total" (fun _ -> true));
+            ]
+    in
+    (!n_samples, Hashtbl.length types, List.length cross)
   with
-  | n_samples, n_families ->
+  | n_samples, n_families, n_cross ->
       Printf.printf
-        "metrics_check: %s OK (%d samples, %d families, %d required present)\n" file
-        n_samples n_families (List.length required)
+        "metrics_check: %s OK (%d samples, %d families, %d required present, %d stats fields \
+         match)\n"
+        file n_samples n_families (List.length required) n_cross
   | exception Mini_json.Bad msg ->
       Printf.eprintf "metrics_check: %s: %s\n" file msg;
       exit 1

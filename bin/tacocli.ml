@@ -729,7 +729,7 @@ let trace_arg =
                chrome://tracing).")
 
 let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print a span/counter summary and kernel work counters to stderr.")
+  Arg.(value & flag & info [ "stats" ] ~doc:"Print a per-span timing summary and kernel work counters to stderr.")
 
 let metrics_arg =
   Arg.(value & flag & info [ "metrics" ]

@@ -130,7 +130,7 @@ let check_events events =
           let dur = num_field what e "dur" in
           if dur < 0. then fail "%s: X %S has negative dur %.3f" what name dur;
           record name dur
-      | "C" | "i" -> ignore (str_field what e "name")
+      | "i" -> ignore (str_field what e "name")
       | ph -> fail "%s: unknown phase %S" what ph)
     events;
   Hashtbl.iter

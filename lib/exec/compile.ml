@@ -1,6 +1,7 @@
 module Imp = Taco_lower.Imp
 module Diag = Taco_support.Diag
 module Trace = Taco_support.Trace
+module Metrics = Taco_support.Metrics
 module Fault = Taco_support.Faultinject
 module Memo = Taco_support.Memo
 module Util = Taco_support.Util
@@ -56,16 +57,12 @@ type backend_stats = {
   downgrades : int;  (** native requests served by closures instead *)
 }
 
-let bs_native_runs = Atomic.make 0
-let bs_closure_runs = Atomic.make 0
-let bs_downgrades = Atomic.make 0
-
 let backend_stats () =
   {
-    native_builds = Native.builds ();
-    native_runs = Atomic.get bs_native_runs;
-    closure_runs = Atomic.get bs_closure_runs;
-    downgrades = Atomic.get bs_downgrades;
+    native_builds = Metrics.counter ~labels:[ ("outcome", "ok") ] "taco_native_builds_total";
+    native_runs = Metrics.counter ~labels:[ ("backend", "native") ] "taco_exec_runs_total";
+    closure_runs = Metrics.counter ~labels:[ ("backend", "closure") ] "taco_exec_runs_total";
+    downgrades = Metrics.counter "taco_exec_downgrades_total";
   }
 
 type compiled = {
@@ -1056,14 +1053,9 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
               | `F (k, a) -> env.farr.(k) <- a
               | `B (k, a) -> env.barr.(k) <- a)
             !merged;
-          (match stage with
+          match stage with
           | None -> ()
-          | Some (ci, _, _) -> env.ints.(ci) <- !tot);
-          if Trace.active () then begin
-            Trace.add "exec.par.regions" 1;
-            Trace.add "exec.par.chunks" nchunks;
-            Trace.add "exec.par.domains" (extra + 1)
-          end
+          | Some (ci, _, _) -> env.ints.(ci) <- !tot
         end
   | Imp.While (c, body) ->
       let cc = cbool ctx c in
@@ -1210,9 +1202,8 @@ let build_all specs =
       (fun (s, _, c) -> function
         | Ok l -> Ok { c with c_native = Some l }
         | Error reason ->
-            Atomic.incr bs_downgrades;
+            Metrics.inc "taco_exec_downgrades_total";
             with_rid s.s_rid (fun () ->
-                Trace.add "exec.backend.downgrade" 1;
                 Trace.instant
                   ~args:[ ("kernel", c.c_kernel.Imp.k_name); ("backend_downgrade", reason) ]
                   "exec.backend.downgrade");
@@ -1617,10 +1608,10 @@ let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) ?read c ~args =
         (* [domains] is a closure-chunking knob; the native path hands
            parallel loops to OpenMP, whose thread count is the runtime's
            business. Results are bit-identical either way. *)
-        Atomic.incr bs_native_runs;
+        Metrics.inc ~labels:[ ("backend", "native") ] "taco_exec_runs_total";
         run_native c l ~deadline_ns ~read ~args
     | None ->
-        Atomic.incr bs_closure_runs;
+        Metrics.inc ~labels:[ ("backend", "closure") ] "taco_exec_runs_total";
         run_closure ~domains ~deadline_ns ~read c ~args
   in
   let counts =
@@ -1655,10 +1646,6 @@ let run ?domains ?deadline_ns ?read c ~args =
                 ("zero_bytes", string_of_int s.zero_bytes);
                 ("reallocs", string_of_int s.reallocs);
                 ("sorts", string_of_int s.sorts);
-              ];
-            Trace.add "exec.iterations" s.iterations;
-            Trace.add "exec.scalar_ops" s.scalar_ops;
-            Trace.add "exec.allocs" s.allocs;
-            Trace.add "exec.zero_bytes" s.zero_bytes)
+              ])
           counts;
         reader)

@@ -35,14 +35,19 @@ type extent = Len of int | Len_at of string * int
     missing, the build fails, or the kernel is not expressible under the
     native ABI, compilation silently downgrades to closures. The
     downgrade is counted in {!backend_stats}, traced as an
-    ["exec.backend.downgrade"] counter, and its reason is kept on the
+    ["exec.backend.downgrade"] instant, and its reason is kept on the
     compiled kernel ({!downgrade_reason}) — it is never a client error.
     A [~profile:true] kernel builds natively like any other: the
     counters are ordinary IR ({!Taco_lower.Opt.profile}). The native
     code has no bounds checks; the closures do. *)
 type backend = [ `Closure | `Native ]
 
-(** Process-wide per-backend counters. *)
+(** Process-wide per-backend counts, read from the {!Taco_support.Metrics}
+    registry: [native_builds] is [taco_native_builds_total{outcome="ok"}]
+    (every tier), the runs are [taco_exec_runs_total{backend}] and
+    [downgrades] is [taco_exec_downgrades_total]. Like every registry
+    series they count only while the registry is enabled, so all four
+    read 0 while it is off. *)
 type backend_stats = {
   native_builds : int;  (** Shared objects built and loaded, tier-ups included. *)
   native_runs : int;  (** Runs dispatched to native code. *)
@@ -182,7 +187,7 @@ val kernel : compiled -> Taco_lower.Imp.kernel
     between) for per-run numbers. A native run counts in C [int32_t],
     so one run's count of each kind must stay below 2{^31}. When
     tracing is enabled, {!run} wraps execution in an ["exec.run"] span
-    carrying the per-run counts and folds them into trace counters. *)
+    carrying the per-run counts. *)
 
 type run_stats = {
   iterations : int;  (** Loop iterations executed (for + while). *)

@@ -410,16 +410,9 @@ let poll b = Option.map (finish b) (exit_of [ Unix.WNOHANG ] b.b_pid)
 (* Start a build of [kernels] and wait for it. *)
 let build ~cc ~tier ~rids kernels = Result.bind (start ~cc ~tier ~rids kernels) wait
 
-(* Successful kernel builds of every tier: the source of
-   [Compile.backend_stats].native_builds. *)
-let built = Atomic.make 0
-
-let builds () = Atomic.get built
-
 (* Every kernel's build outcome passes through here once: the registry
    counts kernel builds by tier and outcome. *)
 let count tier r =
-  if Result.is_ok r then Atomic.incr built;
   Metrics.inc
     ~labels:[ ("tier", string_of_int tier); ("outcome", if Result.is_ok r then "ok" else "failed") ]
     "taco_native_builds_total";

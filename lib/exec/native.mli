@@ -128,10 +128,6 @@ val phases : loaded -> phases
     flight. A no-op once the kernel has tiered up, or failed to. *)
 val promote : loaded -> unit
 
-(** Successful kernel builds of every tier (tier-ups included) since
-    start. A batch that loads eight kernels counts eight. *)
-val builds : unit -> int
-
 (** Invoke the kernel. Returns the entry point's return code (0 ok,
     1 allocation failure/budget, 2 deadline expired) and, on success,
     one [int array]/[float array] per read, in read order, each exactly

@@ -73,9 +73,9 @@ type job = {
       (* executor that actually served it: native/closure/downgraded,
          or "none" before (or without) a successful compile *)
   mutable j_compile_ns : int64;  (* measured compile-phase duration *)
-  mutable j_dequeued : bool;
-      (* dequeued before: a batch-mate put back after a crash leaves the
-         queue once in its depth count and its wait span *)
+  mutable j_dequeue_ns : int64 option;
+      (* latest dequeue, if any: a batch-mate put back after a crash
+         keeps the one wait span of its first *)
 }
 
 type state = Running | Draining | Stopped
@@ -133,6 +133,54 @@ type t = {
 }
 
 let serve_error ?context code fmt = Diag.error ~stage:Diag.Serve ~code ?context fmt
+
+(* How a request left the service: the [outcome] label of
+   [taco_serve_requests_total] and of the latency histograms. A
+   completed request that was shed is [`Shed]. *)
+let outcome_label = function
+  | `Completed -> "completed"
+  | `Shed -> "shed"
+  | `Timed_out -> "timed_out"
+  | `Failed -> "failed"
+  | `Rejected -> "rejected"
+
+(* Every counted service event goes through here, with [t.s_mutex]
+   held: it bumps its field of this service's record and its registry
+   series together, as [Memo] does for the caches, so [stats] and a
+   scrape of the registry agree. *)
+let count t = function
+  | `Submitted ->
+      t.st_submitted <- t.st_submitted + 1;
+      Metrics.inc "taco_serve_submitted_total"
+  | `Shed ->
+      t.st_shed <- t.st_shed + 1;
+      Metrics.inc "taco_serve_shed_total"
+  | `Crashed ->
+      t.st_crashed <- t.st_crashed + 1;
+      Metrics.inc "taco_serve_crashed_total"
+  | `Replaced ->
+      t.st_replaced <- t.st_replaced + 1;
+      Metrics.inc "taco_serve_replaced_total"
+  | `Quarantined ->
+      t.st_quarantined <- t.st_quarantined + 1;
+      Metrics.inc "taco_serve_quarantined_total"
+  | `Request (outcome, code) ->
+      (match outcome with
+      | `Completed | `Shed -> t.st_completed <- t.st_completed + 1
+      | `Timed_out -> t.st_timed_out <- t.st_timed_out + 1
+      | `Failed -> t.st_failed <- t.st_failed + 1
+      | `Rejected -> t.st_rejected <- t.st_rejected + 1);
+      if Metrics.enabled () then
+        Metrics.inc
+          ~labels:
+            (("outcome", outcome_label outcome)
+            :: (match code with Some c -> [ ("code", c) ] | None -> []))
+          "taco_serve_requests_total"
+
+(* Under [t.s_mutex], so the gauge follows the queue's order of change
+   (the gauge table has its own lock and never takes this one). *)
+let publish_depth t =
+  Metrics.set_gauge "taco_serve_queue_depth" (float_of_int (Queue.length t.s_queue))
 
 (* ------------------------------------------------------------------ *)
 (* The request pipeline (runs on a worker domain)                      *)
@@ -309,7 +357,6 @@ let front job =
      compiles faster and computes the bit-identical result, trading its
      own run time for queue drain. *)
   let opt = if job.j_shed then Some Taco.Opt.none else None in
-  if job.j_shed then Trace.add "serve.shed.degraded" 1;
   let lower_t0 = Trace.now_ns () in
   let lowered =
     if List.mem Auto req.directives then begin
@@ -408,48 +455,27 @@ let set_worker_gauge live =
   if Metrics.enabled () then
     Metrics.set_gauge "taco_serve_live_workers" (float_of_int live)
 
-(* Classify and record one finished job. Called on the worker, off the
-   service mutex for the trace counters, metrics and the event log. *)
+(* Classify, count and answer one finished job: every job a worker or
+   the crash path answers passes here exactly once. The metrics and the
+   event log are written off the service mutex. *)
 let finish t job ~wait_ns ~run_ns outcome =
-  let kind =
-    match outcome with
-    | Ok _ -> `Completed
-    | Error d when d.Diag.code = "E_SERVE_DEADLINE" -> `Timed_out
-    | Error _ -> `Failed
-  in
-  Mutex.lock t.s_mutex;
-  (match kind with
-  | `Completed -> t.st_completed <- t.st_completed + 1
-  | `Timed_out -> t.st_timed_out <- t.st_timed_out + 1
-  | `Failed -> t.st_failed <- t.st_failed + 1);
-  t.st_total_wait_ns <- Int64.add t.st_total_wait_ns wait_ns;
-  t.st_total_run_ns <- Int64.add t.st_total_run_ns run_ns;
-  Mutex.unlock t.s_mutex;
-  (match kind with
-  | `Completed -> Trace.add "serve.completed" 1
-  | `Timed_out -> Trace.add "serve.timeout" 1
-  | `Failed -> Trace.add "serve.failed" 1);
   (* A shed job that still completed is its own outcome: it was served
      degraded, and its latency belongs in a separate series. Timeouts
      and failures of shed jobs keep the failure outcome — that is the
      more important fact about them. *)
-  let outcome_l =
-    match kind with
-    | `Completed -> if job.j_shed then "shed" else "completed"
-    | `Timed_out -> "timed_out"
-    | `Failed -> "failed"
+  let kind, code =
+    match outcome with
+    | Ok _ -> ((if job.j_shed then `Shed else `Completed), None)
+    | Error d when d.Diag.code = "E_SERVE_DEADLINE" -> (`Timed_out, None)
+    | Error d -> (`Failed, Some d.Diag.code)
   in
-  let code =
-    match (kind, outcome) with
-    | `Failed, Error d -> Some d.Diag.code
-    | _ -> None
-  in
+  Mutex.lock t.s_mutex;
+  count t (`Request (kind, code));
+  t.st_total_wait_ns <- Int64.add t.st_total_wait_ns wait_ns;
+  t.st_total_run_ns <- Int64.add t.st_total_run_ns run_ns;
+  Mutex.unlock t.s_mutex;
+  let outcome_l = outcome_label kind in
   if Metrics.enabled () then begin
-    Metrics.inc
-      ~labels:
-        (("outcome", outcome_l)
-        :: (match code with Some c -> [ ("code", c) ] | None -> []))
-      "taco_serve_requests_total";
     let bl = [ ("backend", job.j_backend); ("outcome", outcome_l) ] in
     Metrics.observe_ns ~labels:bl "taco_serve_wait_seconds" wait_ns;
     Metrics.observe_ns ~labels:bl "taco_serve_run_seconds" run_ns;
@@ -532,11 +558,9 @@ let process_batch t held jobs =
     List.filter_map
       (fun job ->
         for_job held job (fun () ->
-            if Trace.active () && not job.j_dequeued then begin
-              Trace.add "serve.queue_depth" (-1);
-              Trace.span_complete ~cat:"serve" ~ts:job.j_enq_ns ~dur_ns:(wait_ns job) "serve.wait"
-            end;
-            job.j_dequeued <- true;
+            if Trace.active () && job.j_dequeue_ns = None then
+              Trace.span_complete ~cat:"serve" ~ts:job.j_enq_ns ~dur_ns:(wait_ns job) "serve.wait";
+            job.j_dequeue_ns <- Some dequeue_ns;
             (* The one fault site outside the containment: a Crash rule
                here kills the worker domain, exercising the supervision
                path below. *)
@@ -614,8 +638,7 @@ let rec worker_loop t held =
       let share = (Queue.length t.s_queue + live - 1) / live in
       List.init (min batch_cap share) (fun _ -> Queue.pop t.s_queue)
   in
-  if jobs <> [] then
-    Metrics.set_gauge "taco_serve_queue_depth" (float_of_int (Queue.length t.s_queue));
+  if jobs <> [] then publish_depth t;
   held.unresolved <- jobs;
   Mutex.unlock t.s_mutex;
   if jobs <> [] then begin
@@ -639,7 +662,6 @@ let rec spawn_worker t =
    goes back to the head of the queue in its batch order, ahead of the
    jobs admitted since: it was dequeued first. *)
 and handle_crash t held exn =
-  Trace.add "serve.worker_crash" 1;
   let victim = held.charged in
   let charged j = match victim with Some v -> v == j | None -> false in
   let mates = List.filter (fun j -> not (charged j)) held.unresolved in
@@ -648,10 +670,13 @@ and handle_crash t held exn =
     Queue.transfer t.s_queue rest;
     List.iter (fun j -> Queue.push j t.s_queue) jobs;
     Queue.transfer rest t.s_queue;
-    if jobs <> [] then Condition.broadcast t.s_nonempty
+    if jobs <> [] then begin
+      publish_depth t;
+      Condition.broadcast t.s_nonempty
+    end
   in
   Mutex.lock t.s_mutex;
-  t.st_crashed <- t.st_crashed + 1;
+  count t `Crashed;
   t.s_live <- t.s_live - 1;
   let poisoned =
     match victim with
@@ -664,8 +689,7 @@ and handle_crash t held exn =
           (* Second worker killed by the same request structure: stop
              retrying it, and pre-reject future submissions of it. *)
           Hashtbl.replace t.s_quarantine key ();
-          t.st_quarantined <- t.st_quarantined + 1;
-          t.st_failed <- t.st_failed + 1;
+          count t `Quarantined;
           Some (job, kills)
         end
         else if t.s_state = Running then
@@ -675,7 +699,6 @@ and handle_crash t held exn =
         else begin
           (* No replacement is coming during drain; fail it rather than
              strand the submitter on an unresolved ticket. *)
-          t.st_failed <- t.st_failed + 1;
           Some (job, kills)
         end
   in
@@ -688,17 +711,14 @@ and handle_crash t held exn =
         (List.filter (fun j -> not (charged j) || Option.is_none poisoned) held.unresolved);
       []
     end
-    else begin
-      t.st_failed <- t.st_failed + List.length mates;
-      mates
-    end
+    else mates
   in
   let replace = t.s_state = Running in
   if replace then begin
     let w = spawn_worker t in
     t.s_workers <- w :: t.s_workers;
     t.s_live <- t.s_live + 1;
-    t.st_replaced <- t.st_replaced + 1
+    count t `Replaced
   end;
   let live = t.s_live in
   Mutex.unlock t.s_mutex;
@@ -706,27 +726,30 @@ and handle_crash t held exn =
       m "worker domain died (%s); %s" (Printexc.to_string exn)
         (if replace then "replaced" else "not replacing during drain"));
   set_worker_gauge live;
-  if replace then Trace.add "serve.worker_replaced" 1;
   let died_in_shutdown context =
     Diag.make ~stage:Diag.Serve ~code:"E_SERVE_INTERNAL"
       ~context:(context @ [ ("exn", Printexc.to_string exn) ])
       "worker domain died during shutdown"
   in
-  List.iter (fun j -> resolve j.j_ticket (Error (died_in_shutdown []))) stranded;
+  (* The jobs this crash fails are answered like any other, so they are
+     counted and logged once. *)
+  let fail job diag =
+    let now = Trace.now_ns () in
+    let dequeued = Option.value ~default:now job.j_dequeue_ns in
+    finish t job ~wait_ns:(Int64.sub dequeued job.j_enq_ns) ~run_ns:(Int64.sub now dequeued)
+      (Error diag)
+  in
+  List.iter (fun j -> fail j (died_in_shutdown [])) stranded;
   match poisoned with
   | None -> ()
   | Some (job, kills) ->
       let killed = [ ("workers_killed", string_of_int kills) ] in
-      let diag =
-        if kills >= 2 then begin
-          Trace.add "serve.quarantined" 1;
-          Diag.make ~stage:Diag.Serve ~code:"E_SERVE_POISON"
-            ~context:(killed @ [ ("exn", Printexc.to_string exn) ])
-            "request killed a worker domain; quarantined"
-        end
-        else died_in_shutdown killed
-      in
-      resolve job.j_ticket (Error diag)
+      fail job
+        (if kills >= 2 then
+           Diag.make ~stage:Diag.Serve ~code:"E_SERVE_POISON"
+             ~context:(killed @ [ ("exn", Printexc.to_string exn) ])
+             "request killed a worker domain; quarantined"
+         else died_in_shutdown killed)
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
@@ -787,12 +810,10 @@ let create ?(domains = 1) ?(queue_depth = 64) ?shed_queue () =
 (* A submission that never reached the queue still counts as a request
    (outcome="rejected") and still gets an event-log line, so load
    studies see the offered load, not just the accepted one. *)
-let note_rejected rid req code =
-  Trace.add "serve.rejected" 1;
-  if Metrics.enabled () then
-    Metrics.inc
-      ~labels:[ ("outcome", "rejected"); ("code", code) ]
-      "taco_serve_requests_total";
+let note_rejected t rid req code =
+  Mutex.lock t.s_mutex;
+  count t (`Request (`Rejected, Some code));
+  Mutex.unlock t.s_mutex;
   if Events.enabled () then
     Events.emit "serve.reject"
       [
@@ -830,7 +851,7 @@ let submit t ?deadline_ms req =
           deadline_ms
       in
       let shed = Queue.length t.s_queue >= t.s_shed_hwm in
-      if shed then t.st_shed <- t.st_shed + 1;
+      if shed then count t `Shed;
       Queue.push
         {
           j_rid = rid;
@@ -842,35 +863,21 @@ let submit t ?deadline_ms req =
           j_shed = shed;
           j_backend = "none";
           j_compile_ns = 0L;
-          j_dequeued = false;
+          j_dequeue_ns = None;
         }
         t.s_queue;
-      t.st_submitted <- t.st_submitted + 1;
+      count t `Submitted;
       t.st_peak_queue <- max t.st_peak_queue (Queue.length t.s_queue);
-      (* Under the service mutex so enqueue/dequeue gauge writes are
-         ordered (the gauge table has its own lock and never takes this
-         one back — no deadlock). *)
-      Metrics.set_gauge "taco_serve_queue_depth"
-        (float_of_int (Queue.length t.s_queue));
+      publish_depth t;
       Condition.signal t.s_nonempty;
-      `Accepted (ticket, shed)
+      `Accepted ticket
     end
   in
-  (match verdict with
-  | `Shutdown | `Full _ | `Poison -> t.st_rejected <- t.st_rejected + 1
-  | `Accepted _ -> ());
   Mutex.unlock t.s_mutex;
   match verdict with
-  | `Accepted (ticket, shed) ->
-      if Trace.enabled () then begin
-        Trace.add "serve.submitted" 1;
-        Trace.add "serve.queue_depth" 1;
-        if shed then Trace.add "serve.shed" 1
-      end;
-      Metrics.inc "taco_serve_submitted_total";
-      Ok ticket
+  | `Accepted ticket -> Ok ticket
   | `Full retry_after_ms ->
-      note_rejected rid req "E_SERVE_QUEUE_FULL";
+      note_rejected t rid req "E_SERVE_QUEUE_FULL";
       serve_error "E_SERVE_QUEUE_FULL"
         ~context:
           [
@@ -879,10 +886,10 @@ let submit t ?deadline_ms req =
           ]
         "submission queue is full"
   | `Poison ->
-      note_rejected rid req "E_SERVE_POISON";
+      note_rejected t rid req "E_SERVE_POISON";
       serve_error "E_SERVE_POISON" "request structure is quarantined (killed workers)"
   | `Shutdown ->
-      note_rejected rid req "E_SERVE_SHUTDOWN";
+      note_rejected t rid req "E_SERVE_SHUTDOWN";
       serve_error "E_SERVE_SHUTDOWN" "service is shut down"
 
 let eval t ?deadline_ms req =

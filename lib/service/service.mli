@@ -39,7 +39,7 @@
       optimizer pipeline is skipped, trading per-kernel run time for
       faster queue drain. Results are bit-identical (the optimizer is
       semantics-preserving); only latency differs. Shed counts surface
-      in {!stats} and the [serve.shed] trace counter.
+      in {!stats} and the [taco_serve_shed_total] metric.
     - {b Deadlines}: a request's optional [deadline_ms] bounds its time
       in the system. It is checked when a worker dequeues the job,
       again between compilation and execution, and — via the executor's
@@ -64,20 +64,25 @@
       unexpected exceptions resolve it with [E_SERVE_INTERNAL].
 
     When tracing is enabled ({!Taco_support.Trace.enable}), the service
-    records per-request [serve.wait] (queue time, retroactive) and
-    [serve.exec] spans and maintains the counters [serve.submitted],
-    [serve.rejected], [serve.timeout], [serve.completed],
-    [serve.failed], [serve.shed], [serve.shed.degraded],
-    [serve.worker_crash], [serve.worker_replaced], [serve.quarantined]
-    and the gauge [serve.queue_depth].
+    records per-request [serve.wait] (queue time, retroactive; one per
+    request, however often a crash requeues it) and [serve.exec] spans.
 
-    {b Metrics.} When {!Taco_support.Metrics.enable} is on, every
-    request feeds the registry: [taco_serve_requests_total{outcome
-    [,code]}] (outcomes [completed]/[shed]/[timed_out]/[failed]/
-    [rejected]; failures and rejections carry their diagnostic [code]),
-    [taco_serve_submitted_total], latency histograms
+    {b Metrics.} Each counted event updates this service's {!stats} and,
+    when {!Taco_support.Metrics.enable} is on, its registry series in
+    the same step, so for a lone service the two agree:
+    [taco_serve_requests_total{outcome[,code]}] (outcomes
+    [completed]/[shed]/[timed_out]/[failed]/[rejected]; failures and
+    rejections carry their diagnostic [code]; [stats.completed] is
+    [completed] plus [shed]), [taco_serve_submitted_total],
+    [taco_serve_shed_total] (admissions past the shed mark),
+    [taco_serve_crashed_total], [taco_serve_replaced_total] and
+    [taco_serve_quarantined_total]. A request failed by a worker crash
+    (quarantined, or stranded during shutdown) is counted and logged
+    like any other. The registry also holds latency histograms
     [taco_serve_wait_seconds] and [taco_serve_run_seconds] labeled by
-    [backend] ([native]/[closure]/[downgraded]/[none]) and [outcome],
+    [backend] ([native]/[closure]/[downgraded]/[none]) and [outcome]
+    (their [_count]s by backend give [stats.exec_native], and
+    [exec_closure] as [closure] plus [downgraded]),
     [taco_serve_compile_seconds{backend}] for the compile phase, and
     gauges [taco_serve_queue_depth], [taco_serve_live_workers] and
     [taco_compile_cache_hit_ratio]. Pipeline stages land in

@@ -52,12 +52,6 @@ let fires point =
       | None -> 0
       | Some st -> Option.value ~default:0 (Hashtbl.find_opt st.counts point))
 
-let total_fires () =
-  locked (fun () ->
-      match !registry with
-      | None -> 0
-      | Some st -> Hashtbl.fold (fun _ n acc -> acc + n) st.counts 0)
-
 (* Decide under the mutex whether [point] fires, returning the action to
    perform outside it (sleeping under the registry mutex would serialize
    unrelated points). *)
@@ -75,11 +69,11 @@ let draw point =
                 incr fired;
                 Hashtbl.replace st.counts point
                   (1 + Option.value ~default:0 (Hashtbl.find_opt st.counts point));
+                Metrics.inc ~labels:[ ("point", point) ] "taco_faults_injected_total";
                 Some (r.r_action, st.prng)
               end))
 
 let crash ~stage point =
-  Trace.add "fault.injected" 1;
   Diag.fail ~stage ~code:"E_FAULT_INJECTED"
     ~context:[ ("fault_point", point) ]
     "injected fault at %s" point
@@ -97,14 +91,7 @@ let fire ~stage point =
 
 let hit ~stage point = if !armed_flag then ignore (fire ~stage point : Prng.t option)
 
-let corrupted ~stage point =
-  !armed_flag
-  &&
-  match fire ~stage point with
-  | None -> false
-  | Some _ ->
-      Trace.add "fault.corrupted" 1;
-      true
+let corrupted ~stage point = !armed_flag && Option.is_some (fire ~stage point)
 
 let corrupt point arr =
   if !armed_flag then
@@ -114,6 +101,5 @@ let corrupt point arr =
         (* Flip a low mantissa bit: a perturbation no float identity
            can hide, so any bitwise differential check downstream must
            catch it. *)
-        arr.(i) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float arr.(i)) 1L);
-        Trace.add "fault.corrupted" 1
+        arr.(i) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float arr.(i)) 1L)
     | Some _ | None -> ()

@@ -67,8 +67,7 @@ val corrupted : stage:Diag.stage -> string -> bool
     at {!hit} sites (stage [Execute]). *)
 val corrupt : string -> float array -> unit
 
-(** Times the named point has fired since the last {!configure}. *)
+(** Times the named point has fired since the last {!configure}. Every
+    fire also counts in the registry series
+    [taco_faults_injected_total{point}] (see {!Metrics}). *)
 val fires : string -> int
-
-(** Total fires across all points since the last {!configure}. *)
-val total_fires : unit -> int

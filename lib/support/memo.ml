@@ -6,7 +6,12 @@ module Make (K : Hashtbl.HashedType) = struct
   module H = Hashtbl.Make (K)
 
   type 'a t = {
-    name : string;
+    (* Registry series names, built once in [create]. *)
+    hits_n : string;
+    misses_n : string;
+    evictions_n : string;
+    coalesced_n : string;
+    size_n : string;
     capacity : int;
     lock : Mutex.t;
     (* Broadcast whenever an in-flight build ends, returning or not. *)
@@ -23,8 +28,13 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let create ~name ~capacity =
     if capacity <= 0 then invalid_arg "Memo.create: capacity must be positive";
+    let series kind = "taco_" ^ name ^ "_cache_" ^ kind in
     {
-      name;
+      hits_n = series "hits_total";
+      misses_n = series "misses_total";
+      evictions_n = series "evictions_total";
+      coalesced_n = series "coalesced_total";
+      size_n = series "size";
       capacity;
       lock = Mutex.create ();
       built = Condition.create ();
@@ -52,16 +62,8 @@ module Make (K : Hashtbl.HashedType) = struct
           t.evictions <- t.evictions + 1;
           evict t (dropped + 1)
 
-  (* Counter names are built only while their store is recording. *)
-  let count t ?trace metric n =
-    (match trace with
-    | Some event when Trace.enabled () -> Trace.add (t.name ^ ".cache." ^ event) n
-    | _ -> ());
-    if Metrics.enabled () then Metrics.inc ~by:n ("taco_" ^ t.name ^ "_cache_" ^ metric ^ "_total")
-
   let publish_size t entries =
-    if Metrics.enabled () then
-      Metrics.set_gauge ("taco_" ^ t.name ^ "_cache_size") (float_of_int entries)
+    if Metrics.enabled () then Metrics.set_gauge t.size_n (float_of_int entries)
 
   (* Resolve [items] (key, validity) into [out], building the keys no
      domain holds or builds through one call of [build]. Each round
@@ -101,8 +103,8 @@ module Make (K : Hashtbl.HashedType) = struct
       let hits, claimed, shared, deferred = locked t classify in
       let claimed = List.rev claimed in
       if hits > 0 then begin
-        count t ~trace:"hit" "hits" hits;
-        if waited then count t "coalesced" hits
+        Metrics.inc ~by:hits t.hits_n;
+        if waited then Metrics.inc ~by:hits t.coalesced_n
       end;
       let release () =
         List.iter (fun i -> H.remove t.in_flight (fst items.(i))) claimed;
@@ -147,12 +149,12 @@ module Make (K : Hashtbl.HashedType) = struct
               release ();
               (built, shared_hits, dropped, H.length t.table))
         in
-        if built > 0 then count t ~trace:"miss" "misses" built;
+        if built > 0 then Metrics.inc ~by:built t.misses_n;
         if shared_hits > 0 then begin
-          count t ~trace:"hit" "hits" shared_hits;
-          count t "coalesced" shared_hits
+          Metrics.inc ~by:shared_hits t.hits_n;
+          Metrics.inc ~by:shared_hits t.coalesced_n
         end;
-        if dropped > 0 then count t ~trace:"evict" "evictions" dropped;
+        if dropped > 0 then Metrics.inc ~by:dropped t.evictions_n;
         publish_size t entries
       end;
       if deferred <> [] then begin
@@ -175,7 +177,7 @@ module Make (K : Hashtbl.HashedType) = struct
               Some v
           | _ -> None)
     in
-    if Option.is_some found then count t ~trace:"hit" "hits" 1;
+    if Option.is_some found then Metrics.inc t.hits_n;
     found
 
   let find_or_build_result ?(valid = fun _ -> true) t key build =

@@ -14,14 +14,11 @@
     batch of kernels with one C compiler run.
 
     Counting happens here and only here. Every table named [name]
-    feeds:
-    - the {!Metrics} counters [taco_<name>_cache_hits_total],
-      [taco_<name>_cache_misses_total],
-      [taco_<name>_cache_evictions_total] and
-      [taco_<name>_cache_coalesced_total], and the gauge
-      [taco_<name>_cache_size];
-    - the {!Trace} counters [<name>.cache.hit], [<name>.cache.miss] and
-      [<name>.cache.evict]. *)
+    feeds the {!Metrics} counters [taco_<name>_cache_hits_total],
+    [taco_<name>_cache_misses_total],
+    [taco_<name>_cache_evictions_total] and
+    [taco_<name>_cache_coalesced_total], and the gauge
+    [taco_<name>_cache_size]. *)
 
 type stats = {
   hits : int;  (** Lookups served from the table without a build. *)
@@ -37,9 +34,8 @@ module Make (K : Hashtbl.HashedType) : sig
   type 'a t
 
   (** [create ~name ~capacity] is an empty table holding at most
-      [capacity] (>= 1) entries. [name] prefixes its metric and trace
-      counter names. Raises [Invalid_argument] on a non-positive
-      capacity. *)
+      [capacity] (>= 1) entries. [name] prefixes its metric names.
+      Raises [Invalid_argument] on a non-positive capacity. *)
   val create : name:string -> capacity:int -> 'a t
 
   (** [find_or_build ?valid t key build] is the entry for [key], running

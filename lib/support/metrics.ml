@@ -213,6 +213,17 @@ let snapshot () =
     histograms = sorted hists;
   }
 
+let counter ?(labels = []) name =
+  let matches (n, ls) = n = name && List.for_all (fun l -> List.mem l ls) labels in
+  locked (fun () ->
+      List.fold_left
+        (fun acc (shard : shard) ->
+          Hashtbl.fold
+            (fun key cell acc ->
+              match cell with Counter c when matches key -> acc + c.c | _ -> acc)
+            shard acc)
+        0 !shards)
+
 let quantile_ns ?labels name q =
   let snap = snapshot () in
   let matching =

@@ -108,6 +108,11 @@ type snapshot = {
     snapshot. *)
 val snapshot : unit -> snapshot
 
+(** [counter ?labels name] sums every counter series of family [name]
+    whose labels include all of [labels] (default: every series of the
+    family); 0 when none matches. *)
+val counter : ?labels:labels -> string -> int
+
 (** [quantile_ns name q] merges every histogram series of family [name]
     (or exactly the [(name, labels)] series when [labels] is given) and
     returns its [q]-quantile in nanoseconds; [None] when nothing was

@@ -29,7 +29,6 @@ type event =
       x_tid : int;
       x_args : (string * string) list;
     }
-  | E_counter of { c_name : string; c_ts : int64; c_total : int }
   | E_instant of { i_name : string; i_ts : int64; i_tid : int; i_args : (string * string) list }
 
 let on = ref false
@@ -52,7 +51,6 @@ let tid () = (Domain.self () :> int)
 (* Global count of open spans across all domains (the per-domain stacks
    of other domains cannot be walked); guarded by [mutex]. *)
 let open_count = ref 0
-let totals : (string, int) Hashtbl.t = Hashtbl.create 16
 
 let locked f =
   Mutex.lock mutex;
@@ -105,8 +103,7 @@ let clear () =
   locked (fun () ->
       events := [];
       n_events := 0;
-      open_count := 0;
-      Hashtbl.reset totals);
+      open_count := 0);
   (* Only the calling domain's stack is reachable; other domains' stacks
      unwind on their own as their [with_span] frames return. *)
   my_stack () := []
@@ -167,25 +164,11 @@ let span_complete ?(cat = "taco") ?(args = []) ~ts ~dur_ns name =
   call_hook name cat dur_ns;
   if logging () then log_span name ts (Int64.add ts dur_ns)
 
-let add name n =
-  if !on then
-    locked (fun () ->
-        let total = (try Hashtbl.find totals name with Not_found -> 0) + n in
-        Hashtbl.replace totals name total;
-        push (E_counter { c_name = name; c_ts = now_ns (); c_total = total }))
-
 let instant ?(args = []) name =
   if !on then
     let t = tid () in
     let args = rid_args args in
     locked (fun () -> push (E_instant { i_name = name; i_ts = now_ns (); i_tid = t; i_args = args }))
-
-let counter_total name =
-  locked (fun () -> try Hashtbl.find totals name with Not_found -> 0)
-
-let counters () =
-  locked (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let event_count () = locked (fun () -> !n_events)
 let open_spans () = locked (fun () -> !open_count)
@@ -211,7 +194,6 @@ let event_ts = function
   | E_begin sp -> sp.sp_ts
   | E_end e -> e.e_ts
   | E_complete x -> x.x_ts
-  | E_counter c -> c.c_ts
   | E_instant i -> i.i_ts
 
 (* Chronological order with a stable tiebreak on buffer order, so
@@ -261,11 +243,6 @@ let to_chrome_json () =
                (Int64.to_float x.x_dur /. 1e3) x.x_tid);
           buf_args b x.x_args;
           Buffer.add_char b '}'
-      | E_counter c ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"args\":{\"value\":%d}}"
-               (json_escape c.c_name) (us c.c_ts) c.c_total)
       | E_instant i ->
           Buffer.add_string b
             (Printf.sprintf
@@ -312,7 +289,7 @@ let summary () =
       | E_complete x ->
           seen x.x_name;
           record x.x_name x.x_dur
-      | E_counter _ | E_instant _ -> ())
+      | E_instant _ -> ())
     evs;
   let b = Buffer.create 1024 in
   Buffer.add_string b "trace summary\n";
@@ -328,11 +305,4 @@ let summary () =
             (Printf.sprintf "  %-28s %6d %12.3f %12.3f\n" name n tot_ms
                (tot_ms /. float_of_int n)))
     (List.rev !order);
-  (match counters () with
-  | [] -> ()
-  | cs ->
-      Buffer.add_string b "counters\n";
-      List.iter
-        (fun (name, total) -> Buffer.add_string b (Printf.sprintf "  %-28s %12d\n" name total))
-        cs);
   Buffer.contents b

@@ -1,5 +1,6 @@
-(** In-process tracing: spans, counters and one-shot events for the
-    compile pipeline and the kernel executor.
+(** In-process tracing: spans and one-shot events for the compile
+    pipeline and the kernel executor. Counts are not kept here: every
+    process-wide count lives in the {!Metrics} registry.
 
     The tracer is a process-global buffer behind a single [enabled]
     flag. When disabled (the default) every entry point returns after
@@ -10,11 +11,9 @@
     trace-event JSON ({!write_chrome}, loadable in [chrome://tracing]
     and Perfetto) or summarized as text ({!summary}).
 
-    Three event kinds:
+    Two event kinds:
     - {b spans} ({!with_span}, {!span_complete}): begin/end pairs with
       nesting; exceptions still close the span;
-    - {b counters} ({!add}): named monotonically accumulated totals,
-      exported as Chrome "C" events so they render as counter tracks;
     - {b instants} ({!instant}): one-shot markers.
 
     Span begin/end events are recorded in chronological buffer order;
@@ -74,7 +73,7 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
-(** Drop all buffered events, counter totals and open spans. *)
+(** Drop all buffered events and open spans. *)
 val clear : unit -> unit
 
 (** [with_span name f] runs [f ()] inside a span. The span closes (and
@@ -91,17 +90,7 @@ val set_args : (string * string) list -> unit
 val span_complete :
   ?cat:string -> ?args:(string * string) list -> ts:int64 -> dur_ns:int64 -> string -> unit
 
-(** [add name n] accumulates [n] into counter [name] and records the new
-    total as a counter event. *)
-val add : string -> int -> unit
-
 val instant : ?args:(string * string) list -> string -> unit
-
-(** Current accumulated total of a counter (0 if never touched). *)
-val counter_total : string -> int
-
-(** All counters with their totals, sorted by name. *)
-val counters : unit -> (string * int) list
 
 (** Number of buffered events (spans count twice: begin and end). *)
 val event_count : unit -> int
@@ -116,6 +105,5 @@ val to_chrome_json : unit -> string
 
 val write_chrome : string -> unit
 
-(** Human-readable per-span-name aggregation (count, total, mean) plus
-    counter totals. *)
+(** Human-readable per-span-name aggregation (count, total, mean). *)
 val summary : unit -> string

@@ -18,6 +18,7 @@ module Budget = Taco_exec.Budget
 module Compile = Taco_exec.Compile
 module Service = Taco_service.Service
 module Metrics = Taco_support.Metrics
+module Events = Taco_support.Events
 module Native = Taco_exec.Native
 
 let with_fault ~seed rules f =
@@ -53,6 +54,37 @@ let eval_ok svc req =
 let check_code what code = function
   | Ok _ -> Alcotest.fail (what ^ ": expected an error")
   | Error d -> Alcotest.(check string) what code d.Diag.code
+
+(* Run [f] with the trace buffer and the metrics registry recording from
+   empty, both switched off again afterwards. *)
+let with_observability f =
+  Trace.clear ();
+  Trace.enable ();
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.clear ();
+      Metrics.disable ();
+      Metrics.reset ())
+    f
+
+(* The request id of every [name] event in the trace buffer, in order. *)
+let trace_rids name =
+  let key = "\"rid\":\"" in
+  let rid line =
+    let rec find i =
+      if i + String.length key > String.length line then Alcotest.failf "no rid in %s" line
+      else if String.sub line i (String.length key) = key then i + String.length key
+      else find (i + 1)
+    in
+    let start = find 0 in
+    int_of_string (String.sub line start (String.index_from line start '"' - start))
+  in
+  String.split_on_char '\n' (Trace.to_chrome_json ())
+  |> List.filter (fun line -> contains line (Printf.sprintf "\"name\":\"%s\"" name))
+  |> List.map rid
 
 (* A directly-compiled SpGEMM (the paper's Fig. 2 schedule) for the
    executor-level campaigns that bypass the service. *)
@@ -107,6 +139,13 @@ let test_worker_crash_replaced () =
 let test_poison_quarantined () =
   let b = random_tensor 303 [| 20; 20 |] 0.2 F.csr in
   let c = random_tensor 304 [| 20; 20 |] 0.2 F.csr in
+  let log = Filename.temp_file "taco_chaos_events" ".jsonl" in
+  Events.set_path (Some log);
+  Fun.protect ~finally:(fun () ->
+      Events.set_path None;
+      Sys.remove log)
+  @@ fun () ->
+  with_observability @@ fun () ->
   with_fault ~seed:12 [ Fault.rule ~max_fires:2 "serve.worker" Fault.Crash ] (fun () ->
       with_service ~domains:1 (fun svc ->
           (* The fault kills the worker on both the first attempt and the
@@ -117,6 +156,34 @@ let test_poison_quarantined () =
           Alcotest.(check int) "two workers crashed" 2 s.Service.crashed;
           Alcotest.(check int) "structure quarantined" 1 s.Service.quarantined;
           Alcotest.(check int) "pool is back to full strength" 1 s.Service.live_workers;
+          (* The quarantined request is answered like any other: counted
+             once in the registry and logged once under its request id. *)
+          Alcotest.(check int) "registry counts the poison failure" s.Service.failed
+            (Metrics.counter
+               ~labels:[ ("outcome", "failed"); ("code", "E_SERVE_POISON") ]
+               "taco_serve_requests_total");
+          Alcotest.(check int) "every failure is in the registry" s.Service.failed
+            (Metrics.counter ~labels:[ ("outcome", "failed") ] "taco_serve_requests_total");
+          Alcotest.(check int) "each fired fault is in the registry" (Fault.fires "serve.worker")
+            (Metrics.counter ~labels:[ ("point", "serve.worker") ] "taco_faults_injected_total");
+          let victim =
+            match trace_rids "serve.wait" with
+            | [ rid ] -> rid
+            | rids -> Alcotest.failf "expected one waited request, got %d" (List.length rids)
+          in
+          Events.close ();
+          let logged =
+            In_channel.with_open_text log In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun line ->
+                   contains line "\"event\":\"serve.request\""
+                   && contains line (Printf.sprintf "\"rid\":%d," victim))
+          in
+          (match logged with
+          | [ line ] ->
+              Alcotest.(check bool) "the victim's line names the poison code" true
+                (contains line "\"code\":\"E_SERVE_POISON\"")
+          | lines -> Alcotest.failf "%d serve.request lines for the victim" (List.length lines));
           (* Resubmitting the same structure is now rejected at admission
              without touching a worker. *)
           check_code "quarantined structure rejected at submit" "E_SERVE_POISON"
@@ -139,8 +206,8 @@ let test_poison_quarantined () =
 (* The worker takes what is queued as one batch. A crash is charged to
    the request being worked on, and its batch-mates go back to the
    queue uncharged: the poison request is quarantined after two kills,
-   and the others complete. A request dequeued again after a crash
-   leaves the queue once in the trace's depth count. *)
+   and the others complete. A request dequeued again after a crash has
+   one wait span, and the queue-depth gauge ends at zero. *)
 let test_poison_in_batch () =
   let b = random_tensor 321 [| 20; 20 |] 0.2 F.csr in
   let c = random_tensor 322 [| 20; 20 |] 0.2 F.csr in
@@ -161,9 +228,7 @@ let test_poison_in_batch () =
         ();
     ]
   in
-  Trace.enable ();
-  let depth_before = Trace.counter_total "serve.queue_depth" in
-  Fun.protect ~finally:Trace.disable @@ fun () ->
+  with_observability @@ fun () ->
   with_service ~domains:1 (fun svc ->
       (* Park the worker inside a blocker so the next requests queue up
          and are dequeued together. *)
@@ -197,8 +262,13 @@ let test_poison_in_batch () =
           Alcotest.(check int) "one structure quarantined" 1 s.Service.quarantined;
           Alcotest.(check int) "batch-mates completed" (1 + List.length mates) s.Service.completed;
           Alcotest.(check int) "pool is back to full strength" 1 s.Service.live_workers;
-          Alcotest.(check int) "queue depth back where it started" depth_before
-            (Trace.counter_total "serve.queue_depth")))
+          let rids = trace_rids "serve.wait" in
+          Alcotest.(check int) "one wait span per request" (2 + List.length mates)
+            (List.length rids);
+          Alcotest.(check int) "no request waited twice" (List.length rids)
+            (List.length (List.sort_uniq compare rids));
+          Alcotest.(check (option (float 0.))) "queue depth gauge drained" (Some 0.)
+            (List.assoc_opt ("taco_serve_queue_depth", []) (Metrics.snapshot ()).Metrics.gauges)))
 
 (* --- an injected compile failure is contained to its request -------- *)
 
@@ -289,9 +359,9 @@ let test_mem_budget () =
 let test_shed_under_overload () =
   let b = random_tensor 316 [| 24; 24 |] 0.2 F.csr in
   let c = random_tensor 317 [| 24; 24 |] 0.2 F.csr in
-  Trace.enable ();
-  let shed_before = Trace.counter_total "serve.shed" in
-  Fun.protect ~finally:Trace.disable (fun () ->
+  Metrics.enable ();
+  let shed_before = Metrics.counter "taco_serve_shed_total" in
+  Fun.protect ~finally:Metrics.disable (fun () ->
       (* A clean run for the differential check: shed (unoptimized)
          results must be bit-identical. *)
       let clean =
@@ -308,7 +378,18 @@ let test_shed_under_overload () =
                   | Ok t -> burst (n - 1) (t :: tickets) full
                   | Error d -> burst (n - 1) tickets (Some d)
               in
-              let tickets, full = burst 16 [] None in
+              (* The burst starts once the worker stalls in the first
+                 job, so how many jobs it dequeues at once cannot let the
+                 burst fit the queue. *)
+              let first =
+                match Service.submit svc (spgemm_request b c) with
+                | Ok t -> t
+                | Error d -> Alcotest.fail (Diag.to_string d)
+              in
+              while Fault.fires "serve.pipeline" = 0 do
+                Unix.sleepf 0.001
+              done;
+              let tickets, full = burst 15 [ first ] None in
               let responses = List.map await_ok tickets in
               List.iter
                 (fun r ->
@@ -317,8 +398,8 @@ let test_shed_under_overload () =
                 responses;
               let s = Service.stats svc in
               Alcotest.(check bool) "requests were shed" true (s.Service.shed > 0);
-              Alcotest.(check bool) "shed surfaces in the trace counters" true
-                (Trace.counter_total "serve.shed" > shed_before);
+              Alcotest.(check int) "shed surfaces in the registry" s.Service.shed
+                (Metrics.counter "taco_serve_shed_total" - shed_before);
               match full with
               | None -> Alcotest.fail "expected at least one E_SERVE_QUEUE_FULL rejection"
               | Some d ->
@@ -354,15 +435,7 @@ let test_corrupt_detected () =
 (* --- a failed tier-up is contained ----------------------------------- *)
 
 let tierup_builds outcome =
-  List.fold_left
-    (fun acc ((name, labels), n) ->
-      if
-        name = "taco_native_builds_total"
-        && List.assoc_opt "tier" labels = Some "1"
-        && List.assoc_opt "outcome" labels = Some outcome
-      then acc + n
-      else acc)
-    0 (Metrics.snapshot ()).Metrics.counters
+  Metrics.counter ~labels:[ ("tier", "1"); ("outcome", outcome) ] "taco_native_builds_total"
 
 let no_child_left () =
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with

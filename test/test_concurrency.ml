@@ -118,18 +118,22 @@ let test_stats_single_flight () =
 let test_trace_two_domains () =
   Trace.enable ();
   Trace.clear ();
+  Metrics.reset ();
+  Metrics.enable ();
   let work label =
     Domain.spawn (fun () ->
         for _ = 1 to 20 do
           Trace.with_span label (fun () ->
-              Trace.with_span (label ^ ".inner") (fun () -> Trace.add "conc.ticks" 1))
+              Trace.with_span (label ^ ".inner") (fun () -> Metrics.inc "conc_ticks_total"))
         done)
   in
   let a = work "conc.a" and b = work "conc.b" in
   Domain.join a;
   Domain.join b;
   Alcotest.(check int) "no span left open" 0 (Trace.open_spans ());
-  Alcotest.(check int) "counter sums across domains" 40 (Trace.counter_total "conc.ticks");
+  Alcotest.(check int) "counter sums across domains" 40 (Metrics.counter "conc_ticks_total");
+  Metrics.disable ();
+  Metrics.reset ();
   (* The export must carry both domains' spans with their tids; the
      summary pairs B/E per domain without misnesting failures. *)
   let count_infix hay needle =

@@ -165,6 +165,22 @@ let test_family_merge_across_labels () =
       | Some est ->
           Alcotest.(check bool) "native series isolated" true (est >= 100. && est < 150.))
 
+(* [counter] sums every series of a family whose labels include the
+   given ones, in any order. *)
+let test_counter_sums_matching_series () =
+  with_metrics (fun () ->
+      Metrics.inc ~labels:[ ("tier", "0"); ("outcome", "ok") ] ~by:2 "sum_total";
+      Metrics.inc ~labels:[ ("tier", "1"); ("outcome", "ok") ] "sum_total";
+      Metrics.inc ~labels:[ ("tier", "1"); ("outcome", "failed") ] "sum_total";
+      Metrics.inc "other_total";
+      Alcotest.(check int) "whole family" 4 (Metrics.counter "sum_total");
+      Alcotest.(check int) "one label" 3 (Metrics.counter ~labels:[ ("outcome", "ok") ] "sum_total");
+      Alcotest.(check int) "two labels, either order" 1
+        (Metrics.counter ~labels:[ ("outcome", "failed"); ("tier", "1") ] "sum_total");
+      Alcotest.(check int) "no matching series" 0
+        (Metrics.counter ~labels:[ ("tier", "2") ] "sum_total");
+      Alcotest.(check int) "unknown family" 0 (Metrics.counter "never_total"))
+
 (* ------------------------------------------------------------------ *)
 (* Encoder goldens                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -363,6 +379,8 @@ let () =
           QCheck_alcotest.to_alcotest test_cross_domain_merge_qcheck;
           Alcotest.test_case "family merge across labels" `Quick
             test_family_merge_across_labels;
+          Alcotest.test_case "counter sums matching series" `Quick
+            test_counter_sums_matching_series;
         ] );
       ( "encoders",
         [

@@ -870,6 +870,10 @@ let test_compiler_id_in_cache_key () =
       (backend_of k2 = `Native)
 
 let () =
+  (* Several cases read build, run and downgrade counts through
+     [Compile.backend_stats], which reads the metrics registry: it counts
+     only while enabled. *)
+  Metrics.enable ();
   Alcotest.run "native"
     [
       ( "bit-identity",

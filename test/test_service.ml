@@ -9,6 +9,8 @@ module D = Taco_tensor.Dense
 module Diag = Taco_support.Diag
 module Compile = Taco_exec.Compile
 module Service = Taco_service.Service
+module Metrics = Taco_support.Metrics
+module Fault = Taco_support.Faultinject
 
 let spgemm_request ?(directives = true) b c =
   Service.request
@@ -138,12 +140,6 @@ let test_coalescing () =
 
 (* --- batched native builds ------------------------------------------ *)
 
-let counter_total name =
-  let module Metrics = Taco_support.Metrics in
-  List.fold_left
-    (fun acc ((n, _), v) -> if n = name then acc + v else acc)
-    0 (Metrics.snapshot ()).Metrics.counters
-
 (* [req] with its result tensor renamed: a new kernel to compile. *)
 let renamed result (req : Service.request) =
   { req with Service.expr = result ^ String.sub req.Service.expr 1 (String.length req.Service.expr - 1) }
@@ -153,7 +149,6 @@ let renamed result (req : Service.request) =
    one batch, so fewer C compiler runs than kernels serve them, and
    every result is bit-identical to the closure executor's. *)
 let test_batched_native () =
-  let module Metrics = Taco_support.Metrics in
   if not (Taco_exec.Native.available ()) then print_endline "  [skipped: no C compiler]"
   else begin
     let enabled = Metrics.enabled () in
@@ -168,8 +163,8 @@ let test_batched_native () =
     let requests =
       List.init 8 (fun q -> renamed (Printf.sprintf "Batch%d" q) mix.(q mod 3))
     in
-    let builds0 = counter_total "taco_native_builds_total" in
-    let cc0 = counter_total "taco_native_cc_total" in
+    let builds0 = Metrics.counter "taco_native_builds_total" in
+    let cc0 = Metrics.counter "taco_native_cc_total" in
     with_service ~domains:1 (fun svc ->
         let tickets =
           List.map
@@ -180,8 +175,8 @@ let test_batched_native () =
             requests
         in
         let native = List.map (fun t -> (await_ok t).Service.tensor) tickets in
-        let builds = counter_total "taco_native_builds_total" - builds0 in
-        let cc = counter_total "taco_native_cc_total" - cc0 in
+        let builds = Metrics.counter "taco_native_builds_total" - builds0 in
+        let cc = Metrics.counter "taco_native_cc_total" - cc0 in
         Alcotest.(check int) "one kernel build per request" 8 builds;
         Alcotest.(check bool)
           (Printf.sprintf "fewer cc runs (%d) than kernels (%d)" cc builds)
@@ -202,7 +197,6 @@ let test_batched_native () =
    [native.build] fault point, the hit queued behind the miss completes
    well inside it. *)
 let test_hit_before_batch_build () =
-  let module Fault = Taco_support.Faultinject in
   if not (Taco_exec.Native.available ()) then print_endline "  [skipped: no C compiler]"
   else begin
     let b = random_tensor 33 [| 30; 30 |] 0.1 F.csr in
@@ -315,6 +309,125 @@ let test_shutdown_drains () =
   (* Idempotent. *)
   Service.shutdown svc
 
+(* --- the stats record and the registry agree ------------------------- *)
+
+(* One service answers completed, shed, timed-out, failed, rejected and
+   crash-retried requests, and a poison pill. Every counter of its
+   stats then equals its registry series, and the executor's run counts
+   in [Compile.backend_stats] match the service's backend counts. *)
+let test_stats_agree_with_registry () =
+  let b = random_tensor 41 [| 30; 30 |] 0.1 F.csr in
+  let c = random_tensor 42 [| 30; 30 |] 0.1 F.csr in
+  let enabled = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not enabled then Metrics.disable ()) @@ fun () ->
+  Compile.cache_clear ();
+  let svc = Service.create ~domains:1 ~queue_depth:3 ~shed_queue:1 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
+  let submit ?deadline_ms req =
+    match Service.submit svc ?deadline_ms req with
+    | Ok t -> t
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let refused code what r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: expected %s" what code
+    | Error d -> Alcotest.(check string) what code d.Diag.code
+  in
+  let with_faults rules f =
+    Fault.configure ~seed:43 rules;
+    Fun.protect ~finally:Fault.disarm f
+  in
+  ignore (await_ok (submit (spgemm_request b c)));
+  ignore (await_ok (submit { (spadd_request b c) with Service.backend = Some `Native }));
+  (match Service.eval svc (Service.request ~expr:"A(i,j) = B(i,k * C(k,j)" ~inputs:[] ()) with
+  | Ok _ -> Alcotest.fail "malformed expression must fail"
+  | Error _ -> ());
+  (* Park the worker in a blocker: of the three queued behind it the
+     second and third are shed, the third expires in the queue, and a
+     fourth finds the queue full. *)
+  with_faults [ Fault.rule ~max_fires:1 "serve.pipeline" (Fault.Delay 200) ] (fun () ->
+      let blocker = submit (spgemm_request b c) in
+      while Fault.fires "serve.pipeline" = 0 do
+        Unix.sleepf 0.001
+      done;
+      let plain = submit (spgemm_request b c) in
+      let shed = submit (spgemm_request b c) in
+      let expired = submit ~deadline_ms:0 (spgemm_request b c) in
+      refused "E_SERVE_QUEUE_FULL" "a full queue refuses"
+        (Service.submit svc (spgemm_request b c));
+      List.iter (fun t -> ignore (await_ok t)) [ blocker; plain; shed ];
+      refused "E_SERVE_DEADLINE" "expired in the queue" (Service.await expired));
+  with_faults [ Fault.rule ~max_fires:1 "serve.worker" Fault.Crash ] (fun () ->
+      ignore (await_ok (submit (spgemm_request b c))));
+  with_faults [ Fault.rule ~max_fires:2 "serve.worker" Fault.Crash ] (fun () ->
+      refused "E_SERVE_POISON" "two strikes" (Service.eval svc (spadd_request b c)));
+  refused "E_SERVE_POISON" "quarantined at admission" (Service.submit svc (spadd_request b c));
+  let s = Service.stats svc in
+  let requests outcome = Metrics.counter ~labels:[ ("outcome", outcome) ] "taco_serve_requests_total" in
+  (* Requests the service ran on each backend: the _count of the run
+     latency histogram. *)
+  let runs backend =
+    List.fold_left
+      (fun acc ((name, labels), h) ->
+        if name = "taco_serve_run_seconds" && List.assoc_opt "backend" labels = Some backend then
+          acc + h.Metrics.h_count
+        else acc)
+      0 (Metrics.snapshot ()).Metrics.histograms
+  in
+  List.iter
+    (fun (field, stat, series) ->
+      Alcotest.(check int) (field ^ " equals its registry series") stat series)
+    [
+      ("submitted", s.Service.submitted, Metrics.counter "taco_serve_submitted_total");
+      ("rejected", s.Service.rejected, requests "rejected");
+      ("completed", s.Service.completed, requests "completed" + requests "shed");
+      ("timed_out", s.Service.timed_out, requests "timed_out");
+      ("failed", s.Service.failed, requests "failed");
+      ("shed", s.Service.shed, Metrics.counter "taco_serve_shed_total");
+      ("crashed", s.Service.crashed, Metrics.counter "taco_serve_crashed_total");
+      ("replaced", s.Service.replaced, Metrics.counter "taco_serve_replaced_total");
+      ("quarantined", s.Service.quarantined, Metrics.counter "taco_serve_quarantined_total");
+      ("exec_native", s.Service.exec_native, runs "native");
+      ("exec_closure", s.Service.exec_closure, runs "closure" + runs "downgraded");
+      ("backend_downgraded", s.Service.backend_downgraded, runs "downgraded");
+    ];
+  List.iter
+    (fun (field, n) -> if n = 0 then Alcotest.failf "the campaign produced no %s request" field)
+    [
+      ("completed", s.Service.completed);
+      ("shed completed", requests "shed");
+      ("timed_out", s.Service.timed_out);
+      ("failed", s.Service.failed);
+      ("rejected", s.Service.rejected);
+      ("shed", s.Service.shed);
+      ("replaced", s.Service.replaced);
+      ("quarantined", s.Service.quarantined);
+    ];
+  let bs = Compile.backend_stats () in
+  List.iter
+    (fun (field, stat, series) ->
+      Alcotest.(check int) ("backend_stats." ^ field ^ " equals its registry series") stat series)
+    [
+      ( "native_builds",
+        bs.Compile.native_builds,
+        Metrics.counter ~labels:[ ("outcome", "ok") ] "taco_native_builds_total" );
+      ( "native_runs",
+        bs.Compile.native_runs,
+        Metrics.counter ~labels:[ ("backend", "native") ] "taco_exec_runs_total" );
+      ( "closure_runs",
+        bs.Compile.closure_runs,
+        Metrics.counter ~labels:[ ("backend", "closure") ] "taco_exec_runs_total" );
+      ("downgrades", bs.Compile.downgrades, Metrics.counter "taco_exec_downgrades_total");
+    ];
+  Alcotest.(check int) "one native run per native request" s.Service.exec_native
+    bs.Compile.native_runs;
+  Alcotest.(check int) "one closure run per closure request" s.Service.exec_closure
+    bs.Compile.closure_runs;
+  Alcotest.(check int) "one downgrade per downgraded request" s.Service.backend_downgraded
+    bs.Compile.downgrades
+
 (* --- input validation ----------------------------------------------- *)
 
 let test_malformed_expr () =
@@ -369,6 +482,9 @@ let () =
           Alcotest.test_case "expired deadline" `Quick test_deadline;
           Alcotest.test_case "shutdown drains and refuses" `Quick test_shutdown_drains;
         ] );
+      ( "accounting",
+        [ Alcotest.test_case "stats agree with the registry" `Quick test_stats_agree_with_registry ]
+      );
       ( "validation",
         [
           Alcotest.test_case "malformed expression" `Quick test_malformed_expr;

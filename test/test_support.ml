@@ -2,7 +2,6 @@ module Dyn = Taco_support.Dyn_array
 module Prng = Taco_support.Prng
 module Util = Taco_support.Util
 module Memo = Taco_support.Memo
-module Trace = Taco_support.Trace
 module Metrics = Taco_support.Metrics
 
 let test_dyn_int_push () =
@@ -283,24 +282,17 @@ let test_memo_clear () =
   ignore (Memo.find_or_build t "b" (fun () -> "b") : string);
   check_stats "a cleared key misses" (0, 1, 1, 0, 0) t
 
-(* Each table counts under its own name in both stores. *)
+(* Each table counts under its own name in the registry. *)
 let test_memo_counter_names () =
-  Trace.clear ();
-  Trace.enable ();
   Metrics.reset ();
   Metrics.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disable ();
-      Trace.clear ();
       Metrics.disable ();
       Metrics.reset ())
     (fun () ->
       let t = Memo.create ~name:"memo_names" ~capacity:1 in
       List.iter (fun k -> ignore (Memo.find_or_build t k (fun () -> k) : string)) [ "a"; "a"; "b" ];
-      List.iter
-        (fun (name, n) -> Alcotest.(check int) name n (Trace.counter_total name))
-        [ ("memo_names.cache.hit", 1); ("memo_names.cache.miss", 2); ("memo_names.cache.evict", 1) ];
       let snap = Metrics.snapshot () in
       List.iter
         (fun (name, n) ->
@@ -350,7 +342,7 @@ let () =
           Alcotest.test_case "raising build, waiter retries" `Quick test_memo_raising_build;
           Alcotest.test_case "valid rejection rebuilds" `Quick test_memo_valid_rejection;
           Alcotest.test_case "clear resets everything" `Quick test_memo_clear;
-          Alcotest.test_case "trace and metrics names" `Quick test_memo_counter_names;
+          Alcotest.test_case "metric names" `Quick test_memo_counter_names;
           Alcotest.test_case "several keys at once" `Quick test_memo_batch;
           Alcotest.test_case "lookup without a build" `Quick test_memo_find;
         ] );

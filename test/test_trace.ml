@@ -1,4 +1,4 @@
-(* Tests for the observability layer: the Trace span/counter buffer
+(* Tests for the observability layer: the Trace span buffer
    (including the disabled-is-free discipline), Exec.Compile cache
    accounting (hits/misses/entries/evictions across optimizer configs,
    flags and backends, cache_clear), FIFO eviction on a bounded Memo,
@@ -12,6 +12,7 @@ module Compile = Taco_exec.Compile
 module Kernel = Taco_exec.Kernel
 module T = Taco_tensor.Tensor
 module Trace = Taco_support.Trace
+module Metrics = Taco_support.Metrics
 module Memo = Taco_support.Memo
 
 let v n = Imp.Var n
@@ -176,10 +177,8 @@ let test_disabled_tracing_records_nothing () =
   let c = Compile.compile ~cache:false ~profile:true k in
   ignore (Compile.run c ~args:[] : string -> Compile.arg);
   Trace.with_span "should_not_record" (fun () -> ());
-  Trace.add "should_not_count" 7;
   Alcotest.(check int) "no events recorded while disabled" 0 (Trace.event_count ());
-  Alcotest.(check int) "no open spans" 0 (Trace.open_spans ());
-  Alcotest.(check int) "counters untouched" 0 (Trace.counter_total "should_not_count")
+  Alcotest.(check int) "no open spans" 0 (Trace.open_spans ())
 
 let test_span_balance_and_nesting () =
   with_tracing (fun () ->
@@ -207,20 +206,22 @@ let test_span_closed_on_exception () =
       Alcotest.(check int) "span closed despite exception" 0 (Trace.open_spans ());
       Alcotest.(check int) "B and E both recorded" 2 (Trace.event_count ()))
 
-let test_counters_accumulate () =
-  with_tracing (fun () ->
-      Trace.add "widgets" 2;
-      Trace.add "widgets" 3;
-      Alcotest.(check int) "counter totals accumulate" 5 (Trace.counter_total "widgets"))
-
+(* The compile cache counts in the metrics registry, the one store of
+   process-wide counts. *)
 let test_compile_emits_cache_counters () =
-  with_tracing (fun () ->
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
       Compile.cache_clear ();
       let k = foldable "trace_compile_counters" in
       let _ = Compile.compile k in
       let _ = Compile.compile k in
-      Alcotest.(check int) "one miss counted" 1 (Trace.counter_total "compile.cache.miss");
-      Alcotest.(check int) "one hit counted" 1 (Trace.counter_total "compile.cache.hit"))
+      Alcotest.(check int) "one miss counted" 1 (Metrics.counter "taco_compile_cache_misses_total");
+      Alcotest.(check int) "one hit counted" 1 (Metrics.counter "taco_compile_cache_hits_total"))
 
 (* ------------------------------------------------------------------ *)
 (* Profiled execution                                                  *)
@@ -290,7 +291,6 @@ let () =
             test_span_balance_and_nesting;
           Alcotest.test_case "span closed on exception" `Quick
             test_span_closed_on_exception;
-          Alcotest.test_case "counters accumulate" `Quick test_counters_accumulate;
           Alcotest.test_case "compile emits cache counters" `Quick
             test_compile_emits_cache_counters;
         ] );
