@@ -179,8 +179,48 @@ static void sort_i32_depth(int32_t *a, int64_t n, int depth)
   }
 }
 
+/* The bounded-range path of Imp.Sort: each value of a slice spanning
+   `range` values from lo sets one bit of a stack bitmap, and scanning
+   the set bits with ctz writes the slice back in order. Returns 0 with
+   the slice untouched when a value repeats, for the introsort to take. */
+#define SORT_BITMAP_BITS 32768
+
+static int bitmap_sort_i32(int32_t *a, int64_t n, int32_t lo, int64_t range)
+{
+  uint64_t bits[SORT_BITMAP_BITS / 64];
+  int64_t words = (range + 63) / 64;
+  memset(bits, 0, (size_t)words * sizeof bits[0]);
+  for (int64_t i = 0; i < n; i++) {
+    int64_t d = (int64_t)a[i] - lo;
+    uint64_t m = (uint64_t)1 << (d & 63);
+    if (bits[d >> 6] & m) return 0;
+    bits[d >> 6] |= m;
+  }
+  int32_t *out = a;
+  for (int64_t w = 0; w < words; w++)
+    for (uint64_t b = bits[w]; b; b &= b - 1)
+      *out++ = (int32_t)(lo + w * 64 + __builtin_ctzll(b));
+  return 1;
+}
+
+/* Slices of 16 or fewer go straight to insertion sort. A longer slice
+   whose values span at most 64 per element and at most
+   SORT_BITMAP_BITS values takes the bitmap; everything else, and a
+   bitmap slice with a repeated value, takes the introsort. A workspace
+   coordinate list is distinct and bounded by the workspace dimension,
+   so its rows usually take the bitmap. */
 static void rt_sort_i32(int32_t *a, int64_t n)
 {
+  if (n > 16) {
+    int32_t lo = a[0], hi = a[0];
+    for (int64_t i = 1; i < n; i++) {
+      if (a[i] < lo) lo = a[i];
+      if (a[i] > hi) hi = a[i];
+    }
+    int64_t range = (int64_t)hi - lo + 1;
+    if (range <= SORT_BITMAP_BITS && range <= 64 * n && bitmap_sort_i32(a, n, lo, range))
+      return;
+  }
   int depth = 0;
   for (int64_t m = n; m > 1; m >>= 1) depth += 2;
   sort_i32_depth(a, n, depth);

@@ -504,6 +504,158 @@ let test_sort_rows ?semiring ~parallel ~name () =
   if not (tensors_bit_identical rc rn) then
     Alcotest.failf "%s: native sorted rows diverge from closures" name
 
+module Prng = Taco_support.Prng
+
+(* [k] distinct values in a shuffled order whose least is [lo] and whose
+   greatest is [lo + span - 1]. *)
+let spanning prng ~lo ~span k =
+  let inner = Prng.sample_without_replacement prng ~n:(span - 2) ~k:(k - 2) in
+  let a = Array.append [| lo; lo + span - 1 |] (Array.map (fun x -> lo + 1 + x) inner) in
+  Prng.shuffle prng a;
+  a
+
+(* A hand-built kernel holding one Imp.Sort of the slice a[lo, hi). *)
+let sort_kernel =
+  let param ?(array = false) p_name =
+    { Imp.p_name; p_dtype = Imp.Int; p_array = array; p_output = array }
+  in
+  {
+    Imp.k_name = "sort_slice";
+    k_params = [ param ~array:true "a"; param "lo"; param "hi" ];
+    k_body = [ Imp.Sort ("a", Imp.Var "lo", Imp.Var "hi") ];
+  }
+
+(* Slices on both sides of every cutoff of the table's sort: 16 and 17
+   elements (insertion sort), a value range of at most 64 per element
+   and at most 32768 values (the bitmap), a repeated value inside that
+   range (the bitmap hands the slice to the introsort), and ranges just
+   past either bound. *)
+let sort_slices () =
+  let prng = Prng.create 23 in
+  let i32_min = Int32.(to_int min_int) and i32_max = Int32.(to_int max_int) in
+  let with_repeat a =
+    a.(Array.length a - 1) <- a.(0);
+    a
+  in
+  [
+    ("length 0", [||]);
+    ("length 1", [| 42 |]);
+    ("length 16", spanning prng ~lo:(-3) ~span:40 16);
+    ("length 17", spanning prng ~lo:(-3) ~span:40 17);
+    ("duplicates", Array.init 40 (fun _ -> Prng.int prng 20));
+    ("one repeat, last", with_repeat (spanning prng ~lo:100 ~span:500 60));
+    ("all equal", Array.make 30 7);
+    ("negative", spanning prng ~lo:(-5000) ~span:1000 200);
+    ("int32 extremes", spanning prng ~lo:i32_min ~span:(i32_max - i32_min + 1) 40);
+    ("next to int32 min", spanning prng ~lo:i32_min ~span:100 50);
+    ("next to int32 max", spanning prng ~lo:(i32_max - 99) ~span:100 50);
+    ("ascending", Array.init 100 (fun i -> 3 * i));
+    ("descending", Array.init 100 (fun i -> 300 - (3 * i)));
+    ("range at the 32768 cap", spanning prng ~lo:(-1000) ~span:32768 600);
+    ("range one past the cap", spanning prng ~lo:(-1000) ~span:32769 600);
+    ("range at 64n", spanning prng ~lo:0 ~span:(64 * 20) 20);
+    ("range above 64n", spanning prng ~lo:0 ~span:((64 * 20) + 1) 20);
+  ]
+
+(* Each slice, between elements it must not touch, sorted on the
+   closures, at native tier 0 and at tier 1: all equal to the stdlib
+   sort. *)
+let test_sort_slices () =
+  let native tier =
+    let c = Compile.compile ~cache:false ~backend:`Native sort_kernel in
+    if tier = 1 then Compile.promote c;
+    Alcotest.(check (option int)) "native tier" (Some tier) (Compile.native_tier c);
+    (Printf.sprintf "tier %d" tier, c)
+  in
+  let runners =
+    [ ("closures", Compile.compile ~cache:false ~backend:`Closure sort_kernel); native 0; native 1 ]
+  in
+  let before = [| 9; -9 |] and after = [| -7; 7 |] in
+  List.iter
+    (fun (what, slice) ->
+      let sorted = Array.copy slice in
+      Array.sort compare sorted;
+      let expected = Array.concat [ before; sorted; after ] in
+      List.iter
+        (fun (who, c) ->
+          let a = Array.concat [ before; slice; after ] in
+          let hi = Array.length before + Array.length slice in
+          let (_ : string -> Compile.arg) =
+            Compile.run c
+              ~args:[ ("a", Compile.Aint_array a); ("lo", Compile.Aint 2); ("hi", Compile.Aint hi) ]
+          in
+          Alcotest.(check (array int)) (Printf.sprintf "%s on %s" what who) expected a)
+        runners)
+    (sort_slices ())
+
+(* A workspace SpGEMM whose result is 40000 columns wide. C is a
+   permutation matrix, so each row of B picks its result columns and
+   the workspace list reaches the sort in a shuffled order: an empty
+   row, a row of 12 (insertion sort), rows spanning more than 32768
+   columns (introsort), a row spanning more than 64 columns per entry
+   (introsort), and bounded rows including one at the 32768 cap
+   (bitmap). Closures, tier 0 and tier 1 agree bit for bit. *)
+let test_wide_spgemm () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  let prng = Prng.create 40_000 in
+  let n = 40_000 in
+  let rows =
+    [|
+      [||];
+      spanning prng ~lo:5 ~span:(n - 10) 12;
+      spanning prng ~lo:0 ~span:n 40;
+      spanning prng ~lo:0 ~span:n 2000;
+      spanning prng ~lo:30_000 ~span:1000 40;
+      spanning prng ~lo:100 ~span:((64 * 20) + 1) 20;
+      spanning prng ~lo:7000 ~span:32_768 600;
+    |]
+  in
+  (* C(k, perm.(k)): B(r, k) for k = inv.(j) puts column j in row r. *)
+  let perm = Array.init n Fun.id in
+  Prng.shuffle prng perm;
+  let inv = Array.make n 0 in
+  Array.iteri (fun k j -> inv.(j) <- k) perm;
+  let value _ = 0.5 +. Prng.float prng in
+  let pos = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun r cols -> pos.(r + 1) <- pos.(r) + Array.length cols) rows;
+  let ks cols =
+    let k = Array.map (fun j -> inv.(j)) cols in
+    Array.sort compare k;
+    k
+  in
+  let crd = Array.concat (Array.to_list (Array.map ks rows)) in
+  let inputs =
+    [
+      (b, T.of_csr ~rows:(Array.length rows) ~cols:n pos crd (Array.map value crd));
+      (c, T.of_csr ~rows:n ~cols:n (Array.init (n + 1) Fun.id) perm (Array.map value perm));
+    ]
+  in
+  let closure = getd (compile ~name:"spgemm_wide" ~backend:`Closure sched) in
+  let t0 = getd (compile ~name:"spgemm_wide_t0" ~backend:`Native sched) in
+  let t1 = getd (compile ~name:"spgemm_wide_t1" ~backend:`Native sched) in
+  Kernel.promote (Taco.kernel t1);
+  List.iter
+    (fun (tier, c) ->
+      Alcotest.(check (option int)) "native tier" (Some tier) (Kernel.native_tier (Taco.kernel c)))
+    [ (0, t0); (1, t1) ];
+  let reference = getd (run closure ~inputs) in
+  (match T.level_data reference 1 with
+  | T.Compressed_data { pos; crd } ->
+      Array.iteri
+        (fun r cols ->
+          let s = Array.copy cols in
+          Array.sort compare s;
+          Alcotest.(check (array int)) (Printf.sprintf "row %d columns" r) s
+            (Array.sub crd pos.(r) (pos.(r + 1) - pos.(r))))
+        rows
+  | T.Dense_data _ -> Alcotest.fail "expected a compressed level");
+  List.iter
+    (fun (who, c) ->
+      Alcotest.(check bool) (who ^ " runs natively") true (backend_of c = `Native);
+      if not (tensors_bit_identical reference (getd (run c ~inputs))) then
+        Alcotest.failf "wide SpGEMM: %s diverges from closures" who)
+    [ ("tier 0", t0); ("tier 1", t1) ]
+
 (* --- cache: native builds are single-flighted across domains --------- *)
 
 let test_single_flight () =
@@ -911,6 +1063,8 @@ let () =
           cc_case "sorted rows, min-plus"
             (test_sort_rows ~semiring:Semiring.min_plus ~parallel:false
                ~name:"spgemm_sort_minplus");
+          cc_case "Imp.Sort edge cases, closures vs tier 0 vs tier 1" test_sort_slices;
+          cc_case "wide hypersparse SpGEMM, closures vs tier 0 vs tier 1" test_wide_spgemm;
         ] );
       ( "cache",
         [
