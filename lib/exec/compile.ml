@@ -1114,6 +1114,10 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
 
 type spec = {
   s_kernel : Imp.kernel;  (* as lowered, before the optimizer *)
+  s_digest : Digest.t;
+      (* of [s_kernel], computed once, eagerly: a spec reused across
+         requests is read from several domains, where forcing a [Lazy]
+         would raise *)
   s_profile : bool;
   s_opt : Taco_lower.Opt.config;
   s_backend : backend;
@@ -1121,7 +1125,16 @@ type spec = {
 }
 
 let spec ?(profile = false) ?(opt = Taco_lower.Opt.all) ?(backend = `Closure) k =
-  { s_kernel = k; s_profile = profile; s_opt = opt; s_backend = backend; s_rid = Trace.request_id () }
+  {
+    s_kernel = k;
+    s_digest = Digest.string (Marshal.to_string k []);
+    s_profile = profile;
+    s_opt = opt;
+    s_backend = backend;
+    s_rid = Trace.request_id ();
+  }
+
+let restamp s = { s with s_rid = Trace.request_id () }
 
 (* Run [f] with the domain's request id set to [rid]. *)
 let with_rid rid f =
@@ -1224,14 +1237,15 @@ let build_all specs =
 (* ------------------------------------------------------------------ *)
 (* Compiled-kernel cache                                               *)
 (*                                                                     *)
-(* Keyed by a digest of the kernel as lowered (before the optimizer)   *)
-(* plus every input that shapes the compiled result: the optimizer     *)
-(* config, the profile flag and the backend tag with its compiler id. *)
-(* A hit therefore skips the optimizer as well as closure compilation  *)
-(* and cc. The digest is only a lookup key: each entry                 *)
-(* keeps its source kernel and config, a hit compares them             *)
-(* structurally, and a mismatch (digest collision, or NaN literals     *)
-(* defeating structural equality) falls back to a fresh compile. Only  *)
+(* Keyed by a digest of the kernel as lowered (before the optimizer,   *)
+(* taken once per spec) plus every input that shapes the compiled      *)
+(* result: the optimizer config, the profile flag and the backend tag  *)
+(* with its compiler id. A hit therefore skips the optimizer as well   *)
+(* as closure compilation and cc. The digest is only a lookup key:     *)
+(* each entry keeps its source kernel and config, a hit compares them  *)
+(* (physically first, then structurally), and a mismatch (digest       *)
+(* collision, or NaN literals defeating structural equality) falls     *)
+(* back to a fresh compile. Only                                       *)
 (* kernels that optimized and built cleanly are inserted. Compiled     *)
 (* closures are immutable and reusable across runs; [Memo] keeps the   *)
 (* table safe under domains and single-flights each build.             *)
@@ -1261,14 +1275,17 @@ let cache_key s =
     | `Closure -> "closure"
     | `Native -> "native:" ^ Native.compiler_id ()
   in
-  Digest.string (Marshal.to_string (s.s_opt, s.s_profile, btag, s.s_kernel) [])
+  Digest.string (Marshal.to_string (s.s_opt, s.s_profile, btag, s.s_digest) [])
 
+(* A spec reused from the service's front cache holds the very kernel
+   its entry was built from, so the physical test settles most hits
+   without walking the kernel. *)
 let valid s e =
   let c = e.e_compiled in
   c.c_prof <> None = s.s_profile
   && c.c_requested = s.s_backend
   && e.e_opt = s.s_opt
-  && e.e_source = s.s_kernel
+  && (e.e_source == s.s_kernel || e.e_source = s.s_kernel)
 
 let cache_stats () = Memo.stats kernels
 
@@ -1466,13 +1483,14 @@ let run_native c l ~deadline_ns ~read ~args =
   (match rc with
   | 0 -> ()
   | 1 ->
+      (* The refused element count, when the runtime table saw it: the
+         same [bytes] the closure executor reports. *)
+      let elems : int = Obj.obj escs.(0) in
       Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_MEM"
         ~context:
-          [
-            ("kernel", kname);
-            ("backend", "native");
-            ("limit_bytes", string_of_int (Budget.mem_limit ()));
-          ]
+          ([ ("kernel", kname); ("backend", "native") ]
+          @ (if elems >= 0 then [ ("bytes", string_of_int (elems * 8)) ] else [])
+          @ [ ("limit_bytes", string_of_int (Budget.mem_limit ())) ])
         "allocation exceeds the memory budget in native kernel %s" kname
   | 2 -> cancelled ~kname
   | 3 | 4 -> (

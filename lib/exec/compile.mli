@@ -151,6 +151,11 @@ type spec
 val spec :
   ?profile:bool -> ?opt:Taco_lower.Opt.config -> ?backend:backend -> Taco_lower.Imp.kernel -> spec
 
+(** The same spec stamped with the calling domain's request id instead:
+    a spec kept across requests (the service's front cache) is
+    restamped for each request it serves. *)
+val restamp : spec -> spec
+
 (** Compile several kernels in one call, results in [specs] order, each
     reported as {!compile_res} would. The cache is looked up for all of
     them at once and every miss is claimed together (single-flight per

@@ -14,6 +14,8 @@ type request = Taco_lower.Lower.kernel_info * Compile.spec
 let request ?profile ?opt ?backend info =
   (info, Compile.spec ?profile ?opt ?backend info.Lower.kernel)
 
+let restamp (info, spec) = (info, Compile.restamp spec)
+
 let prepare_batch requests =
   List.map2
     (fun (info, _) r -> Result.map (fun compiled -> { info; compiled }) r)

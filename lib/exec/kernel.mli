@@ -32,6 +32,10 @@ val request :
   Taco_lower.Lower.kernel_info ->
   request
 
+(** The request stamped with the calling domain's request id — see
+    {!Compile.restamp}. *)
+val restamp : request -> request
+
 (** Prepare several kernels with one {!Compile.compile_batch} (one C
     compiler run for every native miss among them); results in
     [requests] order, each failure its own. {!prepare} is the batch of

@@ -134,7 +134,10 @@ val promote : loaded -> unit
     as long as requested. Lengths are checked against the buffers
     before anything is boxed: code 3 is a length outside its escape's
     capacity, code 4 a length index outside its source escape; both
-    return [[| read index; offending value; bound |]] (as ints).
+    return [[| read index; offending value; bound |]] (as ints), and
+    code 1 returns [[| elements |]], the allocation the budget refused,
+    or [-1] when that is unknown (a failed [calloc], or a refusal on an
+    OpenMP worker thread).
     Emits a [native.run] span. After the call, a tier-0 run feeds the
     tier-up account, and any run polls the tier-up in flight. *)
 val run : loaded -> spec -> int * Obj.t array

@@ -87,6 +87,12 @@ static int over_budget(int64_t n, int64_t limit)
   return limit != INT64_MAX && n > limit / 8;
 }
 
+/* The element count the budget last refused on this thread, or -1:
+   reported with E_EXEC_MEM as the closure executor reports it. Reset
+   by taco_nat_call before each kernel; a refusal on another thread (an
+   OpenMP worker) leaves it at -1. */
+static _Thread_local int64_t refused_elems = -1;
+
 /* Imp.Alloc: release p, then max(1, n) zeroed elements. NULL when the
    budget refuses or calloc fails; *cap is the element count. */
 static void *rt_alloc(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit)
@@ -94,7 +100,10 @@ static void *rt_alloc(void *p, int64_t *cap, int64_t n, size_t size, int64_t lim
   free(p);
   *cap = 0;
   if (n < 1) n = 1;
-  if (over_budget(n, limit)) return NULL;
+  if (over_budget(n, limit)) {
+    refused_elems = n;
+    return NULL;
+  }
   p = calloc((size_t)n, size);
   if (p) *cap = n;
   return p;
@@ -108,6 +117,7 @@ static void *rt_grow(void *p, int64_t *cap, int64_t n, size_t size, int64_t limi
   int64_t old = *cap;
   if (n < old) n = old;
   if (over_budget(n, limit)) {
+    refused_elems = n;
     free(p);
     return NULL;
   }
@@ -333,6 +343,7 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
   if (oom) {
     rc = 1; /* maps to E_EXEC_MEM on the OCaml side */
   } else {
+    refused_elems = -1;
     rc = fn(iargs, fargs, aargs, esc, esc_len, mem_limit, deadline, &taco_rt);
   }
 
@@ -397,6 +408,9 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
   } else if (rc == 3 || rc == 4) {
     vescs = caml_alloc(3, 0);
     for (int k = 0; k < 3; k++) Store_field(vescs, k, Val_long((intnat)fault[k]));
+  } else if (rc == 1) {
+    vescs = caml_alloc(1, 0);
+    Store_field(vescs, 0, Val_long((intnat)(oom ? -1 : refused_elems)));
   } else {
     vescs = Atom(0);
   }

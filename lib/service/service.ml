@@ -15,6 +15,7 @@ module Trace = Taco_support.Trace
 module Metrics = Taco_support.Metrics
 module Events = Taco_support.Events
 module Fault = Taco_support.Faultinject
+module Memo = Taco_support.Memo
 module P = Taco_frontend.Parser
 module Tensor_var = Taco_ir.Var.Tensor_var
 
@@ -73,6 +74,10 @@ type job = {
       (* executor that actually served it: native/closure/downgraded,
          or "none" before (or without) a successful compile *)
   mutable j_compile_ns : int64;  (* measured compile-phase duration *)
+  mutable j_front : string;
+      (* how the front cache served it: hit, miss, or bypass (not
+         consulted: an Auto request, or one answered before its front
+         end ran) *)
   mutable j_dequeue_ns : int64 option;
       (* latest dequeue, if any: a batch-mate put back after a crash
          keeps the one wait span of its first *)
@@ -314,8 +319,7 @@ let record_backend t job compiled ~requested =
 
 (* The front end of a job: parse, concretize, schedule and lower, up to
    a statement ready for the batch compile. *)
-let front job =
-  Fault.hit ~stage:Diag.Serve "serve.pipeline";
+let lower_request job =
   let req = job.j_req in
   let ( let* ) = Result.bind in
   let* env, missing = build_env req in
@@ -375,6 +379,58 @@ let front job =
   in
   job.j_compile_ns <- Int64.sub (Trace.now_ns ()) lower_t0;
   Result.map (fun l -> (l, env)) lowered
+
+(* The front cache: a request's lowered statement and parser environment
+   by request shape. The lowered statement is a function of the key's
+   inputs alone — never of the operands' dims or values — so a hit skips
+   parse, concretize, the schedule directives and lowering, and its
+   spec keeps the kernel digest the compile cache is keyed by. Errors
+   are not cached. *)
+let fronts : (Taco.lowered * (string * Tensor_var.t) list) Memo.t =
+  Memo.create ~name:"front" ~capacity:256
+
+(* Everything that shapes the lowered statement: the expression text,
+   the directives in order, the result format, each input's name and
+   format (a format fixes its order), the semiring, the backend, and the
+   shed flag (which selects [Opt.none]). [domains] only chunks execution.
+   [None] for an [Auto] request: its plan depends on the operands'
+   statistics, and the plan cache already serves repeats. *)
+let front_key job =
+  let req = job.j_req in
+  if List.mem Auto req.directives then None
+  else
+    Some
+      (Digest.string
+         (Marshal.to_string
+            ( req.expr,
+              req.directives,
+              req.result_format,
+              List.map (fun (name, tensor) -> (name, Tensor.format tensor)) req.inputs,
+              req.semiring,
+              req.backend,
+              job.j_shed )
+            []))
+
+(* The front end through the front cache. A hit is restamped with this
+   request's id, and still passes the [serve.pipeline] fault point, the
+   compile-cache lookup and execution like any other request. *)
+let front job =
+  Fault.hit ~stage:Diag.Serve "serve.pipeline";
+  match front_key job with
+  | None -> lower_request job
+  | Some key ->
+      let built = ref false in
+      let r =
+        Memo.find_or_build_result fronts key (fun () ->
+            built := true;
+            lower_request job)
+      in
+      job.j_front <- (if !built then "miss" else "hit");
+      Result.map (fun (lowered, env) -> (Taco.restamp lowered, env)) r
+
+let front_cache_stats () = Memo.stats fronts
+
+let front_cache_clear () = Memo.clear fronts
 
 (* The back end of a job, once the batch compile has answered: record
    the backend, re-check the deadline and execute. *)
@@ -493,6 +549,7 @@ let finish t job ~wait_ns ~run_ns outcome =
          ("outcome", Events.Str outcome_l);
          ("backend", Events.Str job.j_backend);
          ("shed", Events.Bool job.j_shed);
+         ("front_cache", Events.Str job.j_front);
          ("wait_ns", Events.I64 wait_ns);
          ("run_ns", Events.I64 run_ns);
          ("compile_ns", Events.I64 job.j_compile_ns);
@@ -863,6 +920,7 @@ let submit t ?deadline_ms req =
           j_shed = shed;
           j_backend = "none";
           j_compile_ns = 0L;
+          j_front = "bypass";
           j_dequeue_ns = None;
         }
         t.s_queue;

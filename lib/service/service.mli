@@ -17,8 +17,9 @@
 
     {b Batching.} A worker that dequeues takes its share of what is
     queued — at most ⌈queued ÷ live workers⌉ jobs, and at most eight —
-    and runs each job's front end (parse through lowering) and
-    compile-cache lookup ({!Taco.lookup}) in turn. A job that expires
+    and runs each job's front end (parse through lowering, or a hit in
+    the front cache, see {!front_cache_stats}) and compile-cache lookup
+    ({!Taco.lookup}) in turn. A job that expires
     or fails there is answered at once, and so is one whose kernel is
     cached: a hit does not wait for its batch-mates' build. The misses
     then compile with one {!Taco.compile_batch}, so every native one
@@ -224,6 +225,23 @@ val queue_length : t -> int
 
 (** Worker-domain count of the pool. *)
 val domains : t -> int
+
+(** The front cache: every non-[Auto] request's lowered statement by
+    request shape — the expression text, the directives in order, the
+    result format, each input's name and format, the semiring, the
+    backend and whether the request was shed; not the operands' dims or
+    values, nor [domains]. A hit skips parse, concretize, scheduling and
+    lowering; it still passes the [serve.pipeline] fault point, the
+    compile-cache lookup (with its [compile.build] fault point and
+    ["compile"] span, stamped with the request's own id) and execution.
+    Process-wide, bounded (256 entries, oldest evicted first), counted
+    as the [taco_front_cache_*] series; each [serve.request] event
+    carries [front_cache] = [hit], [miss] or [bypass] (not consulted).
+    Errors are not cached. *)
+val front_cache_stats : unit -> Taco_support.Memo.stats
+
+(** Drop every front-cache entry and reset its counters. *)
+val front_cache_clear : unit -> unit
 
 (** Stop admission, drain the queue, join every worker domain, then
     sweep the native backend's on-disk build artifacts

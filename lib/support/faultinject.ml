@@ -79,15 +79,19 @@ let crash ~stage point =
     "injected fault at %s" point
 
 (* Crash and Delay act here; a firing Corrupt rule is returned for the
-   site to act on. *)
+   site to act on. A firing is a [fault.fire] trace instant, stamped with
+   the request id of the domain that hit the point. *)
 let fire ~stage point =
   match draw point with
   | None -> None
-  | Some (Crash, _) -> crash ~stage point
-  | Some (Delay ms, _) ->
-      Unix.sleepf (float_of_int ms /. 1000.);
-      None
-  | Some (Corrupt, prng) -> Some prng
+  | Some (action, prng) -> (
+      Trace.instant ~args:[ ("point", point) ] "fault.fire";
+      match action with
+      | Crash -> crash ~stage point
+      | Delay ms ->
+          Unix.sleepf (float_of_int ms /. 1000.);
+          None
+      | Corrupt -> Some prng)
 
 let hit ~stage point = if !armed_flag then ignore (fire ~stage point : Prng.t option)
 

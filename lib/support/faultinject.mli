@@ -69,5 +69,7 @@ val corrupt : string -> float array -> unit
 
 (** Times the named point has fired since the last {!configure}. Every
     fire also counts in the registry series
-    [taco_faults_injected_total{point}] (see {!Metrics}). *)
+    [taco_faults_injected_total{point}] (see {!Metrics}) and is recorded
+    as a [fault.fire] trace instant (argument [point]) carrying the
+    request id of the domain that hit it. *)
 val fires : string -> int

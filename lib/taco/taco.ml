@@ -58,6 +58,8 @@ let default_mode stmt =
 (* A statement lowered and waiting for its kernel to compile. *)
 type lowered = { l_sched : Schedule.t; l_request : Kernel.request }
 
+let restamp l = { l with l_request = Kernel.restamp l.l_request }
+
 let compile_batch lowered =
   List.map2
     (fun l r -> Result.map (fun kern -> { sched = l.l_sched; kern }) r)

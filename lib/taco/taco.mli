@@ -114,6 +114,12 @@ val lower :
   Schedule.t ->
   (lowered, Diag.t) result
 
+(** The statement stamped with the calling domain's request id, for
+    its compile's trace spans and fault point: a lowered statement kept
+    across requests (the service's front cache) is restamped for each
+    request it serves. *)
+val restamp : lowered -> lowered
+
 (** Compile lowered statements together; results in order, each
     failure its own: malformed IR (stage [Compile], [E_COMPILE_TYPE])
     and any diagnostic raised while compiling a kernel (an injected

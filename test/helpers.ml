@@ -28,6 +28,24 @@ let contains haystack needle =
   let rec go i = i + ln <= lh && (String.sub haystack i ln = needle || go (i + 1)) in
   go 0
 
+(* The request id of every [name] event in the trace buffer, in order;
+   [having] keeps only the events whose JSON contains that text. *)
+let trace_rids ?(having = "") name =
+  let key = "\"rid\":\"" in
+  let rid line =
+    let rec find i =
+      if i + String.length key > String.length line then Alcotest.failf "no rid in %s" line
+      else if String.sub line i (String.length key) = key then i + String.length key
+      else find (i + 1)
+    in
+    let start = find 0 in
+    int_of_string (String.sub line start (String.index_from line start '"' - start))
+  in
+  String.split_on_char '\n' (Taco_support.Trace.to_chrome_json ())
+  |> List.filter (fun line ->
+         contains line (Printf.sprintf "\"name\":\"%s\"" name) && contains line having)
+  |> List.map rid
+
 (* Bit identity, not epsilon closeness: compare value arrays by their
    IEEE bit patterns and index structures exactly. *)
 let float_bits_equal a b =

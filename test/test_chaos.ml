@@ -70,22 +70,6 @@ let with_observability f =
       Metrics.reset ())
     f
 
-(* The request id of every [name] event in the trace buffer, in order. *)
-let trace_rids name =
-  let key = "\"rid\":\"" in
-  let rid line =
-    let rec find i =
-      if i + String.length key > String.length line then Alcotest.failf "no rid in %s" line
-      else if String.sub line i (String.length key) = key then i + String.length key
-      else find (i + 1)
-    in
-    let start = find 0 in
-    int_of_string (String.sub line start (String.index_from line start '"' - start))
-  in
-  String.split_on_char '\n' (Trace.to_chrome_json ())
-  |> List.filter (fun line -> contains line (Printf.sprintf "\"name\":\"%s\"" name))
-  |> List.map rid
-
 (* A directly-compiled SpGEMM (the paper's Fig. 2 schedule) for the
    executor-level campaigns that bypass the service. *)
 

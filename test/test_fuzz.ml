@@ -870,12 +870,13 @@ let run_batch (picks, seed) =
 
 (* ------------------------------------------------------------------ *)
 (* Cache-key soundness leg: every cache on [Support.Memo] — compile,   *)
-(* plan, ops and graph — serves seeded requests whose keys may         *)
-(* collide. A request repeated against the shared cache must give the  *)
-(* same bits, and each cached result must be bit-identical to the same *)
-(* request served uncached ([~cache:false] for compile, a cleared      *)
-(* cache for the others). A key that leaves out an input that shapes   *)
-(* the result serves one request another's kernel or plan.             *)
+(* plan, ops, graph and the service's front cache — serves seeded      *)
+(* requests whose keys may collide. A request repeated against the     *)
+(* shared cache must give the same bits, and each cached result must   *)
+(* be bit-identical to the same request served uncached               *)
+(* ([~cache:false] for compile, a cleared cache for the others). A key *)
+(* that leaves out an input that shapes the result serves one request  *)
+(* another's kernel or plan.                                           *)
 (* ------------------------------------------------------------------ *)
 
 module Compile = Taco_exec.Compile
@@ -975,30 +976,195 @@ let key_graph ~cached sel seed (n, m, _) =
   let x = key_tensor prng sr [| m |] F.dense_vector in
   Taco_graph.Graph.spmv ~backend:(key_backend sel) sr a x
 
+let key_same name what r1 r2 =
+  match (r1, r2) with
+  | Ok t1, Ok t2 ->
+      if not (Helpers.tensors_bit_identical t1 t2) then
+        failf "cache-key leg: %s cache: %s is not bit-identical" name what
+  | Error e1, Error e2 ->
+      if e1 <> e2 then failf "cache-key leg: %s cache: %s fails differently (%s / %s)" name what e1 e2
+  | Ok _, Error e | Error e, Ok _ ->
+      failf "cache-key leg: %s cache: %s fails on one side only: %s" name what e
+
+(* The service's front cache. One expression text; a seeded base
+   request and one variant per key input, each differing from the base
+   in that input alone: the result format, one input's format, the
+   directives (another list, or the same two in the other order), the
+   semiring, the backend and the shed state. The operands hold the same
+   entries whatever their format. Each request is served twice, and
+   then again on a cleared front cache: the three answers must agree.
+   Every request's first serve that succeeds must also build its own
+   entry — a key without one of these inputs serves the variant its
+   base's statement, which for the backend and the shed state gives the
+   same bits and shows only there. *)
+module Service = Taco_service.Service
+
+type key_shape = {
+  ks_result : F.t;
+  ks_b : F.t;
+  ks_c : F.t;
+  ks_directives : Service.directive list;
+  ks_semiring : string option;
+  ks_backend : Compile.backend;
+  ks_shed : bool;
+}
+
+let key_ws =
+  [
+    Service.Reorder ("k", "j");
+    Service.Precompute { expr = "B(i,k) * C(k,j)"; over = [ "j" ]; workspace = "w" };
+  ]
+
+let key_directives = [| key_ws; List.rev key_ws; [] |]
+
+let key_operand_formats = [| F.csr; F.dense_matrix; F.dcsr |]
+
+let key_semirings = [| None; Some "min_plus"; Some "max_times" |]
+
+(* A seeded element of [arr] other than [x]. *)
+let key_other prng arr x =
+  let others = List.filter (fun y -> y <> x) (Array.to_list arr) in
+  List.nth others (Prng.int prng (List.length others))
+
+(* The worker left its park before a shed request was submitted. *)
+exception Shed_race
+
+(* Serve [shape] on [svc] (one worker, shed mark 1). A shed request is
+   submitted while the worker is parked for [park_ms] in a failing
+   blocker's front end with a failing filler queued ahead of it; neither
+   touches the front cache, since errors are not cached. *)
+let key_serve_one svc ~park_ms shape ~b ~c =
+  let req =
+    Service.request ~directives:shape.ks_directives ~result_format:shape.ks_result
+      ?semiring:shape.ks_semiring ~backend:shape.ks_backend ~expr:"A(i,j) = B(i,k) * C(k,j)"
+      ~inputs:[ ("B", b); ("C", c) ]
+      ()
+  in
+  let answer r = Result.map (fun r -> r.Service.tensor) (diag r) in
+  if not shape.ks_shed then answer (Service.eval svc req)
+  else begin
+    let bad = Service.request ~expr:"A(i,j) = " ~inputs:[] () in
+    let submit req =
+      match Service.submit svc req with Ok t -> t | Error d -> failf "submit: %s" (Diag.to_string d)
+    in
+    Fault.configure ~seed:0 [ Fault.rule ~max_fires:1 "serve.pipeline" (Fault.Delay park_ms) ];
+    Fun.protect ~finally:Fault.disarm (fun () ->
+        let blocker = submit bad in
+        while Fault.fires "serve.pipeline" = 0 do
+          Unix.sleepf 0.0005
+        done;
+        let filler = submit bad in
+        let shed0 = (Service.stats svc).Service.shed in
+        let ticket = submit req in
+        let shed = (Service.stats svc).Service.shed = shed0 + 1 in
+        ignore (Service.await blocker);
+        ignore (Service.await filler);
+        let r = Service.await ticket in
+        if not shed then raise Shed_race;
+        answer r)
+  end
+
+let key_serve seed (n, m, k) =
+  let prng = Prng.create seed in
+  (* The same entries whatever the format. *)
+  let operand off dims fmt = key_tensor (Prng.create (seed + off)) Semiring.plus_times dims fmt in
+  let native = Taco_exec.Native.available () in
+  let base =
+    {
+      ks_result = pick [| F.csr; F.dense_matrix |] (Prng.int prng 2);
+      ks_b = pick key_operand_formats (Prng.int prng 3);
+      ks_c = pick key_operand_formats (Prng.int prng 3);
+      ks_directives = pick key_directives (Prng.int prng 3);
+      ks_semiring = pick key_semirings (Prng.int prng 3);
+      ks_backend = (if native && Prng.bool prng 0.25 then `Native else `Closure);
+      ks_shed = Prng.bool prng 0.5;
+    }
+  in
+  let requests =
+    [
+      ("the base request", base);
+      ( "a request with another result format",
+        { base with ks_result = key_other prng [| F.csr; F.dense_matrix |] base.ks_result } );
+      ( "a request with another input format",
+        if Prng.bool prng 0.5 then { base with ks_b = key_other prng key_operand_formats base.ks_b }
+        else { base with ks_c = key_other prng key_operand_formats base.ks_c } );
+      ( "a request with other directives",
+        { base with ks_directives = key_other prng key_directives base.ks_directives } );
+      ( "a request with another semiring",
+        { base with ks_semiring = key_other prng key_semirings base.ks_semiring } );
+      ("a request with the other shed state", { base with ks_shed = not base.ks_shed });
+    ]
+    @
+    if native then
+      [
+        ( "a request with the other backend",
+          { base with ks_backend = (if base.ks_backend = `Native then `Closure else `Native) } );
+      ]
+    else []
+  in
+  let front () =
+    let s = Service.front_cache_stats () in
+    (s.Taco_support.Memo.misses, s.Taco_support.Memo.hits)
+  in
+  (* A lost race serves a shed request unshed, which leaves a stray
+     entry: the instance starts over, parking the worker longer. *)
+  let rec attempt park_ms =
+    match instance park_ms with
+    | () -> ()
+    | exception Shed_race ->
+        if park_ms >= 1000 then
+          failf "cache-key leg: serve: the worker left a %d ms park before a shed request" park_ms;
+        attempt (park_ms * 4)
+  and instance park_ms =
+    let serve svc shape =
+      key_serve_one svc ~park_ms shape
+        ~b:(operand 1 [| n; k |] shape.ks_b)
+        ~c:(operand 2 [| k; m |] shape.ks_c)
+    in
+    let svc = Service.create ~domains:1 ~shed_queue:1 () in
+    Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
+    Service.front_cache_clear ();
+    let first =
+      List.map
+        (fun (what, shape) ->
+          let m0, _ = front () in
+          let r1 = serve svc shape in
+          let m1, h1 = front () in
+          if Result.is_ok r1 && m1 <> m0 + 1 then
+            failf "cache-key leg: serve cache: %s was served another request's entry" what;
+          let r2 = serve svc shape in
+          if Result.is_ok r2 && snd (front ()) <> h1 + 1 then
+            failf "cache-key leg: serve cache: %s, repeated, missed its entry" what;
+          key_same "serve" (what ^ ", repeated") r1 r2;
+          r1)
+        requests
+    in
+    List.iter2
+      (fun (what, shape) r1 ->
+        Service.front_cache_clear ();
+        key_same "serve" (what ^ " against an uncached one") r1 (serve svc shape))
+      requests first
+  in
+  attempt 5
+
 let run_key (surface, sel1, sel2, dims, seed) =
-  let name, request =
-    match surface mod 4 with
-    | 0 -> ("compile", key_compile)
-    | 1 -> ("plan", key_plan)
-    | 2 -> ("ops", key_ops)
-    | _ -> ("graph", key_graph)
-  in
-  let same what r1 r2 =
-    match (r1, r2) with
-    | Ok t1, Ok t2 ->
-        if not (Helpers.tensors_bit_identical t1 t2) then
-          failf "cache-key leg: %s cache: %s is not bit-identical" name what
-    | Error e1, Error e2 ->
-        if e1 <> e2 then failf "cache-key leg: %s cache: %s fails differently (%s / %s)" name what e1 e2
-    | Ok _, Error e | Error e, Ok _ ->
-        failf "cache-key leg: %s cache: %s fails on one side only: %s" name what e
-  in
-  let r1 = request ~cached:true sel1 seed dims in
-  let r2 = request ~cached:true sel2 (seed + 1) dims in
-  same "a repeated request" r1 (request ~cached:true sel1 seed dims);
-  same "the first request against an uncached one" r1 (request ~cached:false sel1 seed dims);
-  same "the second request against an uncached one" r2
-    (request ~cached:false sel2 (seed + 1) dims);
+  (match surface mod 5 with
+  | 4 -> key_serve seed dims
+  | s ->
+      let name, request =
+        match s with
+        | 0 -> ("compile", key_compile)
+        | 1 -> ("plan", key_plan)
+        | 2 -> ("ops", key_ops)
+        | _ -> ("graph", key_graph)
+      in
+      let same = key_same name in
+      let r1 = request ~cached:true sel1 seed dims in
+      let r2 = request ~cached:true sel2 (seed + 1) dims in
+      same "a repeated request" r1 (request ~cached:true sel1 seed dims);
+      same "the first request against an uncached one" r1 (request ~cached:false sel1 seed dims);
+      same "the second request against an uncached one" r2
+        (request ~cached:false sel2 (seed + 1) dims));
   incr key_ran
 
 (* ------------------------------------------------------------------ *)
@@ -1151,7 +1317,7 @@ let test_batch_fuzz =
 
 let key_scenario_gen =
   QCheck.Gen.(
-    let* surface = int_bound 3 and* sel1 = int_bound 95 and* sel2 = int_bound 95 in
+    let* surface = int_bound 4 and* sel1 = int_bound 95 and* sel2 = int_bound 95 in
     let* n = int_range 1 6 and* m = int_range 1 6 and* k = int_range 1 5 in
     let* seed = int_bound 100_000 in
     return (surface, sel1, sel2, (n, m, k), seed))

@@ -460,6 +460,75 @@ let test_budget_boundary ?semiring ~parallel ~name () =
       (4096, 0, true);
     ]
 
+(* The runtime table's alloc and grow at the memory limit, in a SpAdd
+   assembly whose 1025..2048 result entries outgrow the initial
+   1024-entry crd/vals once: the limit one element short of the first
+   allocation, exactly at it (the grow to 2048 then crosses the limit),
+   one element short of the grow, and exactly at it. Closures, tier 0
+   and tier 1 must give bit-identical results, or the same E_EXEC_MEM
+   with the same kernel, bytes and limit. *)
+let test_budget_grow () =
+  let b, c, sched = spadd_sched ~parallel:false in
+  let inputs =
+    [
+      (b, random_tensor 95 [| 40; 40 |] 0.45 F.csr);
+      (c, random_tensor 96 [| 40; 40 |] 0.45 F.csr);
+    ]
+  in
+  let closure = getd (compile ~name:"spadd_budget" ~backend:`Closure sched) in
+  let native = getd (compile ~name:"spadd_budget" ~backend:`Native sched) in
+  let k = Taco.kernel native in
+  let nnz = Array.length (T.vals (getd (run closure ~inputs))) in
+  if nnz <= 1024 || nnz > 2048 then Alcotest.failf "%d output entries, want 1025..2048" nnz;
+  (* (limit in bytes, the refused allocation's bytes, or None for success) *)
+  let limits =
+    [ ((8 * 1024) - 1, Some 8192); (8 * 1024, Some 16384); ((8 * 2048) - 1, Some 16384); (8 * 2048, None) ]
+  in
+  let at_limit c (limit, _) =
+    Fun.protect
+      ~finally:(fun () -> Budget.set_mem_limit 0)
+      (fun () ->
+        Budget.set_mem_limit limit;
+        run c ~inputs)
+  in
+  let tier t = Alcotest.(check (option int)) "native tier" (Some t) (Kernel.native_tier k) in
+  let closures = List.map (at_limit closure) limits in
+  tier 0;
+  let tier0 = List.map (at_limit native) limits in
+  tier 0;
+  Kernel.promote k;
+  tier 1;
+  let tier1 = List.map (at_limit native) limits in
+  let fields d = List.map (fun f -> (f, List.assoc_opt f d.Diag.context)) [ "kernel"; "bytes"; "limit_bytes" ] in
+  List.iteri
+    (fun i (limit, refused) ->
+      let what who = Printf.sprintf "limit %d bytes, %s" limit who in
+      let reference = List.nth closures i in
+      (match (reference, refused) with
+      | Ok _, None -> ()
+      | Error d, Some bytes ->
+          Alcotest.(check string) (what "closures: code") "E_EXEC_MEM" d.Diag.code;
+          Alcotest.(check (option string)) (what "closures: bytes") (Some (string_of_int bytes))
+            (List.assoc_opt "bytes" d.Diag.context)
+      | Ok _, Some _ -> Alcotest.failf "%s: expected E_EXEC_MEM" (what "closures")
+      | Error d, None -> Alcotest.failf "%s: unexpected %s" (what "closures") (Diag.to_string d));
+      List.iter
+        (fun (who, outcome) ->
+          match (reference, outcome) with
+          | Ok tc, Ok tn ->
+              if not (tensors_bit_identical tc tn) then
+                Alcotest.failf "%s: result diverges from closures" (what who)
+          | Error dc, Error dn ->
+              Alcotest.(check (pair string string)) (what (who ^ ": diagnostic"))
+                (dc.Diag.code, Diag.stage_name dc.Diag.stage)
+                (dn.Diag.code, Diag.stage_name dn.Diag.stage);
+              Alcotest.(check (list (pair string (option string))))
+                (what (who ^ ": context")) (fields dc) (fields dn)
+          | Ok _, Error d -> Alcotest.failf "%s: %s where closures succeed" (what who) (Diag.to_string d)
+          | Error _, Ok _ -> Alcotest.failf "%s: succeeds where closures fail" (what who))
+        [ ("tier 0", List.nth tier0 i); ("tier 1", List.nth tier1 i) ])
+    limits
+
 (* A deadline already in the past is caught by the kernel's first poll,
    which reads the table's clock. *)
 let test_native_deadline () =
@@ -1057,6 +1126,7 @@ let () =
           cc_case "E_EXEC_MEM boundary, min-plus"
             (test_budget_boundary ~semiring:Semiring.min_plus ~parallel:false
                ~name:"spgemm_budget_minplus");
+          cc_case "alloc and grow at the limit, closures vs tier 0 vs tier 1" test_budget_grow;
           cc_case "expired deadline cancels natively" test_native_deadline;
           cc_case "sorted rows, sequential" (test_sort_rows ~parallel:false ~name:"spgemm_sort");
           cc_case "sorted rows, OpenMP" (test_sort_rows ~parallel:true ~name:"spgemm_sort_par");

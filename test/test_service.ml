@@ -11,6 +11,7 @@ module Compile = Taco_exec.Compile
 module Service = Taco_service.Service
 module Metrics = Taco_support.Metrics
 module Fault = Taco_support.Faultinject
+module Trace = Taco_support.Trace
 
 let spgemm_request ?(directives = true) b c =
   Service.request
@@ -232,6 +233,49 @@ let test_hit_before_batch_build () =
             if m < 400. then Alcotest.failf "the miss took %.1f ms, inside its held-up build" m;
             if h >= 400. then Alcotest.failf "the hit waited %.1f ms for the miss's build" h))
   end
+
+(* --- the front cache ------------------------------------------------ *)
+
+(* Two requests of one shape: the second is served by the front cache,
+   yet its "compile" span and its [compile.build] fault carry its own
+   request id, not the one its cached statement was lowered under, and
+   the [serve.pipeline] fault point fires for both. *)
+let test_front_hit_keeps_rid () =
+  let b = random_tensor 51 [| 30; 30 |] 0.1 F.csr in
+  let c = random_tensor 52 [| 30; 30 |] 0.1 F.csr in
+  Compile.cache_clear ();
+  Service.front_cache_clear ();
+  Trace.clear ();
+  Trace.enable ();
+  Fault.configure ~seed:51
+    [ Fault.rule "serve.pipeline" (Fault.Delay 0); Fault.rule "compile.build" (Fault.Delay 0) ];
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      Trace.disable ();
+      Trace.clear ())
+    (fun () ->
+      with_service ~domains:1 (fun svc ->
+          for _ = 1 to 2 do
+            match Service.eval svc (spgemm_request b c) with
+            | Ok _ -> ()
+            | Error d -> Alcotest.fail (Diag.to_string d)
+          done);
+      let fs = Service.front_cache_stats () in
+      Alcotest.(check (pair int int)) "one front miss, then one hit" (1, 1)
+        (fs.Taco_support.Memo.misses, fs.Taco_support.Memo.hits);
+      Alcotest.(check int) "serve.pipeline fired for both requests" 2 (Fault.fires "serve.pipeline");
+      let rids = trace_rids "serve.wait" in
+      Alcotest.(check int) "two requests" 2 (List.length (List.sort_uniq compare rids));
+      Alcotest.(check (list int)) "each compile span carries its request's id" rids
+        (trace_rids "compile");
+      let fault_rids point =
+        trace_rids ~having:(Printf.sprintf "\"point\":\"%s\"" point) "fault.fire"
+      in
+      Alcotest.(check (list int)) "each compile.build fault carries its request's id" rids
+        (fault_rids "compile.build");
+      Alcotest.(check (list int)) "each serve.pipeline fault carries its request's id" rids
+        (fault_rids "serve.pipeline"))
 
 (* --- backpressure --------------------------------------------------- *)
 
@@ -478,6 +522,8 @@ let () =
           Alcotest.test_case "queued native misses share a cc run" `Quick test_batched_native;
           Alcotest.test_case "a cache hit skips its batch's build" `Quick
             test_hit_before_batch_build;
+          Alcotest.test_case "a front-cache hit keeps its request id" `Quick
+            test_front_hit_keeps_rid;
           Alcotest.test_case "queue-full backpressure" `Quick test_backpressure;
           Alcotest.test_case "expired deadline" `Quick test_deadline;
           Alcotest.test_case "shutdown drains and refuses" `Quick test_shutdown_drains;
