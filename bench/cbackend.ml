@@ -23,63 +23,6 @@
 
 open Taco
 
-type workload = {
-  w_name : string;
-  w_info : Lower.kernel_info;
-  w_time : Kernel.t -> unit;  (* raw runner for the clock *)
-  w_result : Kernel.t -> Tensor.t;  (* wrapped runner for the identity gate *)
-}
-
-let fused = Lower.Assemble { emit_values = true; sorted = true }
-
-let spgemm_workload ~seed ~dim =
-  let stmt, b, c = Harness.spgemm_stmt () in
-  let info = Harness.get (Lower.lower ~name:"spgemm_ws" ~mode:fused stmt) in
-  let density = 32. /. float_of_int dim in
-  let bt = Inputs.uniform_matrix ~seed ~rows:dim ~cols:dim ~density in
-  let ct = Inputs.uniform_matrix ~seed:(seed + 1) ~rows:dim ~cols:dim ~density in
-  let inputs = [ (b, bt); (c, ct) ] in
-  let dims = [| dim; dim |] in
-  {
-    w_name = "spgemm_ws";
-    w_info = info;
-    w_time = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
-    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
-  }
-
-let spadd_workload ~seed ~dim =
-  let ops = Harness.addition_vars 2 in
-  let stmt = Harness.addition_merge_stmt ops in
-  let info = Harness.get (Lower.lower ~name:"spadd_merge" ~mode:fused stmt) in
-  let inputs = List.combine ops (Inputs.addition_operands ~seed ~n:2 ~dim) in
-  let dims = [| dim; dim |] in
-  {
-    w_name = "spadd_merge";
-    w_info = info;
-    w_time = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
-    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
-  }
-
-let mttkrp_workload ~seed ~dim =
-  let stmt, b, c, d = Harness.mttkrp_sched ~use_workspace:true in
-  let info = Harness.get (Lower.lower ~name:"mttkrp_ws" ~mode:Lower.Compute stmt) in
-  let prng = Taco_support.Prng.create seed in
-  let bt =
-    Gen.random_density prng ~dims:[| dim; dim / 2; dim / 2 |]
-      ~density:(32. /. float_of_int (dim * dim)) (Format.csf 3)
-  in
-  let cols = 32 in
-  let ct = Inputs.dense_factor ~seed:(seed + 1) ~rows:(dim / 2) ~cols in
-  let dt = Inputs.dense_factor ~seed:(seed + 2) ~rows:(dim / 2) ~cols in
-  let inputs = [ (b, bt); (c, ct); (d, dt) ] in
-  let dims = [| dim; cols |] in
-  {
-    w_name = "mttkrp_ws";
-    w_info = info;
-    w_time = (fun k -> ignore (Kernel.run_dense k ~inputs ~dims : Tensor.t));
-    w_result = (fun k -> Kernel.run_dense k ~inputs ~dims);
-  }
-
 (* --- allocation per warm run ------------------------------------------ *)
 
 (* Heap words of a tensor's own arrays (pos, crd, vals; one header
@@ -96,7 +39,7 @@ let result_words t =
 
 (* Major-heap words (direct allocations plus promotions) one warm
    wrapped run allocates, averaged over [runs] runs. *)
-let major_words_per_run ?(runs = 20) w k =
+let major_words_per_run ?(runs = 20) (w : Harness.workload) k =
   ignore (w.w_result k : Tensor.t);
   let before = (Gc.quick_stat ()).Gc.major_words in
   for _ = 1 to runs do
@@ -107,34 +50,6 @@ let major_words_per_run ?(runs = 20) w k =
 (* The smoke gate: a result read back at capacity, or copied twice,
    lands well above this. *)
 let alloc_gate = 1.25
-
-(* --- timing ----------------------------------------------------------- *)
-
-(* Best single run of a kernel still at tier 0, sampled only inside its
-   tier-0 phase: sampling stops before the runs' total could reach the
-   kernel's tier-0 cc time, the break-even at which it tiers up.
-   Returns the best run and the number of runs. *)
-let time_tier0 w k ~cc_s =
-  let rec go ~best ~worst ~total ~runs =
-    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then (best, runs)
-    else
-      let _, t = Taco_support.Util.time (fun () -> w.w_time k) in
-      go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
-        ~runs:(runs + 1)
-  in
-  go ~best:infinity ~worst:0. ~total:0. ~runs:0
-
-(* The native kernel's tier-0 phases and timing, its tier-0 result, and
-   then the kernel promoted to tier 1. *)
-let promote_after_tier0 w k =
-  let tier0 =
-    Option.map
-      (fun p -> (p, time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9)))
-      (Kernel.native_phases k)
-  in
-  let result = w.w_result k in
-  Kernel.promote k;
-  (tier0, result)
 
 (* --- one workload, both backends -------------------------------------- *)
 
@@ -147,7 +62,7 @@ let phases_info (p : Native.phases) =
 
 (* The closure and native variants of a workload for best_of_batches:
    (name, wrapped result, raw run). *)
-let variants w kc kn =
+let variants (w : Harness.workload) kc kn =
   [
     ("closure", (fun () -> w.w_result kc), fun () -> w.w_time kc);
     ("native", (fun () -> w.w_result kn), fun () -> w.w_time kn);
@@ -158,11 +73,11 @@ let variants w kc kn =
    when its result is bit-identical to the closures'. Prints the
    workload's table row; returns the records and, when the kernel ran
    natively, the tier-1 speedup. *)
-let run_workload ~reps w =
+let run_workload ~reps (w : Harness.workload) =
   let kc = Kernel.prepare w.w_info in
   let kn = Kernel.prepare ~backend:`Native w.w_info in
   let native_ok = Kernel.backend kn = `Native in
-  let tier0, rn0 = promote_after_tier0 w kn in
+  let tier0, rn0 = Harness.promote_after_tier0 w kn in
   if native_ok && Kernel.native_tier kn <> Some 1 then
     failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
   let tier0_agrees = Harness.tensors_identical (w.w_result kc) rn0 in
@@ -217,23 +132,14 @@ let run_workload ~reps w =
    would buy. *)
 let curve_sizes = [ 1; 2; 4; 8; 16 ]
 
-(* A kernel no earlier build made: a fresh name is a new compile-cache
-   key, as a request naming a new result tensor is in the service. *)
-let renamed =
-  let n = ref 0 in
-  fun (info : Lower.kernel_info) ->
-    incr n;
-    let k = info.Lower.kernel in
-    { info with Lower.kernel = { k with Imp.k_name = Printf.sprintf "%s_%d" k.Imp.k_name !n } }
-
 (* [n] fresh kernels cycling through the workloads (the service
    benchmark's SpGEMM/SpAdd/MTTKRP mix), built as one batch — one
    translation unit, one cc — or as [n] batches of one. Builds are at
    tier 0, the only tier anything builds a batch at. *)
-let build_curve ~batched ws n =
+let build_curve ~batched (ws : Harness.workload list) n =
   let requests =
     List.init n (fun i ->
-        Kernel.request ~backend:`Native (renamed (List.nth ws (i mod List.length ws)).w_info))
+        Kernel.request ~backend:`Native (Harness.renamed (List.nth ws (i mod List.length ws)).w_info))
   in
   let prepared =
     if batched then Kernel.prepare_batch requests
@@ -249,7 +155,7 @@ let build_curve ~batched ws n =
 (* Records per size: the builds timed singly and as one unit, the
    one-unit kernels' results checked bit for bit against the single
    builds'. *)
-let batch_curve ~reps ws =
+let batch_curve ~reps (ws : Harness.workload list) =
   Harness.row "\n%-8s | %12s %12s %8s %14s" "kernels" "singly(ms)" "one unit(ms)" "ratio"
     "per kernel(ms)";
   List.concat_map
@@ -284,13 +190,7 @@ let run ~seed ~reps ~dim ~out =
   let available = Native.available () in
   Printf.printf "compiler: %s (%s)\n\n" cc
     (if available then "available" else "NOT available - native runs degrade to closures");
-  let workloads =
-    [
-      spgemm_workload ~seed ~dim;
-      spadd_workload ~seed ~dim:(dim * 5);
-      mttkrp_workload ~seed ~dim;
-    ]
-  in
+  let workloads = Harness.paper_workloads ~seed ~dim in
   Harness.row "%-12s | %12s %12s %9s %5s %9s %8s %7s %12s %7s" "kernel" "closure(s)"
     "native(s)" "speedup" "ok" "alloc/res" "C bytes" "cc(ms)" "-O0 run(s)" "-O0 cc";
   let per_workload = List.map (run_workload ~reps) workloads in
@@ -334,7 +234,7 @@ let smoke () =
     Printf.printf "cback-smoke skipped: C compiler %S unavailable\n%!" (Native.compiler ());
     exit 0
   end;
-  let w = spgemm_workload ~seed:2019 ~dim:400 in
+  let w = Harness.spgemm_workload ~seed:2019 ~dim:400 in
   let kc = Kernel.prepare w.w_info in
   let kn = Kernel.prepare ~backend:`Native w.w_info in
   if Kernel.backend kn <> `Native then begin
@@ -342,7 +242,7 @@ let smoke () =
         m "cback-smoke FAILED: compiler present but native build was downgraded");
     exit 1
   end;
-  let _, rn0 = promote_after_tier0 w kn in
+  let _, rn0 = Harness.promote_after_tier0 w kn in
   if Kernel.native_tier kn <> Some 1 then begin
     Taco_support.Obs.Log.err (fun m -> m "cback-smoke FAILED: promotion to tier 1 failed");
     exit 1

@@ -443,3 +443,108 @@ let addition_workspace_stmt ops =
     Cin.Forall (vj, Cin.assign (Cin.access a [ vi; vj ]) (Cin.Access (Cin.access w [ vj ])))
   in
   Cin.Forall (vi, Cin.Where (consumer, producer))
+
+(* ------------------------------------------------------------------ *)
+(* The paper's workspace kernels as timed workloads                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A lowered kernel plus runners for a prepared one on fixed inputs:
+   [w_time] for the clock (no read-back), [w_result] for the agreement
+   check. The preparation (optimizer, backend, tier) is the variable. *)
+type workload = {
+  w_name : string;
+  w_info : Lower.kernel_info;
+  w_time : Kernel.t -> unit;
+  w_result : Kernel.t -> Tensor.t;
+}
+
+let fused = Lower.Assemble { emit_values = true; sorted = true }
+
+let spgemm_workload ~seed ~dim =
+  let stmt, b, c = spgemm_stmt () in
+  let info = get (Lower.lower ~name:"spgemm_ws" ~mode:fused stmt) in
+  let density = 32. /. float_of_int dim in
+  let bt = Inputs.uniform_matrix ~seed ~rows:dim ~cols:dim ~density in
+  let ct = Inputs.uniform_matrix ~seed:(seed + 1) ~rows:dim ~cols:dim ~density in
+  let inputs = [ (b, bt); (c, ct) ] and dims = [| dim; dim |] in
+  {
+    w_name = "spgemm_ws";
+    w_info = info;
+    w_time = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
+    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
+  }
+
+let spadd_workload ~seed ~dim =
+  let ops = addition_vars 2 in
+  let info = get (Lower.lower ~name:"spadd_merge" ~mode:fused (addition_merge_stmt ops)) in
+  let inputs = List.combine ops (Inputs.addition_operands ~seed ~n:2 ~dim) in
+  let dims = [| dim; dim |] in
+  {
+    w_name = "spadd_merge";
+    w_info = info;
+    w_time = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
+    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
+  }
+
+let mttkrp_workload ~seed ~dim =
+  let stmt, b, c, d = mttkrp_sched ~use_workspace:true in
+  let info = get (Lower.lower ~name:"mttkrp_ws" ~mode:Lower.Compute stmt) in
+  let prng = Taco_support.Prng.create seed in
+  let bt =
+    Gen.random_density prng ~dims:[| dim; dim / 2; dim / 2 |]
+      ~density:(32. /. float_of_int (dim * dim)) (Format.csf 3)
+  in
+  let cols = 32 in
+  let ct = Inputs.dense_factor ~seed:(seed + 1) ~rows:(dim / 2) ~cols in
+  let dt = Inputs.dense_factor ~seed:(seed + 2) ~rows:(dim / 2) ~cols in
+  let inputs = [ (b, bt); (c, ct); (d, dt) ] and dims = [| dim; cols |] in
+  {
+    w_name = "mttkrp_ws";
+    w_info = info;
+    w_time = (fun k -> ignore (Kernel.run_dense k ~inputs ~dims : Tensor.t));
+    w_result = (fun k -> Kernel.run_dense k ~inputs ~dims);
+  }
+
+(* SpGEMM and MTTKRP at [dim], SpAdd at [5 * dim]. *)
+let paper_workloads ~seed ~dim =
+  [
+    spgemm_workload ~seed ~dim;
+    spadd_workload ~seed ~dim:(dim * 5);
+    mttkrp_workload ~seed ~dim;
+  ]
+
+(* The kernel under a name no earlier build used: a new compile-cache
+   key, as a request naming a new result tensor is in the service, so
+   preparing it builds the same code again. *)
+let renamed =
+  let n = ref 0 in
+  fun (info : Lower.kernel_info) ->
+    incr n;
+    let k = info.Lower.kernel in
+    { info with Lower.kernel = { k with Imp.k_name = Printf.sprintf "%s_%d" k.Imp.k_name !n } }
+
+(* Best single run of a native kernel still at tier 0, sampled only
+   inside its tier-0 phase: sampling stops before the runs' total could
+   reach the kernel's tier-0 cc time, the break-even at which it tiers
+   up. Returns the best run and the number of runs. *)
+let time_tier0 w k ~cc_s =
+  let rec go ~best ~worst ~total ~runs =
+    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then (best, runs)
+    else
+      let _, t = Util.time (fun () -> w.w_time k) in
+      go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
+        ~runs:(runs + 1)
+  in
+  go ~best:infinity ~worst:0. ~total:0. ~runs:0
+
+(* A native kernel's tier-0 phases and timing ([None] for a closure
+   kernel), its tier-0 result, and then the kernel promoted to tier 1. *)
+let promote_after_tier0 w k =
+  let tier0 =
+    Option.map
+      (fun p -> (p, time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9)))
+      (Kernel.native_phases k)
+  in
+  let result = w.w_result k in
+  Kernel.promote k;
+  (tier0, result)

@@ -1,9 +1,15 @@
-(* Ablation of the Imp optimizer pipeline (Taco_lower.Opt): each paper
-   workspace kernel is timed with no optimization, with each pass
-   enabled alone, and with the full pipeline, attributing speedup per
-   pass. Every variant's result must be bit-identical to the
-   unoptimized one. Results go to stdout as a table and to
-   BENCH_opt.json for machine consumption.
+(* Leave-one-out ablation of the Imp optimizer pipeline (Taco_lower.Opt)
+   on the paper's workspace kernels, on every executor that runs them:
+   the closures, native tier 1 (-O3, after Kernel.promote) and native
+   tier 0 (-O0, what a compile-cache miss builds, timed inside its
+   tier-0 phase as bench/cbackend.ml does). The variants are no pass,
+   the full pipeline, the full pipeline built again as a kernel of its
+   own (the identical-kernel floor: how far two builds of the same code
+   read apart), and the full pipeline minus each pass, which measures
+   that pass's marginal worth. A pass earns its lines where removing it
+   costs more than the floor. Every result is bit-identical to the
+   closures' unoptimized one. Results go to stdout as one table per
+   executor, times relative to "full", and to BENCH_opt.json.
 
    The [smoke] entry point is the @perf-smoke alias: one micro SpGEMM
    config, failing (exit 1) if the fully optimized kernel is slower
@@ -11,146 +17,167 @@
 
 open Taco
 
+let floor = "full_again"
+
 let variants =
   [
     ("none", Opt.none);
-    ("simplify", { Opt.none with Opt.simplify = true });
-    ("memset_fusion", { Opt.none with Opt.memset_fusion = true });
-    ("while_to_for", { Opt.none with Opt.while_to_for = true });
-    ("branch_fusion", { Opt.none with Opt.branch_fusion = true });
-    ("cse", { Opt.none with Opt.cse = true });
-    ("licm", { Opt.none with Opt.licm = true });
-    ("dce", { Opt.none with Opt.dce = true });
     ("full", Opt.all);
+    (floor, Opt.all);
+    ("full-simplify", { Opt.all with Opt.simplify = false });
+    ("full-memset_fusion", { Opt.all with Opt.memset_fusion = false });
+    ("full-while_to_for", { Opt.all with Opt.while_to_for = false });
+    ("full-branch_fusion", { Opt.all with Opt.branch_fusion = false });
+    ("full-cse", { Opt.all with Opt.cse = false });
+    ("full-licm", { Opt.all with Opt.licm = false });
+    ("full-dce", { Opt.all with Opt.dce = false });
   ]
 
-(* One workload: a lowered kernel plus runners for a prepared kernel
-   (the preparation — and thus the optimizer configuration — is the
-   variable; inputs stay fixed): [w_run] for the clock, [w_result] for
-   the agreement check. *)
-type workload = {
-  w_name : string;
-  w_info : Lower.kernel_info;
-  w_run : Kernel.t -> unit;
-  w_result : Kernel.t -> Tensor.t;
-}
+(* Fresh tier-0 builds per variant: each round builds every variant
+   once more under a new name and keeps the best run of its tier-0
+   phase, the rounds interleaved across variants. *)
+let tier0_rounds = 5
 
-let fused = Lower.Assemble { emit_values = true; sorted = true }
+(* The floor variant is renamed, so it is built on its own. *)
+let prepare ?backend (w : Harness.workload) (name, opt) =
+  Kernel.prepare ?backend ~opt (if name = floor then Harness.renamed w.w_info else w.w_info)
 
-let spgemm_workload ~seed ~dim =
-  let stmt, b, c = Harness.spgemm_stmt () in
-  let info = Harness.get (Lower.lower ~name:"spgemm_ws" ~mode:fused stmt) in
-  let bt = Inputs.uniform_matrix ~seed ~rows:dim ~cols:dim ~density:(32. /. float_of_int dim) in
-  let ct = Inputs.uniform_matrix ~seed:(seed + 1) ~rows:dim ~cols:dim ~density:(32. /. float_of_int dim) in
-  let inputs = [ (b, bt); (c, ct) ] and dims = [| dim; dim |] in
-  {
-    w_name = "spgemm_ws";
-    w_info = info;
-    w_run = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
-    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
-  }
+(* Best of batches over prepared kernels, in [variants] order; each
+   result must be bit-identical to the first's. *)
+let timed ?info ~reps ~workload (w : Harness.workload) kernels =
+  Harness.best_of_batches ~reps ~workload ~equal:Harness.tensors_identical ?info
+    (List.map2
+       (fun (n, _) k -> (n, (fun () -> w.w_result k), fun () -> w.w_time k))
+       variants kernels)
 
-let spadd_workload ~seed ~dim =
-  let ops = Harness.addition_vars 2 in
-  let stmt = Harness.addition_merge_stmt ops in
-  let name = "spadd_merge" in
-  let info = Harness.get (Lower.lower ~name ~mode:fused stmt) in
-  let inputs = List.combine ops (Inputs.addition_operands ~seed ~n:2 ~dim) in
-  let dims = [| dim; dim |] in
-  {
-    w_name = name;
-    w_info = info;
-    w_run = (fun k -> Kernel.run_assemble_raw k ~inputs ~dims);
-    w_result = (fun k -> Kernel.run_assemble k ~inputs ~dims);
-  }
-
-let mttkrp_workload ~seed ~dim =
-  let stmt, b, c, d = Harness.mttkrp_sched ~use_workspace:true in
-  let info = Harness.get (Lower.lower ~name:"mttkrp_ws" ~mode:Lower.Compute stmt) in
-  let prng = Taco_support.Prng.create seed in
-  let bt =
-    Gen.random_density prng ~dims:[| dim; dim / 2; dim / 2 |]
-      ~density:(32. /. float_of_int (dim * dim)) (Format.csf 3)
+(* Native tier 0: the first round is the kernels [kns] themselves,
+   timed, checked against [reference] and promoted; later rounds are
+   fresh renamed builds, timed only. *)
+let tier0_records ~workload (w : Harness.workload) ~reference kns =
+  let first =
+    List.map
+      (fun k ->
+        let tier0, result = Harness.promote_after_tier0 w k in
+        if Kernel.native_tier k <> Some 1 then
+          failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
+        match tier0 with
+        | Some (_, (best, runs)) -> (best, runs, Harness.tensors_identical reference result)
+        | None -> failwith (Printf.sprintf "%s: no tier-0 phases" w.w_name))
+      kns
   in
-  let cols = 32 in
-  let ct = Inputs.dense_factor ~seed:(seed + 1) ~rows:(dim / 2) ~cols in
-  let dt = Inputs.dense_factor ~seed:(seed + 2) ~rows:(dim / 2) ~cols in
-  let inputs = [ (b, bt); (c, ct); (d, dt) ] and dims = [| dim; cols |] in
-  {
-    w_name = "mttkrp_ws";
-    w_info = info;
-    w_run = (fun k -> ignore (Kernel.run_dense k ~inputs ~dims : Tensor.t));
-    w_result = (fun k -> Kernel.run_dense k ~inputs ~dims);
-  }
+  let best = Array.of_list first in
+  for _ = 2 to tier0_rounds do
+    List.iteri
+      (fun q (_, opt) ->
+        let k = Kernel.prepare ~backend:`Native ~opt (Harness.renamed w.w_info) in
+        match Kernel.native_phases k with
+        | None -> failwith (Printf.sprintf "%s: a native build was downgraded" w.w_name)
+        | Some p ->
+            let t, n = Harness.time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9) in
+            let t0, n0, ok = best.(q) in
+            best.(q) <- (Float.min t0 t, n0 + n, ok))
+      variants
+  done;
+  List.mapi
+    (fun q (variant, _) ->
+      let time_s, reps, agrees = best.(q) in
+      {
+        Harness.workload;
+        variant;
+        estimator = "best_run";
+        time_s;
+        reps;
+        agrees;
+        info = [ ("rounds", Report.Int tier0_rounds) ];
+      })
+    variants
 
-(* Every variant's result must be bit-identical to the first's (the
-   optimizer's exact-bits contract), then all are timed together. *)
-let ablate ?(variants = variants) ?info ~reps w =
-  Harness.best_of_batches ~reps ~workload:w.w_name ~equal:Harness.tensors_identical ?info
-    (List.map
-       (fun (n, cfg) ->
-         let k = Kernel.prepare ~opt:cfg w.w_info in
-         (n, (fun () -> w.w_result k), fun () -> w.w_run k))
-       variants)
+(* Each variant's time over "full"'s. *)
+let relative records =
+  let full = Harness.time_of records "full" in
+  List.map (fun r -> (r.Harness.variant, r.Harness.time_s /. full)) records
+
+(* One row per variant, one column per workload: "full" in
+   milliseconds, every other variant relative to it. *)
+let print_table title rows =
+  Harness.row "\n%s (full in ms, the rest relative to full)" title;
+  Harness.row "%-18s | %s" "variant"
+    (String.concat " " (List.map (fun (name, _) -> Printf.sprintf "%11s" name) rows));
+  List.iter
+    (fun (variant, _) ->
+      Harness.row "%-18s | %s" variant
+        (String.concat " "
+           (List.map
+              (fun (_, records) ->
+                if variant = "full" then Printf.sprintf "%11.3f" (1e3 *. Harness.time_of records "full")
+                else Printf.sprintf "%11.3f" (List.assoc variant (relative records)))
+              rows)))
+    variants
+
+let executors = [ "closure"; "native_O3"; "native_O0" ]
+
+(* One workload on every executor: its records by executor. *)
+let run_workload ~reps (w : Harness.workload) =
+  let workload e = w.w_name ^ "/" ^ e in
+  (* GC work of the fully optimized closure kernel and the per-pass
+     optimizer statistics go with the closures' "full" record. *)
+  let full = Kernel.prepare ~opt:Opt.all w.w_info in
+  let gc = Harness.gc_info (Harness.measure ~reps:(max 3 reps) (fun () -> w.w_time full)) in
+  let extras = [ gc; ("pass_stats", Harness.pass_stats_json w.w_info) ] in
+  let kcs = List.map (prepare w) variants in
+  let closure =
+    timed ~info:(function "full" -> extras | _ -> []) ~reps ~workload:(workload "closure") w kcs
+  in
+  let kns = List.map (prepare ~backend:`Native w) variants in
+  if not (List.for_all (fun k -> Kernel.backend k = `Native) kns) then [ ("closure", closure) ]
+  else
+    let reference = w.w_result (List.hd kcs) in
+    let o0 = tier0_records ~workload:(workload "native_O0") w ~reference kns in
+    let o3 = timed ~reps ~workload:(workload "native_O3") w kns in
+    [ ("closure", closure); ("native_O3", o3); ("native_O0", o0) ]
 
 let run ~seed ~reps ~dim ~out =
-  Harness.header "Optimizer ablation: unoptimized vs per-pass vs full pipeline";
-  let workloads =
-    [
-      spgemm_workload ~seed ~dim;
-      spadd_workload ~seed ~dim:(dim * 5);
-      mttkrp_workload ~seed ~dim;
-    ]
+  Harness.header "Optimizer ablation: none, full, full again, and full minus each pass";
+  let workloads = Harness.paper_workloads ~seed ~dim in
+  let per_workload = List.map (fun w -> (w, run_workload ~reps w)) workloads in
+  let by_executor e =
+    List.filter_map
+      (fun ((w : Harness.workload), rs) -> Option.map (fun r -> (w.w_name, r)) (List.assoc_opt e rs))
+      per_workload
   in
-  Harness.row "%-12s | %s %9s" "kernel"
-    (String.concat " "
-       (List.map (fun (n, _) -> Printf.sprintf "%13s" (n ^ "(s)")) variants))
-    "speedup";
-  let per_workload =
-    List.map
-      (fun w ->
-        (* GC work of the fully optimized kernel (prepared again by
-           [ablate] — the kernel cache makes that a hit) and the
-           per-pass optimizer statistics go with the "full" record. *)
-        let full = Kernel.prepare ~opt:Opt.all w.w_info in
-        let gc = Harness.gc_info (Harness.measure ~reps:(max 3 reps) (fun () -> w.w_run full)) in
-        let extras = [ gc; ("pass_stats", Harness.pass_stats_json w.w_info) ] in
-        let records = ablate ~info:(function "full" -> extras | _ -> []) ~reps w in
-        let speedup = Harness.time_of records "none" /. Harness.time_of records "full" in
-        Harness.row "%-12s | %s %8.2fx" w.w_name
-          (String.concat " "
-             (List.map (fun r -> Printf.sprintf "%13.4f" r.Harness.time_s) records))
-          speedup;
-        (records, speedup))
-      workloads
+  List.iter (fun e -> print_table e (by_executor e)) executors;
+  let summary e =
+    ( e,
+      Report.Obj
+        (List.map
+           (fun (name, records) ->
+             ( name,
+               Report.Obj (List.map (fun (n, rel) -> (n, Report.Float rel)) (relative records)) ))
+           (by_executor e)) )
   in
-  let geomean = Harness.geomean (List.map snd per_workload) in
-  Printf.printf "\nfull-pipeline geomean speedup = %.2fx\n%!" geomean;
   Harness.report ~path:out ~bench:"opt_ablation" ~agreement:Harness.bit_identical
     ~config:
       [
         ("seed", Report.Int seed);
         ("reps", Report.Int reps);
         ("dim", Report.Int dim);
+        ("tier0_rounds", Report.Int tier0_rounds);
         ("variants", Report.List (List.map (fun (n, _) -> Report.Str n) variants));
       ]
-    ~summary:
-      [
-        ( "full_speedup",
-          Report.Obj
-            (List.map2
-               (fun w (_, s) -> (w.w_name, Report.Float s))
-               workloads per_workload) );
-        ("geomean_full_speedup", Report.Float geomean);
-      ]
-    (List.concat_map fst per_workload)
+    ~summary:[ ("relative_to_full", Report.Obj (List.map summary executors)) ]
+    (List.concat_map (fun (_, rs) -> List.concat_map snd rs) per_workload)
 
 (* Tiny SpGEMM config for CI: the full pipeline must not lose to the
    unoptimized kernel. *)
 let smoke () =
-  let w = spgemm_workload ~seed:2019 ~dim:600 in
+  let w = Harness.spgemm_workload ~seed:2019 ~dim:600 in
   let times =
-    ablate ~variants:[ ("none", Opt.none); ("full", Opt.all) ] ~reps:5 w
+    Harness.best_of_batches ~reps:5 ~workload:w.w_name ~equal:Harness.tensors_identical
+      (List.map
+         (fun (n, opt) ->
+           let k = Kernel.prepare ~opt w.w_info in
+           (n, (fun () -> w.w_result k), fun () -> w.w_time k))
+         [ ("none", Opt.none); ("full", Opt.all) ])
   in
   Harness.report ~bench:"perf-smoke" ~agreement:Harness.bit_identical ~config:[] times;
   let t_none = Harness.time_of times "none" in
