@@ -26,11 +26,9 @@ let variants =
     (floor, Opt.all);
     ("full-simplify", { Opt.all with Opt.simplify = false });
     ("full-memset_fusion", { Opt.all with Opt.memset_fusion = false });
-    ("full-while_to_for", { Opt.all with Opt.while_to_for = false });
     ("full-branch_fusion", { Opt.all with Opt.branch_fusion = false });
     ("full-cse", { Opt.all with Opt.cse = false });
     ("full-licm", { Opt.all with Opt.licm = false });
-    ("full-dce", { Opt.all with Opt.dce = false });
   ]
 
 (* Fresh tier-0 builds per variant: each round builds every variant

@@ -501,14 +501,14 @@ let run_serve domains queue_depth socket trace_file =
               \"submitted\":%d,\"completed\":%d,\"rejected\":%d,\"timed_out\":%d,\
               \"failed\":%d,\"peak_queue\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\
               \"plan_hits\":%d,\"plan_misses\":%d,\
-              \"shed\":%d,\"crashed\":%d,\"replaced\":%d,\"quarantined\":%d,\
+              \"crashed\":%d,\"replaced\":%d,\"quarantined\":%d,\
               \"exec_native\":%d,\"exec_closure\":%d,\"backend_downgraded\":%d,\
               \"wait_p50_us\":%d,\"wait_p99_us\":%d,\"run_p50_us\":%d,\"run_p99_us\":%d}"
              (Service.queue_length svc) (Service.domains svc) s.Service.live_workers
              s.Service.peak_workers s.Service.submitted s.Service.completed
              s.Service.rejected s.Service.timed_out s.Service.failed s.Service.peak_queue
              c.Compile.hits c.Compile.misses pc.Memo.hits pc.Memo.misses
-             s.Service.shed s.Service.crashed
+             s.Service.crashed
              s.Service.replaced s.Service.quarantined s.Service.exec_native
              s.Service.exec_closure s.Service.backend_downgraded
              (q_us "taco_serve_wait_seconds" 0.5)

@@ -39,12 +39,10 @@ let default_required =
     "lower";
     "opt.simplify";
     "opt.memset_fusion";
-    "opt.while_to_for";
     "opt.branch_fusion";
     "opt.cse";
     "opt.licm";
     "opt.simplify/cleanup";
-    "opt.dce";
     "codegen_c";
     "compile";
     "compile.build";

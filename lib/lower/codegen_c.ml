@@ -467,7 +467,6 @@ let emit kernel =
 type ectx = {
   ebuf : Buffer.t;
   allocs : (string * Imp.dtype) list;
-  used : (string, unit) Hashtbl.t;
   mutable uses_fail : bool;
   mutable par_id : int;
 }
@@ -490,7 +489,42 @@ let omp_parallelizable ctx body info =
   let decl = Imp.declared body in
   List.for_all (fun v -> List.mem v decl) (assign_targets body)
 
-let rec stmt_exec ctx ind ~depth s =
+(* Whether the scalar [v] is read in [ss], the rest of the block that
+   declares it: gcc's -Wunused-variable and -Wunused-but-set-variable
+   judge each declaration by its own scope, so a read of another
+   declaration of the same name elsewhere in the kernel does not count.
+   A nested redeclaration of [v] (a [Decl], or a loop's own variable)
+   shadows it to the end of that block. *)
+let read_in_scope v ss =
+  let reads e = List.mem v (Imp.expr_vars e) in
+  let rec go = function
+    | [] -> false
+    | Imp.Decl (_, v', _) :: _ when v' = v -> false
+    | (Imp.For (v', _, _, _) | Imp.ParallelFor (v', _, _, _, _)) :: rest when v' = v -> go rest
+    | s :: rest ->
+        (match s with
+        | Imp.Decl (_, _, e) | Imp.Assign (_, e) | Imp.Alloc (_, _, e) | Imp.Realloc (_, e)
+        | Imp.Memset (_, e) ->
+            reads e
+        | Imp.Store (_, i, x) | Imp.Store_add (_, i, x) | Imp.Store_reduce (_, _, i, x)
+        | Imp.Fill (_, i, x) | Imp.Sort (_, i, x) ->
+            reads i || reads x
+        | Imp.For (_, lo, hi, b) | Imp.ParallelFor (_, lo, hi, b, _) -> reads lo || reads hi || go b
+        | Imp.While (c, b) -> reads c || go b
+        | Imp.If (c, t, e) -> reads c || go t || go e
+        | Imp.Comment _ -> false)
+        || go rest
+  in
+  go ss
+
+let rec block ctx ind ~depth = function
+  | [] -> ()
+  | s :: rest ->
+      stmt_exec ctx ind ~depth ~rest s;
+      block ctx ind ~depth rest
+
+(* [rest]: the statements after [s] in its block. *)
+and stmt_exec ctx ind ~depth ~rest s =
   let buf = ctx.ebuf in
   let pad () = Buffer.add_string buf (String.make (2 * ind) ' ') in
   let line fmt = Printf.ksprintf (fun s -> pad (); Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
@@ -498,7 +532,7 @@ let rec stmt_exec ctx ind ~depth s =
   match s with
   | Imp.Decl (t, v, e) ->
       line "%s %s = %s;%s" (ctype t) v (estr e)
-        (if Hashtbl.mem ctx.used v then "" else " (void)" ^ v ^ ";")
+        (if read_in_scope v rest then "" else " (void)" ^ v ^ ";")
   | Imp.Assign (v, e) -> line "%s = %s;" v (estr e)
   | Imp.Store (a, i, v) -> line "%s[%s] = %s;" a (estr i) (estr v)
   | Imp.Store_add (a, i, v) -> line "%s[%s] += %s;" a (estr i) (estr v)
@@ -522,12 +556,12 @@ let rec stmt_exec ctx ind ~depth s =
         line "  if (taco_deadline_ns != INT64_MAX && (%s & %d) == 0 && taco_rt->now_ns() > taco_deadline_ns) %s"
           v 255 (fail 2)
       end;
-      List.iter (stmt_exec ctx (ind + 1) ~depth:(depth + 1)) body;
+      block ctx (ind + 1) ~depth:(depth + 1) body;
       line "}"
   | Imp.ParallelFor (v, lo, hi, body, info) ->
       if not (omp_parallelizable ctx body info) then begin
         line "// taco: parallel loop run sequentially by the native backend (staged append)";
-        stmt_exec ctx ind ~depth (Imp.For (v, lo, hi, body))
+        stmt_exec ctx ind ~depth ~rest (Imp.For (v, lo, hi, body))
       end
       else begin
         let id = ctx.par_id in
@@ -548,7 +582,7 @@ let rec stmt_exec ctx ind ~depth s =
         if privates = [] then begin
           line "#pragma omp parallel for schedule(static)";
           line "for (int32_t %s = %s; %s < %s; %s++) {" v (estr lo) v (estr hi) v;
-          List.iter (stmt_exec ctx (ind + 1) ~depth:(depth + 1)) body;
+          block ctx (ind + 1) ~depth:(depth + 1) body;
           line "}"
         end
         else begin
@@ -575,7 +609,7 @@ let rec stmt_exec ctx ind ~depth s =
           line "    #pragma omp for schedule(static)";
           line "    for (int32_t %s = %s; %s < %s; %s++) {" v (estr lo) v (estr hi) v;
           line "      if (taco_ok%d) {" id;
-          List.iter (stmt_exec ctx (ind + 4) ~depth:(depth + 1)) body;
+          block ctx (ind + 4) ~depth:(depth + 1) body;
           line "      }";
           line "    }";
           List.iter (fun (p, _) -> line "    taco_rt->release(%s);" (pv p)) privates;
@@ -586,21 +620,21 @@ let rec stmt_exec ctx ind ~depth s =
       end
   | Imp.While (c, body) ->
       line "while (%s) {" (estr c);
-      List.iter (stmt_exec ctx (ind + 1) ~depth:(depth + 1)) body;
+      block ctx (ind + 1) ~depth:(depth + 1) body;
       line "}"
   | Imp.If (c, t, []) ->
       line "if (%s) {" (estr c);
-      List.iter (stmt_exec ctx (ind + 1) ~depth) t;
+      block ctx (ind + 1) ~depth t;
       line "}"
   | Imp.If (c, [], e) ->
       line "if (%s) {" (estr (Imp.Not c));
-      List.iter (stmt_exec ctx (ind + 1) ~depth) e;
+      block ctx (ind + 1) ~depth e;
       line "}"
   | Imp.If (c, t, e) ->
       line "if (%s) {" (estr c);
-      List.iter (stmt_exec ctx (ind + 1) ~depth) t;
+      block ctx (ind + 1) ~depth t;
       line "} else {";
-      List.iter (stmt_exec ctx (ind + 1) ~depth) e;
+      block ctx (ind + 1) ~depth e;
       line "}"
   | Imp.Sort (v, lo, hi) ->
       line "taco_rt->sort_i32(%s + %s, %s - %s);" v (estr lo) (estr hi) (estr lo)
@@ -619,8 +653,8 @@ let exec_function buf i kernel =
   let escapes = exec_escapes kernel in
   let written = written_arrays kernel in
   let used = used_tbl body in
-  let ctx = { ebuf = Buffer.create 4096; allocs; used; uses_fail = false; par_id = 0 } in
-  List.iter (stmt_exec ctx 1 ~depth:0) body;
+  let ctx = { ebuf = Buffer.create 4096; allocs; uses_fail = false; par_id = 0 } in
+  block ctx 1 ~depth:0 body;
   Buffer.add_string buf
     (Printf.sprintf
        "\n// kernel %s\n\

@@ -5,33 +5,27 @@ module SM = Map.Make (String)
 type config = {
   simplify : bool;
   memset_fusion : bool;
-  while_to_for : bool;
   branch_fusion : bool;
   cse : bool;
   licm : bool;
-  dce : bool;
 }
 
 let all =
   {
     simplify = true;
     memset_fusion = true;
-    while_to_for = true;
     branch_fusion = true;
     cse = true;
     licm = true;
-    dce = true;
   }
 
 let none =
   {
     simplify = false;
     memset_fusion = false;
-    while_to_for = false;
     branch_fusion = false;
     cse = false;
     licm = false;
-    dce = false;
   }
 
 (* Rewrite-fire accounting: every pass bumps its domain's [fires]
@@ -143,22 +137,6 @@ let mutated_arrays ss =
         List.fold_left go acc body
     | If (_, t, e) -> List.fold_left go (List.fold_left go acc t) e
     | Decl _ | Assign _ | Comment _ -> acc
-  in
-  List.fold_left go SS.empty ss
-
-(* Assign targets only (no Decls, no loop variables): used by dead-code
-   elimination to keep a declaration alive while a later assignment to
-   the same name survives. *)
-let assign_targets ss =
-  let rec go acc = function
-    | Assign (v, _) -> SS.add v acc
-    | Decl _ -> acc
-    | For (_, _, _, body) | ParallelFor (_, _, _, body, _) | While (_, body) ->
-        List.fold_left go acc body
-    | If (_, t, e) -> List.fold_left go (List.fold_left go acc t) e
-    | Store _ | Store_add _ | Store_reduce _ | Alloc _ | Realloc _ | Memset _ | Fill _
-    | Sort _ | Comment _ ->
-        acc
   in
   List.fold_left go SS.empty ss
 
@@ -466,80 +444,6 @@ let memset_fusion_pass k =
     | s -> s
   in
   { k with k_body = fuse_list k.k_body }
-
-(* ------------------------------------------------------------------ *)
-(* Pass: while -> for                                                  *)
-(*                                                                     *)
-(* while (p < bound) { body; p = p + 1 }  with p not otherwise written *)
-(* and bound invariant becomes  for (p = p; p < bound; p++) { body }   *)
-(* followed by p = max(p, bound): the executor's for loop leaves the   *)
-(* slot at the last iteration's value (or untouched on a zero-trip     *)
-(* loop), and tail merge loops read the position variable afterwards.  *)
-(* The payoff is the executor evaluating the bound once instead of     *)
-(* re-running the full condition closure every iteration.              *)
-(* ------------------------------------------------------------------ *)
-
-let rec subst_var p q = function
-  | Var x when x = p -> Var q
-  | (Var _ | Int_lit _ | Float_lit _ | Bool_lit _) as e -> e
-  | Load (a, i) -> Load (a, subst_var p q i)
-  | Binop (op, a, b) -> Binop (op, subst_var p q a, subst_var p q b)
-  | Not e -> Not (subst_var p q e)
-  | Ternary (c, t, e) -> Ternary (subst_var p q c, subst_var p q t, subst_var p q e)
-  | Round_single e -> Round_single (subst_var p q e)
-
-let while_to_for_pass k =
-  (* The for loop gets a fresh variable rather than reusing [p]: reusing
-     it would redeclare a live variable (fine in the flat-scoped
-     executor, but it renders as self-initializing shadowing in C). [p]
-     itself is then untouched by the loop, so the fix-up reads its entry
-     value: max(p, bound) is [bound] if the loop ran (p < bound) and [p]
-     unchanged otherwise — exactly where the while leaves it. *)
-  let used = ref (SM.fold (fun name _ acc -> SS.add name acc) (kernel_env k) SS.empty) in
-  let counter = ref 0 in
-  let fresh () =
-    let rec next () =
-      let n = Printf.sprintf "_c%d" !counter in
-      incr counter;
-      if SS.mem n !used then next ()
-      else begin
-        used := SS.add n !used;
-        n
-      end
-    in
-    next ()
-  in
-  let rec rw_list ss = List.concat_map rw_stmt ss
-  and rw_stmt = function
-    | For (v, lo, hi, body) -> [ For (v, lo, hi, rw_list body) ]
-    | ParallelFor (v, lo, hi, body, info) -> [ ParallelFor (v, lo, hi, rw_list body, info) ]
-    | If (c, t, e) -> [ If (c, rw_list t, rw_list e) ]
-    | While (c, body) -> (
-        let body = rw_list body in
-        match (c, List.rev body) with
-        | ( Binop (Lt, Var p, bound),
-            Assign (p', Binop (Add, Var p'', Int_lit 1)) :: rev_init )
-          when p = p' && p = p'' ->
-            let init = List.rev rev_init in
-            let asg = assigned_scalars init in
-            let b_scalars, b_arrays = expr_refs bound in
-            let convertible =
-              (not (SS.mem p asg))
-              && SS.is_empty (SS.inter b_scalars asg)
-              && SS.is_empty (SS.inter b_arrays (mutated_arrays init))
-              && not (SS.mem p b_scalars)
-            in
-            if convertible then begin
-              fire ();
-              let q = fresh () in
-              let init = List.map (map_stmt_exprs (subst_var p q)) init in
-              [ For (q, Var p, bound, init); Assign (p, Binop (Max, Var p, bound)) ]
-            end
-            else [ While (c, body) ]
-        | _ -> [ While (c, body) ])
-    | s -> [ s ]
-  in
-  { k with k_body = rw_list k.k_body }
 
 (* ------------------------------------------------------------------ *)
 (* Pass: branch-implication fusion                                     *)
@@ -1017,164 +921,6 @@ let licm_pass k =
   { k with k_body = licm_stmts k.k_body }
 
 (* ------------------------------------------------------------------ *)
-(* Pass: dead code elimination                                         *)
-(*                                                                     *)
-(* Backward liveness over scalars. Arrays are never removed, and       *)
-(* parameters plus kernel-level declarations stay live at exit: the    *)
-(* executor's run returns a reader over the final environment, so      *)
-(* top-level names are externally observable. Loop bodies use the      *)
-(* conservative "everything the body reads may be live around the back *)
-(* edge" rule, refined once (two-pass) so that reads from statements   *)
-(* already known dead do not keep others alive. A declaration is only  *)
-(* dropped when no surviving later assignment still needs the name to  *)
-(* have been declared (Imp.validate's def-before-use is flat).         *)
-(* ------------------------------------------------------------------ *)
-
-(* Upward-exposed reads of a statement list: variables that may be read
-   before any definite (unconditional) scalar assignment to them. This
-   is the gen set for loop liveness — a variable killed at the top of
-   every iteration (like a per-iteration temporary) is not live around
-   the back edge, which raw [stmt_reads] cannot see. Kills inside
-   loops and single If branches are conditional, so they kill nothing;
-   an If kills what both branches kill. *)
-let rec ue_stmts ss =
-  List.fold_left
-    (fun (ue, kill) s ->
-      let ue_s, kill_s = ue_stmt s in
-      (SS.union ue (SS.diff ue_s kill), SS.union kill kill_s))
-    (SS.empty, SS.empty) ss
-
-and ue_stmt = function
-  | Decl (_, v, e) | Assign (v, e) -> (expr_names e, SS.singleton v)
-  | Alloc (_, v, n) -> (expr_names n, SS.singleton v)
-  | Store (a, i, x) | Store_add (a, i, x) | Store_reduce (_, a, i, x) | Fill (a, i, x) ->
-      (SS.add a (SS.union (expr_names i) (expr_names x)), SS.empty)
-  | Realloc (a, n) | Memset (a, n) -> (SS.add a (expr_names n), SS.empty)
-  | Sort (a, lo, hi) -> (SS.add a (SS.union (expr_names lo) (expr_names hi)), SS.empty)
-  | Comment _ -> (SS.empty, SS.empty)
-  | If (c, t, e) ->
-      let ue_t, kill_t = ue_stmts t in
-      let ue_e, kill_e = ue_stmts e in
-      (SS.union (expr_names c) (SS.union ue_t ue_e), SS.inter kill_t kill_e)
-  | While (c, body) ->
-      let ue_b, _ = ue_stmts body in
-      (SS.union (expr_names c) ue_b, SS.empty)
-  | For (v, lo, hi, body) ->
-      let ue_b, _ = ue_stmts body in
-      ( SS.union (expr_names lo) (SS.union (expr_names hi) (SS.remove v ue_b)),
-        SS.empty )
-  | ParallelFor (v, lo, hi, body, info) ->
-      let ue_b, _ = ue_stmts body in
-      let meta =
-        List.fold_left (fun acc a -> SS.add a acc)
-          (match info.par_stage with
-          | None -> SS.empty
-          | Some st ->
-              List.fold_left (fun acc a -> SS.add a acc)
-                (SS.add st.pa_counter
-                   (match st.pa_pos with None -> SS.empty | Some p -> SS.singleton p))
-                st.pa_arrays)
-          info.par_private
-      in
-      ( SS.union meta
-          (SS.union (expr_names lo) (SS.union (expr_names hi) (SS.remove v ue_b))),
-        SS.empty )
-
-let dce_pass k =
-  let protected =
-    let from_params =
-      List.fold_left (fun acc p -> SS.add p.p_name acc) SS.empty k.k_params
-    in
-    List.fold_left
-      (fun acc s ->
-        match s with Decl (_, v, _) | Alloc (_, v, _) -> SS.add v acc | _ -> acc)
-      from_params k.k_body
-  in
-  let re acc e = SS.union acc (expr_names e) in
-  let rec go_list ss ~live ~later =
-    match ss with
-    | [] -> ([], live, later)
-    | s :: rest ->
-        let rest', live_r, later_r = go_list rest ~live ~later in
-        let s', live', later' = go_stmt s ~live:live_r ~later:later_r in
-        (s' @ rest', live', later')
-  and go_stmt s ~live ~later =
-    match s with
-    | Decl (_, v, e) ->
-        if (not (SS.mem v live)) && (not (SS.mem v later)) && not (SS.mem v protected) then begin
-          fire ();
-          ([], live, later)
-        end
-        else ([ s ], re (SS.remove v live) e, later)
-    | Assign (v, e) ->
-        if (not (SS.mem v live)) && not (SS.mem v protected) then begin
-          fire ();
-          ([], live, later)
-        end
-        else ([ s ], re (SS.remove v live) e, SS.add v later)
-    | Store (a, i, x) | Store_add (a, i, x) | Store_reduce (_, a, i, x) | Fill (a, i, x) ->
-        ([ s ], SS.add a (re (re live i) x), later)
-    | Alloc (_, _, n) -> ([ s ], re live n, later)
-    | Realloc (a, n) | Memset (a, n) -> ([ s ], SS.add a (re live n), later)
-    | Sort (a, lo, hi) -> ([ s ], SS.add a (re (re live lo) hi), later)
-    | Comment _ -> ([ s ], live, later)
-    | If (c, t, e) ->
-        let t', live_t, later_t = go_list t ~live ~later:(SS.union later (assign_targets e)) in
-        let e', live_e, later_e = go_list e ~live ~later:(SS.union later (assign_targets t)) in
-        if t' = [] && e' = [] then begin
-          fire ();
-          ([], live, later)
-        end
-        else
-          ( [ If (c, t', e') ],
-            re (SS.union live_t live_e) c,
-            SS.union later_t later_e )
-    | While (c, body) ->
-        let later_b = SS.union later (assign_targets body) in
-        let out1 = SS.union live (re (fst (ue_stmts body)) c) in
-        let body1, _, _ = go_list body ~live:out1 ~later:later_b in
-        let out2 = SS.union live (re (fst (ue_stmts body1)) c) in
-        let body2, live_in, later_in = go_list body ~live:out2 ~later:later_b in
-        ([ While (c, body2) ], re (SS.union live live_in) c, later_in)
-    | For (v, lo, hi, body) ->
-        let later_b = SS.union later (assign_targets body) in
-        let out1 = SS.union live (SS.remove v (fst (ue_stmts body))) in
-        let body1, _, _ = go_list body ~live:out1 ~later:later_b in
-        let out2 = SS.union live (SS.remove v (fst (ue_stmts body1))) in
-        let body2, live_in, later_in = go_list body ~live:out2 ~later:later_b in
-        if body2 = [] && (not (SS.mem v live)) && not (SS.mem v protected) then begin
-          fire ();
-          ([], live, later)
-        end
-        else ([ For (v, lo, hi, body2) ], re (re (SS.union live live_in) lo) hi, later_in)
-    | ParallelFor (v, lo, hi, body, info) ->
-        (* The merge reads the stage counter and arrays after the barrier,
-           so they stay live at loop exit regardless of downstream code. *)
-        let meta =
-          List.fold_left (fun acc a -> SS.add a acc)
-            (match info.par_stage with
-            | None -> SS.empty
-            | Some st ->
-                List.fold_left (fun acc a -> SS.add a acc)
-                  (SS.add st.pa_counter
-                     (match st.pa_pos with None -> SS.empty | Some p -> SS.singleton p))
-                  st.pa_arrays)
-            info.par_private
-        in
-        let live = SS.union live meta in
-        let later_b = SS.union later (assign_targets body) in
-        let out1 = SS.union live (SS.remove v (fst (ue_stmts body))) in
-        let body1, _, _ = go_list body ~live:out1 ~later:later_b in
-        let out2 = SS.union live (SS.remove v (fst (ue_stmts body1))) in
-        let body2, live_in, later_in = go_list body ~live:out2 ~later:later_b in
-        ( [ ParallelFor (v, lo, hi, body2, info) ],
-          re (re (SS.union live live_in) lo) hi,
-          later_in )
-  in
-  let body, _, _ = go_list k.k_body ~live:protected ~later:SS.empty in
-  { k with k_body = body }
-
-(* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1184,20 +930,17 @@ let passes config =
     [
       ("simplify", config.simplify, simplify_pass);
       ("memset_fusion", config.memset_fusion, memset_fusion_pass);
-      ("while_to_for", config.while_to_for, while_to_for_pass);
       (* branch_fusion runs before cse so sunk guard bodies are in
          place when uses are counted. *)
       ("branch_fusion", config.branch_fusion, branch_fusion_pass);
-      (* cse runs after while_to_for (so it cannot disturb the p = p + 1
-         pattern) and before licm (an invariant shared temporary then
-         hoists like any other invariant declaration). *)
+      (* cse runs before licm: an invariant shared temporary then
+         hoists like any other invariant declaration. *)
       ("cse", config.cse, cse_pass);
       ("licm", config.licm, licm_pass);
       (* licm introduces copy chains when a guard condition is itself
          invariant at the next level out; a second simplify collapses
-         them so dce can drop the intermediate temporaries. *)
+         them. *)
       ("simplify/cleanup", config.simplify && config.licm, simplify_pass);
-      ("dce", config.dce, dce_pass);
     ]
 
 type pass_stat = {

@@ -1,13 +1,15 @@
 (** Optimizer pipeline over the imperative IR.
 
     Lowered kernels carry the naive artifacts of mechanical lowering:
-    loop-invariant position loads re-computed every iteration, dead
-    temporaries left behind by merge-lattice specialization, [while]
-    loops over ranges that are statically counted, and workspace
-    [memset]s that duplicate the zeroing already done by allocation.
-    This module cleans them up with a fixed sequence of rewrites, each
-    individually toggleable so benchmarks can attribute speedup per
-    pass.
+    loop-invariant position loads re-computed every iteration, guards
+    that re-test what a merge-lattice case analysis just decided,
+    repeated index arithmetic, and workspace [memset]s that duplicate
+    the zeroing already done by allocation. This module cleans them up
+    with a fixed sequence of rewrites, each individually toggleable so
+    benchmarks can attribute speedup per pass. Dead scalars and counted
+    [while] loops are left to the C compiler and the executors: a
+    leave-one-out ablation (bench/opt_ablation.ml) found no executor on
+    which rewriting them paid beyond the noise floor.
 
     Soundness contract: every pass preserves the value semantics of the
     kernel exactly — including float bit patterns, which is why constant
@@ -21,9 +23,8 @@
     brackets scheduling transforms. *)
 
 (** Which passes to run. Pass order is fixed (simplify, memset_fusion,
-    while_to_for, branch_fusion, cse, licm, a simplify rerun that
-    collapses the copy chains licm leaves behind, dce); a disabled pass
-    is skipped. *)
+    branch_fusion, cse, licm, a simplify rerun that collapses the copy
+    chains licm leaves behind); a disabled pass is skipped. *)
 type config = {
   simplify : bool;
       (** Constant folding, algebraic identities, copy/constant
@@ -33,10 +34,6 @@ type config = {
       (** Drop a [Memset (v, n)] covered by a preceding [Alloc (_, v, n)]
           (allocation already zeroes) when nothing in between writes [v]
           or changes the meaning of [n]. *)
-  while_to_for : bool;
-      (** Rewrite [while (p < bound) { ...; p++ }] over an invariant
-          bound into a counted [for] loop plus a final fix-up assignment
-          of [p]. *)
   branch_fusion : bool;
       (** Sink a trailing guarded statement [if (g) s] into the arms of
           an immediately preceding case analysis when the truth of [g]
@@ -51,10 +48,6 @@ type config = {
   licm : bool;
       (** Hoist loop-invariant loads and index arithmetic out of loops
           into temporaries declared before the loop. *)
-  dce : bool;
-      (** Remove assignments and declarations of scalars that are never
-          read (parameters and kernel-level declarations are kept: the
-          executor exposes them to callers after a run). *)
 }
 
 (** All passes enabled: the default of {!Taco_exec.Compile.compile}. *)

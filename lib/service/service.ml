@@ -67,9 +67,6 @@ type job = {
   j_deadline_ns : int64 option;  (* absolute, from the monotonic clock *)
   j_deadline_ms : int option;  (* as requested, for diagnostics *)
   j_ticket : ticket;
-  j_shed : bool;
-      (* Accepted past the shed high-water mark: serve it degraded
-         (optimizer skipped) to drain the backlog faster. *)
   mutable j_backend : string;
       (* executor that actually served it: native/closure/downgraded,
          or "none" before (or without) a successful compile *)
@@ -94,7 +91,6 @@ type stats = {
   peak_queue : int;
   total_wait_ns : int64;
   total_run_ns : int64;
-  shed : int;
   crashed : int;
   replaced : int;
   quarantined : int;
@@ -112,7 +108,6 @@ type t = {
   s_queue : job Queue.t;
   s_depth : int;
   s_domains : int;
-  s_shed_hwm : int;  (* queue length at which accepted jobs degrade *)
   s_crashes : (string, int) Hashtbl.t;  (* request key -> workers killed *)
   s_quarantine : (string, unit) Hashtbl.t;  (* poison-pill request keys *)
   mutable s_state : state;
@@ -127,7 +122,6 @@ type t = {
   mutable st_peak_queue : int;
   mutable st_total_wait_ns : int64;
   mutable st_total_run_ns : int64;
-  mutable st_shed : int;
   mutable st_crashed : int;
   mutable st_replaced : int;
   mutable st_quarantined : int;
@@ -140,11 +134,9 @@ type t = {
 let serve_error ?context code fmt = Diag.error ~stage:Diag.Serve ~code ?context fmt
 
 (* How a request left the service: the [outcome] label of
-   [taco_serve_requests_total] and of the latency histograms. A
-   completed request that was shed is [`Shed]. *)
+   [taco_serve_requests_total] and of the latency histograms. *)
 let outcome_label = function
   | `Completed -> "completed"
-  | `Shed -> "shed"
   | `Timed_out -> "timed_out"
   | `Failed -> "failed"
   | `Rejected -> "rejected"
@@ -157,9 +149,6 @@ let count t = function
   | `Submitted ->
       t.st_submitted <- t.st_submitted + 1;
       Metrics.inc "taco_serve_submitted_total"
-  | `Shed ->
-      t.st_shed <- t.st_shed + 1;
-      Metrics.inc "taco_serve_shed_total"
   | `Crashed ->
       t.st_crashed <- t.st_crashed + 1;
       Metrics.inc "taco_serve_crashed_total"
@@ -171,7 +160,7 @@ let count t = function
       Metrics.inc "taco_serve_quarantined_total"
   | `Request (outcome, code) ->
       (match outcome with
-      | `Completed | `Shed -> t.st_completed <- t.st_completed + 1
+      | `Completed -> t.st_completed <- t.st_completed + 1
       | `Timed_out -> t.st_timed_out <- t.st_timed_out + 1
       | `Failed -> t.st_failed <- t.st_failed + 1
       | `Rejected -> t.st_rejected <- t.st_rejected + 1);
@@ -357,10 +346,6 @@ let lower_request job =
               "unknown semiring %S (known: %s)" sname
               (String.concat ", " Taco.Semiring.names))
   in
-  (* A shed job skips the optimizer pipeline: an unoptimized kernel
-     compiles faster and computes the bit-identical result, trading its
-     own run time for queue drain. *)
-  let opt = if job.j_shed then Some Taco.Opt.none else None in
   let lower_t0 = Trace.now_ns () in
   let lowered =
     if List.mem Auto req.directives then begin
@@ -373,9 +358,9 @@ let lower_request job =
       in
       Result.map
         (fun (l, _, _) -> l)
-        (Taco.auto_lower ~name ?semiring ?opt ?backend:req.backend ~stats sched)
+        (Taco.auto_lower ~name ?semiring ?backend:req.backend ~stats sched)
     end
-    else Taco.lower ~name ?semiring ?opt ?backend:req.backend sched
+    else Taco.lower ~name ?semiring ?backend:req.backend sched
   in
   job.j_compile_ns <- Int64.sub (Trace.now_ns ()) lower_t0;
   Result.map (fun l -> (l, env)) lowered
@@ -391,12 +376,11 @@ let fronts : (Taco.lowered * (string * Tensor_var.t) list) Memo.t =
 
 (* Everything that shapes the lowered statement: the expression text,
    the directives in order, the result format, each input's name and
-   format (a format fixes its order), the semiring, the backend, and the
-   shed flag (which selects [Opt.none]). [domains] only chunks execution.
+   format (a format fixes its order), the semiring and the backend.
+   [domains] only chunks execution.
    [None] for an [Auto] request: its plan depends on the operands'
    statistics, and the plan cache already serves repeats. *)
-let front_key job =
-  let req = job.j_req in
+let front_key req =
   if List.mem Auto req.directives then None
   else
     Some
@@ -407,8 +391,7 @@ let front_key job =
               req.result_format,
               List.map (fun (name, tensor) -> (name, Tensor.format tensor)) req.inputs,
               req.semiring,
-              req.backend,
-              job.j_shed )
+              req.backend )
             []))
 
 (* The front end through the front cache. A hit is restamped with this
@@ -416,7 +399,7 @@ let front_key job =
    compile-cache lookup and execution like any other request. *)
 let front job =
   Fault.hit ~stage:Diag.Serve "serve.pipeline";
-  match front_key job with
+  match front_key job.j_req with
   | None -> lower_request job
   | Some key ->
       let built = ref false in
@@ -515,13 +498,9 @@ let set_worker_gauge live =
    the crash path answers passes here exactly once. The metrics and the
    event log are written off the service mutex. *)
 let finish t job ~wait_ns ~run_ns outcome =
-  (* A shed job that still completed is its own outcome: it was served
-     degraded, and its latency belongs in a separate series. Timeouts
-     and failures of shed jobs keep the failure outcome — that is the
-     more important fact about them. *)
   let kind, code =
     match outcome with
-    | Ok _ -> ((if job.j_shed then `Shed else `Completed), None)
+    | Ok _ -> (`Completed, None)
     | Error d when d.Diag.code = "E_SERVE_DEADLINE" -> (`Timed_out, None)
     | Error d -> (`Failed, Some d.Diag.code)
   in
@@ -548,7 +527,6 @@ let finish t job ~wait_ns ~run_ns outcome =
          ("expr", Events.Str job.j_req.expr);
          ("outcome", Events.Str outcome_l);
          ("backend", Events.Str job.j_backend);
-         ("shed", Events.Bool job.j_shed);
          ("front_cache", Events.Str job.j_front);
          ("wait_ns", Events.I64 wait_ns);
          ("run_ns", Events.I64 run_ns);
@@ -812,17 +790,10 @@ and handle_crash t held exn =
 (* Public API                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(domains = 1) ?(queue_depth = 64) ?shed_queue () =
+let create ?(domains = 1) ?(queue_depth = 64) () =
   if domains < 1 || domains > 128 then
     invalid_arg "Service.create: domains must be in 1..128";
   if queue_depth < 1 then invalid_arg "Service.create: queue_depth must be positive";
-  let shed_hwm =
-    match shed_queue with
-    | None -> max 1 (3 * queue_depth / 4)
-    | Some n ->
-        if n < 1 then invalid_arg "Service.create: shed_queue must be positive";
-        n
-  in
   let t =
     {
       s_mutex = Mutex.create ();
@@ -831,7 +802,6 @@ let create ?(domains = 1) ?(queue_depth = 64) ?shed_queue () =
       s_queue = Queue.create ();
       s_depth = queue_depth;
       s_domains = domains;
-      s_shed_hwm = shed_hwm;
       s_crashes = Hashtbl.create 8;
       s_quarantine = Hashtbl.create 8;
       s_state = Running;
@@ -850,7 +820,6 @@ let create ?(domains = 1) ?(queue_depth = 64) ?shed_queue () =
       st_peak_queue = 0;
       st_total_wait_ns = 0L;
       st_total_run_ns = 0L;
-      st_shed = 0;
       st_crashed = 0;
       st_replaced = 0;
       st_quarantined = 0;
@@ -907,8 +876,6 @@ let submit t ?deadline_ms req =
           (fun ms -> Int64.add enq_ns (Int64.mul (Int64.of_int (max 0 ms)) 1_000_000L))
           deadline_ms
       in
-      let shed = Queue.length t.s_queue >= t.s_shed_hwm in
-      if shed then count t `Shed;
       Queue.push
         {
           j_rid = rid;
@@ -917,7 +884,6 @@ let submit t ?deadline_ms req =
           j_deadline_ns = deadline_ns;
           j_deadline_ms = deadline_ms;
           j_ticket = ticket;
-          j_shed = shed;
           j_backend = "none";
           j_compile_ns = 0L;
           j_front = "bypass";
@@ -965,7 +931,6 @@ let stats t =
       peak_queue = t.st_peak_queue;
       total_wait_ns = t.st_total_wait_ns;
       total_run_ns = t.st_total_run_ns;
-      shed = t.st_shed;
       crashed = t.st_crashed;
       replaced = t.st_replaced;
       quarantined = t.st_quarantined;

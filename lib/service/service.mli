@@ -33,14 +33,10 @@
       [Serve] diagnostic ([E_SERVE_QUEUE_FULL]) when the queue holds
       [queue_depth] jobs, rather than growing without bound. The
       diagnostic's context carries a [retry_after_ms] hint estimating
-      when a slot should free up.
-    - {b Load shedding}: once the queue length crosses the shed
-      high-water mark ([shed_queue], default 3/4 of [queue_depth]),
-      requests are still accepted but served {e degraded}: the
-      optimizer pipeline is skipped, trading per-kernel run time for
-      faster queue drain. Results are bit-identical (the optimizer is
-      semantics-preserving); only latency differs. Shed counts surface
-      in {!stats} and the [taco_serve_shed_total] metric.
+      when a slot should free up. This is the service's one overload
+      control: every accepted request is served with the same
+      optimizer configuration, so a queued request whose shape is warm
+      still hits the front and compile caches.
     - {b Deadlines}: a request's optional [deadline_ms] bounds its time
       in the system. It is checked when a worker dequeues the job,
       again between compilation and execution, and — via the executor's
@@ -72,10 +68,8 @@
     when {!Taco_support.Metrics.enable} is on, its registry series in
     the same step, so for a lone service the two agree:
     [taco_serve_requests_total{outcome[,code]}] (outcomes
-    [completed]/[shed]/[timed_out]/[failed]/[rejected]; failures and
-    rejections carry their diagnostic [code]; [stats.completed] is
-    [completed] plus [shed]), [taco_serve_submitted_total],
-    [taco_serve_shed_total] (admissions past the shed mark),
+    [completed]/[timed_out]/[failed]/[rejected]; failures and
+    rejections carry their diagnostic [code]), [taco_serve_submitted_total],
     [taco_serve_crashed_total], [taco_serve_replaced_total] and
     [taco_serve_quarantined_total]. A request failed by a worker crash
     (quarantined, or stranded during shutdown) is counted and logged
@@ -175,7 +169,6 @@ type stats = {
   peak_queue : int;  (** high-water mark of the queue *)
   total_wait_ns : int64;  (** summed queue time of processed requests *)
   total_run_ns : int64;  (** summed processing time of processed requests *)
-  shed : int;  (** accepted past the shed mark, served unoptimized *)
   crashed : int;  (** worker domains killed by escaped exceptions *)
   replaced : int;  (** replacement workers spawned *)
   quarantined : int;  (** request structures quarantined as poison *)
@@ -196,12 +189,8 @@ type stats = {
     values. The pool acquires (best-effort) one {!Taco.Budget} permit per
     worker for its lifetime, so parallel kernels executing inside a busy
     pool cannot oversubscribe the machine; {!shutdown} returns the
-    permits.
-
-    [shed_queue] sets the queue length at which accepted requests are
-    served degraded (see {e Load shedding} above); default
-    [3 * queue_depth / 4], minimum 1. *)
-val create : ?domains:int -> ?queue_depth:int -> ?shed_queue:int -> unit -> t
+    permits. *)
+val create : ?domains:int -> ?queue_depth:int -> unit -> t
 
 (** Enqueue a request. Returns a ticket, or rejects immediately with
     [E_SERVE_QUEUE_FULL] (context: [retry_after_ms]) /
@@ -228,9 +217,8 @@ val domains : t -> int
 
 (** The front cache: every non-[Auto] request's lowered statement by
     request shape — the expression text, the directives in order, the
-    result format, each input's name and format, the semiring, the
-    backend and whether the request was shed; not the operands' dims or
-    values, nor [domains]. A hit skips parse, concretize, scheduling and
+    result format, each input's name and format, the semiring and the
+    backend; not the operands' dims or values, nor [domains]. A hit skips parse, concretize, scheduling and
     lowering; it still passes the [serve.pipeline] fault point, the
     compile-cache lookup (with its [compile.build] fault point and
     ["compile"] span, stamped with the request's own id) and execution.

@@ -2,8 +2,9 @@
    executor and the serving layer. Every fault point gets driven at
    least once — worker crash mid-job, poison-pill quarantine, injected
    compile failure, delays past deadlines, the cooperative watchdog,
-   memory-budget rejection, load shedding under overload, and
-   corrupt-and-detect on result values. All campaigns use fixed seeds so
+   memory-budget rejection, rejection under overload, a warm shape
+   served from the caches under overload, and corrupt-and-detect on
+   result values. All campaigns use fixed seeds so
    the fault schedule (and thus the asserted outcome) is reproducible. *)
 
 open Helpers
@@ -25,8 +26,8 @@ let with_fault ~seed rules f =
   Fault.configure ~seed rules;
   Fun.protect ~finally:Fault.disarm f
 
-let with_service ?(domains = 1) ?(queue_depth = 64) ?shed_queue f =
-  let svc = Service.create ~domains ~queue_depth ?shed_queue () in
+let with_service ?(domains = 1) ?(queue_depth = 64) f =
+  let svc = Service.create ~domains ~queue_depth () in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> f svc)
 
 let spgemm_request ?backend b c =
@@ -338,58 +339,48 @@ let test_mem_budget () =
       | Ok _ -> ()
       | Error d -> Alcotest.fail (Diag.to_string d))
 
-(* --- overload sheds to unoptimized kernels, then rejects ------------ *)
+(* --- overload rejects with a retry hint ----------------------------- *)
 
-let test_shed_under_overload () =
+let test_overload_rejects () =
   let b = random_tensor 316 [| 24; 24 |] 0.2 F.csr in
   let c = random_tensor 317 [| 24; 24 |] 0.2 F.csr in
-  Metrics.enable ();
-  let shed_before = Metrics.counter "taco_serve_shed_total" in
-  Fun.protect ~finally:Metrics.disable (fun () ->
-      (* A clean run for the differential check: shed (unoptimized)
-         results must be bit-identical. *)
-      let clean =
-        with_service ~domains:1 (fun svc -> (eval_ok svc (spgemm_request b c)).Service.tensor)
-      in
-      with_fault ~seed:16 [ Fault.rule "serve.pipeline" (Fault.Delay 20) ] (fun () ->
-          with_service ~domains:1 ~queue_depth:8 ~shed_queue:2 (fun svc ->
-              (* Each job stalls 20ms, so submissions pile up: past queue
-                 length 2 they are shed, past 8 rejected. *)
-              let rec burst n tickets full =
-                if n = 0 then (List.rev tickets, full)
-                else
-                  match Service.submit svc (spgemm_request b c) with
-                  | Ok t -> burst (n - 1) (t :: tickets) full
-                  | Error d -> burst (n - 1) tickets (Some d)
-              in
-              (* The burst starts once the worker stalls in the first
-                 job, so how many jobs it dequeues at once cannot let the
-                 burst fit the queue. *)
-              let first =
-                match Service.submit svc (spgemm_request b c) with
-                | Ok t -> t
-                | Error d -> Alcotest.fail (Diag.to_string d)
-              in
-              while Fault.fires "serve.pipeline" = 0 do
-                Unix.sleepf 0.001
-              done;
-              let tickets, full = burst 15 [ first ] None in
-              let responses = List.map await_ok tickets in
-              List.iter
-                (fun r ->
-                  Alcotest.(check bool) "shed results bit-identical to optimized" true
-                    (T.to_dense r.Service.tensor = T.to_dense clean))
-                responses;
-              let s = Service.stats svc in
-              Alcotest.(check bool) "requests were shed" true (s.Service.shed > 0);
-              Alcotest.(check int) "shed surfaces in the registry" s.Service.shed
-                (Metrics.counter "taco_serve_shed_total" - shed_before);
-              match full with
-              | None -> Alcotest.fail "expected at least one E_SERVE_QUEUE_FULL rejection"
-              | Some d ->
-                  Alcotest.(check string) "overfull queue rejects" "E_SERVE_QUEUE_FULL" d.Diag.code;
-                  Alcotest.(check bool) "rejection carries a retry hint" true
-                    (List.mem_assoc "retry_after_ms" d.Diag.context))))
+  let clean =
+    with_service ~domains:1 (fun svc -> (eval_ok svc (spgemm_request b c)).Service.tensor)
+  in
+  with_fault ~seed:16 [ Fault.rule "serve.pipeline" (Fault.Delay 20) ] (fun () ->
+      with_service ~domains:1 ~queue_depth:8 (fun svc ->
+          (* Each job stalls 20ms, so submissions pile up: past queue
+             length 8 they are rejected. *)
+          let rec burst n tickets full =
+            if n = 0 then (List.rev tickets, full)
+            else
+              match Service.submit svc (spgemm_request b c) with
+              | Ok t -> burst (n - 1) (t :: tickets) full
+              | Error d -> burst (n - 1) tickets (Some d)
+          in
+          (* The burst starts once the worker stalls in the first job, so
+             how many jobs it dequeues at once cannot let the burst fit
+             the queue. *)
+          let first =
+            match Service.submit svc (spgemm_request b c) with
+            | Ok t -> t
+            | Error d -> Alcotest.fail (Diag.to_string d)
+          in
+          while Fault.fires "serve.pipeline" = 0 do
+            Unix.sleepf 0.001
+          done;
+          let tickets, full = burst 15 [ first ] None in
+          List.iter
+            (fun t ->
+              Alcotest.(check bool) "accepted results bit-identical to an idle service's" true
+                (tensors_bit_identical clean (await_ok t).Service.tensor))
+            tickets;
+          match full with
+          | None -> Alcotest.fail "expected at least one E_SERVE_QUEUE_FULL rejection"
+          | Some d ->
+              Alcotest.(check string) "overfull queue rejects" "E_SERVE_QUEUE_FULL" d.Diag.code;
+              Alcotest.(check bool) "rejection carries a retry hint" true
+                (List.mem_assoc "retry_after_ms" d.Diag.context)))
 
 (* --- corrupt-and-detect: injected bit flips are observable ---------- *)
 
@@ -462,6 +453,43 @@ let with_native_metrics f =
     Fun.protect ~finally:Metrics.disable f
   end
 
+(* One native worker, parked on a [serve.pipeline] delay while the queue
+   fills past 3/4 of its depth with a warm SpGEMM shape: every answer
+   keeps the warm answer's bits, and the burst neither misses the
+   compile cache nor runs cc. *)
+let test_overload_builds_nothing () =
+  with_native_metrics @@ fun () ->
+  let b = random_tensor 318 [| 24; 24 |] 0.2 F.csr in
+  let c = random_tensor 319 [| 24; 24 |] 0.2 F.csr in
+  let req = spgemm_request ~backend:`Native b c in
+  let queue_depth = 16 in
+  with_service ~domains:1 ~queue_depth (fun svc ->
+      let warm = (eval_ok svc req).Service.tensor in
+      let misses0 = (Compile.cache_stats ()).Compile.misses in
+      let cc0 = Metrics.counter "taco_native_cc_total" in
+      let submit () =
+        match Service.submit svc req with
+        | Ok t -> t
+        | Error d -> Alcotest.fail (Diag.to_string d)
+      in
+      let tickets =
+        with_fault ~seed:33 [ Fault.rule ~max_fires:1 "serve.pipeline" (Fault.Delay 200) ] (fun () ->
+            let parked = submit () in
+            while Fault.fires "serve.pipeline" = 0 do
+              Unix.sleepf 0.001
+            done;
+            parked :: List.init queue_depth (fun _ -> submit ()))
+      in
+      List.iter
+        (fun t ->
+          Alcotest.(check bool) "answer bit-identical to the warm one" true
+            (tensors_bit_identical warm (await_ok t).Service.tensor))
+        tickets;
+      Alcotest.(check bool) "the queue filled past 3/4 of its depth" true
+        (4 * (Service.stats svc).Service.peak_queue > 3 * queue_depth);
+      Alcotest.(check int) "no compile-cache miss" misses0 (Compile.cache_stats ()).Compile.misses;
+      Alcotest.(check int) "no cc run" cc0 (Metrics.counter "taco_native_cc_total"))
+
 (* Under a crash or a corruption at [native.tierup], requests keep their
    bits, the kernel stays on tier 0 (no tier-1 build succeeds), the
    failure is counted once and never retried, nothing is downgraded, and
@@ -513,7 +541,9 @@ let () =
       ( "resources",
         [
           Alcotest.test_case "memory budget rejects before allocating" `Quick test_mem_budget;
-          Alcotest.test_case "overload sheds, then rejects with a hint" `Quick test_shed_under_overload;
+          Alcotest.test_case "overload rejects with a hint" `Quick test_overload_rejects;
+          Alcotest.test_case "overload builds nothing for a warm shape" `Quick
+            test_overload_builds_nothing;
         ] );
       ( "integrity",
         [ Alcotest.test_case "injected corruption is detectable" `Quick test_corrupt_detected ] );

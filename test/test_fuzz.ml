@@ -990,13 +990,13 @@ let key_same name what r1 r2 =
    request and one variant per key input, each differing from the base
    in that input alone: the result format, one input's format, the
    directives (another list, or the same two in the other order), the
-   semiring, the backend and the shed state. The operands hold the same
-   entries whatever their format. Each request is served twice, and
-   then again on a cleared front cache: the three answers must agree.
-   Every request's first serve that succeeds must also build its own
-   entry — a key without one of these inputs serves the variant its
-   base's statement, which for the backend and the shed state gives the
-   same bits and shows only there. *)
+   semiring and the backend. The operands hold the same entries
+   whatever their format. Each request is served twice, and then again
+   on a cleared front cache: the three answers must agree. Every
+   request's first serve that succeeds must also build its own entry —
+   a key without one of these inputs serves the variant its base's
+   statement, which for the backend gives the same bits and shows only
+   there. *)
 module Service = Taco_service.Service
 
 type key_shape = {
@@ -1006,7 +1006,6 @@ type key_shape = {
   ks_directives : Service.directive list;
   ks_semiring : string option;
   ks_backend : Compile.backend;
-  ks_shed : bool;
 }
 
 let key_ws =
@@ -1026,44 +1025,6 @@ let key_other prng arr x =
   let others = List.filter (fun y -> y <> x) (Array.to_list arr) in
   List.nth others (Prng.int prng (List.length others))
 
-(* The worker left its park before a shed request was submitted. *)
-exception Shed_race
-
-(* Serve [shape] on [svc] (one worker, shed mark 1). A shed request is
-   submitted while the worker is parked for [park_ms] in a failing
-   blocker's front end with a failing filler queued ahead of it; neither
-   touches the front cache, since errors are not cached. *)
-let key_serve_one svc ~park_ms shape ~b ~c =
-  let req =
-    Service.request ~directives:shape.ks_directives ~result_format:shape.ks_result
-      ?semiring:shape.ks_semiring ~backend:shape.ks_backend ~expr:"A(i,j) = B(i,k) * C(k,j)"
-      ~inputs:[ ("B", b); ("C", c) ]
-      ()
-  in
-  let answer r = Result.map (fun r -> r.Service.tensor) (diag r) in
-  if not shape.ks_shed then answer (Service.eval svc req)
-  else begin
-    let bad = Service.request ~expr:"A(i,j) = " ~inputs:[] () in
-    let submit req =
-      match Service.submit svc req with Ok t -> t | Error d -> failf "submit: %s" (Diag.to_string d)
-    in
-    Fault.configure ~seed:0 [ Fault.rule ~max_fires:1 "serve.pipeline" (Fault.Delay park_ms) ];
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        let blocker = submit bad in
-        while Fault.fires "serve.pipeline" = 0 do
-          Unix.sleepf 0.0005
-        done;
-        let filler = submit bad in
-        let shed0 = (Service.stats svc).Service.shed in
-        let ticket = submit req in
-        let shed = (Service.stats svc).Service.shed = shed0 + 1 in
-        ignore (Service.await blocker);
-        ignore (Service.await filler);
-        let r = Service.await ticket in
-        if not shed then raise Shed_race;
-        answer r)
-  end
-
 let key_serve seed (n, m, k) =
   let prng = Prng.create seed in
   (* The same entries whatever the format. *)
@@ -1077,7 +1038,6 @@ let key_serve seed (n, m, k) =
       ks_directives = pick key_directives (Prng.int prng 3);
       ks_semiring = pick key_semirings (Prng.int prng 3);
       ks_backend = (if native && Prng.bool prng 0.25 then `Native else `Closure);
-      ks_shed = Prng.bool prng 0.5;
     }
   in
   let requests =
@@ -1092,7 +1052,6 @@ let key_serve seed (n, m, k) =
         { base with ks_directives = key_other prng key_directives base.ks_directives } );
       ( "a request with another semiring",
         { base with ks_semiring = key_other prng key_semirings base.ks_semiring } );
-      ("a request with the other shed state", { base with ks_shed = not base.ks_shed });
     ]
     @
     if native then
@@ -1106,46 +1065,38 @@ let key_serve seed (n, m, k) =
     let s = Service.front_cache_stats () in
     (s.Taco_support.Memo.misses, s.Taco_support.Memo.hits)
   in
-  (* A lost race serves a shed request unshed, which leaves a stray
-     entry: the instance starts over, parking the worker longer. *)
-  let rec attempt park_ms =
-    match instance park_ms with
-    | () -> ()
-    | exception Shed_race ->
-        if park_ms >= 1000 then
-          failf "cache-key leg: serve: the worker left a %d ms park before a shed request" park_ms;
-        attempt (park_ms * 4)
-  and instance park_ms =
-    let serve svc shape =
-      key_serve_one svc ~park_ms shape
-        ~b:(operand 1 [| n; k |] shape.ks_b)
-        ~c:(operand 2 [| k; m |] shape.ks_c)
+  let serve svc shape =
+    let req =
+      Service.request ~directives:shape.ks_directives ~result_format:shape.ks_result
+        ?semiring:shape.ks_semiring ~backend:shape.ks_backend ~expr:"A(i,j) = B(i,k) * C(k,j)"
+        ~inputs:[ ("B", operand 1 [| n; k |] shape.ks_b); ("C", operand 2 [| k; m |] shape.ks_c) ]
+        ()
     in
-    let svc = Service.create ~domains:1 ~shed_queue:1 () in
-    Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
-    Service.front_cache_clear ();
-    let first =
-      List.map
-        (fun (what, shape) ->
-          let m0, _ = front () in
-          let r1 = serve svc shape in
-          let m1, h1 = front () in
-          if Result.is_ok r1 && m1 <> m0 + 1 then
-            failf "cache-key leg: serve cache: %s was served another request's entry" what;
-          let r2 = serve svc shape in
-          if Result.is_ok r2 && snd (front ()) <> h1 + 1 then
-            failf "cache-key leg: serve cache: %s, repeated, missed its entry" what;
-          key_same "serve" (what ^ ", repeated") r1 r2;
-          r1)
-        requests
-    in
-    List.iter2
-      (fun (what, shape) r1 ->
-        Service.front_cache_clear ();
-        key_same "serve" (what ^ " against an uncached one") r1 (serve svc shape))
-      requests first
+    Result.map (fun r -> r.Service.tensor) (diag (Service.eval svc req))
   in
-  attempt 5
+  let svc = Service.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
+  Service.front_cache_clear ();
+  let first =
+    List.map
+      (fun (what, shape) ->
+        let m0, _ = front () in
+        let r1 = serve svc shape in
+        let m1, h1 = front () in
+        if Result.is_ok r1 && m1 <> m0 + 1 then
+          failf "cache-key leg: serve cache: %s was served another request's entry" what;
+        let r2 = serve svc shape in
+        if Result.is_ok r2 && snd (front ()) <> h1 + 1 then
+          failf "cache-key leg: serve cache: %s, repeated, missed its entry" what;
+        key_same "serve" (what ^ ", repeated") r1 r2;
+        r1)
+      requests
+  in
+  List.iter2
+    (fun (what, shape) r1 ->
+      Service.front_cache_clear ();
+      key_same "serve" (what ^ " against an uncached one") r1 (serve svc shape))
+    requests first
 
 let run_key (surface, sel1, sel2, dims, seed) =
   (match surface mod 5 with

@@ -302,16 +302,23 @@ let test_read_back_out_of_range () =
 
 (* ... and with -nostdinc, at both tiers: the exec C needs no header,
    so one that creeps back in fails here. The min-plus and max-times
-   kernels cover the INFINITY and fmin/fmax prelude. *)
+   kernels cover the INFINITY and fmin/fmax prelude. Each kernel is
+   built optimized and unoptimized: what the optimizer leaves behind
+   (copies, dead temporaries, names declared in several scopes) must
+   not trip -Wunused-variable either way. *)
 let test_exec_c_warning_clean () =
   let kernels =
     let _, _, s1 = spgemm_sched ~parallel:false in
     let _, _, s2 = spgemm_sched ~parallel:true in
     let _, _, s3 = spadd_sched ~parallel:false in
     let _, _, _, _, s4 = mttkrp_sched ~parallel:true in
-    List.map
+    List.concat_map
       (fun (name, semiring, sched) ->
-        (name, Kernel.imp (kernel (getd (compile ~name ?semiring sched)))))
+        List.map
+          (fun (suffix, opt) ->
+            let name = name ^ suffix in
+            (name, Kernel.imp (kernel (getd (compile ~name ?semiring ~opt sched)))))
+          [ ("", Opt.all); ("_unopt", Opt.none) ])
       [
         ("spgemm_wal", None, s1);
         ("spgemm_wal_par", None, s2);

@@ -28,15 +28,11 @@ let only_simplify = { Opt.none with simplify = true }
 
 let only_memset = { Opt.none with memset_fusion = true }
 
-let only_w2f = { Opt.none with while_to_for = true }
-
 let only_bf = { Opt.none with branch_fusion = true }
 
 let only_cse = { Opt.none with cse = true }
 
 let only_licm = { Opt.none with licm = true }
-
-let only_dce = { Opt.none with dce = true }
 
 let opt ?config k = Opt.optimize_exn ?config k
 
@@ -168,58 +164,6 @@ let test_memset_not_fused_on_smaller_alloc () =
   in
   Alcotest.(check bool) "memset kept when sizes differ" true
     (has_memset "w" (opt ~config:only_memset k).Imp.k_body)
-
-(* ------------------------------------------------------------------ *)
-(* while_to_for                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let counted_while ~start ~bound body_pre =
-  [
-    Imp.Decl (Imp.Int, "p", i start);
-    Imp.While
-      ( Imp.Binop (Imp.Lt, v "p", bound),
-        body_pre @ [ Imp.Assign ("p", Imp.Binop (Imp.Add, v "p", i 1)) ] );
-  ]
-
-let test_while_to_for_converts () =
-  let k =
-    kernel
-      ([ Imp.Decl (Imp.Int, "sum", i 0) ]
-      @ counted_while ~start:2 ~bound:(i 7)
-          [ Imp.Assign ("sum", Imp.Binop (Imp.Add, v "sum", v "p")) ])
-  in
-  let k' = opt ~config:only_w2f k in
-  (match k'.Imp.k_body with
-  | [ _; _; Imp.For (q, Imp.Var "p", Imp.Int_lit 7, _); Imp.Assign ("p", _) ] when q <> "p" -> ()
-  | _ -> Alcotest.fail "counted while should become a for (fresh variable) plus fix-up");
-  check_equiv ~config:only_w2f k [ "sum"; "p" ] []
-
-let test_while_to_for_zero_trip () =
-  (* start >= bound: the while leaves p untouched; so must the for. *)
-  let k = kernel (counted_while ~start:9 ~bound:(i 4) []) in
-  check_equiv ~config:only_w2f k [ "p" ] [];
-  let r = Compile.run (Compile.compile ~opt:only_w2f ~cache:false k) ~args:[] in
-  Alcotest.(check int) "p untouched on zero trips" 9 (read_int r "p")
-
-let test_while_to_for_refuses_mutable_bound () =
-  let k =
-    kernel
-      [
-        Imp.Decl (Imp.Int, "b", i 5);
-        Imp.Decl (Imp.Int, "p", i 0);
-        Imp.While
-          ( Imp.Binop (Imp.Lt, v "p", v "b"),
-            [
-              Imp.Assign ("b", Imp.Binop (Imp.Sub, v "b", i 1));
-              Imp.Assign ("p", Imp.Binop (Imp.Add, v "p", i 1));
-            ] );
-      ]
-  in
-  let k' = opt ~config:only_w2f k in
-  (match k'.Imp.k_body with
-  | [ _; _; Imp.While _ ] -> ()
-  | _ -> Alcotest.fail "while with mutated bound must not convert");
-  check_equiv ~config:only_w2f k [ "p"; "b" ] []
 
 (* ------------------------------------------------------------------ *)
 (* branch_fusion                                                       *)
@@ -419,50 +363,6 @@ let test_licm_zero_trip_guard () =
   Alcotest.(check (array int)) "out untouched" [| 0 |] (read_iarr r "out")
 
 (* ------------------------------------------------------------------ *)
-(* dce                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_dce_removes_dead_loop_temp () =
-  let k =
-    kernel
-      [
-        Imp.Alloc (Imp.Int, "a", i 8);
-        Imp.Alloc (Imp.Int, "out", i 8);
-        Imp.For
-          ( "x",
-            i 0,
-            i 8,
-            [
-              Imp.Decl (Imp.Int, "dead", Imp.Load ("a", v "x"));
-              Imp.Store ("out", v "x", v "x");
-            ] );
-      ]
-  in
-  let k' = opt ~config:only_dce k in
-  (match List.filter (function Imp.For _ -> true | _ -> false) k'.Imp.k_body with
-  | [ Imp.For (_, _, _, [ Imp.Store _ ]) ] -> ()
-  | _ -> Alcotest.fail "dead loop temp should be removed");
-  check_equiv ~config:only_dce k [] [ "out" ]
-
-let test_dce_keeps_kernel_level_scalars () =
-  (* Top-level declarations are observable through the run reader. *)
-  let k = kernel [ Imp.Decl (Imp.Int, "x", i 3); Imp.Decl (Imp.Int, "unread", i 9) ] in
-  let r = Compile.run (Compile.compile ~opt:only_dce ~cache:false k) ~args:[] in
-  Alcotest.(check int) "unread survives" 9 (read_int r "unread");
-  Alcotest.(check int) "x survives" 3 (read_int r "x")
-
-let test_dce_drops_empty_loop () =
-  let k =
-    kernel
-      [
-        Imp.Alloc (Imp.Int, "a", i 8);
-        Imp.For ("x", i 0, i 8, [ Imp.Decl (Imp.Int, "dead", Imp.Load ("a", v "x")) ]);
-      ]
-  in
-  Alcotest.(check bool) "loop emptied and dropped" false
-    (List.exists (function Imp.For _ -> true | _ -> false) (opt ~config:only_dce k).Imp.k_body)
-
-(* ------------------------------------------------------------------ *)
 (* pipeline + validate                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -626,12 +526,6 @@ let () =
           Alcotest.test_case "kept after intervening store" `Quick test_memset_not_fused_after_write;
           Alcotest.test_case "kept when sizes differ" `Quick test_memset_not_fused_on_smaller_alloc;
         ] );
-      ( "while_to_for",
-        [
-          Alcotest.test_case "counted while converts" `Quick test_while_to_for_converts;
-          Alcotest.test_case "zero-trip final value" `Quick test_while_to_for_zero_trip;
-          Alcotest.test_case "mutated bound refused" `Quick test_while_to_for_refuses_mutable_bound;
-        ] );
       ( "branch_fusion",
         [
           Alcotest.test_case "lattice guards sink" `Quick test_branch_fusion_sinks_lattice_guards;
@@ -649,12 +543,6 @@ let () =
           Alcotest.test_case "invariant load hoisted" `Quick test_licm_hoists_invariant_load;
           Alcotest.test_case "variant load kept" `Quick test_licm_keeps_variant_load;
           Alcotest.test_case "zero-trip guard under checked mode" `Quick test_licm_zero_trip_guard;
-        ] );
-      ( "dce",
-        [
-          Alcotest.test_case "dead loop temp removed" `Quick test_dce_removes_dead_loop_temp;
-          Alcotest.test_case "kernel-level scalars kept" `Quick test_dce_keeps_kernel_level_scalars;
-          Alcotest.test_case "emptied loop dropped" `Quick test_dce_drops_empty_loop;
         ] );
       ( "pipeline",
         [

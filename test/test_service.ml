@@ -355,7 +355,7 @@ let test_shutdown_drains () =
 
 (* --- the stats record and the registry agree ------------------------- *)
 
-(* One service answers completed, shed, timed-out, failed, rejected and
+(* One service answers completed, timed-out, failed, rejected and
    crash-retried requests, and a poison pill. Every counter of its
    stats then equals its registry series, and the executor's run counts
    in [Compile.backend_stats] match the service's backend counts. *)
@@ -367,7 +367,7 @@ let test_stats_agree_with_registry () =
   Metrics.enable ();
   Fun.protect ~finally:(fun () -> if not enabled then Metrics.disable ()) @@ fun () ->
   Compile.cache_clear ();
-  let svc = Service.create ~domains:1 ~queue_depth:3 ~shed_queue:1 () in
+  let svc = Service.create ~domains:1 ~queue_depth:3 () in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
   let submit ?deadline_ms req =
     match Service.submit svc ?deadline_ms req with
@@ -389,19 +389,18 @@ let test_stats_agree_with_registry () =
   | Ok _ -> Alcotest.fail "malformed expression must fail"
   | Error _ -> ());
   (* Park the worker in a blocker: of the three queued behind it the
-     second and third are shed, the third expires in the queue, and a
-     fourth finds the queue full. *)
+     third expires in the queue, and a fourth finds the queue full. *)
   with_faults [ Fault.rule ~max_fires:1 "serve.pipeline" (Fault.Delay 200) ] (fun () ->
       let blocker = submit (spgemm_request b c) in
       while Fault.fires "serve.pipeline" = 0 do
         Unix.sleepf 0.001
       done;
       let plain = submit (spgemm_request b c) in
-      let shed = submit (spgemm_request b c) in
+      let second = submit (spgemm_request b c) in
       let expired = submit ~deadline_ms:0 (spgemm_request b c) in
       refused "E_SERVE_QUEUE_FULL" "a full queue refuses"
         (Service.submit svc (spgemm_request b c));
-      List.iter (fun t -> ignore (await_ok t)) [ blocker; plain; shed ];
+      List.iter (fun t -> ignore (await_ok t)) [ blocker; plain; second ];
       refused "E_SERVE_DEADLINE" "expired in the queue" (Service.await expired));
   with_faults [ Fault.rule ~max_fires:1 "serve.worker" Fault.Crash ] (fun () ->
       ignore (await_ok (submit (spgemm_request b c))));
@@ -426,10 +425,9 @@ let test_stats_agree_with_registry () =
     [
       ("submitted", s.Service.submitted, Metrics.counter "taco_serve_submitted_total");
       ("rejected", s.Service.rejected, requests "rejected");
-      ("completed", s.Service.completed, requests "completed" + requests "shed");
+      ("completed", s.Service.completed, requests "completed");
       ("timed_out", s.Service.timed_out, requests "timed_out");
       ("failed", s.Service.failed, requests "failed");
-      ("shed", s.Service.shed, Metrics.counter "taco_serve_shed_total");
       ("crashed", s.Service.crashed, Metrics.counter "taco_serve_crashed_total");
       ("replaced", s.Service.replaced, Metrics.counter "taco_serve_replaced_total");
       ("quarantined", s.Service.quarantined, Metrics.counter "taco_serve_quarantined_total");
@@ -441,11 +439,9 @@ let test_stats_agree_with_registry () =
     (fun (field, n) -> if n = 0 then Alcotest.failf "the campaign produced no %s request" field)
     [
       ("completed", s.Service.completed);
-      ("shed completed", requests "shed");
       ("timed_out", s.Service.timed_out);
       ("failed", s.Service.failed);
       ("rejected", s.Service.rejected);
-      ("shed", s.Service.shed);
       ("replaced", s.Service.replaced);
       ("quarantined", s.Service.quarantined);
     ];
