@@ -523,28 +523,30 @@ let renamed =
     let k = info.Lower.kernel in
     { info with Lower.kernel = { k with Imp.k_name = Printf.sprintf "%s_%d" k.Imp.k_name !n } }
 
-(* Best single run of a native kernel still at tier 0, sampled only
-   inside its tier-0 phase: sampling stops before the runs' total could
-   reach the kernel's tier-0 cc time, the break-even at which it tiers
-   up. Returns the best run and the number of runs. *)
-let time_tier0 w k ~cc_s =
-  let rec go ~best ~worst ~total ~runs =
-    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then (best, runs)
-    else
-      let _, t = Util.time (fun () -> w.w_time k) in
-      go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
-        ~runs:(runs + 1)
-  in
-  go ~best:infinity ~worst:0. ~total:0. ~runs:0
+(* A native kernel's build phases and its best single run still at
+   tier 0 ([None] for a closure kernel), sampled only inside its tier-0
+   phase: sampling stops before the runs' total could reach the
+   kernel's tier-0 cc time, the break-even at which it tiers up.
+   Returns the phases, the best run and the number of runs. *)
+let time_tier0 w k =
+  Option.map
+    (fun p ->
+      let cc_s = Int64.to_float p.Native.cc_ns /. 1e9 in
+      let rec go ~best ~worst ~total ~runs =
+        if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then
+          (best, runs)
+        else
+          let _, t = Util.time (fun () -> w.w_time k) in
+          go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
+            ~runs:(runs + 1)
+      in
+      (p, go ~best:infinity ~worst:0. ~total:0. ~runs:0))
+    (Kernel.native_phases k)
 
-(* A native kernel's tier-0 phases and timing ([None] for a closure
-   kernel), its tier-0 result, and then the kernel promoted to tier 1. *)
+(* {!time_tier0}, the kernel's tier-0 result, and then the kernel
+   promoted to tier 1. *)
 let promote_after_tier0 w k =
-  let tier0 =
-    Option.map
-      (fun p -> (p, time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9)))
-      (Kernel.native_phases k)
-  in
+  let tier0 = time_tier0 w k in
   let result = w.w_result k in
   Kernel.promote k;
   (tier0, result)

@@ -68,10 +68,9 @@ let tier0_records ~workload (w : Harness.workload) ~reference kns =
     List.iteri
       (fun q (_, opt) ->
         let k = Kernel.prepare ~backend:`Native ~opt (Harness.renamed w.w_info) in
-        match Kernel.native_phases k with
+        match Harness.time_tier0 w k with
         | None -> failwith (Printf.sprintf "%s: a native build was downgraded" w.w_name)
-        | Some p ->
-            let t, n = Harness.time_tier0 w k ~cc_s:(Int64.to_float p.Native.cc_ns /. 1e9) in
+        | Some (_, (t, n)) ->
             let t0, n0, ok = best.(q) in
             best.(q) <- (Float.min t0 t, n0 + n, ok))
       variants
