@@ -5,11 +5,12 @@ module Metrics = Taco_support.Metrics
 module Fault = Taco_support.Faultinject
 module Memo = Taco_support.Memo
 module Util = Taco_support.Util
+module Ivec = Taco_support.Ivec
 
 type arg =
   | Aint of int
   | Afloat of float
-  | Aint_array of int array
+  | Aint_array of Ivec.t
   | Afloat_array of float array
 
 type extent = Len of int | Len_at of string * int
@@ -18,7 +19,7 @@ type env = {
   ints : int array;
   floats : float array;
   bools : bool array;
-  iarr : int array array;
+  iarr : Ivec.t array;  (* read with [islot] *)
   farr : float array array;
   barr : bool array array;
   mutable par_domains : int;
@@ -131,9 +132,31 @@ let[@inline] out arr k = k < 0 || k >= Array.length arr
 
 let oob_at ~kname ~var arr k = oob ~kname ~var ~index:k ~len:(Array.length arr)
 
-(* A Memset/Fill length: the first [n] elements of [arr]. *)
-let prefix ~kname ~var arr n =
-  if n < 0 || n > Array.length arr then oob ~kname ~var ~index:n ~len:(Array.length arr) else n
+(* The same for int arrays, which are int32 Bigarrays ({!Ivec}). With
+   the type named, each access compiles to an inline 32-bit load or
+   store; a store keeps the low 32 bits of its value, as the C does. *)
+let[@inline] iout (arr : Ivec.t) k = k < 0 || k >= Bigarray.Array1.dim arr
+
+let[@inline] iload (arr : Ivec.t) k = Int32.to_int (Bigarray.Array1.unsafe_get arr k)
+
+let[@inline] istore (arr : Ivec.t) k x = Bigarray.Array1.unsafe_set arr k (Int32.of_int x)
+
+let ioob_at ~kname ~var (arr : Ivec.t) k =
+  oob ~kname ~var ~index:k ~len:(Bigarray.Array1.dim arr)
+
+let ilength (arr : Ivec.t) = Bigarray.Array1.dim arr
+
+(* [env.iarr.(i)] as one load. [Ivec.t] is abstract, so OCaml reads an
+   [Ivec.t array] as a generic array: it tests the array's tag for a
+   float array and keeps a frame for the boxing path that test guards,
+   neither of which a table of Bigarrays can need. Read through
+   [int array array], whose elements it knows are never floats, the
+   access is the plain load an [int array array] had. *)
+let[@inline] islot env i : Ivec.t =
+  Obj.magic (Array.unsafe_get (Obj.magic env.iarr : int array array) i)
+
+(* A Memset/Fill length: the first [n] of [len] elements. *)
+let prefix ~kname ~var ~len n = if n < 0 || n > len then oob ~kname ~var ~index:n ~len else n
 
 (* Raised by the cooperative watchdog when a run's deadline passes while
    a kernel loop is still going. *)
@@ -284,16 +307,16 @@ let rec cint ctx (e : Imp.expr) : env -> int =
       match ishape ctx idx with
       | ISlot j ->
           fun env ->
-            let arr = Array.unsafe_get env.iarr i and k = Array.unsafe_get env.ints j in
-            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+            let arr = islot env i and k = Array.unsafe_get env.ints j in
+            if iout arr k then ioob_at ~kname ~var:a arr k else iload arr k
       | ILit k ->
           fun env ->
-            let arr = Array.unsafe_get env.iarr i in
-            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k
+            let arr = islot env i in
+            if iout arr k then ioob_at ~kname ~var:a arr k else iload arr k
       | IGen g ->
           fun env ->
-            let arr = Array.unsafe_get env.iarr i and k = g env in
-            if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_get arr k)
+            let arr = islot env i and k = g env in
+            if iout arr k then ioob_at ~kname ~var:a arr k else iload arr k)
   | Imp.Binop (op, a, b) -> (
       (* Arithmetic keeps the uniform one-closure-per-node scheme:
          canonicalizing repeated index arithmetic into scalar slots is
@@ -529,24 +552,24 @@ let seq (fs : (env -> unit) array) : env -> unit =
 
 (* In-place monomorphic sort of the int slice [lo, hi): Sort runs once
    per assembled row, on slices that are usually tiny, so the generic
-   [Array.sort compare] path (an allocation, a blit and a polymorphic
-   comparison per step) is measurable kernel overhead. Insertion sort
-   below a small cutoff, median-of-three quicksort above it. *)
-let sort_int_range (arr : int array) lo hi =
+   sort path (an allocation, a blit and a polymorphic comparison per
+   step) is measurable kernel overhead. Insertion sort below a small
+   cutoff, median-of-three quicksort above it. *)
+let sort_int_range (arr : Ivec.t) lo hi =
   let swap a b =
-    let t = Array.unsafe_get arr a in
-    Array.unsafe_set arr a (Array.unsafe_get arr b);
-    Array.unsafe_set arr b t
+    let t = iload arr a in
+    istore arr a (iload arr b);
+    istore arr b t
   in
   let insertion lo hi =
     for idx = lo + 1 to hi - 1 do
-      let x = Array.unsafe_get arr idx in
+      let x = iload arr idx in
       let j = ref (idx - 1) in
-      while !j >= lo && Array.unsafe_get arr !j > x do
-        Array.unsafe_set arr (!j + 1) (Array.unsafe_get arr !j);
+      while !j >= lo && iload arr !j > x do
+        istore arr (!j + 1) (iload arr !j);
         decr j
       done;
-      Array.unsafe_set arr (!j + 1) x
+      istore arr (!j + 1) x
     done
   in
   let rec qsort lo hi =
@@ -554,15 +577,15 @@ let sort_int_range (arr : int array) lo hi =
     else begin
       let mid = lo + ((hi - lo) / 2) in
       (* Median of first/middle/last as the pivot, parked at [lo]. *)
-      if Array.unsafe_get arr mid < Array.unsafe_get arr lo then swap mid lo;
-      if Array.unsafe_get arr (hi - 1) < Array.unsafe_get arr lo then swap (hi - 1) lo;
-      if Array.unsafe_get arr (hi - 1) < Array.unsafe_get arr mid then swap (hi - 1) mid;
+      if iload arr mid < iload arr lo then swap mid lo;
+      if iload arr (hi - 1) < iload arr lo then swap (hi - 1) lo;
+      if iload arr (hi - 1) < iload arr mid then swap (hi - 1) mid;
       swap lo mid;
-      let pivot = Array.unsafe_get arr lo in
+      let pivot = iload arr lo in
       let i = ref (lo + 1) and j = ref (hi - 1) in
       while !i <= !j do
-        while !i <= !j && Array.unsafe_get arr !i <= pivot do incr i done;
-        while !i <= !j && Array.unsafe_get arr !j > pivot do decr j done;
+        while !i <= !j && iload arr !i <= pivot do incr i done;
+        while !i <= !j && iload arr !j > pivot do decr j done;
         if !i < !j then swap !i !j
       done;
       swap lo !j;
@@ -616,18 +639,18 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
           | ISlot j ->
               fun env ->
                 let x = cv env in
-                let arr = Array.unsafe_get env.iarr i and k = Array.unsafe_get env.ints j in
-                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+                let arr = islot env i and k = Array.unsafe_get env.ints j in
+                if iout arr k then ioob_at ~kname ~var:a arr k else istore arr k x
           | ILit k ->
               fun env ->
                 let x = cv env in
-                let arr = Array.unsafe_get env.iarr i in
-                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x
+                let arr = islot env i in
+                if iout arr k then ioob_at ~kname ~var:a arr k else istore arr k x
           | IGen g ->
               fun env ->
                 let x = cv env in
-                let arr = Array.unsafe_get env.iarr i and k = g env in
-                if out arr k then oob_at ~kname ~var:a arr k else Array.unsafe_set arr k x)
+                let arr = islot env i and k = g env in
+                if iout arr k then ioob_at ~kname ~var:a arr k else istore arr k x)
       | Imp.Bool -> (
           let cv = cbool ctx v in
           match sh with
@@ -678,21 +701,21 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
           | ISlot j ->
               fun env ->
                 let x = cv env in
-                let arr = Array.unsafe_get env.iarr i and k = Array.unsafe_get env.ints j in
-                if out arr k then oob_at ~kname ~var:a arr k
-                else Array.unsafe_set arr k (Array.unsafe_get arr k + x)
+                let arr = islot env i and k = Array.unsafe_get env.ints j in
+                if iout arr k then ioob_at ~kname ~var:a arr k
+                else istore arr k (iload arr k + x)
           | ILit k ->
               fun env ->
                 let x = cv env in
-                let arr = Array.unsafe_get env.iarr i in
-                if out arr k then oob_at ~kname ~var:a arr k
-                else Array.unsafe_set arr k (Array.unsafe_get arr k + x)
+                let arr = islot env i in
+                if iout arr k then ioob_at ~kname ~var:a arr k
+                else istore arr k (iload arr k + x)
           | IGen g ->
               fun env ->
                 let x = cv env in
-                let arr = Array.unsafe_get env.iarr i and k = g env in
-                if out arr k then oob_at ~kname ~var:a arr k
-                else Array.unsafe_set arr k (Array.unsafe_get arr k + x))
+                let arr = islot env i and k = g env in
+                if iout arr k then ioob_at ~kname ~var:a arr k
+                else istore arr k (iload arr k + x))
       | Imp.Bool -> terror "+= on bool array %s" a)
   | Imp.Store_reduce (r, a, idx, v) -> (
       let s = find_slot ctx a in
@@ -737,7 +760,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
         m
       in
       match t with
-      | Imp.Int -> fun env -> env.iarr.(i) <- Array.make (size env) 0
+      | Imp.Int -> fun env -> env.iarr.(i) <- Ivec.create (size env)
       | Imp.Float -> fun env -> env.farr.(i) <- Array.make (size env) 0.
       | Imp.Bool -> fun env -> env.barr.(i) <- Array.make (size env) false)
   | Imp.Realloc (v, n) -> (
@@ -754,8 +777,8 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
       | Imp.Int ->
           fun env ->
             let old = env.iarr.(i) in
-            let fresh = Array.make (size env (Array.length old)) 0 in
-            Array.blit old 0 fresh 0 (Array.length old);
+            let fresh = Ivec.create (size env (ilength old)) in
+            Bigarray.Array1.(blit old (sub fresh 0 (dim old)));
             env.iarr.(i) <- fresh
       | Imp.Float ->
           fun env ->
@@ -777,15 +800,15 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
       | Imp.Float ->
           fun env ->
             let arr = env.farr.(i) in
-            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) 0.
+            Array.fill arr 0 (prefix ~kname ~var:v ~len:(Array.length arr) (cn env)) 0.
       | Imp.Int ->
           fun env ->
             let arr = env.iarr.(i) in
-            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) 0
+            Bigarray.Array1.(fill (sub arr 0 (prefix ~kname ~var:v ~len:(dim arr) (cn env))) 0l)
       | Imp.Bool ->
           fun env ->
             let arr = env.barr.(i) in
-            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) false)
+            Array.fill arr 0 (prefix ~kname ~var:v ~len:(Array.length arr) (cn env)) false)
   | Imp.Fill (v, n, x) -> (
       let s = find_slot ctx v in
       let i = s.s_index in
@@ -795,7 +818,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
           let cx = cfloat ctx x in
           fun env ->
             let arr = env.farr.(i) in
-            Array.fill arr 0 (prefix ~kname ~var:v arr (cn env)) (cx env)
+            Array.fill arr 0 (prefix ~kname ~var:v ~len:(Array.length arr) (cn env)) (cx env)
       | Imp.Int | Imp.Bool -> terror "fill on non-float array %s" v)
   | Imp.For (v, lo, hi, body) ->
       let i = (find_slot ctx v).s_index in
@@ -856,7 +879,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
       in
       let copy_slot penv (t, si) =
         match t with
-        | Imp.Int -> penv.iarr.(si) <- Array.copy penv.iarr.(si)
+        | Imp.Int -> penv.iarr.(si) <- Ivec.copy penv.iarr.(si)
         | Imp.Float -> penv.farr.(si) <- Array.copy penv.farr.(si)
         | Imp.Bool -> penv.barr.(si) <- Array.copy penv.barr.(si)
       in
@@ -906,7 +929,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
             | None -> ()
             | Some (_, arrs, pos) ->
                 List.iter (copy_slot p) arrs;
-                Option.iter (fun pi -> p.iarr.(pi) <- Array.copy p.iarr.(pi)) pos);
+                Option.iter (fun pi -> p.iarr.(pi) <- Ivec.copy p.iarr.(pi)) pos);
             p
           in
           let penvs = Array.init nchunks (fun _ -> mk_penv ()) in
@@ -983,44 +1006,39 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
                  original pre-loop array still holds the [0, c0)
                  prefix untouched (every chunk wrote only to its
                  copy), so it can be reused when large enough. *)
-              let blit_segments ~get ~make si =
+              let blit_segments ~get ~make ~length ~blit si =
                 let orig = get env si in
                 let dst =
-                  if Array.length orig >= !tot then orig
+                  if length orig >= !tot then orig
                   else begin
-                    let grown = make (max !tot (2 * Array.length orig)) in
-                    Array.blit orig 0 grown 0 c0;
+                    let grown = make (max !tot (2 * length orig)) in
+                    blit orig 0 grown 0 c0;
                     grown
                   end
                 in
                 for d = 0 to nchunks - 1 do
-                  if counts.(d) > 0 then
-                    Array.blit (get penvs.(d) si) c0 dst bases.(d) counts.(d)
+                  if counts.(d) > 0 then blit (get penvs.(d) si) c0 dst bases.(d) counts.(d)
                 done;
                 dst
               in
+              let segments ~get ~make = blit_segments ~get ~make ~length:Array.length ~blit:Array.blit in
               List.iter
                 (fun (t, si) ->
                   match t with
                   | Imp.Int ->
                       let a =
-                        blit_segments ~get:(fun e k -> e.iarr.(k))
-                          ~make:(fun n -> Array.make n 0)
+                        blit_segments ~get:(fun e k -> e.iarr.(k)) ~make:Ivec.create ~length:ilength
+                          ~blit:(fun src so dst d n ->
+                            Bigarray.Array1.(blit (sub src so n) (sub dst d n)))
                           si
                       in
                       merged := `I (si, a) :: !merged
                   | Imp.Float ->
-                      let a =
-                        blit_segments ~get:(fun e k -> e.farr.(k))
-                          ~make:(fun n -> Array.make n 0.)
-                          si
-                      in
+                      let a = segments ~get:(fun e k -> e.farr.(k)) ~make:(fun n -> Array.make n 0.) si in
                       merged := `F (si, a) :: !merged
                   | Imp.Bool ->
                       let a =
-                        blit_segments ~get:(fun e k -> e.barr.(k))
-                          ~make:(fun n -> Array.make n false)
-                          si
+                        segments ~get:(fun e k -> e.barr.(k)) ~make:(fun n -> Array.make n false) si
                       in
                       merged := `B (si, a) :: !merged)
                 arrs;
@@ -1035,7 +1053,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
                     let src = penvs.(d).iarr.(pi) in
                     let delta = bases.(d) - c0 in
                     for k = bounds.(d) + 1 to bounds.(d + 1) do
-                      orig_pos.(k) <- src.(k) + delta
+                      Ivec.set orig_pos k (Ivec.get src k + delta)
                     done
                   done;
                   merged := `I (pi, orig_pos) :: !merged)
@@ -1100,7 +1118,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
       fun env ->
         let arr = env.iarr.(i) in
         let lo = clo env and hi = chi env in
-        let len = Array.length arr in
+        let len = ilength arr in
         (* [lo] must lie in [0, hi] and [hi] in [lo, len]; the
            diagnostic names the bound that does not. *)
         if lo < 0 || hi < lo then oob ~kname ~var:v ~index:lo ~len
@@ -1375,8 +1393,6 @@ let profile_stats c = Option.map (fun acc -> stats_of (Array.map Atomic.get acc)
 
 let profile_reset c = Option.iter (Array.iter (fun a -> Atomic.set a 0)) c.c_prof
 
-let empty_int_array : int array = [||]
-
 let empty_float_array : float array = [||]
 
 (* The read-back rule both executors share: an out-of-range length is
@@ -1411,11 +1427,22 @@ let not_allocated name =
 let not_read_back name =
   invalid_arg (Printf.sprintf "Compile.run: %s was not read back" name)
 
+(* An int scalar argument: native kernels declare int scalars int32, so
+   a value past that range is refused on both backends alike. *)
+let int_arg ~kname name v =
+  if Ivec.fits v then v
+  else
+    Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_RANGE"
+      ~context:[ ("kernel", kname); ("variable", name); ("value", string_of_int v) ]
+      "argument %s = %d of kernel %s does not fit int32" name v kname
+
 (* Execute through the native entry point. Bindings are validated with
    the same messages as the closure path; array parameters cross by
-   pointer (floats) or round-trip copy (ints, written ones copied
-   back). Of the arrays the kernel allocates, the stub boxes only the
-   read list, each at its exact length, and frees the rest in C.
+   pointer, the kernel reading and writing them in place. Of the arrays
+   the kernel allocates, the stub hands back only the read list, each
+   at its exact length (an int array becomes an index array with no
+   copy, a float array is copied into the heap), and frees the rest in
+   C.
    Runtime failures map to the closure executor's diagnostics and are
    deliberately NOT downgraded: by the time the kernel runs, output
    parameters may be partially written, so retrying through closures
@@ -1428,7 +1455,7 @@ let run_native c l ~deadline_ns ~read ~args =
     (fun p ->
       let name = p.Imp.p_name in
       match (List.assoc_opt name args, p.Imp.p_dtype, p.Imp.p_array) with
-      | Some (Aint v), Imp.Int, false -> ints := v :: !ints
+      | Some (Aint v), Imp.Int, false -> ints := int_arg ~kname name v :: !ints
       | Some (Aint_array v), Imp.Int, true -> arrays := Obj.repr v :: !arrays
       | Some (Afloat_array v), Imp.Float, true -> arrays := Obj.repr v :: !arrays
       | Some _, _, _ -> invalid_arg (Printf.sprintf "Compile.run: bad binding for %s" name)
@@ -1504,14 +1531,20 @@ let run_native c l ~deadline_ns ~read ~args =
       Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_NATIVE"
         ~context:[ ("kernel", kname); ("rc", string_of_int n) ]
         "native kernel %s failed with unexpected return code %d" kname n);
+  let handed = ref 0 in
   let boxed =
     List.mapi
       (fun r (name, e, _) ->
         ( name,
-          if l.Native.l_esc_kinds.(e) = 0 then Aint_array (Obj.obj escs.(r) : int array)
+          if l.Native.l_esc_kinds.(e) = 0 then begin
+            let a : Ivec.t = Obj.obj escs.(r) in
+            handed := !handed + ilength a;
+            Aint_array a
+          end
           else Afloat_array (Obj.obj escs.(r) : float array) ))
       reads
   in
+  Ivec.count_bytes (4 * !handed);
   fun name ->
     match List.assoc_opt name boxed with
     | Some v -> v
@@ -1548,7 +1581,7 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
       ints = Array.make (max 1 c.n_ints) 0;
       floats = Array.make (max 1 c.n_floats) 0.;
       bools = Array.make (max 1 c.n_bools) false;
-      iarr = Array.make (max 1 c.n_iarr) empty_int_array;
+      iarr = Array.make (max 1 c.n_iarr) Ivec.empty;
       farr = Array.make (max 1 c.n_farr) empty_float_array;
       barr = Array.make (max 1 c.n_barr) [||];
       par_domains = max 1 domains;
@@ -1559,7 +1592,8 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
     (fun p ->
       let name = p.Imp.p_name in
       match (List.assoc_opt name args, p.Imp.p_dtype, p.Imp.p_array) with
-      | Some (Aint v), Imp.Int, false -> env.ints.((Hashtbl.find c.slots name).s_index) <- v
+      | Some (Aint v), Imp.Int, false ->
+          env.ints.((Hashtbl.find c.slots name).s_index) <- int_arg ~kname name v
       | Some (Aint_array v), Imp.Int, true ->
           env.iarr.((Hashtbl.find c.slots name).s_index) <- v
       | Some (Afloat_array v), Imp.Float, true ->
@@ -1587,11 +1621,11 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
         | Len n -> n
         | Len_at (src, i) ->
             let a = env.iarr.((slot src).s_index) in
-            if i < 0 || i >= Array.length a then
-              bad_length_index ~kname ~var:name ~src ~index:i ~len:(Array.length a)
-            else a.(i)
+            if i < 0 || i >= ilength a then
+              bad_length_index ~kname ~var:name ~src ~index:i ~len:(ilength a)
+            else Ivec.get a i
       and cap s =
-        if s.s_dtype = Imp.Int then Array.length env.iarr.(s.s_index)
+        if s.s_dtype = Imp.Int then ilength env.iarr.(s.s_index)
         else Array.length env.farr.(s.s_index)
       in
       let boxed =
@@ -1599,10 +1633,15 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
           (fun (name, s, ext) ->
             let len = length name ext in
             if len < 0 || len > cap s then bad_length ~kname ~var:name ~len ~cap:(cap s);
-            let prefix a = if len = Array.length a then a else Array.sub a 0 len in
+            (* An int array is cut as a view: the buffer is this run's
+               own, so it needs no copy. *)
             ( name,
-              if s.s_dtype = Imp.Int then Aint_array (prefix env.iarr.(s.s_index))
-              else Afloat_array (prefix env.farr.(s.s_index)) ))
+              if s.s_dtype = Imp.Int then
+                let a = env.iarr.(s.s_index) in
+                Aint_array (if len = ilength a then a else Bigarray.Array1.sub a 0 len)
+              else
+                let a = env.farr.(s.s_index) in
+                Afloat_array (if len = Array.length a then a else Array.sub a 0 len) ))
           reads
       in
       fun name ->
@@ -1620,6 +1659,16 @@ let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) ?read c ~args =
     | Some _, Some r -> Some ((counters, Len Taco_lower.Opt.profile_slots) :: r)
     | _ -> read
   in
+  (* A read hands the kernel's own buffer over, so it can have one
+     reader. *)
+  let rec once = function
+    | [] -> ()
+    | (name, _) :: rest ->
+        if List.mem_assoc name rest then
+          invalid_arg (Printf.sprintf "Compile.run: %s is read twice" name);
+        once rest
+  in
+  Option.iter once read;
   let reader =
     match c.c_native with
     | Some l ->
@@ -1636,7 +1685,8 @@ let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) ?read c ~args =
     Option.map
       (fun acc ->
         match reader counters with
-        | Aint_array n ->
+        | Aint_array a ->
+            let n = Ivec.to_array a in
             Array.iteri (fun i a -> ignore (Atomic.fetch_and_add a n.(i) : int)) acc;
             n
         | _ -> assert false)

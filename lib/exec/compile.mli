@@ -12,11 +12,16 @@
 type compiled
 
 (** Values bound to kernel parameters (arrays are shared, not copied:
-    output arrays are written in place). *)
+    output arrays are written in place). Int arrays are int32 index
+    arrays ({!Taco_support.Ivec}), the C kernels' own type, so both
+    executors read and write them in place and store the low 32 bits
+    of a value. An [Aint] parameter must fit int32 too: a run refuses
+    one that does not, on either backend, with a stage-[Execute]
+    [E_EXEC_RANGE] diagnostic naming the kernel and the variable. *)
 type arg =
   | Aint of int
   | Afloat of float
-  | Aint_array of int array
+  | Aint_array of Taco_support.Ivec.t
   | Afloat_array of float array
 
 (** How many leading elements of an array the kernel allocates a run
@@ -268,14 +273,17 @@ val cache_clear : unit -> unit
     [?read] lists the arrays the kernel allocates that the caller
     wants back, each with its {!extent}. Kernels assemble into buffers
     that double as they fill, so only a prefix of each is the result;
-    a listed array comes back exactly that long — the closure executor
-    hands over its own fresh array uncut when the length already
-    matches, the native stub boxes just the prefix. Arrays the kernel
-    allocates but [read] does not list are never handed back (native
-    frees them in C without boxing them); the reader raises
+    a listed array comes back exactly that long with no copy of an int
+    array — the closure executor hands over its own fresh array, uncut
+    or as a prefix view, the native stub trims the kernel's buffer to
+    the prefix and hands it over as the index array itself (a float
+    array is copied into the heap). Arrays the kernel allocates but
+    [read] does not list are never handed back (native frees them in
+    C); the reader raises
     [Invalid_argument] for them. Naming something that is not an
     int/float array the kernel allocates (or a [Len_at] source that is
-    not an int one) raises [Invalid_argument] before the kernel runs.
+    not an int one), or naming an array twice, raises
+    [Invalid_argument] before the kernel runs.
     A length that is negative or past the array's capacity, or a
     [Len_at] index outside its source array, raises a stage-[Execute]
     [E_EXEC_NATIVE] diagnostic naming the kernel and variable — the

@@ -181,14 +181,14 @@ let run_assemble ?domains ?deadline_ns t ~inputs ~dims =
         | Compile.Afloat_array a -> a
         | Compile.Aint _ | Compile.Afloat _ | Compile.Aint_array _ ->
             invalid_arg "Kernel.run_assemble: bad vals read-back"
-      else Array.make (Array.length crd) 0.
+      else Array.make (Taco_support.Ivec.length crd) 0.
     in
     (* Unsorted kernels (MKL-style, paper Fig. 11 right) leave each row's
        coordinates in insertion order; sort them when wrapping so the
        packed invariants hold. The kernel itself ran unsorted. *)
     if not sorted then
       for p = 0 to parent_size - 1 do
-        Taco_support.Util.sort_paired crd vals pos.(p) pos.(p + 1)
+        Taco_support.Util.sort_paired crd vals (Int32.to_int pos.{p}) (Int32.to_int pos.{p + 1})
       done;
     Taco_support.Faultinject.corrupt "exec.result" vals;
     let levels =

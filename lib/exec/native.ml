@@ -68,8 +68,8 @@ type loaded = {
   l_cc : string list;  (** the compiler it was built with, for the tier-up *)
   l_entry : entry Atomic.t;  (** what runs call; replaced once, on tier-up *)
   l_arr_kinds : int array;
-      (** per array-parameter marshalling kind, in parameter order:
-          0 int input, 1 float in-place, 2 int output (copied back) *)
+      (** per array-parameter kind, in parameter order: 0 int32
+          Bigarray, 1 float array; both cross by pointer *)
   l_esc_kinds : int array;
       (** per escape, in escape order: 0 int array, 1 float array *)
   l_escapes : (string * int) list;
@@ -419,13 +419,12 @@ let count tier r =
   r
 
 let arr_kinds kernel =
-  let written = Codegen_c.written_arrays kernel in
   kernel.Imp.k_params
   |> List.filter (fun p -> p.Imp.p_array)
   |> List.map (fun p ->
          match p.Imp.p_dtype with
          | Imp.Float -> 1
-         | Imp.Int -> if List.mem p.Imp.p_name written then 2 else 0
+         | Imp.Int -> 0
          | Imp.Bool -> invalid_arg "Native.load: bool parameter")
   |> Array.of_list
 

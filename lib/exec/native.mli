@@ -52,8 +52,9 @@ type loaded = private {
   l_cc : string list;
   l_entry : entry Atomic.t;
   l_arr_kinds : int array;
-      (** marshalling kind per array parameter, in parameter order:
-          0 int input, 1 float in-place, 2 int output (copied back) *)
+      (** kind per array parameter, in parameter order: 0 int32
+          Bigarray, 1 float array; both cross by pointer, with no
+          copy *)
   l_esc_kinds : int array;
       (** marshalling kind per escape, in escape order: 0 int array,
           1 float array *)
@@ -74,8 +75,10 @@ type loaded = private {
     array to hand back: [cs_read_esc] names its escape index;
     [cs_read_src] is [-2] for the whole capacity, [-1] for a length of
     exactly [cs_read_arg], or the index of an int escape whose element
-    [cs_read_arg] is the length. Escapes no read names are freed
-    without being boxed. *)
+    [cs_read_arg] is the length. An int escape comes back as an int32
+    Bigarray that owns the kernel's buffer, trimmed to the length; a
+    float escape is copied into a float array. Escapes no read names
+    are freed in C. *)
 type spec = {
   cs_ints : int array;
   cs_floats : float array;

@@ -17,30 +17,34 @@
  * back was allocated by this table, so it is released here with
  * free().
  *
- * taco_nat_call marshals an OCaml call_spec record into that shape:
- *   - float arrays cross with no copy: an OCaml float array is a flat
- *     double buffer, so its value pointer IS the double*. The call
- *     performs no OCaml allocation before the copy-back below, so the
+ * taco_nat_call marshals an OCaml call_spec record into that shape.
+ * No argument is copied:
+ *   - int arrays are int32 Bigarrays (Taco_support.Ivec), whose data
+ *     lives outside the OCaml heap: the kernel reads and writes it in
+ *     place through Caml_ba_data_val;
+ *   - float arrays cross with no copy too: an OCaml float array is a
+ *     flat double buffer, so its value pointer IS the double*. The call
+ *     performs no OCaml allocation before the kernel returns, so the
  *     GC cannot move the buffers while the kernel runs (any other
  *     domain asking for a stop-the-world collection blocks until this
  *     call returns — the documented cost of the zero-copy path);
- *   - int arrays are tagged words on the OCaml side and int32_t on the
- *     C side, so they are copied into temporary buffers on the way in
- *     and written back (output kinds only) on the way out;
  *   - arrays the kernel allocates come back through esc/esc_len
  *     (esc_len is each buffer's capacity). Only the escapes named by
- *     the read list are boxed, each at the exact length the caller
- *     asked for (a constant, or the int value one escape holds at a
- *     given index: the kernel's own pos[parent_size]); every other
- *     escape is freed here without ever becoming an OCaml value.
+ *     the read list are handed back, each at the exact length the
+ *     caller asked for (a constant, or the int value one escape holds
+ *     at a given index: the kernel's own pos[parent_size]). An int
+ *     escape is trimmed with realloc to that length and becomes a
+ *     CAML_BA_MANAGED Bigarray, which the GC frees with free() as
+ *     release does; a float escape is copied into a fresh float array.
+ *     Every other escape is freed here without ever becoming an OCaml
+ *     value.
  *
  * The call_spec record layout is fixed by lib/exec/native.ml — field
  * order there is field order here:
  *   0 cs_ints      int array      (int scalar params, in order)
  *   1 cs_floats    float array    (float scalar params, in order)
  *   2 cs_arrays    Obj.t array    (array params, in order)
- *   3 cs_kinds     int array      (0 = int input, 1 = float in-place,
- *                                  2 = int output: copy back)
+ *   3 cs_kinds     int array      (0 = int32 Bigarray, 1 = float array)
  *   4 cs_esc_kinds int array      (0 = int escape, 1 = float escape)
  *   5 cs_mem_limit int64
  *   6 cs_deadline  int64
@@ -50,10 +54,12 @@
  *                                  escape k at index cs_read_arg)
  *   9 cs_read_arg  int array
  *
- * Return: (rc, arrays). rc 0 boxes one array per read, in read order.
- * rc 3 (length outside the capacity) and rc 4 (length index outside
- * its source escape) are read-back failures, checked before anything
- * is boxed; arrays is then [| read index; offending value; bound |].
+ * Return: (rc, arrays). rc 0 hands back one array per read, in read
+ * order. rc 1 (allocation refused or failed) returns [| refused
+ * element count, or -1 |]. rc 3 (length outside the capacity) and rc 4
+ * (length index outside its source escape) are read-back failures,
+ * checked before anything is handed back; arrays is then [| read
+ * index; offending value; bound |].
  */
 
 #include <stdint.h>
@@ -66,15 +72,22 @@
 #include <caml/alloc.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
+#include <caml/bigarray.h>
 
 /* Layout contract with the typedef Codegen_c.emit_exec writes into
- * every kernel: field order and signatures must match. */
+ * every kernel: field order and signatures must match. Each call runs
+ * against its own copy of the table, whose refused field points at the
+ * call's refusal record, so alloc and grow reach the call that owns
+ * them from whichever thread runs them (an OpenMP worker included). */
 typedef struct taco_rt {
-  void *(*alloc)(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit);
-  void *(*grow)(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit);
+  void *(*alloc)(const struct taco_rt *rt, void *p, int64_t *cap, int64_t n, size_t size,
+                 int64_t limit);
+  void *(*grow)(const struct taco_rt *rt, void *p, int64_t *cap, int64_t n, size_t size,
+                int64_t limit);
   void (*sort_i32)(int32_t *a, int64_t n);
   int64_t (*now_ns)(void);
   void (*release)(void *p);
+  int64_t *refused;
 } taco_rt_t;
 
 typedef int (*taco_entry_fn)(const int64_t *, const double *, void **, void **,
@@ -87,21 +100,26 @@ static int over_budget(int64_t n, int64_t limit)
   return limit != INT64_MAX && n > limit / 8;
 }
 
-/* The element count the budget last refused on this thread, or -1:
-   reported with E_EXEC_MEM as the closure executor reports it. Reset
-   by taco_nat_call before each kernel; a refusal on another thread (an
-   OpenMP worker) leaves it at -1. */
-static _Thread_local int64_t refused_elems = -1;
+/* Record the element count the budget refused in the call's record,
+   -1 until then: reported with E_EXEC_MEM as the closure executor
+   reports it. The first refusal of a call is kept, whichever thread
+   makes it. */
+static void refuse(const taco_rt_t *rt, int64_t n)
+{
+  int64_t none = -1;
+  __atomic_compare_exchange_n(rt->refused, &none, n, 0, __ATOMIC_RELAXED, __ATOMIC_RELAXED);
+}
 
 /* Imp.Alloc: release p, then max(1, n) zeroed elements. NULL when the
    budget refuses or calloc fails; *cap is the element count. */
-static void *rt_alloc(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit)
+static void *rt_alloc(const taco_rt_t *rt, void *p, int64_t *cap, int64_t n, size_t size,
+                      int64_t limit)
 {
   free(p);
   *cap = 0;
   if (n < 1) n = 1;
   if (over_budget(n, limit)) {
-    refused_elems = n;
+    refuse(rt, n);
     return NULL;
   }
   p = calloc((size_t)n, size);
@@ -112,12 +130,13 @@ static void *rt_alloc(void *p, int64_t *cap, int64_t n, size_t size, int64_t lim
 /* Imp.Realloc: grow to max(*cap, n) elements with a zeroed tail. On
    failure p is released and NULL returned, so the kernel's failure
    path has nothing left to free. */
-static void *rt_grow(void *p, int64_t *cap, int64_t n, size_t size, int64_t limit)
+static void *rt_grow(const taco_rt_t *rt, void *p, int64_t *cap, int64_t n, size_t size,
+                     int64_t limit)
 {
   int64_t old = *cap;
   if (n < old) n = old;
   if (over_budget(n, limit)) {
-    refused_elems = n;
+    refuse(rt, n);
     free(p);
     return NULL;
   }
@@ -244,7 +263,7 @@ static int64_t rt_now_ns(void)
   return (int64_t)ts.tv_sec * 1000000000LL + (int64_t)ts.tv_nsec;
 }
 
-static const taco_rt_t taco_rt = { rt_alloc, rt_grow, rt_sort_i32, rt_now_ns, free };
+static const taco_rt_t taco_rt = { rt_alloc, rt_grow, rt_sort_i32, rt_now_ns, free, NULL };
 
 CAMLprim value taco_nat_dlopen(value vpath)
 {
@@ -271,21 +290,17 @@ CAMLprim value taco_nat_dlclose(value vhandle)
 
 static void *xmalloc(size_t n) { return malloc(n ? n : 1); }
 
-/* A fresh OCaml int array holding src[0 .. len-1]. The block is filled
-   directly: its fields are immediates and nothing can allocate (or
-   scan it) before it is complete. */
-static value alloc_int_array(const int32_t *src, mlsize_t len)
+/* Hand int escape e over as an int32 Bigarray of len elements: the
+   buffer is trimmed to len (a failed trim keeps the larger buffer) and
+   the Bigarray owns it from here, freed with free() when collected. */
+static value hand_over_ints(void **esc, mlsize_t e, mlsize_t len)
 {
-  value v;
-  if (len == 0) return Atom(0);
-  if (len <= Max_young_wosize) {
-    v = caml_alloc_small(len, 0);
-    for (mlsize_t j = 0; j < len; j++) Field(v, j) = Val_long((intnat)src[j]);
-    return v;
-  }
-  v = caml_alloc_shr(len, 0);
-  for (mlsize_t j = 0; j < len; j++) Field(v, j) = Val_long((intnat)src[j]);
-  return caml_check_urgent_gc(v);
+  void *p = realloc(esc[e], (len ? len : 1) * sizeof(int32_t));
+  if (p) esc[e] = p;
+  p = esc[e];
+  esc[e] = NULL;
+  return caml_ba_alloc_dims(CAML_BA_INT32 | CAML_BA_C_LAYOUT | CAML_BA_MANAGED, 1, p,
+                            (intnat)len);
 }
 
 CAMLprim value taco_nat_call(value vfn, value vspec)
@@ -305,14 +320,12 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
   int64_t *iargs = xmalloc(sizeof(int64_t) * n_ints);
   double *fargs = xmalloc(sizeof(double) * n_floats);
   void **aargs = xmalloc(sizeof(void *) * n_arr);
-  int32_t **icopies = xmalloc(sizeof(int32_t *) * n_arr);
   void **esc = xmalloc(sizeof(void *) * n_esc);
   int64_t *esc_len = xmalloc(sizeof(int64_t) * n_esc);
-  if (!iargs || !fargs || !aargs || !icopies || !esc || !esc_len) {
-    free(iargs); free(fargs); free(aargs); free(icopies); free(esc); free(esc_len);
+  if (!iargs || !fargs || !aargs || !esc || !esc_len) {
+    free(iargs); free(fargs); free(aargs); free(esc); free(esc_len);
     caml_failwith("taco_nat_call: out of memory");
   }
-  memset(icopies, 0, sizeof(int32_t *) * n_arr);
   memset(esc, 0, sizeof(void *) * n_esc);
   memset(esc_len, 0, sizeof(int64_t) * n_esc);
 
@@ -320,49 +333,20 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
     iargs[i] = Long_val(Field(Field(vspec, 0), i));
   for (mlsize_t i = 0; i < n_floats; i++)
     fargs[i] = Double_flat_field(Field(vspec, 1), i);
-
-  int oom = 0;
+  /* Both kinds cross by pointer: an int32 Bigarray's data, or a float
+     array's unboxed double buffer. */
   for (mlsize_t i = 0; i < n_arr; i++) {
-    long kind = Long_val(Field(Field(vspec, 3), i));
     value a = Field(Field(vspec, 2), i);
-    if (kind == 1) {
-      /* float array: the unboxed double buffer crosses directly. */
-      aargs[i] = (void *)((double *)a);
-    } else {
-      mlsize_t len = Wosize_val(a);
-      int32_t *buf = xmalloc(sizeof(int32_t) * len);
-      if (!buf) { oom = 1; break; }
-      for (mlsize_t j = 0; j < len; j++)
-        buf[j] = (int32_t)Long_val(Field(a, j));
-      icopies[i] = buf;
-      aargs[i] = buf;
-    }
+    aargs[i] = Long_val(Field(Field(vspec, 3), i)) == 1 ? (void *)((double *)a) : Caml_ba_data_val(a);
   }
 
-  int rc;
-  if (oom) {
-    rc = 1; /* maps to E_EXEC_MEM on the OCaml side */
-  } else {
-    refused_elems = -1;
-    rc = fn(iargs, fargs, aargs, esc, esc_len, mem_limit, deadline, &taco_rt);
-  }
-
-  /* Copy mutated int output buffers back before any OCaml allocation
-     can move their owning arrays. Int arrays hold immediates only, so
-     the fields are written directly, with no write barrier. */
-  if (rc == 0) {
-    for (mlsize_t i = 0; i < n_arr; i++) {
-      if (Long_val(Field(Field(vspec, 3), i)) == 2 && icopies[i]) {
-        value a = Field(Field(vspec, 2), i);
-        mlsize_t len = Wosize_val(a);
-        for (mlsize_t j = 0; j < len; j++)
-          Field(a, j) = Val_long((intnat)icopies[i][j]);
-      }
-    }
-  }
+  int64_t refused = -1;
+  taco_rt_t rt = taco_rt;
+  rt.refused = &refused;
+  int rc = fn(iargs, fargs, aargs, esc, esc_len, mem_limit, deadline, &rt);
 
   /* Resolve every read length before the first allocation, so a bad
-     length boxes nothing. */
+     length hands nothing back. */
   mlsize_t n_read = Wosize_val(Field(vspec, 7));
   int64_t *lens = xmalloc(sizeof(int64_t) * n_read);
   int64_t fault[3] = {0, 0, 0};
@@ -389,9 +373,9 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
     lens[r] = len;
   }
 
-  /* Box exactly the requested prefixes. Allocation happens here, so
-     every OCaml value is re-read through the registered roots
-     vspec/vescs/varr. */
+  /* Hand back exactly the requested prefixes (the read list names each
+     escape once). Allocation happens here, so every OCaml value is
+     re-read through the registered roots vspec/vescs/varr. */
   if (rc == 0 && n_read > 0) {
     vescs = caml_alloc(n_read, 0);
     for (mlsize_t r = 0; r < n_read; r++) {
@@ -401,7 +385,7 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
         varr = caml_alloc_float_array(len);
         if (len > 0) memcpy((double *)varr, esc[e], len * sizeof(double));
       } else {
-        varr = alloc_int_array((const int32_t *)esc[e], len);
+        varr = hand_over_ints(esc, e, len);
       }
       Store_field(vescs, r, varr);
     }
@@ -410,16 +394,16 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
     for (int k = 0; k < 3; k++) Store_field(vescs, k, Val_long((intnat)fault[k]));
   } else if (rc == 1) {
     vescs = caml_alloc(1, 0);
-    Store_field(vescs, 0, Val_long((intnat)(oom ? -1 : refused_elems)));
+    Store_field(vescs, 0, Val_long((intnat)refused));
   } else {
     vescs = Atom(0);
   }
   free(lens);
   /* On success the kernel handed ownership of the escape buffers to
-     us; on failure it already freed everything and esc[] is NULL. */
+     us, and the ones handed over above are NULL now; on failure it
+     already freed everything and esc[] is NULL. */
   for (mlsize_t i = 0; i < n_esc; i++) free(esc[i]);
-  for (mlsize_t i = 0; i < n_arr; i++) free(icopies[i]);
-  free(iargs); free(fargs); free(aargs); free(icopies); free(esc); free(esc_len);
+  free(iargs); free(fargs); free(aargs); free(esc); free(esc_len);
 
   vres = caml_alloc_tuple(2);
   Store_field(vres, 0, Val_long(rc));

@@ -4,6 +4,7 @@ module TV = Taco_ir.Var.Tensor_var
 module F = Taco_tensor.Format
 module T = Taco_tensor.Tensor
 module Dyn = Taco_support.Dyn_array
+module Ivec = Taco_support.Ivec
 
 let a_var = TV.make "A" ~order:2 ~format:F.csr
 
@@ -119,17 +120,17 @@ let merge_add b c =
   let m = bdims.(0) and n = bdims.(1) in
   let b_pos, b_crd, b_vals = T.csr_arrays b in
   let c_pos, c_crd, c_vals = T.csr_arrays c in
-  let pos = Array.make (m + 1) 0 in
+  let pos = Ivec.create (m + 1) in
   let crd = Dyn.Int.create () in
   let vals = Dyn.Float.create () in
   for row = 0 to m - 1 do
-    let pb = ref b_pos.(row) and pc = ref c_pos.(row) in
+    let pb = ref (Ivec.get b_pos row) and pc = ref (Ivec.get c_pos row) in
     let push j x =
       Dyn.Int.push crd j;
       Dyn.Float.push vals x
     in
-    while !pb < b_pos.(row + 1) && !pc < c_pos.(row + 1) do
-      let jb = b_crd.(!pb) and jc = c_crd.(!pc) in
+    while !pb < Ivec.get b_pos (row + 1) && !pc < Ivec.get c_pos (row + 1) do
+      let jb = Ivec.get b_crd !pb and jc = Ivec.get c_crd !pc in
       if jb = jc then begin
         push jb (b_vals.(!pb) +. c_vals.(!pc));
         Stdlib.incr pb;
@@ -144,14 +145,14 @@ let merge_add b c =
         Stdlib.incr pc
       end
     done;
-    while !pb < b_pos.(row + 1) do
-      push b_crd.(!pb) b_vals.(!pb);
+    while !pb < Ivec.get b_pos (row + 1) do
+      push (Ivec.get b_crd !pb) b_vals.(!pb);
       Stdlib.incr pb
     done;
-    while !pc < c_pos.(row + 1) do
-      push c_crd.(!pc) c_vals.(!pc);
+    while !pc < Ivec.get c_pos (row + 1) do
+      push (Ivec.get c_crd !pc) c_vals.(!pc);
       Stdlib.incr pc
     done;
-    pos.(row + 1) <- Dyn.Int.length crd
+    Ivec.set pos (row + 1) (Dyn.Int.length crd)
   done;
-  T.of_csr ~rows:m ~cols:n pos (Dyn.Int.to_array crd) (Dyn.Float.to_array vals)
+  T.of_csr ~rows:m ~cols:n pos (Dyn.Int.to_ivec crd) (Dyn.Float.to_array vals)

@@ -4,6 +4,7 @@ module TV = Taco_ir.Var.Tensor_var
 module F = Taco_tensor.Format
 module T = Taco_tensor.Tensor
 module Dyn = Taco_support.Dyn_array
+module Ivec = Taco_support.Ivec
 
 let a_var = TV.make "A" ~order:2 ~format:F.csr
 
@@ -192,15 +193,15 @@ let gustavson b c =
   let w = Array.make n 0. in
   let mask = Array.make n false in
   let rowlist = Array.make n 0 in
-  let pos = Array.make (m + 1) 0 in
+  let pos = Ivec.create (m + 1) in
   let crd = Dyn.Int.create () in
   let vals = Dyn.Float.create () in
   for row = 0 to m - 1 do
     let cnt = ref 0 in
-    for pb = b_pos.(row) to b_pos.(row + 1) - 1 do
-      let k = b_crd.(pb) in
-      for pc = c_pos.(k) to c_pos.(k + 1) - 1 do
-        let j = c_crd.(pc) in
+    for pb = Ivec.get b_pos row to Ivec.get b_pos (row + 1) - 1 do
+      let k = Ivec.get b_crd pb in
+      for pc = Ivec.get c_pos k to Ivec.get c_pos (k + 1) - 1 do
+        let j = Ivec.get c_crd pc in
         if not mask.(j) then begin
           mask.(j) <- true;
           rowlist.(!cnt) <- j;
@@ -218,9 +219,9 @@ let gustavson b c =
         w.(j) <- 0.;
         mask.(j) <- false)
       live;
-    pos.(row + 1) <- Dyn.Int.length crd
+    Ivec.set pos (row + 1) (Dyn.Int.length crd)
   done;
-  T.of_csr ~rows:m ~cols:n pos (Dyn.Int.to_array crd) (Dyn.Float.to_array vals)
+  T.of_csr ~rows:m ~cols:n pos (Dyn.Int.to_ivec crd) (Dyn.Float.to_array vals)
 
 (* Hash-map workspace: open addressing with linear probing; keys stored
    as j+1 so 0 means empty; cleared through the coordinate list after

@@ -138,6 +138,34 @@ let used_tbl body =
   List.iter go body;
   tbl
 
+(* Whether the scalar [v] is read in [ss], the rest of the block that
+   declares it: gcc's -Wunused-variable and -Wunused-but-set-variable
+   judge each declaration by its own scope, so a read of another
+   declaration of the same name elsewhere in the kernel does not count.
+   A nested redeclaration of [v] (a [Decl], or a loop's own variable)
+   shadows it to the end of that block. *)
+let read_in_scope v ss =
+  let reads e = List.mem v (Imp.expr_vars e) in
+  let rec go = function
+    | [] -> false
+    | Imp.Decl (_, v', _) :: _ when v' = v -> false
+    | (Imp.For (v', _, _, _) | Imp.ParallelFor (v', _, _, _, _)) :: rest when v' = v -> go rest
+    | s :: rest ->
+        (match s with
+        | Imp.Decl (_, _, e) | Imp.Assign (_, e) | Imp.Alloc (_, _, e) | Imp.Realloc (_, e)
+        | Imp.Memset (_, e) ->
+            reads e
+        | Imp.Store (_, i, x) | Imp.Store_add (_, i, x) | Imp.Store_reduce (_, _, i, x)
+        | Imp.Fill (_, i, x) | Imp.Sort (_, i, x) ->
+            reads i || reads x
+        | Imp.For (_, lo, hi, b) | Imp.ParallelFor (_, lo, hi, b, _) -> reads lo || reads hi || go b
+        | Imp.While (c, b) -> reads c || go b
+        | Imp.If (c, t, e) -> reads c || go t || go e
+        | Imp.Comment _ -> false)
+        || go rest
+  in
+  go ss
+
 (* Array names the kernel writes through (store, +=, memset, realloc,
    sort). Everything else can be passed as [const]. *)
 let written_arrays kernel =
@@ -314,13 +342,23 @@ let rec subst_stmt f s =
 (* tensor buffers as parameters, allocations as plain calloc.         *)
 (* ------------------------------------------------------------------ *)
 
-let rec stmt ?(unused = fun _ -> false) buf ind s =
+(* [unused]: arrays the kernel never reads (a kernel-wide test: each
+   is allocated once). A scalar is judged by its own scope, [rest]: the
+   statements after it in its block, as gcc's -Wunused-variable does. *)
+let rec block ~unused buf ind = function
+  | [] -> ()
+  | s :: rest ->
+      stmt ~unused ~rest buf ind s;
+      block ~unused buf ind rest
+
+and stmt ~unused ~rest buf ind s =
   let pad () = Buffer.add_string buf (String.make (2 * ind) ' ') in
   let line fmt = Printf.ksprintf (fun s -> pad (); Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let stmt = stmt ~unused in
+  let nested b = block ~unused buf (ind + 1) b in
   match s with
   | Imp.Decl (t, v, e) ->
-      line "%s %s = %s;%s" (ctype t) v (estr e) (if unused v then " (void)" ^ v ^ ";" else "")
+      line "%s %s = %s;%s" (ctype t) v (estr e)
+        (if read_in_scope v rest then "" else " (void)" ^ v ^ ";")
   | Imp.Assign (v, e) -> line "%s = %s;" v (estr e)
   | Imp.Store (a, i, v) -> line "%s[%s] = %s;" a (estr i) (estr v)
   | Imp.Store_add (a, i, v) -> line "%s[%s] += %s;" a (estr i) (estr v)
@@ -335,7 +373,7 @@ let rec stmt ?(unused = fun _ -> false) buf ind s =
         (estr v)
   | Imp.For (v, lo, hi, body) ->
       line "for (int32_t %s = %s; %s < %s; %s++) {" v (estr lo) v (estr hi) v;
-      List.iter (stmt buf (ind + 1)) body;
+      nested body;
       line "}"
   | Imp.ParallelFor (v, lo, hi, body, info) ->
       (* Annotation for inspection: the closure executor implements the
@@ -360,38 +398,33 @@ let rec stmt ?(unused = fun _ -> false) buf ind s =
       in
       line "#pragma omp parallel for schedule(static)%s%s" privates stage;
       line "for (int32_t %s = %s; %s < %s; %s++) {" v (estr lo) v (estr hi) v;
-      List.iter (stmt buf (ind + 1)) body;
+      nested body;
       line "}"
   | Imp.While (c, body) ->
       line "while (%s) {" (estr c);
-      List.iter (stmt buf (ind + 1)) body;
+      nested body;
       line "}"
   | Imp.If (c, t, []) ->
       line "if (%s) {" (estr c);
-      List.iter (stmt buf (ind + 1)) t;
+      nested t;
       line "}"
   | Imp.If (c, [], e) ->
       (* Else-only Ifs (optimizer branch flip) print as a negated test
          rather than an empty then-block. *)
       line "if (%s) {" (estr (Imp.Not c));
-      List.iter (stmt buf (ind + 1)) e;
+      nested e;
       line "}"
   | Imp.If (c, t, e) ->
       line "if (%s) {" (estr c);
-      List.iter (stmt buf (ind + 1)) t;
+      nested t;
       line "} else {";
-      List.iter (stmt buf (ind + 1)) e;
+      nested e;
       line "}"
   | Imp.Sort (v, lo, hi) -> line "qsort(%s + %s, %s - %s, sizeof(int32_t), cmp_int32);" v (estr lo) (estr hi) (estr lo)
   | Imp.Comment c -> line "// %s" c
 
 let min_max_macros =
   "#define TACO_MIN(a, b) ((a) < (b) ? (a) : (b))\n#define TACO_MAX(a, b) ((a) > (b) ? (a) : (b))\n"
-
-let emit_body kernel =
-  let buf = Buffer.create 1024 in
-  List.iter (stmt buf 1) kernel.Imp.k_body;
-  Buffer.contents buf
 
 let prelude ~sort ~math buf =
   Buffer.add_string buf "#include <stdint.h>\n#include <stdbool.h>\n#include <stdlib.h>\n#include <string.h>\n";
@@ -417,8 +450,7 @@ let emit_untraced kernel =
     (Printf.sprintf "int %s(%s) {\n" kernel.Imp.k_name
        (String.concat ", " (List.map param kernel.Imp.k_params)));
   let used = used_tbl kernel.Imp.k_body in
-  let unused v = not (Hashtbl.mem used v) in
-  List.iter (stmt ~unused buf 1) kernel.Imp.k_body;
+  block ~unused:(fun v -> not (Hashtbl.mem used v)) buf 1 kernel.Imp.k_body;
   Buffer.add_string buf "  return 0;\n}\n";
   Buffer.contents buf
 
@@ -449,14 +481,18 @@ let emit kernel =
 (*                                                                    *)
 (* [rt] is the kernel runtime table the host implements once          *)
 (* (native_stubs.c), so no kernel includes a header or links libc:    *)
-(*   alloc(p, &cap, n, size, limit)  release p, then [max 1 n] zeroed *)
-(*                                   elements; NULL past the budget   *)
-(*   grow(p, &cap, n, size, limit)   grow to [max cap n], zeroed      *)
+(*   alloc(rt, p, &cap, n, size, limit)  release p, then [max 1 n]    *)
+(*                                   zeroed elements; NULL past the   *)
+(*                                   budget                           *)
+(*   grow(rt, p, &cap, n, size, limit)  grow to [max cap n], zeroed   *)
 (*                                   tail; on failure p is released   *)
 (*                                   and NULL returned                *)
 (*   sort_i32(a, n)                  ascending int32 sort             *)
 (*   now_ns()                        CLOCK_MONOTONIC, the Trace clock *)
 (*   release(p)                      free a table allocation          *)
+(*   refused                         the call's refusal record: alloc *)
+(*                                   and grow take the table so a     *)
+(*                                   refusal on any thread reaches it *)
 (* The budget check is element-count > limit/8 on the clamped size,   *)
 (* the closure executor's rule, so results and E_EXEC_MEM boundaries  *)
 (* are bit-identical; outermost For loops poll the deadline every 256 *)
@@ -489,34 +525,6 @@ let omp_parallelizable ctx body info =
   let decl = Imp.declared body in
   List.for_all (fun v -> List.mem v decl) (assign_targets body)
 
-(* Whether the scalar [v] is read in [ss], the rest of the block that
-   declares it: gcc's -Wunused-variable and -Wunused-but-set-variable
-   judge each declaration by its own scope, so a read of another
-   declaration of the same name elsewhere in the kernel does not count.
-   A nested redeclaration of [v] (a [Decl], or a loop's own variable)
-   shadows it to the end of that block. *)
-let read_in_scope v ss =
-  let reads e = List.mem v (Imp.expr_vars e) in
-  let rec go = function
-    | [] -> false
-    | Imp.Decl (_, v', _) :: _ when v' = v -> false
-    | (Imp.For (v', _, _, _) | Imp.ParallelFor (v', _, _, _, _)) :: rest when v' = v -> go rest
-    | s :: rest ->
-        (match s with
-        | Imp.Decl (_, _, e) | Imp.Assign (_, e) | Imp.Alloc (_, _, e) | Imp.Realloc (_, e)
-        | Imp.Memset (_, e) ->
-            reads e
-        | Imp.Store (_, i, x) | Imp.Store_add (_, i, x) | Imp.Store_reduce (_, _, i, x)
-        | Imp.Fill (_, i, x) | Imp.Sort (_, i, x) ->
-            reads i || reads x
-        | Imp.For (_, lo, hi, b) | Imp.ParallelFor (_, lo, hi, b, _) -> reads lo || reads hi || go b
-        | Imp.While (c, b) -> reads c || go b
-        | Imp.If (c, t, e) -> reads c || go t || go e
-        | Imp.Comment _ -> false)
-        || go rest
-  in
-  go ss
-
 let rec block ctx ind ~depth = function
   | [] -> ()
   | s :: rest ->
@@ -539,11 +547,11 @@ and stmt_exec ctx ind ~depth ~rest s =
   | Imp.Store_reduce (r, a, i, v) -> line "%s" (reduce_line r a (estr i) (estr v))
   | Imp.Alloc (_, v, n) ->
       ctx.uses_fail <- true;
-      line "if (!(%s = taco_rt->alloc(%s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v
+      line "if (!(%s = taco_rt->alloc(taco_rt, %s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v
         v (estr n) v (fail 1)
   | Imp.Realloc (v, n) ->
       ctx.uses_fail <- true;
-      line "if (!(%s = taco_rt->grow(%s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v v
+      line "if (!(%s = taco_rt->grow(taco_rt, %s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v v
         (estr n) v (fail 1)
   | Imp.Memset (v, n) -> line "__builtin_memset(%s, 0, (size_t)(%s) * sizeof(*%s));" v (estr n) v
   | Imp.Fill (a, n, v) ->
@@ -746,11 +754,12 @@ let emit_exec_untraced kernels =
   (* Layout contract with native_stubs.c, which fills the table. *)
   Buffer.add_string buf
     "typedef struct taco_rt {\n\
-    \  void* (*alloc)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
-    \  void* (*grow)(void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
+    \  void* (*alloc)(const struct taco_rt* rt, void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
+    \  void* (*grow)(const struct taco_rt* rt, void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
     \  void (*sort_i32)(int32_t* a, int64_t n);\n\
     \  int64_t (*now_ns)(void);\n\
     \  void (*release)(void* p);\n\
+    \  int64_t* refused;\n\
      } taco_rt_t;\n";
   List.iteri (exec_function buf) kernels;
   Buffer.contents buf

@@ -13,9 +13,6 @@
 (** Render a kernel as a self-contained C function. *)
 val emit : Imp.kernel -> string
 
-(** Render only the body statements (no signature), e.g. for diffs. *)
-val emit_body : Imp.kernel -> string
-
 (** Name of the entry point {!emit_exec} exports for the kernel at
     index [i] of its list (["taco_entry_<i>"]). *)
 val entry_name : int -> string

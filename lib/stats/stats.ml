@@ -3,6 +3,7 @@
 
 module T = Taco_tensor.Tensor
 module Metrics = Taco_support.Metrics
+module Ivec = Taco_support.Ivec
 
 type t = {
   dims : int array;
@@ -27,15 +28,15 @@ let of_tensor tensor =
         n_positions.(l) <- !parents * size;
         fill.(l) <- float_of_int size
     | T.Compressed_data { pos; crd } ->
-        let stored = Array.length crd in
+        let stored = Ivec.length crd in
         n_positions.(l) <- stored;
         fill.(l) <-
           (if !parents > 0 then float_of_int stored /. float_of_int !parents
            else 0.);
         if !hist_level = None then begin
           hist_level := Some l;
-          for p = 0 to Array.length pos - 2 do
-            let seg = pos.(p + 1) - pos.(p) in
+          for p = 0 to Bigarray.Array1.dim pos - 2 do
+            let seg = Int32.to_int (Int32.sub pos.{p + 1} pos.{p}) in
             let b = Metrics.bucket_of seg in
             row_hist.(b) <- row_hist.(b) + 1
           done

@@ -41,6 +41,13 @@ module Int = struct
 
   let to_array t = Array.sub t.data 0 t.len
 
+  let to_ivec t =
+    let a = Ivec.create t.len in
+    for i = 0 to t.len - 1 do
+      Ivec.set a i t.data.(i)
+    done;
+    a
+
   let of_array a = { data = Array.copy (if Array.length a = 0 then [| 0 |] else a); len = Array.length a }
 
   let iter f t =

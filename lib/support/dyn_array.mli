@@ -26,6 +26,10 @@ module Int : sig
   (** Copy out the first [length t] elements. *)
   val to_array : t -> int array
 
+  (** Copy out the first [length t] elements as an index array; each
+      keeps its low 32 bits, so callers store only int32 values. *)
+  val to_ivec : t -> Ivec.t
+
   val of_array : int array -> t
 
   val iter : (int -> unit) -> t -> unit

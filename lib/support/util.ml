@@ -1,30 +1,25 @@
-let binary_search a lo hi x =
+(* Index arrays are int32 Bigarrays ({!Ivec}); naming the type gives
+   inline element access. *)
+let geti (a : Ivec.t) i = Int32.to_int (Bigarray.Array1.get a i)
+
+let binary_search (a : Ivec.t) lo hi x =
   let rec go lo hi =
     if lo >= hi then None
     else
       let mid = lo + ((hi - lo) / 2) in
-      let v = a.(mid) in
+      let v = geti a mid in
       if v = x then Some mid else if v < x then go (mid + 1) hi else go lo mid
   in
   go lo hi
 
-let lower_bound a lo hi x =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = lo + ((hi - lo) / 2) in
-      if a.(mid) < x then go (mid + 1) hi else go lo mid
-  in
-  go lo hi
-
-let sort_paired keys payload lo hi =
+let sort_paired (keys : Ivec.t) payload lo hi =
   let n = hi - lo in
   if n > 1 then begin
     let perm = Array.init n (fun i -> lo + i) in
-    Array.sort (fun i j -> compare keys.(i) keys.(j)) perm;
-    let ks = Array.init n (fun i -> keys.(perm.(i))) in
+    Array.sort (fun i j -> compare (geti keys i) (geti keys j)) perm;
+    let ks = Array.init n (fun i -> Bigarray.Array1.get keys perm.(i)) in
     let vs = Array.init n (fun i -> payload.(perm.(i))) in
-    Array.blit ks 0 keys lo n;
+    Array.iteri (fun i k -> Bigarray.Array1.set keys (lo + i) k) ks;
     Array.blit vs 0 payload lo n
   end
 

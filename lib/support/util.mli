@@ -2,15 +2,11 @@
 
 (** [binary_search a lo hi x] returns the position of [x] in the sorted
     slice [a.(lo) .. a.(hi-1)], or [None] when absent. *)
-val binary_search : int array -> int -> int -> int -> int option
-
-(** [lower_bound a lo hi x] is the first position in the sorted slice at
-    which [x] could be inserted while keeping it sorted. *)
-val lower_bound : int array -> int -> int -> int -> int
+val binary_search : Ivec.t -> int -> int -> int -> int option
 
 (** Sort [keys.(lo) .. keys.(hi-1)] in increasing order, permuting the
     corresponding slice of [payload] in lock step. *)
-val sort_paired : int array -> float array -> int -> int -> unit
+val sort_paired : Ivec.t -> float array -> int -> int -> unit
 
 (** Timing helper: wall-clock seconds spent in the thunk. *)
 val time : (unit -> 'a) -> 'a * float

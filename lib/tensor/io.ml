@@ -1,4 +1,5 @@
 module Diag = Taco_support.Diag
+module Ivec = Taco_support.Ivec
 
 let with_out path f =
   let oc = open_out path in
@@ -44,6 +45,18 @@ let int_field r what s =
   match int_of_string_opt s with
   | Some v -> v
   | None -> fail r ~code:"E_IO_FIELD" "malformed %s: %s" what s
+
+(* Sizes and coordinates end up in int32 index arrays (see
+   {!Tensor}): one past Int32.max_int is refused here, naming its
+   field. [lo] is the least valid value. *)
+let in_range r ~lo what v =
+  if v < lo || not (Ivec.fits v) then
+    Diag.fail ~stage:Diag.Io ~code:"E_IO_RANGE"
+      ~context:[ ("file", r.path); ("line", string_of_int r.lineno); ("field", what) ]
+      "%s %d outside %d..%ld" what v lo Int32.max_int
+  else v
+
+let int32_field r ~lo what s = in_range r ~lo what (int_field r what s)
 
 let float_field r what s =
   match float_of_string_opt s with
@@ -96,16 +109,16 @@ let read_matrix_market path =
             let rows, cols, nnz =
               match split_ws (next_data_line r) with
               | [ rr; c; n ] ->
-                  (int_field r "rows" rr, int_field r "cols" c, int_field r "nnz" n)
+                  ( int32_field r ~lo:1 "rows" rr,
+                    int32_field r ~lo:1 "cols" c,
+                    int32_field r ~lo:0 "nnz" n )
               | _ -> fail r ~code:"E_IO_SIZE_LINE" "malformed size line"
             in
-            if rows < 0 || cols < 0 || nnz < 0 then
-              fail r ~code:"E_IO_SIZE_LINE" "negative size field";
             let coo = Coo.create [| rows; cols |] in
             for _ = 1 to nnz do
               match split_ws (next_data_line r) with
               | rr :: c :: rest ->
-                  let i = int_field r "row" rr - 1 and j = int_field r "col" c - 1 in
+                  let i = int32_field r ~lo:1 "row" rr - 1 and j = int32_field r ~lo:1 "col" c - 1 in
                   let v =
                     match (pattern, rest) with
                     | true, _ -> 1.
@@ -164,7 +177,9 @@ let read_frostt ?dims path =
                    match List.rev (split_ws line) with
                    | value :: rev_coords when rev_coords <> [] ->
                        let coords =
-                         List.rev_map (fun s -> int_field r "coordinate" s - 1) rev_coords
+                         List.rev_map
+                           (fun s -> int32_field r ~lo:1 "coordinate" s - 1)
+                           rev_coords
                        in
                        entries :=
                          (Array.of_list coords, float_field r "value" value, r.lineno)
@@ -197,6 +212,7 @@ let read_frostt ?dims path =
                   if Array.length d <> order then
                     fail r ~code:"E_IO_DIMS" "dims arity mismatch (%d given, order %d)"
                       (Array.length d) order;
+                  Array.iter (fun x -> ignore (in_range r ~lo:1 "dims" x : int)) d;
                   d
               | None ->
                   let d = Array.make order 1 in

@@ -10,7 +10,12 @@
     comment lines ([%] or [#]). Failures are stage-[Io] diagnostics whose
     context names the file and the offending line ([("line", …)]); codes
     include [E_IO_HEADER], [E_IO_UNSUPPORTED], [E_IO_SIZE_LINE],
-    [E_IO_ENTRY], [E_IO_FIELD], [E_IO_EOF] and [E_IO_SYS]. *)
+    [E_IO_ENTRY], [E_IO_FIELD], [E_IO_EOF] and [E_IO_SYS].
+
+    Packed tensors index with int32 ({!Taco_support.Ivec}), so a size,
+    a coordinate or a given dimension outside [1..Int32.max_int] (an
+    [nnz] outside [0..Int32.max_int]) is refused with [E_IO_RANGE],
+    whose context also names the [field]. *)
 
 (** [read_matrix_market path] reads a real-valued coordinate-format
     matrix ([general] or [symmetric]) into a COO buffer. Pattern files

@@ -1,9 +1,31 @@
 module Dyn = Taco_support.Dyn_array
 module Util = Taco_support.Util
+module Diag = Taco_support.Diag
+module Ivec = Taco_support.Ivec
 
 type level_data =
   | Dense_data of { size : int }
-  | Compressed_data of { pos : int array; crd : int array }
+  | Compressed_data of { pos : Ivec.t; crd : Ivec.t }
+
+(* Inline element access: the index arrays' type is named here. *)
+let ( .%() ) (a : Ivec.t) i = Int32.to_int (Bigarray.Array1.get a i)
+
+let ilen (a : Ivec.t) = Bigarray.Array1.dim a
+
+(* Native kernels index with int32: a dimension (and so a coordinate
+   below it) or a position past Int32.max_int has no representation
+   there, whichever backend runs, so it is refused where it enters. *)
+let range_error ~field ~level v =
+  Diag.fail ~stage:Diag.Tensor ~code:"E_TENSOR_RANGE"
+    ~context:[ ("field", field); ("level", string_of_int level); ("value", string_of_int v) ]
+    "%s %d at level %d does not fit int32" field v level
+
+let check_dims fmt dims =
+  Array.iteri
+    (fun m d ->
+      if not (Ivec.fits d) then
+        range_error ~field:"dimension" ~level:(Format.level_of_mode fmt m) d)
+    dims
 
 type t = {
   dims : int array;
@@ -46,31 +68,39 @@ let validate t =
           if size <> dim then Error (Printf.sprintf "dense level %d size mismatch" l)
           else check (l + 1) (parent_positions * size)
       | Compressed_data { pos; crd } ->
-          if Array.length pos <> parent_positions + 1 then
+          if ilen pos <> parent_positions + 1 then
             Error (Printf.sprintf "level %d pos has wrong length" l)
-          else if pos.(0) <> 0 then Error (Printf.sprintf "level %d pos.(0) <> 0" l)
+          else if pos.%(0) <> 0 then Error (Printf.sprintf "level %d pos.(0) <> 0" l)
           else begin
+            (* Monotone first: then pos.(parent_positions) bounds every
+               position, and one length test covers every crd read. *)
             let ok = ref (Ok ()) in
+            for p = parent_positions - 1 downto 0 do
+              if pos.%(p) > pos.%(p + 1) then
+                ok := Error (Printf.sprintf "level %d pos not monotone at %d" l p)
+            done;
+            let* () = !ok in
+            let* () =
+              if ilen crd < pos.%(parent_positions) then
+                Error (Printf.sprintf "level %d crd too short" l)
+              else Ok ()
+            in
             for p = 0 to parent_positions - 1 do
-              if pos.(p) > pos.(p + 1) then
-                ok := Error (Printf.sprintf "level %d pos not monotone at %d" l p);
-              for k = pos.(p) to pos.(p + 1) - 1 do
-                if crd.(k) < 0 || crd.(k) >= dim then
+              for k = pos.%(p) to pos.%(p + 1) - 1 do
+                if crd.%(k) < 0 || crd.%(k) >= dim then
                   ok := Error (Printf.sprintf "level %d crd out of bounds at %d" l k);
-                if k > pos.(p) && crd.(k - 1) >= crd.(k) then
-                  ok :=
-                    Error (Printf.sprintf "level %d crd not strictly sorted at %d" l k)
+                if k > pos.%(p) && crd.%(k - 1) >= crd.%(k) then
+                  ok := Error (Printf.sprintf "level %d crd not strictly sorted at %d" l k)
               done
             done;
             let* () = !ok in
-            if Array.length crd < pos.(parent_positions) then
-              Error (Printf.sprintf "level %d crd too short" l)
-            else check (l + 1) pos.(parent_positions)
+            check (l + 1) pos.%(parent_positions)
           end
   in
   check 0 1
 
 let of_parts ~dims ~format ~levels ~vals =
+  if Array.length dims = Format.order format then check_dims format dims;
   let t = { dims = Array.copy dims; format; levels; vals } in
   match validate t with Ok () -> t | Error msg -> invalid_arg ("Tensor.of_parts: " ^ msg)
 
@@ -78,6 +108,7 @@ let pack coo fmt =
   let n_modes = Coo.order coo in
   if Format.order fmt <> n_modes then invalid_arg "Tensor.pack: format order mismatch";
   let dims = Coo.dims coo in
+  check_dims fmt dims;
   let perm = Array.of_list (Format.mode_order fmt) in
   let coords, in_vals = Coo.sorted_unique ~perm coo in
   let n = Array.length in_vals in
@@ -125,8 +156,9 @@ let pack coo fmt =
           done;
           Dyn.Int.push pos (Dyn.Int.length crd)
         done;
-        levels.(l) <-
-          Compressed_data { pos = Dyn.Int.to_array pos; crd = Dyn.Int.to_array crd });
+        if not (Ivec.fits (Dyn.Int.length crd)) then
+          range_error ~field:"pos" ~level:l (Dyn.Int.length crd);
+        levels.(l) <- Compressed_data { pos = Dyn.Int.to_ivec pos; crd = Dyn.Int.to_ivec crd });
     seg_lo := next_lo;
     seg_hi := next_hi
   done;
@@ -181,7 +213,7 @@ let get t coord =
           if c < 0 || c >= size then invalid_arg "Tensor.get: out of bounds";
           walk (l + 1) ((pos * size) + c)
       | Compressed_data { pos = pa; crd } -> (
-          match Util.binary_search crd pa.(pos) pa.(pos + 1) c with
+          match Util.binary_search crd pa.%(pos) pa.%(pos + 1) c with
           | Some k -> walk (l + 1) k
           | None -> 0.)
   in
@@ -201,8 +233,8 @@ let iteri_stored f t =
             walk (l + 1) ((pos * size) + c)
           done
       | Compressed_data { pos = pa; crd } ->
-          for k = pa.(pos) to pa.(pos + 1) - 1 do
-            coord.(mode) <- crd.(k);
+          for k = pa.%(pos) to pa.%(pos + 1) - 1 do
+            coord.(mode) <- crd.%(k);
             walk (l + 1) k
           done
   in

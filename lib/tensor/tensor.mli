@@ -3,13 +3,20 @@
     A tensor stores its values in the hierarchical per-level scheme of the
     paper's Fig. 1b: each storage level is either dense (implicit
     coordinates) or compressed ([pos]/[crd] arrays). The value array holds
-    one component per position of the last level. *)
+    one component per position of the last level.
+
+    Index arrays are int32 Bigarrays ({!Taco_support.Ivec}), the type the
+    generated C reads: native kernels read them in place and hand their
+    assembled [pos]/[crd] back without a copy. Every dimension and
+    position must therefore fit int32; {!pack} and {!of_parts} refuse
+    one that does not with an [E_TENSOR_RANGE] diagnostic (stage
+    [Tensor]) naming the field, the level and the value. *)
 
 type level_data =
   | Dense_data of { size : int }
       (** Implicit level: parent position [p] expands to child positions
           [p * size + c] for every coordinate [c]. *)
-  | Compressed_data of { pos : int array; crd : int array }
+  | Compressed_data of { pos : Taco_support.Ivec.t; crd : Taco_support.Ivec.t }
       (** Children of parent position [p] occupy positions
           [pos.(p) .. pos.(p+1) - 1]; [crd] holds their coordinates. *)
 
@@ -18,7 +25,9 @@ type t
 (** {2 Construction} *)
 
 (** [pack coo format] sorts, deduplicates (summing) and packs a coordinate
-    buffer. [format] must have the same order as [coo]. *)
+    buffer. [format] must have the same order as [coo]. Raises
+    [Diag.Error] ([E_TENSOR_RANGE]) for a dimension or a position count
+    past [Int32.max_int]. *)
 val pack : Coo.t -> Format.t -> t
 
 (** [of_dense d format] packs a dense oracle tensor. *)
@@ -30,11 +39,13 @@ val of_dense : Dense.t -> Format.t -> t
 val zero : int array -> Format.t -> t
 
 (** Build directly from level data; validates invariants and raises
-    [Invalid_argument] on malformed input. *)
+    [Invalid_argument] on malformed input, [Diag.Error]
+    ([E_TENSOR_RANGE]) for a dimension past [Int32.max_int]. *)
 val of_parts : dims:int array -> format:Format.t -> levels:level_data array -> vals:float array -> t
 
 (** CSR convenience: [of_csr ~rows ~cols pos crd vals]. *)
-val of_csr : rows:int -> cols:int -> int array -> int array -> float array -> t
+val of_csr :
+  rows:int -> cols:int -> Taco_support.Ivec.t -> Taco_support.Ivec.t -> float array -> t
 
 (** {2 Observation} *)
 
@@ -63,7 +74,7 @@ val iteri_stored : (int array -> float -> unit) -> t -> unit
 val to_dense : t -> Dense.t
 
 (** [csr_arrays t] is [(pos, crd, vals)]; requires the CSR format. *)
-val csr_arrays : t -> int array * int array * float array
+val csr_arrays : t -> Taco_support.Ivec.t * Taco_support.Ivec.t * float array
 
 (** Re-pack into another format (via coordinates). *)
 val repack : t -> Format.t -> t

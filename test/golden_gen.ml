@@ -5,8 +5,9 @@
    ordered-append comment and the optimizer's refusal to move code across
    the parallel boundary. test/dune diffs the output against committed
    snapshots so IR changes — and what each optimizer pass does to the
-   paper kernels — stay reviewable as text diffs. Regenerate with
-   `dune promote`. *)
+   paper kernels — stay reviewable as text diffs. Each snapshot is one
+   translation unit, and test/dune checks that every one compiles
+   warning-free with OpenMP on. Regenerate with `dune promote`. *)
 
 open Taco
 
@@ -86,30 +87,24 @@ let spmv_sr_info ?parallel sr =
        ~semiring:sr ?parallel ~mode:Lower.Compute
        (Schedule.stmt (get (Schedule.of_index_notation stmt))))
 
-(* The optimized sequential kernel followed by the parallel one, in one
-   snapshot per semiring. *)
-let spmv_sr_pair sr =
-  let optimize info =
-    match Opt.optimize info.Lower.kernel with Ok k -> k | Error e -> failwith e
-  in
-  Codegen_c.emit (optimize (spmv_sr_info sr))
-  ^ "\n"
-  ^ Codegen_c.emit (optimize (spmv_sr_info ~parallel:vi sr))
+(* The optimized kernel, sequential or parallel. *)
+let spmv_sr ?parallel sr =
+  match Opt.optimize (spmv_sr_info ?parallel sr).Lower.kernel with
+  | Ok k -> Codegen_c.emit k
+  | Error e -> failwith e
 
 let () =
   let usage () =
     prerr_endline
       "usage: golden_gen (spgemm|spadd|mttkrp) (unopt|opt|par)\n\
-      \   or: golden_gen (spmv_minplus|spmv_boolor) pair";
+      \   or: golden_gen (spmv_minplus|spmv_boolor) (seq|par)";
     exit 2
   in
   if Array.length Sys.argv <> 3 then usage ();
   (match (Sys.argv.(1), Sys.argv.(2)) with
-  | "spmv_minplus", "pair" ->
-      print_string (spmv_sr_pair Semiring.min_plus);
-      exit 0
-  | "spmv_boolor", "pair" ->
-      print_string (spmv_sr_pair Semiring.bool_or_and);
+  | ("spmv_minplus" | "spmv_boolor"), (("seq" | "par") as mode) ->
+      let sr = if Sys.argv.(1) = "spmv_minplus" then Semiring.min_plus else Semiring.bool_or_and in
+      print_string (spmv_sr ?parallel:(if mode = "par" then Some vi else None) sr);
       exit 0
   | ("spmv_minplus" | "spmv_boolor"), _ -> usage ()
   | _ -> ());

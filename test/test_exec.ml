@@ -1,5 +1,6 @@
 module Imp = Taco_lower.Imp
 module Compile = Taco_exec.Compile
+module Ivec = Taco_support.Ivec
 
 let kernel ?(params = []) body = { Imp.k_name = "t"; k_params = params; k_body = body }
 
@@ -12,7 +13,7 @@ let read_int reader name =
 
 let read_iarr reader name =
   match reader name with
-  | Compile.Aint_array v -> v
+  | Compile.Aint_array v -> Ivec.to_array v
   | _ -> Alcotest.fail "expected int array"
 
 let read_farr reader name =
@@ -114,12 +115,30 @@ let test_memset () =
 let test_sort_range () =
   let r =
     run
-      ~args:[ ("a", Compile.Aint_array [| 5; 4; 3; 2; 1 |]) ]
+      ~args:[ ("a", Compile.Aint_array (Ivec.of_array [| 5; 4; 3; 2; 1 |])) ]
       (kernel
          ~params:[ { Imp.p_name = "a"; p_dtype = Imp.Int; p_array = true; p_output = true } ]
          [ Imp.Sort ("a", i 1, i 4) ])
   in
   Alcotest.(check (array int)) "slice sorted" [| 5; 2; 3; 4; 1 |] (read_iarr r "a")
+
+(* Int arrays are int32, as in the generated C: a store keeps the low
+   32 bits of its (63-bit) value, and a load sign-extends them. *)
+let test_int32_stores_wrap () =
+  let two31 = Imp.Binop (Imp.Mul, i 65536, i 32768) in
+  let r =
+    run
+      (kernel
+         [
+           Imp.Alloc (Imp.Int, "a", i 3);
+           Imp.Store ("a", i 0, Imp.Binop (Imp.Add, two31, i 5));
+           Imp.Store ("a", i 1, Imp.Binop (Imp.Sub, i 0, Imp.Binop (Imp.Add, two31, i 1)));
+           Imp.Store_add ("a", i 2, Imp.Binop (Imp.Sub, two31, i 1));
+           Imp.Store_add ("a", i 2, i 1);
+         ])
+  in
+  Alcotest.(check (array int)) "low 32 bits" [| -2147483643; 2147483647; -2147483648 |]
+    (read_iarr r "a")
 
 let test_bool_arrays_and_ternary () =
   let r =
@@ -237,6 +256,10 @@ let test_read_exact_lengths () =
   Alcotest.(check (array (float 0.))) "vals is the prefix" (Array.make 5 0.5) (read_farr r "vals");
   Alcotest.(check bool) "an unlisted allocated array is not read back" true
     (match r "w" with exception Invalid_argument _ -> true | _ -> false);
+  Alcotest.(check bool) "an array read twice is refused before the run" true
+    (match Compile.run ~read:(("crd", Compile.Len 1) :: exact_reads) (Compile.compile assembled) ~args:[] with
+    | exception Invalid_argument _ -> true
+    | (_ : string -> Compile.arg) -> false);
   Alcotest.(check bool) "a parameter cannot be read back" true
     (match
        (Compile.run
@@ -245,7 +268,7 @@ let test_read_exact_lengths () =
              (kernel
                 ~params:[ { Imp.p_name = "a"; p_dtype = Imp.Int; p_array = true; p_output = true } ]
                 []))
-          ~args:[ ("a", Compile.Aint_array [| 1 |]) ]
+          ~args:[ ("a", Compile.Aint_array (Ivec.of_array [| 1 |])) ]
          : string -> Compile.arg)
      with
     | exception Invalid_argument _ -> true
@@ -287,6 +310,7 @@ let () =
           Alcotest.test_case "realloc preserves contents" `Quick test_realloc_preserves;
           Alcotest.test_case "memset prefix" `Quick test_memset;
           Alcotest.test_case "sort range" `Quick test_sort_range;
+          Alcotest.test_case "int32 stores wrap" `Quick test_int32_stores_wrap;
           Alcotest.test_case "store_add accumulates" `Quick test_store_add;
         ] );
       ( "binding",

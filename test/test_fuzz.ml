@@ -1286,6 +1286,165 @@ let test_key_fuzz =
          | () -> true
          | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
 
+(* ------------------------------------------------------------------ *)
+(* Reader fuzzing                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The .mtx/.tns readers on grammar-aware mutants of valid files. The
+   seeded Prng writes a well-formed file as lines of fields — a Matrix
+   Market header, comments, a size line and entries, or FROSTT
+   coordinate lines — then applies one to three mutations that keep the
+   grammar's shape: a numeric field replaced by an edge value (at and
+   just past Int32.max_int among them), a field dropped or doubled, a
+   line dropped, doubled, swapped or turned into a comment, a header
+   word swapped, CRLF endings, the text cut short. The property: within
+   [reader_time_bound] seconds the reader returns a diagnostic whose
+   context names the offending line or field, or a COO buffer that
+   packs into a tensor passing [Tensor.validate]. It packs into
+   all-compressed formats, so memory follows the entries, not the
+   dimensions (which may be Int32.max_int). Any other exception fails
+   the instance. *)
+
+module Io = Taco_tensor.Io
+
+let reader_time_bound = 2.0
+
+let reader_ran = ref 0
+
+let reader_rejected = ref 0
+
+let edge_values =
+  [|
+    "0"; "1"; "-1"; "2"; "2147483646"; "2147483647"; "2147483648"; "-2147483648"; "4294967296";
+    string_of_int max_int; "99999999999999999999"; "1.5"; "1e3"; "nan"; "x"; "--1"; "0x10";
+  |]
+
+let header_words = [| "array"; "complex"; "pattern"; "symmetric"; "integer"; "%%matrixmarket"; "skew" |]
+
+(* A valid file of [order]-mode entries (order 2 with a header is
+   Matrix Market), as lines of fields. *)
+let valid_lines prng ~mtx =
+  let pick a = a.(Prng.int prng (Array.length a)) in
+  let order = if mtx then 2 else 1 + Prng.int prng 3 in
+  let dims = Array.init order (fun _ -> 1 + Prng.int prng 6) in
+  let nnz = Prng.int prng 6 in
+  let value () = Printf.sprintf "%.3g" (Prng.float prng -. 0.5) in
+  let entry () =
+    Array.to_list (Array.map (fun d -> string_of_int (1 + Prng.int prng d)) dims) @ [ value () ]
+  in
+  let entries = List.init nnz (fun _ -> entry ()) in
+  let comments = if Prng.bool prng 0.3 then [ [ pick [| "%"; "#" |]; "comment" ] ] else [] in
+  if mtx then
+    [ "%%MatrixMarket"; "matrix"; "coordinate"; pick [| "real"; "integer" |]; pick [| "general"; "symmetric" |] ]
+    :: (comments
+       @ [ [ string_of_int dims.(0); string_of_int dims.(1); string_of_int nnz ] ]
+       @ entries)
+  else comments @ entries
+
+let mutate prng lines =
+  let lines = Array.of_list lines in
+  let n = Array.length lines in
+  let line () = Prng.int prng (max 1 n) in
+  let edit_line k f = if n > 0 then lines.(k) <- f lines.(k) in
+  let nth_field fs = Prng.int prng (max 1 (List.length fs)) in
+  let lines =
+    match Prng.int prng 8 with
+    | 0 ->
+        edit_line (line ()) (fun fs ->
+            let i = nth_field fs in
+            List.mapi (fun j f -> if j = i then edge_values.(Prng.int prng (Array.length edge_values)) else f) fs);
+        Array.to_list lines
+    | 1 ->
+        edit_line (line ()) (fun fs ->
+            let i = nth_field fs in
+            List.filteri (fun j _ -> j <> i) fs);
+        Array.to_list lines
+    | 2 ->
+        edit_line (line ()) (fun fs ->
+            let i = nth_field fs in
+            List.concat (List.mapi (fun j f -> if j = i then [ f; f ] else [ f ]) fs));
+        Array.to_list lines
+    | 3 ->
+        let k = line () in
+        List.filteri (fun j _ -> j <> k) (Array.to_list lines)
+    | 4 ->
+        let k = line () in
+        List.concat (List.mapi (fun j l -> if j = k then [ l; l ] else [ l ]) (Array.to_list lines))
+    | 5 ->
+        if n > 1 then begin
+          let a = line () and b = line () in
+          let t = lines.(a) in
+          lines.(a) <- lines.(b);
+          lines.(b) <- t
+        end;
+        Array.to_list lines
+    | 6 ->
+        let k = line () in
+        List.concat
+          (List.mapi
+             (fun j l -> if j = k then [ [ "%"; "x" ]; []; l ] else [ l ])
+             (Array.to_list lines))
+    | _ ->
+        edit_line 0 (fun fs ->
+            let i = nth_field fs in
+            List.mapi (fun j f -> if j = i then header_words.(Prng.int prng (Array.length header_words)) else f) fs);
+        Array.to_list lines
+  in
+  lines
+
+let render prng lines =
+  let eol = if Prng.bool prng 0.2 then "\r\n" else "\n" in
+  let text = String.concat "" (List.map (fun fs -> String.concat " " fs ^ eol) lines) in
+  if Prng.bool prng 0.1 then String.sub text 0 (Prng.int prng (String.length text + 1)) else text
+
+let reader_file (mtx, seed) =
+  let prng = Prng.create seed in
+  let lines = ref (valid_lines prng ~mtx) in
+  for _ = 0 to Prng.int prng 3 do
+    lines := mutate prng !lines
+  done;
+  render prng !lines
+
+let run_reader ((mtx, _) as sc) =
+  let text = reader_file sc in
+  let path = Filename.temp_file "taco_reader_fuzz" (if mtx then ".mtx" else ".tns") in
+  let fail fmt =
+    Printf.ksprintf (fun m -> raise (Fuzz_failure (Printf.sprintf "%s\nfile:\n%s" m text))) fmt
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      let t0 = Unix.gettimeofday () in
+      let named d = List.mem_assoc "line" d.Diag.context || List.mem_assoc "field" d.Diag.context in
+      (match if mtx then Io.read_matrix_market path else Io.read_frostt path with
+      | Error d when named d -> incr reader_rejected
+      | Error d -> fail "diagnostic names no line or field: %s" (Diag.to_string d)
+      | Ok coo -> (
+          let fmt = if Coo.order coo = 2 then F.dcsr else F.csf (Coo.order coo) in
+          match T.pack coo fmt with
+          | t -> (
+              match T.validate t with
+              | Ok () -> incr reader_ran
+              | Error e -> fail "packed tensor fails validate: %s" e)
+          | exception Diag.Error d when named d -> incr reader_rejected
+          | exception Diag.Error d -> fail "pack diagnostic names no field: %s" (Diag.to_string d))
+      | exception e -> fail "reader raised %s" (Printexc.to_string e));
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > reader_time_bound then fail "took %.2f s" dt)
+
+let test_reader_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:".mtx/.tns readers on mutated files"
+       (QCheck.make
+          ~print:(fun ((mtx, seed) as sc) ->
+            Printf.sprintf "{mtx=%b; seed=%d}\n%s" mtx seed (reader_file sc))
+          QCheck.Gen.(pair bool (int_bound 1_000_000)))
+       (fun sc ->
+         match run_reader sc with
+         | () -> true
+         | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 (* The campaign is only meaningful if it actually ran and a healthy
    share of instances made it all the way through the pipeline rather
    than being rejected. *)
@@ -1294,9 +1453,11 @@ let test_coverage () =
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
      semiring leg: %d ran, %d native; tier leg: %d ran; batch leg: %d ran, %d native; \
-     cache-key leg: %d ran; profile leg: %d native runs\n%!"
+     cache-key leg: %d ran; profile leg: %d native runs; reader leg: %d packed, %d \
+     refused\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !key_ran !prof_native_ran;
+    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !key_ran !prof_native_ran !reader_ran
+    !reader_rejected;
   Alcotest.(check bool)
     (Printf.sprintf "batch leg ran natively when a C compiler exists (%d)" !batch_native_ran)
     true
@@ -1338,6 +1499,7 @@ let () =
           test_tier_fuzz;
           test_batch_fuzz;
           test_key_fuzz;
+          test_reader_fuzz;
           Alcotest.test_case "coverage" `Quick test_coverage;
         ] );
     ]

@@ -86,6 +86,38 @@ let test_frostt_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "inconsistent arity accepted")
 
+(* Sizes and coordinates must fit int32, the index arrays' type: one
+   at Int32.max_int reads and packs, one past it is refused naming its
+   line and field. *)
+let test_int32_range () =
+  let refused what ~field ~line r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: read" what
+    | Error d ->
+        Alcotest.(check string) (what ^ ": code") "E_IO_RANGE" d.Taco_support.Diag.code;
+        Alcotest.(check (list (option string)))
+          (what ^ ": field and line") [ Some field; Some line ]
+          (List.map (fun k -> List.assoc_opt k d.Taco_support.Diag.context) [ "field"; "line" ])
+  in
+  let packs what fmt r =
+    let t = T.pack (Helpers.getd r) fmt in
+    Alcotest.(check bool) (what ^ ": valid") true (T.validate t = Ok ());
+    Alcotest.(check int) (what ^ ": entries") 1 (T.nnz t)
+  in
+  let mtx size entry =
+    write temp_file ("%%MatrixMarket matrix coordinate real general\n" ^ size ^ "\n" ^ entry ^ "\n");
+    Io.read_matrix_market temp_file
+  in
+  let tns line =
+    write temp_file (line ^ "\n");
+    Io.read_frostt temp_file
+  in
+  refused "cols past int32" ~field:"cols" ~line:"2" (mtx "3 2147483648 1" "1 1 1.0");
+  refused "row past int32" ~field:"row" ~line:"3" (mtx "3 3 1" "2147483648 1 1.0");
+  refused "coordinate past int32" ~field:"coordinate" ~line:"1" (tns "1 2147483648 1.0");
+  packs ".mtx at Int32.max_int" F.dcsr (mtx "2147483647 2 1" "2147483647 1 1.0");
+  packs ".tns at Int32.max_int" (F.csf 2) (tns "2147483647 1 2.0")
+
 let test_pipeline_through_files () =
   (* Write two matrices, read them back, multiply with the compiled
      pipeline. *)
@@ -119,6 +151,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_frostt_roundtrip;
           Alcotest.test_case "dimension inference" `Quick test_frostt_infer_dims;
           Alcotest.test_case "errors" `Quick test_frostt_errors;
+          Alcotest.test_case "int32 range" `Quick test_int32_range;
         ] );
       ("integration", [ Alcotest.test_case "pipeline through files" `Quick test_pipeline_through_files ]);
     ]

@@ -14,6 +14,7 @@ open Helpers
 open Taco
 module T = Taco_tensor.Tensor
 module F = Taco_tensor.Format
+module Ivec = Taco_support.Ivec
 
 let have_cc = Native.available ()
 
@@ -206,9 +207,9 @@ let capacity_read_back k ~backend ~sorted ~inputs ~dims =
       ~args:(assemble_args k ~inputs ~dims)
   in
   let rows = dims.(0) in
-  let pos = Array.sub (read_int_array read (Lower.pos_var result 1)) 0 (rows + 1) in
-  let nnz = pos.(rows) in
-  let crd = Array.sub (read_int_array read (Lower.crd_var result 1)) 0 nnz in
+  let pos = Ivec.sub (read_int_array read (Lower.pos_var result 1)) 0 (rows + 1) in
+  let nnz = Ivec.get pos rows in
+  let crd = Ivec.sub (read_int_array read (Lower.crd_var result 1)) 0 nnz in
   let vals =
     match read (Lower.vals_var result) with
     | Compile.Afloat_array a -> Array.sub a 0 nnz
@@ -216,7 +217,7 @@ let capacity_read_back k ~backend ~sorted ~inputs ~dims =
   in
   if not sorted then
     for p = 0 to rows - 1 do
-      Taco_support.Util.sort_paired crd vals pos.(p) pos.(p + 1)
+      Taco_support.Util.sort_paired crd vals (Ivec.get pos p) (Ivec.get pos (p + 1))
     done;
   (pos, crd, vals)
 
@@ -233,9 +234,9 @@ let check_read_back ~name ~sorted sched inputs dims =
           | T.Dense_data _ -> Alcotest.fail "expected a compressed level"
         in
         let rows = dims.(0) in
-        Alcotest.(check int) (name ^ ": pos length") (rows + 1) (Array.length pos);
-        Alcotest.(check int) (name ^ ": crd length") pos.(rows) (Array.length crd);
-        Alcotest.(check int) (name ^ ": vals length") pos.(rows) (Array.length (T.vals t));
+        Alcotest.(check int) (name ^ ": pos length") (rows + 1) (Ivec.length pos);
+        Alcotest.(check int) (name ^ ": crd length") (Ivec.get pos rows) (Ivec.length crd);
+        Alcotest.(check int) (name ^ ": vals length") (Ivec.get pos rows) (Array.length (T.vals t));
         let pos0, crd0, vals0 = capacity_read_back k ~backend ~sorted ~inputs ~dims in
         if not (pos = pos0 && crd = crd0 && float_bits_equal (T.vals t) vals0) then
           Alcotest.failf "%s: exact read-back differs from the capacity read-back" name;
@@ -536,6 +537,90 @@ let test_budget_grow () =
         [ ("tier 0", List.nth tier0 i); ("tier 1", List.nth tier1 i) ])
     limits
 
+(* A kernel the native backend hands to OpenMP (MTTKRP parallelized
+   over i, its workspace private to each thread) at limits one element
+   short of its workspace and exactly at it: closures and tier 0 give
+   the same E_EXEC_MEM with the same kernel, bytes and limit, or
+   bit-identical results. The runtime table records a refusal in the
+   call's own record, whichever thread makes it. *)
+let test_budget_openmp () =
+  let a, b, c, d, sched = mttkrp_sched ~parallel:true in
+  let closure = kernel (getd (compile ~name:"mttkrp_budget_par" ~backend:`Closure sched)) in
+  let native = kernel (getd (compile ~name:"mttkrp_budget_par" ~backend:`Native sched)) in
+  Alcotest.(check bool) "native backend actually used" true (Kernel.backend native = `Native);
+  let src = Codegen_c.emit_exec [ Kernel.imp native ] in
+  Alcotest.(check bool) "an OpenMP region with private copies" true
+    (Helpers.contains src "#pragma omp parallel reduction");
+  let i = 9 and j = 40 in
+  let inputs =
+    [
+      (b, random_tensor 97 [| i; 7; 6 |] 0.3 (F.csf 3));
+      (c, random_tensor 98 [| 6; j |] 1.0 F.dense_matrix);
+      (d, random_tensor 99 [| 7; j |] 1.0 F.dense_matrix);
+    ]
+  in
+  (* Kernel.run_compute writes a given output: the workspace is the
+     kernel's only allocation. *)
+  let at_limit k limit =
+    let output = T.zero [| i; j |] F.dense_matrix in
+    Fun.protect
+      ~finally:(fun () -> Budget.set_mem_limit 0)
+      (fun () ->
+        Budget.set_mem_limit limit;
+        match Kernel.run_compute k ~inputs:((a, output) :: inputs) ~output with
+        | () -> Ok output
+        | exception Diag.Error e -> Error e)
+  in
+  let fields e = List.map (fun f -> List.assoc_opt f e.Diag.context) [ "kernel"; "bytes"; "limit_bytes" ] in
+  List.iter
+    (fun (limit, refused) ->
+      let what = Printf.sprintf "limit %d bytes" limit in
+      match (at_limit closure limit, at_limit native limit, refused) with
+      | Error ec, Error en, true ->
+          Alcotest.(check string) (what ^ ": code") "E_EXEC_MEM" en.Diag.code;
+          Alcotest.(check (option string)) (what ^ ": closures' bytes") (Some (string_of_int (8 * j)))
+            (List.assoc_opt "bytes" ec.Diag.context);
+          Alcotest.(check (list (option string))) (what ^ ": same context") (fields ec) (fields en)
+      | Ok tc, Ok tn, false ->
+          if not (tensors_bit_identical tc tn) then Alcotest.failf "%s: results diverge" what
+      | rc, rn, _ ->
+          let show = function Ok _ -> "ok" | Error e -> Diag.to_string e in
+          Alcotest.failf "%s: closures %s, native %s" what (show rc) (show rn))
+    [ ((8 * j) - 1, true); (8 * j, false) ]
+
+(* Int scalar arguments cross to native kernels as int32: at
+   Int32.max_int both backends store the value unchanged, one past it
+   both refuse with E_EXEC_RANGE naming the kernel and the variable. *)
+let test_int32_args () =
+  let kernel =
+    {
+      Imp.k_name = "store_n";
+      k_params =
+        [
+          { Imp.p_name = "n"; p_dtype = Imp.Int; p_array = false; p_output = false };
+          { Imp.p_name = "a"; p_dtype = Imp.Int; p_array = true; p_output = true };
+        ];
+      k_body = [ Imp.Store ("a", Imp.Int_lit 0, Imp.Var "n") ];
+    }
+  in
+  let max32 = Int32.to_int Int32.max_int in
+  List.iter
+    (fun (who, c) ->
+      let call n =
+        let a = Ivec.create 1 in
+        match Compile.run c ~args:[ ("n", Compile.Aint n); ("a", Compile.Aint_array a) ] with
+        | (_ : string -> Compile.arg) -> Ok (Ivec.get a 0)
+        | exception Diag.Error e -> Error (e.Diag.code, List.assoc_opt "variable" e.Diag.context)
+      in
+      Alcotest.(check (result int (pair string (option string))))
+        (who ^ ": Int32.max_int") (Ok max32) (call max32);
+      Alcotest.(check (result int (pair string (option string))))
+        (who ^ ": one past it") (Error ("E_EXEC_RANGE", Some "n")) (call (max32 + 1)))
+    [
+      ("closures", Compile.compile ~cache:false ~backend:`Closure kernel);
+      ("native", Compile.compile ~cache:false ~backend:`Native kernel);
+    ]
+
 (* A deadline already in the past is caught by the kernel's first poll,
    which reads the table's clock. *)
 let test_native_deadline () =
@@ -560,11 +645,12 @@ let test_sort_rows ?semiring ~parallel ~name () =
   Array.iteri (fun r k -> pos.(r + 1) <- pos.(r) + k) counts;
   let crd = Array.concat (Array.to_list (Array.map (fun k -> Array.init k Fun.id) counts)) in
   let vals = Array.mapi (fun i k -> float_of_int ((i * 7) + k + 1) *. 0.5) crd in
-  let bt = T.of_csr ~rows ~cols:n pos crd vals in
+  let bt = T.of_csr ~rows ~cols:n (Ivec.of_array pos) (Ivec.of_array crd) vals in
   (* C(k, n-1-k): ascending k inserts descending columns. *)
   let ct =
-    T.of_csr ~rows:n ~cols:n (Array.init (n + 1) Fun.id)
-      (Array.init n (fun k -> n - 1 - k))
+    T.of_csr ~rows:n ~cols:n
+      (Ivec.of_array (Array.init (n + 1) Fun.id))
+      (Ivec.of_array (Array.init n (fun k -> n - 1 - k)))
       (Array.init n (fun k -> 1. +. (float_of_int k *. 0.25)))
   in
   let inputs = [ (b, bt); (c, ct) ] in
@@ -575,7 +661,7 @@ let test_sort_rows ?semiring ~parallel ~name () =
   (match T.level_data rn 1 with
   | T.Compressed_data { pos; _ } ->
       Alcotest.(check (array int)) (name ^ ": row sizes") counts
-        (Array.init rows (fun r -> pos.(r + 1) - pos.(r)))
+        (Array.init rows (fun r -> Ivec.get pos (r + 1) - Ivec.get pos r))
   | T.Dense_data _ -> Alcotest.fail "expected a compressed level");
   if not (tensors_bit_identical rc rn) then
     Alcotest.failf "%s: native sorted rows diverge from closures" name
@@ -654,13 +740,13 @@ let test_sort_slices () =
       let expected = Array.concat [ before; sorted; after ] in
       List.iter
         (fun (who, c) ->
-          let a = Array.concat [ before; slice; after ] in
+          let a = Ivec.of_array (Array.concat [ before; slice; after ]) in
           let hi = Array.length before + Array.length slice in
           let (_ : string -> Compile.arg) =
             Compile.run c
               ~args:[ ("a", Compile.Aint_array a); ("lo", Compile.Aint 2); ("hi", Compile.Aint hi) ]
           in
-          Alcotest.(check (array int)) (Printf.sprintf "%s on %s" what who) expected a)
+          Alcotest.(check (array int)) (Printf.sprintf "%s on %s" what who) expected (Ivec.to_array a))
         runners)
     (sort_slices ())
 
@@ -702,8 +788,13 @@ let test_wide_spgemm () =
   let crd = Array.concat (Array.to_list (Array.map ks rows)) in
   let inputs =
     [
-      (b, T.of_csr ~rows:(Array.length rows) ~cols:n pos crd (Array.map value crd));
-      (c, T.of_csr ~rows:n ~cols:n (Array.init (n + 1) Fun.id) perm (Array.map value perm));
+      ( b,
+        T.of_csr ~rows:(Array.length rows) ~cols:n (Ivec.of_array pos) (Ivec.of_array crd)
+          (Array.map value crd) );
+      ( c,
+        T.of_csr ~rows:n ~cols:n
+          (Ivec.of_array (Array.init (n + 1) Fun.id))
+          (Ivec.of_array perm) (Array.map value perm) );
     ]
   in
   let closure = getd (compile ~name:"spgemm_wide" ~backend:`Closure sched) in
@@ -722,7 +813,7 @@ let test_wide_spgemm () =
           let s = Array.copy cols in
           Array.sort compare s;
           Alcotest.(check (array int)) (Printf.sprintf "row %d columns" r) s
-            (Array.sub crd pos.(r) (pos.(r + 1) - pos.(r))))
+            (Ivec.to_array (Ivec.sub crd (Ivec.get pos r) (Ivec.get pos (r + 1) - Ivec.get pos r))))
         rows
   | T.Dense_data _ -> Alcotest.fail "expected a compressed level");
   List.iter
@@ -768,7 +859,7 @@ let test_concurrent_uncached_builds () =
     let read = Compile.run c ~args:(assemble_args k ~inputs ~dims) in
     let arr name =
       match read name with
-      | Compile.Aint_array a -> Array.map Int64.of_int a
+      | Compile.Aint_array a -> Array.map Int64.of_int (Ivec.to_array a)
       | Compile.Afloat_array a -> Array.map Int64.bits_of_float a
       | Compile.Aint _ | Compile.Afloat _ -> Alcotest.failf "%s: not an array" name
     in
@@ -1134,6 +1225,8 @@ let () =
             (test_budget_boundary ~semiring:Semiring.min_plus ~parallel:false
                ~name:"spgemm_budget_minplus");
           cc_case "alloc and grow at the limit, closures vs tier 0 vs tier 1" test_budget_grow;
+          cc_case "E_EXEC_MEM bytes, OpenMP" test_budget_openmp;
+          cc_case "int32 scalar arguments, both backends" test_int32_args;
           cc_case "expired deadline cancels natively" test_native_deadline;
           cc_case "sorted rows, sequential" (test_sort_rows ~parallel:false ~name:"spgemm_sort");
           cc_case "sorted rows, OpenMP" (test_sort_rows ~parallel:true ~name:"spgemm_sort_par");

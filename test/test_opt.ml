@@ -43,7 +43,7 @@ let read_int reader name =
 
 let read_iarr reader name =
   match reader name with
-  | Compile.Aint_array x -> x
+  | Compile.Aint_array x -> Taco_support.Ivec.to_array x
   | _ -> Alcotest.fail "expected int array"
 
 (* Run a kernel unoptimized and with [config], checking that the named

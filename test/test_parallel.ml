@@ -165,7 +165,7 @@ let test_degenerate_zero_rows () =
     let c = match read "c" with Compile.Aint v -> v | _ -> Alcotest.fail "bad c" in
     let buf =
       match read "buf" with
-      | Compile.Aint_array a -> Array.sub a 0 c
+      | Compile.Aint_array a -> Taco_support.Ivec.(to_array (sub a 0 c))
       | _ -> Alcotest.fail "bad buf"
     in
     (c, buf)

@@ -1,6 +1,7 @@
 module Dyn = Taco_support.Dyn_array
 module Prng = Taco_support.Prng
 module Util = Taco_support.Util
+module Ivec = Taco_support.Ivec
 module Memo = Taco_support.Memo
 module Metrics = Taco_support.Metrics
 
@@ -82,29 +83,22 @@ let test_sample_full_range () =
   Alcotest.(check (array int)) "k = n takes everything" (Array.init 10 Fun.id) s
 
 let test_binary_search () =
-  let a = [| 1; 3; 5; 7; 9; 11 |] in
+  let a = Ivec.of_array [| 1; 3; 5; 7; 9; 11 |] in
   Alcotest.(check (option int)) "found" (Some 2) (Util.binary_search a 0 6 5);
   Alcotest.(check (option int)) "absent" None (Util.binary_search a 0 6 6);
   Alcotest.(check (option int)) "outside slice" None (Util.binary_search a 0 2 5);
   Alcotest.(check (option int)) "in slice" (Some 4) (Util.binary_search a 3 6 9)
 
-let test_lower_bound () =
-  let a = [| 2; 4; 4; 8 |] in
-  Alcotest.(check int) "before" 0 (Util.lower_bound a 0 4 1);
-  Alcotest.(check int) "first equal" 1 (Util.lower_bound a 0 4 4);
-  Alcotest.(check int) "between" 3 (Util.lower_bound a 0 4 5);
-  Alcotest.(check int) "after" 4 (Util.lower_bound a 0 4 100)
-
 let test_sort_paired () =
-  let keys = [| 9; 3; 7; 1 |] and payload = [| 9.; 3.; 7.; 1. |] in
+  let keys = Ivec.of_array [| 9; 3; 7; 1 |] and payload = [| 9.; 3.; 7.; 1. |] in
   Util.sort_paired keys payload 0 4;
-  Alcotest.(check (array int)) "keys" [| 1; 3; 7; 9 |] keys;
+  Alcotest.(check (array int)) "keys" [| 1; 3; 7; 9 |] (Ivec.to_array keys);
   Alcotest.(check (array (float 0.))) "payload follows" [| 1.; 3.; 7.; 9. |] payload
 
 let test_sort_paired_slice () =
-  let keys = [| 9; 3; 7; 1 |] and payload = [| 9.; 3.; 7.; 1. |] in
+  let keys = Ivec.of_array [| 9; 3; 7; 1 |] and payload = [| 9.; 3.; 7.; 1. |] in
   Util.sort_paired keys payload 1 3;
-  Alcotest.(check (array int)) "only the slice" [| 9; 3; 7; 1 |] keys
+  Alcotest.(check (array int)) "only the slice" [| 9; 3; 7; 1 |] (Ivec.to_array keys)
 
 let test_median () =
   Alcotest.(check (float 0.)) "odd" 3. (Util.median [ 5.; 1.; 3. ]);
@@ -122,7 +116,7 @@ let prop_binary_search_agrees =
       let a = Array.of_list (List.sort_uniq compare xs) in
       let n = Array.length a in
       let expected = Array.exists (( = ) x) a in
-      let got = Util.binary_search a 0 n x <> None in
+      let got = Util.binary_search (Ivec.of_array a) 0 n x <> None in
       expected = got)
 
 let prop_sample_distinct =
@@ -328,7 +322,6 @@ let () =
       ( "util",
         [
           Alcotest.test_case "binary_search" `Quick test_binary_search;
-          Alcotest.test_case "lower_bound" `Quick test_lower_bound;
           Alcotest.test_case "sort_paired" `Quick test_sort_paired;
           Alcotest.test_case "sort_paired slice only" `Quick test_sort_paired_slice;
           Alcotest.test_case "median" `Quick test_median;

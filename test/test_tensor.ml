@@ -6,6 +6,7 @@ module Coo = Taco_tensor.Coo
 module Gen = Taco_tensor.Gen
 module Suite = Taco_tensor.Suite
 module Prng = Taco_support.Prng
+module Ivec = Taco_support.Ivec
 
 let check_dense = Helpers.check_dense
 
@@ -157,19 +158,41 @@ let test_csr_arrays () =
   Coo.push coo [| 1; 2 |] 30.;
   let t = T.pack coo F.csr in
   let pos, crd, vals = T.csr_arrays t in
-  Alcotest.(check (array int)) "pos" [| 0; 2; 3 |] pos;
-  Alcotest.(check (array int)) "crd" [| 1; 3; 2 |] crd;
+  Alcotest.(check (array int)) "pos" [| 0; 2; 3 |] (Ivec.to_array pos);
+  Alcotest.(check (array int)) "crd" [| 1; 3; 2 |] (Ivec.to_array crd);
   Alcotest.(check (array (float 0.))) "vals" [| 10.; 20.; 30. |] vals
 
 let test_of_csr_validates () =
   Alcotest.(check bool) "invalid pos rejected" true
-    (match T.of_csr ~rows:2 ~cols:2 [| 0; 2; 1 |] [| 0; 1 |] [| 1.; 2. |] with
+    (match T.of_csr ~rows:2 ~cols:2 (Ivec.of_array [| 0; 2; 1 |]) (Ivec.of_array [| 0; 1 |]) [| 1.; 2. |] with
     | exception Invalid_argument _ -> true
     | _ -> false);
   Alcotest.(check bool) "unsorted crd rejected" true
-    (match T.of_csr ~rows:1 ~cols:3 [| 0; 2 |] [| 2; 1 |] [| 1.; 2. |] with
+    (match T.of_csr ~rows:1 ~cols:3 (Ivec.of_array [| 0; 2 |]) (Ivec.of_array [| 2; 1 |]) [| 1.; 2. |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* A dimension past Int32.max_int has no int32 index array: pack and
+   of_parts refuse it with a diagnostic naming the field and level. *)
+let test_int32_dims () =
+  let big = Int32.to_int Int32.max_int + 1 in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Taco_support.Diag.Error d ->
+        Alcotest.(check (list (option string)))
+          (what ^ ": code, field, level")
+          [ Some "E_TENSOR_RANGE"; Some "dimension"; Some "1" ]
+          (Some d.Taco_support.Diag.code
+          :: List.map (fun k -> List.assoc_opt k d.Taco_support.Diag.context) [ "field"; "level" ])
+  in
+  refused "pack" (fun () -> T.pack (Coo.create [| 2; big |]) F.dcsr);
+  refused "of_parts" (fun () ->
+      T.of_parts ~dims:[| 1; big |] ~format:F.dense_matrix
+        ~levels:[| T.Dense_data { size = 1 }; T.Dense_data { size = big } |]
+        ~vals:[||]);
+  let at_max = T.pack (Coo.create [| 2; Int32.to_int Int32.max_int |]) F.dcsr in
+  Alcotest.(check bool) "Int32.max_int packs" true (T.validate at_max = Ok ())
 
 let test_repack () =
   let prng = Prng.create 5 in
@@ -328,6 +351,7 @@ let () =
           Alcotest.test_case "3d csf" `Quick test_pack_csf_3d;
           Alcotest.test_case "csr arrays" `Quick test_csr_arrays;
           Alcotest.test_case "of_csr validation" `Quick test_of_csr_validates;
+          Alcotest.test_case "int32 dimensions" `Quick test_int32_dims;
           Alcotest.test_case "repack" `Quick test_repack;
           Alcotest.test_case "logical equality" `Quick test_equal;
           Alcotest.test_case "dense zero equals packed empty" `Quick test_zero_matches_pack;
