@@ -68,12 +68,26 @@ let make_addition_tests () =
            ignore (Kernel.run_assemble ws ~inputs:bindings ~dims:[| 1000; 1000 |])));
   ]
 
+(* The structural check alone: [Tensor.of_parts] (which runs
+   [Tensor.validate]) on a 400x400 SpGEMM result of 2%-dense operands,
+   ~23.6k nonzeros, the size the serve_warm benchmark's SpGEMM hands back
+   on every request. *)
+let make_validate_test () =
+  let kern, b, c = Harness.spgemm_kernel ~sorted:true in
+  let bt = Inputs.uniform_matrix ~seed:1 ~rows:400 ~cols:400 ~density:0.02 in
+  let ct = Inputs.uniform_matrix ~seed:2 ~rows:400 ~cols:400 ~density:0.02 in
+  let a = Kernel.run_assemble kern ~inputs:[ (b, bt); (c, ct) ] ~dims:[| 400; 400 |] in
+  let dims = Tensor.dims a and format = Tensor.format a and vals = Tensor.vals a in
+  let levels = Array.init (Tensor.order a) (Tensor.level_data a) in
+  Test.make ~name:"tensor/validate_csr"
+    (Staged.stage (fun () -> ignore (Tensor.of_parts ~dims ~format ~levels ~vals)))
+
 let run () =
   Harness.header "Bechamel micro-benchmarks (small fixed inputs)";
   let tests =
     Test.make_grouped ~name:"taco-workspaces" ~fmt:"%s %s"
       ([ make_spgemm_test (); make_spgemm_eigen_test () ]
-      @ make_mttkrp_tests () @ make_addition_tests ())
+      @ make_mttkrp_tests () @ make_addition_tests () @ [ make_validate_test () ])
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

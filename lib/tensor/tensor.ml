@@ -10,6 +10,9 @@ type level_data =
 (* Inline element access: the index arrays' type is named here. *)
 let ( .%() ) (a : Ivec.t) i = Int32.to_int (Bigarray.Array1.get a i)
 
+(* Unchecked read, for scans whose indices are proven in bounds. *)
+let uget (a : Ivec.t) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
+
 let ilen (a : Ivec.t) = Bigarray.Array1.dim a
 
 (* Native kernels index with int32: a dimension (and so a coordinate
@@ -48,9 +51,51 @@ let vals t = t.vals
 
 let stored t = Array.length t.vals
 
+(* The crd diagnostic: the last violation in forward order, and at one
+   [k] "not strictly sorted" wins over "out of bounds". Only a failed
+   [crd_ok] runs it, so its cost never lands on a valid tensor. *)
+let crd_error ~level ~dim pos crd parent_positions =
+  let msg = ref "" in
+  for p = 0 to parent_positions - 1 do
+    for k = pos.%(p) to pos.%(p + 1) - 1 do
+      if crd.%(k) < 0 || crd.%(k) >= dim then
+        msg := Printf.sprintf "level %d crd out of bounds at %d" level k;
+      if k > pos.%(p) && crd.%(k - 1) >= crd.%(k) then
+        msg := Printf.sprintf "level %d crd not strictly sorted at %d" level k
+    done
+  done;
+  Error !msg
+
+(* One forward pass over a compressed level's crd, each coordinate read
+   once. [prev] starts each segment at -1, so [c <= prev || c >= dim]
+   catches negative, duplicate, unsorted and out-of-range coordinates in
+   one test. The pos checks run first: pos.(0) = 0, monotone, and crd at
+   least pos.(parent_positions) long put every read in bounds. *)
+let crd_ok ~dim pos crd parent_positions =
+  let ok = ref true and p = ref 0 and k = ref 0 in
+  while !ok && !p < parent_positions do
+    let hi = uget pos (!p + 1) in
+    let prev = ref (-1) in
+    while !ok && !k < hi do
+      let c = uget crd !k in
+      if c <= !prev || c >= dim then ok := false
+      else begin
+        prev := c;
+        incr k
+      end
+    done;
+    incr p
+  done;
+  !ok
+
 let validate t =
   let ( let* ) r f = Result.bind r f in
   let n = order t in
+  let* () =
+    let fo = Format.order t.format in
+    if n <> fo then Error (Printf.sprintf "dims has %d entries, format order %d" n fo)
+    else Ok ()
+  in
   let* () =
     if Array.length t.levels <> n then Error "level count differs from order" else Ok ()
   in
@@ -73,28 +118,19 @@ let validate t =
           else if pos.%(0) <> 0 then Error (Printf.sprintf "level %d pos.(0) <> 0" l)
           else begin
             (* Monotone first: then pos.(parent_positions) bounds every
-               position, and one length test covers every crd read. *)
-            let ok = ref (Ok ()) in
-            for p = parent_positions - 1 downto 0 do
-              if pos.%(p) > pos.%(p + 1) then
-                ok := Error (Printf.sprintf "level %d pos not monotone at %d" l p)
+               position, and one length test covers every crd read. The
+               first descent found is the one reported. *)
+            let p = ref 0 in
+            while !p < parent_positions && uget pos !p <= uget pos (!p + 1) do
+              incr p
             done;
-            let* () = !ok in
-            let* () =
-              if ilen crd < pos.%(parent_positions) then
-                Error (Printf.sprintf "level %d crd too short" l)
-              else Ok ()
-            in
-            for p = 0 to parent_positions - 1 do
-              for k = pos.%(p) to pos.%(p + 1) - 1 do
-                if crd.%(k) < 0 || crd.%(k) >= dim then
-                  ok := Error (Printf.sprintf "level %d crd out of bounds at %d" l k);
-                if k > pos.%(p) && crd.%(k - 1) >= crd.%(k) then
-                  ok := Error (Printf.sprintf "level %d crd not strictly sorted at %d" l k)
-              done
-            done;
-            let* () = !ok in
-            check (l + 1) pos.%(parent_positions)
+            if !p < parent_positions then
+              Error (Printf.sprintf "level %d pos not monotone at %d" l !p)
+            else if ilen crd < pos.%(parent_positions) then
+              Error (Printf.sprintf "level %d crd too short" l)
+            else if not (crd_ok ~dim pos crd parent_positions) then
+              crd_error ~level:l ~dim pos crd parent_positions
+            else check (l + 1) pos.%(parent_positions)
           end
   in
   check 0 1

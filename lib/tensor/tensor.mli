@@ -86,8 +86,11 @@ val repack : t -> Format.t -> t
     (each domain computes a partial result over its row range). *)
 val split_rows : t -> parts:int -> t list
 
-(** Structural invariants: monotone [pos], sorted in-bounds [crd], value
-    array sized to the last level. *)
+(** Structural invariants: [dims] as long as the format's order, monotone
+    [pos], sorted in-bounds [crd], value array sized to the last level.
+    A compressed level's [crd] is checked in one forward pass that stops
+    at the first violation; only then is it scanned again for the
+    diagnostic, which names the last violation in forward order. *)
 val validate : t -> (unit, string) result
 
 (** Logical equality up to [eps] (compares all coordinates). Intended for

@@ -237,6 +237,7 @@ let check_read_back ~name ~sorted sched inputs dims =
         Alcotest.(check int) (name ^ ": pos length") (rows + 1) (Ivec.length pos);
         Alcotest.(check int) (name ^ ": crd length") (Ivec.get pos rows) (Ivec.length crd);
         Alcotest.(check int) (name ^ ": vals length") (Ivec.get pos rows) (Array.length (T.vals t));
+        Alcotest.(check (result unit string)) (name ^ ": validates") (Ok ()) (T.validate t);
         let pos0, crd0, vals0 = capacity_read_back k ~backend ~sorted ~inputs ~dims in
         if not (pos = pos0 && crd = crd0 && float_bits_equal (T.vals t) vals0) then
           Alcotest.failf "%s: exact read-back differs from the capacity read-back" name;
@@ -266,6 +267,50 @@ let test_read_back_unsorted () =
   let b, c, sched = spgemm_sched ~parallel:false in
   check_read_back ~name:"spgemm_rb_unsorted" ~sorted:false sched (spgemm_inputs b c 6)
     [| 24; 21 |]
+
+(* Edge-shape results: an all-zero operand (nnz = 0), 1 x n and n x 1
+   operands, and operands with empty rows. [rows_kept] draws a CSR
+   matrix whose rows failing [keep] stay empty. *)
+let rows_kept seed dims ~keep =
+  let prng = Taco_support.Prng.create seed in
+  T.of_dense
+    (Taco_tensor.Dense.init dims (fun c ->
+         if keep c.(0) && Taco_support.Prng.bool prng 0.4 then 0.5 +. Taco_support.Prng.float prng
+         else 0.))
+    F.csr
+
+let test_read_back_edge_shapes () =
+  let all _ = true in
+  let b, c, sched = spgemm_sched ~parallel:false in
+  List.iter
+    (fun (what, bt, ct) ->
+      let dims = [| (T.dims bt).(0); (T.dims ct).(1) |] in
+      check_read_back ~name:("spgemm_edge: " ^ what) ~sorted:true sched [ (b, bt); (c, ct) ] dims)
+    [
+      ("zero B", T.zero [| 24; 18 |] F.csr, rows_kept 61 [| 18; 21 |] ~keep:all);
+      ("zero C", rows_kept 62 [| 24; 18 |] ~keep:all, T.zero [| 18; 21 |] F.csr);
+      ("1 x n B", rows_kept 63 [| 1; 18 |] ~keep:all, rows_kept 64 [| 18; 21 |] ~keep:all);
+      ("n x 1 C", rows_kept 65 [| 24; 18 |] ~keep:all, rows_kept 66 [| 18; 1 |] ~keep:all);
+      ("outer product", rows_kept 67 [| 24; 1 |] ~keep:all, rows_kept 68 [| 1; 21 |] ~keep:all);
+      ("1 x 1", rows_kept 69 [| 1; 1 |] ~keep:all, rows_kept 70 [| 1; 1 |] ~keep:all);
+      ( "empty rows",
+        rows_kept 71 [| 24; 18 |] ~keep:(fun i -> i mod 3 <> 1),
+        rows_kept 72 [| 18; 21 |] ~keep:(fun i -> i mod 2 = 0) );
+    ];
+  let b, c, sched = spadd_sched ~parallel:false in
+  List.iter
+    (fun (what, bt, ct) ->
+      check_read_back ~name:("spadd_edge: " ^ what) ~sorted:true sched [ (b, bt); (c, ct) ]
+        (T.dims bt))
+    [
+      ("zero + zero", T.zero [| 30; 25 |] F.csr, T.zero [| 30; 25 |] F.csr);
+      ("zero + B", T.zero [| 30; 25 |] F.csr, rows_kept 73 [| 30; 25 |] ~keep:all);
+      ("1 x n", rows_kept 74 [| 1; 25 |] ~keep:all, rows_kept 75 [| 1; 25 |] ~keep:all);
+      ("n x 1", rows_kept 76 [| 30; 1 |] ~keep:all, rows_kept 77 [| 30; 1 |] ~keep:all);
+      ( "empty rows",
+        rows_kept 78 [| 30; 25 |] ~keep:(fun i -> i mod 3 = 0),
+        rows_kept 79 [| 30; 25 |] ~keep:(fun i -> i mod 4 = 1) );
+    ]
 
 (* An out-of-range length is one stage-Execute diagnostic, the same on
    both backends: never a crash and never a short array. *)
@@ -1211,6 +1256,7 @@ let () =
           cc_case "SpGEMM exact lengths" test_read_back_spgemm;
           cc_case "SpAdd exact lengths" test_read_back_spadd;
           cc_case "unsorted SpGEMM exact lengths" test_read_back_unsorted;
+          cc_case "edge shapes, SpGEMM and SpAdd" test_read_back_edge_shapes;
           cc_case "out-of-range length, both backends" test_read_back_out_of_range;
         ] );
       ("codegen", [ cc_case "exec C is -Wall -Werror clean" test_exec_c_warning_clean ]);

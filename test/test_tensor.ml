@@ -194,6 +194,174 @@ let test_int32_dims () =
   let at_max = T.pack (Coo.create [| 2; Int32.to_int Int32.max_int |]) F.dcsr in
   Alcotest.(check bool) "Int32.max_int packs" true (T.validate at_max = Ok ())
 
+(* A dims array whose length is not the format's order is a named
+   of_parts error, not a tensor with too few levels or an exception from
+   deep inside the level walk. *)
+let test_of_parts_arity () =
+  Alcotest.check_raises "one dim for CSR"
+    (Invalid_argument "Tensor.of_parts: dims has 1 entries, format order 2") (fun () ->
+      ignore
+        (T.of_parts ~dims:[| 2 |] ~format:F.csr ~levels:[| T.Dense_data { size = 2 } |]
+           ~vals:[| 1.; 2. |]));
+  Alcotest.check_raises "three dims for CSR"
+    (Invalid_argument "Tensor.of_parts: dims has 3 entries, format order 2") (fun () ->
+      ignore
+        (T.of_parts ~dims:[| 2; 2; 2 |] ~format:F.csr
+           ~levels:
+             [|
+               T.Dense_data { size = 2 };
+               T.Compressed_data { pos = Ivec.of_array [| 0; 0; 0 |]; crd = Ivec.empty };
+               T.Dense_data { size = 2 };
+             |]
+           ~vals:[||]))
+
+(* The reference for [Tensor.validate]'s verdicts and messages: a plain
+   scan that checks every coordinate against its bounds and its
+   predecessor without stopping, so it names the last crd violation in
+   forward order, and at one k "not strictly sorted" wins over "out of
+   bounds". *)
+let reference_validate ~dims ~format ~levels ~vals =
+  let ( .%() ) = Ivec.get in
+  let ( let* ) r f = Result.bind r f in
+  let n = Array.length dims in
+  let* () =
+    if Array.length levels <> n then Error "level count differs from order" else Ok ()
+  in
+  let rec check l parent_positions =
+    if l = n then
+      if Array.length vals <> parent_positions then
+        Error
+          (Printf.sprintf "vals has %d entries, expected %d" (Array.length vals)
+             parent_positions)
+      else Ok ()
+    else
+      let dim = dims.(F.mode_of_level format l) in
+      match levels.(l) with
+      | T.Dense_data { size } ->
+          if size <> dim then Error (Printf.sprintf "dense level %d size mismatch" l)
+          else check (l + 1) (parent_positions * size)
+      | T.Compressed_data { pos; crd } ->
+          if Ivec.length pos <> parent_positions + 1 then
+            Error (Printf.sprintf "level %d pos has wrong length" l)
+          else if pos.%(0) <> 0 then Error (Printf.sprintf "level %d pos.(0) <> 0" l)
+          else begin
+            let ok = ref (Ok ()) in
+            for p = parent_positions - 1 downto 0 do
+              if pos.%(p) > pos.%(p + 1) then
+                ok := Error (Printf.sprintf "level %d pos not monotone at %d" l p)
+            done;
+            let* () = !ok in
+            let* () =
+              if Ivec.length crd < pos.%(parent_positions) then
+                Error (Printf.sprintf "level %d crd too short" l)
+              else Ok ()
+            in
+            for p = 0 to parent_positions - 1 do
+              for k = pos.%(p) to pos.%(p + 1) - 1 do
+                if crd.%(k) < 0 || crd.%(k) >= dim then
+                  ok := Error (Printf.sprintf "level %d crd out of bounds at %d" l k);
+                if k > pos.%(p) && crd.%(k - 1) >= crd.%(k) then
+                  ok := Error (Printf.sprintf "level %d crd not strictly sorted at %d" l k)
+              done
+            done;
+            let* () = !ok in
+            check (l + 1) pos.%(parent_positions)
+          end
+  in
+  check 0 1
+
+(* Damage one compressed level of [levels] in place (the Ivecs are
+   copies): a coordinate swapped, duplicated, negative, at dim - 1, at
+   dim or anywhere near the range; a pos entry moved; crd cut short;
+   pos.(0) made nonzero. *)
+let mutate prng ~dims ~format levels =
+  let compressed =
+    List.filter
+      (fun l -> match levels.(l) with T.Compressed_data _ -> true | T.Dense_data _ -> false)
+      (List.init (Array.length levels) Fun.id)
+  in
+  let l = List.nth compressed (Prng.int prng (List.length compressed)) in
+  let dim = dims.(F.mode_of_level format l) in
+  match levels.(l) with
+  | T.Dense_data _ -> assert false
+  | T.Compressed_data { pos; crd } -> (
+      let nc = Ivec.length crd and np = Ivec.length pos in
+      let some_k () = Prng.int prng nc in
+      match Prng.int prng 9 with
+      | 0 when nc >= 2 ->
+          let k = Prng.int prng (nc - 1) in
+          let c = Ivec.get crd k in
+          Ivec.set crd k (Ivec.get crd (k + 1));
+          Ivec.set crd (k + 1) c
+      | 1 when nc >= 2 ->
+          let k = 1 + Prng.int prng (nc - 1) in
+          Ivec.set crd k (Ivec.get crd (k - 1))
+      | 2 when nc > 0 -> Ivec.set crd (some_k ()) (-1 - Prng.int prng 3)
+      | 3 when nc > 0 -> Ivec.set crd (some_k ()) (dim - 1)
+      | 4 when nc > 0 -> Ivec.set crd (some_k ()) dim
+      | 5 when np >= 2 -> Ivec.set pos (1 + Prng.int prng (np - 1)) (Prng.int prng (nc + 2))
+      | 6 when nc > 0 -> levels.(l) <- T.Compressed_data { pos; crd = Ivec.sub crd 0 (nc - 1) }
+      | 7 -> Ivec.set pos 0 (1 + Prng.int prng 2)
+      | _ when nc > 0 -> Ivec.set crd (some_k ()) (Prng.int prng (dim + 4) - 2)
+      | _ -> ())
+
+(* The one-pass validate must give exactly the reference's verdict and
+   message on seeded mutants of CSR, DCSR and CSF level data: small
+   shapes with empty segments, nnz = 0, and up to four violations per
+   mutant, in one segment or across several. *)
+let test_validate_diagnostics () =
+  let prng = Prng.create 2718 in
+  let formats = [| ("csr", F.csr, 2); ("dcsr", F.dcsr, 2); ("csf", F.csf 3, 3) |] in
+  let seen = Hashtbl.create 8 in
+  let kind msg =
+    List.find_opt (Helpers.contains msg)
+      [
+        "crd out of bounds"; "crd not strictly sorted"; "pos not monotone"; "crd too short";
+        "pos.(0) <> 0"; "vals has"; "pos has wrong length";
+      ]
+  in
+  for i = 1 to 3000 do
+    let name, format, order = formats.(i mod Array.length formats) in
+    let dims = Array.init order (fun _ -> 1 + Prng.int prng 7) in
+    let size = Array.fold_left ( * ) 1 dims in
+    let nnz = if Prng.int prng 8 = 0 then 0 else Prng.int prng (size + 1) in
+    let t = T.pack (Gen.random_coo prng ~dims ~nnz) format in
+    let levels =
+      Array.init order (fun l ->
+          match T.level_data t l with
+          | T.Dense_data _ as d -> d
+          | T.Compressed_data { pos; crd } ->
+              T.Compressed_data
+                { pos = Ivec.sub pos 0 (Ivec.length pos); crd = Ivec.sub crd 0 (Ivec.length crd) })
+    in
+    for _ = 1 to Prng.int prng 5 do
+      mutate prng ~dims ~format levels
+    done;
+    let vals = T.vals t in
+    let expected = reference_validate ~dims ~format ~levels ~vals in
+    let prefix = "Tensor.of_parts: " in
+    let got =
+      match T.of_parts ~dims ~format ~levels ~vals with
+      | (_ : T.t) -> Ok ()
+      | exception Invalid_argument m when String.starts_with ~prefix m ->
+          let n = String.length prefix in
+          Error (String.sub m n (String.length m - n))
+    in
+    if got <> expected then
+      Alcotest.failf "%s mutant %d: validate gave %s, reference %s" name i
+        (match got with Ok () -> "Ok" | Error e -> e)
+        (match expected with Ok () -> "Ok" | Error e -> e);
+    Hashtbl.replace seen
+      (match expected with Ok () -> Some "ok" | Error e -> kind e)
+      ()
+  done;
+  (* Every verdict the mutations aim at was produced. *)
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem seen (Some k)) then Alcotest.failf "no mutant gave %S" k)
+    [ "ok"; "crd out of bounds"; "crd not strictly sorted"; "pos not monotone";
+      "crd too short"; "pos.(0) <> 0" ]
+
 let test_repack () =
   let prng = Prng.create 5 in
   let t = Gen.random prng ~dims:[| 5; 5 |] ~nnz:8 F.csr in
@@ -352,6 +520,9 @@ let () =
           Alcotest.test_case "csr arrays" `Quick test_csr_arrays;
           Alcotest.test_case "of_csr validation" `Quick test_of_csr_validates;
           Alcotest.test_case "int32 dimensions" `Quick test_int32_dims;
+          Alcotest.test_case "of_parts dims/format arity" `Quick test_of_parts_arity;
+          Alcotest.test_case "validate diagnostics match the forward scan" `Quick
+            test_validate_diagnostics;
           Alcotest.test_case "repack" `Quick test_repack;
           Alcotest.test_case "logical equality" `Quick test_equal;
           Alcotest.test_case "dense zero equals packed empty" `Quick test_zero_matches_pack;
