@@ -160,12 +160,13 @@ let build_curve ~batched (ws : Harness.workload list) n =
       | Error d -> failwith ("batch curve: " ^ Diag.to_string d))
     prepared
 
-(* Records per size: the builds timed singly and as one unit, the
+(* Records per size: the builds timed singly and as one unit, each cell
+   the median of [reps] interleaved builds with its quartiles, the
    one-unit kernels' results checked bit for bit against the single
    builds'. *)
 let batch_curve ~reps (ws : Harness.workload list) =
-  Harness.row "\n%-8s | %12s %12s %8s %14s" "kernels" "singly(ms)" "one unit(ms)" "ratio"
-    "per kernel(ms)";
+  Harness.row "\n%-8s | %22s %22s %8s %14s" "kernels" "singly(ms) [q1-q3]"
+    "one unit(ms) [q1-q3]" "ratio" "per kernel(ms)";
   List.concat_map
     (fun n ->
       let results batched =
@@ -177,15 +178,19 @@ let batch_curve ~reps (ws : Harness.workload list) =
         (name, (fun () -> results batched), fun () -> ignore (build_curve ~batched ws n))
       in
       let records =
-        Harness.best_of_batches ~reps
+        Harness.median_quartiles ~reps
           ~workload:(Printf.sprintf "cc_batch_n%d" n)
           ~equal:(List.for_all2 Harness.tensors_identical)
           ~info:(fun _ -> [ ("kernels", Report.Int n) ])
           [ variant "singly" false; variant "one_unit" true ]
       in
-      let singly = Harness.time_of records "singly" *. 1e3 in
-      let one = Harness.time_of records "one_unit" *. 1e3 in
-      Harness.row "%-8d | %12.1f %12.1f %7.2fx %14.1f" n singly one (singly /. one)
+      let cell v =
+        let r = List.find (fun (r : Harness.record) -> r.variant = v) records in
+        let q k = match List.assoc k r.info with Report.Float x -> x *. 1e3 | _ -> nan in
+        (r.time_s *. 1e3, Printf.sprintf "%.1f [%.1f-%.1f]" (r.time_s *. 1e3) (q "q1_s") (q "q3_s"))
+      in
+      let singly, singly_s = cell "singly" and one, one_s = cell "one_unit" in
+      Harness.row "%-8d | %22s %22s %7.2fx %14.1f" n singly_s one_s (singly /. one)
         (one /. float_of_int n);
       records)
     curve_sizes

@@ -172,6 +172,51 @@ let best_of_batches ~reps ~workload ~equal ?(info = fun _ -> []) variants =
       })
     (List.combine variants agrees)
 
+(* First quartile, median and third quartile of a non-empty sample,
+   interpolating between order statistics. *)
+let quartiles xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let at p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    let frac = x -. float_of_int i in
+    if i + 1 < n then a.(i) +. (frac *. (a.(i + 1) -. a.(i))) else a.(i)
+  in
+  (at 0.25, at 0.5, at 0.75)
+
+(* Median of [reps] single runs per variant, the variants interleaved
+   round-robin as in [best_of_batches], with the quartiles in [info]
+   ([q1_s], [q3_s]): for runs too long to batch (fresh kernel builds of
+   40–700 ms), where the minimum of a few runs moves by more than the
+   differences asked about and the spread is worth reporting. *)
+let median_quartiles ~reps ~workload ~equal ?(info = fun _ -> []) variants =
+  let agrees = agreement ~equal (List.map (fun (_, result, _) -> result) variants) in
+  let reps = max 1 reps in
+  let samples = Array.make (List.length variants) [] in
+  for _ = 1 to reps do
+    List.iteri
+      (fun q (_, _, f) ->
+        Gc.full_major ();
+        let (), t = Util.time f in
+        samples.(q) <- t :: samples.(q))
+      variants
+  done;
+  List.mapi
+    (fun q ((variant, _, _), agrees) ->
+      let q1, median, q3 = quartiles samples.(q) in
+      {
+        workload;
+        variant;
+        estimator = "median";
+        time_s = median;
+        reps;
+        agrees;
+        info = ("q1_s", Report.Float q1) :: ("q3_s", Report.Float q3) :: info variant;
+      })
+    (List.combine variants agrees)
+
 (* One measurement: median wall-clock of [reps] runs plus the GC work
    the runs did, as per-run means over the whole batch (Gc.quick_stat
    deltas; [m_major_words] includes promotions, as Gc reports it). *)

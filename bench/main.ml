@@ -134,7 +134,8 @@ let cback_dim_arg =
 let cback_reps_arg =
   Arg.(
     value & opt int 7
-    & info [ "reps" ] ~doc:"Repetitions per measurement (best of batches).")
+    & info [ "reps" ]
+        ~doc:"Repetitions per measurement (best of batches; the batch-cost curve reports their median and quartiles).")
 
 let cback_out_arg =
   Arg.(

@@ -450,7 +450,7 @@ let run_serve domains queue_depth socket trace_file =
   Obs.setup ();
   if trace_file <> None then Trace.enable ();
   (* Metrics are always on in a serving process: the registry is cheap
-     (lock-free per-domain shards) and a server that cannot answer
+     (lock-free per-carrier shards) and a server that cannot answer
      `metrics` is flying blind. *)
   Metrics.enable ();
   let svc = Service.create ~domains ~queue_depth () in
@@ -744,7 +744,8 @@ let explain_arg =
 
 let serve_cmd =
   let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains in the pool.")
+    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+           ~doc:"Workers in the pool; those beyond the spare cores run as threads.")
   in
   let depth_arg =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N" ~doc:"Bound of the submission queue; further submissions are rejected.")

@@ -1,9 +1,11 @@
 (* Process-wide budget of extra domains (beyond the one running the
    caller). Every component that spawns domains — the ParallelFor
    executor, Parallel.run_dense's clamped path, the service worker
-   pool — draws permits from this one pot, so their combined live
-   domain count stays within what the hardware offers even when a
-   serve request itself runs a parallel kernel. *)
+   pool — draws permits from this one pot and spawns one domain per
+   permit granted, no more, so their combined live domain count stays
+   within what the hardware offers even when a serve request itself
+   runs a parallel kernel. Work beyond the grant runs on the caller's
+   domain: chunks in its own loop, service workers as its threads. *)
 
 type state = {
   mutable capacity : int;  (* total permits *)

@@ -10,10 +10,12 @@
 
     A permit stands for one domain beyond the caller's own. The default
     capacity is [recommended () - 1]. Acquisition is best-effort:
-    {!acquire} grants between [0] and [want] permits and never blocks —
-    a caller granted fewer permits runs the remaining work on its own
-    domain, which the deterministic chunk merge makes observationally
-    identical. *)
+    {!acquire} grants between [0] and [want] permits and never blocks,
+    and a caller spawns one domain per permit granted, never more. A
+    caller granted fewer permits runs the remaining work on its own
+    domain: kernel chunks in its own loop, which the deterministic
+    chunk merge makes observationally identical, and service workers as
+    threads of the domain that created the pool. *)
 
 (** [Domain.recommended_domain_count ()]. *)
 val recommended : unit -> int

@@ -25,9 +25,12 @@
  *   - float arrays cross with no copy too: an OCaml float array is a
  *     flat double buffer, so its value pointer IS the double*. The call
  *     performs no OCaml allocation before the kernel returns, so the
- *     GC cannot move the buffers while the kernel runs (any other
- *     domain asking for a stop-the-world collection blocks until this
- *     call returns — the documented cost of the zero-copy path);
+ *     GC cannot move the buffers while the kernel runs. The cost of the
+ *     zero-copy path arises only where another domain exists: a
+ *     stop-the-world collection it asks for waits until this call
+ *     returns. Threads of this domain wait anyway, as the call holds
+ *     the domain's lock, and a process whose service runs its workers
+ *     as threads of one domain (no spare core) has no other domain;
  *   - arrays the kernel allocates come back through esc/esc_len
  *     (esc_len is each buffer's capacity). Only the escapes named by
  *     the read list are handed back, each at the exact length the

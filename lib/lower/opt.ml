@@ -32,12 +32,12 @@ let none =
    counter at each discrete rewrite it performs (a fold, a fused
    memset, a hoisted decl, a dropped statement, ...). [optimize_stats]
    resets the counter around each pass and reports the per-pass totals.
-   The counter is per-domain, so optimizations running concurrently on
-   several domains (e.g. service workers building on cache misses) each
-   count only their own rewrites. *)
-let fires = Domain.DLS.new_key (fun () -> ref 0)
+   The counter is per carrier (domain or thread), so optimizations
+   running concurrently on several workers (e.g. service workers
+   building on cache misses) each count only their own rewrites. *)
+let fires = Taco_support.Carrier.new_key (fun () -> ref 0)
 
-let fire () = incr (Domain.DLS.get fires)
+let fire () = incr (Taco_support.Carrier.get fires)
 
 (* ------------------------------------------------------------------ *)
 (* Shared analysis helpers                                             *)
@@ -964,7 +964,7 @@ let optimize_stats ?(config = all) k =
             | [] -> Ok (k, List.rev acc)
             | (name, f) :: rest -> (
                 let nodes_before = node_count k in
-                let fires = Domain.DLS.get fires in
+                let fires = Taco_support.Carrier.get fires in
                 fires := 0;
                 Taco_support.Faultinject.hit ~stage:Taco_support.Diag.Compile "opt.pass";
                 let t0 = Trace.now_ns () in

@@ -1,11 +1,13 @@
 (* The concurrent evaluation service: a bounded MPMC job queue feeding a
-   fixed pool of worker domains, each running the whole pipeline (parse →
+   fixed pool of workers, each running the whole pipeline (parse →
    concretize → schedule → lower → compile → execute) through the Taco
    facade, on batches of the jobs queued when it dequeues. Compilation
    coalescing is not implemented here: it falls out of the single-flight
    compiled-kernel cache in [Taco_exec.Compile], which this service
-   merely hammers from many domains, and a batch's native misses share
-   one cc run there. See service.mli for the
+   merely hammers from many workers, and a batch's native misses share
+   one cc run there. A worker runs on a domain of its own where the
+   domain budget grants one, and otherwise as a thread of the domain
+   that created the pool. See service.mli for the
    batching/queueing/deadline/backpressure semantics. *)
 
 module Format = Taco_tensor.Format
@@ -82,6 +84,10 @@ type job = {
 
 type state = Running | Draining | Stopped
 
+(* What a worker runs on: a domain of its own, held by a budget permit,
+   or a thread of the domain that created the pool. *)
+type carrier = Own_domain | Caller_thread
+
 type stats = {
   submitted : int;
   rejected : int;
@@ -108,12 +114,12 @@ type t = {
   s_queue : job Queue.t;
   s_depth : int;
   s_domains : int;
+  s_own_domains : int;  (* workers on a domain of their own: the permits granted *)
   s_crashes : (string, int) Hashtbl.t;  (* request key -> workers killed *)
   s_quarantine : (string, unit) Hashtbl.t;  (* poison-pill request keys *)
   mutable s_state : state;
-  mutable s_workers : unit Domain.t list;
+  mutable s_workers : (unit -> unit) list;  (* each worker's join *)
   mutable s_live : int;  (* workers currently in their loop *)
-  mutable s_permits : int;  (* domain-budget permits held for the pool *)
   mutable st_submitted : int;
   mutable st_rejected : int;
   mutable st_completed : int;
@@ -177,7 +183,7 @@ let publish_depth t =
   Metrics.set_gauge "taco_serve_queue_depth" (float_of_int (Queue.length t.s_queue))
 
 (* ------------------------------------------------------------------ *)
-(* The request pipeline (runs on a worker domain)                      *)
+(* The request pipeline (runs on a worker)                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Raised between pipeline steps when the request's deadline passes. *)
@@ -494,6 +500,10 @@ let set_worker_gauge live =
   if Metrics.enabled () then
     Metrics.set_gauge "taco_serve_live_workers" (float_of_int live)
 
+let set_domain_gauge n =
+  if Metrics.enabled () then
+    Metrics.set_gauge "taco_serve_worker_domains" (float_of_int n)
+
 (* Classify, count and answer one finished job: every job a worker or
    the crash path answers passes here exactly once. The metrics and the
    event log are written off the service mutex. *)
@@ -540,7 +550,12 @@ let finish t job ~wait_ns ~run_ns outcome =
   Log.debug (fun m ->
       m "rid=%d %s backend=%s wait=%dms run=%dms" job.j_rid outcome_l
         job.j_backend (ms_of_ns wait_ns) (ms_of_ns run_ns));
-  resolve job.j_ticket outcome
+  resolve job.j_ticket outcome;
+  (* On a thread carrier, let a client thread of this domain take the
+     answer and refill the queue before the next dequeue, as it could
+     from a domain of its own: batches stay as large. A no-op when no
+     other thread of this domain waits to run. *)
+  Thread.yield ()
 
 (* A job's failure, whatever it raised: request failures are contained
    here, so only a fault outside (the [serve.worker] point) or a bug in
@@ -557,7 +572,7 @@ let contained f =
    crash is charged to (the job being worked on, if any). *)
 type held = { mutable charged : job option; mutable unresolved : job list }
 
-(* Run [f] for [job]: its request id bound to this domain (every trace
+(* Run [f] for [job]: its request id bound to this carrier (every trace
    span and instant it emits is stamped with it) and a crash charged to
    it. An exception escaping [f] kills the worker, so the charge is
    left standing for [handle_crash]. *)
@@ -597,7 +612,7 @@ let process_batch t held jobs =
               Trace.span_complete ~cat:"serve" ~ts:job.j_enq_ns ~dur_ns:(wait_ns job) "serve.wait";
             job.j_dequeue_ns <- Some dequeue_ns;
             (* The one fault site outside the containment: a Crash rule
-               here kills the worker domain, exercising the supervision
+               here kills the worker, exercising the supervision
                path below. *)
             Fault.hit ~stage:Diag.Serve "serve.worker";
             match job.j_deadline_ns with
@@ -681,22 +696,28 @@ let rec worker_loop t held =
     worker_loop t held
   end
 
-(* A worker domain: runs the loop, and on an escaped exception reports
-   the death so the pool can replace it. [process_batch] contains
-   everything a request can throw, so escapes are either injected faults
-   or failures of the serving machinery itself — both mean this domain
-   is done. *)
-let rec spawn_worker t =
+(* A worker: runs the loop on its carrier, and on an escaped exception
+   reports the death so the pool can replace it. [process_batch]
+   contains everything a request can throw, so escapes are either
+   injected faults or failures of the serving machinery itself — both
+   mean this worker is done. Returns the worker's join. *)
+let rec spawn_worker t carrier =
   let held = { charged = None; unresolved = [] } in
-  Domain.spawn (fun () ->
-      try worker_loop t held with exn -> handle_crash t held exn)
+  let run () = try worker_loop t held with exn -> handle_crash t held carrier exn in
+  match carrier with
+  | Own_domain ->
+      let d = Domain.spawn run in
+      fun () -> Domain.join d
+  | Caller_thread ->
+      let th = Thread.create run () in
+      fun () -> Thread.join th
 
 (* The worker died holding [held]: the crash is charged to the job it
    was working on, which is retried once and quarantined on a second
    strike; the rest of its batch is requeued uncharged. What is retried
    goes back to the head of the queue in its batch order, ahead of the
    jobs admitted since: it was dequeued first. *)
-and handle_crash t held exn =
+and handle_crash t held carrier exn =
   let victim = held.charged in
   let charged j = match victim with Some v -> v == j | None -> false in
   let mates = List.filter (fun j -> not (charged j)) held.unresolved in
@@ -750,7 +771,8 @@ and handle_crash t held exn =
   in
   let replace = t.s_state = Running in
   if replace then begin
-    let w = spawn_worker t in
+    (* On the same kind of carrier: the pool's permits do not change. *)
+    let w = spawn_worker t carrier in
     t.s_workers <- w :: t.s_workers;
     t.s_live <- t.s_live + 1;
     count t `Replaced
@@ -758,7 +780,7 @@ and handle_crash t held exn =
   let live = t.s_live in
   Mutex.unlock t.s_mutex;
   Log.warn (fun m ->
-      m "worker domain died (%s); %s" (Printexc.to_string exn)
+      m "worker died (%s); %s" (Printexc.to_string exn)
         (if replace then "replaced" else "not replacing during drain"));
   set_worker_gauge live;
   let died_in_shutdown context =
@@ -794,6 +816,12 @@ let create ?(domains = 1) ?(queue_depth = 64) () =
   if domains < 1 || domains > 128 then
     invalid_arg "Service.create: domains must be in 1..128";
   if queue_depth < 1 then invalid_arg "Service.create: queue_depth must be positive";
+  (* A worker has a domain of its own only where the process-wide budget
+     grants a permit for it, so the pool's domains stay within what the
+     hardware offers, and kernels (here or elsewhere) see that many fewer
+     domains to spawn. The other workers run as threads of this domain:
+     with no spare core, the whole pool is this one domain. *)
+  let own_domains = Taco.Budget.acquire domains in
   let t =
     {
       s_mutex = Mutex.create ();
@@ -802,16 +830,12 @@ let create ?(domains = 1) ?(queue_depth = 64) () =
       s_queue = Queue.create ();
       s_depth = queue_depth;
       s_domains = domains;
+      s_own_domains = own_domains;
       s_crashes = Hashtbl.create 8;
       s_quarantine = Hashtbl.create 8;
       s_state = Running;
       s_workers = [];
       s_live = domains;
-      (* Account the worker domains against the process-wide budget:
-         while the pool is up, kernels (here or elsewhere) see that many
-         fewer domains to spawn. Best-effort — a pool larger than the
-         machine still comes up, it just leaves no budget for nesting. *)
-      s_permits = Taco.Budget.acquire domains;
       st_submitted = 0;
       st_rejected = 0;
       st_completed = 0;
@@ -829,8 +853,11 @@ let create ?(domains = 1) ?(queue_depth = 64) () =
       st_backend_downgraded = 0;
     }
   in
-  t.s_workers <- List.init domains (fun _ -> spawn_worker t);
+  t.s_workers <-
+    List.init domains (fun i ->
+        spawn_worker t (if i < own_domains then Own_domain else Caller_thread));
   set_worker_gauge domains;
+  set_domain_gauge own_domains;
   t
 
 (* A submission that never reached the queue still counts as a request
@@ -966,7 +993,7 @@ let shutdown t =
   in
   Mutex.unlock t.s_mutex;
   if workers <> [] then begin
-    List.iter Domain.join workers;
+    List.iter (fun join -> join ()) workers;
     (* Replacements spawned after the drain snapshot joined the list
        under the mutex; pick them up until none are left. *)
     let rec drain_late () =
@@ -975,25 +1002,25 @@ let shutdown t =
       t.s_workers <- [];
       Mutex.unlock t.s_mutex;
       if late <> [] then begin
-        List.iter Domain.join late;
+        List.iter (fun join -> join ()) late;
         drain_late ()
       end
     in
     drain_late ();
-    Taco.Budget.release t.s_permits;
+    Taco.Budget.release t.s_own_domains;
     Mutex.lock t.s_mutex;
-    t.s_permits <- 0;
     t.s_live <- 0;
     t.s_state <- Stopped;
     Condition.broadcast t.s_stopped;
     Mutex.unlock t.s_mutex;
     set_worker_gauge 0;
+    set_domain_gauge 0;
     (* Temp-artifact hygiene: sweep native build leftovers now that no
        worker can be mid-compile (loaded kernels stay callable). *)
     Taco.Native.cleanup ()
   end
   else begin
-    (* Another domain owns the drain; wait for it to finish. *)
+    (* Another caller owns the drain; wait for it to finish. *)
     Mutex.lock t.s_mutex;
     while t.s_state <> Stopped do
       Condition.wait t.s_stopped t.s_mutex

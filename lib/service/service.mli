@@ -4,8 +4,10 @@
     Clients submit requests — an index notation statement as text,
     schedule directives, and named operand tensors — and the service
     parses, concretizes, schedules, lowers, compiles and executes them
-    on a fixed pool of OCaml 5 worker domains behind a bounded
-    submission queue.
+    on a fixed pool of workers behind a bounded submission queue. A
+    worker runs on an OCaml 5 domain of its own where the process-wide
+    {!Taco.Budget} grants a permit for one, and otherwise as a thread
+    of the domain that created the pool (see {!create}).
 
     The serving layer is the system's third amortizer, after the paper's
     workspaces (amortizing insertion cost) and the structure-keyed
@@ -43,7 +45,7 @@
       cooperative watchdog — every few hundred iterations {e inside}
       running kernel loops, so an expiry mid-kernel cancels the work.
       An expired request completes with [E_SERVE_DEADLINE].
-    - {b Supervision}: a worker domain killed by an escaped exception
+    - {b Supervision}: a worker killed by an escaped exception
       (only injected faults or serving-machinery bugs — request
       failures are contained) is detected and replaced, and the job it
       was working on is retried once; the rest of its batch is
@@ -53,9 +55,10 @@
       quarantined, and future submissions of it are rejected at
       admission with the same code.
     - {b Shutdown}: {!shutdown} stops admission ([E_SERVE_SHUTDOWN]),
-      lets workers drain every queued job, and joins all worker domains
+      lets workers drain every queued job, and joins all workers
       (including any replacements) before returning; every outstanding
-      ticket is resolved and no domains are left running.
+      ticket is resolved and no worker domain or thread is left
+      running.
     - {b Failure containment}: pipeline failures (parse through
       execute) resolve the ticket with their own staged diagnostic;
       unexpected exceptions resolve it with [E_SERVE_INTERNAL].
@@ -79,13 +82,14 @@
     (their [_count]s by backend give [stats.exec_native], and
     [exec_closure] as [closure] plus [downgraded]),
     [taco_serve_compile_seconds{backend}] for the compile phase, and
-    gauges [taco_serve_queue_depth], [taco_serve_live_workers] and
-    [taco_compile_cache_hit_ratio]. Pipeline stages land in
+    gauges [taco_serve_queue_depth], [taco_serve_live_workers],
+    [taco_serve_worker_domains] (the workers on a domain of their own;
+    the rest are threads) and [taco_compile_cache_hit_ratio]. Pipeline stages land in
     [taco_stage_duration_seconds{stage}] via the trace span hook.
 
     {b Request ids.} Each submission draws a process-global request id;
-    while a worker processes the job the id is bound to the domain
-    ({!Taco_support.Trace.set_request_id}), so its trace spans carry a
+    while a worker processes the job the id is bound to the worker's
+    carrier ({!Taco_support.Trace.set_request_id}), so its trace spans carry a
     [rid] argument, and the structured event log ([TACO_EVENTS=path],
     {!Taco_support.Events}) gets one [serve.request] line per finished
     job (and a [serve.reject] line per refused submission) carrying the
@@ -169,7 +173,7 @@ type stats = {
   peak_queue : int;  (** high-water mark of the queue *)
   total_wait_ns : int64;  (** summed queue time of processed requests *)
   total_run_ns : int64;  (** summed processing time of processed requests *)
-  crashed : int;  (** worker domains killed by escaped exceptions *)
+  crashed : int;  (** workers killed by escaped exceptions *)
   replaced : int;  (** replacement workers spawned *)
   quarantined : int;  (** request structures quarantined as poison *)
   live_workers : int;  (** workers currently in their serving loop *)
@@ -181,15 +185,19 @@ type stats = {
           or build failed) *)
 }
 
-(** [create ~domains ~queue_depth ()] spawns the worker pool. [domains]
-    (default 1, max 128) is the exact number of worker domains — it is
+(** [create ~domains ~queue_depth ()] starts the worker pool. [domains]
+    (default 1, max 128) is the exact number of workers — it is
     deliberately not clamped to the machine's core count, so concurrency
     is exercisable anywhere; [queue_depth] (default 64) bounds the
     submission queue. Raises [Invalid_argument] on non-positive
-    values. The pool acquires (best-effort) one {!Taco.Budget} permit per
-    worker for its lifetime, so parallel kernels executing inside a busy
-    pool cannot oversubscribe the machine; {!shutdown} returns the
-    permits. *)
+    values. The pool asks {!Taco.Budget} for one permit per worker and
+    holds what it is granted for its lifetime ({!shutdown} returns it):
+    one worker per permit runs on a domain of its own, and the others
+    run as threads of the calling domain, with the same queue, batching,
+    supervision and join. With no spare core the whole pool is the
+    calling domain, and parallel kernels executing inside a busy pool
+    cannot oversubscribe the machine. A crashed worker is replaced on
+    the same kind of carrier. *)
 val create : ?domains:int -> ?queue_depth:int -> unit -> t
 
 (** Enqueue a request. Returns a ticket, or rejects immediately with
@@ -212,7 +220,7 @@ val stats : t -> stats
 (** Jobs currently queued (excluding those being executed). *)
 val queue_length : t -> int
 
-(** Worker-domain count of the pool. *)
+(** Worker count of the pool (the [domains] it was created with). *)
 val domains : t -> int
 
 (** The front cache: every non-[Auto] request's lowered statement by
@@ -231,7 +239,7 @@ val front_cache_stats : unit -> Taco_support.Memo.stats
 (** Drop every front-cache entry and reset its counters. *)
 val front_cache_clear : unit -> unit
 
-(** Stop admission, drain the queue, join every worker domain, then
+(** Stop admission, drain the queue, join every worker, then
     sweep the native backend's on-disk build artifacts
     ({!Taco.Native.cleanup}). Idempotent; concurrent callers all return
     after the drain. *)

@@ -1,5 +1,5 @@
 (* Process-wide metrics registry. Counters and histograms shard per
-   domain through Domain.DLS and merge at scrape time; gauges are rare
+   carrier (domain or thread, see Carrier) and merge at scrape time; gauges are rare
    last-write-wins sets behind a mutex. Everything is gated on [on] so
    the disabled path is one ref read, mirroring Trace. See metrics.mli
    for the model. *)
@@ -83,13 +83,13 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
+let shard_key : shard Carrier.key =
+  Carrier.new_key (fun () ->
       let s : shard = Hashtbl.create 32 in
       locked (fun () -> shards := s :: !shards);
       s)
 
-let my_shard () = Domain.DLS.get shard_key
+let my_shard () = Carrier.get shard_key
 
 let norm_labels = function
   | ([] | [ _ ]) as ls -> ls

@@ -7,19 +7,19 @@
     hot paths cost nothing when observability is off.
 
     {b Sharding.} Counter increments and histogram observations go to a
-    per-domain shard (via [Domain.DLS], the same pattern as {!Trace}'s
-    per-domain span stacks), so worker domains record concurrently
-    without contending on a lock. Shards are merged at scrape time
+    per-carrier shard (one per domain or per thread of a domain, via
+    {!Carrier}, the same pattern as {!Trace}'s span stacks), so workers
+    record concurrently without contending on a lock. Shards are merged at scrape time
     ({!snapshot}, {!to_prometheus}, {!to_json}). A scrape that races
-    recording domains may observe a slightly stale view; after the
-    recording domains are joined the merge is exact. Gauges are
+    recording carriers may observe a slightly stale view; after the
+    recording carriers are joined the merge is exact. Gauges are
     last-write-wins process globals (sets are rare — queue depth, live
     workers), kept in a small mutex-guarded table.
 
     {b Histograms} are HDR-style log-linear: 16 sub-buckets per power of
     two, so any recorded duration is bucketed with a relative error of
     at most 1/16 (~6.25%), using a fixed ~600-slot int array per series
-    per domain and no allocation per observation. Values are
+    per carrier and no allocation per observation. Values are
     nanoseconds; quantiles interpolate within the resolved bucket.
 
     {b Series identity} is (metric name, sorted label pairs). Metric
@@ -47,8 +47,8 @@ val enable : unit -> unit
 (** Turn recording off and uninstall the {!Trace} hook. *)
 val disable : unit -> unit
 
-(** Drop every recorded series (all domains' shards and the gauge
-    table). Call while no other domain is recording. *)
+(** Drop every recorded series (all carriers' shards and the gauge
+    table). Call while no other carrier is recording. *)
 val reset : unit -> unit
 
 (** {2 Recording} *)

@@ -38,18 +38,21 @@ let mutex = Mutex.create ()
 let events : event list ref = ref []
 let n_events = ref 0
 
-(* The open-span stack is domain-local: each worker domain nests its own
-   spans and never sees (or corrupts) another domain's stack. The event
-   buffer stays shared behind the mutex; events carry the domain id so
-   exporters can pair B/E per domain. *)
-let stack_key : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* Each carrier (a domain, or one thread of it; see Carrier) has its own
+   open-span stack and request id: a worker nests its own spans and
+   never sees (or corrupts) another's stack. The event buffer stays
+   shared behind the mutex; events carry the carrier id so exporters
+   can pair B/E per carrier. *)
+type carrier = { mutable stack : span list; mutable rid : int option }
 
-let my_stack () = Domain.DLS.get stack_key
+let carrier_key = Carrier.new_key (fun () -> { stack = []; rid = None })
 
-let tid () = (Domain.self () :> int)
+let my_carrier () = Carrier.get carrier_key
 
-(* Global count of open spans across all domains (the per-domain stacks
-   of other domains cannot be walked); guarded by [mutex]. *)
+let tid = Carrier.id
+
+(* Global count of open spans across all carriers (the stacks of other
+   carriers cannot be walked); guarded by [mutex]. *)
 let open_count = ref 0
 
 let locked f =
@@ -81,15 +84,13 @@ let call_hook name cat dur_ns =
 
 let active () = !on || logging () || hook_on ()
 
-(* The current request id is domain-local, like the span stack: a worker
-   domain serves one request at a time, and every event it records while
+(* The current request id is carrier-local, like the span stack: a
+   worker serves one request at a time, and every event it records while
    the id is set is stamped with it (an ["rid"] argument), making trace
    output joinable with the service's per-request event log. *)
-let rid_key : int option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let set_request_id rid = (my_carrier ()).rid <- rid
 
-let set_request_id rid = Domain.DLS.get rid_key := rid
-
-let request_id () = !(Domain.DLS.get rid_key)
+let request_id () = (my_carrier ()).rid
 
 let rid_args args =
   match request_id () with
@@ -104,9 +105,9 @@ let clear () =
       events := [];
       n_events := 0;
       open_count := 0);
-  (* Only the calling domain's stack is reachable; other domains' stacks
-     unwind on their own as their [with_span] frames return. *)
-  my_stack () := []
+  (* Only the calling carrier's stack is reachable; other carriers'
+     stacks unwind on their own as their [with_span] frames return. *)
+  (my_carrier ()).stack <- []
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
@@ -119,15 +120,15 @@ let with_span ?(cat = "taco") ?(args = []) name f =
     let sp =
       { sp_name = name; sp_cat = cat; sp_ts = now_ns (); sp_tid = t; sp_args = rid_args args }
     in
-    let stack = my_stack () in
+    let c = my_carrier () in
     locked (fun () ->
         push (E_begin sp);
         incr open_count);
-    stack := sp :: !stack;
+    c.stack <- sp :: c.stack;
     Fun.protect
       ~finally:(fun () ->
         let t1 = now_ns () in
-        (match !stack with _ :: tl -> stack := tl | [] -> ());
+        (match c.stack with _ :: tl -> c.stack <- tl | [] -> ());
         locked (fun () ->
             decr open_count;
             push (E_end { e_name = name; e_ts = t1; e_tid = t }));
@@ -148,7 +149,7 @@ let with_span ?(cat = "taco") ?(args = []) name f =
 
 let set_args kv =
   if !on then
-    match !(my_stack ()) with
+    match (my_carrier ()).stack with
     | sp :: _ -> locked (fun () -> sp.sp_args <- sp.sp_args @ kv)
     | [] -> ()
 
@@ -262,8 +263,8 @@ let write_chrome path =
 
 let summary () =
   let evs = snapshot () in
-  (* Pair B/E events with an explicit stack per domain (concurrent
-     domains interleave their pairs in the buffer); X events contribute
+  (* Pair B/E events with an explicit stack per carrier (concurrent
+     carriers interleave their pairs in the buffer); X events contribute
      directly. Aggregates keyed by span name. *)
   let agg : (string, int * int64) Hashtbl.t = Hashtbl.create 16 in
   let record name dur =

@@ -28,14 +28,15 @@
     alone gives a poor man's profile without any JSON machinery.
 
     Thread safety: the buffer is mutex-protected and the open-span stack
-    is domain-local (one stack per domain, via [Domain.DLS]), so
-    concurrent domains can record spans without corrupting each other's
-    nesting. Every event carries the recording domain's id and is
-    exported with it as the Chrome [tid], letting viewers (and
-    [bin/trace_check]) pair B/E events per domain. {!set_args} attaches
-    to the calling domain's innermost open span. {!clear} resets the
-    shared buffer and the calling domain's stack; call it only while no
-    other domain has spans open. *)
+    is carrier-local (one stack per domain or per thread of a domain,
+    via {!Carrier}), so concurrent workers can record spans without
+    corrupting each other's nesting. Every event carries the recording
+    carrier's id ({!Carrier.id}) and is exported with it as the Chrome
+    [tid], letting viewers (and [bin/trace_check]) pair B/E events per
+    carrier. {!set_args} attaches to the calling carrier's innermost
+    open span. {!clear} resets the shared buffer and the calling
+    carrier's stack; call it only while no other carrier has spans
+    open. *)
 
 (** Monotonic clock, nanoseconds. Usable independently of tracing. *)
 val now_ns : unit -> int64
@@ -60,8 +61,8 @@ val set_span_hook : span_hook option -> unit
 
 (** {2 Request ids}
 
-    The current request id is domain-local. While set, every event the
-    domain records carries an ["rid"] argument, so Chrome traces join
+    The current request id is carrier-local. While set, every event the
+    carrier records carries an ["rid"] argument, so Chrome traces join
     against the service's per-request event log (and [bin/trace_check]
     can validate per-request invariants). *)
 
@@ -81,7 +82,7 @@ val clear : unit -> unit
     arguments; more can be added from inside [f] with {!set_args}. *)
 val with_span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
-(** Append arguments to the calling domain's innermost open span (no-op
+(** Append arguments to the calling carrier's innermost open span (no-op
     when disabled or outside any span). *)
 val set_args : (string * string) list -> unit
 
@@ -95,7 +96,7 @@ val instant : ?args:(string * string) list -> string -> unit
 (** Number of buffered events (spans count twice: begin and end). *)
 val event_count : unit -> int
 
-(** Number of currently open spans across all domains (0 when all spans
+(** Number of currently open spans across all carriers (0 when all spans
     are balanced). *)
 val open_spans : unit -> int
 

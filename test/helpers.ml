@@ -22,6 +22,14 @@ let get_err what = function
   | Error e -> e
   | Ok _ -> Alcotest.fail (what ^ ": expected an error")
 
+(* Run [f] with the process-wide domain budget at [n] permits, restored
+   afterwards. At 0, a service pool runs every worker as a thread of the
+   calling domain. *)
+let with_budget n f =
+  let saved = Taco_exec.Budget.capacity () in
+  Taco_exec.Budget.set_capacity n;
+  Fun.protect ~finally:(fun () -> Taco_exec.Budget.set_capacity saved) f
+
 (* Substring test for assertions on emitted sources and messages. *)
 let contains haystack needle =
   let lh = String.length haystack and ln = String.length needle in

@@ -533,6 +533,16 @@ let () =
             test_poison_in_batch;
           Alcotest.test_case "compile fault contained to its request" `Quick test_compile_fault_contained;
         ] );
+      ( "thread carriers",
+        (* The supervision cases on a pool whose workers are threads of
+           this domain: with no budget permit, none has a domain. *)
+        List.map
+          (fun (name, f) -> Alcotest.test_case name `Quick (fun () -> with_budget 0 f))
+          [
+            ("crashed worker replaced, job retried", test_worker_crash_replaced);
+            ("two-strike poison pill quarantined", test_poison_quarantined);
+            ("poison request in a batch, batch-mates complete", test_poison_in_batch);
+          ] );
       ( "deadlines",
         [
           Alcotest.test_case "injected stall trips the deadline" `Quick test_delay_past_deadline;

@@ -217,13 +217,11 @@ module Budget = Taco_exec.Budget
 module Service = Taco_service.Service
 
 let test_budget_bounds_oversubscription () =
-  (* A worker pool holds one budget permit per worker; a parallel kernel
-     executing inside the pool can only acquire what is left, so the
-     process-wide count of extra domains never exceeds the capacity even
-     when a request asks for 8 chunks. *)
-  let old_cap = Budget.capacity () in
-  Fun.protect ~finally:(fun () -> Budget.set_capacity old_cap) @@ fun () ->
-  Budget.set_capacity 3;
+  (* A worker pool holds one budget permit per worker while permits
+     last; a parallel kernel executing inside the pool can only acquire
+     what is left, so the process-wide count of extra domains never
+     exceeds the capacity even when a request asks for 8 chunks. *)
+  with_budget 3 @@ fun () ->
   Budget.reset_peak ();
   let svc = Service.create ~domains:2 () in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->

@@ -145,6 +145,44 @@ let merge_prop counts =
       in
       counter = expected && hist_count = expected)
 
+(* Threads of one domain (a service pool's thread workers) each record
+   into a shard of their own: counters and histograms hammered from
+   several threads at once — every thread creating series as it goes,
+   so a switch can land inside a shard's insert — sum exactly. *)
+let test_threads_of_one_domain_merge () =
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      let threads = 4 and rounds = 200 and keys = 50 in
+      let work () =
+        for r = 1 to rounds do
+          for k = 0 to keys - 1 do
+            let labels = [ ("key", string_of_int ((r * keys) + k)) ] in
+            Metrics.inc ~labels "thread_total";
+            Metrics.inc ~labels:[ ("kind", "shared") ] "thread_total";
+            Metrics.observe_ns ~labels "thread_seconds" (Int64.of_int (k + 1))
+          done;
+          if r mod 16 = 0 then Thread.yield ()
+        done
+      in
+      List.iter Thread.join (List.init threads (fun _ -> Thread.create work ()));
+      let n = threads * rounds * keys in
+      Alcotest.(check int) "every increment of the shared series" n
+        (Metrics.counter ~labels:[ ("kind", "shared") ] "thread_total");
+      Alcotest.(check int) "every increment of the per-key series" (2 * n)
+        (Metrics.counter "thread_total");
+      let observed =
+        List.fold_left
+          (fun acc ((name, _), h) ->
+            if name = "thread_seconds" then acc + h.Metrics.h_count else acc)
+          0 (Metrics.snapshot ()).Metrics.histograms
+      in
+      Alcotest.(check int) "every observation" n observed)
+
 let test_cross_domain_merge_qcheck =
   QCheck.Test.make ~count:25 ~name:"cross-domain shard merge is exact"
     QCheck.(list_of_size (Gen.int_range 1 4) (int_range 0 500))
@@ -381,6 +419,8 @@ let () =
             test_family_merge_across_labels;
           Alcotest.test_case "counter sums matching series" `Quick
             test_counter_sums_matching_series;
+          Alcotest.test_case "threads of one domain sum exactly" `Quick
+            test_threads_of_one_domain_merge;
         ] );
       ( "encoders",
         [

@@ -208,11 +208,7 @@ let test_deterministic_with_forced_domains () =
      makes the budget grant no extras and the chunk path run on the
      calling domain. Forcing capacity proves the merge also holds when
      chunks really do run on separate domains. *)
-  let saved = Budget.capacity () in
-  Budget.set_capacity 3;
-  Fun.protect
-    ~finally:(fun () -> Budget.set_capacity saved)
-    (fun () ->
+  with_budget 3 (fun () ->
       let bt = random_tensor 611 [| 24; 16 |] 0.4 F.csr in
       let ct = random_tensor 612 [| 16; 12 |] 0.4 F.csr in
       let b, c, compiled = spgemm_par () in

@@ -193,6 +193,123 @@ let test_batched_native () =
           requests native)
   end
 
+(* --- thread carriers ------------------------------------------------- *)
+
+module Budget = Taco_exec.Budget
+
+(* [f] on a pool whose workers get no domain of their own: with the
+   budget at zero permits every worker is a thread of this domain. *)
+let on_threads f () = with_budget 0 f
+
+let with_metrics f =
+  let enabled = Metrics.enabled () in
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not enabled then Metrics.disable ()) f
+
+let worker_domains_gauge () =
+  List.assoc_opt ("taco_serve_worker_domains", []) (Metrics.snapshot ()).Metrics.gauges
+
+(* Domain ids count up with every spawn: the id of a probe domain spawned
+   after a pool, less the id of one spawned before it, less one, is the
+   number of domains the pool spawned. *)
+let probe_domain_id () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+(* A worker has a domain of its own only for a permit the budget
+   grants: with none, a pool of two spawns no domain; with one permit,
+   a one-worker pool still runs on its own domain. Shutdown returns the
+   permit. *)
+let test_domains_follow_permits () =
+  with_metrics @@ fun () ->
+  let b = random_tensor 71 [| 20; 20 |] 0.2 F.csr in
+  let c = random_tensor 72 [| 20; 20 |] 0.2 F.csr in
+  let serve ~permits ~domains =
+    with_budget permits @@ fun () ->
+    let live0 = Budget.live_extra () in
+    let id0 = probe_domain_id () in
+    with_service ~domains (fun svc ->
+        ignore (await_ok (Result.get_ok (Service.submit svc (spadd_request b c))));
+        let own = min permits domains in
+        Alcotest.(check int)
+          (Printf.sprintf "%d permits, %d workers: domains held" permits domains)
+          own
+          (Budget.live_extra () - live0);
+        Alcotest.(check (option (float 0.)))
+          (Printf.sprintf "%d permits, %d workers: worker_domains gauge" permits domains)
+          (Some (float_of_int own)) (worker_domains_gauge ()));
+    Alcotest.(check int)
+      (Printf.sprintf "%d permits, %d workers: domains spawned" permits domains)
+      (min permits domains)
+      (probe_domain_id () - id0 - 1);
+    Alcotest.(check int) "shutdown returns the permits" live0 (Budget.live_extra ());
+    Alcotest.(check (option (float 0.))) "the gauge reads 0 after shutdown" (Some 0.)
+      (worker_domains_gauge ())
+  in
+  serve ~permits:0 ~domains:2;
+  serve ~permits:1 ~domains:1;
+  serve ~permits:1 ~domains:3
+
+(* Eight native requests for eight distinct kernels, submitted to a
+   one-worker thread pool before the first answer is awaited: the
+   worker, a thread of this domain, runs only once this thread blocks,
+   and then takes the eight as one batch — one cc process for eight
+   kernel builds. *)
+let test_thread_pool_one_cc () =
+  if not (Taco_exec.Native.available ()) then print_endline "  [skipped: no C compiler]"
+  else
+    with_budget 0 @@ fun () ->
+    with_metrics @@ fun () ->
+    let b = random_tensor 73 [| 40; 40 |] 0.1 F.csr in
+    let c = random_tensor 74 [| 40; 40 |] 0.1 F.csr in
+    let t3 = random_tensor 75 [| 40; 8; 8 |] 0.05 (F.csf 3) in
+    let fc = random_tensor 76 [| 8; 16 |] 1.0 F.dense_matrix in
+    let fd = random_tensor 77 [| 8; 16 |] 1.0 F.dense_matrix in
+    let mix = [| spgemm_request b c; spadd_request b c; mttkrp_request t3 fc fd |] in
+    let requests =
+      List.init 8 (fun q ->
+          { (renamed (Printf.sprintf "Thread%d" q) mix.(q mod 3)) with Service.backend = Some `Native })
+    in
+    let builds0 = Metrics.counter "taco_native_builds_total" in
+    let cc0 = Metrics.counter "taco_native_cc_total" in
+    with_service ~domains:1 (fun svc ->
+        let tickets = List.map (fun req -> Result.get_ok (Service.submit svc req)) requests in
+        List.iter (fun t -> ignore (await_ok t)) tickets;
+        Alcotest.(check int) "eight kernel builds" 8
+          (Metrics.counter "taco_native_builds_total" - builds0);
+        Alcotest.(check int) "one cc process" 1 (Metrics.counter "taco_native_cc_total" - cc0);
+        Alcotest.(check int) "no downgrade" 0 (Service.stats svc).Service.backend_downgraded)
+
+(* A closed loop on a one-worker thread pool: the client keeps four
+   requests outstanding and submits a new one (a new kernel) after
+   each answer. The worker yields after each answer, so the refill is
+   queued before it dequeues again, and misses still share cc
+   processes: fewer cc runs than kernels. *)
+let test_thread_pool_closed_loop () =
+  if not (Taco_exec.Native.available ()) then print_endline "  [skipped: no C compiler]"
+  else
+    with_budget 0 @@ fun () ->
+    with_metrics @@ fun () ->
+    let b = random_tensor 78 [| 30; 30 |] 0.1 F.csr in
+    let c = random_tensor 79 [| 30; 30 |] 0.1 F.csr in
+    let total = 24 and outstanding = 4 in
+    let request q =
+      { (renamed (Printf.sprintf "Loop%d" q) (spadd_request b c)) with Service.backend = Some `Native }
+    in
+    let builds0 = Metrics.counter "taco_native_builds_total" in
+    let cc0 = Metrics.counter "taco_native_cc_total" in
+    with_service ~domains:1 (fun svc ->
+        let submit q = Result.get_ok (Service.submit svc (request q)) in
+        let rec loop next = function
+          | [] -> ()
+          | t :: rest ->
+              ignore (await_ok t);
+              if next < total then loop (next + 1) (rest @ [ submit next ]) else loop next rest
+        in
+        loop outstanding (List.init outstanding submit));
+    let builds = Metrics.counter "taco_native_builds_total" - builds0 in
+    let cc = Metrics.counter "taco_native_cc_total" - cc0 in
+    Alcotest.(check int) "one kernel build per request" total builds;
+    if cc >= builds then Alcotest.failf "%d cc runs for %d kernels: batches of one" cc builds
+
 (* A request whose kernel the compile cache holds is answered before
    its batch-mates' native build: with that build held up 400 ms at the
    [native.build] fault point, the hit queued behind the miss completes
@@ -527,6 +644,15 @@ let () =
       ( "accounting",
         [ Alcotest.test_case "stats agree with the registry" `Quick test_stats_agree_with_registry ]
       );
+      ( "thread carriers",
+        [
+          Alcotest.test_case "domains follow budget permits" `Quick test_domains_follow_permits;
+          Alcotest.test_case "eight misses, one cc" `Quick test_thread_pool_one_cc;
+          Alcotest.test_case "a closed loop still batches" `Quick test_thread_pool_closed_loop;
+          Alcotest.test_case "shutdown drains and refuses" `Quick (on_threads test_shutdown_drains);
+          Alcotest.test_case "stats agree with the registry" `Quick
+            (on_threads test_stats_agree_with_registry);
+        ] );
       ( "validation",
         [
           Alcotest.test_case "malformed expression" `Quick test_malformed_expr;

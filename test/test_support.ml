@@ -299,6 +299,40 @@ let test_memo_counter_names () =
       Alcotest.(check (option (float 0.))) "size gauge" (Some 1.)
         (List.assoc_opt ("taco_memo_names_cache_size", []) snap.Metrics.gauges))
 
+(* --- carrier-local state ---------------------------------------------- *)
+
+module Carrier = Taco_support.Carrier
+
+(* Each thread of a domain, and each domain, gets a value of its own
+   from a key, built once and kept for the carrier's later reads. *)
+let test_carrier_per_thread () =
+  let built = Atomic.make 0 in
+  let key =
+    Carrier.new_key (fun () ->
+        Atomic.incr built;
+        ref 0)
+  in
+  let bump n =
+    for _ = 1 to n do
+      incr (Carrier.get key);
+      Thread.yield ()
+    done;
+    (Carrier.id (), !(Carrier.get key))
+  in
+  let results = Array.make 4 (0, 0) in
+  let threads = List.init 4 (fun i -> Thread.create (fun () -> results.(i) <- bump (100 * (i + 1))) ()) in
+  let main = bump 7 in
+  List.iter Thread.join threads;
+  let in_domain = Domain.join (Domain.spawn (fun () -> bump 3)) in
+  Array.iteri
+    (fun i (_, n) -> Alcotest.(check int) (Printf.sprintf "thread %d counts its own" i) (100 * (i + 1)) n)
+    results;
+  Alcotest.(check int) "the main thread counts its own" 7 (snd main);
+  Alcotest.(check int) "a spawned domain counts its own" 3 (snd in_domain);
+  let ids = main :: in_domain :: Array.to_list results |> List.map fst in
+  Alcotest.(check int) "carrier ids are distinct" 6 (List.length (List.sort_uniq compare ids));
+  Alcotest.(check int) "one value built per carrier" 6 (Atomic.get built)
+
 let () =
   Alcotest.run "support"
     [
@@ -339,4 +373,5 @@ let () =
           Alcotest.test_case "several keys at once" `Quick test_memo_batch;
           Alcotest.test_case "lookup without a build" `Quick test_memo_find;
         ] );
+      ("carrier", [ Alcotest.test_case "a value per thread and domain" `Quick test_carrier_per_thread ]);
     ]

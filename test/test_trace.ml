@@ -206,6 +206,113 @@ let test_span_closed_on_exception () =
       Alcotest.(check int) "span closed despite exception" 0 (Trace.open_spans ());
       Alcotest.(check int) "B and E both recorded" 2 (Trace.event_count ()))
 
+(* --- per-carrier spans ---------------------------------------------- *)
+
+module Service = Taco_service.Service
+module F = Taco_tensor.Format
+
+(* The value of ["key":] in one exported event line: a string's
+   contents or a bare number. *)
+let json_field line key =
+  let pat = Printf.sprintf "\"%s\":" key in
+  let n = String.length line and m = String.length pat in
+  let rec find i = if i + m > n then None else if String.sub line i m = pat then Some (i + m) else find (i + 1) in
+  Option.map
+    (fun j ->
+      if line.[j] = '"' then String.sub line (j + 1) (String.index_from line (j + 1) '"' - j - 1)
+      else
+        let k = ref j in
+        while !k < n && (line.[!k] = '-' || (line.[!k] >= '0' && line.[!k] <= '9')) do
+          incr k
+        done;
+        String.sub line j (!k - j))
+    (find 0)
+
+(* A pool of two thread workers serves requests while the main thread,
+   a third thread of the same domain, opens spans of its own under an
+   id no request draws, yielding inside them. Every carrier pairs its
+   own B/E events under its own tid, and every span carries the id of
+   the request its carrier was serving: the main thread's all carry
+   its id, the workers' never do, and a worker's nested spans carry
+   their enclosing span's id. *)
+let test_thread_carriers_pair_spans () =
+  let open Helpers in
+  with_budget 0 @@ fun () ->
+  with_tracing @@ fun () ->
+  let b = random_tensor 61 [| 30; 30 |] 0.1 F.csr in
+  let c = random_tensor 62 [| 30; 30 |] 0.1 F.csr in
+  let request ?(directives = []) expr =
+    Service.request ~directives ~result_format:F.csr ~expr ~inputs:[ ("B", b); ("C", c) ] ()
+  in
+  let mix =
+    [|
+      request "A(i,j) = B(i,k) * C(k,j)"
+        ~directives:
+          [
+            Service.Reorder ("k", "j");
+            Service.Precompute { expr = "B(i,k) * C(k,j)"; over = [ "j" ]; workspace = "w" };
+          ];
+      request "A(i,j) = B(i,j) + C(i,j)";
+    |]
+  in
+  let main_rid = 1_000_000_000 in
+  let svc = Service.create ~domains:2 () in
+  let tickets =
+    Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
+    let tickets =
+      List.init 12 (fun q ->
+          match Service.submit svc mix.(q mod 2) with
+          | Ok t -> t
+          | Error d -> Alcotest.fail (Taco_support.Diag.to_string d))
+    in
+    Trace.set_request_id (Some main_rid);
+    while List.exists (fun t -> Service.poll t = None) tickets do
+      Trace.with_span "main.outer" (fun () -> Trace.with_span "main.inner" Thread.yield)
+    done;
+    Trace.set_request_id None;
+    tickets
+  in
+  List.iter
+    (fun t ->
+      match Service.poll t with
+      | Some (Ok _) -> ()
+      | Some (Error d) -> Alcotest.fail (Taco_support.Diag.to_string d)
+      | None -> Alcotest.fail "unanswered request")
+    tickets;
+  let main_tid = string_of_int (Taco_support.Carrier.id ()) in
+  let main_rid = string_of_int main_rid in
+  let stacks = Hashtbl.create 8 in
+  let stack tid = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+  let overlapped = ref 0 in
+  String.split_on_char '\n' (Trace.to_chrome_json ())
+  |> List.iter (fun line ->
+         match (json_field line "ph", json_field line "tid", json_field line "name") with
+         | Some "B", Some tid, Some name ->
+             let rid = json_field line "rid" in
+             if tid = main_tid then
+               Alcotest.(check (option string)) ("main span " ^ name) (Some main_rid) rid
+             else begin
+               if rid = Some main_rid then Alcotest.failf "worker span %s carries the main id" name;
+               (match stack tid with
+               | (_, Some outer) :: _ when rid <> Some outer ->
+                   Alcotest.failf "span %s on tid %s: rid %s inside a span of rid %s" name tid
+                     (Option.value ~default:"none" rid) outer
+               | _ -> ());
+               if stack main_tid <> [] then incr overlapped
+             end;
+             Hashtbl.replace stacks tid ((name, rid) :: stack tid)
+         | Some "E", Some tid, Some name -> (
+             match stack tid with
+             | (opened, _) :: rest when opened = name -> Hashtbl.replace stacks tid rest
+             | (opened, _) :: _ -> Alcotest.failf "E %s closes %s on tid %s" name opened tid
+             | [] -> Alcotest.failf "E %s with no open span on tid %s" name tid)
+         | _ -> ());
+  Hashtbl.iter
+    (fun tid s -> if s <> [] then Alcotest.failf "tid %s leaves %d spans open" tid (List.length s))
+    stacks;
+  if Hashtbl.length stacks < 2 then Alcotest.fail "no worker span recorded";
+  if !overlapped = 0 then Alcotest.fail "no worker span opened while the main thread had one open"
+
 (* The compile cache counts in the metrics registry, the one store of
    process-wide counts. *)
 let test_compile_emits_cache_counters () =
@@ -293,6 +400,8 @@ let () =
             test_span_closed_on_exception;
           Alcotest.test_case "compile emits cache counters" `Quick
             test_compile_emits_cache_counters;
+          Alcotest.test_case "thread carriers pair their own spans" `Quick
+            test_thread_carriers_pair_spans;
         ] );
       ( "profile",
         [
