@@ -533,7 +533,7 @@ let () =
             test_poison_in_batch;
           Alcotest.test_case "compile fault contained to its request" `Quick test_compile_fault_contained;
         ] );
-      ( "thread carriers",
+      ( "threads",
         (* The supervision cases on a pool whose workers are threads of
            this domain: with no budget permit, none has a domain. *)
         List.map

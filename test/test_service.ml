@@ -644,7 +644,7 @@ let () =
       ( "accounting",
         [ Alcotest.test_case "stats agree with the registry" `Quick test_stats_agree_with_registry ]
       );
-      ( "thread carriers",
+      ( "threads",
         [
           Alcotest.test_case "domains follow budget permits" `Quick test_domains_follow_permits;
           Alcotest.test_case "eight misses, one cc" `Quick test_thread_pool_one_cc;
