@@ -3,9 +3,11 @@
    once per backend — from the same lowered kernel and run on the same
    inputs; the bit-identity of the two results is a hard gate (the
    native build pins -ffp-contract=off exactly so this holds). The
-   native kernel is timed at both compiler tiers: at tier 0 (-O0, what
-   a compile-cache miss builds) within its tier-0 phase, then promoted
-   to tier 1 (-O3) and timed against the closures. Times go to stdout
+   native kernel is timed at both compiler tiers, each labelled with its
+   flags (Native.tier_flags): at tier 0, what a compile-cache miss
+   builds, within the tier-0 phases of Harness.tier0_min_runs or more
+   runs over fresh builds, then promoted to tier 1, built for the host's
+   instruction set, and timed against the closures. Times go to stdout
    as a table and to BENCH_cbackend.json, one record per backend and
    tier, with the native build pipeline broken out per phase (emit /
    cc / dlopen) and the size of the C translation unit the cc phase
@@ -77,10 +79,10 @@ let variants (w : Harness.workload) kc kn =
   ]
 
 (* Records: closures and tier 1 by best_of_batches, then tier 0
-   ("native_O0") by its best run inside its tier-0 phase. Each agrees
-   when its result is bit-identical to the closures'. Prints the
-   workload's table row; returns the records and, when the kernel ran
-   natively, the tier-1 speedup. *)
+   (Harness.tier_label 0) by its best run inside the tier-0 phases of
+   its builds. Each agrees when its result is bit-identical to the
+   closures'. Prints the workload's table row; returns the records and,
+   when the kernel ran natively, the tier-1 speedup. *)
 let run_workload ~reps (w : Harness.workload) =
   let kc = Kernel.prepare w.w_info in
   let kn = Kernel.prepare ~backend:`Native w.w_info in
@@ -93,7 +95,8 @@ let run_workload ~reps (w : Harness.workload) =
   let c_bytes = String.length (Codegen_c.emit_exec [ Kernel.imp kn ]) in
   let phases = Kernel.native_phases kn in
   let native_info =
-    ("native_backend", Report.Bool native_ok)
+    ("flags", Report.Str (Harness.tier_flags 1))
+    :: ("native_backend", Report.Bool native_ok)
     :: ("alloc_per_result_word", Report.Float alloc_ratio)
     :: ("exec_c_bytes", Report.Int c_bytes)
     :: (match phases with Some p -> phases_info p | None -> [])
@@ -113,21 +116,24 @@ let run_workload ~reps (w : Harness.workload) =
      else "bit=")
     alloc_ratio c_bytes
     (match phases with Some p -> cc_ms p | None -> Float.nan)
-    (match tier0 with Some (_, (t, _)) -> t | None -> Float.nan)
+    (match tier0 with Some (_, (t, _, _)) -> t | None -> Float.nan)
     (match tier0 with Some (p, _) -> cc_ms p | None -> Float.nan);
   let tier0_records =
     match tier0 with
     | None -> []
-    | Some (p, (best, runs)) ->
+    | Some (p, (best, runs, builds)) ->
         [
           {
             Harness.workload = w.w_name;
-            variant = "native_O0";
+            variant = Harness.tier_label 0;
             estimator = "best_run";
             time_s = best;
             reps = runs;
             agrees = tier0_agrees;
-            info = phases_info p;
+            info =
+              ("flags", Report.Str (Harness.tier_flags 0))
+              :: ("builds", Report.Int builds)
+              :: phases_info p;
           };
         ]
   in
@@ -201,11 +207,12 @@ let run ~seed ~reps ~dim ~out =
   Metrics.enable ();
   let cc = Native.compiler () in
   let available = Native.available () in
-  Printf.printf "compiler: %s (%s)\n\n" cc
-    (if available then "available" else "NOT available - native runs degrade to closures");
+  Printf.printf "compiler: %s (%s); tier 0: %s, tier 1: %s\n\n" cc
+    (if available then "available" else "NOT available - native runs degrade to closures")
+    (Harness.tier_flags 0) (Harness.tier_flags 1);
   let workloads = Harness.paper_workloads ~seed ~dim in
   Harness.row "%-12s | %12s %12s %9s %5s %9s %8s %7s %12s %7s" "kernel" "closure(s)"
-    "native(s)" "speedup" "ok" "alloc/res" "C bytes" "cc(ms)" "-O0 run(s)" "-O0 cc";
+    "native(s)" "speedup" "ok" "alloc/res" "C bytes" "cc(ms)" "t0 run(s)" "t0 cc";
   let per_workload = List.map (run_workload ~reps) workloads in
   let speedups = List.filter_map snd per_workload in
   let curve = if available then batch_curve ~reps workloads else [] in
@@ -223,6 +230,7 @@ let run ~seed ~reps ~dim ~out =
         ("dim", Report.Int dim);
         ( "compiler",
           Report.Obj [ ("command", Report.Str cc); ("available", Report.Bool available) ] );
+        ("tier0_min_runs", Report.Int Harness.tier0_min_runs);
       ]
     ~summary:
       [
@@ -257,7 +265,8 @@ let smoke () =
         m "cback-smoke FAILED: compiler present but native build was downgraded");
     exit 1
   end;
-  let _, rn0 = Harness.promote_after_tier0 w kn in
+  let rn0 = w.w_result kn in
+  Kernel.promote kn;
   if Kernel.native_tier kn <> Some 1 then begin
     Taco_support.Obs.Log.err (fun m -> m "cback-smoke FAILED: promotion to tier 1 failed");
     exit 1
@@ -268,7 +277,8 @@ let smoke () =
         m "cback-smoke FAILED: the tier-1 result diverges from the tier-0 build");
     exit 1
   end;
-  Printf.printf "cback-smoke spgemm_ws: tier 1 (-O3) bit-identical to tier 0 (-O0)\n%!";
+  Printf.printf "cback-smoke spgemm_ws: tier 1 (%s) bit-identical to tier 0 (%s)\n%!"
+    (Harness.tier_flags 1) (Harness.tier_flags 0);
   let times =
     Harness.best_of_batches ~reps:3 ~workload:w.w_name ~equal:Harness.tensors_identical
       (variants w kc kn)

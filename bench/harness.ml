@@ -568,24 +568,53 @@ let renamed =
     let k = info.Lower.kernel in
     { info with Lower.kernel = { k with Imp.k_name = Printf.sprintf "%s_%d" k.Imp.k_name !n } }
 
-(* A native kernel's build phases and its best single run still at
-   tier 0 ([None] for a closure kernel), sampled only inside its tier-0
-   phase: sampling stops before the runs' total could reach the
-   kernel's tier-0 cc time, the break-even at which it tiers up.
-   Returns the phases, the best run and the number of runs. *)
+(* A native tier's label, from the flags it compiles with
+   ({!Native.tier_flags}): "native_O0" for tier 0. *)
+let tier_label tier =
+  let word f = String.concat "" (String.split_on_char '-' f) in
+  String.concat "_" ("native" :: List.map word (Native.tier_flags tier))
+
+(* The flags of a tier as one string, "-O0" for tier 0. *)
+let tier_flags tier = String.concat " " (Native.tier_flags tier)
+
+(* The fewest runs a tier-0 time is taken over. One build's tier-0 phase
+   holds only a few (one to five for SpGEMM at 1000^2), so a cell pools
+   the phases of several builds of its kernel. *)
+let tier0_min_runs = 20
+
+(* The best single run of a native kernel's tier-0 phase and the number
+   of runs, sampled only inside that phase: sampling stops before the
+   runs' total could reach the kernel's tier-0 cc time [cc_ns], the
+   break-even at which it tiers up. *)
+let tier0_phase w k ~cc_ns =
+  let cc_s = Int64.to_float cc_ns /. 1e9 in
+  let rec go ~best ~worst ~total ~runs =
+    if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then (best, runs)
+    else
+      let _, t = Util.time (fun () -> w.w_time k) in
+      go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t) ~runs:(runs + 1)
+  in
+  go ~best:infinity ~worst:0. ~total:0. ~runs:0
+
+(* A native kernel [k] of [w]: its build phases and the best tier-0 run
+   ([None] for a closure kernel), pooled over [k]'s tier-0 phase and
+   then those of fresh tier-0 builds of the same kernel ({!renamed})
+   until there are at least {!tier0_min_runs} runs. Returns [k]'s
+   phases, the best run, the number of runs and the number of builds. *)
 let time_tier0 w k =
   Option.map
     (fun p ->
-      let cc_s = Int64.to_float p.Native.cc_ns /. 1e9 in
-      let rec go ~best ~worst ~total ~runs =
-        if Kernel.native_tier k <> Some 0 || (total > 0. && total +. worst > cc_s) then
-          (best, runs)
-        else
-          let _, t = Util.time (fun () -> w.w_time k) in
-          go ~best:(Float.min best t) ~worst:(Float.max worst t) ~total:(total +. t)
-            ~runs:(runs + 1)
+      let rec pool k ~best ~runs ~builds =
+        match Kernel.native_phases k with
+        | None -> failwith (w.w_name ^ ": a fresh tier-0 build was downgraded")
+        | Some q ->
+            let b, n = tier0_phase w k ~cc_ns:q.Native.cc_ns in
+            let best = Float.min best b and runs = runs + n and builds = builds + 1 in
+            if runs >= tier0_min_runs then (best, runs, builds)
+            else
+              pool (Kernel.prepare ~backend:`Native (renamed w.w_info)) ~best ~runs ~builds
       in
-      (p, go ~best:infinity ~worst:0. ~total:0. ~runs:0))
+      (p, pool k ~best:infinity ~runs:0 ~builds:0))
     (Kernel.native_phases k)
 
 (* {!time_tier0}, the kernel's tier-0 result, and then the kernel

@@ -1,13 +1,14 @@
 (* Leave-one-out ablation of the Imp optimizer pipeline (Taco_lower.Opt)
    on the paper's workspace kernels, on every executor that runs them:
-   the closures, native tier 1 (-O3, after Kernel.promote) and native
-   tier 0 (-O0, what a compile-cache miss builds, timed inside its
-   tier-0 phase as bench/cbackend.ml does). The variants are no pass,
-   the full pipeline, the full pipeline built again as a kernel of its
-   own (the identical-kernel floor: how far two builds of the same code
-   read apart), and the full pipeline minus each pass, which measures
-   that pass's marginal worth. A pass earns its lines where removing it
-   costs more than the floor. Every result is bit-identical to the
+   the closures, native tier 1 (after Kernel.promote) and native tier 0
+   (what a compile-cache miss builds, timed inside its tier-0 phase over
+   fresh builds until each cell has Harness.tier0_min_runs runs); each
+   executor is labelled by its flags (Harness.tier_label). The variants
+   are no pass, the full pipeline, the full pipeline built again as a
+   kernel of its own (the identical-kernel floor: how far two builds of
+   the same code read apart), and the full pipeline minus each pass,
+   which measures that pass's marginal worth. A pass earns its lines
+   where removing it costs more than the floor. Every result is bit-identical to the
    closures' unoptimized one. Results go to stdout as one table per
    executor, times relative to "full", and to BENCH_opt.json.
 
@@ -31,11 +32,6 @@ let variants =
     ("full-licm", { Opt.all with Opt.licm = false });
   ]
 
-(* Fresh tier-0 builds per variant: each round builds every variant
-   once more under a new name and keeps the best run of its tier-0
-   phase, the rounds interleaved across variants. *)
-let tier0_rounds = 5
-
 (* The floor variant is renamed, so it is built on its own. *)
 let prepare ?backend (w : Harness.workload) (name, opt) =
   Kernel.prepare ?backend ~opt (if name = floor then Harness.renamed w.w_info else w.w_info)
@@ -48,36 +44,42 @@ let timed ?info ~reps ~workload (w : Harness.workload) kernels =
        (fun (n, _) k -> (n, (fun () -> w.w_result k), fun () -> w.w_time k))
        variants kernels)
 
-(* Native tier 0: the first round is the kernels [kns] themselves,
-   timed, checked against [reference] and promoted; later rounds are
-   fresh renamed builds, timed only. *)
+(* Native tier 0, in rounds interleaved across variants: the first
+   round times the kernels [kns] themselves inside their tier-0 phase,
+   checks them against [reference] and promotes them; each later round
+   times a fresh renamed build of every variant still short of
+   [Harness.tier0_min_runs] runs. A cell is its best run. *)
 let tier0_records ~workload (w : Harness.workload) ~reference kns =
-  let first =
-    List.map
-      (fun k ->
-        let tier0, result = Harness.promote_after_tier0 w k in
-        if Kernel.native_tier k <> Some 1 then
-          failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
-        match tier0 with
-        | Some (_, (best, runs)) -> (best, runs, Harness.tensors_identical reference result)
-        | None -> failwith (Printf.sprintf "%s: no tier-0 phases" w.w_name))
-      kns
+  let phase k =
+    match Kernel.native_phases k with
+    | Some p -> Harness.tier0_phase w k ~cc_ns:p.Native.cc_ns
+    | None -> failwith (Printf.sprintf "%s: a native build was downgraded" w.w_name)
   in
-  let best = Array.of_list first in
-  for _ = 2 to tier0_rounds do
+  let cells =
+    Array.of_list
+      (List.map
+         (fun k ->
+           let best, runs = phase k in
+           let agrees = Harness.tensors_identical reference (w.w_result k) in
+           Kernel.promote k;
+           if Kernel.native_tier k <> Some 1 then
+             failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
+           (best, runs, 1, agrees))
+         kns)
+  in
+  let short (_, runs, _, _) = runs < Harness.tier0_min_runs in
+  while Array.exists short cells do
     List.iteri
       (fun q (_, opt) ->
-        let k = Kernel.prepare ~backend:`Native ~opt (Harness.renamed w.w_info) in
-        match Harness.time_tier0 w k with
-        | None -> failwith (Printf.sprintf "%s: a native build was downgraded" w.w_name)
-        | Some (_, (t, n)) ->
-            let t0, n0, ok = best.(q) in
-            best.(q) <- (Float.min t0 t, n0 + n, ok))
+        if short cells.(q) then
+          let best, runs, builds, agrees = cells.(q) in
+          let t, n = phase (Kernel.prepare ~backend:`Native ~opt (Harness.renamed w.w_info)) in
+          cells.(q) <- (Float.min best t, runs + n, builds + 1, agrees))
       variants
   done;
   List.mapi
     (fun q (variant, _) ->
-      let time_s, reps, agrees = best.(q) in
+      let time_s, reps, builds, agrees = cells.(q) in
       {
         Harness.workload;
         variant;
@@ -85,7 +87,7 @@ let tier0_records ~workload (w : Harness.workload) ~reference kns =
         time_s;
         reps;
         agrees;
-        info = [ ("rounds", Report.Int tier0_rounds) ];
+        info = [ ("builds", Report.Int builds) ];
       })
     variants
 
@@ -111,7 +113,7 @@ let print_table title rows =
               rows)))
     variants
 
-let executors = [ "closure"; "native_O3"; "native_O0" ]
+let executors = [ "closure"; Harness.tier_label 1; Harness.tier_label 0 ]
 
 (* One workload on every executor: its records by executor. *)
 let run_workload ~reps (w : Harness.workload) =
@@ -129,9 +131,10 @@ let run_workload ~reps (w : Harness.workload) =
   if not (List.for_all (fun k -> Kernel.backend k = `Native) kns) then [ ("closure", closure) ]
   else
     let reference = w.w_result (List.hd kcs) in
-    let o0 = tier0_records ~workload:(workload "native_O0") w ~reference kns in
-    let o3 = timed ~reps ~workload:(workload "native_O3") w kns in
-    [ ("closure", closure); ("native_O3", o3); ("native_O0", o0) ]
+    let t0 = Harness.tier_label 0 and t1 = Harness.tier_label 1 in
+    let tier0 = tier0_records ~workload:(workload t0) w ~reference kns in
+    let tier1 = timed ~reps ~workload:(workload t1) w kns in
+    [ ("closure", closure); (t1, tier1); (t0, tier0) ]
 
 let run ~seed ~reps ~dim ~out =
   Harness.header "Optimizer ablation: none, full, full again, and full minus each pass";
@@ -158,7 +161,7 @@ let run ~seed ~reps ~dim ~out =
         ("seed", Report.Int seed);
         ("reps", Report.Int reps);
         ("dim", Report.Int dim);
-        ("tier0_rounds", Report.Int tier0_rounds);
+        ("tier0_min_runs", Report.Int Harness.tier0_min_runs);
         ("variants", Report.List (List.map (fun (n, _) -> Report.Str n) variants));
       ]
     ~summary:[ ("relative_to_full", Report.Obj (List.map summary executors)) ]

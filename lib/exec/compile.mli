@@ -73,15 +73,15 @@ val downgrade_reason : compiled -> string option
     runs currently call; [None] for closure-backed kernels. *)
 val native_phases : compiled -> Native.phases option
 
-(** The compiler tier of the native entry point (0 for [-O0], 1 for
-    [-O3], see {!Native}); [None] for closure-backed kernels. A native
+(** The compiler tier of the native entry point (0 or 1, flags in
+    {!Native.tier_flags}); [None] for closure-backed kernels. A native
     build starts at tier 0 and moves to tier 1 in the background once
     it has run for as long as it took to compile. *)
 val native_tier : compiled -> int option
 
 (** Build a native kernel at tier 1 now, through the same start-and-wait
     path as every build, and swap it in under the same cache entry
-    (see {!Native.promote}). For benchmarks that must time [-O3] code;
+    (see {!Native.promote}). For benchmarks that must time tier-1 code;
     a no-op for closure-backed kernels. *)
 val promote : compiled -> unit
 

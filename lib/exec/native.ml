@@ -23,16 +23,19 @@
    Two compiler tiers. [load] builds at tier 0 ([-O0]), which halves
    the cost of a compile-cache miss. Every run of a tier-0 kernel adds
    its time to the kernel's account; the run that pushes the account
-   past its build's tier-0 cc time starts a tier-1 ([-O3]) build of
-   that kernel alone as a child process (break-even: a kernel that has
-   run as long as a cc process took has earned the better build; a
-   kernel built in a batch is charged the whole batch's cc time, the
-   measured price of the one cc process its tier-up starts). Later runs poll the child without
-   blocking; on success the new entry point replaces the old one
-   atomically. Both tiers compile plain IEEE arithmetic without
-   contraction, so they are bit-identical and the swap needs no new
-   cache key. At most one tier-up is in flight per process; a failed
-   one leaves its kernel on tier 0 for good.
+   past its build's tier-0 cc time starts a tier-1
+   ([-O3 -march=native]) build of that kernel alone as a child process
+   (break-even: a kernel that has run as long as a cc process took has
+   earned the better build; a kernel built in a batch is charged the
+   whole batch's cc time, the measured price of the one cc process its
+   tier-up starts). Later runs poll the child without blocking; on
+   success the new entry point replaces the old one atomically. Both tiers compile plain IEEE arithmetic without
+   contraction or fast-math; tier 1's vector loops do each element's
+   operations in the same order as tier 0's scalar ones, so the tiers
+   are bit-identical and the swap needs no new cache key. At most one
+   tier-up is in flight per process; a failed one (a compiler that
+   rejects [-march=native] included) leaves its kernel on tier 0 for
+   good.
 
    Artifact hygiene: the .c/.so/.log files are unlinked as soon as the
    .so is mapped — on Linux dlopen holds the inode alive, so nothing is
@@ -240,8 +243,10 @@ type build = {
 
 let top_tier = 1
 
-(* The only flag that differs between tiers. *)
-let opt_flag tier = if tier = 0 then "-O0" else "-O3"
+(* The flags that differ between tiers; the rest of the command line is
+   shared. Tier 1 targets the host's instruction set: the host is the
+   process that loads the .so. *)
+let tier_flags tier = if tier = 0 then [ "-O0" ] else [ "-O3"; "-march=native" ]
 
 let artifact_files base = [ base ^ ".c"; base ^ ".so"; base ^ ".log" ]
 
@@ -305,13 +310,14 @@ let start ~cc ~tier ~rids (kernels : Imp.kernel list) : (build, string) result =
      the tiers. -nostdlib: the kernel calls libc only through the
      runtime table, so the link skips the C start files and libc's
      linker script; the few calls cc itself emits (memset, memcpy,
-     malloc, fmin, fmax) resolve at dlopen against the libc and libm
-     the host process already maps. Static libgcc keeps the compiler's
+     malloc) resolve at dlopen against the libc the host process
+     already maps. Static libgcc keeps the compiler's
      helper routines resolvable; OpenMP kernels name libgomp, their
      one shared-library dependency. *)
   let argv =
     cc
-    @ [ opt_flag tier; "-shared"; "-fPIC"; "-ffp-contract=off"; "-nostdlib" ]
+    @ tier_flags tier
+    @ [ "-shared"; "-fPIC"; "-ffp-contract=off"; "-nostdlib" ]
     @ [ "-o"; base ^ ".so"; base ^ ".c" ]
     @ (if List.exists Codegen_c.has_parallel kernels then [ "-fopenmp"; "-lgomp" ] else [])
     @ [ "-lgcc" ]

@@ -22,9 +22,13 @@
     single kernel (a tier-up included) is the list of one. A failed
     batch falls back to one build per kernel.
 
-    {b Tiers.} {!load} builds at tier 0 ([-O0]); tier 1 is [-O3]. Both
-    add [-shared -fPIC -ffp-contract=off] (and [-fopenmp] when a kernel
-    is parallel) to the same C, so their results are bit-identical.
+    {b Tiers.} {!load} builds at tier 0 ([-O0]); tier 1 is [-O3
+    -march=native], vectorized for the host that loads it ({!tier_flags}).
+    Both add [-shared -fPIC -ffp-contract=off] (and [-fopenmp] when a
+    kernel is parallel) to the same C and neither relaxes IEEE
+    semantics, so their results are bit-identical. A compiler that
+    rejects a tier-1 flag fails the tier-up, which leaves the kernel on
+    tier 0.
     Each {!run} of a tier-0 kernel adds its time to the kernel's
     account; the run that takes the account past its build's tier-0
     [cc] time ([cc_ns], the whole batch's for a kernel built in one: a
@@ -91,6 +95,10 @@ type spec = {
   cs_read_src : int array;
   cs_read_arg : int array;
 }
+
+(** The compiler flags of a tier (0 or 1), the only part of a build's
+    command line that differs between tiers. *)
+val tier_flags : int -> string list
 
 (** Resolved compiler command ([TACO_CC] or ["cc"]), its words joined
     by single spaces. *)

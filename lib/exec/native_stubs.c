@@ -11,9 +11,9 @@
  * rt is the kernel runtime table below: allocation, growth, sorting
  * and the clock, built once with the library instead of being compiled
  * into every kernel. Generated kernels include no header and are
- * linked without libc; the memset/memcpy/malloc/fmin/fmax calls the
- * compiler emits for their builtins resolve against this process's
- * libc and libm when the kernel is loaded. Every buffer a kernel hands
+ * linked without libc; the memset/memcpy/malloc calls the compiler
+ * emits for their builtins resolve against this process's libc when
+ * the kernel is loaded. Every buffer a kernel hands
  * back was allocated by this table, so it is released here with
  * free().
  *

@@ -85,7 +85,7 @@ let estr e =
   Buffer.contents buf
 
 (* A reduce-store as a single C statement. Min/max go through fmin/fmax
-   (math.h or builtins, in the prelude on demand); boolean-or reads as a
+   (math.h in the paper rendering); boolean-or reads as a
    short-circuiting test over the 0./1. encoding. *)
 let reduce_line r a i v =
   match r with
@@ -93,6 +93,22 @@ let reduce_line r a i v =
   | Imp.Red_max -> Printf.sprintf "%s[%s] = fmax(%s[%s], %s);" a i a i v
   | Imp.Red_or ->
       Printf.sprintf "%s[%s] = ((%s[%s] != 0.0) || ((%s) != 0.0)) ? 1.0 : 0.0;" a i a i v
+
+(* The exec rendering of a reduce-store. Min/max replace the stored
+   value only by a strictly smaller (larger) one, as the closures do.
+   fmin/fmax would leave open which of two equal zeros, or which NaN,
+   comes back, and gcc treats them as commutative: an -O0 and an -O3
+   build of one max-times kernel returned +0.0 and -0.0 for the max of
+   +0.0 and -0.0. *)
+let exec_reduce_line r a i v =
+  let keep_unless op =
+    Printf.sprintf "{ double taco_red = %s; if (taco_red %s %s[%s]) %s[%s] = taco_red; }" v op a i
+      a i
+  in
+  match r with
+  | Imp.Red_min -> keep_unless "<"
+  | Imp.Red_max -> keep_unless ">"
+  | Imp.Red_or -> reduce_line r a i v
 
 (* ------------------------------------------------------------------ *)
 (* Static analyses shared by the inspection renderer and the native-  *)
@@ -225,10 +241,10 @@ let stmt_exprs = function
   | Imp.If (c, _, _) -> [ c ]
   | Imp.Comment _ -> []
 
-(* Math names are needed by fmin/fmax (min/max reduce-stores) and by
-   the INFINITY/NAN macros that render non-finite float literals (the
-   min-plus semiring zeroes arrays with +inf): math.h in the paper
-   rendering, builtins in the exec one. *)
+(* Math names are needed by fmin/fmax (min/max reduce-stores in the
+   paper rendering) and by the INFINITY/NAN macros that render
+   non-finite float literals (the min-plus semiring zeroes arrays with
+   +inf): math.h in the paper rendering, builtins in the exec one. *)
 let needs_math body =
   let nonfinite = function
     | Imp.Float_lit v -> not (Float.is_finite v)
@@ -544,7 +560,7 @@ and stmt_exec ctx ind ~depth ~rest s =
   | Imp.Assign (v, e) -> line "%s = %s;" v (estr e)
   | Imp.Store (a, i, v) -> line "%s[%s] = %s;" a (estr i) (estr v)
   | Imp.Store_add (a, i, v) -> line "%s[%s] += %s;" a (estr i) (estr v)
-  | Imp.Store_reduce (r, a, i, v) -> line "%s" (reduce_line r a (estr i) (estr v))
+  | Imp.Store_reduce (r, a, i, v) -> line "%s" (exec_reduce_line r a (estr i) (estr v))
   | Imp.Alloc (_, v, n) ->
       ctx.uses_fail <- true;
       line "if (!(%s = taco_rt->alloc(taco_rt, %s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v
@@ -747,9 +763,7 @@ let emit_exec_untraced kernels =
   if List.exists (fun k -> needs_math k.Imp.k_body) kernels then
     Buffer.add_string buf
       "#define INFINITY __builtin_inf()\n\
-       #define NAN __builtin_nan(\"\")\n\
-       #define fmin __builtin_fmin\n\
-       #define fmax __builtin_fmax\n";
+       #define NAN __builtin_nan(\"\")\n";
   Buffer.add_string buf min_max_macros;
   (* Layout contract with native_stubs.c, which fills the table. *)
   Buffer.add_string buf

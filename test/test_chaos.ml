@@ -510,7 +510,7 @@ let test_tierup_fault action () =
 
 (* Shutdown kills and reaps a tier-up still compiling (counted as a
    failed build). The zero-length delay only marks the moment the
-   tier-up starts; the -O3 compile outlasts the shutdown that follows. *)
+   tier-up starts; the tier-1 compile outlasts the shutdown that follows. *)
 let test_shutdown_reaps_tierup () =
   with_native_metrics @@ fun () ->
   let failed0 = tierup_builds "failed" in

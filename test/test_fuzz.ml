@@ -671,11 +671,11 @@ let run_sr (template, sel, n, m, k, seed) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Cross-tier leg: the native backend's two compiler tiers (-O0 and    *)
-(* -O3 of the same C) must agree with each other and with the closures *)
-(* bit for bit, on the semiring templates, sequential and parallelized *)
-(* (OpenMP), over edge shapes: no stored entries, dimensions of 1 and  *)
-(* empty rows.                                                         *)
+(* Cross-tier leg: the native backend's two compiler tiers (the same   *)
+(* C under Native.tier_flags 0 and 1) must agree with each other and   *)
+(* with the closures bit for bit, on the semiring templates,           *)
+(* sequential and parallelized (OpenMP), over edge shapes: no stored   *)
+(* entries, dimensions of 1 and empty rows.                            *)
 (* ------------------------------------------------------------------ *)
 
 let tier_ran = ref 0

@@ -348,7 +348,8 @@ let test_read_back_out_of_range () =
 
 (* ... and with -nostdinc, at both tiers: the exec C needs no header,
    so one that creeps back in fails here. The min-plus and max-times
-   kernels cover the INFINITY and fmin/fmax prelude. Each kernel is
+   kernels cover the INFINITY prelude and min/max reduce-stores. The
+   flags are each tier's own (Native.tier_flags). Each kernel is
    built optimized and unoptimized: what the optimizer leaves behind
    (copies, dead temporaries, names declared in several scopes) must
    not trip -Wunused-variable either way. *)
@@ -383,16 +384,17 @@ let test_exec_c_warning_clean () =
         (fun () ->
           Out_channel.with_open_bin cfile (fun oc -> Out_channel.output_string oc src);
           List.iter
-            (fun level ->
+            (fun tier ->
+              let flags = String.concat " " (Native.tier_flags tier) in
               let cmd =
                 Printf.sprintf "%s %s -nostdinc -Wall -Werror -fopenmp -x c -c -o /dev/null %s"
                   (Filename.quote (Native.compiler ()))
-                  level (Filename.quote cfile)
+                  flags (Filename.quote cfile)
               in
               if Sys.command cmd <> 0 then
                 Alcotest.failf "%s: emit_exec output does not compile under %s -nostdinc -Wall -Werror"
-                  name level)
-            [ "-O0"; "-O3" ]))
+                  name flags)
+            [ 0; 1 ]))
     kernels
 
 (* --- the kernel runtime table ----------------------------------------- *)
@@ -951,6 +953,105 @@ let test_promote_identity () =
   Alcotest.(check int) "a second promote is a no-op" (builds + 1)
     (Compile.backend_stats ()).Compile.native_builds
 
+(* [t] with its stored values replaced by [vals]. *)
+let with_vals t vals =
+  T.of_parts ~dims:(T.dims t) ~format:(T.format t)
+    ~levels:(Array.init (T.order t) (T.level_data t))
+    ~vals
+
+(* [t] with every NaN replaced by one canonical NaN. When two NaNs meet
+   in one operation, IEEE 754 leaves open whose sign and payload come
+   back, and OCaml and gcc both may commute [a + b] and [a * b]: the
+   executors agree on where a result is NaN, not on its bits. *)
+let canonical_nans t =
+  with_vals t (Array.map (fun v -> if Float.is_nan v then Float.nan else v) (T.vals t))
+
+(* Closures, tier 0 and tier 1 on each of [cases] (label, inputs): the
+   tier-0 runs first, then [Kernel.promote] and the tier-1 runs, every
+   result bit-identical to the closures' once NaNs are canonical. *)
+let check_tiers ~closure ~native cases =
+  let k = Taco.kernel native in
+  Alcotest.(check bool) "native backend actually used" true (backend_of native = `Native);
+  let r0 = List.map (fun (_, inputs) -> getd (run native ~inputs)) cases in
+  Alcotest.(check (option int)) "the runs above were tier 0" (Some 0) (Kernel.native_tier k);
+  Kernel.promote k;
+  Alcotest.(check (option int)) "promoted" (Some 1) (Kernel.native_tier k);
+  List.iter2
+    (fun (label, inputs) r0 ->
+      let rc = canonical_nans (getd (run closure ~inputs)) in
+      List.iter
+        (fun (tier, r) ->
+          if not (tensors_bit_identical rc (canonical_nans r)) then
+            Alcotest.failf "%s: tier %d diverges from closures" label tier)
+        [ (0, r0); (1, getd (run native ~inputs)) ])
+    cases r0
+
+(* Values at the edges of IEEE arithmetic: NaN, both infinities, -0.0,
+   subnormals of both signs and the smallest normal, among ordinary
+   values. *)
+let edge_values =
+  [| Float.nan; Float.infinity; Float.neg_infinity; -0.; 0x1p-1074; -0x1.8p-1050; 0x1p-1022;
+     1.5; -2.25; 1e300 |]
+
+(* [t] with every third stored value replaced by an edge value. *)
+let with_edges seed t =
+  with_vals t
+    (Array.mapi
+       (fun i v ->
+         if i mod 3 = 0 then edge_values.((seed + (i / 3)) mod Array.length edge_values) else v)
+       (T.vals t))
+
+(* Tier 1 vectorizes MTTKRP's dense j loops: ranks below, at and past
+   the vector widths exercise the vector loop and its epilogues, with
+   plain and edge-valued operands, sequential and OpenMP. *)
+let test_vector_edges_mttkrp () =
+  List.iter
+    (fun parallel ->
+      let _, b, c, d, sched = mttkrp_sched ~parallel in
+      let name = if parallel then "mttkrp_edges_par" else "mttkrp_edges" in
+      let closure = getd (compile ~name ~backend:`Closure sched) in
+      let native = getd (compile ~name ~backend:`Native sched) in
+      let cases =
+        List.concat_map
+          (fun rank ->
+            let inputs edges =
+              let edge t = if edges then with_edges rank t else t in
+              [
+                (b, edge (random_tensor (rank + 31) [| 9; 7; 6 |] 0.3 (F.csf 3)));
+                (c, edge (random_tensor (rank + 32) [| 6; rank |] 1.0 F.dense_matrix));
+                (d, edge (random_tensor (rank + 33) [| 7; rank |] 1.0 F.dense_matrix));
+              ]
+            in
+            [
+              (Printf.sprintf "%s rank %d" name rank, inputs false);
+              (Printf.sprintf "%s rank %d, edge values" name rank, inputs true);
+            ])
+          [ 1; 2; 3; 5; 8; 13; 16; 17; 33 ]
+      in
+      check_tiers ~closure ~native cases)
+    [ false; true ]
+
+(* Min-plus and max-times SpGEMM, on plain and edge-valued operands:
+   their reductions must pick between equal zeros, and between a NaN and
+   a number, as the closures do. *)
+let test_vector_edges_semirings () =
+  List.iter
+    (fun (name, semiring) ->
+      let b, c, sched = spgemm_sched ~parallel:false in
+      let closure = getd (compile ~name ~semiring ~backend:`Closure sched) in
+      let native = getd (compile ~name ~semiring ~backend:`Native sched) in
+      check_tiers ~closure ~native
+        (List.concat_map
+           (fun seed ->
+             let inputs = spgemm_inputs b c seed in
+             [
+               (Printf.sprintf "%s seed %d" name seed, inputs);
+               ( Printf.sprintf "%s seed %d, edge values" name seed,
+                 List.map (fun (tv, t) -> (tv, with_edges seed t)) inputs );
+             ])
+           [ 1; 2; 3 ]))
+    [ ("spgemm_edges_minplus", Semiring.min_plus); ("spgemm_edges_maxtimes", Semiring.max_times) ]
+
 (* A kernel run past its own tier-0 cc time tiers up in the background,
    exactly once, without a run ever changing its result. *)
 let test_hot_kernel_tiers_up () =
@@ -1184,6 +1285,50 @@ let test_cc_with_arguments () =
       Alcotest.(check bool) "result identical" true
         (tensors_bit_identical (getd (run closure ~inputs)) (getd (run native ~inputs))))
 
+(* A compiler that rejects a tier-1 flag builds tier 0 and fails the
+   tier-up: the kernel stays on tier 0, counted once as a failed tier-1
+   build, with no downgrade and no change in its results. *)
+let test_tier1_flag_rejected () =
+  let dir = Filename.temp_dir "taco_cc_wrapper" "" in
+  let script = Filename.concat dir "cc" in
+  Out_channel.with_open_bin script (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\nfor a in \"$@\"; do [ \"$a\" = -march=native ] && exit 1; done\nexec %s \"$@\"\n"
+        (Native.compiler ()));
+  Unix.chmod script 0o755;
+  Unix.putenv "TACO_CC" script;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "TACO_CC" "";
+      Sys.remove script;
+      Sys.rmdir dir)
+    (fun () ->
+      let failed () =
+        Metrics.counter ~labels:[ ("tier", "1"); ("outcome", "failed") ] "taco_native_builds_total"
+      in
+      let downgrades () = (Compile.backend_stats ()).Compile.downgrades in
+      let failed0 = failed () and downgrades0 = downgrades () in
+      let b, c, sched = spgemm_sched ~parallel:false in
+      let native = getd (compile ~name:"spgemm_no_march" ~backend:`Native sched) in
+      let closure = getd (compile ~name:"spgemm_no_march" ~backend:`Closure sched) in
+      let k = Taco.kernel native in
+      Alcotest.(check bool) "tier 0 builds natively" true (backend_of native = `Native);
+      Alcotest.(check (option int)) "at tier 0" (Some 0) (Kernel.native_tier k);
+      let inputs = spgemm_inputs b c 5 in
+      let rc = getd (run closure ~inputs) in
+      let r0 = getd (run native ~inputs) in
+      Kernel.promote k;
+      Alcotest.(check (option int)) "the failed tier-up keeps tier 0" (Some 0) (Kernel.native_tier k);
+      Alcotest.(check int) "one failed tier-1 build" (failed0 + 1) (failed ());
+      let r1 = getd (run native ~inputs) in
+      Kernel.promote k;
+      Alcotest.(check int) "a second promote does not retry" (failed0 + 1) (failed ());
+      Alcotest.(check int) "nothing downgraded" downgrades0 (downgrades ());
+      List.iter
+        (fun (what, r) ->
+          if not (tensors_bit_identical rc r) then Alcotest.failf "%s diverges from closures" what)
+        [ ("the tier-0 run", r0); ("the run after the failed tier-up", r1) ])
+
 (* --- downgrade paths (run everywhere, no compiler needed) ------------ *)
 
 let with_bogus_cc f =
@@ -1290,6 +1435,9 @@ let () =
       ( "tiers",
         [
           cc_case "promote: tier 1 bit-identical to tier 0" test_promote_identity;
+          cc_case "MTTKRP vector edges and IEEE values" test_vector_edges_mttkrp;
+          cc_case "min-plus/max-times IEEE edge values" test_vector_edges_semirings;
+          cc_case "tier-1 flag rejected: stays tier 0" test_tier1_flag_rejected;
           cc_case "a hot kernel tiers up once" test_hot_kernel_tiers_up;
           cc_case "native.cc spans name their tier" test_cc_span_tier;
           cc_case "TACO_CC with arguments builds natively" test_cc_with_arguments;
