@@ -34,14 +34,13 @@ let merge_row emit =
       @ [
           if_else
             ((v "jB" =: v "j") &&: (v "jC" =: v "j"))
-            (emit (v "j") (idx "B_vals" (v "pB2") +: idx "C_vals" (v "pC2")))
+            (emit (v "j") (idx "B_vals" (v "pB2") +: idx "C_vals" (v "pC2"))
+            @ [ incr "pB2"; incr "pC2" ])
             [
               if_else (v "jB" =: v "j")
-                (emit (v "j") (idx "B_vals" (v "pB2")))
-                (emit (v "j") (idx "C_vals" (v "pC2")));
+                (emit (v "j") (idx "B_vals" (v "pB2")) @ [ incr "pB2" ])
+                (emit (v "j") (idx "C_vals" (v "pC2")) @ [ incr "pC2" ]);
             ];
-          if_ (v "jB" =: v "j") [ incr "pB2" ];
-          if_ (v "jC" =: v "j") [ incr "pC2" ];
         ]);
     while_ (v "pB2" <: b_end)
       (decl_int "j" (idx "B2_crd" (v "pB2")) :: emit (v "j") (idx "B_vals" (v "pB2"))

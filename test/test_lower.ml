@@ -91,6 +91,20 @@ let check_contains src pats =
     (fun p -> if not (contains src p) then Alcotest.failf "missing pattern %S in:\n%s" p src)
     pats
 
+(* Positions advanced by a guarded statement of their own,
+   [if (c) { p = (p + 1); }], anywhere in the kernel. *)
+let guarded_advances (k : Imp.kernel) =
+  let rec go acc = function
+    | Imp.If (_, [ Imp.Assign (p, Imp.Binop (Imp.Add, Imp.Var p', Imp.Int_lit 1)) ], [])
+      when p = p' ->
+        p :: acc
+    | Imp.If (_, t, e) -> List.fold_left go (List.fold_left go acc t) e
+    | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) ->
+        List.fold_left go acc b
+    | _ -> acc
+  in
+  List.rev (List.fold_left go [] k.Imp.k_body)
+
 let test_scatter_rejected () =
   let s =
     Cin.foralls [ vi; vk; vj ]
@@ -128,32 +142,42 @@ let test_fig4a_merge_structure () =
     Cin.foralls [ vi; vj ]
       (Cin.accumulate (acc avec [ vi ]) (Cin.Mul (av b [ vi; vj ], av c [ vi; vj ])))
   in
-  check_contains (csource s)
+  let info = lower_ok s in
+  check_contains (C.emit info.Lower.kernel)
     [
-      "while (((pB2 < B2_pos[(i + 1)]) && (pC2 < C2_pos[(i + 1)])))";
+      "int32_t pB2_end = B2_pos[(i + 1)];";
+      "int32_t pC2_end = C2_pos[(i + 1)];";
+      "while (((pB2 < pB2_end) && (pC2 < pC2_end)))";
       "int32_t j = TACO_MIN(jB, jC);";
       "if (((jB == j) && (jC == j)))";
       "if ((jB == j))";
       "if ((jC == j))";
-    ]
+    ];
+  (* The intersection's fall-through leaves both iterators open, so
+     each keeps its guarded advance after the case. *)
+  Alcotest.(check (list string)) "guarded advances" [ "pB2"; "pC2" ]
+    (guarded_advances info.Lower.kernel)
 
 let test_fig5a_union_structure () =
   let s =
     Cin.foralls [ vi; vj ]
       (Cin.assign (acc a [ vi; vj ]) (Cin.Add (av b [ vi; vj ], av c [ vi; vj ])))
   in
-  let src = csource s in
-  check_contains src
+  let info = lower_ok s in
+  check_contains (C.emit info.Lower.kernel)
     [
-      "while (((pB2 < B2_pos[(i + 1)]) && (pC2 < C2_pos[(i + 1)])))";
+      "while (((pB2 < pB2_end) && (pC2 < pC2_end)))";
       "A_vals[pA2] = (B_vals[pB2] + C_vals[pC2]);";
-      "while ((pB2 < B2_pos[(i + 1)]))";
-      "while ((pC2 < C2_pos[(i + 1)]))";
-    ]
+      "while ((pB2 < pB2_end))";
+      "while ((pC2 < pC2_end))";
+    ];
+  (* Every arm of the union's case decides both iterators: the advances
+     sit inside the arms and none follows the case. *)
+  Alcotest.(check (list string)) "no guarded advance" [] (guarded_advances info.Lower.kernel)
 
 let test_workspace_memset_hoisting () =
-  (* Fig 5b: covered workspace memset hoists to the top; the copy loop
-     restores zeros. *)
+  (* Fig 5b: a covered workspace is zeroed once above the row loop, by
+     its allocation; the copy loop restores zeros. *)
   let s =
     Cin.forall vi
       (Cin.where
@@ -164,11 +188,23 @@ let test_workspace_memset_hoisting () =
               (Cin.forall vj (Cin.accumulate (acc w [ vj ]) (av c [ vi; vj ])))))
   in
   let src = csource s in
-  check_contains src [ "memset(w_vals"; "w_vals[j] = 0.0;" ];
-  (* The memset must appear before the i loop, not inside it. *)
-  let memset_at = index_of src "memset(w_vals" in
-  let loop_at = index_of src "for (int32_t i" in
-  Alcotest.(check bool) "memset hoisted above the row loop" true (memset_at < loop_at)
+  check_contains src [ "double* w_vals = (double*)calloc("; "w_vals[j] = 0.0;" ];
+  Alcotest.(check bool) "no memset of w" false (contains src "memset(w_vals");
+  Alcotest.(check bool) "allocated above the row loop" true
+    (index_of src "w_vals = (double*)calloc(" < index_of src "for (int32_t i");
+  (* Min-plus zeroes with +inf, which allocation does not write: its
+     fill stays, above the row loop. *)
+  let k = (Helpers.get (Lower.lower ~semiring:Semiring.min_plus ~mode:Lower.Compute s)).Lower.kernel in
+  let top_index p =
+    let rec go n = function
+      | [] -> Alcotest.fail "statement not found at the kernel top"
+      | st :: rest -> if p st then n else go (n + 1) rest
+    in
+    go 0 k.Imp.k_body
+  in
+  Alcotest.(check bool) "min-plus fill above the row loop" true
+    (top_index (function Imp.Fill ("w_vals", _, _) -> true | _ -> false)
+    < top_index (function Imp.For ("i", _, _, _) -> true | _ -> false))
 
 let test_workspace_memset_inside () =
   (* Fig 10: a consumer that multiplies the workspace with another sparse
@@ -242,7 +278,8 @@ let test_fig7_csf_structure () =
     [
       "for (int32_t pB1 = B1_pos[0]; pB1 < B1_pos[1]; pB1++)";
       "int32_t i = B1_crd[pB1];";
-      "while (((pB3 < B3_pos[(pB2 + 1)]) && (pc1 < c1_pos[1])))";
+      "int32_t pB3_end = B3_pos[(pB2 + 1)];";
+      "while (((pB3 < pB3_end) && (pc1 < pc1_end)))";
       "int32_t k = TACO_MIN(kB, kc);";
     ]
 
