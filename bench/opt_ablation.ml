@@ -26,9 +26,6 @@ let variants =
     ("full", Opt.all);
     (floor, Opt.all);
     ("full-simplify", { Opt.all with Opt.simplify = false });
-    ("full-memset_fusion", { Opt.all with Opt.memset_fusion = false });
-    ("full-branch_fusion", { Opt.all with Opt.branch_fusion = false });
-    ("full-cse", { Opt.all with Opt.cse = false });
     ("full-licm", { Opt.all with Opt.licm = false });
   ]
 

@@ -38,9 +38,6 @@ let default_required =
     "schedule.precompute";
     "lower";
     "opt.simplify";
-    "opt.memset_fusion";
-    "opt.branch_fusion";
-    "opt.cse";
     "opt.licm";
     "opt.simplify/cleanup";
     "codegen_c";

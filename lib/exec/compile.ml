@@ -280,10 +280,10 @@ let rec infer ctx = function
 (* unit of cost is the closure call. Operands that are slot reads or   *)
 (* literals are therefore folded into their consumer instead of being  *)
 (* compiled to their own closure: a binop over two scalars or a load   *)
-(* at a scalar index is one call, not three. The optimizer leans on    *)
-(* this directly — reducing operands to Var/literal shape (copy        *)
-(* propagation, CSE, LICM temporaries) is what moves an expression     *)
-(* onto these fast paths.                                              *)
+(* at a scalar index is one call, not three. Lowering and the          *)
+(* optimizer lean on this directly — reducing operands to Var/literal  *)
+(* shape (segment-end variables, copy propagation, LICM temporaries)   *)
+(* is what moves an expression onto these fast paths.                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Operand shape: a direct int-slot read, an int constant, or a
@@ -319,10 +319,9 @@ let rec cint ctx (e : Imp.expr) : env -> int =
             if iout arr k then ioob_at ~kname ~var:a arr k else iload arr k)
   | Imp.Binop (op, a, b) -> (
       (* Arithmetic keeps the uniform one-closure-per-node scheme:
-         canonicalizing repeated index arithmetic into scalar slots is
-         the optimizer's job (CSE/LICM), and the slot reads it produces
-         hit the operand fast paths of the consumers below (loads,
-         stores, comparisons). *)
+         LICM moves loop-invariant index arithmetic into scalar slots,
+         and the slot reads it produces hit the operand fast paths of
+         the consumers below (loads, stores, comparisons). *)
       let ca = cint ctx a and cb = cint ctx b in
       match op with
       | Imp.Add -> fun env -> ca env + cb env

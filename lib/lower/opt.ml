@@ -2,35 +2,15 @@ open Imp
 module SS = Set.Make (String)
 module SM = Map.Make (String)
 
-type config = {
-  simplify : bool;
-  memset_fusion : bool;
-  branch_fusion : bool;
-  cse : bool;
-  licm : bool;
-}
+type config = { simplify : bool; licm : bool }
 
-let all =
-  {
-    simplify = true;
-    memset_fusion = true;
-    branch_fusion = true;
-    cse = true;
-    licm = true;
-  }
+let all = { simplify = true; licm = true }
 
-let none =
-  {
-    simplify = false;
-    memset_fusion = false;
-    branch_fusion = false;
-    cse = false;
-    licm = false;
-  }
+let none = { simplify = false; licm = false }
 
 (* Rewrite-fire accounting: every pass bumps its domain's [fires]
-   counter at each discrete rewrite it performs (a fold, a fused
-   memset, a hoisted decl, a dropped statement, ...). [optimize_stats]
+   counter at each discrete rewrite it performs (a fold, a hoisted
+   decl, a dropped statement, ...). [optimize_stats]
    resets the counter around each pass and reports the per-pass totals.
    The counter is per carrier (domain or thread), so optimizations
    running concurrently on several workers (e.g. service workers
@@ -91,10 +71,6 @@ let rec refs_into (scalars, arrays) = function
   | Ternary (c, a, b) -> refs_into (refs_into (refs_into (scalars, arrays) c) a) b
 
 let expr_refs e = refs_into (SS.empty, SS.empty) e
-
-let expr_names e =
-  let s, a = expr_refs e in
-  SS.union s a
 
 let rec expr_has p e =
   p e
@@ -396,367 +372,6 @@ let simplify_pass k =
   { k with k_body = fst (simp_stmts env SM.empty k.k_body) }
 
 (* ------------------------------------------------------------------ *)
-(* Pass: memset fusion                                                 *)
-(*                                                                     *)
-(* Alloc already zeroes (the executor's Array.make and the C           *)
-(* rendering's calloc), so a Memset of the same extent reachable from  *)
-(* the Alloc through simple statements that neither write the array    *)
-(* nor disturb the extent expression is redundant.                     *)
-(* ------------------------------------------------------------------ *)
-
-let memset_fusion_pass k =
-  let rec fuse_list ss =
-    let ss = List.map fuse_stmt ss in
-    let rec go = function
-      | [] -> []
-      | (Alloc (_, v, n) as a) :: rest -> a :: go (absorb v n rest)
-      | s :: rest -> s :: go rest
-    and absorb v n ss =
-      let n_names = expr_names n in
-      let keeps_zero = function
-        (* Statements that cannot write v or change what n evaluates to. *)
-        | Decl (_, x, _) | Assign (x, _) -> not (SS.mem x n_names)
-        (* Fill is an array write like the rest; it is never itself
-           absorbed (scan only drops Memset), so a non-bit-zero fill of
-           a freshly calloc'd workspace always survives this pass. *)
-        | Store (a, _, _) | Store_add (a, _, _) | Store_reduce (_, a, _, _)
-        | Realloc (a, _) | Memset (a, _) | Fill (a, _, _) | Sort (a, _, _) ->
-            a <> v && not (SS.mem a n_names)
-        | Alloc (_, x, _) -> x <> v && not (SS.mem x n_names)
-        | Comment _ -> true
-        | For _ | ParallelFor _ | While _ | If _ -> false
-      in
-      let rec scan = function
-        | Memset (v', m) :: rest when v' = v && m = n ->
-            fire ();
-            rest
-        | s :: rest when keeps_zero s -> s :: scan rest
-        | ss -> ss
-      in
-      scan ss
-    in
-    go ss
-  and fuse_stmt = function
-    | For (v, lo, hi, body) -> For (v, lo, hi, fuse_list body)
-    | ParallelFor (v, lo, hi, body, info) -> ParallelFor (v, lo, hi, fuse_list body, info)
-    | While (c, body) -> While (c, fuse_list body)
-    | If (c, t, e) -> If (c, fuse_list t, fuse_list e)
-    | s -> s
-  in
-  { k with k_body = fuse_list k.k_body }
-
-(* ------------------------------------------------------------------ *)
-(* Pass: branch-implication fusion                                     *)
-(*                                                                     *)
-(* Merge-lattice lowering emits a case analysis followed by guarded    *)
-(* pointer advances that re-test the comparisons the case analysis     *)
-(* just decided:                                                       *)
-(*                                                                     *)
-(*   if (a && b) { both } else if (a) { left } else if (b) { right }   *)
-(*   if (a) pB++;                                                      *)
-(*   if (b) pC++;                                                      *)
-(*                                                                     *)
-(* In every arm of the case analysis the truth of [a] and [b] is       *)
-(* already decided (the else of [a && b] plus [a] forces [b] false),   *)
-(* so the trailing guards sink into the arms and their re-tests        *)
-(* disappear:                                                          *)
-(*                                                                     *)
-(*   if (a && b) { both; pB++; pC++ }                                  *)
-(*   else if (a) { left; pB++ }                                        *)
-(*   else if (b) { right; pC++ }                                       *)
-(*                                                                     *)
-(* A guard sinks only when its condition is decided in every arm of    *)
-(* the case analysis — the pass never duplicates an undecided guard —  *)
-(* and only when no arm writes an operand (scalar or array) of any     *)
-(* condition involved, so the truth values established when the head   *)
-(* condition was evaluated still hold where the guard's body lands.    *)
-(* Guard conditions containing division are left alone (sinking drops  *)
-(* re-evaluations, and a division fault must not be skipped); dropped  *)
-(* evaluations of loads fall in the tolerated bounds-fault divergence  *)
-(* class. Guard bodies are duplicated at most once per arm, a          *)
-(* compile-time cost only.                                             *)
-(* ------------------------------------------------------------------ *)
-
-let branch_fusion_pass k =
-  let rec conjuncts = function
-    | Binop (And, a, b) -> conjuncts a @ conjuncts b
-    | e -> [ e ]
-  in
-  (* [trues] are conjuncts known to hold; each entry of [falses] is a
-     conjunct set of which at least one member is false. A conjunct is
-     decided false when every other member of such a set is known
-     true. *)
-  let decide g (trues, falses) =
-    let known_true c = List.mem c trues in
-    let known_false c =
-      List.exists
-        (fun f -> List.mem c f && List.for_all (fun x -> x = c || known_true x) f)
-        falses
-    in
-    let gs = conjuncts g in
-    if List.for_all known_true gs then Some true
-    else if List.exists known_false gs then Some false
-    else None
-  in
-  let try_sink target guard =
-    match (target, guard) with
-    | If (c, t, e), If (g, gt, ge) when not (has_div g) ->
-        let gsc, gar = expr_refs g in
-        let csc, car = expr_refs c in
-        let cond_scalars = SS.union gsc csc and cond_arrays = SS.union gar car in
-        let arms = t @ e in
-        let safe =
-          SS.is_empty (SS.inter (assigned_scalars arms) cond_scalars)
-          && SS.is_empty (SS.inter (mutated_arrays arms) cond_arrays)
-        in
-        if not safe then None
-        else
-          let rec sink_arm ctx stmts =
-            match decide g ctx with
-            | Some true -> Some (stmts @ gt)
-            | Some false -> Some (stmts @ ge)
-            | None -> (
-                match stmts with
-                | [ If (c2, t2, e2) ] -> (
-                    let trues, falses = ctx in
-                    match
-                      ( sink_arm (conjuncts c2 @ trues, falses) t2,
-                        sink_arm (trues, conjuncts c2 :: falses) e2 )
-                    with
-                    | Some t2', Some e2' -> Some [ If (c2, t2', e2') ]
-                    | _ -> None)
-                | _ -> None)
-          in
-          let ctx_then = (conjuncts c, []) and ctx_else = ([], [ conjuncts c ]) in
-          (match (sink_arm ctx_then t, sink_arm ctx_else e) with
-          | Some t', Some e' -> Some (If (c, t', e'))
-          | _ -> None)
-    | _ -> None
-  in
-  let rec rw_list = function
-    | [] -> []
-    | s :: rest -> absorb (rw_stmt s) rest
-  and rw_stmt = function
-    | If (c, t, e) -> If (c, rw_list t, rw_list e)
-    | For (v, lo, hi, body) -> For (v, lo, hi, rw_list body)
-    | ParallelFor (v, lo, hi, body, info) -> ParallelFor (v, lo, hi, rw_list body, info)
-    | While (c, body) -> While (c, rw_list body)
-    | s -> s
-  and absorb s rest =
-    match (s, rest) with
-    | (If _ as s), (If _ as g0) :: rest' -> (
-        let g = rw_stmt g0 in
-        match try_sink s g with
-        | Some s' ->
-            fire ();
-            absorb s' rest'
-        | None -> s :: absorb g rest')
-    | _ -> s :: rw_list rest
-  in
-  { k with k_body = rw_list k.k_body }
-
-(* ------------------------------------------------------------------ *)
-(* Pass: common subexpression elimination                              *)
-(*                                                                     *)
-(* Local value numbering over pure scalar expressions (no loads, no    *)
-(* division): an expression evaluated two or more times in a straight- *)
-(* line region with no intervening write to its operands is computed   *)
-(* once into a fresh temporary and the later occurrences read it. The  *)
-(* payoff on the interpreted executor is direct: every expression node *)
-(* is a closure call, so  jB == j  evaluated three times per merge     *)
-(* iteration costs nine calls unoptimized and five once shared.        *)
-(* Purity makes soundness trivial — the temporary's value is exactly   *)
-(* what each occurrence would have computed, and occurrences are only  *)
-(* rewritten while no operand has been reassigned (loop bodies drop    *)
-(* every binding their iteration can invalidate before being entered). *)
-(* ------------------------------------------------------------------ *)
-
-let cse_pass k =
-  let env = kernel_env k in
-  let used = ref (SM.fold (fun name _ acc -> SS.add name acc) env SS.empty) in
-  let counter = ref 0 in
-  let fresh () =
-    let rec next () =
-      let n = Printf.sprintf "_t%d" !counter in
-      incr counter;
-      if SS.mem n !used then next ()
-      else begin
-        used := SS.add n !used;
-        n
-      end
-    in
-    next ()
-  in
-  (* Sharable: a compound pure expression over scalars. Loads are
-     excluded (stores would have to invalidate them), and integer
-     division is excluded so a fault cannot move across an earlier
-     statement's fault. Expressions the executor already compiles to a
-     single fused closure — comparisons and float arithmetic whose
-     operands are variables or literals — are excluded too: sharing
-     them saves nothing, while the temporary's declaration would add a
-     statement per iteration. *)
-  let atom = function Var _ | Int_lit _ | Float_lit _ | Bool_lit _ -> true | _ -> false in
-  let fused_by_executor = function
-    | Binop ((Eq | Ne | Lt | Le | Gt | Ge), a, b) -> atom a && atom b
-    | Binop ((Add | Sub | Mul | Div | Min | Max), a, b) ->
-        infer_type env a = Float && atom a && atom b
-    | _ -> false
-  in
-  let cse_ok e =
-    (not (atom e))
-    && (not (fused_by_executor e))
-    && (not (has_load e))
-    && (not (has_div e))
-    && not (SS.is_empty (expr_names e))
-  in
-  (* Candidate subexpressions of [e], outermost first: an outer match
-     absorbs its children, so parents are offered before children. *)
-  let rec collect_cands acc e =
-    let acc = if cse_ok e then acc @ [ e ] else acc in
-    match e with
-    | Var _ | Int_lit _ | Float_lit _ | Bool_lit _ -> acc
-    | Load (_, i) -> collect_cands acc i
-    | Binop (_, a, b) -> collect_cands (collect_cands acc a) b
-    | Not a | Round_single a -> collect_cands acc a
-    | Ternary (c, a, b) -> collect_cands (collect_cands (collect_cands acc c) a) b
-  in
-  (* Occurrences of [e] in [x]; a whole-expression match does not
-     descend (the occurrence is replaced as a unit). *)
-  let rec count_expr e x =
-    if x = e then 1
-    else
-      match x with
-      | Var _ | Int_lit _ | Float_lit _ | Bool_lit _ -> 0
-      | Load (_, i) -> count_expr e i
-      | Binop (_, a, b) -> count_expr e a + count_expr e b
-      | Not a | Round_single a -> count_expr e a
-      | Ternary (c, a, b) -> count_expr e c + count_expr e a + count_expr e b
-  in
-  (* Occurrences of [e] reachable from the list head before any write
-     to one of its operand scalars. Branch-local kills stop the count
-     inside that branch only (the rewrite phase re-checks kills at
-     statement granularity, so an overcount merely materializes a
-     temporary with fewer live uses than estimated — sound, just not
-     profitable). Loops whose body writes an operand contribute
-     nothing and end the scan. *)
-  let rec count_stmts e vars ss =
-    match ss with
-    | [] -> 0
-    | s :: rest ->
-        let n, stop = count_stmt e vars s in
-        if stop then n else n + count_stmts e vars rest
-  and count_stmt e vars = function
-    | Decl (_, v, x) | Assign (v, x) -> (count_expr e x, SS.mem v vars)
-    | Alloc (_, v, n) -> (count_expr e n, SS.mem v vars)
-    | Store (_, i, x) | Store_add (_, i, x) | Store_reduce (_, _, i, x) | Fill (_, i, x) ->
-        (count_expr e i + count_expr e x, false)
-    | Realloc (_, n) | Memset (_, n) -> (count_expr e n, false)
-    | Sort (_, lo, hi) -> (count_expr e lo + count_expr e hi, false)
-    | Comment _ -> (0, false)
-    | If (c, t, el) ->
-        let kills = not (SS.is_empty (SS.inter (assigned_scalars (t @ el)) vars)) in
-        (count_expr e c + count_stmts e vars t + count_stmts e vars el, kills)
-    | While (c, body) ->
-        if SS.is_empty (SS.inter (assigned_scalars body) vars) then
-          (count_expr e c + count_stmts e vars body, false)
-        else (0, true)
-    | For (v, lo, hi, body) | ParallelFor (v, lo, hi, body, _) ->
-        let n = count_expr e lo + count_expr e hi in
-        if SS.is_empty (SS.inter (SS.add v (assigned_scalars body)) vars) then
-          (n + count_stmts e vars body, false)
-        else (n, true)
-  in
-  (* avail: association list from expression to the temporary holding
-     its value, valid at the current program point. *)
-  let rec rw avail e =
-    match List.assoc_opt e avail with
-    | Some t -> Var t
-    | None -> (
-        match e with
-        | Var _ | Int_lit _ | Float_lit _ | Bool_lit _ -> e
-        | Load (a, i) -> Load (a, rw avail i)
-        | Binop (op, a, b) -> Binop (op, rw avail a, rw avail b)
-        | Not a -> Not (rw avail a)
-        | Round_single a -> Round_single (rw avail a)
-        | Ternary (c, a, b) -> Ternary (rw avail c, rw avail a, rw avail b))
-  in
-  let kill vs avail =
-    if SS.is_empty vs then avail
-    else List.filter (fun (e, _) -> SS.is_empty (SS.inter (expr_names e) vs)) avail
-  in
-  let kill1 v = kill (SS.singleton v) in
-  (* Expressions a statement evaluates unconditionally at its own list
-     level — the anchor positions where a new temporary may be
-     introduced (dominating every later occurrence). While conditions
-     re-evaluate per iteration and are left to licm. *)
-  let immediate_exprs = function
-    | Decl (_, _, e) | Assign (_, e) | Alloc (_, _, e) | Realloc (_, e) | Memset (_, e) ->
-        [ e ]
-    | Store (_, i, x) | Store_add (_, i, x) | Store_reduce (_, _, i, x) | Fill (_, i, x) ->
-        [ i; x ]
-    | Sort (_, lo, hi) -> [ lo; hi ]
-    | If (c, _, _) -> [ c ]
-    | For (_, lo, hi, _) | ParallelFor (_, lo, hi, _, _) -> [ lo; hi ]
-    | While _ | Comment _ -> []
-  in
-  let rec go avail ss =
-    match ss with
-    | [] -> []
-    | s :: rest ->
-        let decls, avail =
-          List.fold_left
-            (fun acc e0 ->
-              List.fold_left
-                (fun (decls, avail) e ->
-                  if List.mem_assoc e avail then (decls, avail)
-                  else
-                    let uses = count_stmts e (expr_names e) (s :: rest) in
-                    if uses >= 2 then
-                      let () = fire () in
-                      let t = fresh () in
-                      (decls @ [ Decl (infer_type env e, t, rw avail e) ], (e, t) :: avail)
-                    else (decls, avail))
-                acc (collect_cands [] e0))
-            ([], avail) (immediate_exprs s)
-        in
-        let s', avail' = rw_stmt avail s in
-        decls @ (s' :: go avail' rest)
-  and rw_stmt avail s =
-    match s with
-    | Decl (t, v, e) -> (Decl (t, v, rw avail e), kill1 v avail)
-    | Assign (v, e) -> (Assign (v, rw avail e), kill1 v avail)
-    | Store (a, i, x) -> (Store (a, rw avail i, rw avail x), avail)
-    | Store_add (a, i, x) -> (Store_add (a, rw avail i, rw avail x), avail)
-    | Store_reduce (r, a, i, x) -> (Store_reduce (r, a, rw avail i, rw avail x), avail)
-    | Alloc (t, v, n) -> (Alloc (t, v, rw avail n), kill1 v avail)
-    | Realloc (a, n) -> (Realloc (a, rw avail n), avail)
-    | Memset (a, n) -> (Memset (a, rw avail n), avail)
-    | Fill (a, n, x) -> (Fill (a, rw avail n, rw avail x), avail)
-    | Sort (a, lo, hi) -> (Sort (a, rw avail lo, rw avail hi), avail)
-    | Comment _ -> (s, avail)
-    | If (c, t, e) ->
-        let c' = rw avail c in
-        let t' = go avail t in
-        let e' = go avail e in
-        (If (c', t', e'), kill (assigned_scalars (t @ e)) avail)
-    | While (c, body) ->
-        (* The back edge re-executes condition and body with whatever
-           the body wrote: only bindings the body cannot invalidate
-           survive inside. *)
-        let avail_in = kill (assigned_scalars body) avail in
-        (While (rw avail_in c, go avail_in body), avail_in)
-    | For (v, lo, hi, body) ->
-        let lo' = rw avail lo and hi' = rw avail hi in
-        let avail_in = kill (SS.add v (assigned_scalars body)) avail in
-        (For (v, lo', hi', go avail_in body), avail_in)
-    | ParallelFor (v, lo, hi, body, info) ->
-        let lo' = rw avail lo and hi' = rw avail hi in
-        let avail_in = kill (SS.add v (assigned_scalars body)) avail in
-        (ParallelFor (v, lo', hi', go avail_in body, info), avail_in)
-  in
-  { k with k_body = go [] k.k_body }
-
-(* ------------------------------------------------------------------ *)
 (* Pass: loop-invariant code motion                                    *)
 (*                                                                     *)
 (* Hoists invariant compound expressions out of loops into fresh       *)
@@ -929,13 +544,6 @@ let passes config =
     (fun (name, enabled, f) -> if enabled then Some (name, f) else None)
     [
       ("simplify", config.simplify, simplify_pass);
-      ("memset_fusion", config.memset_fusion, memset_fusion_pass);
-      (* branch_fusion runs before cse so sunk guard bodies are in
-         place when uses are counted. *)
-      ("branch_fusion", config.branch_fusion, branch_fusion_pass);
-      (* cse runs before licm: an invariant shared temporary then
-         hoists like any other invariant declaration. *)
-      ("cse", config.cse, cse_pass);
       ("licm", config.licm, licm_pass);
       (* licm introduces copy chains when a guard condition is itself
          invariant at the next level out; a second simplify collapses

@@ -1,15 +1,18 @@
 (** Optimizer pipeline over the imperative IR.
 
-    Lowered kernels carry the naive artifacts of mechanical lowering:
-    loop-invariant position loads re-computed every iteration, guards
-    that re-test what a merge-lattice case analysis just decided,
-    repeated index arithmetic, and workspace [memset]s that duplicate
-    the zeroing already done by allocation. This module cleans them up
-    with a fixed sequence of rewrites, each individually toggleable so
-    benchmarks can attribute speedup per pass. Dead scalars and counted
-    [while] loops are left to the C compiler and the executors: a
-    leave-one-out ablation (bench/opt_ablation.ml) found no executor on
-    which rewriting them paid beyond the noise floor.
+    Lowering emits merge loops in their finished form: segment ends
+    read once, advances inside the case arms that decide them, and no
+    re-zeroing of a freshly allocated workspace. What is left here is
+    what lowering cannot see: constant and copy propagation with
+    statically decided branches, and loop-invariant loads and index
+    arithmetic, such as MTTKRP's dense-loop addresses. Each pass can be
+    turned off so benchmarks can attribute speedup per pass. Dead
+    scalars, counted [while] loops and repeated scalar arithmetic are
+    left to the C compiler and the executors: leave-one-out ablations
+    (bench/opt_ablation.ml) found rewriting them paid beyond the noise
+    floor on no paper kernel, and sharing repeated arithmetic cost
+    seconds of compile time on the largest fused merge for a few
+    percent on the closures.
 
     Soundness contract: every pass preserves the value semantics of the
     kernel exactly — including float bit patterns, which is why constant
@@ -22,29 +25,14 @@
     the first pass and after every pass), mirroring how [Cin.validate]
     brackets scheduling transforms. *)
 
-(** Which passes to run. Pass order is fixed (simplify, memset_fusion,
-    branch_fusion, cse, licm, a simplify rerun that collapses the copy
-    chains licm leaves behind); a disabled pass is skipped. *)
+(** Which passes to run. Pass order is fixed (simplify, licm, then a
+    simplify rerun that collapses the copy chains licm leaves behind);
+    a disabled pass is skipped. *)
 type config = {
   simplify : bool;
       (** Constant folding, algebraic identities, copy/constant
           propagation, folding of statically-decided branches, and
           flipping [if (!c)] into an else-only branch. *)
-  memset_fusion : bool;
-      (** Drop a [Memset (v, n)] covered by a preceding [Alloc (_, v, n)]
-          (allocation already zeroes) when nothing in between writes [v]
-          or changes the meaning of [n]. *)
-  branch_fusion : bool;
-      (** Sink a trailing guarded statement [if (g) s] into the arms of
-          an immediately preceding case analysis when the truth of [g]
-          is already decided in every arm (the merge-lattice
-          case-plus-pointer-advance pattern), eliminating the re-test.
-          Sinking is refused if any arm writes an operand of a
-          condition involved or if [g] would be undecided somewhere. *)
-  cse : bool;
-      (** Share pure scalar expressions (no loads, no division)
-          evaluated more than once with no intervening operand write
-          through a fresh temporary. *)
   licm : bool;
       (** Hoist loop-invariant loads and index arithmetic out of loops
           into temporaries declared before the loop. *)
@@ -57,8 +45,8 @@ val all : config
 val none : config
 
 (** Per-pass metrics from one {!optimize_stats} run. Rewrite fires
-    count the discrete rewrites a pass performed (folds, fused memsets,
-    sunk guards, shared or hoisted temporaries, dropped statements);
+    count the discrete rewrites a pass performed (folds, hoisted
+    temporaries, dropped statements);
     node counts are {!Imp.node_count} before/after, so
     [ps_nodes_before - ps_nodes_after] is the pass's IR shrinkage
     (negative for passes that introduce temporaries). Fires are counted

@@ -219,9 +219,9 @@ let test_triangles (name, backend) () =
 
 (* Satellite regression: a min-plus kernel must not zero its dense
    result with memset — the semiring zero is +inf, not bit-zero. If the
-   lowered kernel (or the optimizer's memset-fusion pass) ever reverts
-   to memset, every reachable node's distance would collapse to
-   min(0, ...) = 0 and Bellman-Ford would return all-zeros. *)
+   lowered kernel ever reverts to memset, every reachable node's
+   distance would collapse to min(0, ...) = 0 and Bellman-Ford would
+   return all-zeros. *)
 let test_minplus_zeroing_regression () =
   let src =
     let open Taco in

@@ -1,9 +1,10 @@
 (* Unit tests for the Imp optimizer pipeline (Taco_lower.Opt): one group
    per pass checking the rewrite fires (and refuses to fire) on small
    hand-built kernels, plus semantic equivalence through the executor,
-   the compiled-kernel cache, and the Parallel clamping/empty-partition
-   edge cases. The fuzz differential in test_fuzz.ml covers the passes
-   in combination on generated kernels. *)
+   which passes fire on the paper kernels, the compiled-kernel cache,
+   and the Parallel clamping/empty-partition edge cases. The fuzz
+   differential in test_fuzz.ml covers the passes in combination on
+   generated kernels. *)
 
 open Taco_ir
 module F = Taco_tensor.Format
@@ -25,12 +26,6 @@ let i n = Imp.Int_lit n
 let kernel ?(params = []) ?(name = "t") body = { Imp.k_name = name; k_params = params; k_body = body }
 
 let only_simplify = { Opt.none with simplify = true }
-
-let only_memset = { Opt.none with memset_fusion = true }
-
-let only_bf = { Opt.none with branch_fusion = true }
-
-let only_cse = { Opt.none with cse = true }
 
 let only_licm = { Opt.none with licm = true }
 
@@ -115,195 +110,6 @@ let test_simplify_static_branch () =
   | [ Imp.Decl (_, "x", _); Imp.Assign ("x", Imp.Int_lit 7) ] -> ()
   | _ -> Alcotest.fail "statically-true branch should inline");
   check_equiv ~config:only_simplify k [ "x" ] []
-
-(* ------------------------------------------------------------------ *)
-(* memset_fusion                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let has_memset name body =
-  let found = ref false in
-  let rec go = function
-    | Imp.Memset (v, _) when v = name -> found := true
-    | Imp.For (_, _, _, b) | Imp.While (_, b) -> List.iter go b
-    | Imp.If (_, t, e) -> List.iter go t; List.iter go e
-    | _ -> ()
-  in
-  List.iter go body;
-  !found
-
-let test_memset_fused () =
-  let k =
-    kernel
-      [
-        Imp.Alloc (Imp.Float, "w", v "n");
-        Imp.Decl (Imp.Int, "x", i 0);
-        Imp.Memset ("w", v "n");
-      ]
-      ~params:[ { Imp.p_name = "n"; p_dtype = Imp.Int; p_array = false; p_output = false } ]
-  in
-  Alcotest.(check bool) "memset dropped" false
-    (has_memset "w" (opt ~config:only_memset k).Imp.k_body)
-
-let test_memset_not_fused_after_write () =
-  let k =
-    kernel
-      [
-        Imp.Alloc (Imp.Float, "w", i 8);
-        Imp.Store ("w", i 0, Imp.Float_lit 1.0);
-        Imp.Memset ("w", i 8);
-      ]
-  in
-  Alcotest.(check bool) "memset kept after store" true
-    (has_memset "w" (opt ~config:only_memset k).Imp.k_body)
-
-let test_memset_not_fused_on_smaller_alloc () =
-  let k =
-    kernel
-      [ Imp.Alloc (Imp.Float, "w", i 8); Imp.Memset ("w", v "m") ]
-      ~params:[ { Imp.p_name = "m"; p_dtype = Imp.Int; p_array = false; p_output = false } ]
-  in
-  Alcotest.(check bool) "memset kept when sizes differ" true
-    (has_memset "w" (opt ~config:only_memset k).Imp.k_body)
-
-(* ------------------------------------------------------------------ *)
-(* branch_fusion                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let top_ifs body = List.filter (function Imp.If _ -> true | _ -> false) body
-
-(* The merge-lattice shape: a case analysis over conditions [a]/[b]
-   followed by two guarded increments re-testing the same conditions. *)
-let lattice_kernel xv yv =
-  let a = Imp.Binop (Imp.Lt, v "x", i 5) and b = Imp.Binop (Imp.Lt, v "y", i 5) in
-  kernel
-    [
-      Imp.Decl (Imp.Int, "x", i xv);
-      Imp.Decl (Imp.Int, "y", i yv);
-      Imp.Decl (Imp.Int, "p", i 0);
-      Imp.Decl (Imp.Int, "q", i 0);
-      Imp.Decl (Imp.Int, "r", i 0);
-      Imp.If
-        ( Imp.Binop (Imp.And, a, b),
-          [ Imp.Assign ("r", i 1) ],
-          [ Imp.If (a, [ Imp.Assign ("r", i 2) ], [ Imp.If (b, [ Imp.Assign ("r", i 3) ], []) ]) ]
-        );
-      Imp.If (a, [ Imp.Assign ("p", Imp.Binop (Imp.Add, v "p", i 1)) ], []);
-      Imp.If (b, [ Imp.Assign ("q", Imp.Binop (Imp.Add, v "q", i 1)) ], []);
-    ]
-
-let test_branch_fusion_sinks_lattice_guards () =
-  (* Structure: both trailing guards disappear into the case analysis. *)
-  let k = lattice_kernel 3 9 in
-  let k' = opt ~config:only_bf k in
-  Alcotest.(check int) "one If remains" 1 (List.length (top_ifs k'.Imp.k_body));
-  (match top_ifs k'.Imp.k_body with
-  | [ Imp.If (_, then_arm, _) ] ->
-      Alcotest.(check int) "both-true arm gained both increments" 3 (List.length then_arm)
-  | _ -> Alcotest.fail "expected the fused case analysis");
-  (* Semantics: every truth combination of the two conditions. *)
-  List.iter
-    (fun (xv, yv) -> check_equiv ~config:only_bf (lattice_kernel xv yv) [ "p"; "q"; "r" ] [])
-    [ (3, 3); (3, 9); (9, 3); (9, 9) ]
-
-let test_branch_fusion_refuses_operand_write () =
-  (* The both-true arm writes [x], an operand of the conditions: the
-     guard's later re-test could disagree with the head-time truth, so
-     nothing may sink. *)
-  let a = Imp.Binop (Imp.Lt, v "x", i 5) and b = Imp.Binop (Imp.Lt, v "y", i 5) in
-  let k =
-    kernel
-      [
-        Imp.Decl (Imp.Int, "x", i 3);
-        Imp.Decl (Imp.Int, "y", i 3);
-        Imp.Decl (Imp.Int, "p", i 0);
-        Imp.If
-          ( Imp.Binop (Imp.And, a, b),
-            [ Imp.Assign ("x", i 9) ],
-            [ Imp.If (a, [], [ Imp.If (b, [], []) ]) ] );
-        Imp.If (a, [ Imp.Assign ("p", i 1) ], []);
-      ]
-  in
-  let k' = opt ~config:only_bf k in
-  Alcotest.(check bool) "kernel unchanged" true (k'.Imp.k_body = k.Imp.k_body);
-  check_equiv ~config:only_bf k [ "p"; "x" ] []
-
-let test_branch_fusion_refuses_undecided_guard () =
-  (* The guard condition is unrelated to the case analysis, so its truth
-     is unknown in every arm; sinking would duplicate the test. *)
-  let a = Imp.Binop (Imp.Lt, v "x", i 5) and b = Imp.Binop (Imp.Lt, v "y", i 5) in
-  let k =
-    kernel
-      [
-        Imp.Decl (Imp.Int, "x", i 3);
-        Imp.Decl (Imp.Int, "y", i 3);
-        Imp.Decl (Imp.Int, "z", i 3);
-        Imp.Decl (Imp.Int, "p", i 0);
-        Imp.If
-          ( Imp.Binop (Imp.And, a, b),
-            [],
-            [ Imp.If (a, [], [ Imp.If (b, [], []) ]) ] );
-        Imp.If (Imp.Binop (Imp.Lt, v "z", i 5), [ Imp.Assign ("p", i 1) ], []);
-      ]
-  in
-  let k' = opt ~config:only_bf k in
-  Alcotest.(check bool) "kernel unchanged" true (k'.Imp.k_body = k.Imp.k_body);
-  check_equiv ~config:only_bf k [ "p" ] []
-
-(* ------------------------------------------------------------------ *)
-(* cse                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let cse_temps body =
-  List.filter
-    (function Imp.Decl (_, n, _) -> String.length n > 2 && String.sub n 0 2 = "_t" | _ -> false)
-    body
-
-let test_cse_shares_repeated_arith () =
-  let ab = Imp.Binop (Imp.Mul, v "a", v "b") in
-  let k =
-    kernel
-      [
-        Imp.Decl (Imp.Int, "a", i 3);
-        Imp.Decl (Imp.Int, "b", i 4);
-        Imp.Decl (Imp.Int, "x", Imp.Binop (Imp.Add, ab, i 1));
-        Imp.Decl (Imp.Int, "y", Imp.Binop (Imp.Add, ab, i 2));
-      ]
-  in
-  let k' = opt ~config:only_cse k in
-  Alcotest.(check int) "a * b shared once" 1 (List.length (cse_temps k'.Imp.k_body));
-  check_equiv ~config:only_cse k [ "x"; "y" ] []
-
-let test_cse_killed_by_reassignment () =
-  let ab = Imp.Binop (Imp.Mul, v "a", v "b") in
-  let k =
-    kernel
-      [
-        Imp.Decl (Imp.Int, "a", i 3);
-        Imp.Decl (Imp.Int, "b", i 4);
-        Imp.Decl (Imp.Int, "x", ab);
-        Imp.Assign ("a", i 5);
-        Imp.Decl (Imp.Int, "y", ab);
-      ]
-  in
-  let k' = opt ~config:only_cse k in
-  Alcotest.(check int) "no temp across the write to a" 0 (List.length (cse_temps k'.Imp.k_body));
-  check_equiv ~config:only_cse k [ "x"; "y" ] []
-
-let test_cse_skips_executor_fused_shapes () =
-  (* A comparison of two variables compiles to a single closure, so
-     sharing it would only add a statement. *)
-  let eq = Imp.Binop (Imp.Eq, v "a", v "b") in
-  let k =
-    kernel
-      [
-        Imp.Decl (Imp.Int, "a", i 3);
-        Imp.Decl (Imp.Int, "b", i 4);
-        Imp.Decl (Imp.Bool, "u", eq);
-        Imp.Decl (Imp.Bool, "w", eq);
-      ]
-  in
-  Alcotest.(check int) "no temp for a fused comparison" 0
-    (List.length (cse_temps (opt ~config:only_cse k).Imp.k_body))
 
 (* ------------------------------------------------------------------ *)
 (* licm                                                                *)
@@ -405,6 +211,58 @@ let test_kernel_exposes_optimized_imp () =
     (Kernel.imp unopt = info.Lower.kernel);
   Alcotest.(check bool) "c_source renders the optimized kernel" true
     (String.length (Kernel.c_source kern) > 0)
+
+(* A(i,j) = B(i,j) + C(i,j) + ..., every operand CSR: SpAdd with two
+   operands, a fused merge with more. *)
+let merge_info names =
+  let sum =
+    match List.map (fun n -> Index_notation.access (Helpers.csr_tv n) [ vi; vj ]) names with
+    | [] -> invalid_arg "merge_info"
+    | x :: rest -> List.fold_left (fun acc y -> Index_notation.Add (acc, y)) x rest
+  in
+  let stmt = Index_notation.assign (Helpers.csr_tv "A") [ vi; vj ] sum in
+  Helpers.get
+    (Lower.lower ~mode:(Lower.Assemble { emit_values = true; sorted = true })
+       (Schedule.stmt (Helpers.get (Schedule.of_index_notation stmt))))
+
+(* MTTKRP with a dense workspace over j (paper §VIII-C). *)
+let mttkrp_info () =
+  let vk = Helpers.vk and vl = Var.Index_var.make "l" in
+  let a = Helpers.dense_mat_tv "A" and c = Helpers.dense_mat_tv "C" and d = Helpers.dense_mat_tv "D" in
+  let b = Var.Tensor_var.make "B" ~order:3 ~format:(F.csf 3) in
+  let stmt =
+    Index_notation.assign a [ vi; vj ]
+      (Index_notation.sum vk
+         (Index_notation.sum vl
+            (Index_notation.Mul
+               ( Index_notation.Mul
+                   (Index_notation.access b [ vi; vk; vl ], Index_notation.access c [ vl; vj ]),
+                 Index_notation.access d [ vk; vj ] ))))
+  in
+  let sched = Helpers.get (Schedule.of_index_notation stmt) in
+  let sched = Helpers.get (Schedule.reorder vj vk sched) in
+  let sched = Helpers.get (Schedule.reorder vj vl sched) in
+  let e =
+    Cin.Mul (Cin.Access (Cin.access b [ vi; vk; vl ]), Cin.Access (Cin.access c [ vl; vj ]))
+  in
+  let sched =
+    Helpers.get (Schedule.precompute_simple ~expr:e ~over:[ vj ] ~workspace:(Helpers.ws_vec "w") sched)
+  in
+  Helpers.get (Lower.lower ~mode:Lower.Compute (Schedule.stmt sched))
+
+let licm_fires (info : Lower.kernel_info) =
+  match Opt.optimize_stats info.Lower.kernel with
+  | Ok (_, stats) -> (List.find (fun st -> st.Opt.ps_pass = "licm") stats).Opt.ps_fires
+  | Error e -> Alcotest.fail e
+
+(* Lowering reads each segment end once, so LICM has nothing to hoist
+   from merge loops; MTTKRP's dense-loop addresses and invariant
+   operand load are still its work. *)
+let test_licm_division_of_labour () =
+  Alcotest.(check int) "licm fires on SpAdd" 0 (licm_fires (merge_info [ "B"; "C" ]));
+  Alcotest.(check int) "licm fires on the 3-operand merge" 0
+    (licm_fires (merge_info [ "B"; "C"; "D" ]));
+  Alcotest.(check bool) "licm fires on MTTKRP" true (licm_fires (mttkrp_info ()) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* compiled-kernel cache                                               *)
@@ -520,24 +378,6 @@ let () =
           Alcotest.test_case "float + 0.0 preserved" `Quick test_simplify_preserves_float_zero_add;
           Alcotest.test_case "static branch inlined" `Quick test_simplify_static_branch;
         ] );
-      ( "memset_fusion",
-        [
-          Alcotest.test_case "alloc-covered memset dropped" `Quick test_memset_fused;
-          Alcotest.test_case "kept after intervening store" `Quick test_memset_not_fused_after_write;
-          Alcotest.test_case "kept when sizes differ" `Quick test_memset_not_fused_on_smaller_alloc;
-        ] );
-      ( "branch_fusion",
-        [
-          Alcotest.test_case "lattice guards sink" `Quick test_branch_fusion_sinks_lattice_guards;
-          Alcotest.test_case "operand write refused" `Quick test_branch_fusion_refuses_operand_write;
-          Alcotest.test_case "undecided guard refused" `Quick test_branch_fusion_refuses_undecided_guard;
-        ] );
-      ( "cse",
-        [
-          Alcotest.test_case "repeated arithmetic shared" `Quick test_cse_shares_repeated_arith;
-          Alcotest.test_case "killed by reassignment" `Quick test_cse_killed_by_reassignment;
-          Alcotest.test_case "executor-fused shapes skipped" `Quick test_cse_skips_executor_fused_shapes;
-        ] );
       ( "licm",
         [
           Alcotest.test_case "invariant load hoisted" `Quick test_licm_hoists_invariant_load;
@@ -548,6 +388,7 @@ let () =
         [
           Alcotest.test_case "optimized spgemm validates" `Quick test_optimized_kernel_validates;
           Alcotest.test_case "Kernel.imp shows optimized IR" `Quick test_kernel_exposes_optimized_imp;
+          Alcotest.test_case "licm only where lowering cannot hoist" `Quick test_licm_division_of_labour;
         ] );
       ( "cache",
         [
