@@ -47,25 +47,26 @@ let splatt_like =
       for_ "pB1" (idx "B1_pos" (i 0)) (idx "B1_pos" (i 1))
         [
           decl_int "i" (idx "B1_crd" (v "pB1"));
+          decl_int "pA2_base" (v "i" *: v "A2_dimension");
           for_ "pB2" (idx "B2_pos" (v "pB1")) (idx "B2_pos" (v "pB1" +: i 1))
             [
               decl_int "k" (idx "B2_crd" (v "pB2"));
+              decl_int "pD2_base" (v "k" *: v "D2_dimension");
               for_ "pB3" (idx "B3_pos" (v "pB2")) (idx "B3_pos" (v "pB2" +: i 1))
                 [
                   decl_int "l" (idx "B3_crd" (v "pB3"));
+                  Imp.Decl (Imp.Float, "B_val", idx "B_vals" (v "pB3"));
+                  decl_int "pC2_base" (v "l" *: v "C2_dimension");
                   for_ "j" (i 0) (v "A2_dimension")
                     [
                       store_add "w_vals" (v "j")
-                        (idx "B_vals" (v "pB3")
-                        *: idx "C_vals" ((v "l" *: v "C2_dimension") +: v "j"));
+                        (v "B_val" *: idx "C_vals" (v "pC2_base" +: v "j"));
                     ];
                 ];
               for_ "j" (i 0) (v "A2_dimension")
                 [
-                  store_add "A_vals"
-                    ((v "i" *: v "A2_dimension") +: v "j")
-                    (idx "w_vals" (v "j")
-                    *: idx "D_vals" ((v "k" *: v "D2_dimension") +: v "j"));
+                  store_add "A_vals" (v "pA2_base" +: v "j")
+                    (idx "w_vals" (v "j") *: idx "D_vals" (v "pD2_base" +: v "j"));
                   store "w_vals" (v "j") (f 0.);
                 ];
             ];

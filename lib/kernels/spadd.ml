@@ -15,15 +15,17 @@ let c_var = TV.make "C" ~order:2 ~format:F.csr
 let params =
   [ p_int "A1_dimension"; p_int "A2_dimension" ] @ csr_params "B" @ csr_params "C"
 
-let b_end = idx "B2_pos" (v "i" +: i 1)
+let b_end = v "pB2_end"
 
-let c_end = idx "C2_pos" (v "i" +: i 1)
+let c_end = v "pC2_end"
 
 (* Two-way merge of row i; [emit j value] produces the output action. *)
 let merge_row emit =
   [
     set "pB2" (idx "B2_pos" (v "i"));
+    decl_int "pB2_end" (idx "B2_pos" (v "i" +: i 1));
     set "pC2" (idx "C2_pos" (v "i"));
+    decl_int "pC2_end" (idx "C2_pos" (v "i" +: i 1));
     while_
       ((v "pB2" <: b_end) &&: (v "pC2" <: c_end))
       ([
@@ -69,8 +71,8 @@ let eigen_like =
       Imp.Alloc (Imp.Int, "A2_pos", v "A1_dimension" +: i 1);
       store "A2_pos" (i 0) (i 0);
       decl_int "A2_cap" (i 1024);
-      Imp.Alloc (Imp.Int, "A2_crd", v "A2_cap");
-      Imp.Alloc (Imp.Float, "A_vals", v "A2_cap");
+      Imp.Alloc (Imp.Int, "A2_crd", i 1024);
+      Imp.Alloc (Imp.Float, "A_vals", i 1024);
       decl_int "pA2" (i 0);
       decl_int "pB2" (i 0);
       decl_int "pC2" (i 0);

@@ -27,16 +27,16 @@ let scatter_row ?(track = false) ?(values = true) () =
     else [ store "w_mask" (v "j") (Imp.Bool_lit true) ]
   in
   for_ "pB2" (idx "B2_pos" (v "i")) (idx "B2_pos" (v "i" +: i 1))
-    [
-      decl_int "k" (idx "B2_crd" (v "pB2"));
-      for_ "pC2" (idx "C2_pos" (v "k")) (idx "C2_pos" (v "k" +: i 1))
-        ([ decl_int "j" (idx "C2_crd" (v "pC2")) ]
-        @ mark
-        @
-        if values then
-          [ store_add "w_vals" (v "j") (idx "B_vals" (v "pB2") *: idx "C_vals" (v "pC2")) ]
-        else []);
-    ]
+    ([ decl_int "k" (idx "B2_crd" (v "pB2")) ]
+    @ (if values then [ Imp.Decl (Imp.Float, "B_val", idx "B_vals" (v "pB2")) ] else [])
+    @ [
+        for_ "pC2" (idx "C2_pos" (v "k")) (idx "C2_pos" (v "k" +: i 1))
+          ([ decl_int "j" (idx "C2_crd" (v "pC2")) ]
+          @ mark
+          @
+          if values then [ store_add "w_vals" (v "j") (v "B_val" *: idx "C_vals" (v "pC2")) ]
+          else []);
+      ])
 
 (* Eigen-style: the product is evaluated into an unsorted row-major
    temporary, then converted to the destination through transposition
@@ -59,8 +59,8 @@ let eigen_like =
       Imp.Alloc (Imp.Int, "tmp_pos", v "A1_dimension" +: i 1);
       store "tmp_pos" (i 0) (i 0);
       decl_int "tmp_cap" (i 1024);
-      Imp.Alloc (Imp.Int, "tmp_crd", v "tmp_cap");
-      Imp.Alloc (Imp.Float, "tmp_vals", v "tmp_cap");
+      Imp.Alloc (Imp.Int, "tmp_crd", i 1024);
+      Imp.Alloc (Imp.Float, "tmp_vals", i 1024);
       Imp.Alloc (Imp.Float, "w_vals", v "A2_dimension");
       Imp.Alloc (Imp.Bool, "w_mask", v "A2_dimension");
       Imp.Alloc (Imp.Int, "w_list", v "A2_dimension");
@@ -234,12 +234,13 @@ let hash_workspace ~capacity =
   let probe ~slot_var j body_when_found =
     [
       decl_int slot_var (j -: (Imp.Binop (Imp.Div, j, cap) *: cap));
+      decl_int "key" (j +: i 1);
       while_
         (Imp.Not
            (Imp.Binop
               ( Imp.Or,
                 idx "h_keys" (v slot_var) =: i 0,
-                idx "h_keys" (v slot_var) =: (j +: i 1) )))
+                idx "h_keys" (v slot_var) =: v "key" )))
         [
           set slot_var (v slot_var +: i 1);
           if_ (v slot_var >=: cap) [ set slot_var (i 0) ];
@@ -261,8 +262,8 @@ let hash_workspace ~capacity =
       Imp.Alloc (Imp.Int, "A2_pos", v "A1_dimension" +: i 1);
       store "A2_pos" (i 0) (i 0);
       decl_int "A2_cap" (i 1024);
-      Imp.Alloc (Imp.Int, "A2_crd", v "A2_cap");
-      Imp.Alloc (Imp.Float, "A_vals", v "A2_cap");
+      Imp.Alloc (Imp.Int, "A2_crd", i 1024);
+      Imp.Alloc (Imp.Float, "A_vals", i 1024);
       Imp.Alloc (Imp.Int, "h_keys", cap);
       Imp.Alloc (Imp.Float, "h_vals", cap);
       Imp.Alloc (Imp.Int, "w_list", cap);
@@ -274,6 +275,7 @@ let hash_workspace ~capacity =
           for_ "pB2" (idx "B2_pos" (v "i")) (idx "B2_pos" (v "i" +: i 1))
             [
               decl_int "k" (idx "B2_crd" (v "pB2"));
+              Imp.Decl (Imp.Float, "B_val", idx "B_vals" (v "pB2"));
               for_ "pC2" (idx "C2_pos" (v "k")) (idx "C2_pos" (v "k" +: i 1))
                 ([ decl_int "j" (idx "C2_crd" (v "pC2")) ]
                 @ probe ~slot_var:"slot" (v "j")
@@ -281,12 +283,11 @@ let hash_workspace ~capacity =
                       if_
                         (idx "h_keys" (v "slot") =: i 0)
                         [
-                          store "h_keys" (v "slot") (v "j" +: i 1);
+                          store "h_keys" (v "slot") (v "key");
                           store "w_list" (v "w_list_size") (v "j");
                           incr "w_list_size";
                         ];
-                      store_add "h_vals" (v "slot")
-                        (idx "B_vals" (v "pB2") *: idx "C_vals" (v "pC2"));
+                      store_add "h_vals" (v "slot") (v "B_val" *: idx "C_vals" (v "pC2"));
                     ]);
             ];
           Imp.Sort ("w_list", i 0, v "w_list_size");

@@ -132,7 +132,9 @@ let test_fig1c_structure () =
       "for (int32_t i = 0; i < Ad1_dimension; i++)";
       "for (int32_t pB2 = B2_pos[i]; pB2 < B2_pos[(i + 1)]; pB2++)";
       "int32_t k = B2_crd[pB2];";
-      "Ad_vals[((i * Ad2_dimension) + j)] += (B_vals[pB2] * C_vals[pC2]);";
+      "int32_t pAd2_base = (i * Ad2_dimension);";
+      "double B_val = B_vals[pB2];";
+      "Ad_vals[(pAd2_base + j)] += (B_val * C_vals[pC2]);";
     ]
 
 let test_fig4a_merge_structure () =
@@ -390,6 +392,109 @@ let test_two_results_rejected () =
   in
   ignore (Helpers.get_err "two results" (Lower.lower ~mode:Lower.Compute s))
 
+(* --- the lowered form: positions and operand values declared once --- *)
+
+(* The body of the loop that binds [v]: a dense [for v], or a position
+   loop whose first statement declares [v]. *)
+let rec loop_binding v ss =
+  List.find_map
+    (function
+      | Imp.For (x, _, _, b) when x = v -> Some b
+      | Imp.For (_, _, _, (Imp.Decl (Imp.Int, x, _) :: _ as b)) when x = v -> Some b
+      | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) -> loop_binding v b
+      | Imp.If (_, t, e) -> (
+          match loop_binding v t with Some b -> Some b | None -> loop_binding v e)
+      | _ -> None)
+    ss
+
+let loop_body (k : Imp.kernel) v =
+  match loop_binding v k.Imp.k_body with
+  | Some b -> b
+  | None -> Alcotest.failf "no loop binds %s" v
+
+(* Occurrences of expressions satisfying [p] anywhere in the kernel. *)
+let count_exprs p (k : Imp.kernel) =
+  let rec e acc x =
+    let acc = if p x then acc + 1 else acc in
+    match x with
+    | Imp.Var _ | Imp.Int_lit _ | Imp.Float_lit _ | Imp.Bool_lit _ -> acc
+    | Imp.Load (_, i) | Imp.Not i | Imp.Round_single i -> e acc i
+    | Imp.Binop (_, a, b) -> e (e acc a) b
+    | Imp.Ternary (c, a, b) -> e (e (e acc c) a) b
+  in
+  let rec s acc = function
+    | Imp.Decl (_, _, x) | Imp.Assign (_, x) | Imp.Alloc (_, _, x) | Imp.Realloc (_, x)
+    | Imp.Memset (_, x) ->
+        e acc x
+    | Imp.Store (_, i, x) | Imp.Store_add (_, i, x) | Imp.Store_reduce (_, _, i, x)
+    | Imp.Fill (_, i, x) | Imp.Sort (_, i, x) ->
+        e (e acc i) x
+    | Imp.For (_, lo, hi, b) | Imp.ParallelFor (_, lo, hi, b, _) ->
+        List.fold_left s (e (e acc lo) hi) b
+    | Imp.While (c, b) -> List.fold_left s (e acc c) b
+    | Imp.If (c, t, f) -> List.fold_left s (List.fold_left s (e acc c) t) f
+    | Imp.Comment _ -> acc
+  in
+  List.fold_left s 0 k.Imp.k_body
+
+let declares body x = List.exists (function Imp.Decl (_, _, y) -> y = x | _ -> false) body
+
+let test_mttkrp_positions_once () =
+  let k = (Helpers.mttkrp_info ()).Lower.kernel in
+  List.iter
+    (fun (v, dim) ->
+      let scaled = Imp.Binop (Imp.Mul, Imp.Var v, Imp.Var dim) in
+      Alcotest.(check int) (v ^ " * " ^ dim ^ " once") 1 (count_exprs (( = ) scaled) k);
+      Alcotest.(check bool)
+        (v ^ " * " ^ dim ^ " declared in its parent loop") true
+        (declares (loop_body k v) scaled))
+    [ ("i", "A2_dimension"); ("k", "D2_dimension"); ("l", "C2_dimension") ];
+  let load = Imp.Load ("B_vals", Imp.Var "pB3") in
+  Alcotest.(check int) "B_vals loaded once" 1
+    (count_exprs (function Imp.Load ("B_vals", _) -> true | _ -> false) k);
+  Alcotest.(check bool) "B_vals[pB3] bound once per pB3" true (declares (loop_body k "l") load)
+
+let test_spgemm_operand_value_once () =
+  let k = (Helpers.spgemm_info ()).Lower.kernel in
+  let load = Imp.Load ("B_vals", Imp.Var "pB2") in
+  Alcotest.(check int) "B_vals[pB2] read once" 1 (count_exprs (( = ) load) k);
+  Alcotest.(check bool) "bound in the k loop, outside the j loop" true
+    (declares (loop_body k "k") load)
+
+(* A tail loop iterates one operand: [while (pX < pX_end)]. Every
+   coordinate it visits matches, so its body tests no coordinate. *)
+let test_tail_loops_unguarded () =
+  List.iter
+    (fun names ->
+      let k = (Helpers.merge_info names).Lower.kernel in
+      let rec tails acc = function
+        | Imp.While (Imp.Binop (Imp.Lt, Imp.Var _, Imp.Var _), b) -> b :: acc
+        | Imp.For (_, _, _, b) | Imp.While (_, b) -> List.fold_left tails acc b
+        | Imp.If (_, t, e) -> List.fold_left tails (List.fold_left tails acc t) e
+        | _ -> acc
+      in
+      let bodies = List.fold_left tails [] k.Imp.k_body in
+      let n = List.length names in
+      Alcotest.(check int) (Printf.sprintf "%d tail loops" n) n (List.length bodies);
+      List.iter
+        (List.iter (function
+          | Imp.If (Imp.Binop (Imp.Eq, _, _), _, _) -> Alcotest.fail "tail loop tests its coordinate"
+          | _ -> ()))
+        bodies)
+    [ [ "B"; "C" ]; [ "B"; "C"; "D" ] ]
+
+let test_assembly_allocations () =
+  let k = (Helpers.spgemm_info ()).Lower.kernel in
+  List.iter
+    (fun alloc ->
+      if not (List.mem alloc k.Imp.k_body) then
+        Alcotest.failf "missing %s" (Format.asprintf "%a" Imp.pp_stmt alloc))
+    [
+      Imp.Alloc (Imp.Int, "A2_crd", Imp.Int_lit 1024);
+      Imp.Alloc (Imp.Float, "A_vals", Imp.Int_lit 1024);
+      Imp.Alloc (Imp.Float, "w_vals", Imp.Var "A2_dimension");
+    ]
+
 let () =
   ignore dd;
   Alcotest.run "lower"
@@ -425,6 +530,13 @@ let () =
           Alcotest.test_case "parameter naming" `Quick test_kernel_params;
           Alcotest.test_case "check catches undeclared" `Quick test_imp_check_catches_undeclared;
           Alcotest.test_case "smart constructors fold" `Quick test_imp_smart_constructors;
+        ] );
+      ( "lowered form",
+        [
+          Alcotest.test_case "MTTKRP positions and value once" `Quick test_mttkrp_positions_once;
+          Alcotest.test_case "SpGEMM value outside j loop" `Quick test_spgemm_operand_value_once;
+          Alcotest.test_case "tail loops unguarded" `Quick test_tail_loops_unguarded;
+          Alcotest.test_case "assembly allocations literal" `Quick test_assembly_allocations;
         ] );
       ( "mixed precision",
         [ Alcotest.test_case "single vs double workspace" `Quick test_mixed_precision_workspace ] );
