@@ -90,7 +90,7 @@ let run_workload ~reps (w : Harness.workload) =
   let tier0, rn0 = Harness.promote_after_tier0 w kn in
   if native_ok && Kernel.native_tier kn <> Some 1 then
     failwith (Printf.sprintf "%s: promotion to tier 1 failed" w.w_name);
-  let tier0_agrees = Harness.tensors_identical (w.w_result kc) rn0 in
+  let tier0_agrees = Tensor.bit_identical (w.w_result kc) rn0 in
   let alloc_ratio = words_per_run w kn /. result_words rn0 in
   let c_bytes = String.length (Codegen_c.emit_exec [ Kernel.imp kn ]) in
   let phases = Kernel.native_phases kn in
@@ -102,7 +102,7 @@ let run_workload ~reps (w : Harness.workload) =
     :: (match phases with Some p -> phases_info p | None -> [])
   in
   let records =
-    Harness.best_of_batches ~reps ~workload:w.w_name ~equal:Harness.tensors_identical
+    Harness.best_of_batches ~reps ~workload:w.w_name ~equal:Tensor.bit_identical
       ~info:(function "native" -> native_info | _ -> [])
       (variants w kc kn)
   in
@@ -186,7 +186,7 @@ let batch_curve ~reps (ws : Harness.workload list) =
       let records =
         Harness.median_quartiles ~reps
           ~workload:(Printf.sprintf "cc_batch_n%d" n)
-          ~equal:(List.for_all2 Harness.tensors_identical)
+          ~equal:(List.for_all2 Tensor.bit_identical)
           ~info:(fun _ -> [ ("kernels", Report.Int n) ])
           [ variant "singly" false; variant "one_unit" true ]
       in
@@ -272,7 +272,7 @@ let smoke () =
     exit 1
   end;
   let rn = w.w_result kn in
-  if not (Harness.tensors_identical rn0 rn) then begin
+  if not (Tensor.bit_identical rn0 rn) then begin
     Taco_support.Obs.Log.err (fun m ->
         m "cback-smoke FAILED: the tier-1 result diverges from the tier-0 build");
     exit 1
@@ -280,7 +280,7 @@ let smoke () =
   Printf.printf "cback-smoke spgemm_ws: tier 1 (%s) bit-identical to tier 0 (%s)\n%!"
     (Harness.tier_flags 1) (Harness.tier_flags 0);
   let times =
-    Harness.best_of_batches ~reps:3 ~workload:w.w_name ~equal:Harness.tensors_identical
+    Harness.best_of_batches ~reps:3 ~workload:w.w_name ~equal:Tensor.bit_identical
       (variants w kc kn)
   in
   let identical = List.for_all (fun r -> r.Harness.agrees) times in

@@ -7,8 +7,7 @@
    MKL-like two-pass baseline). Reported numbers are runtimes normalized
    to the workspace kernel, as in the paper.
 
-   With [?json] the raw measurements (wall clock + GC work) and the
-   per-pass optimizer statistics of the generated kernels are also
+   With [?json] the raw measurements (wall clock + GC work) are also
    written as JSON. *)
 
 open Taco
@@ -24,8 +23,6 @@ let run ?json ~seed ~scale ~reps () =
   let mkl = Kernel.prepare K.Spgemm.mkl_like in
   Harness.row "%-3s %-11s %8s | %10s %10s %7s | %10s %10s %7s" "#" "matrix" "nnz"
     "ws-sort(s)" "eigen(s)" "ratio" "ws-uns(s)" "mkl(s)" "ratio";
-  let pass_sorted = ("pass_stats", Harness.pass_stats_json (Kernel.info ws_sorted)) in
-  let pass_unsorted = ("pass_stats", Harness.pass_stats_json (Kernel.info ws_unsorted)) in
   let per_workload =
     List.concat_map
       (fun ((entry : Suite.matrix_entry), bt) ->
@@ -44,10 +41,6 @@ let run ?json ~seed ~scale ~reps () =
               Harness.medians ~reps
                 ~workload:(Printf.sprintf "%s@%g" entry.Suite.name density)
                 ~equal:Harness.close_to
-                ~info:(function
-                  | "ws_sorted" -> [ pass_sorted ]
-                  | "ws_unsorted" -> [ pass_unsorted ]
-                  | _ -> [])
                 [
                   ("ws_sorted", generated ws_sorted);
                   ("eigen_like", baseline eigen);

@@ -6,8 +6,7 @@
    relative to MTTKRP with dense output and dense operands, as operand
    density sweeps — reproducing the ~25% crossover of §VIII-D.
 
-   With [?json] the raw measurements (wall clock + GC work) and the
-   per-pass optimizer statistics of the generated kernels are also
+   With [?json] the raw measurements (wall clock + GC work) are also
    written as JSON. *)
 
 open Taco
@@ -25,8 +24,6 @@ let left ?(domains = 1) ?json ~seed ~scale ~reps () =
   let splatt = Kernel.prepare K.Mttkrp.splatt_like in
   Harness.row "%-10s %9s | %9s %9s %9s | %8s %8s" "tensor" "nnz" "taco(s)" "ws(s)"
     "splatt(s)" "ws/taco" "spl/taco";
-  let pass_taco = ("pass_stats", Harness.pass_stats_json (Kernel.info taco_kernel)) in
-  let pass_ws = ("pass_stats", Harness.pass_stats_json (Kernel.info ws_kernel)) in
   let records =
     List.concat_map
       (fun ((entry : Suite.tensor_entry), bt) ->
@@ -40,7 +37,6 @@ let left ?(domains = 1) ?json ~seed ~scale ~reps () =
         in
         let rs =
           Harness.medians ~reps ~workload:entry.Suite.t_name ~equal:Harness.close_to
-            ~info:(function "taco" -> [ pass_taco ] | "workspace" -> [ pass_ws ] | _ -> [])
             [
               ("taco", run taco_kernel tb [ (tb, bt); (tc, c); (td, d) ]);
               ("workspace", run ws_kernel tb [ (tb, bt); (tc, c); (td, d) ]);
@@ -81,8 +77,6 @@ let right ?json ~seed ~scale ~reps () =
   let sparse_kernel, sb, sc, sd = Harness.mttkrp_sparse_kernel () in
   Harness.row "%-10s | %s" "tensor"
     (String.concat "  " (List.map (fun d -> Printf.sprintf "%8.0e" d) densities));
-  let pass_dense = ("pass_stats", Harness.pass_stats_json (Kernel.info dense_kernel)) in
-  let pass_sparse = ("pass_stats", Harness.pass_stats_json (Kernel.info sparse_kernel)) in
   (* The dense-output run and each operand density compute different
      products, so each is its own workload with one variant. *)
   let per_tensor =
@@ -95,7 +89,6 @@ let right ?json ~seed ~scale ~reps () =
         let dd = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
         let dense =
           Harness.medians ~reps ~workload:name ~equal:Harness.close_to
-            ~info:(fun _ -> [ pass_dense ])
             [
               ( "dense",
                 fun () ->
@@ -116,7 +109,7 @@ let right ?json ~seed ~scale ~reps () =
               Harness.medians ~reps
                 ~workload:(Printf.sprintf "%s@%g" name density)
                 ~equal:Harness.close_to
-                ~info:(fun _ -> [ ("operand_density", Report.Float density); pass_sparse ])
+                ~info:(fun _ -> [ ("operand_density", Report.Float density) ])
                 [
                   ( "sparse",
                     fun () ->

@@ -59,10 +59,6 @@ let run ?json ~seed ~dim ~reps () =
           Harness.medians ~reps
             ~workload:(Printf.sprintf "%d_additions" n)
             ~equal:Harness.close_to
-            ~info:(function
-              | "taco" -> [ ("pass_stats", Harness.pass_stats_json (Kernel.info merge_kernel)) ]
-              | "workspace" -> [ ("pass_stats", Harness.pass_stats_json (Kernel.info ws_kernel)) ]
-              | _ -> [])
             [
               ("taco_binop", fun () -> pairwise_chain pair bv cv ops dims);
               ("taco", fun () -> Kernel.run_assemble merge_kernel ~inputs:bindings ~dims);

@@ -65,7 +65,8 @@ let run_workload ~reps ~native_available w =
   let _, iters = w.g_run `Closure in
   let records =
     Harness.best_of_batches ~reps ~workload:w.g_name
-      ~equal:(fun (c1, i1) (c2, i2) -> Harness.bits_equal c1 c2 && i1 = i2)
+      ~equal:(fun (c1, i1) (c2, i2) ->
+        Tensor.bit_identical (G.dense_vector c1) (G.dense_vector c2) && i1 = i2)
       ~info:(fun _ -> [ ("iterations", Report.Int iters) ])
       (List.map
          (fun (name, b) -> (name, (fun () -> w.g_run b), fun () -> ignore (w.g_run b)))

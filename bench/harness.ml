@@ -11,15 +11,6 @@ let get = function Ok x -> x | Error e -> failwith e
 (* Agreement                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
-
-let tensors_identical t1 t2 =
-  Tensor.dims t1 = Tensor.dims t2
-  && Tensor.nnz t1 = Tensor.nnz t2
-  && bits_equal (Tensor.vals t1) (Tensor.vals t2)
-
 (* What a report's [agrees] means, for its [agreement]: results
    [bit_identical] to the first variant's, or [close_to] it within
    [eps]. *)
@@ -331,26 +322,6 @@ let once ~equal ~phases variants =
         runs)
     phases
 
-(* Per-pass optimizer statistics of a lowered kernel, for attaching to
-   benchmark JSON: what each pass costs, how it changes the IR size and
-   how many rewrites fire. *)
-let pass_stats_json ?config info =
-  match Opt.optimize_stats ?config info.Lower.kernel with
-  | Error e -> Report.Obj [ ("error", Report.Str e) ]
-  | Ok (_, stats) ->
-      Report.List
-        (List.map
-           (fun (s : Opt.pass_stat) ->
-             Report.Obj
-               [
-                 ("pass", Report.Str s.Opt.ps_pass);
-                 ("time_ns", Report.Int (Int64.to_int s.Opt.ps_time_ns));
-                 ("nodes_before", Report.Int s.Opt.ps_nodes_before);
-                 ("nodes_after", Report.Int s.Opt.ps_nodes_after);
-                 ("fires", Report.Int s.Opt.ps_fires);
-               ])
-           stats)
-
 let pct a b = 100. *. ((a /. b) -. 1.)
 
 let header title =
@@ -495,7 +466,7 @@ let addition_workspace_stmt ops =
 
 (* A lowered kernel plus runners for a prepared one on fixed inputs:
    [w_time] for the clock (no read-back), [w_result] for the agreement
-   check. The preparation (optimizer, backend, tier) is the variable. *)
+   check. The preparation (backend, tier) is the variable. *)
 type workload = {
   w_name : string;
   w_info : Lower.kernel_info;

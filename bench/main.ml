@@ -38,8 +38,7 @@ let json_arg =
     value & opt (some string) None
     & info [ "json" ] ~docv:"PATH"
         ~doc:
-          "Also write the raw measurements (wall clock, GC work, per-pass optimizer \
-           statistics) as JSON to PATH.")
+          "Also write the raw measurements (wall clock, GC work) as JSON to PATH.")
 
 let table1_cmd =
   let run seed scale tensor_scale = Table1.run ~seed ~scale ~tensor_scale in
@@ -89,42 +88,6 @@ let ablation_cmd =
 let micro_cmd =
   Cmd.v (Cmd.info "micro" ~doc:"Bechamel micro-benchmarks of the individual kernels.")
     Term.(const Micro.run $ const ())
-
-let opt_dim_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "dim" ] ~doc:"Base matrix dimension for the optimizer-ablation workloads.")
-
-(* The ablation resolves few-percent differences, so it defaults to more
-   repetitions than the other experiments. *)
-let opt_reps_arg =
-  Arg.(
-    value & opt int 9
-    & info [ "reps" ] ~doc:"Repetitions per measurement (best of batches).")
-
-let opt_out_arg =
-  Arg.(
-    value & opt string "BENCH_opt.json"
-    & info [ "out" ] ~doc:"Where to write the machine-readable ablation results.")
-
-let smoke_arg =
-  Arg.(
-    value & flag
-    & info [ "smoke" ]
-        ~doc:
-          "CI mode: one micro SpGEMM config, exit 1 if the full optimizer pipeline is \
-           slower than no optimization. Writes no JSON.")
-
-let opt_cmd =
-  let run seed reps dim out smoke =
-    if smoke then Opt_ablation.smoke () else Opt_ablation.run ~seed ~reps ~dim ~out
-  in
-  Cmd.v
-    (Cmd.info "opt"
-       ~doc:
-         "Ablation of the Imp optimizer pipeline: unoptimized vs each pass alone vs the \
-          full pipeline on the paper's workspace kernels.")
-    Term.(const run $ seed_arg $ opt_reps_arg $ opt_dim_arg $ opt_out_arg $ smoke_arg)
 
 let cback_dim_arg =
   Arg.(
@@ -292,7 +255,6 @@ let () =
             fig12right_cmd;
             fig13_cmd;
             ablation_cmd;
-            opt_cmd;
             cbackend_cmd;
             autosched_cmd;
             graph_cmd;

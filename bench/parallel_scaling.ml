@@ -82,7 +82,7 @@ let mttkrp_compiled () =
 let sweep ~reps ~domain_counts name compiled inputs =
   if List.hd domain_counts <> 1 then invalid_arg "sweep: domain_counts must start at 1";
   let records =
-    Harness.medians ~reps ~workload:name ~equal:Harness.tensors_identical
+    Harness.medians ~reps ~workload:name ~equal:Tensor.bit_identical
       (List.map
          (fun k -> (Printf.sprintf "%d_domains" k, fun () -> getd (run ~domains:k compiled ~inputs)))
          domain_counts)

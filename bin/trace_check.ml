@@ -22,8 +22,8 @@
    - each REQUIRED_SPAN appears (as a B/E pair or an X event) with a
      strictly positive total duration. With no explicit names the
      default list covers the full pipeline: parse, concretize,
-     schedule.reorder, schedule.precompute, lower, every default
-     optimizer pass, codegen_c, compile, compile.build and exec.run.
+     schedule.reorder, schedule.precompute, lower, codegen_c, compile,
+     compile.build and exec.run.
 
    JSON parsing is the shared stdlib-only Mini_json (no yojson in the
    image). *)
@@ -37,9 +37,6 @@ let default_required =
     "schedule.reorder";
     "schedule.precompute";
     "lower";
-    "opt.simplify";
-    "opt.licm";
-    "opt.simplify/cleanup";
     "codegen_c";
     "compile";
     "compile.build";

@@ -70,7 +70,7 @@ type compiled = {
   c_kernel : Imp.kernel;
   c_prof : int Atomic.t array option;
       (* A profiled kernel's counters, summed over its runs, in
-         [Opt.profile] slot order *)
+         [Profile.profile] slot order *)
   c_requested : backend;  (* what the caller asked for (part of cache validity) *)
   c_native : Native.loaded option;  (* Some when the native build succeeded *)
   c_downgrade : string option;  (* why a [`Native] request fell back, if it did *)
@@ -280,10 +280,10 @@ let rec infer ctx = function
 (* unit of cost is the closure call. Operands that are slot reads or   *)
 (* literals are therefore folded into their consumer instead of being  *)
 (* compiled to their own closure: a binop over two scalars or a load   *)
-(* at a scalar index is one call, not three. Lowering and the          *)
-(* optimizer lean on this directly — reducing operands to Var/literal  *)
-(* shape (segment-end variables, copy propagation, LICM temporaries)   *)
-(* is what moves an expression onto these fast paths.                  *)
+(* at a scalar index is one call, not three. Lowering leans on this    *)
+(* directly — declaring segment ends, scaled positions and operand     *)
+(* values once reduces operands to Var/literal shape, which moves an   *)
+(* expression onto these fast paths.                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Operand shape: a direct int-slot read, an int constant, or a
@@ -1100,7 +1100,7 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
       let ct = seq (Array.of_list (List.map (cstmt ctx) t)) in
       fun env -> if cc env then ct env
   | Imp.If (c, [], e) ->
-      (* Else-only shape, produced by the optimizer's branch flip. *)
+      (* Else-only shape: a case arm with nothing to do. *)
       let cc = cbool ctx c in
       let ce = seq (Array.of_list (List.map (cstmt ctx) e)) in
       fun env -> if not (cc env) then ce env
@@ -1130,23 +1130,21 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
 (* ------------------------------------------------------------------ *)
 
 type spec = {
-  s_kernel : Imp.kernel;  (* as lowered, before the optimizer *)
+  s_kernel : Imp.kernel;  (* as lowered *)
   s_digest : Digest.t;
       (* of [s_kernel], computed once, eagerly: a spec reused across
          requests is read from several domains, where forcing a [Lazy]
          would raise *)
   s_profile : bool;
-  s_opt : Taco_lower.Opt.config;
   s_backend : backend;
   s_rid : int option;  (* the request it serves, stamped on its spans *)
 }
 
-let spec ?(profile = false) ?(opt = Taco_lower.Opt.all) ?(backend = `Closure) k =
+let spec ?(profile = false) ?(backend = `Closure) k =
   {
     s_kernel = k;
     s_digest = Digest.string (Marshal.to_string k []);
     s_profile = profile;
-    s_opt = opt;
     s_backend = backend;
     s_rid = Trace.request_id ();
   }
@@ -1162,25 +1160,22 @@ let with_rid rid f =
     Fun.protect ~finally:(fun () -> Trace.set_request_id outer) f
   end
 
-(* The closure half of a build: optimize, instrument a profiled kernel
-   and compile the closures. The result's [c_kernel] is the optimized
-   kernel; a profiled compilation executes its {!Taco_lower.Opt.profile}
+(* The closure half of a build: validate, instrument a profiled kernel
+   and compile the closures. The result's [c_kernel] is the kernel as
+   lowered; a profiled compilation executes its {!Taco_lower.Profile.profile}
    rewrite instead, on either backend, which is returned alongside for
    the native build. The closures are always built: they are the
    fallback when the native path degrades, and cheap next to a gcc
    invocation. Raises [Invalid_argument] or [Type_error] on malformed
-   IR. *)
+   IR, before any C is emitted. *)
 let build_closures s =
-  let k =
-    match Taco_lower.Opt.optimize ~config:s.s_opt s.s_kernel with
-    | Ok k' -> k'
-    | Error msg -> invalid_arg ("Compile.compile: optimizer " ^ msg)
-  in
+  let k = s.s_kernel in
+  (match Imp.validate k with Ok () -> () | Error msg -> invalid_arg ("Compile.compile: " ^ msg));
   Trace.with_span ~cat:"compile" ~args:[ ("kernel", k.Imp.k_name) ] "compile.build" (fun () ->
       let exec_k =
         if not s.s_profile then k
         else
-          match Taco_lower.Opt.profile k with
+          match Taco_lower.Profile.profile k with
           | Ok k' -> k'
           | Error msg -> invalid_arg ("Compile.compile: profile " ^ msg)
       in
@@ -1192,7 +1187,7 @@ let build_closures s =
           c_kernel = k;
           c_prof =
             (if s.s_profile then
-               Some (Array.init Taco_lower.Opt.profile_slots (fun _ -> Atomic.make 0))
+               Some (Array.init Taco_lower.Profile.profile_slots (fun _ -> Atomic.make 0))
              else None);
           c_requested = s.s_backend;
           c_native = None;
@@ -1254,18 +1249,17 @@ let build_all specs =
 (* ------------------------------------------------------------------ *)
 (* Compiled-kernel cache                                               *)
 (*                                                                     *)
-(* Keyed by a digest of the kernel as lowered (before the optimizer,   *)
-(* taken once per spec) plus every input that shapes the compiled      *)
-(* result: the optimizer config, the profile flag and the backend tag  *)
-(* with its compiler id. A hit therefore skips the optimizer as well   *)
-(* as closure compilation and cc. The digest is only a lookup key:     *)
-(* each entry keeps its source kernel and config, a hit compares them  *)
-(* (physically first, then structurally), and a mismatch (digest       *)
-(* collision, or NaN literals defeating structural equality) falls     *)
-(* back to a fresh compile. Only                                       *)
-(* kernels that optimized and built cleanly are inserted. Compiled     *)
-(* closures are immutable and reusable across runs; [Memo] keeps the   *)
-(* table safe under domains and single-flights each build.             *)
+(* Keyed by a digest of the kernel as lowered (taken once per spec)    *)
+(* plus every input that shapes the compiled result: the profile flag  *)
+(* and the backend tag with its compiler id. A hit therefore skips     *)
+(* validation as well as closure compilation and cc. The digest is     *)
+(* only a lookup key: each entry keeps its source kernel, a hit        *)
+(* compares it (physically first, then structurally), and a mismatch   *)
+(* (digest collision, or NaN literals defeating structural equality)   *)
+(* falls back to a fresh compile. Only kernels that validated and      *)
+(* built cleanly are inserted. Compiled closures are immutable and     *)
+(* reusable across runs; [Memo] keeps the table safe under domains and *)
+(* single-flights each build.                                          *)
 (* ------------------------------------------------------------------ *)
 
 type cache_stats = Memo.stats = {
@@ -1276,9 +1270,8 @@ type cache_stats = Memo.stats = {
   coalesced : int;
 }
 
-(* An entry: the kernel as lowered, the optimizer config it was
-   compiled under, and the result. *)
-type entry = { e_source : Imp.kernel; e_opt : Taco_lower.Opt.config; e_compiled : compiled }
+(* An entry: the kernel as lowered and the result. *)
+type entry = { e_source : Imp.kernel; e_compiled : compiled }
 
 let kernels : entry Memo.t = Memo.create ~name:"compile" ~capacity:512
 
@@ -1292,7 +1285,7 @@ let cache_key s =
     | `Closure -> "closure"
     | `Native -> "native:" ^ Native.compiler_id ()
   in
-  Digest.string (Marshal.to_string (s.s_opt, s.s_profile, btag, s.s_digest) [])
+  Digest.string (Marshal.to_string (s.s_profile, btag, s.s_digest) [])
 
 (* A spec reused from the service's front cache holds the very kernel
    its entry was built from, so the physical test settles most hits
@@ -1301,7 +1294,6 @@ let valid s e =
   let c = e.e_compiled in
   c.c_prof <> None = s.s_profile
   && c.c_requested = s.s_backend
-  && e.e_opt = s.s_opt
   && (e.e_source == s.s_kernel || e.e_source = s.s_kernel)
 
 let cache_stats () = Memo.stats kernels
@@ -1319,7 +1311,7 @@ let cached specs =
       let claimed = List.map (fun i -> by_index.(i)) claimed in
       List.map2
         (fun s r ->
-          Result.map (fun c -> { e_source = s.s_kernel; e_opt = s.s_opt; e_compiled = c }) r)
+          Result.map (fun c -> { e_source = s.s_kernel; e_compiled = c }) r)
         claimed (build_all claimed))
   |> List.map (Result.map (fun e -> e.e_compiled))
 
@@ -1365,18 +1357,18 @@ let lookup s =
 (* The batch of one. Only malformed IR is a result: any other
    diagnostic (an injected fault) is raised, as a single compile always
    has. *)
-let compile_res ?profile ?opt ?cache ?backend k =
-  match compile_batch ?cache [ spec ?profile ?opt ?backend k ] with
+let compile_res ?profile ?cache ?backend k =
+  match compile_batch ?cache [ spec ?profile ?backend k ] with
   | [ Error d ] when d.Diag.code <> "E_COMPILE_TYPE" -> raise (Diag.Error d)
   | [ r ] -> r
   | _ -> assert false
 
-let compile ?profile ?opt ?cache ?backend k =
-  match compile_res ?profile ?opt ?cache ?backend k with
+let compile ?profile ?cache ?backend k =
+  match compile_res ?profile ?cache ?backend k with
   | Ok c -> c
   | Error d -> invalid_arg d.Diag.message
 
-(* Counters in [Opt.profile] slot order. *)
+(* Counters in [Profile.profile] slot order. *)
 let stats_of (n : int array) =
   {
     iterations = n.(0);
@@ -1652,10 +1644,10 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
 (* A profiled run also reads back its counter array, adds it into the
    kernel's accumulator and returns it beside the reader. *)
 let run_plain ?(domains = 1) ?(deadline_ns = Int64.max_int) ?read c ~args =
-  let counters = Taco_lower.Opt.profile_counters in
+  let counters = Taco_lower.Profile.profile_counters in
   let read =
     match (c.c_prof, read) with
-    | Some _, Some r -> Some ((counters, Len Taco_lower.Opt.profile_slots) :: r)
+    | Some _, Some r -> Some ((counters, Len Taco_lower.Profile.profile_slots) :: r)
     | _ -> read
   in
   (* A read hands the kernel's own buffer over, so it can have one

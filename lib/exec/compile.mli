@@ -43,7 +43,7 @@ type extent = Len of int | Len_at of string * int
     ["exec.backend.downgrade"] instant, and its reason is kept on the
     compiled kernel ({!downgrade_reason}) — it is never a client error.
     A [~profile:true] kernel builds natively like any other: the
-    counters are ordinary IR ({!Taco_lower.Opt.profile}). The native
+    counters are ordinary IR ({!Taco_lower.Profile.profile}). The native
     code has no bounds checks; the closures do. *)
 type backend = [ `Closure | `Native ]
 
@@ -88,26 +88,21 @@ val promote : compiled -> unit
 (** Typecheck and compile a kernel. Raises [Invalid_argument] on malformed
     IR (unknown variables, type mismatches).
 
-    The kernel first runs through the {!Taco_lower.Opt} pipeline ([opt],
-    default {!Taco_lower.Opt.all}; pass {!Taco_lower.Opt.none} to compile
-    the IR verbatim). The optimizer validates the kernel before and after
-    every pass, so a malformed kernel is rejected here with the
-    validator's message.
+    Lowering emits kernels in their finished form, so the kernel is
+    compiled as passed in. Every build first runs {!Taco_lower.Imp.validate}
+    on it, on either backend: a malformed kernel is rejected with the
+    validator's message before any C is emitted.
 
     With [~cache:true] (the default) compiled kernels are memoized in a
-    process-wide table keyed by the structure of the kernel {e as
-    passed in} (before the optimizer), the [opt] config, the
-    [profile] flag and the requested [backend] (including
+    process-wide table keyed by the structure of the kernel as passed
+    in, the [profile] flag and the requested [backend] (including
     the resolved compiler for [`Native], so changing [TACO_CC] never
     serves a stale entry). Recompiling an identical kernel returns the
-    cached executable without running the optimizer again: the
-    ["opt.*"] trace spans and the ["opt.pass"] fault point fire only on
-    misses and uncached compiles. Two kernels that optimize to the same
-    structure are two entries. A kernel that fails validation or
-    optimization is never cached. Native builds join the same
-    single-flight discipline: one optimizer run and one native build
-    per distinct key, however many domains race for it (a build may
-    share its [cc] run with other keys, see {!compile_batch}).
+    cached executable without validating or building it again. A
+    kernel that fails validation is never cached. Native builds join
+    the same single-flight discipline: one build per distinct key,
+    however many domains race for it (a build may share its [cc] run
+    with other keys, see {!compile_batch}).
 
     The closures bounds-check every array load, store, memset, fill
     and sort range; a violation raises [Taco_support.Diag.Error] whose
@@ -115,8 +110,8 @@ val promote : compiled -> unit
     index (for a sort, the bound out of range) and the array length
     (stage [Execute], code [E_EXEC_BOUNDS]).
 
-    With [~profile:true] the optimized kernel is rewritten by
-    {!Taco_lower.Opt.profile} to also count the work it does (loop
+    With [~profile:true] the kernel is rewritten by
+    {!Taco_lower.Profile.profile} to also count the work it does (loop
     iterations, scalar ops, workspace allocations, zeroed bytes — see
     {!run_stats}) into an array it allocates; each run reads that array
     back and adds it to the compiled kernel's counters, which
@@ -126,19 +121,13 @@ val promote : compiled -> unit
     entries; the default [profile:false] compiles the kernel
     uninstrumented. *)
 val compile :
-  ?profile:bool ->
-  ?opt:Taco_lower.Opt.config ->
-  ?cache:bool ->
-  ?backend:backend ->
-  Taco_lower.Imp.kernel ->
-  compiled
+  ?profile:bool -> ?cache:bool -> ?backend:backend -> Taco_lower.Imp.kernel -> compiled
 
 (** Like {!compile}, reporting malformed IR as a [Diag.t] result (stage
     [Compile], code [E_COMPILE_TYPE]). Any other diagnostic raised while
     compiling (an injected fault) propagates as [Diag.Error]. *)
 val compile_res :
   ?profile:bool ->
-  ?opt:Taco_lower.Opt.config ->
   ?cache:bool ->
   ?backend:backend ->
   Taco_lower.Imp.kernel ->
@@ -149,12 +138,11 @@ val compile_res :
 (** One kernel to compile, with the options {!compile} takes. *)
 type spec
 
-(** [spec ?profile ?opt ?backend k] — defaults as in {!compile}. The
+(** [spec ?profile ?backend k] — defaults as in {!compile}. The
     spec records the calling domain's request id
     ({!Taco_support.Trace.request_id}): the kernel's own trace spans
     carry it, whoever compiles the batch. *)
-val spec :
-  ?profile:bool -> ?opt:Taco_lower.Opt.config -> ?backend:backend -> Taco_lower.Imp.kernel -> spec
+val spec : ?profile:bool -> ?backend:backend -> Taco_lower.Imp.kernel -> spec
 
 (** The same spec stamped with the calling domain's request id instead:
     a spec kept across requests (the service's front cache) is
@@ -165,7 +153,7 @@ val restamp : spec -> spec
     reported as {!compile_res} would. The cache is looked up for all of
     them at once and every miss is claimed together (single-flight per
     key, as in {!compile}; a key another domain is building is awaited
-    and counts as a coalesced hit). The misses are optimized and their
+    and counts as a coalesced hit). The misses are validated and their
     closures built one by one, and every [`Native] miss goes into one
     {!Native.load}: one C translation unit, one [cc], one [dlopen].
     A kernel's failure stays its own: malformed IR ([E_COMPILE_TYPE])
@@ -184,8 +172,8 @@ val compile_batch : ?cache:bool -> spec list -> (compiled, Taco_support.Diag.t) 
     build. *)
 val lookup : spec -> (compiled, Taco_support.Diag.t) result option
 
-(** The kernel as compiled — i.e. after optimization (and without the
-    profiling instrumentation of a [~profile:true] compile). *)
+(** The kernel as compiled: the kernel as passed in, without the
+    profiling instrumentation of a [~profile:true] compile. *)
 val kernel : compiled -> Taco_lower.Imp.kernel
 
 (** {2 Runtime profiling}
@@ -221,14 +209,14 @@ val profile_reset : compiled -> unit
     The cache is a {!Taco_support.Memo} named [compile] (512 entries,
     FIFO): domain-safe and single-flight — when several domains
     concurrently request the same (not yet cached) key, exactly one
-    optimizes and builds it while the rest block and then take the
+    builds it while the rest block and then take the
     cached result. [misses] therefore counts actual builds: each
-    distinct key (lowered kernel, [opt], [profile], backend) compiles
+    distinct key (lowered kernel, [profile], backend) compiles
     exactly once per process however many domains race for it. *)
 
 type cache_stats = Taco_support.Memo.stats = {
-  hits : int;  (** Lookups served from the table, with no optimizer run. *)
-  misses : int;  (** Optimizer runs plus builds (one per distinct key). *)
+  hits : int;  (** Lookups served from the table, with no build. *)
+  misses : int;  (** Builds (one per distinct key). *)
   entries : int;
   evictions : int;
   coalesced : int;
@@ -254,7 +242,7 @@ val cache_clear : unit -> unit
     chunks is decided per region by {!Budget.acquire} (degrading to the
     calling domain when the pot is empty). Kernels compiled with
     [~profile:true] have no parallel regions left
-    ({!Taco_lower.Opt.profile} turns them into sequential loops), again
+    ({!Taco_lower.Profile.profile} turns them into sequential loops), again
     with identical results.
 
     [?deadline_ns] arms the cooperative watchdog: outermost loops (and

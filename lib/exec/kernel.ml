@@ -6,13 +6,13 @@ module Lower = Taco_lower.Lower
 
 type t = { info : Taco_lower.Lower.kernel_info; compiled : Compile.compiled }
 
-let prepare ?profile ?opt ?backend info =
-  { info; compiled = Compile.compile ?profile ?opt ?backend info.Lower.kernel }
+let prepare ?profile ?backend info =
+  { info; compiled = Compile.compile ?profile ?backend info.Lower.kernel }
 
 type request = Taco_lower.Lower.kernel_info * Compile.spec
 
-let request ?profile ?opt ?backend info =
-  (info, Compile.spec ?profile ?opt ?backend info.Lower.kernel)
+let request ?profile ?backend info =
+  (info, Compile.spec ?profile ?backend info.Lower.kernel)
 
 let restamp (info, spec) = (info, Compile.restamp spec)
 

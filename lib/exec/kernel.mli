@@ -9,16 +9,10 @@ type t
 
 (** Compile a lowered kernel once; it can be run many times.
     [profile] adds runtime work counters (see {!Compile.run_stats});
-    [opt] selects the optimizer passes applied first (default: all);
     [backend] the executor ([`Closure] default, [`Native] compiles the
     emitted C to a shared object, downgrading to closures when no
     compiler is available — see {!Compile.backend}). *)
-val prepare :
-  ?profile:bool ->
-  ?opt:Taco_lower.Opt.config ->
-  ?backend:Compile.backend ->
-  Taco_lower.Lower.kernel_info ->
-  t
+val prepare : ?profile:bool -> ?backend:Compile.backend -> Taco_lower.Lower.kernel_info -> t
 
 (** A lowered kernel and its compile options, for {!prepare_batch}. *)
 type request
@@ -26,11 +20,7 @@ type request
 (** The options as for {!prepare}; the calling domain's request id is
     recorded (see {!Compile.spec}). *)
 val request :
-  ?profile:bool ->
-  ?opt:Taco_lower.Opt.config ->
-  ?backend:Compile.backend ->
-  Taco_lower.Lower.kernel_info ->
-  request
+  ?profile:bool -> ?backend:Compile.backend -> Taco_lower.Lower.kernel_info -> request
 
 (** The request stamped with the calling domain's request id — see
     {!Compile.restamp}. *)
@@ -68,11 +58,11 @@ val profile_stats : t -> Compile.run_stats option
 (** Zero the profile counters (no-op for unprofiled kernels). *)
 val profile_reset : t -> unit
 
-(** The imperative IR as compiled, i.e. after the optimizer pipeline
-    ({!info} retains the kernel as lowered). *)
+(** The imperative IR as compiled: the kernel as lowered, without
+    profiling instrumentation (see {!Compile.kernel}). *)
 val imp : t -> Taco_lower.Imp.kernel
 
-(** The C rendering of the optimized kernel (for inspection). *)
+(** The C rendering of the compiled kernel (for inspection). *)
 val c_source : t -> string
 
 (** Arguments for one tensor: dimension scalars, pos/crd arrays of

@@ -425,8 +425,8 @@ and stmt ~unused ~rest buf ind s =
       nested t;
       line "}"
   | Imp.If (c, [], e) ->
-      (* Else-only Ifs (optimizer branch flip) print as a negated test
-         rather than an empty then-block. *)
+      (* Else-only Ifs print as a negated test rather than an empty
+         then-block. *)
       line "if (%s) {" (estr (Imp.Not c));
       nested e;
       line "}"

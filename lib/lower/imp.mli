@@ -135,7 +135,7 @@ val declared : stmt list -> string list
 val check : kernel -> (unit, string) result
 
 (** Total number of expression and statement nodes in the kernel body —
-    the IR size metric reported per optimizer pass. *)
+    the IR size metric the [lower] trace span reports. *)
 val node_count : kernel -> int
 
 (** Full verifier pass over a lowered kernel: {!check}'s def-before-use

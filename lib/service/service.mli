@@ -12,7 +12,7 @@
     The serving layer is the system's third amortizer, after the paper's
     workspaces (amortizing insertion cost) and the structure-keyed
     compiled-kernel cache (amortizing compilation): concurrent requests
-    with the same post-optimization kernel structure coalesce onto a
+    with the same lowered kernel structure coalesce onto a
     single compilation ({!Taco_exec.Compile}'s single-flight cache), so
     a flood of requests for one expression shape compiles it exactly
     once and spends the pool on execution.
@@ -36,9 +36,9 @@
       [queue_depth] jobs, rather than growing without bound. The
       diagnostic's context carries a [retry_after_ms] hint estimating
       when a slot should free up. This is the service's one overload
-      control: every accepted request is served with the same
-      optimizer configuration, so a queued request whose shape is warm
-      still hits the front and compile caches.
+      control: every accepted request is compiled the same way, so a
+      queued request whose shape is warm still hits the front and
+      compile caches.
     - {b Deadlines}: a request's optional [deadline_ms] bounds its time
       in the system. It is checked when a worker dequeues the job,
       again between compilation and execution, and — via the executor's

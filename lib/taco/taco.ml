@@ -23,7 +23,7 @@ module Cost = Taco_ir.Cost
 module Imp = Taco_lower.Imp
 module Merge_lattice = Taco_lower.Merge_lattice
 module Lower = Taco_lower.Lower
-module Opt = Taco_lower.Opt
+module Profile = Taco_lower.Profile
 module Codegen_c = Taco_lower.Codegen_c
 module Compile = Taco_exec.Compile
 module Native = Taco_exec.Native
@@ -90,7 +90,7 @@ let parallelize v sched =
         ~context:[ ("index", Index_var.name v) ]
         "%s" msg
 
-let lower ?(name = "kernel") ?mode ?splits ?semiring ?profile ?opt ?backend sched =
+let lower ?(name = "kernel") ?mode ?splits ?semiring ?profile ?backend sched =
   let stmt = Schedule.stmt sched in
   let mode = match mode with Some m -> m | None -> default_mode stmt in
   match
@@ -100,10 +100,10 @@ let lower ?(name = "kernel") ?mode ?splits ?semiring ?profile ?opt ?backend sche
       Diag.error ~stage:Diag.Lower
         ~code:(if par_illegal msg then "E_PAR_ILLEGAL" else "E_LOWER")
         "%s" msg
-  | Ok info -> Ok { l_sched = sched; l_request = Kernel.request ?profile ?opt ?backend info }
+  | Ok info -> Ok { l_sched = sched; l_request = Kernel.request ?profile ?backend info }
 
-let compile ?name ?mode ?splits ?semiring ?profile ?opt ?backend sched =
-  Result.bind (lower ?name ?mode ?splits ?semiring ?profile ?opt ?backend sched) compile_lowered
+let compile ?name ?mode ?splits ?semiring ?profile ?backend sched =
+  Result.bind (lower ?name ?mode ?splits ?semiring ?profile ?backend sched) compile_lowered
 
 let kernel c = c.kern
 
@@ -288,7 +288,7 @@ let emit_plan_event plan (explain : Autoschedule.explain) =
     Events.emit "plan.chosen" fields
   end
 
-let auto_lower ?(name = "kernel") ?mode ?semiring ?profile ?opt ?backend ?stats sched =
+let auto_lower ?(name = "kernel") ?mode ?semiring ?profile ?backend ?stats sched =
   let stmt = Schedule.stmt sched in
   let mode = match mode with Some m -> m | None -> default_mode stmt in
   let lowerable s =
@@ -329,20 +329,20 @@ let auto_lower ?(name = "kernel") ?mode ?semiring ?profile ?opt ?backend ?stats 
       | Error e -> Error e
       | Ok info ->
           Ok
-            ( { l_sched = sched'; l_request = Kernel.request ?profile ?opt ?backend info },
+            ( { l_sched = sched'; l_request = Kernel.request ?profile ?backend info },
               plan.Autoschedule.p_steps,
               explain ))
 
-let auto_compile_explained ?name ?mode ?semiring ?profile ?opt ?backend ?stats sched =
-  match auto_lower ?name ?mode ?semiring ?profile ?opt ?backend ?stats sched with
+let auto_compile_explained ?name ?mode ?semiring ?profile ?backend ?stats sched =
+  match auto_lower ?name ?mode ?semiring ?profile ?backend ?stats sched with
   | Error e -> Error e
   | Ok (l, steps, explain) ->
       Result.map (fun c -> (c, steps, explain)) (compile_lowered l)
 
-let auto_compile ?name ?mode ?semiring ?profile ?opt ?backend sched =
+let auto_compile ?name ?mode ?semiring ?profile ?backend sched =
   Result.map
     (fun (c, steps, _explain) -> (c, steps))
-    (auto_compile_explained ?name ?mode ?semiring ?profile ?opt ?backend sched)
+    (auto_compile_explained ?name ?mode ?semiring ?profile ?backend sched)
 
 let concretize_res stmt =
   Diag.of_msg ~stage:Diag.Concretize ~code:"E_CONCRETIZE"

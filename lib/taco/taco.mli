@@ -30,7 +30,7 @@ module Cost = Taco_ir.Cost
 module Imp = Taco_lower.Imp
 module Merge_lattice = Taco_lower.Merge_lattice
 module Lower = Taco_lower.Lower
-module Opt = Taco_lower.Opt
+module Profile = Taco_lower.Profile
 module Codegen_c = Taco_lower.Codegen_c
 module Compile = Taco_exec.Compile
 module Native = Taco_exec.Native
@@ -64,8 +64,7 @@ type compiled
 (** [compile ?name ?mode ?splits sched] lowers and compiles.
     Default mode: fused assemble-and-compute for compressed results
     (sorted), compute for dense results. [splits] strip-mines dense loops
-    (see {!Lower.lower}). [opt] selects the {!Opt} passes applied to the
-    lowered kernel (default: all); [profile] adds work counters on
+    (see {!Lower.lower}). [profile] adds work counters on
     either backend (see {!Compile.run_stats}). The closure executor
     bounds-checks every array access and reports a violation as a
     stage-[Execute] diagnostic naming the kernel, variable and index.
@@ -83,7 +82,6 @@ val compile :
   ?splits:(Index_var.t * int) list ->
   ?semiring:Semiring.t ->
   ?profile:bool ->
-  ?opt:Opt.config ->
   ?backend:Compile.backend ->
   Schedule.t ->
   (compiled, Diag.t) result
@@ -109,7 +107,6 @@ val lower :
   ?splits:(Index_var.t * int) list ->
   ?semiring:Semiring.t ->
   ?profile:bool ->
-  ?opt:Opt.config ->
   ?backend:Compile.backend ->
   Schedule.t ->
   (lowered, Diag.t) result
@@ -200,7 +197,6 @@ val auto_compile :
   ?mode:Lower.mode ->
   ?semiring:Semiring.t ->
   ?profile:bool ->
-  ?opt:Opt.config ->
   ?backend:Compile.backend ->
   Schedule.t ->
   (compiled * Autoschedule.step list, Diag.t) result
@@ -221,7 +217,6 @@ val auto_compile_explained :
   ?mode:Lower.mode ->
   ?semiring:Semiring.t ->
   ?profile:bool ->
-  ?opt:Opt.config ->
   ?backend:Compile.backend ->
   ?stats:(string * Stats.t) list ->
   Schedule.t ->
@@ -234,7 +229,6 @@ val auto_lower :
   ?mode:Lower.mode ->
   ?semiring:Semiring.t ->
   ?profile:bool ->
-  ?opt:Opt.config ->
   ?backend:Compile.backend ->
   ?stats:(string * Stats.t) list ->
   Schedule.t ->

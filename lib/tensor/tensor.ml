@@ -334,6 +334,22 @@ let split_rows t ~parts =
 let equal ?(eps = 1e-9) a b =
   a.dims = b.dims && Dense.equal ~eps (to_dense a) (to_dense b)
 
+let bit_identical a b =
+  let same_bits x y =
+    (Float.is_nan x && Float.is_nan y) || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  a.dims = b.dims
+  && Array.length a.levels = Array.length b.levels
+  && Array.for_all2
+       (fun la lb ->
+         match (la, lb) with
+         | Dense_data x, Dense_data y -> x.size = y.size
+         | Compressed_data x, Compressed_data y -> x.pos = y.pos && x.crd = y.crd
+         | Dense_data _, Compressed_data _ | Compressed_data _, Dense_data _ -> false)
+       a.levels b.levels
+  && Array.length a.vals = Array.length b.vals
+  && Array.for_all2 same_bits a.vals b.vals
+
 let pp fmt t =
   Stdlib.Format.fprintf fmt "tensor[%s] %s (%d stored, %d nonzero)"
     (Util.string_of_list string_of_int "x" (Array.to_list t.dims))

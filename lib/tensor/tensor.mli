@@ -97,4 +97,14 @@ val validate : t -> (unit, string) result
     tests on small tensors. *)
 val equal : ?eps:float -> t -> t -> bool
 
+(** Bit identity, the contract between the executors: equal dims, every
+    level's data equal ([pos] and [crd] of a compressed level, the size
+    of a dense one) and the value arrays equal bit for bit, except that
+    any NaN equals any NaN. When two NaNs meet in one operation, IEEE
+    754 leaves open whose sign and payload come back, and OCaml and gcc
+    both may commute [a + b] and [a * b]: the executors agree on where a
+    result is NaN, not always on its bits. Every other value, [-0.0] and
+    subnormals included, compares by its IEEE bit pattern. *)
+val bit_identical : t -> t -> bool
+
 val pp : Stdlib.Format.formatter -> t -> unit

@@ -1,11 +1,9 @@
 (* Golden-snapshot generator: prints the C rendering of one of the three
-   paper kernels (SpGEMM, SpAdd, MTTKRP), before or after the optimizer
-   pipeline, or parallelized over the outer index and optimized ([par]) —
-   the snapshot pins the `#pragma omp parallel for` annotation, the
-   ordered-append comment and the optimizer's refusal to move code across
-   the parallel boundary. test/dune diffs the output against committed
-   snapshots so IR changes — and what each optimizer pass does to the
-   paper kernels — stay reviewable as text diffs. Each snapshot is one
+   paper kernels (SpGEMM, SpAdd, MTTKRP) as lowered, sequential ([seq])
+   or parallelized over the outer index ([par]) — the parallel snapshot
+   pins the `#pragma omp parallel for` annotation and the ordered-append
+   comment. test/dune diffs the output against committed snapshots so
+   lowering changes stay reviewable as text diffs. Each snapshot is one
    translation unit, and test/dune checks that every one compiles
    warning-free with OpenMP on. Regenerate with `dune promote`. *)
 
@@ -87,41 +85,23 @@ let spmv_sr_info ?parallel sr =
        ~semiring:sr ?parallel ~mode:Lower.Compute
        (Schedule.stmt (get (Schedule.of_index_notation stmt))))
 
-(* The optimized kernel, sequential or parallel. *)
-let spmv_sr ?parallel sr =
-  match Opt.optimize (spmv_sr_info ?parallel sr).Lower.kernel with
-  | Ok k -> Codegen_c.emit k
-  | Error e -> failwith e
-
 let () =
   let usage () =
     prerr_endline
-      "usage: golden_gen (spgemm|spadd|mttkrp) (unopt|opt|par)\n\
-      \   or: golden_gen (spmv_minplus|spmv_boolor) (seq|par)";
+      "usage: golden_gen (spgemm|spadd|mttkrp|spmv_minplus|spmv_boolor) (seq|par)";
     exit 2
   in
   if Array.length Sys.argv <> 3 then usage ();
-  (match (Sys.argv.(1), Sys.argv.(2)) with
-  | ("spmv_minplus" | "spmv_boolor"), (("seq" | "par") as mode) ->
-      let sr = if Sys.argv.(1) = "spmv_minplus" then Semiring.min_plus else Semiring.bool_or_and in
-      print_string (spmv_sr ?parallel:(if mode = "par" then Some vi else None) sr);
-      exit 0
-  | ("spmv_minplus" | "spmv_boolor"), _ -> usage ()
-  | _ -> ());
-  let parallel = if Sys.argv.(2) = "par" then Some vi else None in
+  let parallel =
+    match Sys.argv.(2) with "seq" -> None | "par" -> Some vi | _ -> usage ()
+  in
   let info =
     match Sys.argv.(1) with
     | "spgemm" -> spgemm_info ?parallel ()
     | "spadd" -> spadd_info ?parallel ()
     | "mttkrp" -> mttkrp_info ?parallel ()
+    | "spmv_minplus" -> spmv_sr_info ?parallel Semiring.min_plus
+    | "spmv_boolor" -> spmv_sr_info ?parallel Semiring.bool_or_and
     | _ -> usage ()
   in
-  let kern = info.Lower.kernel in
-  let kern =
-    match Sys.argv.(2) with
-    | "unopt" -> kern
-    | "opt" | "par" -> (
-        match Opt.optimize kern with Ok k -> k | Error e -> failwith e)
-    | _ -> usage ()
-  in
-  print_string (Codegen_c.emit kern)
+  print_string (Codegen_c.emit info.Lower.kernel)

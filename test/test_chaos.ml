@@ -373,7 +373,7 @@ let test_overload_rejects () =
           List.iter
             (fun t ->
               Alcotest.(check bool) "accepted results bit-identical to an idle service's" true
-                (tensors_bit_identical clean (await_ok t).Service.tensor))
+                (T.bit_identical clean (await_ok t).Service.tensor))
             tickets;
           match full with
           | None -> Alcotest.fail "expected at least one E_SERVE_QUEUE_FULL rejection"
@@ -433,7 +433,7 @@ let hot_request () =
 let serve_until ?(after = 20) svc req stop =
   let first = (eval_ok svc req).Service.tensor in
   let same () =
-    if not (tensors_bit_identical first (eval_ok svc req).Service.tensor) then
+    if not (T.bit_identical first (eval_ok svc req).Service.tensor) then
       Alcotest.fail "a response diverged from the first"
   in
   let deadline = Unix.gettimeofday () +. 60. in
@@ -483,7 +483,7 @@ let test_overload_builds_nothing () =
       List.iter
         (fun t ->
           Alcotest.(check bool) "answer bit-identical to the warm one" true
-            (tensors_bit_identical warm (await_ok t).Service.tensor))
+            (T.bit_identical warm (await_ok t).Service.tensor))
         tickets;
       Alcotest.(check bool) "the queue filled past 3/4 of its depth" true
         (4 * (Service.stats svc).Service.peak_queue > 3 * queue_depth);

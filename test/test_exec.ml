@@ -294,6 +294,79 @@ let test_read_out_of_range () =
       ("length past the array it sizes", [ ("pos", Compile.Len_at ("pos", 2)) ]);
     ]
 
+(* --- compiled-kernel cache and validation ---------------------------- *)
+
+let named name body = { Imp.k_name = name; k_params = []; k_body = body }
+
+let test_cache_hits () =
+  Compile.cache_clear ();
+  let k = named "cache_probe" [ Imp.Decl (Imp.Int, "x", Imp.Int_lit 1) ] in
+  let _ = Compile.compile k in
+  let s1 = Compile.cache_stats () in
+  Alcotest.(check int) "first compile misses" 1 s1.Compile.misses;
+  Alcotest.(check int) "one entry" 1 s1.Compile.entries;
+  let _ = Compile.compile k in
+  let s2 = Compile.cache_stats () in
+  Alcotest.(check int) "second compile hits" 1 s2.Compile.hits;
+  Alcotest.(check int) "still one entry" 1 s2.Compile.entries
+
+let test_cache_keyed_on_kernel () =
+  Compile.cache_clear ();
+  let k = named "cache_probe2" [ Imp.Decl (Imp.Int, "x", Imp.Int_lit 1) ] in
+  let _ = Compile.compile k in
+  let k2 = named "cache_probe2" [ Imp.Decl (Imp.Int, "x", Imp.Int_lit 2) ] in
+  let _ = Compile.compile k2 in
+  let s = Compile.cache_stats () in
+  Alcotest.(check int) "two distinct keys" 2 s.Compile.misses;
+  Alcotest.(check int) "no hits" 0 s.Compile.hits
+
+let test_cache_bypass () =
+  Compile.cache_clear ();
+  let k = named "cache_probe3" [ Imp.Decl (Imp.Int, "x", Imp.Int_lit 1) ] in
+  let _ = Compile.compile ~cache:false k in
+  let _ = Compile.compile ~cache:false k in
+  let s = Compile.cache_stats () in
+  Alcotest.(check int) "bypass records nothing" 0 (s.Compile.hits + s.Compile.misses + s.Compile.entries)
+
+(* A hit returns the kernel the miss built, with no second build. *)
+let test_cache_hit_skips_build () =
+  Compile.cache_clear ();
+  let k = named "cache_probe4" [ Imp.Decl (Imp.Int, "x", Imp.Int_lit 1) ] in
+  let c = Compile.compile k in
+  let c' = Compile.compile k in
+  Alcotest.(check bool) "hit returns the cached kernel" true (c' == c);
+  let s = Compile.cache_stats () in
+  Alcotest.(check int) "one build" 1 s.Compile.misses;
+  Alcotest.(check int) "one hit" 1 s.Compile.hits
+
+(* Every compile miss validates the kernel, on either backend: one that
+   assigns an undeclared variable is rejected with the validator's
+   message before any C is emitted or cc runs. *)
+let test_malformed_rejected () =
+  let module Metrics = Taco_support.Metrics in
+  let k = named "malformed" [ Imp.Assign ("x", Imp.Int_lit 1) ] in
+  let expected =
+    match Imp.validate k with Error e -> e | Ok () -> Alcotest.fail "the kernel validates"
+  in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      List.iter
+        (fun backend ->
+          match Compile.compile_res ~cache:false ~backend k with
+          | Ok _ -> Alcotest.fail "a malformed kernel compiled"
+          | Error d ->
+              Alcotest.(check string) "code" "E_COMPILE_TYPE" d.Taco_support.Diag.code;
+              Alcotest.(check string) "the validator's message" ("Compile.compile: " ^ expected)
+                d.Taco_support.Diag.message)
+        [ `Closure; `Native ];
+      Alcotest.(check int) "no cc run" 0 (Metrics.counter "taco_native_cc_total");
+      Alcotest.(check int) "no native build" 0 (Metrics.counter "taco_native_builds_total"))
+
 let () =
   Alcotest.run "exec"
     [
@@ -325,4 +398,13 @@ let () =
           Alcotest.test_case "exact lengths" `Quick test_read_exact_lengths;
           Alcotest.test_case "out-of-range lengths" `Quick test_read_out_of_range;
         ] );
+      ( "cache",
+        [
+          Alcotest.test_case "second compile hits" `Quick test_cache_hits;
+          Alcotest.test_case "keyed on structure" `Quick test_cache_keyed_on_kernel;
+          Alcotest.test_case "cache:false bypasses" `Quick test_cache_bypass;
+          Alcotest.test_case "hit skips the build" `Quick test_cache_hit_skips_build;
+        ] );
+      ( "validation",
+        [ Alcotest.test_case "malformed kernel, both backends" `Quick test_malformed_rejected ] );
     ]

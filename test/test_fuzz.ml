@@ -13,11 +13,9 @@
    and after each accepted transform, [Imp.validate] on the generated
    kernel, [Tensor.validate] on all inputs and on the result.
 
-   Each instance that compiles is additionally run twice — once with
-   the full optimizer pipeline (the default) and once with every pass
-   disabled — and the two dense results must agree bit for bit, which
-   pins down the optimizer's exact-semantics contract on far more
-   kernels than the hand-written tests cover.
+   Each instance that runs is also built by the C backend, profiled,
+   parallelized and rerun under injected faults, and every one of those
+   results must be bit-identical to the closures' ({!T.bit_identical}).
 
    Stages are allowed to *reject* an instance (a scatter without a
    workspace, an unsupported assembled format, a reorder whose
@@ -339,57 +337,36 @@ let run_one sc =
   in
   (* Compile (the closures bounds-check every access); fall back to the
      autoscheduler when plain lowering rejects the schedule (e.g.
-     scatter into a sparse result). Compiled twice — optimized (the
-     default) and with every optimizer pass disabled — for the
-     differential leg below. *)
-  let compile_with ?profile ?backend opt =
-    match Taco.compile ?profile ?backend ~opt sched with
+     scatter into a sparse result). *)
+  let compile_with ?profile ?backend () =
+    match Taco.compile ?profile ?backend sched with
     | Ok c -> Ok c
-    | Error _ -> Result.map fst (Taco.auto_compile ?profile ?backend ~opt sched)
+    | Error _ -> Result.map fst (Taco.auto_compile ?profile ?backend sched)
   in
-  match (compile_with Taco.Opt.all, compile_with Taco.Opt.none) with
-  | Error d, _ ->
+  (* A leg's result must be bit-identical to the main leg's. *)
+  let check_same what result r =
+    if not (T.bit_identical result r) then
+      failf "%s changed the result on %s" what (Cin.to_string plain)
+  in
+  match compile_with () with
+  | Error d ->
       if acceptable_reject d then Rejected
       else failf "unacceptable compile rejection: %s" (Diag.to_string d)
-  | Ok _, Error d ->
-      failf "disabling the optimizer changed the compile outcome: %s" (Diag.to_string d)
-  | Ok c, Ok c_unopt -> (
-      (* Both the lowered and the optimized kernel must pass the
-         imperative-IR verifier. *)
+  | Ok c -> (
+      (* The lowered kernel must pass the imperative-IR verifier. *)
       let kern = (Taco_exec.Kernel.info (Taco.kernel c)).Lower.kernel in
       (match Imp.validate kern with
       | Ok () -> ()
       | Error e -> failf "generated kernel fails the IR verifier: %s" e);
-      (match Imp.validate (Taco_exec.Kernel.imp (Taco.kernel c)) with
-      | Ok () -> ()
-      | Error e -> failf "optimized kernel fails the IR verifier: %s" e);
       assert_cin_valid "scheduled statement" (Schedule.stmt (Taco.schedule_of c));
-      match (Taco.run c ~inputs, Taco.run c_unopt ~inputs) with
-      | Error d, _ ->
+      match Taco.run c ~inputs with
+      | Error d ->
           if acceptable_reject d then Rejected
           else failf "unacceptable execution failure: %s" (Diag.to_string d)
-      | Ok _, Error d ->
-          failf "optimized kernel ran but the unoptimized one failed: %s" (Diag.to_string d)
-      | Ok result, Ok result_unopt ->
+      | Ok result ->
           assert_tensor_valid "result" result;
           if not (D.equal ~eps:1e-9 oracle (T.to_dense result)) then
             failf "MISMATCH vs the reference interpreter on %s" (Cin.to_string plain);
-          (* Differential leg: the optimizer must not change a single
-             bit of the dense result (the soundness contract of
-             Taco_lower.Opt — same primitives, same order, no float
-             identities). *)
-          let b_opt = D.buffer (T.to_dense result) in
-          let b_unopt = D.buffer (T.to_dense result_unopt) in
-          if Array.length b_opt <> Array.length b_unopt then
-            failf "optimized and unoptimized results differ in shape on %s"
-              (Cin.to_string plain);
-          Array.iteri
-            (fun idx x ->
-              if Int64.bits_of_float x <> Int64.bits_of_float b_unopt.(idx) then
-                failf
-                  "optimizer changed result bits at %d (%h vs %h) on %s"
-                  idx x b_unopt.(idx) (Cin.to_string plain))
-            b_opt;
           (* Native differential leg: the same schedule built by the C
              backend must reproduce the closure bits exactly. A
              downgrade (no compiler, or a structurally unsupported
@@ -412,20 +389,8 @@ let run_one sc =
                  | Error d ->
                      if not (acceptable_reject d) then
                        failf "native run failed: %s" (Diag.to_string d)
-                 | Ok nr ->
-                     let nb = D.buffer (T.to_dense nr) in
-                     if Array.length nb <> Array.length b_opt then
-                       failf "native result differs in shape on %s" (Cin.to_string plain)
-                     else
-                       Array.iteri
-                         (fun idx x ->
-                           if Int64.bits_of_float x <> Int64.bits_of_float b_opt.(idx)
-                           then
-                             failf
-                               "native backend changed result bits at %d (%h vs %h) on %s"
-                               idx x b_opt.(idx) (Cin.to_string plain))
-                         nb));
-          (* Profile leg: a profiled kernel keeps the optimized bits,
+                 | Ok nr -> check_same "the native backend" result nr));
+          (* Profile leg: a profiled kernel keeps the result's bits,
              and its counters are the same on the closures at one and
              at four domains and on the native backend. The native
              comparison runs on even seeds only: each one is an extra
@@ -440,11 +405,7 @@ let run_one sc =
                   match Taco.run ~domains pc ~inputs with
                   | Error d -> failf "profiled %s run failed: %s" what (Diag.to_string d)
                   | Ok r ->
-                      let rb = D.buffer (T.to_dense r) in
-                      let same x y = Int64.bits_of_float x = Int64.bits_of_float y in
-                      if Array.length rb <> Array.length b_opt || not (Array.for_all2 same rb b_opt)
-                      then
-                        failf "profiling changed %s result bits on %s" what (Cin.to_string plain);
+                      check_same ("profiling the " ^ what ^ " kernel") result r;
                       if Taco.backend_of pc = `Native then incr prof_native_ran;
                       Taco_exec.Kernel.profile_stats k)
             in
@@ -456,63 +417,35 @@ let run_one sc =
             then
               failf "profile counters of %s differ natively on %s" what (Cin.to_string plain)
           in
-          profile_leg "sequential" (fun backend ->
-              compile_with ~profile:true ~backend Taco.Opt.all);
+          profile_leg "sequential" (fun backend -> compile_with ~profile:true ~backend ());
           (* Parallel differential leg: when the outermost loop accepts
              the parallelize directive, the chunked executor must
-             reproduce the sequential result bit for bit — optimized and
-             unoptimized alike. Refusal (a reduction over the outer
-             variable, a coiteration merge loop) is legitimate; an
-             optimizer-dependent refusal or a divergent result is not. *)
+             reproduce the sequential result bit for bit. Refusal (a
+             reduction over the outer variable, a coiteration merge
+             loop) is legitimate; a divergent result is not. *)
           (match Schedule.stmt (Taco.schedule_of c) with
           | Cin.Forall (v, _) -> (
               match Taco.parallelize v (Taco.schedule_of c) with
               | Error _ -> ()
               | Ok ps -> (
-                  let pcompile opt =
-                    match Taco.compile ~opt ps with
-                    | Ok pc -> Some pc
-                    | Error d when d.Diag.code = "E_PAR_ILLEGAL" -> None
-                    | Error d ->
-                        failf "parallelized schedule stopped compiling: %s"
-                          (Diag.to_string d)
-                  in
-                  let check_par what pc =
-                    match Taco.run ~domains:4 pc ~inputs with
-                    | Error d ->
-                        failf "parallel %s run failed: %s" what (Diag.to_string d)
-                    | Ok pr ->
-                        let pb = D.buffer (T.to_dense pr) in
-                        if Array.length pb <> Array.length b_opt then
-                          failf "parallel %s result differs in shape on %s" what
-                            (Cin.to_string plain)
-                        else
-                          Array.iteri
-                            (fun idx x ->
-                              if Int64.bits_of_float x <> Int64.bits_of_float b_opt.(idx)
-                              then
-                                failf
-                                  "parallel %s changed result bits at %d (%h vs %h) on %s"
-                                  what idx x b_opt.(idx) (Cin.to_string plain))
-                            pb
-                  in
-                  match (pcompile Taco.Opt.all, pcompile Taco.Opt.none) with
-                  | Some pc, Some pc_unopt ->
+                  match Taco.compile ps with
+                  | Error d when d.Diag.code = "E_PAR_ILLEGAL" -> ()
+                  | Error d ->
+                      failf "parallelized schedule stopped compiling: %s" (Diag.to_string d)
+                  | Ok pc -> (
                       incr par_ran;
-                      check_par "optimized" pc;
-                      check_par "unoptimized" pc_unopt;
-                      profile_leg "parallelized" (fun backend ->
-                          Taco.compile ~profile:true ~backend ps)
-                  | None, None -> ()
-                  | Some _, None | None, Some _ ->
-                      failf "the optimizer changed parallelizability on %s"
-                        (Cin.to_string plain)))
+                      match Taco.run ~domains:4 pc ~inputs with
+                      | Error d -> failf "parallel run failed: %s" (Diag.to_string d)
+                      | Ok pr ->
+                          check_same "the parallel executor" result pr;
+                          profile_leg "parallelized" (fun backend ->
+                              Taco.compile ~profile:true ~backend ps))))
           | _ -> ());
           (* Fault-injected leg: rerun compile + execute under a seeded
              crash campaign on the compile and allocation fault points.
              A run that fails must fail with the injected diagnostic —
              faults never corrupt silently — and a run the faults happen
-             to miss must still reproduce the optimized bits exactly.
+             to miss must still reproduce the result's bits exactly.
              (The injected [Diag.Error] can escape [Taco.compile] as an
              exception, hence the [Diag.to_result] wrapper.) *)
           Fault.configure
@@ -524,7 +457,7 @@ let run_one sc =
           Fun.protect ~finally:Fault.disarm (fun () ->
               let outcome =
                 Diag.to_result (fun () ->
-                    match compile_with Taco.Opt.all with
+                    match compile_with () with
                     | Error d -> Error d
                     | Ok cf -> Taco.run cf ~inputs)
               in
@@ -538,17 +471,7 @@ let run_one sc =
                   failf "non-injected failure under fault campaign: %s" (Diag.to_string d)
               | Ok fr ->
                   incr fault_survived;
-                  let fb = D.buffer (T.to_dense fr) in
-                  if Array.length fb <> Array.length b_opt then
-                    failf "fault-leg result differs in shape on %s" (Cin.to_string plain)
-                  else
-                    Array.iteri
-                      (fun idx x ->
-                        if Int64.bits_of_float x <> Int64.bits_of_float b_opt.(idx) then
-                          failf
-                            "fault campaign changed result bits at %d (%h vs %h) on %s"
-                            idx x b_opt.(idx) (Cin.to_string plain))
-                      fb);
+                  check_same "the fault campaign" result fr);
           (* Cost-search leg (auto-scheduled instances only): the
              statistics-driven policy must agree with the oracle, pick
              the same plan on a repeat call (the second goes through the
@@ -588,22 +511,7 @@ let run_one sc =
                      if
                        Cin.to_string (Schedule.stmt (Taco.schedule_of cc))
                        = Cin.to_string (Schedule.stmt (Taco.schedule_of c))
-                     then begin
-                       let cb = D.buffer (T.to_dense cr) in
-                       if Array.length cb <> Array.length b_opt then
-                         failf "cost-plan result differs in shape on %s"
-                           (Cin.to_string plain)
-                       else
-                         Array.iteri
-                           (fun idx x ->
-                             if Int64.bits_of_float x <> Int64.bits_of_float b_opt.(idx)
-                             then
-                               failf
-                                 "cost plan equals the default schedule but changed \
-                                  result bits at %d (%h vs %h) on %s"
-                                 idx x b_opt.(idx) (Cin.to_string plain))
-                           cb
-                     end));
+                     then check_same "a cost plan equal to the default schedule" result cr));
           Ran)
 
 (* ------------------------------------------------------------------ *)
@@ -709,26 +617,19 @@ let run_sr (template, sel, n, m, k, seed) =
   let run backend =
     let c = sr_compiled template sr backend in
     match Taco.run c ~inputs with
-    | Ok r -> (Taco.backend_of c, T.vals r)
+    | Ok r -> (Taco.backend_of c, r)
     | Error d ->
         failf "semiring leg: %s run failed under %s: %s" sr.Semiring.name
           (match backend with `Closure -> "closure" | `Native -> "native")
           (Diag.to_string d)
   in
-  let _, cb = run `Closure in
+  let _, cr = run `Closure in
   incr sr_ran;
   if Taco_exec.Native.available () then begin
-    let nbk, nb = run `Native in
+    let nbk, nr = run `Native in
     if nbk = `Native then incr sr_native_ran;
-    if Array.length nb <> Array.length cb then
-      failf "semiring leg: %s native result differs in shape" sr.Semiring.name
-    else
-      Array.iteri
-        (fun idx x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float cb.(idx) then
-            failf "semiring leg: %s native changed result bits at %d (%h vs %h)"
-              sr.Semiring.name idx x cb.(idx))
-        nb
+    if not (T.bit_identical cr nr) then
+      failf "semiring leg: %s native changed the result" sr.Semiring.name
   end
 
 (* ------------------------------------------------------------------ *)
@@ -807,23 +708,16 @@ let run_tier (template, sel, parallel, (n, m, k), fill, seed) =
   in
   let t0, t1 = tier_pair template sr parallel in
   if native_tier t1 <> Some 1 then failf "tier leg: promotion failed (%s)" sr.Semiring.name;
-  let vals what c =
+  let result what c =
     match Taco.run c ~inputs with
-    | Ok r -> T.vals r
+    | Ok r -> r
     | Error d -> failf "tier leg: %s run failed under %s: %s" what sr.Semiring.name (Diag.to_string d)
   in
-  let reference = vals "closure" (sr_compiled template sr `Closure) in
+  let reference = result "closure" (sr_compiled template sr `Closure) in
   List.iter
     (fun (what, c) ->
-      let v = vals what c in
-      if Array.length v <> Array.length reference then
-        failf "tier leg: %s result differs in shape under %s" what sr.Semiring.name;
-      Array.iteri
-        (fun idx x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float reference.(idx) then
-            failf "tier leg: %s changed result bits at %d (%h vs %h) under %s" what idx x
-              reference.(idx) sr.Semiring.name)
-        v)
+      if not (T.bit_identical reference (result what c)) then
+        failf "tier leg: %s changed the result under %s" what sr.Semiring.name)
     [ ("tier 0", t0); ("tier 1", t1) ];
   incr tier_ran
 
@@ -906,24 +800,17 @@ let run_batch (picks, seed) =
         | 1 -> [ (sr_b, sr_matrix prng sr n m); (sr_c, sr_matrix prng sr n m) ]
         | _ -> [ (sr_b, sr_matrix prng sr n k); (sr_d, sr_dense prng sr [| k; m |]) ]
       in
-      let vals what c =
+      let result what c =
         match Taco.run c ~inputs with
-        | Ok r -> T.vals r
+        | Ok r -> r
         | Error d ->
             failf "batch leg: %s run failed under %s: %s" what sr.Semiring.name (Diag.to_string d)
       in
-      let reference = vals "closure" (sr_compiled template sr `Closure) in
+      let reference = result "closure" (sr_compiled template sr `Closure) in
       List.iter
         (fun (what, c) ->
-          let v = vals what c in
-          if Array.length v <> Array.length reference then
-            failf "batch leg: %s result differs in shape under %s" what sr.Semiring.name;
-          Array.iteri
-            (fun idx x ->
-              if Int64.bits_of_float x <> Int64.bits_of_float reference.(idx) then
-                failf "batch leg: %s changed result bits at %d (%h vs %h) under %s" what idx x
-                  reference.(idx) sr.Semiring.name)
-            v)
+          if not (T.bit_identical reference (result what c)) then
+            failf "batch leg: %s changed the result under %s" what sr.Semiring.name)
         [ ("batched", c); ("single", batch_single template sr parallel) ])
     picks batch;
   incr batch_ran;
@@ -975,7 +862,6 @@ let ( let* ) = Result.bind
 let key_compile ~cached sel seed (n, m, k) =
   let template = sel mod 3 in
   let sr = List.nth Semiring.all (sel / 3 mod List.length Semiring.all) in
-  let opt = if sel / 12 mod 2 = 0 then Taco_lower.Opt.all else Taco_lower.Opt.none in
   let prng = Prng.create seed in
   let t dims fmt = key_tensor prng sr dims fmt in
   let inputs, dims =
@@ -986,7 +872,7 @@ let key_compile ~cached sel seed (n, m, k) =
   in
   let* sched = Schedule.of_index_notation (sr_stmt template) in
   let* info = Lower.lower ~name:"fuzz_key" ~semiring:sr ~mode:Lower.Compute (Schedule.stmt sched) in
-  let c = Compile.compile ~cache:cached ~opt ~backend:(key_backend sel) info.Lower.kernel in
+  let c = Compile.compile ~cache:cached ~backend:(key_backend sel) info.Lower.kernel in
   let out = T.zero dims (Tensor_var.format info.Lower.result) in
   let args =
     Kernel.tensor_args info.Lower.result out
@@ -1040,7 +926,7 @@ let key_graph ~cached sel seed (n, m, _) =
 let key_same name what r1 r2 =
   match (r1, r2) with
   | Ok t1, Ok t2 ->
-      if not (Helpers.tensors_bit_identical t1 t2) then
+      if not (T.bit_identical t1 t2) then
         failf "cache-key leg: %s cache: %s is not bit-identical" name what
   | Error e1, Error e2 ->
       if e1 <> e2 then failf "cache-key leg: %s cache: %s fails differently (%s / %s)" name what e1 e2

@@ -88,7 +88,7 @@ let check_both ~name sched inputs_of =
       let inputs = inputs_of seed in
       let rc = getd (run closure ~inputs) in
       let rn = getd (run native ~inputs) in
-      if not (tensors_bit_identical rc rn) then
+      if not (T.bit_identical rc rn) then
         Alcotest.failf "%s (seed %d): native result diverges from closures" name seed)
     [ 1; 2; 3 ]
 
@@ -133,11 +133,11 @@ let test_parallel_domains_identity () =
   List.iter
     (fun domains ->
       let rc = getd (run ~domains closure ~inputs) in
-      if not (tensors_bit_identical rc rn) then
+      if not (T.bit_identical rc rn) then
         Alcotest.failf "native diverges from the %d-domain closure run" domains)
     [ 1; 2; 3 ]
 
-(* Non-finite literals keep their bits on every backend. Opt folds
+(* Non-finite literals keep their bits on every backend. Lowering folds
    [1e999 - 1e999] to the NaN x86 computes for inf - inf, which is
    negative with an empty payload; the exec C must render those bits,
    not [NAN]'s positive ones. *)
@@ -166,7 +166,7 @@ let test_nonfinite_literals () =
       let r1 = getd (run native ~inputs) in
       List.iter
         (fun (tier, r) ->
-          if not (tensors_bit_identical rc r) then
+          if not (T.bit_identical rc r) then
             Alcotest.failf "%s: tier %d diverges from closures" name tier)
         [ (0, r0); (1, r1) ])
     [
@@ -239,14 +239,19 @@ let check_read_back ~name ~sorted sched inputs dims =
         Alcotest.(check int) (name ^ ": vals length") (Ivec.get pos rows) (Array.length (T.vals t));
         Alcotest.(check (result unit string)) (name ^ ": validates") (Ok ()) (T.validate t);
         let pos0, crd0, vals0 = capacity_read_back k ~backend ~sorted ~inputs ~dims in
-        if not (pos = pos0 && crd = crd0 && float_bits_equal (T.vals t) vals0) then
+        let t0 =
+          T.of_parts ~dims:(T.dims t) ~format:(T.format t)
+            ~levels:[| T.level_data t 0; T.Compressed_data { pos = pos0; crd = crd0 } |]
+            ~vals:vals0
+        in
+        if not (T.bit_identical t t0) then
           Alcotest.failf "%s: exact read-back differs from the capacity read-back" name;
         t)
       [ `Closure; `Native ]
   in
   match results with
   | [ rc; rn ] ->
-      if not (tensors_bit_identical rc rn) then
+      if not (T.bit_identical rc rn) then
         Alcotest.failf "%s: native read-back diverges from closures" name
   | _ -> assert false
 
@@ -349,23 +354,18 @@ let test_read_back_out_of_range () =
 (* ... and with -nostdinc, at both tiers: the exec C needs no header,
    so one that creeps back in fails here. The min-plus and max-times
    kernels cover the INFINITY prelude and min/max reduce-stores. The
-   flags are each tier's own (Native.tier_flags). Each kernel is
-   built optimized and unoptimized: what the optimizer leaves behind
-   (copies, dead temporaries, names declared in several scopes) must
-   not trip -Wunused-variable either way. *)
+   flags are each tier's own (Native.tier_flags). What lowering
+   declares (scaled positions, operand values, names declared in
+   several scopes) must not trip -Wunused-variable. *)
 let test_exec_c_warning_clean () =
   let kernels =
     let _, _, s1 = spgemm_sched ~parallel:false in
     let _, _, s2 = spgemm_sched ~parallel:true in
     let _, _, s3 = spadd_sched ~parallel:false in
     let _, _, _, _, s4 = mttkrp_sched ~parallel:true in
-    List.concat_map
+    List.map
       (fun (name, semiring, sched) ->
-        List.map
-          (fun (suffix, opt) ->
-            let name = name ^ suffix in
-            (name, Kernel.imp (kernel (getd (compile ~name ?semiring ~opt sched)))))
-          [ ("", Opt.all); ("_unopt", Opt.none) ])
+        (name, Kernel.imp (kernel (getd (compile ~name ?semiring sched)))))
       [
         ("spgemm_wal", None, s1);
         ("spgemm_wal_par", None, s2);
@@ -498,7 +498,7 @@ let test_budget_boundary ?semiring ~parallel ~name () =
           match (rc, rn) with
           | Ok tc, Ok tn ->
               if not ok then Alcotest.failf "%s: expected E_EXEC_MEM" what;
-              if not (tensors_bit_identical tc tn) then
+              if not (T.bit_identical tc tn) then
                 Alcotest.failf "%s: native result diverges from closures" what
           | Error d, _ ->
               if ok then Alcotest.failf "%s: unexpected %s" what (Diag.to_string d);
@@ -571,7 +571,7 @@ let test_budget_grow () =
         (fun (who, outcome) ->
           match (reference, outcome) with
           | Ok tc, Ok tn ->
-              if not (tensors_bit_identical tc tn) then
+              if not (T.bit_identical tc tn) then
                 Alcotest.failf "%s: result diverges from closures" (what who)
           | Error dc, Error dn ->
               Alcotest.(check (pair string string)) (what (who ^ ": diagnostic"))
@@ -629,7 +629,7 @@ let test_budget_openmp () =
             (List.assoc_opt "bytes" ec.Diag.context);
           Alcotest.(check (list (option string))) (what ^ ": same context") (fields ec) (fields en)
       | Ok tc, Ok tn, false ->
-          if not (tensors_bit_identical tc tn) then Alcotest.failf "%s: results diverge" what
+          if not (T.bit_identical tc tn) then Alcotest.failf "%s: results diverge" what
       | rc, rn, _ ->
           let show = function Ok _ -> "ok" | Error e -> Diag.to_string e in
           Alcotest.failf "%s: closures %s, native %s" what (show rc) (show rn))
@@ -710,7 +710,7 @@ let test_sort_rows ?semiring ~parallel ~name () =
       Alcotest.(check (array int)) (name ^ ": row sizes") counts
         (Array.init rows (fun r -> Ivec.get pos (r + 1) - Ivec.get pos r))
   | T.Dense_data _ -> Alcotest.fail "expected a compressed level");
-  if not (tensors_bit_identical rc rn) then
+  if not (T.bit_identical rc rn) then
     Alcotest.failf "%s: native sorted rows diverge from closures" name
 
 module Prng = Taco_support.Prng
@@ -866,7 +866,7 @@ let test_wide_spgemm () =
   List.iter
     (fun (who, c) ->
       Alcotest.(check bool) (who ^ " runs natively") true (backend_of c = `Native);
-      if not (tensors_bit_identical reference (getd (run c ~inputs))) then
+      if not (T.bit_identical reference (getd (run c ~inputs))) then
         Alcotest.failf "wide SpGEMM: %s diverges from closures" who)
     [ ("tier 0", t0); ("tier 1", t1) ]
 
@@ -946,8 +946,8 @@ let test_promote_identity () =
   Alcotest.(check (option int)) "promoted to tier 1" (Some 1) (Kernel.native_tier k);
   Alcotest.(check int) "one more build" (builds + 1) (Compile.backend_stats ()).Compile.native_builds;
   let r1 = getd (run native ~inputs) in
-  if not (tensors_bit_identical r0 r1) then Alcotest.fail "tier 1 diverges from tier 0";
-  if not (tensors_bit_identical r1 (getd (run closure ~inputs))) then
+  if not (T.bit_identical r0 r1) then Alcotest.fail "tier 1 diverges from tier 0";
+  if not (T.bit_identical r1 (getd (run closure ~inputs))) then
     Alcotest.fail "tier 1 diverges from closures";
   Kernel.promote k;
   Alcotest.(check int) "a second promote is a no-op" (builds + 1)
@@ -959,16 +959,10 @@ let with_vals t vals =
     ~levels:(Array.init (T.order t) (T.level_data t))
     ~vals
 
-(* [t] with every NaN replaced by one canonical NaN. When two NaNs meet
-   in one operation, IEEE 754 leaves open whose sign and payload come
-   back, and OCaml and gcc both may commute [a + b] and [a * b]: the
-   executors agree on where a result is NaN, not on its bits. *)
-let canonical_nans t =
-  with_vals t (Array.map (fun v -> if Float.is_nan v then Float.nan else v) (T.vals t))
-
 (* Closures, tier 0 and tier 1 on each of [cases] (label, inputs): the
    tier-0 runs first, then [Kernel.promote] and the tier-1 runs, every
-   result bit-identical to the closures' once NaNs are canonical. *)
+   result bit-identical to the closures' ({!T.bit_identical}: any NaN
+   equals any NaN). *)
 let check_tiers ~closure ~native cases =
   let k = Taco.kernel native in
   Alcotest.(check bool) "native backend actually used" true (backend_of native = `Native);
@@ -978,10 +972,10 @@ let check_tiers ~closure ~native cases =
   Alcotest.(check (option int)) "promoted" (Some 1) (Kernel.native_tier k);
   List.iter2
     (fun (label, inputs) r0 ->
-      let rc = canonical_nans (getd (run closure ~inputs)) in
+      let rc = getd (run closure ~inputs) in
       List.iter
         (fun (tier, r) ->
-          if not (tensors_bit_identical rc (canonical_nans r)) then
+          if not (T.bit_identical rc r) then
             Alcotest.failf "%s: tier %d diverges from closures" label tier)
         [ (0, r0); (1, getd (run native ~inputs)) ])
     cases r0
@@ -1069,12 +1063,12 @@ let test_hot_kernel_tiers_up () =
   let first = getd (run native ~inputs) in
   let deadline = Unix.gettimeofday () +. 60. in
   while Kernel.native_tier k = Some 0 && Unix.gettimeofday () < deadline do
-    if not (tensors_bit_identical first (getd (run native ~inputs))) then
+    if not (T.bit_identical first (getd (run native ~inputs))) then
       Alcotest.fail "a run during the tier-up diverged"
   done;
   Alcotest.(check (option int)) "tiered up" (Some 1) (Kernel.native_tier k);
   for _ = 1 to 20 do
-    if not (tensors_bit_identical first (getd (run native ~inputs))) then
+    if not (T.bit_identical first (getd (run native ~inputs))) then
       Alcotest.fail "a tier-1 run diverged"
   done;
   Alcotest.(check int) "exactly one tier-up build" (before + 1) (builds ())
@@ -1156,7 +1150,7 @@ let check_mix_identical what mix batch others =
       let reference = getd (run closure ~inputs) in
       List.iter
         (fun (who, c) ->
-          if not (tensors_bit_identical reference (getd (run c ~inputs))) then
+          if not (T.bit_identical reference (getd (run c ~inputs))) then
             Alcotest.failf "%s: %s %s diverges from closures" what name who)
         (("batched", c) :: List.map (fun o -> ("single", List.nth o i)) others))
     (List.combine mix batch)
@@ -1283,7 +1277,7 @@ let test_cc_with_arguments () =
       in
       let closure = getd (compile ~name:"spadd_cc_args" ~backend:`Closure sched) in
       Alcotest.(check bool) "result identical" true
-        (tensors_bit_identical (getd (run closure ~inputs)) (getd (run native ~inputs))))
+        (T.bit_identical (getd (run closure ~inputs)) (getd (run native ~inputs))))
 
 (* A compiler that rejects a tier-1 flag builds tier 0 and fails the
    tier-up: the kernel stays on tier 0, counted once as a failed tier-1
@@ -1326,7 +1320,7 @@ let test_tier1_flag_rejected () =
       Alcotest.(check int) "nothing downgraded" downgrades0 (downgrades ());
       List.iter
         (fun (what, r) ->
-          if not (tensors_bit_identical rc r) then Alcotest.failf "%s diverges from closures" what)
+          if not (T.bit_identical rc r) then Alcotest.failf "%s diverges from closures" what)
         [ ("the tier-0 run", r0); ("the run after the failed tier-up", r1) ])
 
 (* --- downgrade paths (run everywhere, no compiler needed) ------------ *)
@@ -1355,7 +1349,7 @@ let test_bogus_compiler_falls_back () =
   let closure = getd (compile ~name:"spadd_fallback" ~backend:`Closure sched) in
   let rc = getd (run closure ~inputs) in
   let rn = getd (run native ~inputs) in
-  Alcotest.(check bool) "fallback result identical" true (tensors_bit_identical rc rn)
+  Alcotest.(check bool) "fallback result identical" true (T.bit_identical rc rn)
 
 (* The tier-up builds with the compiler named in the kernel's cache key,
    not whatever TACO_CC says by then. *)

@@ -70,7 +70,7 @@ let check_deterministic what compiled inputs =
   List.iter
     (fun k ->
       let r = getd (run ~domains:k compiled ~inputs) in
-      if not (tensors_bit_identical reference r) then
+      if not (T.bit_identical reference r) then
         Alcotest.failf "%s: %d domains diverge from sequential" what k)
     domain_counts;
   reference
@@ -159,7 +159,7 @@ let test_degenerate_zero_rows () =
         ];
     }
   in
-  let compiled = Compile.compile ~opt:Taco_lower.Opt.none (kernel "n") in
+  let compiled = Compile.compile (kernel "n") in
   let run_n n domains =
     let read = Compile.run ~domains compiled ~args:[ ("n", Compile.Aint n) ] in
     let c = match read "c" with Compile.Aint v -> v | _ -> Alcotest.fail "bad c" in
@@ -192,7 +192,7 @@ let test_degenerate_more_domains_than_rows () =
       Alcotest.(check bool)
         (Printf.sprintf "identical at %d domains" k)
         true
-        (tensors_bit_identical reference r))
+        (T.bit_identical reference r))
     [ 3; 17; 64 ]
 
 let test_single_row () =
@@ -233,7 +233,7 @@ let test_profiled_parallel_agrees () =
   let prof = getd (compile ~name:"spgemm_par_prof" ~profile:true sched) in
   let profiled = getd (run ~domains:4 prof ~inputs:[ (b, bt); (c, ct) ]) in
   Alcotest.(check bool) "profiled matches unprofiled" true
-    (tensors_bit_identical plain profiled);
+    (T.bit_identical plain profiled);
   match Kernel.profile_stats (kernel prof) with
   | None -> Alcotest.fail "profiled kernel reports no stats"
   | Some st -> Alcotest.(check bool) "profiled run counted iterations" true (st.Compile.iterations > 0)
@@ -299,6 +299,35 @@ let test_illegal_diag_structure () =
       Alcotest.(check bool) "context names the index" true
         (List.mem ("index", "j") d.Diag.context)
 
+(* --- clamping and empty partitions ------------------------------------ *)
+
+let copy_kernel () =
+  let b = csr_tv "B" in
+  let a = dense_mat_tv "A" in
+  let stmt = Index_notation.assign a [ vi; vj ] (Index_notation.access b [ vi; vj ]) in
+  let sched = get (Schedule.of_index_notation stmt) in
+  (b, Kernel.prepare (get (Lower.lower ~mode:Lower.Compute (Schedule.stmt sched))))
+
+let test_parallel_overclamped_domains () =
+  (* More domains than rows (and than cores): must clamp and skip the
+     padding partitions rather than spawn domains for empty work. *)
+  let b, kern = copy_kernel () in
+  let bt = random_tensor 931 [| 3; 5 |] 0.5 F.csr in
+  let seq = Kernel.run_dense kern ~inputs:[ (b, bt) ] ~dims:[| 3; 5 |] in
+  let par =
+    Taco_exec.Parallel.run_dense kern ~inputs:[ (b, bt) ] ~dims:[| 3; 5 |] ~split:b ~domains:64
+  in
+  check_dense "clamped parallel equals sequential" (T.to_dense seq) (T.to_dense par)
+
+let test_parallel_empty_split_tensor () =
+  (* All partitions empty: falls back to a single sequential run. *)
+  let b, kern = copy_kernel () in
+  let bt = T.of_dense (D.create [| 4; 4 |]) F.csr in
+  let par =
+    Taco_exec.Parallel.run_dense kern ~inputs:[ (b, bt) ] ~dims:[| 4; 4 |] ~split:b ~domains:3
+  in
+  check_dense "empty input gives zero result" (D.create [| 4; 4 |]) (T.to_dense par)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -329,5 +358,11 @@ let () =
             test_illegal_reduction_without_workspace;
           Alcotest.test_case "coiteration backstop" `Quick test_illegal_coiteration_backstop;
           Alcotest.test_case "diagnostic structure" `Quick test_illegal_diag_structure;
+        ] );
+      ( "parallel",
+        [
+          Alcotest.test_case "domains clamped, padding skipped" `Quick
+            test_parallel_overclamped_domains;
+          Alcotest.test_case "empty split tensor" `Quick test_parallel_empty_split_tensor;
         ] );
     ]

@@ -187,7 +187,7 @@ let test_batched_native () =
           (fun req tensor ->
             match Service.eval svc { req with Service.backend = Some `Closure } with
             | Ok r ->
-                if not (tensors_bit_identical r.Service.tensor tensor) then
+                if not (T.bit_identical r.Service.tensor tensor) then
                   Alcotest.failf "%s: native result diverges from closures" req.Service.expr
             | Error d -> Alcotest.fail (Diag.to_string d))
           requests native)

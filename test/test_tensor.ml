@@ -455,12 +455,7 @@ let test_zero_matches_pack () =
           (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) xs)))
           xs
   in
-  let same a b =
-    T.dims a = T.dims b
-    && F.equal (T.format a) (T.format b)
-    && List.for_all (fun l -> T.level_data a l = T.level_data b l) (List.init (T.order a) Fun.id)
-    && Array.map Int64.bits_of_float (T.vals a) = Array.map Int64.bits_of_float (T.vals b)
-  in
+  let same a b = F.equal (T.format a) (T.format b) && T.bit_identical a b in
   let outcome f = match f () with t -> Ok t | exception Invalid_argument _ -> Error () in
   let check fmt dims =
     let what =

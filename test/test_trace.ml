@@ -1,12 +1,11 @@
 (* Tests for the observability layer: the Trace span buffer
    (including the disabled-is-free discipline), Exec.Compile cache
-   accounting (hits/misses/entries/evictions across optimizer configs,
-   flags and backends, cache_clear), FIFO eviction on a bounded Memo,
+   accounting (hits/misses/entries/evictions across profile flags and
+   backends, cache_clear), FIFO eviction on a bounded Memo,
    and the work counters of profiled kernels on both backends. *)
 
 open Taco_ir
 module Imp = Taco_lower.Imp
-module Opt = Taco_lower.Opt
 module Lower = Taco_lower.Lower
 module Compile = Taco_exec.Compile
 module Kernel = Taco_exec.Kernel
@@ -22,9 +21,8 @@ let i n = Imp.Int_lit n
 let kernel ?(params = []) ?(name = "t") body =
   { Imp.k_name = name; k_params = params; k_body = body }
 
-(* A kernel the optimizer changes, so [~opt:Opt.none] and [~opt:Opt.all]
-   compile to structurally different kernels and occupy distinct cache
-   entries. *)
+(* A small kernel; compiled with and without [~profile] it occupies two
+   distinct cache entries. *)
 let foldable name =
   kernel ~name
     [
@@ -36,7 +34,7 @@ let foldable name =
 (* Cache accounting                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* y(i) = B(i,j) * x(j) with B in CSR, as lowered (not yet optimized). *)
+(* y(i) = B(i,j) * x(j) with B in CSR, as lowered. *)
 let spmv_lowered () =
   let open Helpers in
   let y = dense_vec_tv "y" and b = csr_tv "B" and x = dense_vec_tv "x" in
@@ -59,14 +57,14 @@ let spmv_lowered () =
 let test_cache_accounting_across_configs () =
   Compile.cache_clear ();
   let k = foldable "trace_cache_cfg" in
-  let _ = Compile.compile ~opt:Opt.none k in
-  let _ = Compile.compile ~opt:Opt.all k in
+  let _ = Compile.compile ~profile:false k in
+  let _ = Compile.compile ~profile:true k in
   let s = Compile.cache_stats () in
-  Alcotest.(check int) "distinct opt configs miss separately" 2 s.Compile.misses;
+  Alcotest.(check int) "profiled and unprofiled miss separately" 2 s.Compile.misses;
   Alcotest.(check int) "two entries" 2 s.Compile.entries;
   Alcotest.(check int) "no hits yet" 0 s.Compile.hits;
-  let _ = Compile.compile ~opt:Opt.none k in
-  let _ = Compile.compile ~opt:Opt.all k in
+  let _ = Compile.compile ~profile:false k in
+  let _ = Compile.compile ~profile:true k in
   let s = Compile.cache_stats () in
   Alcotest.(check int) "both configs hit on recompile" 2 s.Compile.hits;
   Alcotest.(check int) "still two entries" 2 s.Compile.entries;
@@ -78,13 +76,10 @@ let test_cache_accounting_across_configs () =
   let k, run = spmv_lowered () in
   let grid =
     List.concat_map
-      (fun opt ->
-        List.concat_map
-          (fun profile -> List.map (fun backend -> (opt, profile, backend)) [ `Closure; `Native ])
-          [ false; true ])
-      [ Opt.none; Opt.all ]
+      (fun profile -> List.map (fun backend -> (profile, backend)) [ `Closure; `Native ])
+      [ false; true ]
   in
-  let compile ?cache (opt, profile, backend) = Compile.compile ?cache ~opt ~profile ~backend k in
+  let compile ?cache (profile, backend) = Compile.compile ?cache ~profile ~backend k in
   List.iter (fun cfg -> ignore (compile cfg : Compile.compiled)) grid;
   let n = List.length grid in
   let s = Compile.cache_stats () in
@@ -100,9 +95,10 @@ let test_cache_accounting_across_configs () =
   Alcotest.(check int) "every combination hits on recompile" n s.Compile.hits;
   Alcotest.(check int) "no new entries" n s.Compile.entries
 
-(* The key is the kernel as lowered: two kernels that optimize to the
-   same structure are still two entries. *)
-let test_cache_keyed_before_optimizer () =
+(* The key is the kernel as lowered: two kernels of one name that
+   compute the same values are still two entries, each compiled as
+   passed in. *)
+let test_cache_keyed_on_lowered () =
   Compile.cache_clear ();
   let k1 = foldable "trace_cache_src" in
   let k2 =
@@ -110,8 +106,8 @@ let test_cache_keyed_before_optimizer () =
       [ Imp.Decl (Imp.Int, "x", i 3); Imp.Decl (Imp.Int, "y", Imp.Binop (Imp.Mul, v "x", i 3)) ]
   in
   let c1 = Compile.compile k1 and c2 = Compile.compile k2 in
-  Alcotest.(check bool) "both optimize to the same kernel" true
-    (Compile.kernel c1 = Compile.kernel c2);
+  Alcotest.(check bool) "each compiled as passed in" true
+    (Compile.kernel c1 = k1 && Compile.kernel c2 = k2);
   let s = Compile.cache_stats () in
   Alcotest.(check int) "two entries" 2 s.Compile.entries;
   Alcotest.(check int) "two misses" 2 s.Compile.misses
@@ -171,7 +167,7 @@ let with_tracing f =
 let test_disabled_tracing_records_nothing () =
   Trace.disable ();
   Trace.clear ();
-  (* Drive the instrumented pipeline end to end: optimizer, compile,
+  (* Drive the instrumented pipeline end to end: validation, compile,
      run. None of it may touch the trace buffer while disabled. *)
   let k = foldable "trace_disabled" in
   let c = Compile.compile ~cache:false ~profile:true k in
@@ -346,7 +342,7 @@ let profiled_kernel () =
     ]
 
 (* The same counts on either backend: both run the kernel as rewritten
-   by [Opt.profile]. Without a C compiler the native case downgrades to
+   by [Profile.profile]. Without a C compiler the native case downgrades to
    closures and checks those. *)
 let test_profile_counters backend () =
   let c = Compile.compile ~cache:false ~profile:true ~backend (profiled_kernel ()) in
@@ -382,10 +378,10 @@ let () =
     [
       ( "cache",
         [
-          Alcotest.test_case "accounting across opt configs" `Quick
+          Alcotest.test_case "accounting across configs" `Quick
             test_cache_accounting_across_configs;
           Alcotest.test_case "keyed on the kernel as lowered" `Quick
-            test_cache_keyed_before_optimizer;
+            test_cache_keyed_on_lowered;
           Alcotest.test_case "cache_clear resets accounting" `Quick
             test_cache_clear_resets_accounting;
           Alcotest.test_case "FIFO eviction at capacity" `Quick test_cache_eviction_fifo;
