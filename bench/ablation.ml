@@ -6,14 +6,19 @@
    2. Result reuse (sequence statement) vs a fresh nested workspace for
       sparse addition (§V-B presents both forms).
    3. Sorted vs unsorted result assembly for SpGEMM (the two variants of
-      Fig. 11). *)
+      Fig. 11).
+
+   Ablations 1 and 3 run on the closures and, when a C compiler is
+   available, on tier-1 native builds. *)
 
 open Taco
 module K = Taco_kernels
 
-let run ~seed ~scale ~reps =
-  Harness.header "Ablation 1: dense vs hash-map workspace (SpGEMM)";
-  let ws_kernel, b, c = Harness.spgemm_kernel ~sorted:true in
+let hash_vs_dense ~seed ~scale ~reps native =
+  Harness.header
+    (Printf.sprintf "Ablation 1: dense vs hash-map workspace (SpGEMM, %s)"
+       (Harness.executor_label native));
+  let ws_kernel, b, c = Harness.spgemm_kernel ~native ~sorted:true () in
   Harness.row "%-12s %10s | %10s %10s %7s" "matrix" "nnz" "dense(s)" "hash(s)" "ratio";
   let ratios = ref [] in
   List.iter
@@ -24,7 +29,7 @@ let run ~seed ~scale ~reps =
       in
       (* Hash capacity: power of two comfortably above the densest row. *)
       let cap = max 1024 (1 lsl (int_of_float (Float.log2 (float_of_int entry.Suite.cols)) + 1)) in
-      let hash = Kernel.prepare (K.Spgemm.hash_workspace ~capacity:cap) in
+      let hash = Harness.prepare ~native (K.Spgemm.hash_workspace ~capacity:cap) in
       let dims = [| entry.Suite.rows; entry.Suite.cols |] in
       let t_dense =
         Harness.time_median ~reps (fun () ->
@@ -42,8 +47,36 @@ let run ~seed ~scale ~reps =
         t_dense t_hash (t_hash /. t_dense))
     (Inputs.matrices ~seed ~scale);
   Printf.printf "\nhash / dense workspace geomean = %.2fx (Patwary et al.: hash underperforms)\n"
-    (Harness.geomean !ratios);
+    (Harness.geomean !ratios)
 
+let sorted_vs_unsorted ~seed ~scale ~reps native =
+  Harness.header
+    (Printf.sprintf "Ablation 3: sorted vs unsorted result assembly (SpGEMM, %s)"
+       (Harness.executor_label native));
+  let ws_kernel, b, c = Harness.spgemm_kernel ~native ~sorted:true () in
+  let ws_unsorted, _, _ = Harness.spgemm_kernel ~native ~sorted:false () in
+  Harness.row "%-12s | %10s %10s %8s" "matrix" "sorted(s)" "unsort(s)" "overhead";
+  List.iter
+    (fun ((entry : Suite.matrix_entry), bt) ->
+      let ct =
+        Inputs.uniform_matrix ~seed:(seed + entry.Suite.id) ~rows:entry.Suite.cols
+          ~cols:entry.Suite.cols ~density:4e-4
+      in
+      let dims = [| entry.Suite.rows; entry.Suite.cols |] in
+      let t_sorted =
+        Harness.time_median ~reps (fun () ->
+            Kernel.run_assemble_raw ws_kernel ~inputs:[ (b, bt); (c, ct) ] ~dims)
+      in
+      let t_unsorted =
+        Harness.time_median ~reps (fun () ->
+            Kernel.run_assemble_raw ws_unsorted ~inputs:[ (b, bt); (c, ct) ] ~dims)
+      in
+      Harness.row "%-12s | %10.3f %10.3f %7.1f%%" entry.Suite.name t_sorted t_unsorted
+        (Harness.pct t_sorted t_unsorted))
+    (List.filteri (fun q _ -> q < 4) (Inputs.matrices ~seed ~scale))
+
+let run ~seed ~scale ~reps =
+  List.iter (hash_vs_dense ~seed ~scale ~reps) (Harness.executors ());
   Harness.header "Ablation 2: result reuse vs fresh nested workspace (sparse addition)";
   (* A = B + C with (a) result reuse: ∀j w=B ; ∀j w+=C, and (b) a fresh
      workspace for the addend: (∀j w = v + C) where (∀j v = B). *)
@@ -82,28 +115,7 @@ let run ~seed ~scale ~reps =
   in
   Harness.row "result reuse:      %.3f s" t_reuse;
   Harness.row "nested workspaces: %.3f s (%.2fx)" t_nested (t_nested /. t_reuse);
-
-  Harness.header "Ablation 3: sorted vs unsorted result assembly (SpGEMM)";
-  let ws_unsorted, _, _ = Harness.spgemm_kernel ~sorted:false in
-  Harness.row "%-12s | %10s %10s %8s" "matrix" "sorted(s)" "unsort(s)" "overhead";
-  List.iter
-    (fun ((entry : Suite.matrix_entry), bt) ->
-      let ct =
-        Inputs.uniform_matrix ~seed:(seed + entry.Suite.id) ~rows:entry.Suite.cols
-          ~cols:entry.Suite.cols ~density:4e-4
-      in
-      let dims = [| entry.Suite.rows; entry.Suite.cols |] in
-      let t_sorted =
-        Harness.time_median ~reps (fun () ->
-            Kernel.run_assemble_raw ws_kernel ~inputs:[ (b, bt); (c, ct) ] ~dims)
-      in
-      let t_unsorted =
-        Harness.time_median ~reps (fun () ->
-            Kernel.run_assemble_raw ws_unsorted ~inputs:[ (b, bt); (c, ct) ] ~dims)
-      in
-      Harness.row "%-12s | %10.3f %10.3f %7.1f%%" entry.Suite.name t_sorted t_unsorted
-        (Harness.pct t_sorted t_unsorted))
-    (List.filteri (fun q _ -> q < 4) (Inputs.matrices ~seed ~scale))
+  List.iter (sorted_vs_unsorted ~seed ~scale ~reps) (Harness.executors ())
 
 let tiling ~seed ~reps =
   Harness.header "Ablation 4: strip-mining the dense j loop (SpMM, dense operand)";

@@ -5,7 +5,9 @@
    workspace kernel vs the Eigen-like baseline, sorting time included).
    Right plot: unsorted algorithms (generated workspace kernel vs the
    MKL-like two-pass baseline). Reported numbers are runtimes normalized
-   to the workspace kernel, as in the paper.
+   to the workspace kernel, as in the paper. Every kernel, the baselines
+   included, runs on the closures and, when a C compiler is available,
+   again as a tier-1 native build (variants suffixed "_t1").
 
    With [?json] the raw measurements (wall clock + GC work) are also
    written as JSON. *)
@@ -13,14 +15,15 @@
 open Taco
 module K = Taco_kernels
 
-let run ?json ~seed ~scale ~reps () =
-  Harness.header "Fig. 11: SpGEMM vs library baselines";
-  Printf.printf "(Table I stand-ins at scale 1/%d; operand densities 4e-4 and 1e-4;\n" scale;
-  Printf.printf " times are medians of %d runs, normalized to the workspace kernel)\n\n" reps;
-  let ws_sorted, bs, cs = Harness.spgemm_kernel ~sorted:true in
-  let ws_unsorted, _, _ = Harness.spgemm_kernel ~sorted:false in
-  let eigen = Kernel.prepare K.Spgemm.eigen_like in
-  let mkl = Kernel.prepare K.Spgemm.mkl_like in
+(* One executor's table: the per-workload records and its two geomeans. *)
+let sweep ~seed ~scale ~reps native =
+  Harness.header (Printf.sprintf "Fig. 11 on %s" (Harness.executor_label native));
+  let suffix = if native then "_t1" else "" in
+  let ws_sorted, bs, cs = Harness.spgemm_kernel ~native ~sorted:true () in
+  let ws_unsorted, _, _ = Harness.spgemm_kernel ~native ~sorted:false () in
+  let eigen = Harness.prepare ~native K.Spgemm.eigen_like in
+  let mkl = Harness.prepare ~native K.Spgemm.mkl_like in
+  let name v = v ^ suffix in
   Harness.row "%-3s %-11s %8s | %10s %10s %7s | %10s %10s %7s" "#" "matrix" "nnz"
     "ws-sort(s)" "eigen(s)" "ratio" "ws-uns(s)" "mkl(s)" "ratio";
   let per_workload =
@@ -42,13 +45,13 @@ let run ?json ~seed ~scale ~reps () =
                 ~workload:(Printf.sprintf "%s@%g" entry.Suite.name density)
                 ~equal:Harness.close_to
                 [
-                  ("ws_sorted", generated ws_sorted);
-                  ("eigen_like", baseline eigen);
-                  ("ws_unsorted", generated ws_unsorted);
-                  ("mkl_like", baseline mkl);
+                  (name "ws_sorted", generated ws_sorted);
+                  (name "eigen_like", baseline eigen);
+                  (name "ws_unsorted", generated ws_unsorted);
+                  (name "mkl_like", baseline mkl);
                 ]
             in
-            let t = Harness.time_of rs in
+            let t v = Harness.time_of rs (name v) in
             let r_eigen = t "eigen_like" /. t "ws_sorted" in
             let r_mkl = t "mkl_like" /. t "ws_unsorted" in
             Harness.row "%-3d %-11s %8d | %10.3f %10.3f %6.2fx | %10.3f %10.3f %6.2fx"
@@ -66,11 +69,20 @@ let run ?json ~seed ~scale ~reps () =
   Printf.printf
     "         mkl-like / workspace (unsorted) geomean = %.2fx  (paper: 1.28x and 1.16x)\n"
     geo_mkl;
+  ( List.concat_map fst per_workload,
+    [
+      ("geomean_eigen_over_ws" ^ suffix, Report.Float geo_eigen);
+      ("geomean_mkl_over_ws" ^ suffix, Report.Float geo_mkl);
+    ] )
+
+let run ?json ~seed ~scale ~reps () =
+  Harness.header "Fig. 11: SpGEMM vs library baselines";
+  Printf.printf "(Table I stand-ins at scale 1/%d; operand densities 4e-4 and 1e-4;\n" scale;
+  Printf.printf " times are medians of %d runs, normalized to the workspace kernel)\n" reps;
+  let sweeps =
+    List.map (sweep ~seed ~scale ~reps) (Harness.executors ())
+  in
   Harness.report ?path:json ~bench:"fig11" ~agreement:Harness.within_eps
     ~config:[ ("seed", Report.Int seed); ("scale", Report.Int scale); ("reps", Report.Int reps) ]
-    ~summary:
-      [
-        ("geomean_eigen_over_ws", Report.Float geo_eigen);
-        ("geomean_mkl_over_ws", Report.Float geo_mkl);
-      ]
-    (List.concat_map fst per_workload)
+    ~summary:(List.concat_map snd sweeps)
+    (List.concat_map fst sweeps)

@@ -360,12 +360,24 @@ let spgemm_stmt () =
   let sched = get (Schedule.precompute_simple ~expr:e ~over:[ vj ] ~workspace:w sched) in
   (Schedule.stmt sched, b, c)
 
-let spgemm_kernel ~sorted =
+(* A kernel on the closures or, with [~native:true], built natively and
+   promoted to tier 1; a native build that downgrades fails the run. *)
+let prepare ?(native = false) info =
+  if not native then Kernel.prepare info
+  else begin
+    let k = Kernel.prepare ~backend:`Native info in
+    Kernel.promote k;
+    if Kernel.native_tier k <> Some 1 then
+      failwith (info.Lower.kernel.Taco_lower.Imp.k_name ^ ": no tier-1 native build");
+    k
+  end
+
+let spgemm_kernel ?native ~sorted () =
   let stmt, b, c = spgemm_stmt () in
   let info =
     get (Lower.lower ~name:"spgemm_ws" ~mode:(Lower.Assemble { emit_values = true; sorted }) stmt)
   in
-  (Kernel.prepare info, b, c)
+  (prepare ?native info, b, c)
 
 (* MTTKRP with dense A, C, D: merge ("taco") and workspace variants. *)
 let mttkrp_vars () =
@@ -544,6 +556,13 @@ let renamed =
 let tier_label tier =
   let word f = String.concat "" (String.split_on_char '-' f) in
   String.concat "_" ("native" :: List.map word (Native.tier_flags tier))
+
+(* The executors the figure benches run a kernel on: the closures
+   ([false]), and tier-1 native builds ([true]) when a C compiler is
+   available. *)
+let executors () = false :: (if Native.available () then [ true ] else [])
+
+let executor_label native = if native then tier_label 1 else "the closures"
 
 (* The flags of a tier as one string, "-O0" for tier 0. *)
 let tier_flags tier = String.concat " " (Native.tier_flags tier)

@@ -11,7 +11,7 @@ module K = Taco_kernels
 let get = Harness.get
 
 let make_spgemm_test () =
-  let kern, b, c = Harness.spgemm_kernel ~sorted:true in
+  let kern, b, c = Harness.spgemm_kernel ~sorted:true () in
   let bt = Inputs.uniform_matrix ~seed:1 ~rows:800 ~cols:800 ~density:5e-3 in
   let ct = Inputs.uniform_matrix ~seed:2 ~rows:800 ~cols:800 ~density:5e-3 in
   Test.make ~name:"fig11/spgemm_workspace"
@@ -68,12 +68,30 @@ let make_addition_tests () =
            ignore (Kernel.run_assemble ws ~inputs:bindings ~dims:[| 1000; 1000 |])));
   ]
 
+(* The workspace SpGEMM as a tier-1 native call (read-back included) at
+   the serve_warm benchmark's shape: 400x400 operands at 2 %, ~23.6k
+   result entries. Left out when the kernel cannot be built natively. *)
+let make_spgemm_tier1_test () =
+  if not (Native.available ()) then []
+  else
+    let kern, b, c = Harness.spgemm_kernel ~native:true ~sorted:true () in
+    let inputs =
+      [
+        (b, Inputs.uniform_matrix ~seed:1 ~rows:400 ~cols:400 ~density:0.02);
+        (c, Inputs.uniform_matrix ~seed:2 ~rows:400 ~cols:400 ~density:0.02);
+      ]
+    in
+    [
+      Test.make ~name:"serve/spgemm_tier1"
+        (Staged.stage (fun () -> ignore (Kernel.run_assemble kern ~inputs ~dims:[| 400; 400 |])));
+    ]
+
 (* The structural check alone: [Tensor.of_parts] (which runs
    [Tensor.validate]) on a 400x400 SpGEMM result of 2%-dense operands,
    ~23.6k nonzeros, the size the serve_warm benchmark's SpGEMM hands back
    on every request. *)
 let make_validate_test () =
-  let kern, b, c = Harness.spgemm_kernel ~sorted:true in
+  let kern, b, c = Harness.spgemm_kernel ~sorted:true () in
   let bt = Inputs.uniform_matrix ~seed:1 ~rows:400 ~cols:400 ~density:0.02 in
   let ct = Inputs.uniform_matrix ~seed:2 ~rows:400 ~cols:400 ~density:0.02 in
   let a = Kernel.run_assemble kern ~inputs:[ (b, bt); (c, ct) ] ~dims:[| 400; 400 |] in
@@ -87,7 +105,8 @@ let run () =
   let tests =
     Test.make_grouped ~name:"taco-workspaces" ~fmt:"%s %s"
       ([ make_spgemm_test (); make_spgemm_eigen_test () ]
-      @ make_mttkrp_tests () @ make_addition_tests () @ [ make_validate_test () ])
+      @ make_mttkrp_tests () @ make_addition_tests () @ [ make_validate_test () ]
+      @ make_spgemm_tier1_test ())
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

@@ -263,9 +263,9 @@ let run_cli expr_str formats dims density seed reorders precomputes split_specs 
     | Some s ->
         Printf.eprintf
           "kernel counters: iterations=%d scalar_ops=%d allocs=%d alloc_elems=%d \
-           zero_bytes=%d reallocs=%d sorts=%d\n"
+           zero_bytes=%d reallocs=%d\n"
           s.Compile.iterations s.Compile.scalar_ops s.Compile.allocs s.Compile.alloc_elems
-          s.Compile.zero_bytes s.Compile.reallocs s.Compile.sorts
+          s.Compile.zero_bytes s.Compile.reallocs
   end;
   if do_metrics then prerr_string (Metrics.to_prometheus ());
   match trace_file with

@@ -44,8 +44,18 @@ let () =
   let info = get (Lower.lower ~name:"fig1d_matmul_sparse_compute" ~mode:compute (Schedule.stmt sched)) in
   section "Fig. 1d: sparse A, compute kernel (pre-assembled index)"
     (Cin.to_string (Schedule.stmt sched)) info;
-  let info = get (Lower.lower ~name:"fig8_matmul_assembly" ~mode:assembly_only (Schedule.stmt sched)) in
-  section "Fig. 8: sparse A, assembly kernel (rowlist + guard + sort)"
+  let info =
+    get
+      (Lower.lower ~name:"fig8_matmul_assembly"
+         ~mode:(Lower.Assemble { emit_values = false; sorted = false })
+         (Schedule.stmt sched))
+  in
+  section "Fig. 8: sparse A, assembly kernel (rowlist + guard, unsorted)"
+    (Cin.to_string (Schedule.stmt sched)) info;
+  let info =
+    get (Lower.lower ~name:"fig8_matmul_assembly_sorted" ~mode:assembly_only (Schedule.stmt sched))
+  in
+  section "Fig. 8, sorted: the rowlist as an occupancy bitmap drained in order"
     (Cin.to_string (Schedule.stmt sched)) info;
 
   (* Fig 4: inner products of rows, before and after. *)

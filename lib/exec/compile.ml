@@ -32,7 +32,9 @@ type env = {
          iterations and abort with E_EXEC_CANCELLED once it passes. *)
 }
 
-type slot = { s_dtype : Imp.dtype; s_array : bool; s_index : int }
+(* A coordinate set lives in an int-array slot ([s_set]); see
+   [Imp.Set_alloc] below for its layout. *)
+type slot = { s_dtype : Imp.dtype; s_array : bool; s_set : bool; s_index : int }
 
 type run_stats = {
   iterations : int;
@@ -41,7 +43,6 @@ type run_stats = {
   alloc_elems : int;
   zero_bytes : int;
   reallocs : int;
-  sorts : int;
 }
 
 (* Which executor runs the kernel. [`Closure] interprets the Imp IR
@@ -202,21 +203,23 @@ let assign_slots (k : Imp.kernel) =
     | Imp.Float, true -> 4
     | Imp.Bool, true -> 5
   in
-  let declare name dtype arr =
+  let declare ?(set = false) name dtype arr =
     match Hashtbl.find_opt slots name with
     | Some s ->
-        if s.s_dtype <> dtype || s.s_array <> arr then
+        if s.s_dtype <> dtype || s.s_array <> arr || s.s_set <> set then
           terror "variable %s redeclared with a different type" name
     | None ->
         let c = category dtype arr in
-        Hashtbl.replace slots name { s_dtype = dtype; s_array = arr; s_index = counters.(c) };
+        Hashtbl.replace slots name
+          { s_dtype = dtype; s_array = arr; s_set = set; s_index = counters.(c) };
         counters.(c) <- counters.(c) + 1
   in
   List.iter (fun p -> declare p.Imp.p_name p.Imp.p_dtype p.Imp.p_array) k.k_params;
   let rec scan = function
     | Imp.Decl (t, v, _) -> declare v t false
     | Imp.Alloc (t, v, _) -> declare v t true
-    | Imp.For (v, _, _, body) | Imp.ParallelFor (v, _, _, body, _) ->
+    | Imp.Set_alloc (v, _) -> declare ~set:true v Imp.Int true
+    | Imp.For (v, _, _, body) | Imp.ParallelFor (v, _, _, body, _) | Imp.Set_drain (_, v, body) ->
         declare v Imp.Int false;
         List.iter scan body
     | Imp.While (_, body) -> List.iter scan body
@@ -224,7 +227,7 @@ let assign_slots (k : Imp.kernel) =
         List.iter scan a;
         List.iter scan b
     | Imp.Assign _ | Imp.Store _ | Imp.Store_add _ | Imp.Store_reduce _ | Imp.Realloc _
-    | Imp.Memset _ | Imp.Fill _ | Imp.Sort _ | Imp.Comment _ -> ()
+    | Imp.Memset _ | Imp.Fill _ | Imp.Set_insert _ | Imp.Comment _ -> ()
   in
   List.iter scan k.k_body;
   (slots, counters)
@@ -549,50 +552,23 @@ let seq (fs : (env -> unit) array) : env -> unit =
           (Array.unsafe_get fs i) env
         done
 
-(* In-place monomorphic sort of the int slice [lo, hi): Sort runs once
-   per assembled row, on slices that are usually tiny, so the generic
-   sort path (an allocation, a blit and a polymorphic comparison per
-   step) is measurable kernel overhead. Insertion sort below a small
-   cutoff, median-of-three quicksort above it. *)
-let sort_int_range (arr : Ivec.t) lo hi =
-  let swap a b =
-    let t = iload arr a in
-    istore arr a (iload arr b);
-    istore arr b t
-  in
-  let insertion lo hi =
-    for idx = lo + 1 to hi - 1 do
-      let x = iload arr idx in
-      let j = ref (idx - 1) in
-      while !j >= lo && iload arr !j > x do
-        istore arr (!j + 1) (iload arr !j);
-        decr j
-      done;
-      istore arr (!j + 1) x
-    done
-  in
-  let rec qsort lo hi =
-    if hi - lo <= 16 then insertion lo hi
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      (* Median of first/middle/last as the pivot, parked at [lo]. *)
-      if iload arr mid < iload arr lo then swap mid lo;
-      if iload arr (hi - 1) < iload arr lo then swap (hi - 1) lo;
-      if iload arr (hi - 1) < iload arr mid then swap (hi - 1) mid;
-      swap lo mid;
-      let pivot = iload arr lo in
-      let i = ref (lo + 1) and j = ref (hi - 1) in
-      while !i <= !j do
-        while !i <= !j && iload arr !i <= pivot do incr i done;
-        while !i <= !j && iload arr !j > pivot do decr j done;
-        if !i < !j then swap !i !j
-      done;
-      swap lo !j;
-      qsort lo !j;
-      qsort (!j + 1) hi
-    end
-  in
-  if hi - lo > 1 then qsort lo hi
+(* The index of the lowest set bit of a nonzero 32-bit [x]: a de Bruijn
+   multiply of [x]'s lowest bit. *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] ctz32 x =
+  Array.unsafe_get debruijn32 ((((x land -x) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
+(* The int32 header of a closure set: its extent and window. *)
+let set_header = 3
+
+(* A set's slot, checked at compile time. *)
+let set_slot ctx v =
+  let s = find_slot ctx v in
+  if not s.s_set then terror "%s is not a set" v;
+  s.s_index
 
 let rec cstmt ctx (s : Imp.stmt) : env -> unit =
   match s with
@@ -1109,20 +1085,66 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
       let ct = seq (Array.of_list (List.map (cstmt ctx) t)) in
       let ce = seq (Array.of_list (List.map (cstmt ctx) e)) in
       fun env -> if cc env then ct env else ce env
-  | Imp.Sort (v, lo, hi) ->
-      let s = find_slot ctx v in
-      if s.s_dtype <> Imp.Int || not s.s_array then terror "sort expects an int array";
-      let i = s.s_index in
-      let clo = cint ctx lo and chi = cint ctx hi and kname = ctx.kname in
+  (* The closures keep a set over [0, n) in one int32 vector: a header
+     of [n] and the window [lo, hi) of summary words inserts touched
+     since the last drain (empty: [lo = n], [hi = 0]), then ceil(n/32) occupancy words, bit
+     [j land 31] of word [j lsr 5] for coordinate [j], then one summary
+     word per 32 words, bit [(j lsr 5) land 31] of summary word
+     [j lsr 10] set while word [j lsr 5] may be nonzero. It is charged
+     {!Imp.set_elems} elements, as the C renderings charge their 64-bit
+     layout. *)
+  | Imp.Set_alloc (v, n) ->
+      let i = set_slot ctx v in
+      let cn = cint ctx n and kname = ctx.kname in
       fun env ->
-        let arr = env.iarr.(i) in
-        let lo = clo env and hi = chi env in
-        let len = ilength arr in
-        (* [lo] must lie in [0, hi] and [hi] in [lo, len]; the
-           diagnostic names the bound that does not. *)
-        if lo < 0 || hi < lo then oob ~kname ~var:v ~index:lo ~len
-        else if hi > len then oob ~kname ~var:v ~index:hi ~len;
-        sort_int_range arr lo hi
+        let n = max 0 (cn env) in
+        Fault.hit ~stage:Diag.Execute "exec.alloc";
+        check_alloc ~kname ~var:v (Imp.set_elems n);
+        let words = (n + 31) lsr 5 in
+        let set = Ivec.create (set_header + words + ((words + 31) lsr 5)) in
+        istore set 0 n;
+        istore set 1 n;
+        env.iarr.(i) <- set
+  | Imp.Set_insert (v, j) ->
+      let i = set_slot ctx v in
+      let cj = cint ctx j and kname = ctx.kname in
+      fun env ->
+        let set = islot env i and j = cj env in
+        let n = iload set 0 in
+        if j < 0 || j >= n then oob ~kname ~var:v ~index:j ~len:n
+        else begin
+          let w = set_header + (j lsr 5) and s = j lsr 10 in
+          istore set w (iload set w lor (1 lsl (j land 31)));
+          let sw = set_header + ((n + 31) lsr 5) + s in
+          istore set sw (iload set sw lor (1 lsl ((j lsr 5) land 31)));
+          if s < iload set 1 then istore set 1 s;
+          if s >= iload set 2 then istore set 2 (s + 1)
+        end
+  | Imp.Set_drain (v, x, body) ->
+      let i = set_slot ctx v in
+      let xi = (find_slot ctx x).s_index in
+      let bctx = { ctx with depth = ctx.depth + 1 } in
+      let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
+      fun env ->
+        let set = islot env i and ints = env.ints in
+        let summary = set_header + ((iload set 0 + 31) lsr 5) in
+        for s = iload set 1 to iload set 2 - 1 do
+          let sw = ref (iload set (summary + s) land 0xFFFF_FFFF) in
+          if !sw <> 0 then istore set (summary + s) 0;
+          while !sw <> 0 do
+            let wi = (s lsl 5) lor ctz32 !sw in
+            sw := !sw land (!sw - 1);
+            let ww = ref (iload set (set_header + wi) land 0xFFFF_FFFF) in
+            while !ww <> 0 do
+              Array.unsafe_set ints xi ((wi lsl 5) lor ctz32 !ww);
+              ww := !ww land (!ww - 1);
+              cbody env
+            done;
+            istore set (set_header + wi) 0
+          done
+        done;
+        istore set 1 (iload set 0);
+        istore set 2 0
   | Imp.Comment _ -> fun _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -1377,7 +1399,6 @@ let stats_of (n : int array) =
     alloc_elems = n.(3);
     zero_bytes = 8 * n.(4);
     reallocs = n.(5);
-    sorts = n.(6);
   }
 
 let profile_stats c = Option.map (fun acc -> stats_of (Array.map Atomic.get acc)) c.c_prof
@@ -1550,7 +1571,7 @@ let run_native c l ~deadline_ns ~read ~args =
    fresh on every closure run, so a read can hand it back uncut. *)
 let allocated_slot (c : compiled) name =
   match Hashtbl.find_opt c.slots name with
-  | Some ({ s_array = true; s_dtype = Imp.Int | Imp.Float; _ } as s)
+  | Some ({ s_array = true; s_set = false; s_dtype = Imp.Int | Imp.Float; _ } as s)
     when not (List.exists (fun p -> p.Imp.p_name = name) c.c_kernel.k_params) ->
       Some s
   | Some _ | None -> None
@@ -1596,6 +1617,7 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
   let lookup name =
     match Hashtbl.find_opt c.slots name with
     | None -> invalid_arg (Printf.sprintf "Compile.run: unknown variable %s" name)
+    | Some { s_set = true; _ } -> invalid_arg "Compile.run: set read-back unsupported"
     | Some s -> (
         match (s.s_dtype, s.s_array) with
         | Imp.Int, false -> Aint env.ints.(s.s_index)
@@ -1704,7 +1726,6 @@ let run ?domains ?deadline_ns ?read c ~args =
                 ("alloc_elems", string_of_int s.alloc_elems);
                 ("zero_bytes", string_of_int s.zero_bytes);
                 ("reallocs", string_of_int s.reallocs);
-                ("sorts", string_of_int s.sorts);
               ])
           counts;
         reader)

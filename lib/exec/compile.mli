@@ -5,7 +5,7 @@
     OCaml closures over a slot-based environment (variable names
     resolve to array slots at compile time, so no hashing happens in
     loops). There is one closure executor: every array load, store,
-    memset, fill and sort in it is bounds-checked. All benchmarked
+    memset, fill and set insert in it is bounds-checked. All benchmarked
     variants — generated and hand-written baselines — run through this
     same executor, so relative comparisons are apples-to-apples. *)
 
@@ -105,10 +105,10 @@ val promote : compiled -> unit
     with other keys, see {!compile_batch}).
 
     The closures bounds-check every array load, store, memset, fill
-    and sort range; a violation raises [Taco_support.Diag.Error] whose
-    diagnostic names the kernel, the array variable, the offending
-    index (for a sort, the bound out of range) and the array length
-    (stage [Execute], code [E_EXEC_BOUNDS]).
+    and set insert; a violation raises [Taco_support.Diag.Error] whose
+    diagnostic names the kernel, the array or set variable, the
+    offending index and the array length or set extent (stage
+    [Execute], code [E_EXEC_BOUNDS]).
 
     With [~profile:true] the kernel is rewritten by
     {!Taco_lower.Profile.profile} to also count the work it does (loop
@@ -188,13 +188,12 @@ val kernel : compiled -> Taco_lower.Imp.kernel
     carrying the per-run counts. *)
 
 type run_stats = {
-  iterations : int;  (** Loop iterations executed (for + while). *)
-  scalar_ops : int;  (** Scalar declarations/assignments and array stores. *)
-  allocs : int;  (** Workspace/output array allocations. *)
+  iterations : int;  (** Loop iterations executed (for + while + set drain). *)
+  scalar_ops : int;  (** Scalar declarations/assignments, array stores and set inserts. *)
+  allocs : int;  (** Workspace/output array and coordinate-set allocations. *)
   alloc_elems : int;  (** Total elements allocated. *)
   zero_bytes : int;  (** Bytes zero-initialized (allocs + memsets, 8 B/elem). *)
   reallocs : int;  (** Capacity-growing reallocations. *)
-  sorts : int;  (** Sort statements executed. *)
 }
 
 (** [Some stats] for kernels compiled with [~profile:true], [None]

@@ -8,8 +8,8 @@
  *                      int64_t mem_limit, int64_t deadline_ns,
  *                      const taco_rt_t* rt);
  *
- * rt is the kernel runtime table below: allocation, growth, sorting
- * and the clock, built once with the library instead of being compiled
+ * rt is the kernel runtime table below: allocation, growth and the
+ * clock, built once with the library instead of being compiled
  * into every kernel. Generated kernels include no header and are
  * linked without libc; the memset/memcpy/malloc calls the compiler
  * emits for their builtins resolve against this process's libc when
@@ -87,7 +87,6 @@ typedef struct taco_rt {
                  int64_t limit);
   void *(*grow)(const struct taco_rt *rt, void *p, int64_t *cap, int64_t n, size_t size,
                 int64_t limit);
-  void (*sort_i32)(int32_t *a, int64_t n);
   int64_t (*now_ns)(void);
   void (*release)(void *p);
   int64_t *refused;
@@ -154,110 +153,6 @@ static void *rt_grow(const taco_rt_t *rt, void *p, int64_t *cap, int64_t n, size
   return q;
 }
 
-static void swap_i32(int32_t *a, int64_t i, int64_t j)
-{
-  int32_t t = a[i];
-  a[i] = a[j];
-  a[j] = t;
-}
-
-static void sift_i32(int32_t *a, int64_t i, int64_t n)
-{
-  for (int64_t c; (c = 2 * i + 1) < n; i = c) {
-    if (c + 1 < n && a[c + 1] > a[c]) c++;
-    if (a[i] >= a[c]) return;
-    swap_i32(a, i, c);
-  }
-}
-
-/* Imp.Sort: ascending int32 sort. Introsort: median-of-three
-   three-way quicksort, insertion sort below 17 elements, heapsort once
-   the recursion is deeper than 2 log2 n. */
-static void sort_i32_depth(int32_t *a, int64_t n, int depth)
-{
-  while (n > 16) {
-    if (depth-- == 0) {
-      for (int64_t i = n / 2; i-- > 0;) sift_i32(a, i, n);
-      for (int64_t e = n - 1; e > 0; e--) {
-        swap_i32(a, 0, e);
-        sift_i32(a, 0, e);
-      }
-      return;
-    }
-    int32_t x = a[0], y = a[n / 2], z = a[n - 1];
-    int32_t p = x < y ? (y < z ? y : (x < z ? z : x)) : (x < z ? x : (y < z ? z : y));
-    /* [0, lt) < p, [lt, i) == p, [gt, n) > p; p occurs in a, so the
-       middle band is never empty and both sides shrink. */
-    int64_t lt = 0, i = 0, gt = n;
-    while (i < gt) {
-      if (a[i] < p) swap_i32(a, lt++, i++);
-      else if (a[i] > p) swap_i32(a, i, --gt);
-      else i++;
-    }
-    if (lt < n - gt) {
-      sort_i32_depth(a, lt, depth);
-      a += gt;
-      n -= gt;
-    } else {
-      sort_i32_depth(a + gt, n - gt, depth);
-      n = lt;
-    }
-  }
-  for (int64_t i = 1; i < n; i++) {
-    int32_t v = a[i];
-    int64_t j = i;
-    for (; j > 0 && a[j - 1] > v; j--) a[j] = a[j - 1];
-    a[j] = v;
-  }
-}
-
-/* The bounded-range path of Imp.Sort: each value of a slice spanning
-   `range` values from lo sets one bit of a stack bitmap, and scanning
-   the set bits with ctz writes the slice back in order. Returns 0 with
-   the slice untouched when a value repeats, for the introsort to take. */
-#define SORT_BITMAP_BITS 32768
-
-static int bitmap_sort_i32(int32_t *a, int64_t n, int32_t lo, int64_t range)
-{
-  uint64_t bits[SORT_BITMAP_BITS / 64];
-  int64_t words = (range + 63) / 64;
-  memset(bits, 0, (size_t)words * sizeof bits[0]);
-  for (int64_t i = 0; i < n; i++) {
-    int64_t d = (int64_t)a[i] - lo;
-    uint64_t m = (uint64_t)1 << (d & 63);
-    if (bits[d >> 6] & m) return 0;
-    bits[d >> 6] |= m;
-  }
-  int32_t *out = a;
-  for (int64_t w = 0; w < words; w++)
-    for (uint64_t b = bits[w]; b; b &= b - 1)
-      *out++ = (int32_t)(lo + w * 64 + __builtin_ctzll(b));
-  return 1;
-}
-
-/* Slices of 16 or fewer go straight to insertion sort. A longer slice
-   whose values span at most 64 per element and at most
-   SORT_BITMAP_BITS values takes the bitmap; everything else, and a
-   bitmap slice with a repeated value, takes the introsort. A workspace
-   coordinate list is distinct and bounded by the workspace dimension,
-   so its rows usually take the bitmap. */
-static void rt_sort_i32(int32_t *a, int64_t n)
-{
-  if (n > 16) {
-    int32_t lo = a[0], hi = a[0];
-    for (int64_t i = 1; i < n; i++) {
-      if (a[i] < lo) lo = a[i];
-      if (a[i] > hi) hi = a[i];
-    }
-    int64_t range = (int64_t)hi - lo + 1;
-    if (range <= SORT_BITMAP_BITS && range <= 64 * n && bitmap_sort_i32(a, n, lo, range))
-      return;
-  }
-  int depth = 0;
-  for (int64_t m = n; m > 1; m >>= 1) depth += 2;
-  sort_i32_depth(a, n, depth);
-}
-
 /* The deadline clock: CLOCK_MONOTONIC, the clock Trace.now_ns reads. */
 static int64_t rt_now_ns(void)
 {
@@ -266,7 +161,7 @@ static int64_t rt_now_ns(void)
   return (int64_t)ts.tv_sec * 1000000000LL + (int64_t)ts.tv_nsec;
 }
 
-static const taco_rt_t taco_rt = { rt_alloc, rt_grow, rt_sort_i32, rt_now_ns, free, NULL };
+static const taco_rt_t taco_rt = { rt_alloc, rt_grow, rt_now_ns, free, NULL };
 
 CAMLprim value taco_nat_dlopen(value vpath)
 {

@@ -224,8 +224,9 @@ let gustavson b c =
   T.of_csr ~rows:m ~cols:n pos (Dyn.Int.to_ivec crd) (Dyn.Float.to_array vals)
 
 (* Hash-map workspace: open addressing with linear probing; keys stored
-   as j+1 so 0 means empty; cleared through the coordinate list after
-   each row. *)
+   as j+1 so 0 means empty. A coordinate set records the row's keys;
+   draining it visits them in ascending order, gathering and clearing
+   each one's slot. *)
 let hash_workspace ~capacity =
   if capacity land (capacity - 1) <> 0 then
     invalid_arg "Spgemm.hash_workspace: capacity must be a power of two";
@@ -266,12 +267,10 @@ let hash_workspace ~capacity =
       Imp.Alloc (Imp.Float, "A_vals", i 1024);
       Imp.Alloc (Imp.Int, "h_keys", cap);
       Imp.Alloc (Imp.Float, "h_vals", cap);
-      Imp.Alloc (Imp.Int, "w_list", cap);
-      decl_int "w_list_size" (i 0);
+      Imp.Set_alloc ("w_set", v "A2_dimension");
       decl_int "pA2" (i 0);
       for_ "i" (i 0) (v "A1_dimension")
         [
-          set "w_list_size" (i 0);
           for_ "pB2" (idx "B2_pos" (v "i")) (idx "B2_pos" (v "i" +: i 1))
             [
               decl_int "k" (idx "B2_crd" (v "pB2"));
@@ -282,18 +281,14 @@ let hash_workspace ~capacity =
                     [
                       if_
                         (idx "h_keys" (v "slot") =: i 0)
-                        [
-                          store "h_keys" (v "slot") (v "key");
-                          store "w_list" (v "w_list_size") (v "j");
-                          incr "w_list_size";
-                        ];
+                        [ store "h_keys" (v "slot") (v "key"); Imp.Set_insert ("w_set", v "j") ];
                       store_add "h_vals" (v "slot") (v "B_val" *: idx "C_vals" (v "pC2"));
                     ]);
             ];
-          Imp.Sort ("w_list", i 0, v "w_list_size");
-          for_ "q" (i 0) (v "w_list_size")
-            ([ decl_int "j" (idx "w_list" (v "q")) ]
-            @ probe ~slot_var:"slot" (v "j")
+          Imp.Set_drain
+            ( "w_set",
+              "j",
+              probe ~slot_var:"slot" (v "j")
                 [
                   grow;
                   store "A2_crd" (v "pA2") (v "j");
@@ -301,7 +296,7 @@ let hash_workspace ~capacity =
                   incr "pA2";
                   store "h_keys" (v "slot") (i 0);
                   store "h_vals" (v "slot") (f 0.);
-                ]);
+                ] );
           store "A2_pos" (v "i" +: i 1) (v "pA2");
         ];
     ]

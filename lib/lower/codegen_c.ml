@@ -117,9 +117,10 @@ let exec_reduce_line r a i v =
 
 (* Names whose value is read somewhere in [body]: every variable in an
    expression plus every array whose pointer is consumed by a builtin
-   (memset/realloc/qsort and stores read the pointer). A declared name
-   absent from this set would trip gcc's -Wunused-variable /
-   -Wunused-but-set-variable under -Wall -Werror. *)
+   (memset/realloc and stores read the pointer) and every set inserted
+   into or drained. A declared name absent from this set would trip
+   gcc's -Wunused-variable / -Wunused-but-set-variable under -Wall
+   -Werror. *)
 let used_tbl body =
   let tbl = Hashtbl.create 64 in
   let add v = Hashtbl.replace tbl v () in
@@ -145,10 +146,13 @@ let used_tbl body =
         add_e c;
         List.iter go t;
         List.iter go e
-    | Imp.Sort (v, lo, hi) ->
+    | Imp.Set_alloc (_, n) -> add_e n
+    | Imp.Set_insert (v, j) ->
         add v;
-        add_e lo;
-        add_e hi
+        add_e j
+    | Imp.Set_drain (v, _, b) ->
+        add v;
+        List.iter go b
     | Imp.Comment _ -> ()
   in
   List.iter go body;
@@ -165,15 +169,19 @@ let read_in_scope v ss =
   let rec go = function
     | [] -> false
     | Imp.Decl (_, v', _) :: _ when v' = v -> false
-    | (Imp.For (v', _, _, _) | Imp.ParallelFor (v', _, _, _, _)) :: rest when v' = v -> go rest
+    | (Imp.For (v', _, _, _) | Imp.ParallelFor (v', _, _, _, _) | Imp.Set_drain (_, v', _))
+      :: rest
+      when v' = v ->
+        go rest
     | s :: rest ->
         (match s with
         | Imp.Decl (_, _, e) | Imp.Assign (_, e) | Imp.Alloc (_, _, e) | Imp.Realloc (_, e)
-        | Imp.Memset (_, e) ->
+        | Imp.Memset (_, e) | Imp.Set_alloc (_, e) | Imp.Set_insert (_, e) ->
             reads e
         | Imp.Store (_, i, x) | Imp.Store_add (_, i, x) | Imp.Store_reduce (_, _, i, x)
-        | Imp.Fill (_, i, x) | Imp.Sort (_, i, x) ->
+        | Imp.Fill (_, i, x) ->
             reads i || reads x
+        | Imp.Set_drain (_, _, b) -> go b
         | Imp.For (_, lo, hi, b) | Imp.ParallelFor (_, lo, hi, b, _) -> reads lo || reads hi || go b
         | Imp.While (c, b) -> reads c || go b
         | Imp.If (c, t, e) -> reads c || go t || go e
@@ -182,22 +190,24 @@ let read_in_scope v ss =
   in
   go ss
 
-(* Array names the kernel writes through (store, +=, memset, realloc,
-   sort). Everything else can be passed as [const]. *)
+(* Array names the kernel writes through (store, +=, memset, realloc).
+   Everything else can be passed as [const]. *)
 let written_arrays kernel =
   let tbl = Hashtbl.create 16 in
   let rec go = function
     | Imp.Store (a, _, _) | Imp.Store_add (a, _, _) | Imp.Store_reduce (_, a, _, _) ->
         Hashtbl.replace tbl a ()
-    | Imp.Memset (a, _) | Imp.Fill (a, _, _) | Imp.Realloc (a, _) | Imp.Sort (a, _, _) ->
-        Hashtbl.replace tbl a ()
+    | Imp.Memset (a, _) | Imp.Fill (a, _, _) | Imp.Realloc (a, _) -> Hashtbl.replace tbl a ()
     | Imp.Alloc (_, v, _) -> Hashtbl.replace tbl v ()
-    | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) ->
+    | Imp.For (_, _, _, b)
+    | Imp.ParallelFor (_, _, _, b, _)
+    | Imp.While (_, b)
+    | Imp.Set_drain (_, _, b) ->
         List.iter go b
     | Imp.If (_, t, e) ->
         List.iter go t;
         List.iter go e
-    | Imp.Decl _ | Imp.Assign _ | Imp.Comment _ -> ()
+    | Imp.Decl _ | Imp.Assign _ | Imp.Set_alloc _ | Imp.Set_insert _ | Imp.Comment _ -> ()
   in
   List.iter go kernel.Imp.k_body;
   Hashtbl.fold (fun k () acc -> k :: acc) tbl []
@@ -206,14 +216,13 @@ let rec stmt_exists p s =
   p s
   ||
   match s with
-  | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) ->
+  | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) | Imp.Set_drain (_, _, b)
+    ->
       List.exists (stmt_exists p) b
   | Imp.If (_, t, e) -> List.exists (stmt_exists p) t || List.exists (stmt_exists p) e
   | _ -> false
 
 let body_has p body = List.exists (stmt_exists p) body
-
-let has_sort body = body_has (function Imp.Sort _ -> true | _ -> false) body
 
 let rec expr_exists p e =
   p e
@@ -228,14 +237,16 @@ let rec expr_exists p e =
 let stmt_exprs = function
   | Imp.Decl (_, _, e) | Imp.Assign (_, e) | Imp.Alloc (_, _, e)
   | Imp.Realloc (_, e)
-  | Imp.Memset (_, e) ->
+  | Imp.Memset (_, e)
+  | Imp.Set_alloc (_, e)
+  | Imp.Set_insert (_, e) ->
       [ e ]
   | Imp.Store (_, i, v)
   | Imp.Store_add (_, i, v)
   | Imp.Store_reduce (_, _, i, v)
-  | Imp.Fill (_, i, v)
-  | Imp.Sort (_, i, v) ->
+  | Imp.Fill (_, i, v) ->
       [ i; v ]
+  | Imp.Set_drain _ -> []
   | Imp.For (_, lo, hi, _) | Imp.ParallelFor (_, lo, hi, _, _) -> [ lo; hi ]
   | Imp.While (c, _) -> [ c ]
   | Imp.If (c, _, _) -> [ c ]
@@ -263,18 +274,24 @@ let needs_math body =
 let has_parallel kernel =
   body_has (function Imp.ParallelFor _ -> true | _ -> false) kernel.Imp.k_body
 
-(* Arrays the kernel allocates, in first-Alloc order (deduplicated:
-   an array re-allocated on several branches keeps one entry). *)
+(* Buffers the kernel allocates, in first-allocation order
+   (deduplicated: a buffer re-allocated on several branches keeps one
+   entry): an array with its element type, a coordinate set with
+   [None]. *)
 let alloc_list body =
   let seen = Hashtbl.create 16 in
   let out = ref [] in
+  let add v t =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.add seen v ();
+      out := (v, t) :: !out
+    end
+  in
   let rec go = function
-    | Imp.Alloc (t, v, _) ->
-        if not (Hashtbl.mem seen v) then begin
-          Hashtbl.add seen v ();
-          out := (v, t) :: !out
-        end
-    | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) ->
+    | Imp.Alloc (t, v, _) -> add v (Some t)
+    | Imp.Set_alloc (v, _) -> add v None
+    | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) | Imp.Set_drain (_, _, b)
+      ->
         List.iter go b
     | Imp.If (_, t, e) ->
         List.iter go t;
@@ -285,10 +302,17 @@ let alloc_list body =
   List.rev !out
 
 (* The arrays the exec rendering hands back to the host: every allocated
-   int/float array, in first-Alloc order. Bool workspaces stay internal
-   (the host ABI has no bool buffers, and no reader ever asks for them). *)
+   int/float array, in first-Alloc order. Bool workspaces and coordinate
+   sets stay internal (the host ABI has no bool buffers, and no reader
+   ever asks for them). *)
 let exec_escapes kernel =
-  List.filter (fun (_, t) -> t <> Imp.Bool) (alloc_list kernel.Imp.k_body)
+  List.filter_map
+    (function v, Some ((Imp.Int | Imp.Float) as t) -> Some (v, t) | _, (Some Imp.Bool | None) -> None)
+    (alloc_list kernel.Imp.k_body)
+
+(* The C element type of an allocated buffer: a set's words are
+   uint64_t. *)
+let buffer_ctype = function Some t -> ctype t | None -> "uint64_t"
 
 (* Scalars assigned inside [body] (used to decide whether a ParallelFor
    body mutates state declared outside itself). *)
@@ -296,7 +320,8 @@ let assign_targets body =
   let out = ref [] in
   let rec go = function
     | Imp.Assign (v, _) -> out := v :: !out
-    | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) ->
+    | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) | Imp.Set_drain (_, _, b)
+      ->
         List.iter go b
     | Imp.If (_, t, e) ->
         List.iter go t;
@@ -350,8 +375,65 @@ let rec subst_stmt f s =
   | Imp.While (c, b) -> Imp.While (e c, List.map (subst_stmt f) b)
   | Imp.If (c, t, el) ->
       Imp.If (e c, List.map (subst_stmt f) t, List.map (subst_stmt f) el)
-  | Imp.Sort (v, lo, hi) -> Imp.Sort (f v, e lo, e hi)
+  | Imp.Set_alloc (v, n) -> Imp.Set_alloc (f v, e n)
+  | Imp.Set_insert (v, j) -> Imp.Set_insert (f v, e j)
+  | Imp.Set_drain (v, x, b) -> Imp.Set_drain (f v, x, List.map (subst_stmt f) b)
   | Imp.Comment _ as c -> c
+
+(* ------------------------------------------------------------------ *)
+(* Coordinate sets, in both renderings. A set over [0, n) is one      *)
+(* uint64_t buffer: [words] = ceil(n/64) occupancy words, bit j & 63  *)
+(* of word j >> 6 for coordinate j, then ceil(words/64) summary       *)
+(* words, bit (j >> 6) & 63 of summary word j >> 12 set while word    *)
+(* j >> 6 may be nonzero. Two scalars bound the summary words inserts *)
+(* touched since the last drain, [lo, hi), so an empty row scans      *)
+(* nothing and a banded one a window. An insert sets both bits and    *)
+(* widens the window with no branch. A drain walks the window's       *)
+(* summary words, skipping zero ones without a store, and, with       *)
+(* __builtin_ctzll, the words they flag and their bits, in ascending  *)
+(* order, zeroing each word it reads: O(window + words touched +      *)
+(* members) per drain, the window at most n/4096.                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The C scalars of set [s]: its word count and its window. *)
+type set_scalars = { words : string; lo : string; hi : string }
+
+let set_scalars prefix s =
+  { words = prefix ^ s ^ "_words"; lo = prefix ^ s ^ "_lo"; hi = prefix ^ s ^ "_hi" }
+
+(* The word count of a set over [n] coordinates, as int64_t. *)
+let set_words_c n = Printf.sprintf "(((int64_t)TACO_MAX(%s, 0) + 63) >> 6)" (estr n)
+
+(* Elements of the buffer: {!Imp.set_elems}. *)
+let set_elems_c words = Printf.sprintf "%s + ((%s + 63) >> 6)" words words
+
+(* An empty window: [lo] past every summary word. *)
+let set_reset_line c = Printf.sprintf "%s = %s; %s = 0;" c.lo c.words c.hi
+
+let set_insert_lines s c j =
+  let j = estr j in
+  [
+    Printf.sprintf "%s[%s >> 6] |= (uint64_t)1 << (%s & 63);" s j j;
+    Printf.sprintf "%s[%s + (%s >> 12)] |= (uint64_t)1 << ((%s >> 6) & 63);" s c.words j j;
+    Printf.sprintf "%s = TACO_MIN(%s, %s >> 12); %s = TACO_MAX(%s, (%s >> 12) + 1);" c.lo c.lo j c.hi
+      c.hi j;
+  ]
+
+(* The loops of a drain binding [v]: [open_lines], then the body three
+   levels deeper, then [close_lines]. *)
+let set_drain_lines s c v =
+  let sw = s ^ "_sw" and wi = s ^ "_wi" and ww = s ^ "_ww" and si = s ^ "_s" in
+  ( [
+      Printf.sprintf "for (int32_t %s = %s; %s < %s; %s++) {" si c.lo si c.hi si;
+      Printf.sprintf "  uint64_t %s = %s[%s + %s];" sw s c.words si;
+      Printf.sprintf "  if (%s == 0) continue;" sw;
+      Printf.sprintf "  %s[%s + %s] = 0;" s c.words si;
+      Printf.sprintf "  for (; %s != 0; %s &= %s - 1) {" sw sw sw;
+      Printf.sprintf "    int32_t %s = (%s << 6) | __builtin_ctzll(%s);" wi si sw;
+      Printf.sprintf "    for (uint64_t %s = %s[%s]; %s != 0; %s &= %s - 1) {" ww s wi ww ww ww;
+      Printf.sprintf "      int32_t %s = (%s << 6) | __builtin_ctzll(%s);" v wi ww;
+    ],
+    [ "    }"; Printf.sprintf "    %s[%s] = 0;" s wi; "  }"; "}"; set_reset_line c ] )
 
 (* ------------------------------------------------------------------ *)
 (* Inspection rendering (paper Fig. 6 style): one C function with the *)
@@ -361,16 +443,18 @@ let rec subst_stmt f s =
 (* [unused]: arrays the kernel never reads (a kernel-wide test: each
    is allocated once). A scalar is judged by its own scope, [rest]: the
    statements after it in its block, as gcc's -Wunused-variable does. *)
-let rec block ~unused buf ind = function
+let rec block ~unused ~sets buf ind = function
   | [] -> ()
   | s :: rest ->
-      stmt ~unused ~rest buf ind s;
-      block ~unused buf ind rest
+      stmt ~unused ~sets ~rest buf ind s;
+      block ~unused ~sets buf ind rest
 
-and stmt ~unused ~rest buf ind s =
+(* [sets]: the kernel's coordinate sets, whose window scalars a
+   parallel loop privatizing them names too. *)
+and stmt ~unused ~sets ~rest buf ind s =
   let pad () = Buffer.add_string buf (String.make (2 * ind) ' ') in
   let line fmt = Printf.ksprintf (fun s -> pad (); Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let nested b = block ~unused buf (ind + 1) b in
+  let nested b = block ~unused ~sets buf (ind + 1) b in
   match s with
   | Imp.Decl (t, v, e) ->
       line "%s %s = %s;%s" (ctype t) v (estr e)
@@ -402,7 +486,14 @@ and stmt ~unused ~rest buf ind s =
       let privates =
         match info.Imp.par_private with
         | [] -> ""
-        | ps -> " firstprivate(" ^ String.concat ", " ps ^ ")"
+        | ps ->
+            let names p =
+              if List.mem p sets then
+                let c = set_scalars "" p in
+                [ p; c.lo; c.hi ]
+              else [ p ]
+            in
+            " firstprivate(" ^ String.concat ", " (List.concat_map names ps) ^ ")"
       in
       let stage =
         match info.Imp.par_stage with
@@ -436,23 +527,32 @@ and stmt ~unused ~rest buf ind s =
       line "} else {";
       nested e;
       line "}"
-  | Imp.Sort (v, lo, hi) -> line "qsort(%s + %s, %s - %s, sizeof(int32_t), cmp_int32);" v (estr lo) (estr hi) (estr lo)
+  | Imp.Set_alloc (v, n) ->
+      let c = set_scalars "" v in
+      line "int64_t %s = %s;" c.words (set_words_c n);
+      line "int64_t %s = %s, %s = 0;%s" c.lo c.words c.hi
+        (if unused v then Printf.sprintf " (void)%s; (void)%s;" c.lo c.hi else "");
+      line "uint64_t* %s = (uint64_t*)calloc(%s, sizeof(uint64_t));%s" v (set_elems_c c.words)
+        (if unused v then " (void)" ^ v ^ ";" else "")
+  | Imp.Set_insert (v, j) -> List.iter (line "%s") (set_insert_lines v (set_scalars "" v) j)
+  | Imp.Set_drain (v, x, body) ->
+      let open_lines, close_lines = set_drain_lines v (set_scalars "" v) x in
+      List.iter (line "%s") open_lines;
+      block ~unused ~sets buf (ind + 3) body;
+      List.iter (line "%s") close_lines
   | Imp.Comment c -> line "// %s" c
 
 let min_max_macros =
   "#define TACO_MIN(a, b) ((a) < (b) ? (a) : (b))\n#define TACO_MAX(a, b) ((a) > (b) ? (a) : (b))\n"
 
-let prelude ~sort ~math buf =
+let prelude ~math buf =
   Buffer.add_string buf "#include <stdint.h>\n#include <stdbool.h>\n#include <stdlib.h>\n#include <string.h>\n";
   if math then Buffer.add_string buf "#include <math.h>\n";
-  Buffer.add_string buf min_max_macros;
-  if sort then
-    Buffer.add_string buf
-      "static int cmp_int32(const void* a, const void* b) { return *(const int32_t*)a - *(const int32_t*)b; }\n"
+  Buffer.add_string buf min_max_macros
 
 let emit_untraced kernel =
   let buf = Buffer.create 2048 in
-  prelude ~sort:(has_sort kernel.Imp.k_body) ~math:(needs_math kernel.Imp.k_body) buf;
+  prelude ~math:(needs_math kernel.Imp.k_body) buf;
   Buffer.add_char buf '\n';
   let written = written_arrays kernel in
   let param p =
@@ -466,7 +566,10 @@ let emit_untraced kernel =
     (Printf.sprintf "int %s(%s) {\n" kernel.Imp.k_name
        (String.concat ", " (List.map param kernel.Imp.k_params)));
   let used = used_tbl kernel.Imp.k_body in
-  block ~unused:(fun v -> not (Hashtbl.mem used v)) buf 1 kernel.Imp.k_body;
+  let sets =
+    List.filter_map (function v, None -> Some v | _, Some _ -> None) (alloc_list kernel.Imp.k_body)
+  in
+  block ~unused:(fun v -> not (Hashtbl.mem used v)) ~sets buf 1 kernel.Imp.k_body;
   Buffer.add_string buf "  return 0;\n}\n";
   Buffer.contents buf
 
@@ -503,7 +606,6 @@ let emit kernel =
 (*   grow(rt, p, &cap, n, size, limit)  grow to [max cap n], zeroed   *)
 (*                                   tail; on failure p is released   *)
 (*                                   and NULL returned                *)
-(*   sort_i32(a, n)                  ascending int32 sort             *)
 (*   now_ns()                        CLOCK_MONOTONIC, the Trace clock *)
 (*   release(p)                      free a table allocation          *)
 (*   refused                         the call's refusal record: alloc *)
@@ -518,24 +620,28 @@ let emit kernel =
 
 type ectx = {
   ebuf : Buffer.t;
-  allocs : (string * Imp.dtype) list;
+  allocs : (string * Imp.dtype option) list;
   mutable uses_fail : bool;
   mutable par_id : int;
 }
 
 (* A ParallelFor the exec rendering can hand to OpenMP directly: no
    ordered-append staging, every private an allocated array (each
-   thread gets a heap copy), no allocation inside the body, and no
+   thread gets a heap copy; a coordinate set's window scalars would
+   need private copies too, and sets only arise in assembly, which
+   stages its append), no allocation inside the body, and no
    assignment to scalars declared outside the body. Anything else runs
    sequentially (the closure executor's chunk-merge protocol has no
    cheap OpenMP equivalent, and a goto out of a parallel region —
    which the allocation failure paths need — is illegal C). *)
 let omp_parallelizable ctx body info =
   info.Imp.par_stage = None
-  && List.for_all (fun p -> List.mem_assoc p ctx.allocs) info.Imp.par_private
+  && List.for_all
+       (fun p -> match List.assoc_opt p ctx.allocs with Some (Some _) -> true | Some None | None -> false)
+       info.Imp.par_private
   && (not
         (body_has
-           (function Imp.Alloc _ | Imp.Realloc _ -> true | _ -> false)
+           (function Imp.Alloc _ | Imp.Set_alloc _ | Imp.Realloc _ -> true | _ -> false)
            body))
   &&
   let decl = Imp.declared body in
@@ -591,7 +697,7 @@ and stmt_exec ctx ind ~depth ~rest s =
         let id = ctx.par_id in
         ctx.par_id <- ctx.par_id + 1;
         let privates =
-          List.map (fun p -> (p, List.assoc p ctx.allocs)) info.Imp.par_private
+          List.map (fun p -> (p, buffer_ctype (List.assoc p ctx.allocs))) info.Imp.par_private
         in
         let pv p = Printf.sprintf "taco_pv%d_%s" id p in
         let body =
@@ -618,14 +724,14 @@ and stmt_exec ctx ind ~depth ~rest s =
           List.iter
             (fun (p, t) ->
               line "    %s* %s = (%s*)__builtin_malloc((size_t)TACO_MAX(taco_cap_%s, 1) * sizeof(%s));"
-                (ctype t) (pv p) (ctype t) p (ctype t))
+                t (pv p) t p t)
             privates;
           line "    int taco_ok%d = %s;" id
             (String.concat " && " (List.map (fun (p, _) -> pv p ^ " != NULL") privates));
           line "    if (taco_ok%d) {" id;
           List.iter
             (fun (p, t) ->
-              line "      __builtin_memcpy(%s, %s, (size_t)taco_cap_%s * sizeof(%s));" (pv p) p p (ctype t))
+              line "      __builtin_memcpy(%s, %s, (size_t)taco_cap_%s * sizeof(%s));" (pv p) p p t)
             privates;
           line "    } else {";
           line "      taco_oom%d = 1;" id;
@@ -660,8 +766,19 @@ and stmt_exec ctx ind ~depth ~rest s =
       line "} else {";
       block ctx (ind + 1) ~depth e;
       line "}"
-  | Imp.Sort (v, lo, hi) ->
-      line "taco_rt->sort_i32(%s + %s, %s - %s);" v (estr lo) (estr hi) (estr lo)
+  | Imp.Set_alloc (v, n) ->
+      ctx.uses_fail <- true;
+      let c = set_scalars "taco_" v in
+      line "%s = %s;" c.words (set_words_c n);
+      line "%s" (set_reset_line c);
+      line "if (!(%s = taco_rt->alloc(taco_rt, %s, &taco_cap_%s, %s, sizeof(*%s), taco_mem_limit))) %s" v v
+        v (set_elems_c c.words) v (fail 1)
+  | Imp.Set_insert (v, j) -> List.iter (line "%s") (set_insert_lines v (set_scalars "taco_" v) j)
+  | Imp.Set_drain (v, x, body) ->
+      let open_lines, close_lines = set_drain_lines v (set_scalars "taco_" v) x in
+      List.iter (line "%s") open_lines;
+      block ctx (ind + 3) ~depth:(depth + 1) body;
+      List.iter (line "%s") close_lines
   | Imp.Comment c -> line "// %s" c
 
 (* Kernel [i] of a translation unit exports [taco_entry_<i>]. *)
@@ -725,7 +842,15 @@ let exec_function buf i kernel =
   List.iter
     (fun (v, t) ->
       Buffer.add_string buf
-        (Printf.sprintf "  %s* %s = NULL; int64_t taco_cap_%s = 0;\n" (ctype t) v v))
+        (Printf.sprintf "  %s* %s = NULL; int64_t taco_cap_%s = 0;\n" (buffer_ctype t) v v))
+    allocs;
+  List.iter
+    (function
+      | v, None ->
+          let c = set_scalars "taco_" v in
+          Buffer.add_string buf
+            (Printf.sprintf "  int64_t %s = 0, %s = 0, %s = 0;\n" c.words c.lo c.hi)
+      | _, Some _ -> ())
     allocs;
   Buffer.add_string buf (Buffer.contents ctx.ebuf);
   (* Success epilogue: hand escaping buffers to the host, free the rest. *)
@@ -735,8 +860,9 @@ let exec_function buf i kernel =
         (Printf.sprintf "  taco_esc[%d] = %s; taco_esc_len[%d] = taco_cap_%s;\n" i v i v))
     escapes;
   List.iter
-    (fun (v, t) ->
-      if t = Imp.Bool then Buffer.add_string buf (Printf.sprintf "  taco_rt->release(%s);\n" v))
+    (fun (v, _) ->
+      if not (List.mem_assoc v escapes) then
+        Buffer.add_string buf (Printf.sprintf "  taco_rt->release(%s);\n" v))
     allocs;
   Buffer.add_string buf "  return 0;\n";
   if ctx.uses_fail then begin
@@ -756,6 +882,7 @@ let emit_exec_untraced kernels =
   Buffer.add_string buf
     "typedef __INT32_TYPE__ int32_t;\n\
      typedef __INT64_TYPE__ int64_t;\n\
+     typedef __UINT64_TYPE__ uint64_t;\n\
      typedef __SIZE_TYPE__ size_t;\n\
      #define bool _Bool\n\
      #define NULL ((void*)0)\n\
@@ -770,7 +897,6 @@ let emit_exec_untraced kernels =
     "typedef struct taco_rt {\n\
     \  void* (*alloc)(const struct taco_rt* rt, void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
     \  void* (*grow)(const struct taco_rt* rt, void* p, int64_t* cap, int64_t n, size_t size, int64_t limit);\n\
-    \  void (*sort_i32)(int32_t* a, int64_t n);\n\
     \  int64_t (*now_ns)(void);\n\
     \  void (*release)(void* p);\n\
     \  int64_t* refused;\n\

@@ -37,9 +37,9 @@ val entry_name : int -> string
     fails or exceeds [mem_limit] (E_EXEC_MEM), 2 when [deadline_ns]
     expires (E_EXEC_CANCELLED); on failure all kernel allocations have
     been freed and [esc] is untouched. [rt] is the host's kernel
-    runtime table ([alloc], [grow], [sort_i32], [now_ns], [release]):
+    runtime table ([alloc], [grow], [now_ns], [release]):
     the rendering includes no header and makes one table call per
-    [Alloc]/[Realloc]. Semantics track the closure executor
+    [Alloc]/[Set_alloc]/[Realloc]. Semantics track the closure executor
     bit-for-bit (zeroed [max 1 n] allocations, grow-only reallocs with
     zeroed tails, element-count [> limit/8] budget checks,
     256-iteration deadline polls in outermost loops).
@@ -53,8 +53,8 @@ val emit_exec : Imp.kernel list -> string
     order in which they appear in [esc]/[esc_len]. *)
 val exec_escapes : Imp.kernel -> (string * Imp.dtype) list
 
-(** Array names the kernel writes through (store, memset, realloc,
-    sort). Array parameters outside this set are emitted [const]. *)
+(** Array names the kernel writes through (store, memset, realloc).
+    Array parameters outside this set are emitted [const]. *)
 val written_arrays : Imp.kernel -> string list
 
 (** [Some reason] when {!emit_exec} cannot express the kernel under the

@@ -51,12 +51,18 @@ type stmt =
   | ParallelFor of string * expr * expr * stmt list * par_info
   | While of expr * stmt list
   | If of expr * stmt list * stmt list
-  | Sort of string * expr * expr
+  | Set_alloc of string * expr
+  | Set_insert of string * expr
+  | Set_drain of string * string * stmt list
   | Comment of string
 
 type param = { p_name : string; p_dtype : dtype; p_array : bool; p_output : bool }
 
 type kernel = { k_name : string; k_params : param list; k_body : stmt list }
+
+let set_elems n =
+  let words = (max 0 n + 63) / 64 in
+  max 1 (words + ((words + 63) / 64))
 
 let add a b =
   match (a, b) with
@@ -110,12 +116,13 @@ let rec expr_vars = function
   | Ternary (c, a, b) -> expr_vars c @ expr_vars a @ expr_vars b
 
 let rec declared_stmt = function
-  | Decl (_, v, _) | Alloc (_, v, _) -> [ v ]
-  | For (v, _, _, body) | ParallelFor (v, _, _, body, _) -> v :: declared body
+  | Decl (_, v, _) | Alloc (_, v, _) | Set_alloc (v, _) -> [ v ]
+  | For (v, _, _, body) | ParallelFor (v, _, _, body, _) | Set_drain (_, v, body) ->
+      v :: declared body
   | While (_, body) -> declared body
   | If (_, t, e) -> declared t @ declared e
   | Assign _ | Store _ | Store_add _ | Store_reduce _ | Realloc _ | Memset _ | Fill _
-  | Sort _ | Comment _ ->
+  | Set_insert _ | Comment _ ->
       []
 
 and declared stmts = List.concat_map declared_stmt stmts
@@ -128,11 +135,12 @@ let rec expr_nodes = function
   | Ternary (c, a, b) -> 1 + expr_nodes c + expr_nodes a + expr_nodes b
 
 let rec stmt_nodes = function
-  | Decl (_, _, e) | Assign (_, e) | Alloc (_, _, e) | Realloc (_, e) | Memset (_, e) ->
+  | Decl (_, _, e) | Assign (_, e) | Alloc (_, _, e) | Realloc (_, e) | Memset (_, e)
+  | Set_alloc (_, e) | Set_insert (_, e) ->
       1 + expr_nodes e
-  | Store (_, i, v) | Store_add (_, i, v) | Store_reduce (_, _, i, v) | Fill (_, i, v)
-  | Sort (_, i, v) ->
+  | Store (_, i, v) | Store_add (_, i, v) | Store_reduce (_, _, i, v) | Fill (_, i, v) ->
       1 + expr_nodes i + expr_nodes v
+  | Set_drain (_, _, body) -> 1 + stmts_nodes body
   | For (_, lo, hi, body) | ParallelFor (_, lo, hi, body, _) ->
       1 + expr_nodes lo + expr_nodes hi + stmts_nodes body
   | While (c, body) -> 1 + expr_nodes c + stmts_nodes body
@@ -210,10 +218,16 @@ let check kernel =
         use_expr c;
         List.iter go_stmt t;
         List.iter go_stmt e
-    | Sort (v, lo, hi) ->
+    | Set_alloc (v, n) ->
+        use_expr n;
+        declare v
+    | Set_insert (v, j) ->
         use_var v;
-        use_expr lo;
-        use_expr hi
+        use_expr j
+    | Set_drain (s, v, body) ->
+        use_var s;
+        declare v;
+        List.iter go_stmt body
     | Comment _ -> ()
   in
   match List.iter go_stmt kernel.k_body with
@@ -232,7 +246,11 @@ let validate kernel =
   (* name -> (dtype, is_array); populated in declaration order so the
      pass checks def-before-use and typing together. *)
   let env : (string, dtype * bool) Hashtbl.t = Hashtbl.create 32 in
+  (* Coordinate sets, a kind of their own: never read as values. *)
+  let sets : (string, unit) Hashtbl.t = Hashtbl.create 4 in
+  let not_set name what = if Hashtbl.mem sets name then problem "set %s %s" name what in
   let declare name dtype arr =
+    not_set name "redeclared as a variable";
     match Hashtbl.find_opt env name with
     | Some (t, a) when t <> dtype || a <> arr ->
         problem "variable %s redeclared as %s%s (was %s%s)" name (dtype_str dtype)
@@ -241,16 +259,23 @@ let validate kernel =
   in
   List.iter (fun p -> declare p.p_name p.p_dtype p.p_array) kernel.k_params;
   let scalar name =
+    not_set name "used as a scalar";
     match Hashtbl.find_opt env name with
     | Some (t, false) -> t
     | Some (_, true) -> problem "array %s used as a scalar" name
     | None -> problem "variable %s used before declaration" name
   in
   let array name =
+    not_set name "used as an array";
     match Hashtbl.find_opt env name with
     | Some (t, true) -> t
     | Some (_, false) -> problem "scalar %s indexed as an array" name
     | None -> problem "array %s used before declaration" name
+  in
+  let set name =
+    if not (Hashtbl.mem sets name) then
+      if Hashtbl.mem env name then problem "%s is not a set" name
+      else problem "set %s used before declaration" name
   in
   let rec infer = function
     | Var v -> scalar v
@@ -332,7 +357,9 @@ let validate kernel =
     | ParallelFor (v, lo, hi, body, info) ->
         expect Int lo "parallel loop lower bound";
         expect Int hi "parallel loop upper bound";
-        List.iter (fun a -> ignore (array a : dtype)) info.par_private;
+        List.iter
+          (fun a -> if not (Hashtbl.mem sets a) then ignore (array a : dtype))
+          info.par_private;
         Option.iter
           (fun st ->
             if scalar st.pa_counter <> Int then
@@ -352,10 +379,17 @@ let validate kernel =
         expect Bool c "if condition";
         List.iter go_stmt t;
         List.iter go_stmt e
-    | Sort (v, lo, hi) ->
-        if array v <> Int then problem "sort on non-int array %s" v;
-        expect Int lo "sort lower bound";
-        expect Int hi "sort upper bound"
+    | Set_alloc (v, n) ->
+        expect Int n (Printf.sprintf "extent of set %s" v);
+        if Hashtbl.mem env v then problem "variable %s redeclared as a set" v;
+        Hashtbl.replace sets v ()
+    | Set_insert (v, j) ->
+        set v;
+        expect Int j (Printf.sprintf "coordinate inserted into %s" v)
+    | Set_drain (s, v, body) ->
+        set s;
+        declare v Int false;
+        List.iter go_stmt body
     | Comment _ -> ()
   in
   match List.iter go_stmt kernel.k_body with
@@ -437,5 +471,10 @@ and pp_stmt_indent fmt n s =
       Format.fprintf fmt "%s} else {@." ind;
       List.iter (pp_stmt_indent fmt (n + 1)) e;
       Format.fprintf fmt "%s}@." ind
-  | Sort (v, lo, hi) -> Format.fprintf fmt "%ssort(%s, %a, %a);@." ind v pp_expr lo pp_expr hi
+  | Set_alloc (v, e) -> Format.fprintf fmt "%s%s = set(%a);@." ind v pp_expr e
+  | Set_insert (v, e) -> Format.fprintf fmt "%sinsert(%s, %a);@." ind v pp_expr e
+  | Set_drain (s, v, body) ->
+      Format.fprintf fmt "%sdrain (%s in %s) {@." ind v s;
+      List.iter (pp_stmt_indent fmt (n + 1)) body;
+      Format.fprintf fmt "%s}@." ind
   | Comment c -> Format.fprintf fmt "%s// %s@." ind c

@@ -2,7 +2,7 @@
 
     The target of lowering: scalar declarations, array loads/stores,
     for/while loops, conditionals and the memory operations sparse
-    assembly needs (alloc, geometric realloc, memset, sort). It
+    assembly needs (alloc, geometric realloc, memset, coordinate sets). It
     pretty-prints to C ({!Codegen_c}) and compiles to closures for
     execution ({!Taco_exec.Compile}). *)
 
@@ -49,9 +49,9 @@ type par_append = {
   pa_pos : string option;  (** position array closed per iteration, if any *)
 }
 
-(** Execution metadata attached to a [ParallelFor]: which arrays each
-    domain must own privately (dense workspaces and their tracking
-    arrays), and the append stage to concatenate after the barrier.
+(** Execution metadata attached to a [ParallelFor]: which arrays and
+    sets each domain must own privately (dense workspaces and their
+    coordinate tracking), and the append stage to concatenate after the barrier.
     Everything else is shared: inputs are read-only and non-staged
     output writes are indexed by the loop variable, hence disjoint
     across chunks. *)
@@ -84,7 +84,16 @@ type stmt =
           every domain count (see {!Taco_exec.Compile}). *)
   | While of expr * stmt list
   | If of expr * stmt list * stmt list
-  | Sort of string * expr * expr  (** sort the int array slice [lo, hi) *)
+  | Set_alloc of string * expr
+      (** [Set_alloc (s, n)]: an empty set of coordinates in [\[0, n)].
+          Each executor owns its layout; both charge the memory budget
+          {!set_elems}[ n] elements, in one allocation. *)
+  | Set_insert of string * expr  (** add a coordinate to a set *)
+  | Set_drain of string * string * stmt list
+      (** [Set_drain (s, v, body)]: run [body] once per member of [s],
+          bound to the int [v], in ascending order, removing each member
+          as it goes: the set ends empty. [body] must not insert into
+          [s]. *)
   | Comment of string
 
 type param = {
@@ -95,6 +104,12 @@ type param = {
 }
 
 type kernel = { k_name : string; k_params : param list; k_body : stmt list }
+
+(** The elements a coordinate set over [\[0, n)] is charged against the
+    memory budget, at 8 bytes each: one 64-bit word per 64 coordinates
+    plus one summary word per 64 words, at least 1 — the layout of the
+    C renderings. *)
+val set_elems : int -> int
 
 (** {2 Smart constructors with constant folding} *)
 

@@ -44,15 +44,17 @@ type ctx = {
          scope declared as p<T><l>_begin and p<T><l>_end *)
   ws_dims : (string, Imp.expr list) Hashtbl.t;  (* workspace -> extent per level *)
   append : append_info option;  (* active append target for the result *)
-  track : string option;  (* workspace with coordinate-list tracking (producer side) *)
-  wlist : string option;  (* workspace whose list drives the consumer loop *)
+  track : string option;  (* workspace whose coordinates are tracked (producer side) *)
+  wlist : string option;  (* workspace whose tracked coordinates drive the consumer loop *)
 }
 
 type state = {
   mutable top : Imp.stmt list;  (* kernel-top statements, in order *)
   mutable allocated : string list;  (* workspaces already allocated *)
   mutable reset_on_read : string list;  (* workspaces restored to zero after reads *)
-  mutable has_seen : string list;  (* workspaces with a guard array *)
+  mutable tracked : string list;
+      (* workspaces whose coordinates assembly tracks: in a coordinate
+         set when sorted, else in a guard array and coordinate list *)
   mutable counter_declared : bool;
   mutable pos_close : (string option * Imp.stmt) list;
       (* pos-finalize statements keyed by the parent loop variable *)
@@ -273,6 +275,8 @@ let crd_capacity_var tv l = Printf.sprintf "%s%d_crd_capacity" (Tensor_var.name 
 
 let append_counter_var tv l = Printf.sprintf "p%s%d" (Tensor_var.name tv) (l + 1)
 
+let set_var name = name ^ "_set"
+
 let seen_var name = name ^ "_seen"
 
 let list_var name = name ^ "_list"
@@ -367,13 +371,21 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
         top = [];
         allocated = [];
         reset_on_read = [];
-        has_seen = [];
+        tracked = [];
         counter_declared = false;
         pos_close = [];
         append_parent = None;
         mode;
         result;
       }
+    in
+    let sorted = match mode with Assemble { sorted; _ } -> sorted | Compute -> false in
+    (* The arrays and sets through which a tracked workspace records its
+       coordinates. *)
+    let tracking wname =
+      if not (List.mem wname st.tracked) then []
+      else if sorted then [ set_var wname ]
+      else [ seen_var wname; list_var wname ]
     in
     let push_top s = st.top <- st.top @ [ s ] in
     (* Tensors accessed with several index lists: (tensor, level) would
@@ -408,7 +420,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
               let off = pos_at ctx a (Tensor_var.order a.tensor - 1) in
               Imp.Store (vals_var a.tensor, off, Imp.Float_lit sr.Semiring.zero)
               ::
-              (if List.mem wname st.has_seen then
+              (if List.mem wname st.tracked && not sorted then
                  [ Imp.Store (seen_var wname, off, Imp.Bool_lit false) ]
                else [])
             end
@@ -440,9 +452,11 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                     off,
                     Imp.Round_single (Imp.Binop (Imp.Add, Imp.Load (vals_var tv, off), rhs)) )
           in
-          (* Workspace coordinate tracking during assembly (Fig. 8). *)
+          (* Workspace coordinate tracking during assembly: a set insert
+             when sorted, else the guard and list of Fig. 8. *)
           let wname = Tensor_var.name tv in
-          if ctx.track = Some wname then
+          if ctx.track = Some wname && sorted then [ Imp.Set_insert (set_var wname, off); store ]
+          else if ctx.track = Some wname then
             [
               Imp.If
                 ( Imp.Not (Imp.Load (seen_var wname, off)),
@@ -724,8 +738,10 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                          :: inner)
                         @ cl );
                   ]
-              | Assemble { sorted; _ } -> (
-                  (* Workspace-coordinate-list-driven loop (Fig. 8). *)
+              | Assemble _ -> (
+                  (* The workspace's tracked coordinates drive the loop:
+                     a set drained in ascending order when sorted, else
+                     the coordinate list of Fig. 8 in insertion order. *)
                   match ctx.wlist with
                   | None ->
                       fail
@@ -740,16 +756,14 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                       in
                       let inner = lower_body ctx' ~fresh body in
                       let cl = closes () in
-                      (if sorted then
-                         [ Imp.Sort (list_var w, Imp.Int_lit 0, Imp.Var (list_size_var w)) ]
-                       else [])
-                      @ [
+                      if sorted then [ Imp.Set_drain (set_var w, vname, inner @ cl) ]
+                      else
+                        [
                           Imp.For
                             ( q,
                               Imp.Int_lit 0,
                               Imp.Var (list_size_var w),
-                              (Imp.Decl (Imp.Int, vname, Imp.Load (list_var w, Imp.Var q))
-                               :: inner)
+                              (Imp.Decl (Imp.Int, vname, Imp.Load (list_var w, Imp.Var q)) :: inner)
                               @ cl );
                         ]))
           | Some _ | None -> (
@@ -1139,14 +1153,18 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                 if consumer_copies then begin
                   if Tensor_var.order w <> 1 then
                     fail "assembly tracking supports order-1 workspaces only";
-                  if not (List.mem wname st.has_seen) then begin
-                    st.has_seen <- wname :: st.has_seen;
-                    let dim = List.hd dims in
-                    push_top (Imp.Alloc (Imp.Bool, seen_var wname, dim));
-                    push_top (Imp.Alloc (Imp.Int, list_var wname, dim));
-                    push_top (Imp.Decl (Imp.Int, list_size_var wname, Imp.Int_lit 0))
+                  let dim = List.hd dims in
+                  if not (List.mem wname st.tracked) then begin
+                    st.tracked <- wname :: st.tracked;
+                    if sorted then push_top (Imp.Set_alloc (set_var wname, dim))
+                    else begin
+                      push_top (Imp.Alloc (Imp.Bool, seen_var wname, dim));
+                      push_top (Imp.Alloc (Imp.Int, list_var wname, dim));
+                      push_top (Imp.Decl (Imp.Int, list_size_var wname, Imp.Int_lit 0))
+                    end
                   end;
-                  emit (Imp.Assign (list_size_var wname, Imp.Int_lit 0));
+                  (* A drain leaves its set empty; a list restarts. *)
+                  if not sorted then emit (Imp.Assign (list_size_var wname, Imp.Int_lit 0));
                   track := Some wname;
                   wlist := Some wname
                 end
@@ -1210,10 +1228,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
             List.concat_map
               (fun wname ->
                 if Hashtbl.mem ws_dims wname then
-                  (wname ^ "_vals")
-                  ::
-                  (if List.mem wname st.has_seen then [ seen_var wname; list_var wname ]
-                   else [])
+                  (wname ^ "_vals") :: tracking wname
                 else [])
               st.allocated
           in
@@ -1265,14 +1280,19 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
              operand scanned under a dense loop). The append counter is
              merged explicitly, capacity counters only size chunk-private
              reallocations, and workspace list sizes are reset at the top
-             of every iteration; any other carried scalar makes chunked
-             execution unsound, so reject it. *)
+             of every iteration (a set is empty after every drain); any
+             other carried scalar makes chunked execution unsound, so
+             reject it. *)
           let rec assigned acc = function
             | Imp.Assign (n, _) -> n :: acc
             | Imp.Decl _ | Imp.Store _ | Imp.Store_add _ | Imp.Store_reduce _ | Imp.Alloc _
-            | Imp.Realloc _ | Imp.Memset _ | Imp.Fill _ | Imp.Sort _ | Imp.Comment _ ->
+            | Imp.Realloc _ | Imp.Memset _ | Imp.Fill _ | Imp.Set_alloc _ | Imp.Set_insert _
+            | Imp.Comment _ ->
                 acc
-            | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) ->
+            | Imp.For (_, _, _, b)
+            | Imp.ParallelFor (_, _, _, b, _)
+            | Imp.While (_, b)
+            | Imp.Set_drain (_, _, b) ->
                 List.fold_left assigned acc b
             | Imp.If (_, a, b) -> List.fold_left assigned (List.fold_left assigned acc a) b
           in
@@ -1294,7 +1314,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
             | None -> [])
             @ List.filter_map
                 (fun wname ->
-                  if Hashtbl.mem ws_dims wname && List.mem wname st.has_seen then
+                  if Hashtbl.mem ws_dims wname && List.mem wname st.tracked && not sorted then
                     Some (list_size_var wname)
                   else None)
                 st.allocated

@@ -2,10 +2,10 @@ open Imp
 
 let profile_counters = "taco_prof"
 
-let profile_slots = 7
+let profile_slots = 6
 
 (* Counter slots: 0 iterations, 1 scalar ops, 2 allocations, 3
-   allocated elements, 4 zeroed elements, 5 reallocations, 6 sorts. *)
+   allocated elements, 4 zeroed elements, 5 reallocations. *)
 let profile k =
   let bump slot e = Store_add (profile_counters, Int_lit slot, e) in
   let at_least lo = function Int_lit n -> Int_lit (max lo n) | e -> Binop (Max, Int_lit lo, e) in
@@ -21,11 +21,10 @@ let profile k =
         (0, trips);
         ( 1,
           count (function
-            | Decl _ | Assign _ | Store _ | Store_add _ | Store_reduce _ -> true
+            | Decl _ | Assign _ | Store _ | Store_add _ | Store_reduce _ | Set_insert _ -> true
             | _ -> false) );
-        (2, count (function Alloc _ -> true | _ -> false));
+        (2, count (function Alloc _ | Set_alloc _ -> true | _ -> false));
         (5, count (function Realloc _ -> true | _ -> false));
-        (6, count (function Sort _ -> true | _ -> false));
       ]
     in
     List.filter_map (fun (slot, n) -> if n = 0 then None else Some (bump slot (Int_lit n))) fixed
@@ -34,9 +33,16 @@ let profile k =
     | For (v, lo, hi, b) | ParallelFor (v, lo, hi, b, _) ->
         [ bump 0 (at_least 0 (sub hi lo)); For (v, lo, hi, block b) ]
     | While (c, b) -> [ While (c, block ~trips:1 b) ]
+    | Set_drain (s, v, b) -> [ Set_drain (s, v, block ~trips:1 b) ]
     | If (c, t, e) -> [ If (c, block t, block e) ]
     | Alloc (_, _, n) as s ->
         let m = at_least 1 n in
+        [ bump 3 m; bump 4 m; s ]
+    | Set_alloc (_, n) as s ->
+        (* {!Imp.set_elems} as an expression. *)
+        let div a b = Binop (Div, a, Int_lit b) in
+        let words = div (add (at_least 0 n) (Int_lit 63)) 64 in
+        let m = at_least 1 (add words (div (add words (Int_lit 63)) 64)) in
         [ bump 3 m; bump 4 m; s ]
     | (Memset (_, n) | Fill (_, n, _)) as s -> [ bump 4 (at_least 0 n); s ]
     | s -> [ s ]

@@ -50,7 +50,7 @@ let random_density prng ~dims ~density fmt =
     | Some t -> float_of_int t
     | None -> Array.fold_left (fun acc d -> acc *. float_of_int d) 1. dims
   in
-  let nnz = max 1 (int_of_float (density *. total)) in
+  let nnz = if density <= 0. then 0 else max 1 (int_of_float (density *. total)) in
   random prng ~dims ~nnz fmt
 
 let random_dense prng dims = Dense.init dims (fun _ -> Prng.float prng)

@@ -12,7 +12,8 @@ val random_coo : Taco_support.Prng.t -> dims:int array -> nnz:int -> Coo.t
 val random : Taco_support.Prng.t -> dims:int array -> nnz:int -> Format.t -> Tensor.t
 
 (** [random_density prng ~dims ~density fmt] targets
-    [nnz = density * product dims] (rounded, at least 1). *)
+    [nnz = density * product dims], rounded down: at least 1 for a
+    positive [density], and an empty tensor for [density <= 0.]. *)
 val random_density :
   Taco_support.Prng.t -> dims:int array -> density:float -> Format.t -> Tensor.t
 

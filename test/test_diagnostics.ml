@@ -289,30 +289,30 @@ let test_checked_bounds () =
       Alcotest.(check string) "length" "3" (context_value "bounds" "length" d);
       Alcotest.(check string) "index" "3" (context_value "bounds" "index" d)
 
-let test_sort_range_bounds () =
-  (* A Sort whose range leaves its 4-element array: the default compile
-     must reject it before sorting, naming the bound that is out of
-     range. *)
+let test_set_insert_bounds () =
+  (* An insert outside a set over [0, 4): the default compile rejects it
+     before touching the set, naming the set, its extent and the
+     coordinate. *)
   let module Imp = Taco_lower.Imp in
-  let sort lo hi =
+  let insert j =
     {
-      Imp.k_name = "sort_range";
+      Imp.k_name = "set_range";
       k_params = [];
-      k_body =
-        [ Imp.Alloc (Imp.Int, "a", Imp.Int_lit 4); Imp.Sort ("a", Imp.Int_lit lo, Imp.Int_lit hi) ];
+      k_body = [ Imp.Set_alloc ("s", Imp.Int_lit 4); Imp.Set_insert ("s", Imp.Int_lit j) ];
     }
   in
   List.iter
-    (fun (what, lo, hi, index) ->
-      match Compile.run (Compile.compile (sort lo hi)) ~args:[] with
-      | (_ : string -> Compile.arg) -> Alcotest.fail (what ^ ": out-of-range sort not caught")
+    (fun (what, j) ->
+      match Compile.run (Compile.compile (insert j)) ~args:[] with
+      | (_ : string -> Compile.arg) -> Alcotest.fail (what ^ ": out-of-range insert not caught")
       | exception Diag.Error d ->
           Alcotest.(check string) (what ^ ": code") "E_EXEC_BOUNDS" d.Diag.code;
-          Alcotest.(check string) (what ^ ": kernel") "sort_range" (context_value what "kernel" d);
-          Alcotest.(check string) (what ^ ": variable") "a" (context_value what "variable" d);
+          Alcotest.(check string) (what ^ ": kernel") "set_range" (context_value what "kernel" d);
+          Alcotest.(check string) (what ^ ": variable") "s" (context_value what "variable" d);
           Alcotest.(check string) (what ^ ": length") "4" (context_value what "length" d);
-          Alcotest.(check string) (what ^ ": index") index (context_value what "index" d))
-    [ ("hi past the end", 0, 6, "6"); ("lo below zero", -1, 2, "-1"); ("hi below lo", 3, 1, "3") ]
+          Alcotest.(check string) (what ^ ": index") (string_of_int j)
+            (context_value what "index" d))
+    [ ("at the extent", 4); ("below zero", -1) ]
 
 let test_compile_res_ill_typed () =
   (* A hand-built kernel with a type error: compile_res reports it as a
@@ -377,7 +377,7 @@ let () =
             test_scatter_without_workspace_is_lower_error;
           Alcotest.test_case "workspace precondition" `Quick test_workspace_precondition;
           Alcotest.test_case "checked bounds" `Quick test_checked_bounds;
-          Alcotest.test_case "sort range bounds" `Quick test_sort_range_bounds;
+          Alcotest.test_case "set insert bounds" `Quick test_set_insert_bounds;
           Alcotest.test_case "ill-typed kernel" `Quick test_compile_res_ill_typed;
           Alcotest.test_case "diagnostic rendering" `Quick test_diag_to_string;
         ] );

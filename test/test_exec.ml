@@ -112,15 +112,45 @@ let test_memset () =
   in
   Alcotest.(check (array (float 0.))) "prefix zeroed" [| 0.; 0.; 0.; 7.; 7. |] (read_farr r "a")
 
-let test_sort_range () =
+(* Inserts in a shuffled order, repeats included, come out of a drain
+   ascending and once each; the drain empties the set, so a second one
+   visits nothing. *)
+let test_set_drain () =
+  let coords = [ 1500; 0; 33; 2047; 31; 1500; 32; 1024; 1023; 0 ] in
+  let drain =
+    Imp.Set_drain
+      ( "s",
+        "j",
+        [ Imp.Store ("out", v "n", v "j"); Imp.Assign ("n", Imp.Binop (Imp.Add, v "n", i 1)) ] )
+  in
   let r =
     run
-      ~args:[ ("a", Compile.Aint_array (Ivec.of_array [| 5; 4; 3; 2; 1 |])) ]
       (kernel
-         ~params:[ { Imp.p_name = "a"; p_dtype = Imp.Int; p_array = true; p_output = true } ]
-         [ Imp.Sort ("a", i 1, i 4) ])
+         ([ Imp.Set_alloc ("s", i 2048); Imp.Alloc (Imp.Int, "out", i 16); Imp.Decl (Imp.Int, "n", i 0) ]
+         @ List.map (fun j -> Imp.Set_insert ("s", i j)) coords
+         @ [ drain; Imp.Decl (Imp.Int, "first", v "n"); drain ]))
   in
-  Alcotest.(check (array int)) "slice sorted" [| 5; 2; 3; 4; 1 |] (read_iarr r "a")
+  let members = List.sort_uniq compare coords in
+  Alcotest.(check int) "members drained once" (List.length members) (read_int r "first");
+  Alcotest.(check int) "second drain visits nothing" (read_int r "first") (read_int r "n");
+  Alcotest.(check (list int)) "ascending" members
+    (Array.to_list (Array.sub (read_iarr r "out") 0 (List.length members)))
+
+(* A coordinate set is its own kind: the verifier rejects it read as an
+   array or a scalar, an array or an undeclared name used as a set, and
+   a set redeclared as an array. *)
+let test_set_misuse () =
+  let set = Imp.Set_alloc ("s", i 8) and arr = Imp.Alloc (Imp.Int, "a", i 8) in
+  List.iter
+    (fun (what, body, msg) ->
+      Alcotest.(check (result unit string)) what (Error msg) (Imp.validate (kernel body)))
+    [
+      ("loaded", [ set; Imp.Decl (Imp.Int, "x", Imp.Load ("s", i 0)) ], "set s used as an array");
+      ("read as a scalar", [ set; Imp.Decl (Imp.Int, "x", v "s") ], "set s used as a scalar");
+      ("an array inserted into", [ arr; Imp.Set_insert ("a", i 0) ], "a is not a set");
+      ("an undeclared set drained", [ Imp.Set_drain ("t", "j", []) ], "set t used before declaration");
+      ("redeclared as an array", [ set; Imp.Alloc (Imp.Int, "s", i 8) ], "set s redeclared as a variable");
+    ]
 
 (* Int arrays are int32, as in the generated C: a store keeps the low
    32 bits of its (63-bit) value, and a load sign-extends them. *)
@@ -382,7 +412,8 @@ let () =
           Alcotest.test_case "while and if" `Quick test_while_and_if;
           Alcotest.test_case "realloc preserves contents" `Quick test_realloc_preserves;
           Alcotest.test_case "memset prefix" `Quick test_memset;
-          Alcotest.test_case "sort range" `Quick test_sort_range;
+          Alcotest.test_case "set drain" `Quick test_set_drain;
+          Alcotest.test_case "set misuse rejected" `Quick test_set_misuse;
           Alcotest.test_case "int32 stores wrap" `Quick test_int32_stores_wrap;
           Alcotest.test_case "store_add accumulates" `Quick test_store_add;
         ] );

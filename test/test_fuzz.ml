@@ -817,6 +817,182 @@ let run_batch (picks, seed) =
   if List.for_all (fun c -> Taco.backend_of c = `Native) batch then incr batch_native_ran
 
 (* ------------------------------------------------------------------ *)
+(* Workspace leg: the workspace kernels — SpGEMM, Fig. 13's workspace  *)
+(* sum and sparse-output MTTKRP — assembled sorted (a bitmap drain) and *)
+(* unsorted (a coordinate list), at workspace widths on both sides of a *)
+(* 64-coordinate bitmap word and a 4096-coordinate summary word, on    *)
+(* hypersparse rows. The sorted closures agree with the oracle; the    *)
+(* unsorted closures (rows sorted at read-back), the native backend    *)
+(* and the closures chunked over the rows give their bits.             *)
+(* ------------------------------------------------------------------ *)
+
+let ws_ran = ref 0
+
+let ws_native_ran = ref 0
+
+let ws_widths = [| 1; 2; 63; 64; 65; 127; 128; 129; 4095; 4096; 4097; 8193 |]
+
+(* Rows of 0 to 3 entries, half of them at a word or summary boundary. *)
+let ws_matrix prng rows cols fmt =
+  let coo = Coo.create [| rows; cols |] in
+  let edges = [| 0; 63; 64; 4095; 4096; cols - 1 |] in
+  for i = 0 to rows - 1 do
+    for _ = 1 to Prng.int prng 4 do
+      let j = if Prng.bool prng 0.5 then edges.(Prng.int prng 6) else Prng.int prng cols in
+      if j < cols then Coo.push coo [| i; j |] (0.5 +. Prng.float prng)
+    done
+  done;
+  T.pack coo fmt
+
+let ws_w ?(name = "w") () = Taco.workspace name F.dense_vector
+
+(* Template [t]: the index-notation statement (the oracle's), the
+   schedule and its input variables. *)
+let ws_template t =
+  let get what = function Ok x -> x | Error e -> failf "workspace leg: %s: %s" what e in
+  let a = Tensor_var.make "A" ~order:2 ~format:F.csr in
+  let acc tv ivs = Cin.Access (Cin.access tv ivs) in
+  match t with
+  | 0 ->
+      let bm = Tensor_var.make "B" ~order:2 ~format:F.csr in
+      let cm = Tensor_var.make "C" ~order:2 ~format:F.csr in
+      let stmt =
+        I.assign a [ vi; vj ] (I.sum vk (I.Mul (I.access bm [ vi; vk ], I.access cm [ vk; vj ])))
+      in
+      let sched = get "concretize" (Schedule.of_index_notation stmt) in
+      let sched = get "reorder" (Schedule.reorder vk vj sched) in
+      let e = Cin.Mul (acc bm [ vi; vk ], acc cm [ vk; vj ]) in
+      (stmt, get "precompute" (Schedule.precompute_simple ~expr:e ~over:[ vj ] ~workspace:(ws_w ()) sched), [ bm; cm ])
+  | 1 ->
+      let ops = List.map (fun n -> Tensor_var.make n ~order:2 ~format:F.csr) [ "B"; "C"; "D" ] in
+      let w = ws_w () in
+      let producer =
+        match ops with
+        | first :: rest ->
+            List.fold_left
+              (fun s tv -> Cin.Sequence (s, Cin.Forall (vj, Cin.accumulate (Cin.access w [ vj ]) (acc tv [ vi; vj ]))))
+              (Cin.Forall (vj, Cin.assign (Cin.access w [ vj ]) (acc first [ vi; vj ])))
+              rest
+        | [] -> assert false
+      in
+      let consumer = Cin.Forall (vj, Cin.assign (Cin.access a [ vi; vj ]) (acc w [ vj ])) in
+      (sum_of ops |> I.assign a [ vi; vj ], Schedule.of_stmt (Cin.Forall (vi, Cin.Where (consumer, producer))), ops)
+  | _ ->
+      let bm = Tensor_var.make "B" ~order:3 ~format:(F.csf 3) in
+      let cm = Tensor_var.make "C" ~order:2 ~format:F.csr in
+      let dm = Tensor_var.make "D" ~order:2 ~format:F.csr in
+      let stmt =
+        I.assign a [ vi; vj ]
+          (I.sum vk
+             (I.sum vl (I.Mul (I.Mul (I.access bm [ vi; vk; vl ], I.access cm [ vl; vj ]), I.access dm [ vk; vj ]))))
+      in
+      let sched = get "concretize" (Schedule.of_index_notation stmt) in
+      let sched = get "reorder" (Schedule.reorder vj vk sched) in
+      let sched = get "reorder" (Schedule.reorder vj vl sched) in
+      let w = ws_w () in
+      let e = Cin.Mul (acc bm [ vi; vk; vl ], acc cm [ vl; vj ]) in
+      let sched = get "precompute" (Schedule.precompute_simple ~expr:e ~over:[ vj ] ~workspace:w sched) in
+      let e2 = Cin.Mul (acc w [ vj ], acc dm [ vk; vj ]) in
+      (stmt, get "precompute" (Schedule.precompute_simple ~expr:e2 ~over:[ vj ] ~workspace:(ws_w ~name:"v" ()) sched), [ bm; cm; dm ])
+
+let ws_templates = Array.init 3 ws_template
+
+(* Kernels per (template, sorted, parallel, backend), built once; [None]
+   where the row loop refuses to run in parallel (sparse-output MTTKRP's
+   iterates B's positions). *)
+let ws_cache : (string, Taco.compiled option) Hashtbl.t = Hashtbl.create 32
+
+let ws_compiled t ~sorted ~parallel backend =
+  let key =
+    Printf.sprintf "%d|%b|%b|%s" t sorted parallel
+      (match backend with `Closure -> "closure" | `Native -> "native")
+  in
+  match Hashtbl.find_opt ws_cache key with
+  | Some c -> c
+  | None -> (
+      let _, sched, _ = ws_templates.(t) in
+      let sched =
+        if not parallel then sched
+        else
+          match Taco.parallelize vi sched with
+          | Ok s -> s
+          | Error d -> failf "workspace leg: parallelize failed on %s: %s" key (Diag.to_string d)
+      in
+      match
+        Taco.compile ~name:"fuzz_ws" ~mode:(Lower.Assemble { emit_values = true; sorted }) ~backend
+          sched
+      with
+      | Ok c ->
+          Hashtbl.add ws_cache key (Some c);
+          Some c
+      | Error d when parallel && d.Diag.code = "E_PAR_ILLEGAL" ->
+          Hashtbl.add ws_cache key None;
+          None
+      | Error d -> failf "workspace leg: compile failed on %s: %s" key (Diag.to_string d))
+
+let run_ws (t, width, rows, k, l, seed) =
+  let t = t mod Array.length ws_templates in
+  let n = ws_widths.(width mod Array.length ws_widths) in
+  let prng = Prng.create seed in
+  let stmt, _, vars = ws_templates.(t) in
+  let inputs =
+    match (t, vars) with
+    | 0, [ bm; cm ] ->
+        [ (bm, Helpers.random_tensor seed [| rows; k |] 0.5 F.csr); (cm, ws_matrix prng k n F.csr) ]
+    | 1, ops -> List.map (fun tv -> (tv, ws_matrix prng rows n F.csr)) ops
+    | _, [ bm; cm; dm ] ->
+        [
+          (bm, Helpers.random_tensor seed [| rows; k; l |] 0.4 (F.csf 3));
+          (cm, ws_matrix prng l n F.csr);
+          (dm, ws_matrix prng k n F.csr);
+        ]
+    | _ -> assert false
+  in
+  let what = Printf.sprintf "template %d, width %d" t n in
+  let run ?(domains = 1) ~sorted ~parallel backend =
+    Option.map
+      (fun c ->
+        match Taco.run ~domains c ~inputs with
+        | Ok r ->
+            assert_tensor_valid what r;
+            (Taco.backend_of c, r)
+        | Error d -> failf "workspace leg: %s failed: %s" what (Diag.to_string d))
+      (ws_compiled t ~sorted ~parallel backend)
+  in
+  let reference =
+    match run ~sorted:true ~parallel:false `Closure with
+    | Some (_, r) -> r
+    | None -> failf "workspace leg: no sequential kernel (%s)" what
+  in
+  let plain =
+    match Concretize.run stmt with Ok s -> s | Error e -> failf "workspace leg: concretize: %s" e
+  in
+  (match Cin_eval.eval1 plain ~inputs:(List.map (fun (tv, x) -> (tv, T.to_dense x)) inputs) with
+  | Ok d ->
+      if not (D.equal ~eps:1e-9 d (T.to_dense reference)) then
+        failf "workspace leg: MISMATCH vs the reference interpreter (%s)" what
+  | Error e -> failf "workspace leg: reference interpreter failed: %s" e);
+  let same who =
+    Option.iter (fun (_, r) ->
+        if not (T.bit_identical reference r) then
+          failf "workspace leg: %s changed the result (%s)" who what)
+  in
+  List.iter
+    (fun sorted ->
+      let mode = if sorted then "sorted" else "unsorted" in
+      if not sorted then same "unsorted assembly" (run ~sorted ~parallel:false `Closure);
+      same (mode ^ " closures over 3 chunks") (run ~domains:3 ~sorted ~parallel:true `Closure);
+      if Taco_exec.Native.available () then
+        List.iter
+          (fun parallel ->
+            let r = run ~sorted ~parallel `Native in
+            if Option.map fst r = Some `Native then incr ws_native_ran;
+            same (Printf.sprintf "the %s%s native kernel" mode (if parallel then " parallel" else "")) r)
+          [ false; true ])
+    [ true; false ];
+  incr ws_ran
+
+(* ------------------------------------------------------------------ *)
 (* Cache-key soundness leg: every cache on [Support.Memo] — compile,   *)
 (* plan, ops, graph and the service's front cache — serves seeded      *)
 (* requests whose keys may collide. A request repeated against the     *)
@@ -1380,6 +1556,22 @@ let run_reader ((mtx, _) as sc) =
       let dt = Unix.gettimeofday () -. t0 in
       if dt > reader_time_bound then fail "took %.2f s" dt)
 
+let test_ws_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:"workspace kernels, sorted and unsorted, at bitmap boundaries"
+       (QCheck.make
+          ~print:(fun (t, width, rows, k, l, seed) ->
+            Printf.sprintf "{template=%d; width=%d; rows=%d; k=%d; l=%d; seed=%d}" t width rows k l seed)
+          QCheck.Gen.(
+            let* t = int_bound 2 and* width = int_bound 11 in
+            let* rows = int_range 1 4 and* k = int_range 1 5 and* l = int_range 1 4 in
+            let* seed = int_bound 100_000 in
+            return (t, width, rows, k, l, seed)))
+       (fun sc ->
+         match run_ws sc with
+         | () -> true
+         | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 let test_reader_fuzz =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name:".mtx/.tns readers on mutated files"
@@ -1400,11 +1592,15 @@ let test_coverage () =
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
      semiring leg: %d ran, %d native; tier leg: %d ran; batch leg: %d ran, %d native; \
-     cache-key leg: %d ran; profile leg: %d native runs; reader leg: %d packed, %d \
-     refused\n%!"
+     workspace leg: %d ran, %d native runs; cache-key leg: %d ran; profile leg: %d native \
+     runs; reader leg: %d packed, %d refused\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !key_ran !prof_native_ran !reader_ran
-    !reader_rejected;
+    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !ws_ran !ws_native_ran !key_ran
+    !prof_native_ran !reader_ran !reader_rejected;
+  Alcotest.(check bool)
+    (Printf.sprintf "workspace leg ran natively when a C compiler exists (%d)" !ws_native_ran)
+    true
+    (!ws_ran > 0 && ((not (Taco_exec.Native.available ())) || !ws_native_ran > 0));
   Alcotest.(check bool)
     (Printf.sprintf "batch leg ran natively when a C compiler exists (%d)" !batch_native_ran)
     true
@@ -1445,6 +1641,7 @@ let () =
           test_semiring_fuzz;
           test_tier_fuzz;
           test_batch_fuzz;
+          test_ws_fuzz;
           test_key_fuzz;
           test_reader_fuzz;
           Alcotest.test_case "coverage" `Quick test_coverage;

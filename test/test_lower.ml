@@ -235,7 +235,10 @@ let test_workspace_memset_inside () =
   Alcotest.(check bool) "w memset inside the k loop" true (w_memset_at > k_at)
 
 let test_assembly_kernel_structure () =
-  (* Fig 8: guard array, coordinate list, sort, realloc doubling. *)
+  (* Fig 8's assembly with realloc doubling. Sorted, the workspace's
+     coordinates go into an occupancy bitmap whose drain visits them in
+     ascending order: no guard, no list, no sort. Unsorted keeps the
+     paper's guard array and coordinate list. *)
   let s =
     Cin.forall vi
       (Cin.where
@@ -244,16 +247,29 @@ let test_assembly_kernel_structure () =
            (Cin.foralls [ vk; vj ]
               (Cin.accumulate (acc w [ vj ]) (Cin.Mul (av b [ vi; vk ], av c [ vk; vj ])))))
   in
-  let src = csource ~mode:(Lower.Assemble { emit_values = true; sorted = true }) s in
-  check_contains src
-    [
-      "if (!(w_seen[j]))";
-      "w_list[w_list_size] = j;";
-      "qsort(w_list";
-      "A2_crd_capacity = (A2_crd_capacity * 2);";
-      "A2_crd = realloc(";
-      "A2_pos[(i + 1)] = pA2;";
-    ]
+  let src sorted = csource ~mode:(Lower.Assemble { emit_values = true; sorted }) s in
+  let growth =
+    [ "A2_crd_capacity = (A2_crd_capacity * 2);"; "A2_crd = realloc("; "A2_pos[(i + 1)] = pA2;" ]
+  in
+  check_contains (src true)
+    ([
+       "w_set[j >> 6] |= (uint64_t)1 << (j & 63);";
+       "w_set[w_set_words + (j >> 12)] |= (uint64_t)1 << ((j >> 6) & 63);";
+       "for (int32_t w_set_s = w_set_lo; w_set_s < w_set_hi; w_set_s++) {";
+       "int32_t j = (w_set_wi << 6) | __builtin_ctzll(w_set_ww);";
+       "w_set[w_set_wi] = 0;";
+     ]
+    @ growth);
+  List.iter
+    (fun absent ->
+      Alcotest.(check bool) ("sorted: no " ^ absent) false (contains (src true) absent))
+    [ "sort"; "w_seen"; "w_list" ];
+  check_contains (src false)
+    ([ "if (!(w_seen[j]))"; "w_list[w_list_size] = j;"; "int32_t j = w_list[pw_list];" ] @ growth);
+  List.iter
+    (fun absent ->
+      Alcotest.(check bool) ("unsorted: no " ^ absent) false (contains (src false) absent))
+    [ "sort"; "w_set" ]
 
 let test_assembly_only_kernel () =
   (* emit_values:false must not touch A_vals. *)
@@ -424,11 +440,12 @@ let count_exprs p (k : Imp.kernel) =
   in
   let rec s acc = function
     | Imp.Decl (_, _, x) | Imp.Assign (_, x) | Imp.Alloc (_, _, x) | Imp.Realloc (_, x)
-    | Imp.Memset (_, x) ->
+    | Imp.Memset (_, x) | Imp.Set_alloc (_, x) | Imp.Set_insert (_, x) ->
         e acc x
     | Imp.Store (_, i, x) | Imp.Store_add (_, i, x) | Imp.Store_reduce (_, _, i, x)
-    | Imp.Fill (_, i, x) | Imp.Sort (_, i, x) ->
+    | Imp.Fill (_, i, x) ->
         e (e acc i) x
+    | Imp.Set_drain (_, _, b) -> List.fold_left s acc b
     | Imp.For (_, lo, hi, b) | Imp.ParallelFor (_, lo, hi, b, _) ->
         List.fold_left s (e (e acc lo) hi) b
     | Imp.While (c, b) -> List.fold_left s (e acc c) b

@@ -425,8 +425,9 @@ let rec count_growth stmts =
       n
       +
       match s with
-      | Imp.Alloc _ | Imp.Realloc _ -> 1
-      | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) -> count_growth b
+      | Imp.Alloc _ | Imp.Set_alloc _ | Imp.Realloc _ -> 1
+      | Imp.For (_, _, _, b) | Imp.ParallelFor (_, _, _, b, _) | Imp.While (_, b) | Imp.Set_drain (_, _, b) ->
+          count_growth b
       | Imp.If (_, t, e) -> count_growth t + count_growth e
       | _ -> 0)
     0 stmts
@@ -441,8 +442,8 @@ let count_occurrences haystack needle =
   go 0 0
 
 (* Exec C reaches libc only through the table: no allocator, string or
-   time header, no inlined calloc/realloc/qsort, and one table call per
-   Alloc/Realloc statement. *)
+   time header, no inlined calloc/realloc, no sort, and one table call
+   per Alloc/Set_alloc/Realloc statement. *)
 let test_exec_c_uses_table () =
   List.iter
     (fun (name, k) ->
@@ -450,13 +451,13 @@ let test_exec_c_uses_table () =
       List.iter
         (fun banned ->
           if contains src banned then Alcotest.failf "%s: exec C contains %S" name banned)
-        [ "stdlib.h"; "string.h"; "time.h"; "calloc("; "realloc("; "qsort(" ];
+        [ "stdlib.h"; "string.h"; "time.h"; "calloc("; "realloc("; "sort" ];
       String.split_on_char '\n' src
       |> List.iter (fun l ->
              if String.starts_with ~prefix:"#include" (String.trim l) then
                Alcotest.failf "%s: exec C includes a header: %s" name l);
       Alcotest.(check int)
-        (name ^ ": one table call per Alloc/Realloc")
+        (name ^ ": one table call per Alloc/Set_alloc/Realloc")
         (count_growth k.Imp.k_body)
         (count_occurrences src "taco_rt->alloc(" + count_occurrences src "taco_rt->grow("))
     (contract_kernels ())
@@ -682,8 +683,8 @@ let test_native_deadline () =
     [ ("spgemm_deadline", false); ("spgemm_deadline_par", true) ]
 
 (* SpGEMM rows whose workspace fills in reverse column order with 0, 1,
-   16, 17 and 400 entries: the table's sort on both sides of its
-   insertion-sort cutoff, bit-identical to the closure executor. *)
+   16, 17 and 400 entries come out in ascending order, bit-identical to
+   the closure executor. *)
 let test_sort_rows ?semiring ~parallel ~name () =
   let b, c, sched = spgemm_sched ~parallel in
   let counts = [| 0; 1; 16; 17; 400 |] and n = 400 in
@@ -723,87 +724,169 @@ let spanning prng ~lo ~span k =
   Prng.shuffle prng a;
   a
 
-(* A hand-built kernel holding one Imp.Sort of the slice a[lo, hi). *)
-let sort_kernel =
-  let param ?(array = false) p_name =
-    { Imp.p_name; p_dtype = Imp.Int; p_array = array; p_output = array }
+(* Bitmap-drain edge cases: workspace SpGEMM results [n] columns wide,
+   for n on both sides of a 64-coordinate word (63, 64, 65) and of a
+   4096-coordinate summary word (4095, 4096, 4097), and 1 and 40000.
+   C stacks two permutations of the n columns, so each row of B picks
+   its result columns, each the sum of two products. Rows: empty ones
+   (first, middle, last), one per word or summary boundary holding that
+   coordinate alone, one holding all of them, and one holding every
+   coordinate. The sequential closures list each row's columns in
+   ascending order; the closures chunked three ways, tier 0 and tier 1
+   of the sequential and the parallelized kernel match them bit for
+   bit, under plus-times and min-plus. *)
+let test_drain_edges () =
+  let prng = Prng.create 4097 in
+  let widths = [ 1; 63; 64; 65; 4095; 4096; 4097; 40_000 ] in
+  let rows_of n =
+    let bounds =
+      List.sort_uniq compare
+        (List.filter
+           (fun j -> j >= 0 && j < n)
+           [ 0; 1; 62; 63; 64; 65; 127; 128; 4031; 4032; 4095; 4096; 4097; 8191; 8192; n - 2; n - 1 ])
+    in
+    ([ [] ] @ List.map (fun j -> [ j ]) bounds @ [ []; bounds; List.init n Fun.id; [] ])
+    |> List.map Array.of_list |> Array.of_list
   in
-  {
-    Imp.k_name = "sort_slice";
-    k_params = [ param ~array:true "a"; param "lo"; param "hi" ];
-    k_body = [ Imp.Sort ("a", Imp.Var "lo", Imp.Var "hi") ];
-  }
-
-(* Slices on both sides of every cutoff of the table's sort: 16 and 17
-   elements (insertion sort), a value range of at most 64 per element
-   and at most 32768 values (the bitmap), a repeated value inside that
-   range (the bitmap hands the slice to the introsort), and ranges just
-   past either bound. *)
-let sort_slices () =
-  let prng = Prng.create 23 in
-  let i32_min = Int32.(to_int min_int) and i32_max = Int32.(to_int max_int) in
-  let with_repeat a =
-    a.(Array.length a - 1) <- a.(0);
-    a
+  let tensors n =
+    let perm () =
+      let p = Array.init n Fun.id in
+      Prng.shuffle prng p;
+      let inv = Array.make n 0 in
+      Array.iteri (fun k j -> inv.(j) <- k) p;
+      (p, inv)
+    in
+    let p1, inv1 = perm () and p2, inv2 = perm () in
+    let value _ = 0.5 +. Prng.float prng in
+    let rows = rows_of n in
+    let ks cols =
+      let k = Array.concat [ Array.map (fun j -> inv1.(j)) cols; Array.map (fun j -> n + inv2.(j)) cols ] in
+      Array.sort compare k;
+      k
+    in
+    let crd = Array.concat (Array.to_list (Array.map ks rows)) in
+    let pos = Array.make (Array.length rows + 1) 0 in
+    Array.iteri (fun r cols -> pos.(r + 1) <- pos.(r) + (2 * Array.length cols)) rows;
+    let ccrd = Array.append p1 p2 in
+    ( rows,
+      T.of_csr ~rows:(Array.length rows) ~cols:(2 * n) (Ivec.of_array pos) (Ivec.of_array crd)
+        (Array.map value crd),
+      T.of_csr ~rows:(2 * n) ~cols:n
+        (Ivec.of_array (Array.init ((2 * n) + 1) Fun.id))
+        (Ivec.of_array ccrd) (Array.map value ccrd) )
   in
-  [
-    ("length 0", [||]);
-    ("length 1", [| 42 |]);
-    ("length 16", spanning prng ~lo:(-3) ~span:40 16);
-    ("length 17", spanning prng ~lo:(-3) ~span:40 17);
-    ("duplicates", Array.init 40 (fun _ -> Prng.int prng 20));
-    ("one repeat, last", with_repeat (spanning prng ~lo:100 ~span:500 60));
-    ("all equal", Array.make 30 7);
-    ("negative", spanning prng ~lo:(-5000) ~span:1000 200);
-    ("int32 extremes", spanning prng ~lo:i32_min ~span:(i32_max - i32_min + 1) 40);
-    ("next to int32 min", spanning prng ~lo:i32_min ~span:100 50);
-    ("next to int32 max", spanning prng ~lo:(i32_max - 99) ~span:100 50);
-    ("ascending", Array.init 100 (fun i -> 3 * i));
-    ("descending", Array.init 100 (fun i -> 300 - (3 * i)));
-    ("range at the 32768 cap", spanning prng ~lo:(-1000) ~span:32768 600);
-    ("range one past the cap", spanning prng ~lo:(-1000) ~span:32769 600);
-    ("range at 64n", spanning prng ~lo:0 ~span:(64 * 20) 20);
-    ("range above 64n", spanning prng ~lo:0 ~span:((64 * 20) + 1) 20);
-  ]
+  List.iter
+    (fun (sr_name, semiring) ->
+      let build parallel =
+        let b, c, sched = spgemm_sched ~parallel in
+        let name tag = Printf.sprintf "drain_%s%s_%s" sr_name (if parallel then "_par" else "") tag in
+        let compile_as tag backend = getd (compile ~name:(name tag) ~semiring ~backend sched) in
+        let t1 = compile_as "t1" `Native in
+        Kernel.promote (Taco.kernel t1);
+        ((b, c), compile_as "cl" `Closure, compile_as "t0" `Native, t1)
+      in
+      let seq_vars, seq_cl, seq_t0, seq_t1 = build false in
+      let par_vars, par_cl, par_t0, par_t1 = build true in
+      List.iter
+        (fun (tier, c) ->
+          Alcotest.(check (option int)) "native tier" (Some tier) (Kernel.native_tier (Taco.kernel c)))
+        [ (0, seq_t0); (1, seq_t1); (0, par_t0); (1, par_t1) ];
+      List.iter
+        (fun n ->
+          let rows, tb, tc = tensors n in
+          let bind (b, c) = [ (b, tb); (c, tc) ] in
+          let seq_inputs = bind seq_vars and par_inputs = bind par_vars in
+          let reference = getd (run seq_cl ~inputs:seq_inputs) in
+          (match T.level_data reference 1 with
+          | T.Compressed_data { pos; crd } ->
+              Array.iteri
+                (fun r cols ->
+                  Alcotest.(check (array int))
+                    (Printf.sprintf "%s n=%d row %d columns" sr_name n r)
+                    cols
+                    (Ivec.to_array (Ivec.sub crd (Ivec.get pos r) (Ivec.get pos (r + 1) - Ivec.get pos r))))
+                rows
+          | T.Dense_data _ -> Alcotest.fail "expected a compressed level");
+          List.iter
+            (fun (who, result) ->
+              if not (T.bit_identical reference (getd result)) then
+                Alcotest.failf "%s n=%d: %s diverges from the sequential closures" sr_name n who)
+            [
+              ("tier 0", run seq_t0 ~inputs:seq_inputs);
+              ("tier 1", run seq_t1 ~inputs:seq_inputs);
+              ("parallel closures, 1 chunk", run par_cl ~inputs:par_inputs);
+              ("parallel closures, 3 chunks", run ~domains:3 par_cl ~inputs:par_inputs);
+              ("parallel tier 0", run par_t0 ~inputs:par_inputs);
+              ("parallel tier 1", run par_t1 ~inputs:par_inputs);
+            ])
+        widths)
+    [ ("plus_times", Semiring.plus_times); ("min_plus", Semiring.min_plus) ]
 
-(* Each slice, between elements it must not touch, sorted on the
-   closures, at native tier 0 and at tier 1: all equal to the stdlib
-   sort. *)
-let test_sort_slices () =
+(* A coordinate set is charged Imp.set_elems elements against the
+   budget on every executor: at a limit of exactly that many 8-byte
+   elements the kernel runs, one byte below it the closures, tier 0 and
+   tier 1 all refuse it with the same E_EXEC_MEM bytes. *)
+let test_budget_set () =
+  let kernel =
+    {
+      Imp.k_name = "set_budget";
+      k_params =
+        [
+          { Imp.p_name = "n"; p_dtype = Imp.Int; p_array = false; p_output = false };
+          { Imp.p_name = "out"; p_dtype = Imp.Int; p_array = true; p_output = true };
+        ];
+      k_body =
+        [
+          Imp.Set_alloc ("s", Imp.Var "n");
+          Imp.Set_insert ("s", Imp.Binop (Imp.Sub, Imp.Var "n", Imp.Int_lit 1));
+          Imp.Set_drain ("s", "j", [ Imp.Store ("out", Imp.Int_lit 0, Imp.Var "j") ]);
+        ];
+    }
+  in
   let native tier =
-    let c = Compile.compile ~cache:false ~backend:`Native sort_kernel in
+    let c = Compile.compile ~cache:false ~backend:`Native kernel in
     if tier = 1 then Compile.promote c;
     Alcotest.(check (option int)) "native tier" (Some tier) (Compile.native_tier c);
     (Printf.sprintf "tier %d" tier, c)
   in
   let runners =
-    [ ("closures", Compile.compile ~cache:false ~backend:`Closure sort_kernel); native 0; native 1 ]
+    [ ("closures", Compile.compile ~cache:false ~backend:`Closure kernel); native 0; native 1 ]
   in
-  let before = [| 9; -9 |] and after = [| -7; 7 |] in
   List.iter
-    (fun (what, slice) ->
-      let sorted = Array.copy slice in
-      Array.sort compare sorted;
-      let expected = Array.concat [ before; sorted; after ] in
+    (fun n ->
+      let elems = Imp.set_elems n in
       List.iter
-        (fun (who, c) ->
-          let a = Ivec.of_array (Array.concat [ before; slice; after ]) in
-          let hi = Array.length before + Array.length slice in
-          let (_ : string -> Compile.arg) =
-            Compile.run c
-              ~args:[ ("a", Compile.Aint_array a); ("lo", Compile.Aint 2); ("hi", Compile.Aint hi) ]
-          in
-          Alcotest.(check (array int)) (Printf.sprintf "%s on %s" what who) expected (Ivec.to_array a))
-        runners)
-    (sort_slices ())
+        (fun (limit, ok) ->
+          List.iter
+            (fun (who, c) ->
+              let what = Printf.sprintf "n=%d, limit %d, %s" n limit who in
+              let out = Ivec.create 1 in
+              let outcome =
+                Fun.protect
+                  ~finally:(fun () -> Budget.set_mem_limit 0)
+                  (fun () ->
+                    Budget.set_mem_limit limit;
+                    match
+                      Compile.run c ~args:[ ("n", Compile.Aint n); ("out", Compile.Aint_array out) ]
+                    with
+                    | (_ : string -> Compile.arg) -> Ok (Ivec.get out 0)
+                    | exception Diag.Error d ->
+                        Error (d.Diag.code, List.assoc_opt "bytes" d.Diag.context))
+              in
+              Alcotest.(check (result int (pair string (option string))))
+                what
+                (if ok then Ok (n - 1) else Error ("E_EXEC_MEM", Some (string_of_int (8 * elems))))
+                outcome)
+            runners)
+        [ ((8 * elems) - 1, false); (8 * elems, true) ])
+    [ 1; 64; 4097; 40_000 ]
 
 (* A workspace SpGEMM whose result is 40000 columns wide. C is a
    permutation matrix, so each row of B picks its result columns and
-   the workspace list reaches the sort in a shuffled order: an empty
-   row, a row of 12 (insertion sort), rows spanning more than 32768
-   columns (introsort), a row spanning more than 64 columns per entry
-   (introsort), and bounded rows including one at the 32768 cap
-   (bitmap). Closures, tier 0 and tier 1 agree bit for bit. *)
+   fills the workspace in a shuffled order: an empty row, a hypersparse
+   row of 12, rows spanning the whole width, one spanning more than 64
+   columns per entry, and bounded rows. Closures, tier 0 and tier 1
+   agree bit for bit. *)
 let test_wide_spgemm () =
   let b, c, sched = spgemm_sched ~parallel:false in
   let prng = Prng.create 40_000 in
@@ -1418,7 +1501,8 @@ let () =
           cc_case "sorted rows, min-plus"
             (test_sort_rows ~semiring:Semiring.min_plus ~parallel:false
                ~name:"spgemm_sort_minplus");
-          cc_case "Imp.Sort edge cases, closures vs tier 0 vs tier 1" test_sort_slices;
+          cc_case "bitmap drain edges, closures vs tiers vs parallel" test_drain_edges;
+          cc_case "E_EXEC_MEM at a coordinate set, closures vs tiers" test_budget_set;
           cc_case "wide hypersparse SpGEMM, closures vs tier 0 vs tier 1" test_wide_spgemm;
         ] );
       ( "cache",

@@ -389,6 +389,22 @@ let test_gen_density () =
   let t = Gen.random_density prng ~dims:[| 50; 50 |] ~density:0.02 F.csr in
   Alcotest.(check int) "density 2% of 2500" 50 (T.stored t)
 
+(* Density 0 (or below) is an empty tensor; a positive density too
+   small for one entry keeps the floor of one. *)
+let test_gen_density_zero () =
+  let prng = Prng.create 10 in
+  List.iter
+    (fun (density, dims, fmt, want) ->
+      let t = Gen.random_density prng ~dims ~density fmt in
+      Alcotest.(check int) (Printf.sprintf "density %g, order %d" density (Array.length dims))
+        want (T.stored t))
+    [
+      (0., [| 40; 30 |], F.csr, 0);
+      (-0.5, [| 40; 30 |], F.csr, 0);
+      (0., [| 6; 5; 4 |], F.csf 3, 0);
+      (1e-9, [| 40; 30 |], F.csr, 1);
+    ]
+
 let test_gen_overflow_dims () =
   (* Component count overflows 63-bit ints; falls back to rejection. *)
   let prng = Prng.create 9 in
@@ -528,6 +544,7 @@ let () =
         [
           Alcotest.test_case "exact nnz" `Quick test_gen_exact_nnz;
           Alcotest.test_case "density target" `Quick test_gen_density;
+          Alcotest.test_case "density zero is empty" `Quick test_gen_density_zero;
           Alcotest.test_case "overflowing dims" `Quick test_gen_overflow_dims;
           Alcotest.test_case "table I entries" `Quick test_suite_matrices;
           Alcotest.test_case "table I generation" `Quick test_suite_generate;
