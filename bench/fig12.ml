@@ -14,11 +14,10 @@ module K = Taco_kernels
 
 let factor_rank = 16
 
-let left ?(domains = 1) ?json ~seed ~scale ~reps () =
+let left ?json ~seed ~scale ~reps () =
   Harness.header "Fig. 12 (left): MTTKRP, dense output";
-  Printf.printf
-    "(FROSTT stand-ins at extra scale 1/%d, J = %d, %d domain(s); normalized to taco)\n\n"
-    scale factor_rank domains;
+  Printf.printf "(FROSTT stand-ins at extra scale 1/%d, J = %d; normalized to taco)\n\n" scale
+    factor_rank;
   let taco_kernel, tb, tc, td = Harness.mttkrp_kernel ~use_workspace:false in
   let ws_kernel, _, _, _ = Harness.mttkrp_kernel ~use_workspace:true in
   let splatt = Kernel.prepare K.Mttkrp.splatt_like in
@@ -31,18 +30,17 @@ let left ?(domains = 1) ?json ~seed ~scale ~reps () =
         let c = Inputs.dense_factor ~seed:(seed + 1) ~rows:dims.(2) ~cols:factor_rank in
         let d = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
         let out_dims = [| dims.(0); factor_rank |] in
-        let run kern split inputs () =
-          if domains = 1 then Kernel.run_dense kern ~inputs ~dims:out_dims
-          else Taco_exec.Parallel.run_dense kern ~inputs ~dims:out_dims ~split ~domains
+        let variant name kern inputs =
+          let run () = Kernel.run_dense kern ~inputs ~dims:out_dims in
+          (name, run, run)
         in
         let rs =
           Harness.medians ~reps ~workload:entry.Suite.t_name ~equal:Harness.close_to
             [
-              ("taco", run taco_kernel tb [ (tb, bt); (tc, c); (td, d) ]);
-              ("workspace", run ws_kernel tb [ (tb, bt); (tc, c); (td, d) ]);
-              ( "splatt_like",
-                run splatt K.Mttkrp.b_var
-                  [ (K.Mttkrp.b_var, bt); (K.Mttkrp.c_var, c); (K.Mttkrp.d_var, d) ] );
+              variant "taco" taco_kernel [ (tb, bt); (tc, c); (td, d) ];
+              variant "workspace" ws_kernel [ (tb, bt); (tc, c); (td, d) ];
+              variant "splatt_like" splatt
+                [ (K.Mttkrp.b_var, bt); (K.Mttkrp.c_var, c); (K.Mttkrp.d_var, d) ];
             ]
         in
         let t = Harness.time_of rs in
@@ -62,7 +60,6 @@ let left ?(domains = 1) ?json ~seed ~scale ~reps () =
         ("seed", Report.Int seed);
         ("scale", Report.Int scale);
         ("reps", Report.Int reps);
-        ("domains", Report.Int domains);
       ]
     records
 
@@ -88,13 +85,10 @@ let right ?json ~seed ~scale ~reps () =
         let cd = Inputs.dense_factor ~seed:(seed + 1) ~rows:dims.(2) ~cols:factor_rank in
         let dd = Inputs.dense_factor ~seed:(seed + 2) ~rows:dims.(1) ~cols:factor_rank in
         let dense =
-          Harness.medians ~reps ~workload:name ~equal:Harness.close_to
-            [
-              ( "dense",
-                fun () ->
-                  Kernel.run_dense dense_kernel ~inputs:[ (tb, bt); (tc, cd); (td, dd) ]
-                    ~dims:out_dims );
-            ]
+          let run () =
+            Kernel.run_dense dense_kernel ~inputs:[ (tb, bt); (tc, cd); (td, dd) ] ~dims:out_dims
+          in
+          Harness.medians ~reps ~workload:name ~equal:Harness.close_to [ ("dense", run, run) ]
         in
         let t_dense = Harness.time_of dense "dense" in
         let sparse =
@@ -106,17 +100,15 @@ let right ?json ~seed ~scale ~reps () =
               let d =
                 Inputs.sparse_factor ~seed:(seed + 4) ~rows:dims.(1) ~cols:factor_rank ~density
               in
+              let run () =
+                Kernel.run_assemble sparse_kernel ~inputs:[ (sb, bt); (sc, c); (sd, d) ]
+                  ~dims:out_dims
+              in
               Harness.medians ~reps
                 ~workload:(Printf.sprintf "%s@%g" name density)
                 ~equal:Harness.close_to
                 ~info:(fun _ -> [ ("operand_density", Report.Float density) ])
-                [
-                  ( "sparse",
-                    fun () ->
-                      Kernel.run_assemble sparse_kernel
-                        ~inputs:[ (sb, bt); (sc, c); (sd, d) ]
-                        ~dims:out_dims );
-                ])
+                [ ("sparse", run, run) ])
             densities
         in
         let rels = List.map (fun r -> r.Harness.time_s /. t_dense) sparse in

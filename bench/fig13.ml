@@ -59,13 +59,16 @@ let run ?json ~seed ~dim ~reps () =
           Harness.medians ~reps
             ~workload:(Printf.sprintf "%d_additions" n)
             ~equal:Harness.close_to
-            [
-              ("taco_binop", fun () -> pairwise_chain pair bv cv ops dims);
-              ("taco", fun () -> Kernel.run_assemble merge_kernel ~inputs:bindings ~dims);
-              ("workspace", fun () -> Kernel.run_assemble ws_kernel ~inputs:bindings ~dims);
-              ("eigen_like", fun () -> pairwise_chain eigen K.Spadd.b_var K.Spadd.c_var ops dims);
-              ("mkl_like", fun () -> pairwise_chain mkl K.Spadd.b_var K.Spadd.c_var ops dims);
-            ]
+            (List.map
+               (fun (name, run) -> (name, run, run))
+               [
+                 ("taco_binop", fun () -> pairwise_chain pair bv cv ops dims);
+                 ("taco", fun () -> Kernel.run_assemble merge_kernel ~inputs:bindings ~dims);
+                 ("workspace", fun () -> Kernel.run_assemble ws_kernel ~inputs:bindings ~dims);
+                 ( "eigen_like",
+                   fun () -> pairwise_chain eigen K.Spadd.b_var K.Spadd.c_var ops dims );
+                 ("mkl_like", fun () -> pairwise_chain mkl K.Spadd.b_var K.Spadd.c_var ops dims);
+               ])
         in
         Harness.row "%-4d | %s" n
           (String.concat " " (List.map (fun r -> Printf.sprintf "%10.3f" r.Harness.time_s) rs));

@@ -256,13 +256,15 @@ let gc_info m =
 (* Median wall-clock seconds of [reps] runs. *)
 let time_median ~reps f = (measure ~reps f).m_median_s
 
-(* One workload's variants by [measure], each result checked against
-   the first variant's; [info] adds per-variant extras. *)
+(* One workload's variants by [measure]. Each variant is (name, result,
+   run), as in [best_of_batches]: [result] is checked against the first
+   variant's, [run] is what the clock times (often [result] itself);
+   [info] adds per-variant extras. *)
 let medians ~reps ~workload ~equal ?(info = fun _ -> []) variants =
-  let agrees = agreement ~equal (List.map snd variants) in
+  let agrees = agreement ~equal (List.map (fun (_, result, _) -> result) variants) in
   List.map2
-    (fun (variant, f) agrees ->
-      let m = measure ~reps (fun () -> ignore (f ())) in
+    (fun (variant, _, run) agrees ->
+      let m = measure ~reps run in
       {
         workload;
         variant;

@@ -50,18 +50,10 @@ let fig11_cmd =
   Cmd.v (Cmd.info "fig11" ~doc:"SpGEMM vs Eigen-like and MKL-like baselines.")
     Term.(const run $ seed_arg $ scale_arg $ reps_arg $ json_arg)
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ]
-        ~doc:"Run the MTTKRP variants data-parallel over this many OCaml domains.")
-
 let fig12left_cmd =
-  let run seed tensor_scale reps domains json =
-    Fig12.left ~domains ?json ~seed ~scale:tensor_scale ~reps ()
-  in
+  let run seed tensor_scale reps json = Fig12.left ?json ~seed ~scale:tensor_scale ~reps () in
   Cmd.v (Cmd.info "fig12left" ~doc:"MTTKRP with dense output vs SPLATT-like baseline.")
-    Term.(const run $ seed_arg $ tensor_scale_arg $ reps_arg $ domains_arg $ json_arg)
+    Term.(const run $ seed_arg $ tensor_scale_arg $ reps_arg $ json_arg)
 
 let fig12right_cmd =
   let run seed tensor_scale reps json = Fig12.right ?json ~seed ~scale:tensor_scale ~reps () in

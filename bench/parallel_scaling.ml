@@ -84,7 +84,9 @@ let sweep ~reps ~domain_counts name compiled inputs =
   let records =
     Harness.medians ~reps ~workload:name ~equal:Tensor.bit_identical
       (List.map
-         (fun k -> (Printf.sprintf "%d_domains" k, fun () -> getd (run ~domains:k compiled ~inputs)))
+         (fun k ->
+           let run () = getd (run ~domains:k compiled ~inputs) in
+           (Printf.sprintf "%d_domains" k, run, run))
          domain_counts)
   in
   let seq_s = (List.hd records).Harness.time_s in

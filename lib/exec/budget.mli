@@ -1,12 +1,12 @@
 (** Process-wide budget of extra domains.
 
     OCaml 5 domains are expensive to oversubscribe: the runtime
-    recommends at most {!recommended} of them in total. Every component
-    that spawns domains — the {!Compile} ParallelFor executor,
-    {!Parallel.run_dense}'s clamped path and the {!Taco_service} worker
-    pool — acquires permits here before spawning and releases them
-    after joining, so their combined live count stays bounded even when
-    a serve request itself executes a parallel kernel.
+    recommends at most {!recommended} of them in total. Both components
+    that spawn domains — the {!Compile} ParallelFor executor and the
+    {!Taco_service} worker pool — acquire permits here before spawning
+    and release them after joining, so their combined live count stays
+    bounded even when a serve request itself executes a parallel
+    kernel.
 
     A permit stands for one domain beyond the caller's own. The default
     capacity is [recommended () - 1]. Acquisition is best-effort:

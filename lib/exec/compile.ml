@@ -74,7 +74,6 @@ type compiled = {
          [Profile.profile] slot order *)
   c_requested : backend;  (* what the caller asked for (part of cache validity) *)
   c_native : Native.loaded option;  (* Some when the native build succeeded *)
-  c_downgrade : string option;  (* why a [`Native] request fell back, if it did *)
   slots : (string, slot) Hashtbl.t;
   n_ints : int;
   n_floats : int;
@@ -87,8 +86,6 @@ type compiled = {
 
 (* The executor that will actually run this kernel. *)
 let backend_of c : backend = if c.c_native = None then `Closure else `Native
-
-let downgrade_reason c = c.c_downgrade
 
 let native_phases c = Option.map Native.phases c.c_native
 
@@ -1213,7 +1210,6 @@ let build_closures s =
              else None);
           c_requested = s.s_backend;
           c_native = None;
-          c_downgrade = None;
           slots;
           n_ints = counters.(0);
           n_floats = counters.(1);
@@ -1254,7 +1250,7 @@ let build_all specs =
                 Trace.instant
                   ~args:[ ("kernel", c.c_kernel.Imp.k_name); ("backend_downgrade", reason) ]
                   "exec.backend.downgrade");
-            Ok { c with c_downgrade = Some reason })
+            Ok c)
       natives
       (Native.load
          ~rids:(List.map (fun (s, _, _) -> s.s_rid) natives)

@@ -39,9 +39,9 @@ type extent = Len of int | Len_at of string * int
     [`Native] is a request, not a guarantee: when the compiler is
     missing, the build fails, or the kernel is not expressible under the
     native ABI, compilation silently downgrades to closures. The
-    downgrade is counted in {!backend_stats}, traced as an
-    ["exec.backend.downgrade"] instant, and its reason is kept on the
-    compiled kernel ({!downgrade_reason}) — it is never a client error.
+    downgrade is counted in {!backend_stats} and traced, with its
+    reason, as an ["exec.backend.downgrade"] instant — it is never a
+    client error.
     A [~profile:true] kernel builds natively like any other: the
     counters are ordinary IR ({!Taco_lower.Profile.profile}). The native
     code has no bounds checks; the closures do. *)
@@ -65,9 +65,6 @@ val backend_stats : unit -> backend_stats
 (** The backend that will actually run this kernel ([`Closure] when a
     [`Native] request was downgraded). *)
 val backend_of : compiled -> backend
-
-(** Why a [`Native] request fell back to closures, if it did. *)
-val downgrade_reason : compiled -> string option
 
 (** Build-phase timings (emit / cc / dlopen) of the native entry point
     runs currently call; [None] for closure-backed kernels. *)

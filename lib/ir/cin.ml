@@ -239,19 +239,16 @@ let rec simplify_sr ~zero ~one ~annihilates e =
       | a', b' -> Mul (a', b'))
   | Div (a, b) -> Div (s a, s b)
 
-let rec zero_tensor_raw ~zero tv = function
+let rec zero_tensor_raw tv = function
   | Literal v -> Literal v
-  | Access a -> if Tensor_var.equal a.tensor tv then Literal zero else Access a
-  | Neg e -> Neg (zero_tensor_raw ~zero tv e)
-  | Add (a, b) -> Add (zero_tensor_raw ~zero tv a, zero_tensor_raw ~zero tv b)
-  | Sub (a, b) -> Sub (zero_tensor_raw ~zero tv a, zero_tensor_raw ~zero tv b)
-  | Mul (a, b) -> Mul (zero_tensor_raw ~zero tv a, zero_tensor_raw ~zero tv b)
-  | Div (a, b) -> Div (zero_tensor_raw ~zero tv a, zero_tensor_raw ~zero tv b)
+  | Access a -> if Tensor_var.equal a.tensor tv then Literal 0. else Access a
+  | Neg e -> Neg (zero_tensor_raw tv e)
+  | Add (a, b) -> Add (zero_tensor_raw tv a, zero_tensor_raw tv b)
+  | Sub (a, b) -> Sub (zero_tensor_raw tv a, zero_tensor_raw tv b)
+  | Mul (a, b) -> Mul (zero_tensor_raw tv a, zero_tensor_raw tv b)
+  | Div (a, b) -> Div (zero_tensor_raw tv a, zero_tensor_raw tv b)
 
-let zero_tensor tv e = simplify (zero_tensor_raw ~zero:0. tv e)
-
-let zero_tensor_sr ~zero ~one ~annihilates tv e =
-  simplify_sr ~zero ~one ~annihilates (zero_tensor_raw ~zero tv e)
+let zero_tensor tv e = simplify (zero_tensor_raw tv e)
 
 let rec peel_foralls = function
   | Forall (v, s) ->

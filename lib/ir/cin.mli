@@ -99,11 +99,6 @@ val simplify : expr -> expr
     Performs no constant folding — under min-plus, [3 + 4] is 3. *)
 val simplify_sr : zero:float -> one:float -> annihilates:bool -> expr -> expr
 
-(** {!zero_tensor} generalized to a semiring: substitutes
-    [Literal zero] for accesses to [tv], then {!simplify_sr}. *)
-val zero_tensor_sr :
-  zero:float -> one:float -> annihilates:bool -> Tensor_var.t -> expr -> expr
-
 (** Peel the outer forall nest: [∀i∀j S ↦ ([i;j], S)]. *)
 val peel_foralls : stmt -> Index_var.t list * stmt
 

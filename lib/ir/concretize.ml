@@ -109,8 +109,3 @@ let run_body ?(scalar_temps = false) (stmt : I.t) =
 let run ?scalar_temps stmt =
   Taco_support.Trace.with_span ~cat:"frontend" "concretize" (fun () ->
       run_body ?scalar_temps stmt)
-
-let run_exn ?scalar_temps stmt =
-  match run ?scalar_temps stmt with
-  | Ok s -> s
-  | Error e -> invalid_arg ("Concretize.run: " ^ e)

@@ -12,6 +12,3 @@
 
 (** [run ?scalar_temps stmt] fails when the statement does not validate. *)
 val run : ?scalar_temps:bool -> Index_notation.t -> (Cin.stmt, string) result
-
-(** Like {!run} but raises [Invalid_argument]. *)
-val run_exn : ?scalar_temps:bool -> Index_notation.t -> Cin.stmt

@@ -15,8 +15,6 @@ type env = {
 let env ?(default_dim = 1000) ?(default_density = 0.05) stats =
   { stats; default_dim; default_density }
 
-let no_stats = env []
-
 let lookup e tv = List.assoc_opt (Tensor_var.name tv) e.stats
 
 (* ------------------------------------------------------------------ *)

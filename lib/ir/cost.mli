@@ -27,11 +27,6 @@ val env :
   (string * Taco_stats.Stats.t) list ->
   env
 
-(** The empty environment: every tensor estimated from defaults. Still
-    useful — format structure (dense vs compressed levels) alone
-    separates badly-ordered plans from well-ordered ones. *)
-val no_stats : env
-
 (** Estimated operation count of executing the statement. *)
 val estimate : env -> Cin.stmt -> float
 

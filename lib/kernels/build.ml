@@ -24,8 +24,6 @@ let idx a e = Imp.Load (a, e)
 
 let decl_int name e = Imp.Decl (Imp.Int, name, e)
 
-let decl_bool name e = Imp.Decl (Imp.Bool, name, e)
-
 let set name e = Imp.Assign (name, e)
 
 let store a idx e = Imp.Store (a, idx, e)

@@ -35,8 +35,6 @@ val idx : string -> Imp.expr -> Imp.expr
 
 val decl_int : string -> Imp.expr -> Imp.stmt
 
-val decl_bool : string -> Imp.expr -> Imp.stmt
-
 val set : string -> Imp.expr -> Imp.stmt
 
 val store : string -> Imp.expr -> Imp.expr -> Imp.stmt

@@ -94,11 +94,6 @@ let and_ a b =
   | Bool_lit true, e | e, Bool_lit true -> e
   | a, b -> Binop (And, a, b)
 
-let or_ a b =
-  match (a, b) with
-  | Bool_lit false, e | e, Bool_lit false -> e
-  | a, b -> Binop (Or, a, b)
-
 let min_list = function
   | [] -> invalid_arg "Imp.min_list: empty"
   | x :: rest -> List.fold_left min_ x rest

@@ -127,8 +127,6 @@ val lt : expr -> expr -> expr
 
 val and_ : expr -> expr -> expr
 
-val or_ : expr -> expr -> expr
-
 (** Fold a non-empty list with [min_]. *)
 val min_list : expr list -> expr
 

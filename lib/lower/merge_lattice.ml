@@ -34,8 +34,6 @@ let build ~sparse_id expr =
   in
   { points; needs_full }
 
-let point_mem id p = List.mem id p
-
 let is_subset a b = List.for_all (fun x -> List.mem x b) a
 
 let sub_points t p =

@@ -30,6 +30,4 @@ val build : sparse_id:(Taco_ir.Cin.access -> int option) -> Taco_ir.Cin.expr -> 
     itself), by decreasing cardinality. *)
 val sub_points : t -> point -> point list
 
-val point_mem : int -> point -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -83,31 +83,6 @@ let avg_fill t =
         let inner = volume (Array.sub t.dims 1 (Array.length t.dims - 1)) in
         density t *. float_of_int inner
 
-let hist_quantile t q =
-  match t.hist_level with
-  | None -> None
-  | Some _ ->
-      let total = Array.fold_left ( + ) 0 t.row_hist in
-      if total = 0 then Some 0.
-      else begin
-        let q = Float.max 0. (Float.min 1. q) in
-        let target = Float.max 1. (q *. float_of_int total) in
-        let cum = ref 0. and res = ref 0. and found = ref false in
-        Array.iteri
-          (fun i c ->
-            if (not !found) && c > 0 then begin
-              let before = !cum in
-              cum := !cum +. float_of_int c;
-              if !cum >= target then begin
-                let lower, width = Metrics.bucket_bounds i in
-                res := lower +. ((target -. before) /. float_of_int c *. width);
-                found := true
-              end
-            end)
-          t.row_hist;
-        Some !res
-      end
-
 (* ------------------------------------------------------------------ *)
 (* Cache-key bucketing                                                 *)
 (* ------------------------------------------------------------------ *)

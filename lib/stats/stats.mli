@@ -48,11 +48,6 @@ val density : t -> float
     tensor has no compressed level. *)
 val avg_fill : t -> float
 
-(** [hist_quantile t q] estimates the [q]-quantile of the segment-length
-    distribution recorded in [row_hist] (within one bucket width);
-    [None] when no histogram was collected. *)
-val hist_quantile : t -> float -> float option
-
 (** Deterministic, low-cardinality bucket key for plan caching: dims and
     nnz quantized to powers of two. Tensors in the same bucket have
     trip-count estimates within 2x of each other, so a cached plan for

@@ -31,8 +31,6 @@ let of_msg ~stage ~code = function
   | Ok _ as ok -> ok
   | Result.Error msg -> Result.Error (make ~stage ~code msg)
 
-let add_context pairs t = { t with context = t.context @ pairs }
-
 let to_result f =
   match f () with v -> Ok v | exception Error d -> Result.Error d
 

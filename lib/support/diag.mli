@@ -52,9 +52,6 @@ val fail :
 (** [of_msg ~stage ~code r] tags a plain [string]-error result. *)
 val of_msg : stage:stage -> code:string -> ('a, string) result -> ('a, t) result
 
-(** Append context pairs to a diagnostic (existing pairs kept first). *)
-val add_context : (string * string) list -> t -> t
-
 (** [to_result f] runs [f ()], catching {!Error}. *)
 val to_result : (unit -> 'a) -> ('a, t) result
 

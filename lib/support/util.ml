@@ -37,10 +37,6 @@ let median xs =
       let n = Array.length a in
       if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let min_float_list = function
-  | [] -> invalid_arg "Util.min_float_list: empty"
-  | x :: xs -> List.fold_left min x xs
-
 let string_of_list f sep xs = String.concat sep (List.map f xs)
 
 let list_index_of x xs =
@@ -59,10 +55,6 @@ let dedup_stable xs =
 
 let subsets xs =
   List.fold_right (fun x acc -> List.map (fun s -> x :: s) acc @ acc) xs [ [] ]
-
-let round_to digits x =
-  let scale = 10. ** float_of_int digits in
-  Float.round (x *. scale) /. scale
 
 let map_lefts f xs =
   let rec refill xs ys =

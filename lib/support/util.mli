@@ -14,9 +14,6 @@ val time : (unit -> 'a) -> 'a * float
 (** [median xs] of a non-empty list. *)
 val median : float list -> float
 
-(** Least element of a non-empty list under [compare]. *)
-val min_float_list : float list -> float
-
 (** [string_of_list f sep xs]. *)
 val string_of_list : ('a -> string) -> string -> 'a list -> string
 
@@ -28,9 +25,6 @@ val dedup_stable : 'a list -> 'a list
 
 (** All subsets of a list, each subset preserving element order. *)
 val subsets : 'a list -> 'a list list
-
-(** Round [x] to [digits] decimal digits (for stable printed output). *)
-val round_to : int -> float -> float
 
 (** [map_lefts f xs]: the [Left] payloads of [xs], in order, go to one
     call of [f], which returns one result per payload, in order; each

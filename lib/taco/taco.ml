@@ -28,7 +28,6 @@ module Codegen_c = Taco_lower.Codegen_c
 module Compile = Taco_exec.Compile
 module Native = Taco_exec.Native
 module Kernel = Taco_exec.Kernel
-module Parallel = Taco_exec.Parallel
 module Budget = Taco_exec.Budget
 module Diag = Taco_support.Diag
 module Trace = Taco_support.Trace

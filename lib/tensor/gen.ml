@@ -55,17 +55,6 @@ let random_density prng ~dims ~density fmt =
 
 let random_dense prng dims = Dense.init dims (fun _ -> Prng.float prng)
 
-let banded_matrix prng ~n ~bandwidth ~fill =
-  let coo = Coo.create [| n; n |] in
-  for i = 0 to n - 1 do
-    let lo = max 0 (i - bandwidth) and hi = min (n - 1) (i + bandwidth) in
-    for j = lo to hi do
-      if i = j || Prng.bool prng fill then
-        Coo.push coo [| i; j |] (Prng.float prng)
-    done
-  done;
-  Tensor.pack coo Format.csr
-
 let clustered3 prng ~dims ~nnz ~avg_fiber =
   if Array.length dims <> 3 then invalid_arg "Gen.clustered3: order-3 only";
   if avg_fiber < 1. then invalid_arg "Gen.clustered3: avg_fiber < 1";

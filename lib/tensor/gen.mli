@@ -20,11 +20,6 @@ val random_density :
 (** [random_dense prng dims] is fully dense with uniform values. *)
 val random_dense : Taco_support.Prng.t -> int array -> Dense.t
 
-(** [banded_matrix prng ~n ~bandwidth ~fill] places nonzeros only within
-    [bandwidth] of the diagonal, each present with probability [fill]
-    (an FEM-like structure used by the Table I stand-ins). *)
-val banded_matrix : Taco_support.Prng.t -> n:int -> bandwidth:int -> fill:float -> Tensor.t
-
 (** [clustered3 prng ~dims ~nnz ~avg_fiber] draws an order-3 tensor whose
     nonzeros cluster into (i,k) fibers of [avg_fiber] entries on average,
     like real data-analytics tensors (uniform placement yields fibers of

@@ -298,39 +298,6 @@ let repack t fmt =
   iteri_stored (fun coord v -> if v <> 0. then Coo.push coo coord v) t;
   pack coo fmt
 
-let split_rows t ~parts =
-  if parts <= 0 then invalid_arg "Tensor.split_rows: parts must be positive";
-  let mode0 = Format.mode_of_level t.format 0 in
-  let dim0 = t.dims.(mode0) in
-  (* Balance by cumulative nonzero count along the level-0 coordinate. *)
-  let counts = Array.make dim0 0 in
-  iteri_stored (fun c v -> if v <> 0. then counts.(c.(mode0)) <- counts.(c.(mode0)) + 1) t;
-  let total = Array.fold_left ( + ) 0 counts in
-  let boundaries = Array.make (parts + 1) dim0 in
-  boundaries.(0) <- 0;
-  let acc = ref 0 and next = ref 1 in
-  for r = 0 to dim0 - 1 do
-    acc := !acc + counts.(r);
-    while !next < parts && !acc * parts >= total * !next do
-      boundaries.(!next) <- r + 1;
-      incr next
-    done
-  done;
-  for p = !next to parts - 1 do
-    boundaries.(p) <- dim0
-  done;
-  let part_of = Array.make dim0 (parts - 1) in
-  for p = 0 to parts - 1 do
-    for r = boundaries.(p) to boundaries.(p + 1) - 1 do
-      part_of.(r) <- p
-    done
-  done;
-  let coos = Array.init parts (fun _ -> Coo.create t.dims) in
-  iteri_stored
-    (fun c v -> if v <> 0. then Coo.push coos.(part_of.(c.(mode0))) (Array.copy c) v)
-    t;
-  Array.to_list (Array.map (fun coo -> pack coo t.format) coos)
-
 let equal ?(eps = 1e-9) a b =
   a.dims = b.dims && Dense.equal ~eps (to_dense a) (to_dense b)
 

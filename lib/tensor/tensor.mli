@@ -79,13 +79,6 @@ val csr_arrays : t -> Taco_support.Ivec.t * Taco_support.Ivec.t * float array
 (** Re-pack into another format (via coordinates). *)
 val repack : t -> Format.t -> t
 
-(** [split_rows t ~parts] partitions the stored nonzeros into [parts]
-    tensors of the same dimensions and format, by contiguous ranges of
-    the mode stored at level 0, balancing nonzero counts. Used for
-    data-parallel execution of kernels that are linear in one operand
-    (each domain computes a partial result over its row range). *)
-val split_rows : t -> parts:int -> t list
-
 (** Structural invariants: [dims] as long as the format's order, monotone
     [pos], sorted in-bounds [crd], value array sized to the last level.
     A compressed level's [crd] is checked in one forward pass that stops

@@ -1,6 +1,7 @@
 (* Domain-safety of the shared infrastructure: the compiled-kernel cache
-   under multi-domain stress, tracing from concurrent domains, and
-   bit-identical parallel execution across domain counts. *)
+   under multi-domain stress, single-flight memo tables, tracing from
+   concurrent domains, and the domain budget under a worker pool that
+   runs a parallel kernel. *)
 
 open Helpers
 open Taco
@@ -155,62 +156,6 @@ let test_trace_two_domains () =
   Trace.clear ();
   Trace.disable ()
 
-(* --- parallel execution is bit-identical across domain counts ------- *)
-
-(* A dense-result kernel linear in B: A(i,j) = sum_k B(i,k) * C(k,j). *)
-let matmul_kernel () =
-  let b = csr_tv "B" in
-  let c = dense_mat_tv "C" in
-  let a = dense_mat_tv "A" in
-  let stmt =
-    Index_notation.assign a [ vi; vj ]
-      (Index_notation.sum vk
-         (Index_notation.Mul
-            (Index_notation.access b [ vi; vk ], Index_notation.access c [ vk; vj ])))
-  in
-  let sched = get (Schedule.of_index_notation stmt) in
-  (b, c, Taco_exec.Kernel.prepare (get (Lower.lower ~mode:Lower.Compute (Schedule.stmt sched))))
-
-let check_bit_identical bt ct =
-  let b, c, kern = matmul_kernel () in
-  let m = (T.dims bt).(0) and n = (T.dims ct).(1) in
-  let inputs = [ (b, bt); (c, ct) ] in
-  let dims = [| m; n |] in
-  let reference = Taco_exec.Kernel.run_dense kern ~inputs ~dims in
-  let ref_vals = T.vals reference in
-  List.for_all
-    (fun domains ->
-      let r =
-        Taco_exec.Parallel.run_dense ~clamp:false kern ~inputs ~dims ~split:b ~domains
-      in
-      (* Bit identity, not epsilon closeness: disjoint row partitions
-         mean each output element is produced by exactly one domain, in
-         the same operation order as the sequential run. *)
-      T.vals r = ref_vals)
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let test_parallel_bit_identical_random =
-  qcheck_case ~count:25 "run_dense bit-identical across domain counts"
-    QCheck.(pair (pair (1 -- 12) (1 -- 12)) (pair (1 -- 12) small_int))
-    (fun ((rows, cols), (inner, seed)) ->
-      let bt = random_tensor (seed + 1) [| rows; inner |] 0.4 F.csr in
-      let ct = random_tensor (seed + 2) [| inner; cols |] 1.0 F.dense_matrix in
-      check_bit_identical bt ct)
-
-let test_parallel_more_domains_than_rows () =
-  (* Fewer populated rows than domains: the spare partitions are empty
-     and must be skipped, not break identity. *)
-  let bt = random_tensor 501 [| 3; 10 |] 0.5 F.csr in
-  let ct = random_tensor 502 [| 10; 6 |] 1.0 F.dense_matrix in
-  Alcotest.(check bool) "identical with domains > rows" true (check_bit_identical bt ct)
-
-let test_parallel_empty_operand () =
-  (* An all-empty split operand must yield the all-zero result at every
-     domain count. *)
-  let bt = T.of_dense (D.create [| 6; 6 |]) F.csr in
-  let ct = random_tensor 503 [| 6; 6 |] 1.0 F.dense_matrix in
-  Alcotest.(check bool) "identical with empty operand" true (check_bit_identical bt ct)
-
 (* --- the domain budget bounds total live domains -------------------- *)
 
 module Budget = Taco_exec.Budget
@@ -263,13 +208,6 @@ let () =
           Alcotest.test_case "two domains, one stats collection" `Quick test_stats_single_flight;
         ] );
       ("trace", [ Alcotest.test_case "two-domain tracing" `Quick test_trace_two_domains ]);
-      ( "parallel",
-        [
-          test_parallel_bit_identical_random;
-          Alcotest.test_case "domains exceed populated rows" `Quick
-            test_parallel_more_domains_than_rows;
-          Alcotest.test_case "all-empty split operand" `Quick test_parallel_empty_operand;
-        ] );
       ( "budget",
         [
           Alcotest.test_case "worker pool + parallel kernel stay within budget" `Quick

@@ -123,7 +123,15 @@ let test_degenerate_empty_rows () =
   let bt = T.of_dense (D.create [| 7; 5 |]) F.csr in
   let ct = T.of_dense (D.create [| 7; 5 |]) F.csr in
   let b, c, compiled = spadd_par () in
-  ignore (check_deterministic "spadd empty" compiled [ (b, bt); (c, ct) ] : T.t)
+  ignore (check_deterministic "spadd empty" compiled [ (b, bt); (c, ct) ] : T.t);
+  (* A dense result from an all-empty operand: every chunk adds nothing
+     to the zero-initialised output. *)
+  let bt = T.of_dense (D.create [| 6; 4; 3 |]) (F.csf 3) in
+  let ct = random_tensor 605 [| 3; 5 |] 1.0 F.dense_matrix in
+  let dt = random_tensor 606 [| 4; 5 |] 1.0 F.dense_matrix in
+  let b, c, d, compiled = mttkrp_par () in
+  let r = check_deterministic "mttkrp empty" compiled [ (b, bt); (c, ct); (d, dt) ] in
+  check_dense "mttkrp over an empty tensor is zero" (D.create [| 6; 5 |]) (T.to_dense r)
 
 let test_degenerate_zero_rows () =
   (* The tensor layer rejects zero-sized dimensions, so the empty
@@ -216,7 +224,44 @@ let test_deterministic_with_forced_domains () =
       let bt2 = random_tensor 613 [| 24; 12 |] 0.4 F.csr in
       let ct2 = random_tensor 614 [| 24; 12 |] 0.4 F.csr in
       let b2, c2, compiled2 = spadd_par () in
-      ignore (check_deterministic "spadd forced" compiled2 [ (b2, bt2); (c2, ct2) ] : T.t))
+      ignore (check_deterministic "spadd forced" compiled2 [ (b2, bt2); (c2, ct2) ] : T.t);
+      (* A dense-result kernel: chunks write disjoint rows of one shared
+         output array rather than appending to a stage. *)
+      let bt3 = random_tensor 615 [| 24; 8; 6 |] 0.2 (F.csf 3) in
+      let ct3 = random_tensor 616 [| 6; 5 |] 1.0 F.dense_matrix in
+      let dt3 = random_tensor 617 [| 8; 5 |] 1.0 F.dense_matrix in
+      let b3, c3, d3, compiled3 = mttkrp_par () in
+      ignore
+        (check_deterministic "mttkrp forced" compiled3 [ (b3, bt3); (c3, ct3); (d3, dt3) ] : T.t))
+
+(* --- a failing chunk is contained ------------------------------------ *)
+
+let test_chunk_fault_contained () =
+  (* One chunk raises (an injected crash at the chunk body) while the
+     others run on their own domains: the run fails with the injected
+     diagnostic, every worker is joined and its permit returned, and
+     the next run is unaffected. *)
+  let module Fault = Taco_support.Faultinject in
+  with_budget 3 (fun () ->
+      let bt = random_tensor 631 [| 24; 16 |] 0.4 F.csr in
+      let ct = random_tensor 632 [| 16; 12 |] 0.4 F.csr in
+      let b, c, compiled = spgemm_par () in
+      let inputs = [ (b, bt); (c, ct) ] in
+      let sequential = getd (run ~domains:1 compiled ~inputs) in
+      let live_before = Budget.live_extra () in
+      Fault.configure ~seed:41 [ Fault.rule ~max_fires:1 "par.chunk" Fault.Crash ];
+      let faulted = Fun.protect ~finally:Fault.disarm (fun () -> run ~domains:4 compiled ~inputs) in
+      (match faulted with
+      | Ok _ -> Alcotest.fail "expected the injected chunk fault"
+      | Error d ->
+          Alcotest.(check string) "code" "E_FAULT_INJECTED" d.Diag.code;
+          Alcotest.(check (option string)) "names the fault point" (Some "par.chunk")
+            (List.assoc_opt "fault_point" d.Diag.context));
+      Alcotest.(check int) "the fault fired once" 1 (Fault.fires "par.chunk");
+      Alcotest.(check int) "every permit returned" live_before (Budget.live_extra ());
+      let again = getd (run ~domains:4 compiled ~inputs) in
+      Alcotest.(check bool) "next run equals the sequential run" true
+        (T.bit_identical sequential again))
 
 (* --- profiled kernels take the sequential path ----------------------- *)
 
@@ -299,35 +344,6 @@ let test_illegal_diag_structure () =
       Alcotest.(check bool) "context names the index" true
         (List.mem ("index", "j") d.Diag.context)
 
-(* --- clamping and empty partitions ------------------------------------ *)
-
-let copy_kernel () =
-  let b = csr_tv "B" in
-  let a = dense_mat_tv "A" in
-  let stmt = Index_notation.assign a [ vi; vj ] (Index_notation.access b [ vi; vj ]) in
-  let sched = get (Schedule.of_index_notation stmt) in
-  (b, Kernel.prepare (get (Lower.lower ~mode:Lower.Compute (Schedule.stmt sched))))
-
-let test_parallel_overclamped_domains () =
-  (* More domains than rows (and than cores): must clamp and skip the
-     padding partitions rather than spawn domains for empty work. *)
-  let b, kern = copy_kernel () in
-  let bt = random_tensor 931 [| 3; 5 |] 0.5 F.csr in
-  let seq = Kernel.run_dense kern ~inputs:[ (b, bt) ] ~dims:[| 3; 5 |] in
-  let par =
-    Taco_exec.Parallel.run_dense kern ~inputs:[ (b, bt) ] ~dims:[| 3; 5 |] ~split:b ~domains:64
-  in
-  check_dense "clamped parallel equals sequential" (T.to_dense seq) (T.to_dense par)
-
-let test_parallel_empty_split_tensor () =
-  (* All partitions empty: falls back to a single sequential run. *)
-  let b, kern = copy_kernel () in
-  let bt = T.of_dense (D.create [| 4; 4 |]) F.csr in
-  let par =
-    Taco_exec.Parallel.run_dense kern ~inputs:[ (b, bt) ] ~dims:[| 4; 4 |] ~split:b ~domains:3
-  in
-  check_dense "empty input gives zero result" (D.create [| 4; 4 |]) (T.to_dense par)
-
 let () =
   Alcotest.run "parallel"
     [
@@ -350,6 +366,7 @@ let () =
           Alcotest.test_case "forced real domains" `Quick
             test_deterministic_with_forced_domains;
           Alcotest.test_case "profiled kernels agree" `Quick test_profiled_parallel_agrees;
+          Alcotest.test_case "chunk fault contained" `Quick test_chunk_fault_contained;
         ] );
       ( "illegal",
         [
@@ -358,11 +375,5 @@ let () =
             test_illegal_reduction_without_workspace;
           Alcotest.test_case "coiteration backstop" `Quick test_illegal_coiteration_backstop;
           Alcotest.test_case "diagnostic structure" `Quick test_illegal_diag_structure;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "domains clamped, padding skipped" `Quick
-            test_parallel_overclamped_domains;
-          Alcotest.test_case "empty split tensor" `Quick test_parallel_empty_split_tensor;
         ] );
     ]

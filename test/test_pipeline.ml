@@ -620,45 +620,6 @@ let test_order4_mttkrp () =
     (Helpers.eval_cin (Schedule.stmt sched_w) inputs);
   Helpers.check_lowered ~mode:Lower.Compute (Schedule.stmt sched_w) inputs [| 4; 3 |]
 
-let test_split_rows () =
-  let bt = Helpers.random_tensor 152 [| 20; 15 |] 0.25 F.csr in
-  let parts = T.split_rows bt ~parts:4 in
-  Alcotest.(check int) "four parts" 4 (List.length parts);
-  List.iter (fun p -> Helpers.get (T.validate p) |> ignore) parts;
-  let total = List.fold_left (fun acc p -> acc + T.nnz p) 0 parts in
-  Alcotest.(check int) "nonzeros partitioned" (T.nnz bt) total;
-  (* Parts sum back to the original. *)
-  let sum =
-    List.fold_left
-      (fun acc p -> D.map2 ( +. ) acc (T.to_dense p))
-      (D.create [| 20; 15 |]) parts
-  in
-  Helpers.check_dense "parts sum to whole" (T.to_dense bt) sum
-
-let test_parallel_mttkrp () =
-  (* Row-partitioned parallel MTTKRP equals the sequential run. *)
-  let b3 = Tensor_var.make "B" ~order:3 ~format:(F.csf 3) in
-  let cm = Helpers.dense_mat_tv "C" in
-  let dm = Helpers.dense_mat_tv "D" in
-  let am = Helpers.dense_mat_tv "A" in
-  let stmt =
-    I.assign am [ vi; vj ]
-      (I.sum vk (I.sum vl (I.Mul (I.Mul (I.access b3 [ vi; vk; vl ], I.access cm [ vl; vj ]), I.access dm [ vk; vj ]))))
-  in
-  let sched = Helpers.get (Schedule.of_index_notation stmt) in
-  let sched = Helpers.get (Schedule.reorder vj vk sched) in
-  let sched = Helpers.get (Schedule.reorder vj vl sched) in
-  let kern = Kernel.prepare (Helpers.get (Lower.lower ~mode:Lower.Compute (Schedule.stmt sched))) in
-  let bt = Helpers.random_tensor 153 [| 12; 8; 9 |] 0.1 (F.csf 3) in
-  let ct = Helpers.random_tensor 154 [| 9; 4 |] 1.0 F.dense_matrix in
-  let dt = Helpers.random_tensor 155 [| 8; 4 |] 1.0 F.dense_matrix in
-  let inputs = [ (b3, bt); (cm, ct); (dm, dt) ] in
-  let seq = Kernel.run_dense kern ~inputs ~dims:[| 12; 4 |] in
-  let par =
-    Taco_exec.Parallel.run_dense kern ~inputs ~dims:[| 12; 4 |] ~split:b3 ~domains:3
-  in
-  Helpers.check_dense "parallel equals sequential" (T.to_dense seq) (T.to_dense par)
-
 let test_dcsr_input () =
   let bd = Tensor_var.make "B" ~order:2 ~format:F.dcsr in
   let ad = Helpers.dense_mat_tv "Ad" in
@@ -803,8 +764,6 @@ let () =
           Alcotest.test_case "order-3 addition" `Quick test_order3_addition;
           Alcotest.test_case "sparse outer product" `Quick test_sparse_outer_product;
           Alcotest.test_case "4-order mttkrp" `Quick test_order4_mttkrp;
-          Alcotest.test_case "split_rows partitioning" `Quick test_split_rows;
-          Alcotest.test_case "parallel mttkrp over domains" `Quick test_parallel_mttkrp;
         ] );
       ( "taco api",
         [
