@@ -169,19 +169,19 @@ let run_workload ~reps w =
     ( "default",
       stmt_default,
       steps steps_default,
-      [ ("est_cost", Report.Float explain.Autoschedule.e_default_cost) ] )
+      [ ("est_cost", Json.Float explain.Autoschedule.e_default_cost) ] )
     :: ( "cost",
          plan.Autoschedule.p_stmt,
          steps plan.Autoschedule.p_steps,
          [
-           ("est_cost", Report.Float explain.Autoschedule.e_chosen_cost);
-           ("search_ns", Report.Int (Int64.to_int explain.Autoschedule.e_search_ns));
-           ("considered", Report.Int explain.Autoschedule.e_considered);
-           ("lowerable", Report.Int explain.Autoschedule.e_lowerable);
+           ("est_cost", Json.Float explain.Autoschedule.e_chosen_cost);
+           ("search_ns", Json.Int (Int64.to_int explain.Autoschedule.e_search_ns));
+           ("considered", Json.Int explain.Autoschedule.e_considered);
+           ("lowerable", Json.Int explain.Autoschedule.e_lowerable);
            ( "parallel_advisory",
              match plan.Autoschedule.p_par with
-             | Some v -> Report.Str (Index_var.name v)
-             | None -> Report.Null );
+             | Some v -> Json.Str (Index_var.name v)
+             | None -> Json.Null );
          ] )
     :: (match w.a_hand with Some s -> [ ("hand", s, [], []) ] | None -> [])
   in
@@ -189,7 +189,7 @@ let run_workload ~reps w =
     Harness.best_of_batches ~reps ~workload:w.a_name ~equal:Harness.close_to
       ~info:(fun v ->
         let _, _, steps, info = List.find (fun (n, _, _, _) -> n = v) plans in
-        ("steps", Report.List (List.map (fun s -> Report.Str s) steps)) :: info)
+        ("steps", Json.List (List.map (fun s -> Json.Str s) steps)) :: info)
       (List.map
          (fun (n, s, _, _) ->
            let k = get (kernel_of w s) in
@@ -205,7 +205,7 @@ let run_workload ~reps w =
   Harness.row "  cost vs default: %.2fx  (search %.1fms, %d states, %d lowerable)" speedup
     (Int64.to_float explain.Autoschedule.e_search_ns /. 1e6)
     explain.Autoschedule.e_considered explain.Autoschedule.e_lowerable;
-  (records, (w.a_name, Report.Float speedup))
+  (records, (w.a_name, Json.Float speedup))
 
 let run ~seed ~reps ~dim ~out =
   Harness.header "Autoscheduler: cost-based search vs breadth-first policy";
@@ -214,8 +214,8 @@ let run ~seed ~reps ~dim ~out =
   in
   let per_workload = List.map (run_workload ~reps) workloads in
   Harness.report ~path:out ~bench:"autoschedule" ~agreement:Harness.within_eps
-    ~config:[ ("seed", Report.Int seed); ("reps", Report.Int reps); ("dim", Report.Int dim) ]
-    ~summary:[ ("speedup_cost_vs_default", Report.Obj (List.map snd per_workload)) ]
+    ~config:[ ("seed", Json.Int seed); ("reps", Json.Int reps); ("dim", Json.Int dim) ]
+    ~summary:[ ("speedup_cost_vs_default", Json.Obj (List.map snd per_workload)) ]
     (List.concat_map fst per_workload)
 
 (* CI gate: on a micro SpGEMM the cost-chosen plan must agree with the

@@ -65,9 +65,9 @@ let alloc_gate = 1.25
 
 let phases_info (p : Native.phases) =
   [
-    ("emit_ns", Report.Int (Int64.to_int p.Native.emit_ns));
-    ("cc_ns", Report.Int (Int64.to_int p.Native.cc_ns));
-    ("dlopen_ns", Report.Int (Int64.to_int p.Native.dlopen_ns));
+    ("emit_ns", Json.Int (Int64.to_int p.Native.emit_ns));
+    ("cc_ns", Json.Int (Int64.to_int p.Native.cc_ns));
+    ("dlopen_ns", Json.Int (Int64.to_int p.Native.dlopen_ns));
   ]
 
 (* The closure and native variants of a workload for best_of_batches:
@@ -95,10 +95,10 @@ let run_workload ~reps (w : Harness.workload) =
   let c_bytes = String.length (Codegen_c.emit_exec [ Kernel.imp kn ]) in
   let phases = Kernel.native_phases kn in
   let native_info =
-    ("flags", Report.Str (Harness.tier_flags 1))
-    :: ("native_backend", Report.Bool native_ok)
-    :: ("alloc_per_result_word", Report.Float alloc_ratio)
-    :: ("exec_c_bytes", Report.Int c_bytes)
+    ("flags", Json.Str (Harness.tier_flags 1))
+    :: ("native_backend", Json.Bool native_ok)
+    :: ("alloc_per_result_word", Json.Float alloc_ratio)
+    :: ("exec_c_bytes", Json.Int c_bytes)
     :: (match phases with Some p -> phases_info p | None -> [])
   in
   let records =
@@ -131,8 +131,8 @@ let run_workload ~reps (w : Harness.workload) =
             reps = runs;
             agrees = tier0_agrees;
             info =
-              ("flags", Report.Str (Harness.tier_flags 0))
-              :: ("builds", Report.Int builds)
+              ("flags", Json.Str (Harness.tier_flags 0))
+              :: ("builds", Json.Int builds)
               :: phases_info p;
           };
         ]
@@ -187,12 +187,12 @@ let batch_curve ~reps (ws : Harness.workload list) =
         Harness.median_quartiles ~reps
           ~workload:(Printf.sprintf "cc_batch_n%d" n)
           ~equal:(List.for_all2 Tensor.bit_identical)
-          ~info:(fun _ -> [ ("kernels", Report.Int n) ])
+          ~info:(fun _ -> [ ("kernels", Json.Int n) ])
           [ variant "singly" false; variant "one_unit" true ]
       in
       let cell v =
         let r = List.find (fun (r : Harness.record) -> r.variant = v) records in
-        let q k = match List.assoc k r.info with Report.Float x -> x *. 1e3 | _ -> nan in
+        let q k = match List.assoc k r.info with Json.Float x -> x *. 1e3 | _ -> nan in
         (r.time_s *. 1e3, Printf.sprintf "%.1f [%.1f-%.1f]" (r.time_s *. 1e3) (q "q1_s") (q "q3_s"))
       in
       let singly, singly_s = cell "singly" and one, one_s = cell "one_unit" in
@@ -225,24 +225,24 @@ let run ~seed ~reps ~dim ~out =
   Harness.report ~path:out ~bench:"cbackend" ~agreement:Harness.bit_identical
     ~config:
       [
-        ("seed", Report.Int seed);
-        ("reps", Report.Int reps);
-        ("dim", Report.Int dim);
+        ("seed", Json.Int seed);
+        ("reps", Json.Int reps);
+        ("dim", Json.Int dim);
         ( "compiler",
-          Report.Obj [ ("command", Report.Str cc); ("available", Report.Bool available) ] );
-        ("tier0_min_runs", Report.Int Harness.tier0_min_runs);
+          Json.Obj [ ("command", Json.Str cc); ("available", Json.Bool available) ] );
+        ("tier0_min_runs", Json.Int Harness.tier0_min_runs);
       ]
     ~summary:
       [
         ( "geomean_native_speedup",
-          match speedups with [] -> Report.Null | s -> Report.Float (Harness.geomean s) );
+          match speedups with [] -> Json.Null | s -> Json.Float (Harness.geomean s) );
         ( "backend_stats",
-          Report.Obj
+          Json.Obj
             [
-              ("native_builds", Report.Int stats.Compile.native_builds);
-              ("native_runs", Report.Int stats.Compile.native_runs);
-              ("closure_runs", Report.Int stats.Compile.closure_runs);
-              ("downgrades", Report.Int stats.Compile.downgrades);
+              ("native_builds", Json.Int stats.Compile.native_builds);
+              ("native_runs", Json.Int stats.Compile.native_runs);
+              ("closure_runs", Json.Int stats.Compile.closure_runs);
+              ("downgrades", Json.Int stats.Compile.downgrades);
             ] );
       ]
     (List.concat_map fst per_workload @ curve)

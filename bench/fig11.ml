@@ -77,8 +77,8 @@ let sweep ~seed ~scale ~reps native =
     geo_mkl;
   ( List.concat_map fst per_workload,
     [
-      ("geomean_eigen_over_ws" ^ suffix, Report.Float geo_eigen);
-      ("geomean_mkl_over_ws" ^ suffix, Report.Float geo_mkl);
+      ("geomean_eigen_over_ws" ^ suffix, Json.Float geo_eigen);
+      ("geomean_mkl_over_ws" ^ suffix, Json.Float geo_mkl);
     ] )
 
 let run ?json ~seed ~scale ~reps () =
@@ -89,6 +89,6 @@ let run ?json ~seed ~scale ~reps () =
     List.map (sweep ~seed ~scale ~reps) (Harness.executors ())
   in
   Harness.report ?path:json ~bench:"fig11" ~agreement:Harness.within_eps
-    ~config:[ ("seed", Report.Int seed); ("scale", Report.Int scale); ("reps", Report.Int reps) ]
+    ~config:[ ("seed", Json.Int seed); ("scale", Json.Int scale); ("reps", Json.Int reps) ]
     ~summary:(List.concat_map snd sweeps)
     (List.concat_map fst sweeps)

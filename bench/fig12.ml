@@ -57,9 +57,9 @@ let left ?json ~seed ~scale ~reps () =
   Harness.report ?path:json ~bench:"fig12left" ~agreement:Harness.within_eps
     ~config:
       [
-        ("seed", Report.Int seed);
-        ("scale", Report.Int scale);
-        ("reps", Report.Int reps);
+        ("seed", Json.Int seed);
+        ("scale", Json.Int scale);
+        ("reps", Json.Int reps);
       ]
     records
 
@@ -107,7 +107,7 @@ let right ?json ~seed ~scale ~reps () =
               Harness.medians ~reps
                 ~workload:(Printf.sprintf "%s@%g" name density)
                 ~equal:Harness.close_to
-                ~info:(fun _ -> [ ("operand_density", Report.Float density) ])
+                ~info:(fun _ -> [ ("operand_density", Json.Float density) ])
                 [ ("sparse", run, run) ])
             densities
         in
@@ -118,17 +118,17 @@ let right ?json ~seed ~scale ~reps () =
         (match List.find_opt (fun (_, r) -> r < 1.) (List.combine densities rels) with
         | Some (d, _) -> Printf.printf "  -> sparse wins from density %.0e downward\n" d
         | None -> Printf.printf "  -> sparse never wins at these densities\n");
-        (dense @ sparse, (name, Report.List (List.map (fun r -> Report.Float r) rels))))
+        (dense @ sparse, (name, Json.List (List.map (fun r -> Json.Float r) rels))))
       (Inputs.tensors ~seed ~scale)
   in
   print_endline "\n(paper: crossover around 25% density; 4.5-11x speedups at density 1e-4)";
   Harness.report ?path:json ~bench:"fig12right" ~agreement:Harness.within_eps
     ~config:
       [
-        ("seed", Report.Int seed);
-        ("scale", Report.Int scale);
-        ("reps", Report.Int reps);
-        ("densities", Report.List (List.map (fun d -> Report.Float d) densities));
+        ("seed", Json.Int seed);
+        ("scale", Json.Int scale);
+        ("reps", Json.Int reps);
+        ("densities", Json.List (List.map (fun d -> Json.Float d) densities));
       ]
-    ~summary:[ ("sparse_over_dense", Report.Obj (List.map snd per_tensor)) ]
+    ~summary:[ ("sparse_over_dense", Json.Obj (List.map snd per_tensor)) ]
     (List.concat_map fst per_tensor)

@@ -132,5 +132,5 @@ let run ?json ~seed ~dim ~reps () =
     "\n(paper, ms: taco bin 247/211, taco 190/182, workspace 190/93, Eigen 436, MKL 1141;";
   print_endline " assembly dominates, and the workspace halves compute time)";
   Harness.report ?path:json ~bench:"fig13" ~agreement:Harness.within_eps
-    ~config:[ ("seed", Report.Int seed); ("dim", Report.Int dim); ("reps", Report.Int reps) ]
+    ~config:[ ("seed", Json.Int seed); ("dim", Json.Int dim); ("reps", Json.Int reps) ]
     (left @ right)

@@ -67,7 +67,7 @@ let run_workload ~reps ~native_available w =
     Harness.best_of_batches ~reps ~workload:w.g_name
       ~equal:(fun (c1, i1) (c2, i2) ->
         Tensor.bit_identical (G.dense_vector c1) (G.dense_vector c2) && i1 = i2)
-      ~info:(fun _ -> [ ("iterations", Report.Int iters) ])
+      ~info:(fun _ -> [ ("iterations", Json.Int iters) ])
       (List.map
          (fun (name, b) -> (name, (fun () -> w.g_run b), fun () -> ignore (w.g_run b)))
          [ ("closure", `Closure); ("native", `Native) ])
@@ -134,21 +134,21 @@ let run ~seed ~reps ~nodes ~out =
   Harness.report ~path:out ~bench:"graph" ~agreement:Harness.bit_identical
     ~config:
       [
-        ("seed", Report.Int seed);
-        ("reps", Report.Int reps);
-        ("nodes", Report.Int nodes);
-        ("directed_edges", Report.Int dir_edges);
-        ("undirected_edges", Report.Int undir_edges);
+        ("seed", Json.Int seed);
+        ("reps", Json.Int reps);
+        ("nodes", Json.Int nodes);
+        ("directed_edges", Json.Int dir_edges);
+        ("undirected_edges", Json.Int undir_edges);
         ( "compiler",
-          Report.Obj
+          Json.Obj
             [
-              ("command", Report.Str (Native.compiler ()));
-              ("available", Report.Bool native_available);
+              ("command", Json.Str (Native.compiler ()));
+              ("available", Json.Bool native_available);
             ] );
       ]
     ~summary:
       [
         ( "geomean_native_speedup",
-          if native_available then Report.Float (Harness.geomean speedups) else Report.Null );
+          if native_available then Json.Float (Harness.geomean speedups) else Json.Null );
       ]
     (List.concat_map fst per_workload)

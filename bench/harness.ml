@@ -63,21 +63,21 @@ type record = {
   time_s : float;
   reps : int;
   agrees : bool;
-  info : (string * Report.t) list;
+  info : (string * Json.t) list;
 }
 
 let time_of records variant = (List.find (fun r -> r.variant = variant) records).time_s
 
 let record_json r =
-  Report.Obj
+  Json.Obj
     [
-      ("workload", Report.Str r.workload);
-      ("variant", Report.Str r.variant);
-      ("estimator", Report.Str r.estimator);
-      ("time_s", Report.Float r.time_s);
-      ("reps", Report.Int r.reps);
-      ("agrees", Report.Bool r.agrees);
-      ("info", Report.Obj r.info);
+      ("workload", Json.Str r.workload);
+      ("variant", Json.Str r.variant);
+      ("estimator", Json.Str r.estimator);
+      ("time_s", Json.Float r.time_s);
+      ("reps", Json.Int r.reps);
+      ("agrees", Json.Bool r.agrees);
+      ("info", Json.Obj r.info);
     ]
 
 (* Every bench ends here. A variant that disagrees with its workload's
@@ -94,14 +94,17 @@ let report ?path ~bench ~agreement ~config ?(summary = []) records =
     records;
   Option.iter
     (fun path ->
-      Report.write path
-        (Report.Obj
-           [
-             ("bench", Report.Str bench);
-             ("config", Report.Obj (("agreement", Report.Str agreement) :: config));
-             ("records", Report.List (List.map record_json records));
-             ("summary", Report.Obj summary);
-           ]))
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Json.to_string_pretty
+               (Json.Obj
+                  [
+                    ("bench", Json.Str bench);
+                    ("config", Json.Obj (("agreement", Json.Str agreement) :: config));
+                    ("records", Json.List (List.map record_json records));
+                    ("summary", Json.Obj summary);
+                  ])));
+      Printf.printf "\nwrote %s\n%!" path)
     path
 
 (* ------------------------------------------------------------------ *)
@@ -159,7 +162,7 @@ let best_of_batches ~reps ~workload ~equal ?(info = fun _ -> []) variants =
         time_s = best.(q);
         reps = max 1 reps;
         agrees;
-        info = ("batch", Report.Int batch) :: info variant;
+        info = ("batch", Json.Int batch) :: info variant;
       })
     (List.combine variants agrees)
 
@@ -204,7 +207,7 @@ let median_quartiles ~reps ~workload ~equal ?(info = fun _ -> []) variants =
         time_s = median;
         reps;
         agrees;
-        info = ("q1_s", Report.Float q1) :: ("q3_s", Report.Float q3) :: info variant;
+        info = ("q1_s", Json.Float q1) :: ("q3_s", Json.Float q3) :: info variant;
       })
     (List.combine variants agrees)
 
@@ -244,13 +247,13 @@ let measure ~reps f =
 
 let gc_info m =
   ( "gc",
-    Report.Obj
+    Json.Obj
       [
-        ("minor_words", Report.Float m.m_minor_words);
-        ("major_words", Report.Float m.m_major_words);
-        ("promoted_words", Report.Float m.m_promoted_words);
-        ("minor_collections", Report.Float m.m_minor_collections);
-        ("major_collections", Report.Float m.m_major_collections);
+        ("minor_words", Json.Float m.m_minor_words);
+        ("major_words", Json.Float m.m_major_words);
+        ("promoted_words", Json.Float m.m_promoted_words);
+        ("minor_collections", Json.Float m.m_minor_collections);
+        ("major_collections", Json.Float m.m_major_collections);
       ] )
 
 (* Median wall-clock seconds of [reps] runs. *)

@@ -144,18 +144,18 @@ let run ~seed ~scale ~reps ~max_domains ~out =
   Harness.report ~path:out ~bench:"parallel_scaling" ~agreement:Harness.bit_identical
     ~config:
       [
-        ("seed", Report.Int seed);
-        ("scale", Report.Int scale);
-        ("reps", Report.Int reps);
-        ("recommended_domains", Report.Int recommended);
-        ("swept_domains", Report.Int max_domains);
+        ("seed", Json.Int seed);
+        ("scale", Json.Int scale);
+        ("reps", Json.Int reps);
+        ("recommended_domains", Json.Int recommended);
+        ("swept_domains", Json.Int max_domains);
       ]
     ~summary:
       [
         ( "speedup_vs_1_domain",
-          Report.Obj
+          Json.Obj
             (List.map
-               (fun (n, pts) -> (n, Report.List (List.map (fun (_, s) -> Report.Float s) pts)))
+               (fun (n, pts) -> (n, Json.List (List.map (fun (_, s) -> Json.Float s) pts)))
                results) );
       ]
     (List.concat_map (fun (_, pts) -> List.map fst pts) results)

@@ -19,12 +19,12 @@
    are reported but do not fail: the gate guards against drift
    backwards, not forwards. *)
 
-open Mini_json
+open Taco_support.Json
 
 (* ((workload, variant, estimator), time_s) for each record. *)
 let records file doc =
   match field doc "records" with
-  | Some (Arr rs) ->
+  | Some (List rs) ->
       List.map
         (fun r ->
           let key k = str_field (file ^ ": record") r k in
@@ -64,12 +64,9 @@ let () =
         exit 2
   in
   let load f =
-    match records f (of_file f) with
-    | rs -> rs
-    | exception Bad msg ->
-        Printf.eprintf "benchdiff: %s\n" msg;
-        exit 2
-    | exception Sys_error msg ->
+    match Result.map (records f) (of_file f) with
+    | Ok rs -> rs
+    | Error msg | (exception Bad msg) ->
         Printf.eprintf "benchdiff: %s\n" msg;
         exit 2
   in

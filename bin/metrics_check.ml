@@ -38,7 +38,9 @@
    "submitted" is taco_serve_submitted_total. The session must serve
    nothing between the two answers. *)
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Mini_json.Bad s)) fmt
+module Json = Taco_support.Json
+
+let fail = Json.fail
 
 let valid_name s =
   s <> ""
@@ -339,10 +341,9 @@ let () =
         (fun line ->
           if String.length line = 0 || line.[0] <> '{' then None
           else
-            match Mini_json.parse_document line with
-            | obj when Mini_json.field obj "submitted" <> None -> Some obj
-            | _ -> None
-            | exception Mini_json.Bad _ -> None)
+            match Json.parse line with
+            | Ok obj when Json.field obj "submitted" <> None -> Some obj
+            | Ok _ | Error _ -> None)
         (List.rev lines)
     in
     let sum name keep =
@@ -359,7 +360,7 @@ let () =
       | Some obj ->
           List.map
             (fun (field, scraped) ->
-              let stated = Mini_json.num_field "stats" obj field in
+              let stated = Json.num_field "stats" obj field in
               if stated <> scraped then
                 fail "stats %S is %g but the registry counts %g" field stated scraped;
               field)
@@ -378,6 +379,6 @@ let () =
         "metrics_check: %s OK (%d samples, %d families, %d required present, %d stats fields \
          match)\n"
         file n_samples n_families (List.length required) n_cross
-  | exception Mini_json.Bad msg ->
+  | exception Json.Bad msg ->
       Printf.eprintf "metrics_check: %s: %s\n" file msg;
       exit 1

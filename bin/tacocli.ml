@@ -22,6 +22,7 @@
 open Taco
 module P = Taco_frontend.Parser
 module Service = Taco_service.Service
+module Protocol = Taco_service.Protocol
 module Diag = Taco_support.Diag
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("tacocli: " ^ s); exit 1) fmt
@@ -39,20 +40,6 @@ let protect f =
   | Diag.Error d -> die "%s" (Diag.to_string d)
   | Failure s -> die "%s" s
   | Invalid_argument s -> die "%s" s
-
-let parse_format name order spec =
-  let spec = if spec = "" then String.make (max order 1) 'd' else spec in
-  if String.length spec <> order then
-    die "format %s for %s has %d levels but the tensor has order %d" spec name
-      (String.length spec) order;
-  let levels =
-    List.init order (fun l ->
-        match spec.[l] with
-        | 'd' -> Level.Dense
-        | 's' -> Level.Compressed
-        | c -> die "unknown level format %c in %s (use d or s)" c spec)
-  in
-  Format.of_levels levels
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                 *)
@@ -96,7 +83,7 @@ let run_cli expr_str formats dims density seed reorders precomputes split_specs 
     List.map
       (fun (name, order) ->
         let fmt_spec = Option.value ~default:"" (List.assoc_opt name formats) in
-        (name, Tensor_var.make name ~order ~format:(parse_format name order fmt_spec)))
+        (name, Tensor_var.make name ~order ~format:(get (Protocol.parse_format name order fmt_spec))))
       names
   in
   let stmt = getd (P.parse_statement ~tensors expr_str) in
@@ -278,172 +265,9 @@ let run_cli expr_str formats dims density seed reorders precomputes split_specs 
 (* serve: a line protocol over stdin or a Unix socket                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-line failures in a serve session raise [Diag.Error] naming the
-   offending clause or field; the session loop converts them to a
-   one-line "error …" response and keeps serving. *)
-let fail_input fmt = Diag.fail ~stage:Diag.Serve ~code:"E_SERVE_INPUT" fmt
-
-(* A numeric protocol value, or an E_SERVE_INPUT error naming its
-   clause and the text that did not parse. *)
-let number parse expected what v =
-  match parse (String.trim v) with
-  | Some x -> x
-  | None -> fail_input "malformed %s %S (expected %s)" what v expected
-
-let int_arg = number int_of_string_opt "an integer"
-
-let float_arg = number float_of_string_opt "a number"
-
-let protocol_help =
-  String.concat "\n"
-    [
-      "ok commands:";
-      "  tensor NAME FMT DIMS [density D] [seed N]   make a random tensor,";
-      "         e.g.: tensor B ds 1000,1000 density 0.01";
-      "  eval EXPR [; CLAUSE]...                     evaluate and wait;";
-      "         clauses: reorder A,B | precompute EXPR|VARS|NAME | parallelize V | domains N | auto";
-      "                  format NAME:FMT (result storage) | deadline MS | backend c|closure";
-      "                  semiring NAME (plus_times | min_plus | max_times | bool_or_and)";
-      "  eval& EXPR [; CLAUSE]...                    evaluate asynchronously,";
-      "         returns 'ok ticket ID'";
-      "  wait ID                                     await an eval& ticket";
-      "  stats                                       service counters as one JSON line";
-      "  metrics                                     Prometheus text exposition of the";
-      "         metrics registry, framed as 'ok metrics N' + N lines";
-      "  quit                                        end this session";
-      "  stop                                        (socket mode) stop the server";
-    ]
-
-(* "keyword rest-of-line" *)
-let split_word s =
-  let s = String.trim s in
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i -> (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-
-let words s = String.split_on_char ' ' s |> List.filter (( <> ) "")
-
-let make_tensor tensors args =
-  match args with
-  | name :: fmt_spec :: dims :: opts ->
-      let dims =
-        try String.split_on_char ',' dims |> List.map int_of_string |> Array.of_list
-        with Failure _ -> fail_input "malformed dimensions %S" dims
-      in
-      let order = Array.length dims in
-      if String.length fmt_spec <> order
-         || String.exists (fun c -> c <> 'd' && c <> 's') fmt_spec
-      then fail_input "format %S does not fit a tensor of order %d" fmt_spec order;
-      let fmt =
-        Format.of_levels
-          (List.init order (fun l ->
-               if fmt_spec.[l] = 'd' then Level.Dense else Level.Compressed))
-      in
-      let rec parse_opts density seed = function
-        | [] -> (density, seed)
-        | "density" :: v :: rest -> parse_opts (float_arg "density" v) seed rest
-        | "seed" :: v :: rest -> parse_opts density (int_arg "seed" v) rest
-        | w :: _ -> fail_input "unknown tensor option %S" w
-      in
-      let density, seed = parse_opts 0.05 42 opts in
-      let prng = Taco_support.Prng.create seed in
-      let t =
-        if Format.is_all_dense fmt then Tensor.of_dense (Gen.random_dense prng dims) fmt
-        else Gen.random_density prng ~dims ~density fmt
-      in
-      Hashtbl.replace tensors name t;
-      Printf.sprintf "ok tensor %s nnz=%d" name (Tensor.nnz t)
-  | _ -> fail_input "usage: tensor NAME FMT DIMS [density D] [seed N]"
-
-let build_request tensors line =
-  match List.map String.trim (String.split_on_char ';' line) with
-  | [] | "" :: _ -> fail_input "usage: eval EXPR [; CLAUSE]..."
-  | expr :: clauses ->
-      let deadline = ref None and directives = ref [] and fmt_clause = ref None in
-      let domains = ref None and backend = ref None and semiring = ref None in
-      List.iter
-        (fun clause ->
-          if clause <> "" then
-            match split_word clause with
-            | "auto", "" -> directives := Service.Auto :: !directives
-            | "reorder", arg -> (
-                match String.split_on_char ',' arg with
-                | [ a; b ] ->
-                    directives := Service.Reorder (String.trim a, String.trim b) :: !directives
-                | _ -> fail_input "malformed reorder %S (expected A,B)" arg)
-            | "precompute", arg -> (
-                match String.split_on_char '|' arg with
-                | [ e; vars; w ] ->
-                    directives :=
-                      Service.Precompute
-                        {
-                          expr = String.trim e;
-                          over = List.map String.trim (String.split_on_char ',' vars);
-                          workspace = String.trim w;
-                        }
-                      :: !directives
-                | _ -> fail_input "malformed precompute %S (expected EXPR|VARS|NAME)" arg)
-            | "parallelize", arg -> (
-                match String.trim arg with
-                | "" -> fail_input "malformed parallelize (expected an index variable)"
-                | v -> directives := Service.Parallelize v :: !directives)
-            | "domains", arg -> domains := Some (int_arg "domains" arg)
-            | "deadline", arg -> deadline := Some (int_arg "deadline" arg)
-            | "backend", arg -> (
-                match String.trim arg with
-                | "closure" -> backend := Some `Closure
-                | "c" | "native" -> backend := Some `Native
-                | b -> fail_input "unknown backend %S (use c or closure)" b)
-            | "semiring", arg -> (
-                (* Validated again service-side; rejecting unknown names
-                   here keeps the error on the offending line. *)
-                match Semiring.of_string (String.trim arg) with
-                | Some _ -> semiring := Some (String.trim arg)
-                | None ->
-                    fail_input "unknown semiring %S (known: %s)" (String.trim arg)
-                      (String.concat ", " Semiring.names))
-            | "format", arg -> (
-                match String.index_opt arg ':' with
-                | Some k ->
-                    fmt_clause :=
-                      Some
-                        ( String.sub arg 0 k,
-                          String.sub arg (k + 1) (String.length arg - k - 1) )
-                | None -> fail_input "malformed format %S (expected NAME:FMT)" arg)
-            | kw, _ -> fail_input "unknown clause %S" kw)
-        clauses;
-      let scanned = P.scan_tensors expr in
-      (match scanned with
-      | [] -> fail_input "no tensor access found in %S" expr
-      | (result, result_order) :: _ ->
-          let result_format =
-            match !fmt_clause with
-            | None -> None
-            | Some (name, spec) when name = result ->
-                Some (parse_format name result_order spec)
-            | Some (name, _) ->
-                fail_input "format clause names %s, not the result tensor %s" name result
-          in
-          let inputs =
-            List.filter_map
-              (fun (name, _) ->
-                if name = result then None
-                else
-                  Option.map (fun t -> (name, t)) (Hashtbl.find_opt tensors name))
-              scanned
-          in
-          ( Service.request ~directives:(List.rev !directives) ?result_format
-              ?domains:!domains ?backend:!backend ?semiring:!semiring ~expr ~inputs (),
-            !deadline ))
-
-let response_line = function
-  | Ok (r : Service.response) ->
-      Printf.sprintf "ok result dims=%s nnz=%d kernel=%s wait_us=%Ld run_us=%Ld"
-        (String.concat "x" (List.map string_of_int (Array.to_list (Tensor.dims r.tensor))))
-        (Tensor.nnz r.tensor) r.Service.kernel_name
-        (Int64.div r.Service.wait_ns 1000L)
-        (Int64.div r.Service.run_ns 1000L)
-  | Error d -> "error " ^ Diag.to_string d
+(* Protocol parsing lives in [Protocol]: a malformed line raises
+   [Diag.Error] naming the offending clause or field, and the session
+   loop answers it with one "error …" line and keeps serving. *)
 
 let run_serve domains queue_depth socket trace_file =
   protect @@ fun () ->
@@ -459,62 +283,32 @@ let run_serve domains queue_depth socket trace_file =
   let next_ticket = ref 0 in
   let stop_server = ref false in
   let handle_line line =
-    let cmd, rest = split_word line in
+    let cmd, rest = Protocol.split_word line in
     match cmd with
     | "" -> None
     | _ when cmd.[0] = '#' -> None
-    | "tensor" -> Some (make_tensor tensors (words rest))
+    | "tensor" -> Some (Protocol.make_tensor tensors (Protocol.words rest))
     | "eval" | "eval&" -> (
-        let req, deadline_ms = build_request tensors rest in
+        let req, deadline_ms = Protocol.build_request tensors rest in
         match Service.submit svc ?deadline_ms req with
         | Error d -> Some ("error " ^ Diag.to_string d)
         | Ok ticket ->
-            if cmd = "eval" then Some (response_line (Service.await ticket))
+            if cmd = "eval" then Some (Protocol.response_line (Service.await ticket))
             else begin
               incr next_ticket;
               Hashtbl.replace tickets !next_ticket ticket;
               Some (Printf.sprintf "ok ticket %d" !next_ticket)
             end)
     | "wait" -> (
-        let id = try int_of_string rest with Failure _ -> fail_input "usage: wait ID" in
+        let id =
+          try int_of_string rest with Failure _ -> Protocol.fail_input "usage: wait ID"
+        in
         match Hashtbl.find_opt tickets id with
-        | None -> fail_input "unknown ticket %d" id
+        | None -> Protocol.fail_input "unknown ticket %d" id
         | Some t ->
             Hashtbl.remove tickets id;
-            Some (response_line (Service.await t)))
-    | "stats" ->
-        (* One JSON line, so scrapers and the fixture test can consume
-           it without a protocol parser. The p50/p99 fields come from
-           the metrics registry's latency histograms (merged across all
-           backend/outcome series); 0 on a fresh session. *)
-        let s = Service.stats svc in
-        let c = Compile.cache_stats () in
-        let pc = Autoschedule.cache_stats () in
-        let q_us name q =
-          match Metrics.quantile_ns name q with
-          | None -> 0
-          | Some ns -> int_of_float (ns /. 1e3)
-        in
-        Some
-          (Printf.sprintf
-             "{\"queue\":%d,\"domains\":%d,\"live_workers\":%d,\"peak_workers\":%d,\
-              \"submitted\":%d,\"completed\":%d,\"rejected\":%d,\"timed_out\":%d,\
-              \"failed\":%d,\"peak_queue\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\
-              \"plan_hits\":%d,\"plan_misses\":%d,\
-              \"crashed\":%d,\"replaced\":%d,\"quarantined\":%d,\
-              \"exec_native\":%d,\"exec_closure\":%d,\"backend_downgraded\":%d,\
-              \"wait_p50_us\":%d,\"wait_p99_us\":%d,\"run_p50_us\":%d,\"run_p99_us\":%d}"
-             (Service.queue_length svc) (Service.domains svc) s.Service.live_workers
-             s.Service.peak_workers s.Service.submitted s.Service.completed
-             s.Service.rejected s.Service.timed_out s.Service.failed s.Service.peak_queue
-             c.Compile.hits c.Compile.misses pc.Memo.hits pc.Memo.misses
-             s.Service.crashed
-             s.Service.replaced s.Service.quarantined s.Service.exec_native
-             s.Service.exec_closure s.Service.backend_downgraded
-             (q_us "taco_serve_wait_seconds" 0.5)
-             (q_us "taco_serve_wait_seconds" 0.99)
-             (q_us "taco_serve_run_seconds" 0.5)
-             (q_us "taco_serve_run_seconds" 0.99))
+            Some (Protocol.response_line (Service.await t)))
+    | "stats" -> Some (Protocol.stats_line svc)
     | "metrics" ->
         (* Prometheus text exposition, framed for the line protocol:
            "ok metrics N" then exactly N exposition lines, so a client
@@ -525,12 +319,12 @@ let run_serve domains queue_depth socket trace_file =
         Some
           (String.concat "\n"
              (Printf.sprintf "ok metrics %d" (List.length lines) :: lines))
-    | "help" -> Some protocol_help
+    | "help" -> Some Protocol.help
     | "quit" -> raise Exit
     | "stop" ->
         stop_server := true;
         raise Exit
-    | _ -> fail_input "unknown command %S (try help)" cmd
+    | _ -> Protocol.fail_input "unknown command %S (try help)" cmd
   in
   let session ic oc =
     let out s =

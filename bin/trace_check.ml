@@ -25,10 +25,9 @@
      schedule.reorder, schedule.precompute, lower, codegen_c, compile,
      compile.build and exec.run.
 
-   JSON parsing is the shared stdlib-only Mini_json (no yojson in the
-   image). *)
+   JSON parsing is Taco_support.Json. *)
 
-open Mini_json
+open Taco_support.Json
 
 let default_required =
   [
@@ -93,7 +92,7 @@ let check_events events =
       let ts = num_field what e "ts" in
       let tid =
         match field e "tid" with
-        | Some (Num f) -> int_of_float f
+        | Some (Int n) -> n
         | Some _ -> fail "%s: \"tid\" is not a number" what
         | None -> 0
       in
@@ -143,10 +142,10 @@ let () =
         exit 2
   in
   match
-    let doc = of_file file in
+    let doc = match of_file file with Ok doc -> doc | Error msg -> fail "%s" msg in
     let events =
       match field doc "traceEvents" with
-      | Some (Arr evs) -> evs
+      | Some (List evs) -> evs
       | Some _ -> fail "\"traceEvents\" is not an array"
       | None -> fail "missing \"traceEvents\""
     in

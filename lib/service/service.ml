@@ -16,6 +16,7 @@ module Diag = Taco_support.Diag
 module Trace = Taco_support.Trace
 module Metrics = Taco_support.Metrics
 module Events = Taco_support.Events
+module Json = Taco_support.Json
 module Fault = Taco_support.Faultinject
 module Memo = Taco_support.Memo
 module P = Taco_frontend.Parser
@@ -533,19 +534,19 @@ let finish t job ~wait_ns ~run_ns outcome =
   if Events.enabled () then
     Events.emit "serve.request"
       ([
-         ("rid", Events.Int job.j_rid);
-         ("expr", Events.Str job.j_req.expr);
-         ("outcome", Events.Str outcome_l);
-         ("backend", Events.Str job.j_backend);
-         ("front_cache", Events.Str job.j_front);
-         ("wait_ns", Events.I64 wait_ns);
-         ("run_ns", Events.I64 run_ns);
-         ("compile_ns", Events.I64 job.j_compile_ns);
+         ("rid", Json.Int job.j_rid);
+         ("expr", Json.Str job.j_req.expr);
+         ("outcome", Json.Str outcome_l);
+         ("backend", Json.Str job.j_backend);
+         ("front_cache", Json.Str job.j_front);
+         ("wait_ns", Json.Int (Int64.to_int wait_ns));
+         ("run_ns", Json.Int (Int64.to_int run_ns));
+         ("compile_ns", Json.Int (Int64.to_int job.j_compile_ns));
        ]
-      @ (match code with Some c -> [ ("code", Events.Str c) ] | None -> [])
+      @ (match code with Some c -> [ ("code", Json.Str c) ] | None -> [])
       @
       match job.j_deadline_ms with
-      | Some ms -> [ ("deadline_ms", Events.Int ms) ]
+      | Some ms -> [ ("deadline_ms", Json.Int ms) ]
       | None -> []);
   Log.debug (fun m ->
       m "rid=%d %s backend=%s wait=%dms run=%dms" job.j_rid outcome_l
@@ -870,9 +871,9 @@ let note_rejected t rid req code =
   if Events.enabled () then
     Events.emit "serve.reject"
       [
-        ("rid", Events.Int rid);
-        ("expr", Events.Str req.expr);
-        ("code", Events.Str code);
+        ("rid", Json.Int rid);
+        ("expr", Json.Str req.expr);
+        ("code", Json.Str code);
       ]
 
 let submit t ?deadline_ms req =

@@ -2,13 +2,6 @@
    set_path; the channel opens lazily and appends, one flushed line per
    emit under a mutex so worker domains interleave whole lines. *)
 
-type field =
-  | Int of int
-  | I64 of int64
-  | Float of float
-  | Str of string
-  | Bool of bool
-
 let mutex = Mutex.create ()
 
 (* [path] is the configured sink; [oc] the lazily opened channel. *)
@@ -35,43 +28,14 @@ let set_path p =
       close_locked ();
       path := p)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let buf_field b (k, v) =
-  Buffer.add_string b (Printf.sprintf "\"%s\":" (json_escape k));
-  match v with
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | I64 n -> Buffer.add_string b (Int64.to_string n)
-  | Float f ->
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.9g" f)
-      else Buffer.add_string b "null"
-  | Str s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape s))
-  | Bool x -> Buffer.add_string b (if x then "true" else "false")
-
 let emit event fields =
   if !path <> None then begin
-    let fields = ("event", Str event) :: ("ts_ns", I64 (Trace.now_ns ())) :: fields in
-    let b = Buffer.create 256 in
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char b ',';
-        buf_field b f)
-      fields;
-    Buffer.add_string b "}\n";
+    let line =
+      Json.(
+        to_string
+          (Obj (("event", Str event) :: ("ts_ns", Int (Int64.to_int (Trace.now_ns ()))) :: fields)))
+      ^ "\n"
+    in
     locked (fun () ->
         match !path with
         | None -> ()
@@ -94,7 +58,7 @@ let emit event fields =
             | None -> ()
             | Some ch -> (
                 try
-                  output_string ch (Buffer.contents b);
+                  output_string ch line;
                   flush ch
                 with Sys_error msg ->
                   Printf.eprintf "taco: TACO_EVENTS: write failed: %s (disabling)\n%!" msg;

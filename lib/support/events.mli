@@ -11,14 +11,6 @@
     flag read. Writes are mutex-serialized and flushed per line, so
     concurrent worker domains produce valid interleaved JSONL. *)
 
-(** Field values for one event line. *)
-type field =
-  | Int of int
-  | I64 of int64
-  | Float of float
-  | Str of string
-  | Bool of bool
-
 (** Is a sink configured? *)
 val enabled : unit -> bool
 
@@ -30,7 +22,7 @@ val set_path : string option -> unit
     ["event"] field and a ["ts_ns"] field (monotonic clock) is prepended
     automatically. No-op when disabled; write failures disable the sink
     with one warning rather than failing the request. *)
-val emit : string -> (string * field) list -> unit
+val emit : string -> (string * Json.t) list -> unit
 
 (** Flush and close the sink (it reopens on the next emit). *)
 val close : unit -> unit

@@ -299,9 +299,8 @@ let fmt_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.9g" f
 
-(* (json key, Prometheus quantile label, q) *)
-let quantile_points =
-  [ ("p50", "0.5", 0.5); ("p90", "0.9", 0.9); ("p99", "0.99", 0.99); ("p999", "0.999", 0.999) ]
+(* (Prometheus quantile label, q) *)
+let quantile_points = [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99); ("0.999", 0.999) ]
 
 let to_prometheus () =
   let snap = snapshot () in
@@ -330,7 +329,7 @@ let to_prometheus () =
       let name = sanitize_name name in
       type_line name "summary";
       List.iter
-        (fun (_, qs, q) ->
+        (fun (qs, q) ->
           Buffer.add_string b
             (Printf.sprintf "%s%s %s\n" name
                (label_block ~extra:("quantile", qs) ls)
@@ -340,66 +339,4 @@ let to_prometheus () =
         (Printf.sprintf "%s_sum%s %s\n" name (label_block ls) (fmt_float (h.h_sum_ns /. 1e9)));
       Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" name (label_block ls) h.h_count))
     snap.histograms;
-  Buffer.contents b
-
-(* JSON; same escaping rules as Trace's exporter. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_labels b ls =
-  Buffer.add_string b "\"labels\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-    ls;
-  Buffer.add_char b '}'
-
-let to_json () =
-  let snap = snapshot () in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"counters\":[";
-  List.iteri
-    (fun i ((name, ls), v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (json_escape name));
-      json_labels b ls;
-      Buffer.add_string b (Printf.sprintf ",\"value\":%d}" v))
-    snap.counters;
-  Buffer.add_string b "],\"gauges\":[";
-  List.iteri
-    (fun i ((name, ls), v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (json_escape name));
-      json_labels b ls;
-      Buffer.add_string b (Printf.sprintf ",\"value\":%s}" (fmt_float v)))
-    snap.gauges;
-  Buffer.add_string b "],\"histograms\":[";
-  List.iteri
-    (fun i ((name, ls), h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (json_escape name));
-      json_labels b ls;
-      Buffer.add_string b
-        (Printf.sprintf ",\"count\":%d,\"sum_s\":%s" h.h_count (fmt_float (h.h_sum_ns /. 1e9)));
-      List.iter
-        (fun (key, _, q) ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"%s_s\":%s" key (fmt_float (quantile h q /. 1e9))))
-        quantile_points;
-      Buffer.add_char b '}')
-    snap.histograms;
-  Buffer.add_string b "]}\n";
   Buffer.contents b

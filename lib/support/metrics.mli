@@ -10,7 +10,7 @@
     per-carrier shard (one per domain or per thread of a domain, via
     {!Carrier}, the same pattern as {!Trace}'s span stacks), so workers
     record concurrently without contending on a lock. Shards are merged at scrape time
-    ({!snapshot}, {!to_prometheus}, {!to_json}). A scrape that races
+    ({!snapshot}, {!to_prometheus}). A scrape that races
     recording carriers may observe a slightly stale view; after the
     recording carriers are joined the merge is exact. Gauges are
     last-write-wins process globals (sets are rare — queue depth, live
@@ -24,10 +24,12 @@
 
     {b Series identity} is (metric name, sorted label pairs). Metric
     names should already be valid Prometheus names
-    ([[a-zA-Z_:][a-zA-Z0-9_:]*]); the encoders sanitize defensively.
+    ([[a-zA-Z_:][a-zA-Z0-9_:]*]); the encoder sanitizes defensively.
     Histogram metrics are duration-valued by convention: name them
-    [*_seconds] — the Prometheus and JSON encoders convert the stored
-    nanoseconds to seconds on output.
+    [*_seconds] — the Prometheus encoder converts the stored
+    nanoseconds to seconds on output. The registry has one text
+    encoding, {!to_prometheus}; the serve [stats] line and
+    {!snapshot} are the structured ways to read it.
 
     {b Pipeline stages.} {!enable} installs a {!Trace} span-close hook
     that feeds every closed span's duration into the
@@ -125,9 +127,3 @@ val quantile_ns : ?labels:labels -> string -> float -> float option
     Families are sorted by name, series by labels, so output is
     deterministic for a deterministic recording. *)
 val to_prometheus : unit -> string
-
-(** The same snapshot as one JSON object
-    [{"counters":[...],"gauges":[...],"histograms":[...]}], each series
-    with its labels, histograms with count/sum and p50/p90/p99/p999 (in
-    seconds, like the Prometheus encoder). *)
-val to_json : unit -> string

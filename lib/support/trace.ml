@@ -176,21 +176,6 @@ let open_spans () = locked (fun () -> !open_count)
 
 (* ---- export ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let event_ts = function
   | E_begin sp -> sp.sp_ts
   | E_end e -> e.e_ts
@@ -204,56 +189,30 @@ let snapshot () =
   let evs = locked (fun () -> List.rev !events) in
   List.stable_sort (fun a b -> Int64.compare (event_ts a) (event_ts b)) evs
 
-let buf_args b args =
-  Buffer.add_string b "\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-    args;
-  Buffer.add_char b '}'
-
 let to_chrome_json () =
   let evs = snapshot () in
   let t0 = match evs with [] -> 0L | e :: _ -> event_ts e in
-  (* Microseconds relative to the first event, with sub-µs precision
-     kept so distinct ns timestamps stay distinct. *)
-  let us ts = Int64.to_float (Int64.sub ts t0) /. 1e3 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n";
-      (match e with
-      | E_begin sp ->
-          Buffer.add_string b
-            (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,"
-               (json_escape sp.sp_name) (json_escape sp.sp_cat) (us sp.sp_ts) sp.sp_tid);
-          buf_args b sp.sp_args;
-          Buffer.add_char b '}'
-      | E_end e ->
-          Buffer.add_string b
-            (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-               (json_escape e.e_name) (us e.e_ts) e.e_tid)
-      | E_complete x ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,"
-               (json_escape x.x_name) (json_escape x.x_cat) (us x.x_ts)
-               (Int64.to_float x.x_dur /. 1e3) x.x_tid);
-          buf_args b x.x_args;
-          Buffer.add_char b '}'
-      | E_instant i ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\","
-               (json_escape i.i_name) (us i.i_ts) i.i_tid);
-          buf_args b i.i_args;
-          Buffer.add_char b '}'))
-    evs;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  (* Microseconds relative to the first event, as floats so distinct ns
+     timestamps stay distinct. *)
+  let us ns = Json.Float (Int64.to_float ns /. 1e3) in
+  let event name ?cat ph ts tid rest =
+    Json.Obj
+      ((("name", Json.Str name) :: Option.to_list (Option.map (fun c -> ("cat", Json.Str c)) cat))
+      @ ("ph", Json.Str ph) :: ("ts", us (Int64.sub ts t0)) :: ("pid", Json.Int 1)
+        :: ("tid", Json.Int tid) :: rest)
+  in
+  let args kvs = [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)) ] in
+  let json = function
+    | E_begin sp -> event sp.sp_name ~cat:sp.sp_cat "B" sp.sp_ts sp.sp_tid (args sp.sp_args)
+    | E_end e -> event e.e_name "E" e.e_ts e.e_tid []
+    | E_complete x ->
+        event x.x_name ~cat:x.x_cat "X" x.x_ts x.x_tid (("dur", us x.x_dur) :: args x.x_args)
+    | E_instant i -> event i.i_name "i" i.i_ts i.i_tid (("s", Json.Str "t") :: args i.i_args)
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.List (List.map json evs)) ])
+  ^ "\n"
 
 let write_chrome path =
   let oc = open_out path in

@@ -100,8 +100,9 @@ val event_count : unit -> int
     are balanced). *)
 val open_spans : unit -> int
 
-(** The buffer as Chrome trace-event JSON: an object with a
-    ["traceEvents"] array, events sorted by timestamp. *)
+(** The buffer as Chrome trace-event JSON, one line from
+    {!Json.to_string}: an object with a ["traceEvents"] array, events
+    sorted by timestamp. *)
 val to_chrome_json : unit -> string
 
 val write_chrome : string -> unit

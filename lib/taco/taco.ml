@@ -35,6 +35,7 @@ module Obs = Taco_support.Obs
 module Metrics = Taco_support.Metrics
 module Memo = Taco_support.Memo
 module Events = Taco_support.Events
+module Json = Taco_support.Json
 
 let ivar = Index_var.make
 
@@ -271,17 +272,17 @@ let emit_plan_event plan (explain : Autoschedule.explain) =
   if Events.enabled () then begin
     let base =
       [
-        ("plan", Events.Str (plan_id plan.Autoschedule.p_stmt));
-        ("est_cost", Events.Float plan.Autoschedule.p_cost);
-        ("default_cost", Events.Float explain.Autoschedule.e_default_cost);
-        ("search_ns", Events.I64 explain.Autoschedule.e_search_ns);
-        ("cache_hit", Events.Bool explain.Autoschedule.e_cache_hit);
-        ("steps", Events.Int (List.length plan.Autoschedule.p_steps));
+        ("plan", Json.Str (plan_id plan.Autoschedule.p_stmt));
+        ("est_cost", Json.Float plan.Autoschedule.p_cost);
+        ("default_cost", Json.Float explain.Autoschedule.e_default_cost);
+        ("search_ns", Json.Int (Int64.to_int explain.Autoschedule.e_search_ns));
+        ("cache_hit", Json.Bool explain.Autoschedule.e_cache_hit);
+        ("steps", Json.Int (List.length plan.Autoschedule.p_steps));
       ]
     in
     let fields =
       match Trace.request_id () with
-      | Some rid -> ("rid", Events.Int rid) :: base
+      | Some rid -> ("rid", Json.Int rid) :: base
       | None -> base
     in
     Events.emit "plan.chosen" fields

@@ -42,6 +42,7 @@ module Obs = Taco_support.Obs
 module Metrics = Taco_support.Metrics
 module Memo = Taco_support.Memo
 module Events = Taco_support.Events
+module Json = Taco_support.Json
 
 (** {2 Declarations} *)
 

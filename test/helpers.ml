@@ -36,23 +36,41 @@ let contains haystack needle =
   let rec go i = i + ln <= lh && (String.sub haystack i ln = needle || go (i + 1)) in
   go 0
 
+module Json = Taco_support.Json
+
+let parse_json what s =
+  match Json.parse s with Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e
+
+(* The trace buffer's events, read back from its Chrome export. *)
+let trace_events () =
+  match Json.field (parse_json "trace export" (Taco_support.Trace.to_chrome_json ())) "traceEvents" with
+  | Some (Json.List evs) -> evs
+  | _ -> Alcotest.fail "trace export without a traceEvents list"
+
+(* A string member of an event, or of its ["args"] when [args] is set. *)
+let event_str ?(args = false) e k =
+  match Json.field (if args then Option.value ~default:Json.Null (Json.field e "args") else e) k with
+  | Some (Json.Str s) -> Some s
+  | _ -> None
+
+(* The lines of a TACO_EVENTS file, each read as one JSON object. *)
+let event_lines file =
+  In_channel.with_open_text file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+  |> List.map (parse_json file)
+
 (* The request id of every [name] event in the trace buffer, in order;
-   [having] keeps only the events whose JSON contains that text. *)
-let trace_rids ?(having = "") name =
-  let key = "\"rid\":\"" in
-  let rid line =
-    let rec find i =
-      if i + String.length key > String.length line then Alcotest.failf "no rid in %s" line
-      else if String.sub line i (String.length key) = key then i + String.length key
-      else find (i + 1)
-    in
-    let start = find 0 in
-    int_of_string (String.sub line start (String.index_from line start '"' - start))
-  in
-  String.split_on_char '\n' (Taco_support.Trace.to_chrome_json ())
-  |> List.filter (fun line ->
-         contains line (Printf.sprintf "\"name\":\"%s\"" name) && contains line having)
-  |> List.map rid
+   [having] keeps only the events with that argument. *)
+let trace_rids ?having name =
+  trace_events ()
+  |> List.filter (fun e ->
+         event_str e "name" = Some name
+         && match having with None -> true | Some (k, v) -> event_str ~args:true e k = Some v)
+  |> List.map (fun e ->
+         match event_str ~args:true e "rid" with
+         | Some rid -> int_of_string rid
+         | None -> Alcotest.failf "no rid in %s" (Json.to_string e))
 
 let dense_testable = Alcotest.testable D.pp (D.equal ~eps:1e-9)
 

@@ -158,16 +158,16 @@ let test_poison_quarantined () =
           in
           Events.close ();
           let logged =
-            In_channel.with_open_text log In_channel.input_all
-            |> String.split_on_char '\n'
-            |> List.filter (fun line ->
-                   contains line "\"event\":\"serve.request\""
-                   && contains line (Printf.sprintf "\"rid\":%d," victim))
+            List.filter
+              (fun e ->
+                event_str e "event" = Some "serve.request"
+                && Json.field e "rid" = Some (Json.Int victim))
+              (event_lines log)
           in
           (match logged with
-          | [ line ] ->
-              Alcotest.(check bool) "the victim's line names the poison code" true
-                (contains line "\"code\":\"E_SERVE_POISON\"")
+          | [ e ] ->
+              Alcotest.(check (option string)) "the victim's line names the poison code"
+                (Some "E_SERVE_POISON") (event_str e "code")
           | lines -> Alcotest.failf "%d serve.request lines for the victim" (List.length lines));
           (* Resubmitting the same structure is now rejected at admission
              without touching a worker. *)

@@ -137,22 +137,21 @@ let test_trace_two_domains () =
   Metrics.reset ();
   (* The export must carry both domains' spans with their tids; the
      summary pairs B/E per domain without misnesting failures. *)
-  let count_infix hay needle =
-    let n = String.length needle and total = ref 0 in
-    for i = 0 to String.length hay - n do
-      if String.sub hay i n = needle then incr total
-    done;
-    !total
+  let events = trace_events () in
+  Alcotest.(check int) "export names traceEvents" 160 (List.length events);
+  let begins name =
+    List.length
+      (List.filter
+         (fun e -> event_str e "name" = Some name && event_str e "ph" = Some "B")
+         events)
   in
-  let json = Trace.to_chrome_json () in
-  Alcotest.(check bool) "export names traceEvents" true
-    (count_infix json "\"traceEvents\"" = 1);
-  Alcotest.(check int) "20 begin events from domain a" 20 (count_infix json "\"name\":\"conc.a\"" / 2);
-  Alcotest.(check int) "20 begin events from domain b" 20 (count_infix json "\"name\":\"conc.b\"" / 2);
-  Alcotest.(check bool) "events carry tids" true (count_infix json "\"tid\":" > 0);
+  Alcotest.(check int) "20 begin events from domain a" 20 (begins "conc.a");
+  Alcotest.(check int) "20 begin events from domain b" 20 (begins "conc.b");
+  Alcotest.(check bool) "events carry tids" true
+    (List.for_all (fun e -> match Json.field e "tid" with Some (Json.Int _) -> true | _ -> false) events);
   let summary = Trace.summary () in
   Alcotest.(check bool) "summary covers both spans" true
-    (count_infix summary "conc.a" > 0 && count_infix summary "conc.b" > 0);
+    (contains summary "conc.a" && contains summary "conc.b");
   Trace.clear ();
   Trace.disable ()
 

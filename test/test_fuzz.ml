@@ -1556,6 +1556,247 @@ let run_reader ((mtx, _) as sc) =
       let dt = Unix.gettimeofday () -. t0 in
       if dt > reader_time_bound then fail "took %.2f s" dt)
 
+(* ------------------------------------------------------------------ *)
+(* JSON and serve-protocol fuzzing                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Json.parse] on mutants of the documents the system writes: a BENCH
+   report, a Chrome trace export and the serve [stats] line. Seeded
+   byte-level mutations keep to the grammar's alphabet: a byte dropped,
+   doubled or swapped, a structural character or an edge number
+   inserted, the text cut short or nested past the depth limit. The
+   property: [parse] returns [Ok] or [Error] and never raises, and a
+   parsed value prints back (one-line and indented) to a text that
+   parses to the same value, an integral [Float n] counting as [Int n]. *)
+
+module Json = Taco_support.Json
+module Protocol = Taco_service.Protocol
+
+let json_parsed = ref 0
+
+let json_refused = ref 0
+
+let bench_document =
+  {|{
+  "bench": "cbackend",
+  "config": {
+    "agreement": "bit-identical",
+    "seed": 2019,
+    "compiler": {
+      "command": "cc",
+      "available": true
+    }
+  },
+  "records": [
+    {
+      "workload": "spgemm_ws",
+      "variant": "native",
+      "estimator": "best_batch",
+      "time_s": 0.0083220005035400391,
+      "reps": 7,
+      "agrees": true,
+      "info": {
+        "flags": "-O3 -march=native",
+        "alloc_per_result_word": 1.0002464501302442,
+        "cc_ns": 146927860
+      }
+    }
+  ],
+  "summary": {
+    "geomean_speedup": null,
+    "note": "tab\there \"quoted\" \u0001"
+  }
+}
+|}
+
+let json_documents =
+  lazy
+    (let module Trace = Taco_support.Trace in
+     Trace.clear ();
+     Trace.enable ();
+     Trace.set_request_id (Some 3);
+     Trace.with_span ~args:[ ("kernel", "spgemm \"ws\"") ] "compile" (fun () ->
+         Trace.instant ~args:[ ("point", "compile.build") ] "fault.fire");
+     Trace.span_complete ~ts:(Trace.now_ns ()) ~dur_ns:1234L "serve.wait";
+     Trace.set_request_id None;
+     let trace = Trace.to_chrome_json () in
+     Trace.disable ();
+     Trace.clear ();
+     let svc = Service.create ~domains:1 () in
+     let stats = Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> Protocol.stats_line svc) in
+     [| bench_document; trace; stats |])
+
+let json_edges =
+  [| "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "\\u"; "\\u00"; "-"; "."; "e"; "0"; "-0"; "1e999";
+     "1e-400"; "99999999999999999999"; "0x10"; "+1"; "nul"; "true"; "\000"; "\255"; " " |]
+
+let json_mutant seed =
+  let prng = Prng.create seed in
+  let docs = Lazy.force json_documents in
+  let text = ref docs.(Prng.int prng (Array.length docs)) in
+  for _ = 0 to Prng.int prng 3 do
+    let t = !text in
+    let n = String.length t in
+    let at = Prng.int prng (n + 1) in
+    let before = String.sub t 0 at and after = String.sub t at (n - at) in
+    let drop k = if at + k <= n then before ^ String.sub t (at + k) (n - at - k) else before in
+    text :=
+      match Prng.int prng 6 with
+      | 0 -> drop 1
+      | 1 -> if at < n then before ^ String.make 1 t.[at] ^ after else t
+      | 2 -> before ^ json_edges.(Prng.int prng (Array.length json_edges)) ^ after
+      | 3 -> drop (1 + Prng.int prng 8)
+      | 4 -> before
+      | _ ->
+          let depth = if Prng.bool prng 0.5 then 600 else 1 + Prng.int prng 8 in
+          before ^ String.make depth '[' ^ after
+  done;
+  !text
+
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Int n, Json.Float f | Json.Float f, Json.Int n -> float_of_int n = f
+  | Json.List xs, Json.List ys ->
+      List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | a, b -> a = b
+
+let run_json seed =
+  let text = json_mutant seed in
+  match Json.parse text with
+  | Error _ -> incr json_refused
+  | exception e -> failf "parse raised %s on:\n%s" (Printexc.to_string e) text
+  | Ok v ->
+      incr json_parsed;
+      List.iter
+        (fun print ->
+          match Json.parse (print v) with
+          | Ok v' when json_equal v v' -> ()
+          | Ok v' -> failf "round trip changed %s into %s" (Json.to_string v) (Json.to_string v')
+          | Error e -> failf "printed value does not parse (%s): %s" e (print v))
+        [ Json.to_string; Json.to_string_pretty ]
+
+let test_json_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:"Json.parse on mutated documents, print round trip"
+       (QCheck.make ~print:(fun seed -> Printf.sprintf "{seed=%d}\n%s" seed (json_mutant seed))
+          QCheck.Gen.(int_bound 1_000_000))
+       (fun seed ->
+         match run_json seed with
+         | () -> true
+         | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
+(* [Protocol.make_tensor] and [Protocol.build_request] on mutants of
+   serve lines like the fixtures': a word or clause replaced by an edge
+   value, dropped, doubled or swapped with another. The property: each
+   returns, or raises [Diag.Error] with code E_SERVE_INPUT, within
+   [reader_time_bound] seconds; any other exception fails the instance.
+   Every integer edge value is at most 1,000, so no mutant asks for a
+   mode longer than that: the protocol has no size cap, and this leg
+   does not test one. *)
+
+let protocol_ran = ref 0
+
+let protocol_refused = ref 0
+
+(* The arguments of [tensor] lines, and the text after [eval]. *)
+let tensor_lines =
+  [|
+    "B ds 4,4 density 0.05 seed 1";
+    "C sd 3,5";
+    "D sss 2,3,4 density 0.5 seed 7";
+    "x d 5";
+    "M dd 6,6";
+  |]
+
+let eval_lines =
+  [|
+    "A(i,j) = B(i,k) * C(k,j) ; reorder k,j ; precompute B(i,k) * C(k,j)|j|w ; format A:ds";
+    "A(i,j) = B(i,j) + B(i,j) ; domains 2 ; deadline 100 ; backend c";
+    "y(i) = B(i,j) * x(j) ; semiring min_plus ; parallelize i ; backend closure";
+    "A(i,j) = B(i,k) * C(k,j) ; auto ; format A:dd";
+    "a = B(i,j) * B(i,j)";
+  |]
+
+let protocol_edges =
+  [| ""; "0"; "-5"; "-1"; "1"; "2"; "1000"; "x"; "nan"; "inf"; "-inf"; "1e3"; "0x10"; "1.5"; "-0";
+     "0,10"; "-5,10"; "4,,4"; "1000,3"; ","; "|"; ":"; ";"; "A:xx"; "A:"; "dd"; "sss"; "density";
+     "seed"; "auto"; "reorder"; "format"; "k,j,i"; "B(i,k"; "B(i,j))"; "sum(" |]
+
+let protocol_mutant seed =
+  let prng = Prng.create seed in
+  let tensor = Prng.bool prng 0.5 in
+  let base = if tensor then tensor_lines else eval_lines in
+  let line = base.(Prng.int prng (Array.length base)) in
+  let sep = if tensor then " " else ";" in
+  let parts = ref (Array.of_list (String.split_on_char sep.[0] line)) in
+  for _ = 0 to Prng.int prng 3 do
+    let a = !parts in
+    let n = Array.length a in
+    let k = Prng.int prng (max 1 n) in
+    let edge () = protocol_edges.(Prng.int prng (Array.length protocol_edges)) in
+    parts :=
+      if n = 0 then [| edge () |]
+      else
+        match Prng.int prng 5 with
+        | 0 -> Array.mapi (fun j p -> if j = k then edge () else p) a
+        | 1 when not tensor ->
+            (* Replace one word inside a clause. *)
+            Array.mapi
+              (fun j p ->
+                if j <> k then p
+                else
+                  let ws = Array.of_list (String.split_on_char ' ' p) in
+                  ws.(Prng.int prng (Array.length ws)) <- edge ();
+                  String.concat " " (Array.to_list ws))
+              a
+        | 1 | 2 -> Array.of_list (List.filteri (fun j _ -> j <> k) (Array.to_list a))
+        | 3 -> Array.concat [ Array.sub a 0 (k + 1); [| a.(k) |]; Array.sub a (k + 1) (n - k - 1) ]
+        | _ ->
+            let b = Array.copy a in
+            let l = Prng.int prng n in
+            b.(k) <- a.(l);
+            b.(l) <- a.(k);
+            b
+  done;
+  (tensor, String.concat sep (Array.to_list !parts))
+
+let protocol_tensors =
+  lazy
+    (let tensors = Hashtbl.create 8 in
+     Array.iter
+       (fun l -> ignore (Protocol.make_tensor tensors (Protocol.words l)))
+       tensor_lines;
+     tensors)
+
+let run_protocol seed =
+  let tensor, line = protocol_mutant seed in
+  let tensors = Hashtbl.copy (Lazy.force protocol_tensors) in
+  let t0 = Unix.gettimeofday () in
+  (match
+     if tensor then ignore (Protocol.make_tensor tensors (Protocol.words line) : string)
+     else ignore (Protocol.build_request tensors line : Service.request * int option)
+   with
+  | () -> incr protocol_ran
+  | exception Diag.Error d when d.Diag.code = "E_SERVE_INPUT" -> incr protocol_refused
+  | exception Diag.Error d -> failf "diagnostic %s on %S" (Diag.to_string d) line
+  | exception e -> failf "raised %s on %S" (Printexc.to_string e) line);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > reader_time_bound then failf "took %.2f s on %S" dt line
+
+let test_protocol_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:"serve protocol on mutated lines"
+       (QCheck.make
+          ~print:(fun seed -> Printf.sprintf "{seed=%d} %S" seed (snd (protocol_mutant seed)))
+          QCheck.Gen.(int_bound 1_000_000))
+       (fun seed ->
+         match run_protocol seed with
+         | () -> true
+         | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 let test_ws_fuzz =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name:"workspace kernels, sorted and unsorted, at bitmap boundaries"
@@ -1593,10 +1834,12 @@ let test_coverage () =
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
      semiring leg: %d ran, %d native; tier leg: %d ran; batch leg: %d ran, %d native; \
      workspace leg: %d ran, %d native runs; cache-key leg: %d ran; profile leg: %d native \
-     runs; reader leg: %d packed, %d refused\n%!"
+     runs; reader leg: %d packed, %d refused; json leg: %d parsed, %d refused; protocol \
+     leg: %d ran, %d refused\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
     !sr_native_ran !tier_ran !batch_ran !batch_native_ran !ws_ran !ws_native_ran !key_ran
-    !prof_native_ran !reader_ran !reader_rejected;
+    !prof_native_ran !reader_ran !reader_rejected !json_parsed !json_refused !protocol_ran
+    !protocol_refused;
   Alcotest.(check bool)
     (Printf.sprintf "workspace leg ran natively when a C compiler exists (%d)" !ws_native_ran)
     true
@@ -1644,6 +1887,8 @@ let () =
           test_ws_fuzz;
           test_key_fuzz;
           test_reader_fuzz;
+          test_json_fuzz;
+          test_protocol_fuzz;
           Alcotest.test_case "coverage" `Quick test_coverage;
         ] );
     ]

@@ -1169,14 +1169,15 @@ let test_cc_span_tier () =
     (fun () ->
       let native = getd (compile ~name:"spadd_span" ~backend:`Native sched) in
       Kernel.promote (Taco.kernel native);
-      let cc_lines tier =
-        String.split_on_char '\n' (Trace.to_chrome_json ())
-        |> List.filter (fun l ->
-               contains l "\"name\":\"native.cc\"" && contains l (Printf.sprintf "\"tier\":\"%d\"" tier))
+      let cc_spans tier =
+        trace_events ()
+        |> List.filter (fun e ->
+               event_str e "name" = Some "native.cc"
+               && event_str ~args:true e "tier" = Some (string_of_int tier))
         |> List.length
       in
-      Alcotest.(check int) "one tier-0 cc span" 1 (cc_lines 0);
-      Alcotest.(check int) "one tier-1 cc span" 1 (cc_lines 1))
+      Alcotest.(check int) "one tier-0 cc span" 1 (cc_spans 0);
+      Alcotest.(check int) "one tier-1 cc span" 1 (cc_spans 1))
 
 (* --- batched builds ------------------------------------------------------ *)
 

@@ -387,7 +387,7 @@ let test_front_hit_keeps_rid () =
       Alcotest.(check (list int)) "each compile span carries its request's id" rids
         (trace_rids "compile");
       let fault_rids point =
-        trace_rids ~having:(Printf.sprintf "\"point\":\"%s\"" point) "fault.fire"
+        trace_rids ~having:("point", point) "fault.fire"
       in
       Alcotest.(check (list int)) "each compile.build fault carries its request's id" rids
         (fault_rids "compile.build");

@@ -4,6 +4,7 @@ module Util = Taco_support.Util
 module Ivec = Taco_support.Ivec
 module Memo = Taco_support.Memo
 module Metrics = Taco_support.Metrics
+module Json = Taco_support.Json
 
 let test_dyn_int_push () =
   let t = Dyn.Int.create () in
@@ -333,6 +334,58 @@ let test_carrier_per_thread () =
   Alcotest.(check int) "carrier ids are distinct" 6 (List.length (List.sort_uniq compare ids));
   Alcotest.(check int) "one value built per carrier" 6 (Atomic.get built)
 
+(* --- Json ----------------------------------------------------------- *)
+
+let test_json_escaping () =
+  Alcotest.(check string) "quotes, backslash, control characters"
+    {|"a\"b\\c\nd\te\rf\u0001g/é"|}
+    (Json.to_string (Json.Str "a\"b\\c\nd\te\rf\001g/é"));
+  Alcotest.(check string) "keys are escaped too" {|{"k\"":1}|}
+    (Json.to_string (Json.Obj [ ("k\"", Json.Int 1) ]))
+
+let test_json_float_rule () =
+  List.iter
+    (fun (f, text) -> Alcotest.(check string) text text (Json.to_string (Json.Float f)))
+    [
+      (0.1, "0.1");
+      (1.1e-08, "1.1e-08");
+      (2., "2");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (nan, "null");
+      (infinity, "null");
+    ];
+  Alcotest.(check bool) "17 digits read back" true
+    (Json.parse "0.30000000000000004" = Ok (Json.Float (0.1 +. 0.2)))
+
+let test_json_layouts () =
+  let v =
+    Json.Obj
+      [
+        ("a", Json.Int 1);
+        ("b", Json.List [ Json.Bool true; Json.Null ]);
+        ("c", Json.Obj []);
+        ("d", Json.List []);
+      ]
+  in
+  Alcotest.(check string) "one line" {|{"a":1,"b":[true,null],"c":{},"d":[]}|} (Json.to_string v);
+  Alcotest.(check string) "BENCH layout"
+    "{\n  \"a\": 1,\n  \"b\": [\n    true,\n    null\n  ],\n  \"c\": {},\n  \"d\": []\n}\n"
+    (Json.to_string_pretty v);
+  Alcotest.(check bool) "both parse back" true
+    (Json.parse (Json.to_string v) = Ok v && Json.parse (Json.to_string_pretty v) = Ok v)
+
+let test_json_parse_errors () =
+  List.iter
+    (fun (text, offset) ->
+      match Json.parse text with
+      | Ok _ -> Alcotest.failf "%S parsed" text
+      | Error e ->
+          if not (Helpers.contains e (Printf.sprintf "byte %d" offset)) then
+            Alcotest.failf "%S: %S names no byte %d" text e offset)
+    [ ("[1,]", 3); ({|{"a" 1}|}, 5); ("[1] x", 4); ("1e999", 0); ("\"abc", 4) ];
+  Alcotest.(check bool) "nesting is bounded" true
+    (Result.is_error (Json.parse (String.make 100_000 '[')))
+
 let () =
   Alcotest.run "support"
     [
@@ -374,4 +427,11 @@ let () =
           Alcotest.test_case "lookup without a build" `Quick test_memo_find;
         ] );
       ("carrier", [ Alcotest.test_case "a value per thread and domain" `Quick test_carrier_per_thread ]);
+      ( "json",
+        [
+          Alcotest.test_case "escaper" `Quick test_json_escaping;
+          Alcotest.test_case "shortest round-trip floats" `Quick test_json_float_rule;
+          Alcotest.test_case "one-line and BENCH layouts" `Quick test_json_layouts;
+          Alcotest.test_case "errors name the byte" `Quick test_json_parse_errors;
+        ] );
     ]

@@ -183,17 +183,11 @@ let test_span_balance_and_nesting () =
           Alcotest.(check int) "outer still open inside" 1 (Trace.open_spans ()));
       Alcotest.(check int) "all spans closed" 0 (Trace.open_spans ());
       Alcotest.(check int) "two B/E pairs" 4 (Trace.event_count ());
-      let json = Trace.to_chrome_json () in
-      let has needle =
-        let rec go i =
-          i + String.length needle <= String.length json
-          && (String.sub json i (String.length needle) = needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "json has traceEvents" true (has "\"traceEvents\"");
-      Alcotest.(check bool) "json has begin events" true (has "\"ph\":\"B\"");
-      Alcotest.(check bool) "json has end events" true (has "\"ph\":\"E\""))
+      let events = Helpers.trace_events () in
+      Alcotest.(check int) "json has traceEvents" 4 (List.length events);
+      let phases = List.map (fun e -> Helpers.event_str e "ph") events in
+      Alcotest.(check bool) "json has begin events" true (List.mem (Some "B") phases);
+      Alcotest.(check bool) "json has end events" true (List.mem (Some "E") phases))
 
 let test_span_closed_on_exception () =
   with_tracing (fun () ->
@@ -206,23 +200,6 @@ let test_span_closed_on_exception () =
 
 module Service = Taco_service.Service
 module F = Taco_tensor.Format
-
-(* The value of ["key":] in one exported event line: a string's
-   contents or a bare number. *)
-let json_field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let n = String.length line and m = String.length pat in
-  let rec find i = if i + m > n then None else if String.sub line i m = pat then Some (i + m) else find (i + 1) in
-  Option.map
-    (fun j ->
-      if line.[j] = '"' then String.sub line (j + 1) (String.index_from line (j + 1) '"' - j - 1)
-      else
-        let k = ref j in
-        while !k < n && (line.[!k] = '-' || (line.[!k] >= '0' && line.[!k] <= '9')) do
-          incr k
-        done;
-        String.sub line j (!k - j))
-    (find 0)
 
 (* A pool of two thread workers serves requests while the main thread,
    a third thread of the same domain, opens spans of its own under an
@@ -275,36 +252,36 @@ let test_thread_carriers_pair_spans () =
       | Some (Error d) -> Alcotest.fail (Taco_support.Diag.to_string d)
       | None -> Alcotest.fail "unanswered request")
     tickets;
-  let main_tid = string_of_int (Taco_support.Carrier.id ()) in
+  let main_tid = Taco_support.Carrier.id () in
   let main_rid = string_of_int main_rid in
   let stacks = Hashtbl.create 8 in
   let stack tid = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
   let overlapped = ref 0 in
-  String.split_on_char '\n' (Trace.to_chrome_json ())
-  |> List.iter (fun line ->
-         match (json_field line "ph", json_field line "tid", json_field line "name") with
-         | Some "B", Some tid, Some name ->
-             let rid = json_field line "rid" in
+  trace_events ()
+  |> List.iter (fun e ->
+         match (event_str e "ph", Json.field e "tid", event_str e "name") with
+         | Some "B", Some (Json.Int tid), Some name ->
+             let rid = event_str ~args:true e "rid" in
              if tid = main_tid then
                Alcotest.(check (option string)) ("main span " ^ name) (Some main_rid) rid
              else begin
                if rid = Some main_rid then Alcotest.failf "worker span %s carries the main id" name;
                (match stack tid with
                | (_, Some outer) :: _ when rid <> Some outer ->
-                   Alcotest.failf "span %s on tid %s: rid %s inside a span of rid %s" name tid
+                   Alcotest.failf "span %s on tid %d: rid %s inside a span of rid %s" name tid
                      (Option.value ~default:"none" rid) outer
                | _ -> ());
                if stack main_tid <> [] then incr overlapped
              end;
              Hashtbl.replace stacks tid ((name, rid) :: stack tid)
-         | Some "E", Some tid, Some name -> (
+         | Some "E", Some (Json.Int tid), Some name -> (
              match stack tid with
              | (opened, _) :: rest when opened = name -> Hashtbl.replace stacks tid rest
-             | (opened, _) :: _ -> Alcotest.failf "E %s closes %s on tid %s" name opened tid
-             | [] -> Alcotest.failf "E %s with no open span on tid %s" name tid)
+             | (opened, _) :: _ -> Alcotest.failf "E %s closes %s on tid %d" name opened tid
+             | [] -> Alcotest.failf "E %s with no open span on tid %d" name tid)
          | _ -> ());
   Hashtbl.iter
-    (fun tid s -> if s <> [] then Alcotest.failf "tid %s leaves %d spans open" tid (List.length s))
+    (fun tid s -> if s <> [] then Alcotest.failf "tid %d leaves %d spans open" tid (List.length s))
     stacks;
   if Hashtbl.length stacks < 2 then Alcotest.fail "no worker span recorded";
   if !overlapped = 0 then Alcotest.fail "no worker span opened while the main thread had one open"
