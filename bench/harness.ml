@@ -213,7 +213,10 @@ let median_quartiles ~reps ~workload ~equal ?(info = fun _ -> []) variants =
 
 (* One measurement: median wall-clock of [reps] runs plus the GC work
    the runs did, as per-run means over the whole batch (Gc.quick_stat
-   deltas; [m_major_words] includes promotions, as Gc reports it). *)
+   deltas; [m_major_words] includes promotions, as Gc reports it).
+   Minor words come from [Gc.minor_words], which counts the current
+   minor heap's allocations too: on OCaml 5, [quick_stat]'s
+   [minor_words] moves only at a minor collection. *)
 type measurement = {
   m_median_s : float;
   m_reps : int;
@@ -226,19 +229,19 @@ type measurement = {
 
 let measure ~reps f =
   let reps = max 1 reps in
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   let runs =
     List.init reps (fun _ ->
         let _, t = Util.time f in
         t)
   in
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   let per x = x /. float_of_int reps in
   let peri x = float_of_int x /. float_of_int reps in
   {
     m_median_s = Util.median runs;
     m_reps = reps;
-    m_minor_words = per (g1.Gc.minor_words -. g0.Gc.minor_words);
+    m_minor_words = per (w1 -. w0);
     m_major_words = per (g1.Gc.major_words -. g0.Gc.major_words);
     m_promoted_words = per (g1.Gc.promoted_words -. g0.Gc.promoted_words);
     m_minor_collections = peri (g1.Gc.minor_collections - g0.Gc.minor_collections);

@@ -10,7 +10,7 @@
 
      # schedule manually, like the paper's Fig. 2
      tacocli "A(i,j) = B(i,k) * C(k,j)" -f A:ds -f B:ds -f C:ds \
-        --reorder k,j --precompute "B(i,k) * C(k,j)|j|w" --print-cin
+        --reorder k,j --precompute "B(i,k) * C(k,j)|j|w"
 
      # generate random inputs, run, and time the kernel
      tacocli "y(i) = B(i,j) * x(j)" -f B:ds -d B:5000,5000 --density 0.001 --time
@@ -54,7 +54,7 @@ let parse_backend = function
   | s -> die "unknown backend %S (use closure, or c for the native C backend)" s
 
 let run_cli expr_str formats dims density seed reorders precomputes split_specs auto
-    backend_str semiring_str print_cin print_c do_run do_time trace_file do_stats
+    backend_str semiring_str print_c do_run do_time trace_file do_stats
     do_metrics do_explain =
   protect @@ fun () ->
   Obs.setup ();
@@ -154,88 +154,41 @@ let run_cli expr_str formats dims density seed reorders precomputes split_specs 
         ex.Autoschedule.e_top
   | Some _ | None -> ());
   Printf.printf "concrete:    %s\n" (cin_string compiled);
-  if print_cin then ();
   if print_c then begin
     print_endline "";
     print_string (c_source compiled)
   end;
   if do_run || do_time then begin
-    (* Random inputs: dimensions from -d (default 1000 per mode). *)
+    (* Random inputs: a tensor's -d dimensions, else the extents its
+       index variables share with tensors given -d, else 1000 a mode. *)
     let prng = Taco_support.Prng.create seed in
-    let result_name =
-      Tensor_var.name (Kernel.info (kernel compiled)).Lower.result
+    let info = Kernel.info (kernel compiled) in
+    let result_name = Tensor_var.name info.Lower.result in
+    let given =
+      List.map
+        (fun (name, spec) ->
+          match List.assoc_opt name tensors with
+          | None -> die "-d names %s, which the statement does not use" name
+          | Some tv ->
+              let ds = Protocol.dims_arg spec in
+              if Array.length ds <> Tensor_var.order tv then
+                die "-d %s:%s gives %d dimensions to a tensor of order %d" name spec
+                  (Array.length ds) (Tensor_var.order tv);
+              (tv, ds))
+        dims_spec
     in
-    let dim_env : (string, int array) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (name, spec) ->
-        let ds = String.split_on_char ',' spec |> List.map int_of_string |> Array.of_list in
-        Hashtbl.replace dim_env name ds)
-      dims_spec;
-    (* Unify index variable ranges across accesses. *)
-    let ranges : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let rec walk = function
-      | Index_notation.Access (tv, idxs) ->
-          let name = Tensor_var.name tv in
-          List.iteri
-            (fun m v ->
-              let key = Index_var.name v in
-              let from_spec =
-                match Hashtbl.find_opt dim_env name with
-                | Some ds when Array.length ds > m -> Some ds.(m)
-                | Some _ | None -> None
-              in
-              match (from_spec, Hashtbl.find_opt ranges key) with
-              | Some d, _ -> Hashtbl.replace ranges key d
-              | None, Some _ -> ()
-              | None, None -> Hashtbl.replace ranges key 1000)
-            idxs
-      | Index_notation.Literal _ -> ()
-      | Index_notation.Neg e | Index_notation.Sum (_, e) -> walk e
-      | Index_notation.Add (a, b)
-      | Index_notation.Sub (a, b)
-      | Index_notation.Mul (a, b)
-      | Index_notation.Div (a, b) ->
-          walk a;
-          walk b
-    in
-    walk stmt.Index_notation.rhs;
-    List.iteri
-      (fun m v -> Hashtbl.replace ranges (Index_var.name v)
-          (match Hashtbl.find_opt dim_env result_name with
-          | Some ds when Array.length ds > m -> ds.(m)
-          | Some _ | None ->
-              Option.value ~default:1000 (Hashtbl.find_opt ranges (Index_var.name v))))
-      stmt.Index_notation.lhs_indices;
+    Extent.check info.Lower.extents given;
     let inputs =
       List.filter_map
         (fun (name, tv) ->
-          if name = result_name then None
+          if not (List.exists (Tensor_var.equal tv) info.Lower.inputs) then None
           else begin
-            (* Reconstruct dims from the access. *)
-            let rec find_access = function
-              | Index_notation.Access (t, idxs) when Tensor_var.equal t tv -> Some idxs
-              | Index_notation.Access _ | Index_notation.Literal _ -> None
-              | Index_notation.Neg e | Index_notation.Sum (_, e) -> find_access e
-              | Index_notation.Add (a, b)
-              | Index_notation.Sub (a, b)
-              | Index_notation.Mul (a, b)
-              | Index_notation.Div (a, b) -> (
-                  match find_access a with Some r -> Some r | None -> find_access b)
+            let dims =
+              Array.map (Option.value ~default:1000) (Extent.dims info.Lower.extents given tv)
             in
-            match find_access stmt.Index_notation.rhs with
-            | None -> None
-            | Some idxs ->
-                let ds =
-                  Array.of_list
-                    (List.map (fun v -> Hashtbl.find ranges (Index_var.name v)) idxs)
-                in
-                let t =
-                  if Format.is_all_dense (Tensor_var.format tv) then
-                    Tensor.of_dense (Gen.random_dense prng ds) (Tensor_var.format tv)
-                  else Gen.random_density prng ~dims:ds ~density (Tensor_var.format tv)
-                in
-                Printf.printf "input %s: %s\n" name (Stdlib.Format.asprintf "%a" Tensor.pp t);
-                Some (tv, t)
+            let t = Protocol.random_tensor prng ~density dims (Tensor_var.format tv) in
+            Printf.printf "input %s: %s\n" name (Stdlib.Format.asprintf "%a" Tensor.pp t);
+            Some (tv, t)
           end)
         tensors
     in
@@ -508,8 +461,6 @@ let semiring_arg =
                  absent entries act as the semiring zero; dense operand cells are \
                  literal carrier values.")
 
-let print_cin_arg = Arg.(value & flag & info [ "print-cin" ] ~doc:"Print concrete index notation (always shown).")
-
 let print_c_arg = Arg.(value & flag & info [ "print-c" ] ~doc:"Print the generated C code.")
 
 let run_arg = Arg.(value & flag & info [ "run" ] ~doc:"Run the kernel on random inputs.")
@@ -591,7 +542,7 @@ let () =
     Term.(
       const run_cli $ expr_arg $ formats_arg $ dims_arg $ density_arg $ seed_arg
       $ reorder_arg $ precompute_arg $ split_arg $ auto_arg $ backend_arg
-      $ semiring_arg $ print_cin_arg $ print_c_arg $ run_arg $ time_arg $ trace_arg
+      $ semiring_arg $ print_c_arg $ run_arg $ time_arg $ trace_arg
       $ stats_arg $ metrics_arg $ explain_arg)
   in
   let info =

@@ -1444,8 +1444,24 @@ let int_arg ~kname name v =
       ~context:[ ("kernel", kname); ("variable", name); ("value", string_of_int v) ]
       "argument %s = %d of kernel %s does not fit int32" name v kname
 
-(* Execute through the native entry point. Bindings are validated with
-   the same messages as the closure path; array parameters cross by
+(* The parameter-binding rule both executors share: every parameter
+   bound, to a value of its type. Each binding goes to the executor's
+   [int], [iarr] or [farr] in parameter order. *)
+let bind_params c ~args ~int ~iarr ~farr =
+  let kname = c.c_kernel.Imp.k_name in
+  List.iter
+    (fun p ->
+      let name = p.Imp.p_name in
+      match (List.assoc_opt name args, p.Imp.p_dtype, p.Imp.p_array) with
+      | Some (Aint v), Imp.Int, false -> int name (int_arg ~kname name v)
+      | Some (Aint_array v), Imp.Int, true -> iarr name v
+      | Some (Afloat_array v), Imp.Float, true -> farr name v
+      | Some _, _, _ -> invalid_arg (Printf.sprintf "Compile.run: bad binding for %s" name)
+      | None, _, _ -> invalid_arg (Printf.sprintf "Compile.run: missing binding for %s" name))
+    c.c_kernel.k_params
+
+(* Execute through the native entry point. Bindings are validated by
+   [bind_params], as on the closure path; array parameters cross by
    pointer, the kernel reading and writing them in place. Of the arrays
    the kernel allocates, the stub hands back only the read list, each
    at its exact length (an int array becomes an index array with no
@@ -1459,16 +1475,10 @@ let int_arg ~kname name v =
 let run_native c l ~deadline_ns ~read ~args =
   let kname = c.c_kernel.Imp.k_name in
   let ints = ref [] and arrays = ref [] in
-  List.iter
-    (fun p ->
-      let name = p.Imp.p_name in
-      match (List.assoc_opt name args, p.Imp.p_dtype, p.Imp.p_array) with
-      | Some (Aint v), Imp.Int, false -> ints := int_arg ~kname name v :: !ints
-      | Some (Aint_array v), Imp.Int, true -> arrays := Obj.repr v :: !arrays
-      | Some (Afloat_array v), Imp.Float, true -> arrays := Obj.repr v :: !arrays
-      | Some _, _, _ -> invalid_arg (Printf.sprintf "Compile.run: bad binding for %s" name)
-      | None, _, _ -> invalid_arg (Printf.sprintf "Compile.run: missing binding for %s" name))
-    c.c_kernel.k_params;
+  bind_params c ~args
+    ~int:(fun _ v -> ints := v :: !ints)
+    ~iarr:(fun _ v -> arrays := Obj.repr v :: !arrays)
+    ~farr:(fun _ v -> arrays := Obj.repr v :: !arrays);
   let escape name =
     match List.assoc_opt name l.Native.l_escapes with
     | Some i -> i
@@ -1596,19 +1606,11 @@ let run_closure ~domains ~deadline_ns ~read c ~args =
       deadline_ns;
     }
   in
-  List.iter
-    (fun p ->
-      let name = p.Imp.p_name in
-      match (List.assoc_opt name args, p.Imp.p_dtype, p.Imp.p_array) with
-      | Some (Aint v), Imp.Int, false ->
-          env.ints.((Hashtbl.find c.slots name).s_index) <- int_arg ~kname name v
-      | Some (Aint_array v), Imp.Int, true ->
-          env.iarr.((Hashtbl.find c.slots name).s_index) <- v
-      | Some (Afloat_array v), Imp.Float, true ->
-          env.farr.((Hashtbl.find c.slots name).s_index) <- v
-      | Some _, _, _ -> invalid_arg (Printf.sprintf "Compile.run: bad binding for %s" name)
-      | None, _, _ -> invalid_arg (Printf.sprintf "Compile.run: missing binding for %s" name))
-    c.c_kernel.k_params;
+  let index name = (Hashtbl.find c.slots name).s_index in
+  bind_params c ~args
+    ~int:(fun name v -> env.ints.(index name) <- v)
+    ~iarr:(fun name v -> env.iarr.(index name) <- v)
+    ~farr:(fun name v -> env.farr.(index name) <- v);
   c.code env;
   let lookup name =
     match Hashtbl.find_opt c.slots name with

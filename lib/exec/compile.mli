@@ -224,6 +224,13 @@ val cache_stats : unit -> cache_stats
 
 val cache_clear : unit -> unit
 
+(** [check_alloc ~kname ~var elems]: the executor's one memory-budget
+    rule. An allocation of [elems] elements for [var] in kernel [kname],
+    estimated at 8 bytes each, that exceeds {!Budget.mem_limit} raises a
+    stage-[Execute] [E_EXEC_MEM] diagnostic (context: kernel, variable,
+    bytes, limit) before anything is allocated. *)
+val check_alloc : kname:string -> var:string -> int -> unit
+
 (** [run compiled ~args] binds parameters by name and executes. Returns a
     reader for variables left in the environment (used to retrieve arrays
     the kernel allocated, e.g. assembled indices). Missing or ill-typed

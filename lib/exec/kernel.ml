@@ -80,33 +80,49 @@ let input_args t inputs =
             (Printf.sprintf "Kernel: no binding for input tensor %s" (Tensor_var.name tv)))
     t.info.Lower.inputs
 
-(* Pre-allocation guard for outputs materialized by the wrapper itself
-   (dense results): reject before [Tensor.zero] when the value array
-   alone would blow the byte budget. *)
-let check_output_budget t dims =
-  let limit = Budget.mem_limit () in
-  if limit <> max_int then begin
-    let elems = Array.fold_left (fun acc d -> acc * max 1 d) 1 dims in
-    if elems > limit / 8 then
-      Taco_support.Diag.fail ~stage:Taco_support.Diag.Execute ~code:"E_EXEC_MEM"
-        ~context:
-          [
-            ("kernel", t.info.Lower.kernel.Taco_lower.Imp.k_name);
-            ("variable", "output");
-            ("bytes", string_of_int (elems * 8));
-            ("limit_bytes", string_of_int limit);
-          ]
-        "dense output of %d elements (%d bytes) exceeds the memory budget (%d bytes)"
-        elems (elems * 8) limit
-  end
+(* Tensors' dimensions, each kept where its order is its variable's:
+   another order is the binding's error to report. *)
+let bound pairs = List.filter (fun (tv, d) -> Array.length d = Tensor_var.order tv) pairs
 
-let run_compute ?domains ?deadline_ns t ~inputs ~output =
-  (match t.info.Lower.mode with
-  | Lower.Compute -> ()
-  | Lower.Assemble _ -> invalid_arg "Kernel.run_compute: kernel is an assembly kernel");
-  let args = tensor_args t.info.Lower.result output @ input_args t inputs in
+let input_dims inputs = List.map (fun (tv, x) -> (tv, Tensor.dims x)) inputs
+
+let result_dims t ~inputs =
+  Taco_ir.Extent.infer t.info.Lower.extents (bound (input_dims inputs)) t.info.Lower.result
+
+(* The one binding path of every run entry point: the inputs' arguments,
+   once every index variable's bound tensors, the result's [dims]
+   included, agree on its extent. The native code trusts that they do. *)
+let bind t ~inputs ~dims =
+  let args = input_args t inputs in
+  Taco_ir.Extent.check t.info.Lower.extents
+    (bound ((t.info.Lower.result, dims) :: input_dims inputs));
+  args
+
+(* Run with an output whose values the kernel writes in place. *)
+let run_into ?domains ?deadline_ns t ~args output =
+  let args = tensor_args t.info.Lower.result output @ args in
   ignore (Compile.run ?domains ?deadline_ns ~read:[] t.compiled ~args : string -> Compile.arg);
   Taco_support.Faultinject.corrupt "exec.result" (Tensor.vals output)
+
+let require_compute fn t =
+  match t.info.Lower.mode with
+  | Lower.Compute -> ()
+  | Lower.Assemble _ -> invalid_arg (fn ^ ": kernel is an assembly kernel")
+
+let run_compute ?domains ?deadline_ns t ~inputs ~output =
+  require_compute "Kernel.run_compute" t;
+  let args = bind t ~inputs ~dims:(Tensor.dims output) in
+  run_into ?domains ?deadline_ns t ~args output
+
+(* Run into a dense output the wrapper allocates, within the executor's
+   memory budget. *)
+let run_dense_output ?domains ?deadline_ns t ~inputs ~dims =
+  let args = bind t ~inputs ~dims in
+  Compile.check_alloc ~kname:t.info.Lower.kernel.Taco_lower.Imp.k_name ~var:"output"
+    (Array.fold_left (fun acc d -> acc * max 1 d) 1 dims);
+  let output = Tensor.zero dims (Tensor_var.format t.info.Lower.result) in
+  run_into ?domains ?deadline_ns t ~args output;
+  output
 
 (* Dimension-only arguments for an assembled result. *)
 let result_dim_args tv dims =
@@ -124,15 +140,8 @@ let run_assemble ?domains ?deadline_ns t ~inputs ~dims =
   let fmt = Tensor_var.format result in
   let order = Tensor_var.order result in
   if Array.length dims <> order then invalid_arg "Kernel.run_assemble: dims arity";
-  if F.is_all_dense fmt then begin
-    (* Dense results have nothing to assemble; behave like compute. *)
-    check_output_budget t dims;
-    let output = Tensor.zero dims fmt in
-    let args = tensor_args result output @ input_args t inputs in
-    ignore (Compile.run ?domains ?deadline_ns ~read:[] t.compiled ~args : string -> Compile.arg);
-    Taco_support.Faultinject.corrupt "exec.result" (Tensor.vals output);
-    output
-  end
+  (* Dense results have nothing to assemble; behave like compute. *)
+  if F.is_all_dense fmt then run_dense_output ?domains ?deadline_ns t ~inputs ~dims
   else begin
     (* Locate the single compressed level. *)
     let l =
@@ -157,7 +166,7 @@ let run_assemble ?domains ?deadline_ns t ~inputs ~dims =
     let nnz = Compile.Len_at (pos_v, parent_size) in
     let read =
       Compile.run ?domains ?deadline_ns t.compiled
-        ~args:(result_dim_args result dims @ input_args t inputs)
+        ~args:(result_dim_args result dims @ bind t ~inputs ~dims)
         ~read:
           ((pos_v, Compile.Len (parent_size + 1))
           :: (crd_v, nnz)
@@ -207,7 +216,7 @@ let run_assemble_raw ?domains ?deadline_ns t ~inputs ~dims =
   if F.is_all_dense (Tensor_var.format result) then
     ignore (run_assemble ?domains ?deadline_ns t ~inputs ~dims : Tensor.t)
   else begin
-    let args = result_dim_args result dims @ input_args t inputs in
+    let args = result_dim_args result dims @ bind t ~inputs ~dims in
     ignore (Compile.run ?domains ?deadline_ns ~read:[] t.compiled ~args : string -> Compile.arg)
   end
 
@@ -215,7 +224,5 @@ let run_dense ?domains ?deadline_ns t ~inputs ~dims =
   let result = t.info.Lower.result in
   if not (F.is_all_dense (Tensor_var.format result)) then
     invalid_arg "Kernel.run_dense: result is not dense";
-  check_output_budget t dims;
-  let output = Tensor.zero dims (Tensor_var.format result) in
-  run_compute ?domains ?deadline_ns t ~inputs ~output;
-  output
+  require_compute "Kernel.run_dense" t;
+  run_dense_output ?domains ?deadline_ns t ~inputs ~dims

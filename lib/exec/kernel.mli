@@ -69,10 +69,25 @@ val c_source : t -> string
     compressed levels and the value array. *)
 val tensor_args : Tensor_var.t -> Tensor.t -> (string * Compile.arg) list
 
+(** The result's dimensions, read from the kernel's extents
+    ({!Taco_lower.Lower.kernel_info}): each mode's extent is that of a
+    bound input its index variable ranges over. Raises [Diag.Error]
+    [E_EXEC_DIMS] when two inputs disagree on an extent or a mode's
+    extent is bound by no input (always, for a hand-written kernel). *)
+val result_dims : t -> inputs:(Tensor_var.t * Tensor.t) list -> int array
+
 (** [run_compute t ~inputs ~output] executes a [Compute]-mode kernel.
     [output] must be pre-assembled (its index structure covers the
     result's nonzeros); its value array is overwritten in place. Raises
     [Invalid_argument] on arity/format mismatches.
+
+    Every run entry point binds the same way, before either executor
+    runs: each index variable's extent must be the same in every bound
+    tensor it ranges over, the output (or [dims]) included, or the run
+    raises [Diag.Error] [E_EXEC_DIMS] (stage [Execute]) naming the
+    variable, both tensors and both extents. Native kernels read an
+    extent from one operand and trust the others to match; hand-written
+    kernels carry no extents and get no such check.
 
     On every run entry point, [?domains] (default 1) is the chunk count
     for parallelized kernels — see {!Compile.run}. Results are
@@ -80,7 +95,7 @@ val tensor_args : Tensor_var.t -> Tensor.t -> (string * Compile.arg) list
     ignore it. [?deadline_ns] arms the cooperative cancellation
     watchdog ([E_EXEC_CANCELLED] once the clock passes it — see
     {!Compile.run}); entry points that materialize a dense output also
-    pre-check it against {!Budget.set_mem_limit} ([E_EXEC_MEM]). *)
+    pre-check it with {!Compile.check_alloc} ([E_EXEC_MEM]). *)
 val run_compute :
   ?domains:int ->
   ?deadline_ns:int64 ->

@@ -37,8 +37,6 @@ let dense_vector arr = Tensor.of_dense (Dense.of_buffer [| Array.length arr |] a
 let spmv ?(backend = `Closure) sr a x =
   if Tensor.order a <> 2 || Tensor.order x <> 1 then
     Error "Graph.spmv: expected a matrix and a vector"
-  else if (Tensor.dims a).(1) <> (Tensor.dims x).(0) then
-    Error "Graph.spmv: dimension mismatch"
   else begin
     let fmt_a = Tensor.format a and fmt_x = Tensor.format x in
     let yv = Tensor_var.make "y" ~order:1 ~format:Format.dense_vector in
@@ -59,7 +57,6 @@ let spmv ?(backend = `Closure) sr a x =
 let vadd ?(backend = `Closure) sr x y =
   if Tensor.order x <> 1 || Tensor.order y <> 1 then
     Error "Graph.vadd: expected two vectors"
-  else if Tensor.dims x <> Tensor.dims y then Error "Graph.vadd: dimension mismatch"
   else begin
     let fmt_x = Tensor.format x and fmt_y = Tensor.format y in
     let zv = Tensor_var.make "z" ~order:1 ~format:Format.dense_vector in

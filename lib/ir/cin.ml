@@ -82,6 +82,18 @@ let stmt_vars s = dedup (stmt_vars_raw s)
 
 let uses_var s v = List.exists (Index_var.equal v) (stmt_vars_raw s)
 
+let rec expr_accesses = function
+  | Literal _ -> []
+  | Access a -> [ a ]
+  | Neg e -> expr_accesses e
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> expr_accesses a @ expr_accesses b
+
+let rec stmt_accesses = function
+  | Assignment { lhs; rhs; _ } -> lhs :: expr_accesses rhs
+  | Forall (_, s) -> stmt_accesses s
+  | Where (c, p) -> stmt_accesses c @ stmt_accesses p
+  | Sequence (a, b) -> stmt_accesses a @ stmt_accesses b
+
 let rec expr_tensors = function
   | Literal _ -> []
   | Access a -> [ a.tensor ]

@@ -65,6 +65,13 @@ val stmt_vars : stmt -> Index_var.t list
 (** [uses_var s v]: does [v] occur in any access or forall binder of [s]? *)
 val uses_var : stmt -> Index_var.t -> bool
 
+(** Every access of an expression, left to right, repeats kept. *)
+val expr_accesses : expr -> access list
+
+(** Every access of a statement: each assignment's left-hand side, then
+    its right-hand side's; consumers before producers. Repeats kept. *)
+val stmt_accesses : stmt -> access list
+
 val tensors_read : stmt -> Tensor_var.t list
 
 val tensors_written : stmt -> Tensor_var.t list

@@ -1,19 +1,6 @@
 open Var
 module Dense = Taco_tensor.Dense
 
-let rec stmt_accesses = function
-  | Cin.Assignment { lhs; rhs; _ } -> lhs :: expr_accesses rhs
-  | Cin.Forall (_, s) -> stmt_accesses s
-  | Cin.Where (c, p) -> stmt_accesses c @ stmt_accesses p
-  | Cin.Sequence (a, b) -> stmt_accesses a @ stmt_accesses b
-
-and expr_accesses = function
-  | Cin.Literal _ -> []
-  | Cin.Access a -> [ a ]
-  | Cin.Neg e -> expr_accesses e
-  | Cin.Add (a, b) | Cin.Sub (a, b) | Cin.Mul (a, b) | Cin.Div (a, b) ->
-      expr_accesses a @ expr_accesses b
-
 let var_ranges stmt ~inputs =
   let ranges : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let err = ref None in
@@ -36,7 +23,7 @@ let var_ranges stmt ~inputs =
       | Some (_, d) ->
           let dims = Dense.dims d in
           List.iteri (fun m v -> note v dims.(m)) a.indices)
-    (stmt_accesses stmt);
+    (Cin.stmt_accesses stmt);
   match !err with
   | Some e -> Error e
   | None -> (
@@ -74,7 +61,7 @@ let eval stmt ~inputs =
             (fun (tv, d) -> Hashtbl.replace store (Tensor_var.name tv) d)
             inputs;
           (* Allocate results and workspaces from access index ranges. *)
-          let accesses = stmt_accesses stmt in
+          let accesses = Cin.stmt_accesses stmt in
           List.iter
             (fun (a : Cin.access) ->
               let name = Tensor_var.name a.tensor in

@@ -21,19 +21,6 @@ let lookup e tv = List.assoc_opt (Tensor_var.name tv) e.stats
 (* Access collection and variable ranges                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec expr_accesses = function
-  | Cin.Literal _ -> []
-  | Cin.Access a -> [ a ]
-  | Cin.Neg e -> expr_accesses e
-  | Cin.Add (a, b) | Cin.Sub (a, b) | Cin.Mul (a, b) | Cin.Div (a, b) ->
-      expr_accesses a @ expr_accesses b
-
-let rec stmt_accesses = function
-  | Cin.Assignment { lhs; rhs; _ } -> lhs :: expr_accesses rhs
-  | Cin.Forall (_, s) -> stmt_accesses s
-  | Cin.Where (c, p) -> stmt_accesses c @ stmt_accesses p
-  | Cin.Sequence (a, b) -> stmt_accesses a @ stmt_accesses b
-
 (* Variable ranges, inferred from the accesses whose tensors carry
    stats: index var [v] at logical mode [m] of tensor [t] ranges over
    [dims t].(m). Workspaces are dense over vars that also appear in
@@ -53,7 +40,7 @@ let ranges e stmt =
                 let prev = Option.value ~default:0 (Hashtbl.find_opt tbl v) in
                 Hashtbl.replace tbl v (max prev d))
             a.Cin.indices)
-    (stmt_accesses stmt);
+    (Cin.stmt_accesses stmt);
   tbl
 
 let var_range e tbl v =
@@ -154,7 +141,7 @@ let workspace_extent e tbl producer =
         List.find_map
           (fun (a : Cin.access) ->
             if Tensor_var.equal a.Cin.tensor w then Some a.Cin.indices else None)
-          (stmt_accesses producer)
+          (Cin.stmt_accesses producer)
       in
       match indices with
       | None -> acc
@@ -169,7 +156,7 @@ let estimate e stmt =
   let tbl = ranges e stmt in
   let rec go mult bound = function
     | Cin.Forall (v, s) ->
-        let t = trips e tbl bound (stmt_accesses s) v in
+        let t = trips e tbl bound (Cin.stmt_accesses s) v in
         let mult' = mult *. t in
         mult' +. go mult' (v :: bound) s
     | Cin.Assignment { lhs; op; rhs } ->

@@ -24,13 +24,6 @@ let compressed_at (a : Cin.access) v =
       let fmt = Tensor_var.format a.tensor in
       L.equal (F.level fmt (F.level_of_mode fmt mode)) L.Compressed
 
-let rec expr_accesses = function
-  | Cin.Literal _ -> []
-  | Cin.Access a -> [ a ]
-  | Cin.Neg e -> expr_accesses e
-  | Cin.Add (a, b) | Cin.Sub (a, b) | Cin.Mul (a, b) | Cin.Div (a, b) ->
-      expr_accesses a @ expr_accesses b
-
 (* Find every assignment together with its enclosing forall variables,
    outermost first. *)
 let rec assignments enclosing = function
@@ -93,7 +86,7 @@ let suggest_for_assignment ~sparse_threshold (enclosing, (lhs : Cin.access), op,
   (match innermost with
   | Some v ->
       let sparse_operands =
-        List.filter (fun a -> compressed_at a v) (expr_accesses rhs)
+        List.filter (fun a -> compressed_at a v) (Cin.expr_accesses rhs)
       in
       if
         List.length sparse_operands > sparse_threshold

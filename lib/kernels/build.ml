@@ -61,4 +61,4 @@ let info ~mode ~result ~inputs kernel =
   (match Imp.validate kernel with
   | Ok () -> ()
   | Error e -> invalid_arg (Printf.sprintf "Build.info: kernel %s: %s" kernel.Imp.k_name e));
-  { Lower.kernel; inputs; result; mode }
+  { Lower.kernel; inputs; result; mode; extents = [] }

@@ -65,7 +65,8 @@ val csr_params : ?output:bool -> string -> Imp.param list
 
 (** Wrap a hand-written kernel as a {!Lower.kernel_info} so the standard
     runner applies. [result]/[inputs] must use naming consistent with the
-    kernel's parameters. *)
+    kernel's parameters. The info has no extents: binding checks no
+    operand's dimensions against another's. *)
 val info :
   mode:Lower.mode ->
   result:Taco_ir.Var.Tensor_var.t ->

@@ -12,6 +12,7 @@ type kernel_info = {
   inputs : Tensor_var.t list;
   result : Tensor_var.t;
   mode : mode;
+  extents : Taco_ir.Extent.t;
 }
 
 exception Lower_error of string
@@ -65,21 +66,8 @@ type state = {
   result : Tensor_var.t;
 }
 
-let rec stmt_accesses = function
-  | Cin.Assignment { lhs; rhs; _ } -> lhs :: expr_accesses rhs
-  | Cin.Forall (_, s) -> stmt_accesses s
-  | Cin.Where (c, p) -> stmt_accesses c @ stmt_accesses p
-  | Cin.Sequence (a, b) -> stmt_accesses a @ stmt_accesses b
-
-and expr_accesses = function
-  | Cin.Literal _ -> []
-  | Cin.Access a -> [ a ]
-  | Cin.Neg e -> expr_accesses e
-  | Cin.Add (a, b) | Cin.Sub (a, b) | Cin.Mul (a, b) | Cin.Div (a, b) ->
-      expr_accesses a @ expr_accesses b
-
 let rec rhs_accesses = function
-  | Cin.Assignment { rhs; _ } -> expr_accesses rhs
+  | Cin.Assignment { rhs; _ } -> Cin.expr_accesses rhs
   | Cin.Forall (_, s) -> rhs_accesses s
   | Cin.Where (c, p) -> rhs_accesses c @ rhs_accesses p
   | Cin.Sequence (a, b) -> rhs_accesses a @ rhs_accesses b
@@ -326,7 +314,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
       | rs ->
           fail "the statement writes %d result tensors; expected one" (List.length rs)
     in
-    let all_accesses = Util.dedup_stable (stmt_accesses stmt) in
+    let all_accesses = Util.dedup_stable (Cin.stmt_accesses stmt) in
     let inputs =
       Util.dedup_stable
         (List.filter_map
@@ -425,7 +413,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                else [])
             end
             else [])
-          (Util.dedup_stable (expr_accesses rhs_cin))
+          (Util.dedup_stable (Cin.expr_accesses rhs_cin))
       in
       let main =
         if Tensor_var.order tv = 0 && Tensor_var.is_workspace tv then
@@ -542,13 +530,13 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
          in bounds here, so the read needs no guard. Written tensors'
          values stay loads. *)
     and lower_body ctx ~fresh s =
-      let accs = List.filter fresh (Util.dedup_stable (stmt_accesses s)) in
+      let accs = List.filter fresh (Util.dedup_stable (Cin.stmt_accesses s)) in
       let resolved ctx a l = Result.to_option (locate ctx a l) in
       (* Accesses an inner loop reaches, and the variables of loops that
          lie under another loop in [s]. *)
       let rec looped = function
         | Cin.Assignment _ -> []
-        | Cin.Forall (_, b) -> stmt_accesses b
+        | Cin.Forall (_, b) -> Cin.stmt_accesses b
         | Cin.Where (c, p) -> looped c @ looped p
         | Cin.Sequence (x, y) -> looped x @ looped y
       in
@@ -612,7 +600,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
       decls @ lower_stmt ctx s
     and lower_forall ctx v body =
       let vname = Index_var.name v in
-      let body_accs = Util.dedup_stable (stmt_accesses body) in
+      let body_accs = Util.dedup_stable (Cin.stmt_accesses body) in
       (* Sparse iterators at v among the operands. *)
       let sparse_iters =
         List.filter
@@ -818,7 +806,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
             let holding =
               List.filter
                 (fun (_, _, rhs) ->
-                  let rhs_accs = expr_accesses rhs in
+                  let rhs_accs = Cin.expr_accesses rhs in
                   List.exists
                     (fun (a : Cin.access) ->
                       List.exists
@@ -1105,7 +1093,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
               match
                 List.find_opt
                   (fun (a : Cin.access) -> Tensor_var.equal a.tensor w)
-                  (stmt_accesses p)
+                  (Cin.stmt_accesses p)
               with
               | Some a -> a.indices
               | None -> []
@@ -1147,7 +1135,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                       && (not (F.is_all_dense (Tensor_var.format st.result)))
                       && List.exists
                            (fun (a : Cin.access) -> Tensor_var.equal a.tensor w)
-                           (expr_accesses rhs))
+                           (Cin.expr_accesses rhs))
                     (assignments c)
                 in
                 if consumer_copies then begin
@@ -1446,7 +1434,7 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
     (match Imp.validate kernel with
     | Ok () -> ()
     | Error e -> fail "internal: generated kernel fails the verifier: %s" e);
-    { kernel; inputs; result; mode }
+    { kernel; inputs; result; mode; extents = Taco_ir.Extent.of_stmt stmt }
   in
   let module Trace = Taco_support.Trace in
   Trace.with_span ~cat:"lower" ~args:[ ("kernel", name) ] "lower" (fun () ->

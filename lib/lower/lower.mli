@@ -33,6 +33,10 @@ type kernel_info = {
   inputs : Tensor_var.t list;  (** operand tensors, in parameter order *)
   result : Tensor_var.t;
   mode : mode;
+  extents : Taco_ir.Extent.t;
+      (** the statement's index-variable extents, checked when tensors
+          are bound (see {!Taco_exec.Kernel}); empty for hand-written
+          kernels *)
 }
 
 (** [lower ?name ?splits ~mode stmt] — [stmt] must be validated concrete

@@ -52,30 +52,22 @@ let binary_matrix_op ~opname ~rhs ?out b c =
   dflat (Taco.run kern ~inputs:[ (bv, b); (cv, c) ])
 
 let matmul ?out b c =
-  if (Tensor.dims b).(1) <> (Tensor.dims c).(0) then
-    Error "matmul: inner dimensions differ"
-  else
-    binary_matrix_op ~opname:"matmul"
-      ~rhs:(fun bv cv -> I.sum vk (I.Mul (I.access bv [ vi; vk ], I.access cv [ vk; vj ])))
-      ?out b c
+  binary_matrix_op ~opname:"matmul"
+    ~rhs:(fun bv cv -> I.sum vk (I.Mul (I.access bv [ vi; vk ], I.access cv [ vk; vj ])))
+    ?out b c
 
 let add ?out b c =
-  if Tensor.dims b <> Tensor.dims c then Error "add: dimension mismatch"
-  else
-    binary_matrix_op ~opname:"add"
-      ~rhs:(fun bv cv -> I.Add (I.access bv [ vi; vj ], I.access cv [ vi; vj ]))
-      ?out b c
+  binary_matrix_op ~opname:"add"
+    ~rhs:(fun bv cv -> I.Add (I.access bv [ vi; vj ], I.access cv [ vi; vj ]))
+    ?out b c
 
 let mul ?out b c =
-  if Tensor.dims b <> Tensor.dims c then Error "mul: dimension mismatch"
-  else
-    binary_matrix_op ~opname:"mul"
-      ~rhs:(fun bv cv -> I.Mul (I.access bv [ vi; vj ], I.access cv [ vi; vj ]))
-      ?out b c
+  binary_matrix_op ~opname:"mul"
+    ~rhs:(fun bv cv -> I.Mul (I.access bv [ vi; vj ], I.access cv [ vi; vj ]))
+    ?out b c
 
 let spmv b x =
   if Tensor.order b <> 2 || Tensor.order x <> 1 then Error "spmv: expected a matrix and a vector"
-  else if (Tensor.dims b).(1) <> (Tensor.dims x).(0) then Error "spmv: dimension mismatch"
   else begin
     let fmt_b = Tensor.format b and fmt_x = Tensor.format x in
     let yv = Tensor_var.make "y" ~order:1 ~format:Format.dense_vector in
@@ -108,80 +100,66 @@ let scale alpha t =
   | exception Invalid_argument e -> Error e
 
 let inner a b =
-  if Tensor.dims a <> Tensor.dims b then Error "inner: dimension mismatch"
+  let order = Tensor.order a in
+  let vars = List.filteri (fun q _ -> q < order) [ vi; vj; vk; vl ] in
+  if Tensor.order b <> order then Error "inner: orders differ"
+  else if List.length vars < order then Error "inner: order > 4 not supported"
   else begin
-    let order = Tensor.order a in
-    let vars = List.filteri (fun q _ -> q < order) [ vi; vj; vk; vl ] in
-    if List.length vars < order then Error "inner: order > 4 not supported"
-    else begin
-      let alpha = Tensor_var.make "alpha" ~order:0 ~format:(Format.of_levels []) in
-      let av = Tensor_var.make "B" ~order ~format:(Tensor.format a) in
-      let bv = Tensor_var.make "C" ~order ~format:(Tensor.format b) in
-      let key = cache_key (Printf.sprintf "inner%d" order) [ Tensor.format a; Tensor.format b ] in
-      let* kern =
-        compiled ~key (fun () ->
-            let rhs =
-              List.fold_right (fun v e -> I.sum v e) vars
-                (I.Mul (I.access av vars, I.access bv vars))
-            in
-            let stmt = I.assign alpha [] rhs in
-            let* sched = Schedule.of_index_notation stmt in
-            let* c, _ = dflat (Taco.auto_compile ~name:"inner" sched) in
-            Ok c)
-      in
-      let* result = dflat (Taco.run kern ~inputs:[ (av, a); (bv, b) ]) in
-      Ok (Tensor.vals result).(0)
-    end
+    let alpha = Tensor_var.make "alpha" ~order:0 ~format:(Format.of_levels []) in
+    let av = Tensor_var.make "B" ~order ~format:(Tensor.format a) in
+    let bv = Tensor_var.make "C" ~order ~format:(Tensor.format b) in
+    let key = cache_key (Printf.sprintf "inner%d" order) [ Tensor.format a; Tensor.format b ] in
+    let* kern =
+      compiled ~key (fun () ->
+          let rhs =
+            List.fold_right (fun v e -> I.sum v e) vars (I.Mul (I.access av vars, I.access bv vars))
+          in
+          let stmt = I.assign alpha [] rhs in
+          let* sched = Schedule.of_index_notation stmt in
+          let* c, _ = dflat (Taco.auto_compile ~name:"inner" sched) in
+          Ok c)
+    in
+    let* result = dflat (Taco.run kern ~inputs:[ (av, a); (bv, b) ]) in
+    Ok (Tensor.vals result).(0)
   end
 
 let mttkrp x c d =
   if Tensor.order x <> 3 then Error "mttkrp: expected an order-3 tensor"
   else begin
-    let dims = Tensor.dims x in
-    let jdim = (Tensor.dims c).(1) in
-    if (Tensor.dims c).(0) <> dims.(2) || (Tensor.dims d).(0) <> dims.(1) || (Tensor.dims d).(1) <> jdim
-    then Error "mttkrp: factor dimensions do not match the tensor"
-    else begin
-      let av = Tensor_var.make "A" ~order:2 ~format:Format.dense_matrix in
-      let xv = Tensor_var.make "X" ~order:3 ~format:(Tensor.format x) in
-      let cv = Tensor_var.make "C" ~order:2 ~format:(Tensor.format c) in
-      let dv = Tensor_var.make "D" ~order:2 ~format:(Tensor.format d) in
-      let key = cache_key "mttkrp" [ Tensor.format x; Tensor.format c; Tensor.format d ] in
-      let* kern =
-        compiled ~key (fun () ->
-            (* The §VII schedule: loop order i,k,l,j with X·C hoisted into
-               a row workspace. *)
-            let stmt =
-              I.assign av [ vi; vj ]
-                (I.sum vk
-                   (I.sum vl
-                      (I.Mul
-                         ( I.Mul (I.access xv [ vi; vk; vl ], I.access cv [ vl; vj ]),
-                           I.access dv [ vk; vj ] ))))
-            in
-            let* sched = Schedule.of_index_notation stmt in
-            let* sched = Schedule.reorder vj vk sched in
-            let* sched = Schedule.reorder vj vl sched in
-            let w = Taco.workspace "w" Format.dense_vector in
-            let e =
-              Cin.Mul
-                (Cin.Access (Cin.access xv [ vi; vk; vl ]), Cin.Access (Cin.access cv [ vl; vj ]))
-            in
-            let* sched = Schedule.precompute_simple ~expr:e ~over:[ vj ] ~workspace:w sched in
-            dflat (Taco.compile ~name:"mttkrp" sched))
-      in
-      dflat (Taco.run kern ~inputs:[ (xv, x); (cv, c); (dv, d) ])
-    end
+    let av = Tensor_var.make "A" ~order:2 ~format:Format.dense_matrix in
+    let xv = Tensor_var.make "X" ~order:3 ~format:(Tensor.format x) in
+    let cv = Tensor_var.make "C" ~order:2 ~format:(Tensor.format c) in
+    let dv = Tensor_var.make "D" ~order:2 ~format:(Tensor.format d) in
+    let key = cache_key "mttkrp" [ Tensor.format x; Tensor.format c; Tensor.format d ] in
+    let* kern =
+      compiled ~key (fun () ->
+          (* The §VII schedule: loop order i,k,l,j with X·C hoisted into
+             a row workspace. *)
+          let stmt =
+            I.assign av [ vi; vj ]
+              (I.sum vk
+                 (I.sum vl
+                    (I.Mul
+                       ( I.Mul (I.access xv [ vi; vk; vl ], I.access cv [ vl; vj ]),
+                         I.access dv [ vk; vj ] ))))
+          in
+          let* sched = Schedule.of_index_notation stmt in
+          let* sched = Schedule.reorder vj vk sched in
+          let* sched = Schedule.reorder vj vl sched in
+          let w = Taco.workspace "w" Format.dense_vector in
+          let e =
+            Cin.Mul
+              (Cin.Access (Cin.access xv [ vi; vk; vl ]), Cin.Access (Cin.access cv [ vl; vj ]))
+          in
+          let* sched = Schedule.precompute_simple ~expr:e ~over:[ vj ] ~workspace:w sched in
+          dflat (Taco.compile ~name:"mttkrp" sched))
+    in
+    dflat (Taco.run kern ~inputs:[ (xv, x); (cv, c); (dv, d) ])
   end
 
 let sddmm b c d =
   if Tensor.order b <> 2 || Tensor.order c <> 2 || Tensor.order d <> 2 then
     Error "sddmm: expected three matrices"
-  else if
-    (Tensor.dims c).(1) <> (Tensor.dims d).(0)
-    || (Tensor.dims b).(0) <> (Tensor.dims c).(0)
-    || (Tensor.dims b).(1) <> (Tensor.dims d).(1)
-  then Error "sddmm: dimension mismatch"
   else begin
     let av = Tensor_var.make "A" ~order:2 ~format:(Tensor.format b) in
     let bv = Tensor_var.make "B" ~order:2 ~format:(Tensor.format b) in

@@ -5,7 +5,9 @@
     transformation where needed), compiles, and runs — the way a
     downstream user consumes the compiler without writing schedules.
     Compiled kernels are cached per (operation, operand formats), so
-    repeated calls with same-format tensors skip compilation. *)
+    repeated calls with same-format tensors skip compilation. Operands
+    whose dimensions disagree are refused by the kernel's binding
+    ({!Taco.run}'s [E_EXEC_DIMS], flattened to its string). *)
 
 module Tensor = Taco_tensor.Tensor
 module Format = Taco_tensor.Format

@@ -61,31 +61,34 @@ let parse_format name order spec =
 let format_arg name order spec =
   match parse_format name order spec with Ok f -> f | Error m -> fail_input "%s" m
 
+let malformed_dims s = fail_input "malformed dimensions %S (expected positive integers)" s
+
+let dims_arg s =
+  match List.map int_of_string_opt (String.split_on_char ',' s) with
+  | ds when List.for_all Option.is_some ds -> Array.of_list (List.filter_map Fun.id ds)
+  | _ -> malformed_dims s
+
+let random_tensor prng ~density dims fmt =
+  if not (Array.for_all (fun d -> d > 0) dims) then
+    malformed_dims (String.concat "," (Array.to_list (Array.map string_of_int dims)));
+  if not (density >= 0. && density <= 1.) then
+    fail_input "density %S is not in [0, 1]" (Printf.sprintf "%g" density);
+  if Format.is_all_dense fmt then Tensor.of_dense (Gen.random_dense prng dims) fmt
+  else Gen.random_density prng ~dims ~density fmt
+
 let make_tensor tensors args =
   match args with
   | name :: fmt_spec :: dims_s :: opts ->
-      let dims =
-        match List.map int_of_string_opt (String.split_on_char ',' dims_s) with
-        | ds when List.for_all (function Some d -> d > 0 | None -> false) ds ->
-            Array.of_list (List.filter_map Fun.id ds)
-        | _ -> fail_input "malformed dimensions %S (expected positive integers)" dims_s
-      in
+      let dims = dims_arg dims_s in
       let fmt = format_arg name (Array.length dims) fmt_spec in
       let rec parse_opts density seed = function
         | [] -> (density, seed)
-        | "density" :: v :: rest ->
-            let d = float_arg "density" v in
-            if not (d >= 0. && d <= 1.) then fail_input "density %S is not in [0, 1]" v;
-            parse_opts d seed rest
+        | "density" :: v :: rest -> parse_opts (float_arg "density" v) seed rest
         | "seed" :: v :: rest -> parse_opts density (int_arg "seed" v) rest
         | w :: _ -> fail_input "unknown tensor option %S" w
       in
       let density, seed = parse_opts 0.05 42 opts in
-      let prng = Taco_support.Prng.create seed in
-      let t =
-        if Format.is_all_dense fmt then Tensor.of_dense (Gen.random_dense prng dims) fmt
-        else Gen.random_density prng ~dims ~density fmt
-      in
+      let t = random_tensor (Taco_support.Prng.create seed) ~density dims fmt in
       Hashtbl.replace tensors name t;
       Printf.sprintf "ok tensor %s nnz=%d" name (Tensor.nnz t)
   | _ -> fail_input "usage: tensor NAME FMT DIMS [density D] [seed N]"

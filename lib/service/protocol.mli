@@ -24,10 +24,23 @@ val words : string -> string list
     format-spec parser of both the serve protocol and the [-f] option. *)
 val parse_format : string -> int -> string -> (Taco.Format.t, string) result
 
-(** [make_tensor tensors [NAME; FMT; DIMS; opts…]] builds a random
-    tensor (dims positive, [density] in [0, 1], default 0.05; [seed]
-    default 42), binds it in [tensors] and returns the
-    ["ok tensor NAME nnz=N"] answer. No size cap is applied. *)
+(** ["10,20"] → [[|10; 20|]]: the dimension list of a [tensor] line and
+    of [tacocli]'s [-d]. Raises [E_SERVE_INPUT] unless every entry is an
+    integer ({!random_tensor} checks that each is positive). *)
+val dims_arg : string -> int array
+
+(** [random_tensor prng ~density dims fmt]: a random tensor, every cell
+    filled in an all-dense [fmt], else about [density] of them. Raises
+    [E_SERVE_INPUT] unless every dimension is positive and [density] is
+    in [0, 1]. The one generator of [tensor] lines and of [tacocli]'s
+    [--run] inputs. *)
+val random_tensor :
+  Taco_support.Prng.t -> density:float -> int array -> Taco.Format.t -> Taco.Tensor.t
+
+(** [make_tensor tensors [NAME; FMT; DIMS; opts…]] builds a
+    {!random_tensor} ([density] default 0.05, [seed] default 42), binds
+    it in [tensors] and returns the ["ok tensor NAME nnz=N"] answer. No
+    size cap is applied. *)
 val make_tensor : (string, Taco.Tensor.t) Hashtbl.t -> string list -> string
 
 (** [build_request tensors "EXPR [; CLAUSE]…"]: the request and its

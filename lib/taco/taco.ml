@@ -11,6 +11,7 @@ module Tensor_var = Taco_ir.Var.Tensor_var
 module Index_notation = Taco_ir.Index_notation
 module Cin = Taco_ir.Cin
 module Cin_eval = Taco_ir.Cin_eval
+module Extent = Taco_ir.Extent
 module Semiring = Taco_ir.Semiring
 module Concretize = Taco_ir.Concretize
 module Reorder = Taco_ir.Reorder
@@ -116,92 +117,18 @@ let c_source c = Kernel.c_source c.kern
 let cin_string c = Cin.to_string (Schedule.stmt c.sched)
 
 let infer_result_dims stmt ~inputs =
-  let rec accesses = function
-    | Cin.Assignment { lhs; rhs; _ } ->
-        let rec e_acc = function
-          | Cin.Literal _ -> []
-          | Cin.Access a -> [ a ]
-          | Cin.Neg e -> e_acc e
-          | Cin.Add (a, b) | Cin.Sub (a, b) | Cin.Mul (a, b) | Cin.Div (a, b) ->
-              e_acc a @ e_acc b
-        in
-        lhs :: e_acc rhs
-    | Cin.Forall (_, s) -> accesses s
-    | Cin.Where (c, p) -> accesses c @ accesses p
-    | Cin.Sequence (a, b) -> accesses a @ accesses b
-  in
-  let ranges : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Cin.access) ->
-      match List.find_opt (fun (tv, _) -> Tensor_var.equal tv a.tensor) inputs with
-      | None -> ()
-      | Some (_, t) ->
-          let dims = Tensor.dims t in
-          List.iteri
-            (fun m v -> Hashtbl.replace ranges (Index_var.name v) dims.(m))
-            a.indices)
-    (accesses stmt);
-  (* Propagate ranges through workspace modes: the consumer and producer
-     may index the same workspace with different (renamed) variables,
-     e.g. w(jc) and w(jp) after a precompute with renaming triplets. *)
-  for _pass = 1 to 2 do
-    let ws_mode_range : (string * int, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (a : Cin.access) ->
-        if Tensor_var.is_workspace a.tensor then
-          List.iteri
-            (fun m v ->
-              match Hashtbl.find_opt ranges (Index_var.name v) with
-              | Some r -> Hashtbl.replace ws_mode_range (Tensor_var.name a.tensor, m) r
-              | None -> ())
-            a.indices)
-      (accesses stmt);
-    List.iter
-      (fun (a : Cin.access) ->
-        if Tensor_var.is_workspace a.tensor then
-          List.iteri
-            (fun m v ->
-              if not (Hashtbl.mem ranges (Index_var.name v)) then
-                match Hashtbl.find_opt ws_mode_range (Tensor_var.name a.tensor, m) with
-                | Some r -> Hashtbl.replace ranges (Index_var.name v) r
-                | None -> ())
-            a.indices)
-      (accesses stmt)
-  done;
-  match
-    List.find_opt
-      (fun tv -> not (Tensor_var.is_workspace tv))
-      (Cin.tensors_written stmt)
-  with
+  match List.find_opt (fun tv -> not (Tensor_var.is_workspace tv)) (Cin.tensors_written stmt) with
   | None ->
-      Diag.error ~stage:Diag.Execute ~code:"E_EXEC_DIMS"
-        "the statement writes no result tensor"
-  | Some result -> (
-      let lhs =
-        List.find_opt
-          (fun (a : Cin.access) -> Tensor_var.equal a.tensor result)
-          (accesses stmt)
-      in
-      match lhs with
-      | None ->
-          Diag.error ~stage:Diag.Execute ~code:"E_EXEC_DIMS"
-            "internal: result access not found"
-      | Some a -> (
-          let dims =
-            List.map
-              (fun v -> Hashtbl.find_opt ranges (Index_var.name v))
-              a.indices
-          in
-          if List.for_all Option.is_some dims then
-            Ok (Array.of_list (List.map Option.get dims))
-          else
-            Diag.error ~stage:Diag.Execute ~code:"E_EXEC_DIMS"
-              "cannot infer the result's dimensions from the inputs (a result \
-               index variable indexes no input)"))
+      Diag.error ~stage:Diag.Execute ~code:"E_EXEC_DIMS" "the statement writes no result tensor"
+  | Some result ->
+      Diag.to_result (fun () ->
+          Extent.infer (Extent.of_stmt stmt)
+            (List.map (fun (tv, t) -> (tv, Tensor.dims t)) inputs)
+            result)
 
-(* Execution errors surface three ways: [Invalid_argument] for binding
-   arity/format/type mismatches, [Diag.Error] from the executors (bounds,
-   budget, deadline), and plain dimension-inference failures. *)
+(* Execution errors surface two ways: [Invalid_argument] for binding
+   arity/format/type mismatches, and [Diag.Error] from the binding's
+   extent check and the executors (bounds, budget, deadline). *)
 let exec_ctx c = [ ("kernel", (Kernel.info c.kern).Lower.kernel.Imp.k_name) ]
 
 let run_exec c f =
@@ -212,23 +139,17 @@ let run_exec c f =
   | exception Diag.Error d -> Error d
 
 let run ?domains ?deadline_ns c ~inputs =
-  let stmt = Schedule.stmt c.sched in
-  match infer_result_dims stmt ~inputs with
-  | Error e -> Error e
-  | Ok dims -> (
-      let info = Kernel.info c.kern in
+  let info = Kernel.info c.kern in
+  run_exec c (fun () ->
+      let dims = Kernel.result_dims c.kern ~inputs in
       match info.Lower.mode with
-      | Lower.Assemble _ ->
-          run_exec c (fun () ->
-              Kernel.run_assemble ?domains ?deadline_ns c.kern ~inputs ~dims)
+      | Lower.Assemble _ -> Kernel.run_assemble ?domains ?deadline_ns c.kern ~inputs ~dims
+      | Lower.Compute when Format.is_all_dense (Tensor_var.format info.Lower.result) ->
+          Kernel.run_dense ?domains ?deadline_ns c.kern ~inputs ~dims
       | Lower.Compute ->
-          if Format.is_all_dense (Tensor_var.format info.Lower.result) then
-            run_exec c (fun () ->
-                Kernel.run_dense ?domains ?deadline_ns c.kern ~inputs ~dims)
-          else
-            Diag.error ~stage:Diag.Execute ~code:"E_EXEC_MODE" ~context:(exec_ctx c)
-              "compute-mode kernels with compressed results need a \
-               pre-assembled output; use run_with_output")
+          Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_MODE" ~context:(exec_ctx c)
+            "compute-mode kernels with compressed results need a pre-assembled output; use \
+             run_with_output")
 
 let run_with_output ?domains ?deadline_ns c ~inputs ~output =
   run_exec c (fun () ->

@@ -18,6 +18,7 @@ module Tensor_var = Taco_ir.Var.Tensor_var
 module Index_notation = Taco_ir.Index_notation
 module Cin = Taco_ir.Cin
 module Cin_eval = Taco_ir.Cin_eval
+module Extent = Taco_ir.Extent
 module Semiring = Taco_ir.Semiring
 module Concretize = Taco_ir.Concretize
 module Reorder = Taco_ir.Reorder
@@ -153,8 +154,10 @@ val c_source : compiled -> string
 val cin_string : compiled -> string
 
 (** [run compiled ~inputs] executes; result dimensions are inferred from
-    the input tensors' dimensions. For compressed results the kernel must
-    have been compiled in an [Assemble] mode (the default).
+    the input tensors' dimensions (see {!Kernel.result_dims}), and inputs
+    that disagree on an index variable's extent are refused with
+    [E_EXEC_DIMS] before the kernel runs. For compressed results the
+    kernel must have been compiled in an [Assemble] mode (the default).
 
     [?domains] (default 1) is the chunk count for kernels scheduled with
     {!parallelize}; results are bit-identical for every value (see
@@ -239,6 +242,9 @@ val auto_lower :
 val auto_einsum :
   Index_notation.t -> inputs:(Tensor_var.t * Tensor.t) list -> (Tensor.t, Diag.t) result
 
-(** Infer the result's dimensions from the statement and input tensors. *)
+(** Infer the result's dimensions from the statement and input tensors,
+    by {!Extent.infer}: [E_EXEC_DIMS] when two inputs disagree
+    on an index variable's extent or a result mode's extent is bound by
+    no input. *)
 val infer_result_dims :
   Cin.stmt -> inputs:(Tensor_var.t * Tensor.t) list -> (int array, Diag.t) result

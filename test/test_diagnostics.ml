@@ -228,6 +228,67 @@ let test_run_wrong_format_binding () =
     (expect_diag "wrong format" ~stage:Diag.Execute ~code:"E_EXEC_BINDING"
        (Taco.run c ~inputs:[ (b, bt) ]))
 
+(* Operands that disagree on an index variable's extent are refused at
+   binding, on every run entry point, naming the variable, both tensors
+   and both extents; the result's dims passed as [~dims] are checked too. *)
+let test_run_extent_mismatch () =
+  let y = Tensor_var.make "y" ~order:1 ~format:F.dense_vector in
+  let b = Tensor_var.make "B" ~order:2 ~format:F.csr in
+  let x = Tensor_var.make "x" ~order:1 ~format:F.dense_vector in
+  let stmt = I.assign y [ vi ] (I.sum vj (I.Mul (I.access b [ vi; vj ], I.access x [ vj ]))) in
+  let compiled = Helpers.getd (Taco.compile (Helpers.get (Schedule.of_index_notation stmt))) in
+  let bt = Helpers.random_tensor 8 [| 4; 5 |] 0.5 F.csr in
+  let d =
+    expect_diag "extent mismatch" ~stage:Diag.Execute ~code:"E_EXEC_DIMS"
+      (Taco.run compiled
+         ~inputs:[ (b, bt); (x, Helpers.random_tensor 9 [| 6 |] 1.0 F.dense_vector) ])
+  in
+  Alcotest.(check string) "variable" "j" (context_value "extent mismatch" "index" d);
+  Alcotest.(check string) "message"
+    "index variable j ranges over 5 in B (mode 2) but over 6 in x (mode 1)" d.Diag.message;
+  let xt = Helpers.random_tensor 10 [| 5 |] 1.0 F.dense_vector in
+  let kern = Taco.kernel compiled in
+  Alcotest.(check (array int))
+    "result dims" [| 4 |]
+    (Kernel.result_dims kern ~inputs:[ (b, bt); (x, xt) ]);
+  let d =
+    expect_diag "result dims" ~stage:Diag.Execute ~code:"E_EXEC_DIMS"
+      (Diag.to_result (fun () -> Kernel.run_dense kern ~inputs:[ (b, bt); (x, xt) ] ~dims:[| 3 |]))
+  in
+  Alcotest.(check string)
+    "result named" "index variable i ranges over 3 in y (mode 1) but over 4 in B (mode 1)"
+    d.Diag.message
+
+(* A precompute's renamed variables (Fig. 2's jc/jp) are one extent,
+   joined through the workspace mode they both index. *)
+let test_extent_joins_workspace () =
+  let a = Tensor_var.make "A" ~order:2 ~format:F.csr in
+  let b = Tensor_var.make "B" ~order:2 ~format:F.csr in
+  let c = Tensor_var.make "C" ~order:2 ~format:F.csr in
+  let stmt =
+    I.assign a [ vi; vj ] (I.sum vk (I.Mul (I.access b [ vi; vk ], I.access c [ vk; vj ])))
+  in
+  let sched = Helpers.get (Schedule.of_index_notation stmt) in
+  let sched = Helpers.get (Schedule.reorder vk vj sched) in
+  let e = Cin.Mul (Cin.Access (Cin.access b [ vi; vk ]), Cin.Access (Cin.access c [ vk; vj ])) in
+  let jc = Index_var.make "jc" and jp = Index_var.make "jp" in
+  let w = Helpers.ws_vec "w" in
+  let sched = Helpers.get (Schedule.precompute ~expr:e ~vars:[ (vj, jc, jp) ] ~workspace:w sched) in
+  let groups = Taco.Extent.of_stmt (Schedule.stmt sched) in
+  let pairs g = List.map (fun (m : Taco.Extent.member) -> (Tensor_var.name m.tensor, m.mode)) g in
+  Alcotest.(check (list (list (pair string int))))
+    "groups" [ [ ("A", 0); ("B", 0) ]; [ ("A", 1); ("C", 1) ]; [ ("B", 1); ("C", 0) ] ]
+    (List.sort compare (List.map (fun g -> List.sort compare (pairs g)) groups));
+  let bt = Helpers.random_tensor 11 [| 3; 4 |] 0.5 F.csr in
+  let ct = Helpers.random_tensor 12 [| 4; 5 |] 0.5 F.csr in
+  let kern = Taco.kernel (Helpers.getd (Taco.compile sched)) in
+  let d =
+    expect_diag "jc/jp" ~stage:Diag.Execute ~code:"E_EXEC_DIMS"
+      (Diag.to_result (fun () ->
+           Kernel.run_assemble kern ~inputs:[ (b, bt); (c, ct) ] ~dims:[| 3; 6 |]))
+  in
+  Alcotest.(check string) "both variables" "jc/jp" (context_value "jc/jp" "index" d)
+
 let test_scatter_without_workspace_is_lower_error () =
   (* The paper's motivating failure: sparse matmul into a sparse result
      scatters; without a workspace the lowerer must reject it (and the
@@ -373,6 +434,8 @@ let () =
           Alcotest.test_case "missing binding" `Quick test_run_missing_binding;
           Alcotest.test_case "no inputs at all" `Quick test_run_no_inputs_dims;
           Alcotest.test_case "wrong format binding" `Quick test_run_wrong_format_binding;
+          Alcotest.test_case "operand extents disagree" `Quick test_run_extent_mismatch;
+          Alcotest.test_case "extents join through a workspace" `Quick test_extent_joins_workspace;
           Alcotest.test_case "scatter is a lower error" `Quick
             test_scatter_without_workspace_is_lower_error;
           Alcotest.test_case "workspace precondition" `Quick test_workspace_precondition;

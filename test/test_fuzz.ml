@@ -993,6 +993,149 @@ let run_ws (t, width, rows, k, l, seed) =
   incr ws_ran
 
 (* ------------------------------------------------------------------ *)
+(* Extent leg: SpMV, SpAdd, SpGEMM with its workspace schedule and     *)
+(* MTTKRP on operands whose extents are drawn independently, half the  *)
+(* draws then made consistent. The closures and native tiers 0 and 1   *)
+(* must each refuse a draw with E_EXEC_DIMS exactly when two operand   *)
+(* modes of one index variable disagree, and otherwise give the same   *)
+(* bits. Disagreement is decided from the draws alone.                 *)
+(* ------------------------------------------------------------------ *)
+
+let ext_ran = ref 0
+
+let ext_refused = ref 0
+
+let ext_native_ran = ref 0
+
+(* Template [t]: the schedule and each operand with its modes' index
+   variables. SpGEMM and MTTKRP are the workspace leg's. *)
+let ext_template t =
+  let concretize stmt =
+    match Schedule.of_index_notation stmt with
+    | Ok s -> s
+    | Error e -> failf "extent leg: concretize: %s" e
+  in
+  let b = Tensor_var.make "B" ~order:2 ~format:F.csr in
+  match t with
+  | 0 ->
+      let y = Tensor_var.make "y" ~order:1 ~format:F.dense_vector in
+      let x = Tensor_var.make "x" ~order:1 ~format:F.dense_vector in
+      let spmv = I.sum vj (I.Mul (I.access b [ vi; vj ], I.access x [ vj ])) in
+      (concretize (I.assign y [ vi ] spmv), [ (b, [ vi; vj ]); (x, [ vj ]) ])
+  | 1 ->
+      let a = Tensor_var.make "A" ~order:2 ~format:F.csr in
+      let c = Tensor_var.make "C" ~order:2 ~format:F.csr in
+      ( concretize (I.assign a [ vi; vj ] (I.Add (I.access b [ vi; vj ], I.access c [ vi; vj ]))),
+        [ (b, [ vi; vj ]); (c, [ vi; vj ]) ] )
+  | 2 ->
+      let _, sched, vars = ws_templates.(0) in
+      (sched, List.combine vars [ [ vi; vk ]; [ vk; vj ] ])
+  | _ ->
+      let _, sched, vars = ws_templates.(2) in
+      (sched, List.combine vars [ [ vi; vk; vl ]; [ vl; vj ]; [ vk; vj ] ])
+
+let ext_templates = Array.init 4 ext_template
+
+(* Per template, the closure kernel and native kernels at tier 0 and
+   tier 1 ([None] without a C compiler), each its own build; rebuilt
+   when the tier-0 kernel has tiered up on its own. *)
+let ext_cache : (int, Taco.compiled * (Taco.compiled * Taco.compiled) option) Hashtbl.t =
+  Hashtbl.create 4
+
+let ext_kernels t =
+  match Hashtbl.find_opt ext_cache t with
+  | Some ((_, None) as k) -> k
+  | Some ((_, Some (t0, _)) as k) when native_tier t0 = Some 0 -> k
+  | Some _ | None ->
+      let sched, _ = ext_templates.(t) in
+      let build backend =
+        match Taco.compile ~name:"fuzz_extent" ~backend sched with
+        | Ok c -> c
+        | Error d -> failf "extent leg: compile failed on template %d: %s" t (Diag.to_string d)
+      in
+      let native () =
+        Taco_exec.Compile.cache_clear ();
+        let c = build `Native in
+        if Taco.backend_of c <> `Native then
+          failf "extent leg: template %d downgraded to closures" t;
+        c
+      in
+      let natives =
+        if not (Taco_exec.Native.available ()) then None
+        else begin
+          let t0 = native () in
+          let t1 = native () in
+          Taco_exec.Kernel.promote (Taco.kernel t1);
+          Some (t0, t1)
+        end
+      in
+      let k = (build `Closure, natives) in
+      Hashtbl.replace ext_cache t k;
+      k
+
+let run_extent (t, consistent, seed) =
+  let t = t mod Array.length ext_templates in
+  let prng = Prng.create seed in
+  let _, operands = ext_templates.(t) in
+  let drawn =
+    List.map (fun (tv, vars) -> (tv, List.map (fun v -> (v, 1 + Prng.int prng 5)) vars)) operands
+  in
+  (* A consistent draw gives every mode its variable's first extent. *)
+  let drawn =
+    if not consistent then drawn
+    else
+      let first v = List.assoc v (List.concat_map snd drawn) in
+      List.map (fun (tv, modes) -> (tv, List.map (fun (v, _) -> (v, first v)) modes)) drawn
+  in
+  let modes = List.concat_map snd drawn in
+  let disagree =
+    List.exists
+      (fun (v, n) -> List.exists (fun (w, m) -> Index_var.equal v w && n <> m) modes)
+      modes
+  in
+  let inputs =
+    List.mapi
+      (fun q (tv, modes) ->
+        let dims = Array.of_list (List.map snd modes) in
+        (tv, Helpers.random_tensor (seed + q) dims 0.5 (Tensor_var.format tv)))
+      drawn
+  in
+  let shape =
+    String.concat ", "
+      (List.map
+         (fun (tv, modes) ->
+           Tensor_var.name tv ^ " "
+           ^ String.concat "x" (List.map (fun (_, n) -> string_of_int n) modes))
+         drawn)
+  in
+  let closure, natives = ext_kernels t in
+  let executors =
+    ("closures", closure)
+    ::
+    (match natives with
+    | None -> []
+    | Some (t0, t1) -> [ ("native tier 0", t0); ("native tier 1", t1) ])
+  in
+  let outcome (what, c) =
+    match Taco.run c ~inputs with
+    | Ok _ when disagree -> failf "extent leg: %s ran template %d on %s" what t shape
+    | Ok r -> Ok r
+    | Error d when d.Diag.code = "E_EXEC_DIMS" && disagree -> Error d.Diag.message
+    | Error d -> failf "extent leg: %s on template %d, %s: %s" what t shape (Diag.to_string d)
+  in
+  let reference = outcome (List.hd executors) in
+  List.iter
+    (fun ((what, _) as e) ->
+      match (reference, outcome e) with
+      | Ok r, Ok r' when T.bit_identical r r' -> ()
+      | Error m, Error m' when m = m' -> ()
+      | _ -> failf "extent leg: %s disagrees with the closures on template %d, %s" what t shape)
+    (List.tl executors);
+  incr ext_ran;
+  if disagree then incr ext_refused;
+  if natives <> None then incr ext_native_ran
+
+(* ------------------------------------------------------------------ *)
 (* Cache-key soundness leg: every cache on [Support.Memo] — compile,   *)
 (* plan, ops, graph and the service's front cache — serves seeded      *)
 (* requests whose keys may collide. A request repeated against the     *)
@@ -1813,6 +1956,18 @@ let test_ws_fuzz =
          | () -> true
          | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
 
+let test_extent_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name:"operand extents checked at binding, on every executor"
+       (QCheck.make
+          ~print:(fun (t, consistent, seed) ->
+            Printf.sprintf "{template=%d; consistent=%b; seed=%d}" t consistent seed)
+          QCheck.Gen.(triple (int_bound 3) bool (int_bound 100_000)))
+       (fun sc ->
+         match run_extent sc with
+         | () -> true
+         | exception Fuzz_failure msg -> QCheck.Test.fail_report msg))
+
 let test_reader_fuzz =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name:".mtx/.tns readers on mutated files"
@@ -1833,17 +1988,25 @@ let test_coverage () =
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
      %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
      semiring leg: %d ran, %d native; tier leg: %d ran; batch leg: %d ran, %d native; \
-     workspace leg: %d ran, %d native runs; cache-key leg: %d ran; profile leg: %d native \
-     runs; reader leg: %d packed, %d refused; json leg: %d parsed, %d refused; protocol \
-     leg: %d ran, %d refused\n%!"
+     workspace leg: %d ran, %d native runs; extent leg: %d ran, %d refused, %d native; \
+     cache-key leg: %d ran; profile leg: %d native runs; reader leg: %d packed, %d refused; \
+     json leg: %d parsed, %d refused; protocol leg: %d ran, %d refused\n%!"
     !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !ws_ran !ws_native_ran !key_ran
+    !sr_native_ran !tier_ran !batch_ran !batch_native_ran !ws_ran !ws_native_ran !ext_ran
+    !ext_refused !ext_native_ran !key_ran
     !prof_native_ran !reader_ran !reader_rejected !json_parsed !json_refused !protocol_ran
     !protocol_refused;
   Alcotest.(check bool)
     (Printf.sprintf "workspace leg ran natively when a C compiler exists (%d)" !ws_native_ran)
     true
     (!ws_ran > 0 && ((not (Taco_exec.Native.available ())) || !ws_native_ran > 0));
+  Alcotest.(check bool)
+    (Printf.sprintf "extent leg refused some draws and ran others, natively when a C compiler \
+                     exists (%d ran, %d refused, %d native)"
+       !ext_ran !ext_refused !ext_native_ran)
+    true
+    (0 < !ext_refused && !ext_refused < !ext_ran
+    && ((not (Taco_exec.Native.available ())) || !ext_native_ran > 0));
   Alcotest.(check bool)
     (Printf.sprintf "batch leg ran natively when a C compiler exists (%d)" !batch_native_ran)
     true
@@ -1885,6 +2048,7 @@ let () =
           test_tier_fuzz;
           test_batch_fuzz;
           test_ws_fuzz;
+          test_extent_fuzz;
           test_key_fuzz;
           test_reader_fuzz;
           test_json_fuzz;
